@@ -1,26 +1,26 @@
-//! Cluster state: resource partitions and running jobs.
+//! Cluster state: resource partitions, their queues and release ledgers.
 //!
 //! A machine is a set of partitions. Unpartitioned systems have exactly
 //! one; Philly-style systems get one partition per isolated virtual
 //! cluster (§III.B: "a job will be queued in each virtual cluster until its
 //! requested GPUs are available in the same virtual cluster").
 
-use lumos_core::{SystemSpec, Timestamp};
+use lumos_core::{Duration, SystemSpec, Timestamp};
 
-use crate::profile::CapacityProfile;
+use crate::profile::ReleaseLedger;
 
-/// A job currently executing on a partition.
+/// A queued job as the backfill scan sees it: the table index plus the two
+/// numbers every candidate test needs, stored inline so a scan of a queue
+/// thousands deep reads one sequential array instead of chasing
+/// `procs_eff[idx]` / `plan_wall[idx]` through an index list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunningJob {
+pub struct Waiter {
     /// Index of the job in the simulator's job table.
     pub idx: usize,
-    /// Resource units held.
+    /// Effective request (clamped to the partition's capacity).
     pub procs: u64,
-    /// Walltime-based end estimate (`start + planning_walltime`); what the
-    /// scheduler plans with.
-    pub end_estimate: Timestamp,
-    /// Actual finish time (`start + runtime`); what really happens.
-    pub finish: Timestamp,
+    /// Walltime the scheduler plans with.
+    pub wall: Duration,
 }
 
 /// One isolated scheduling domain (the whole machine, or one virtual
@@ -31,19 +31,12 @@ pub struct Partition {
     pub capacity: u64,
     /// Currently free units.
     pub free: u64,
-    /// Jobs currently executing, sorted ascending by
-    /// `(end_estimate, table index)`. Kept end-sorted incrementally so the
-    /// scheduler can find jobs running past their estimate with a prefix
-    /// scan instead of re-sorting thousands of running jobs per event.
-    running: Vec<RunningJob>,
-    /// Indices of waiting jobs, kept sorted by scheduling priority.
-    pub waiting: Vec<usize>,
-    /// Incrementally maintained free-capacity skyline: every start carves
-    /// its planned interval out ([`CapacityProfile::reserve`]), every
-    /// completion hands the unused tail back
-    /// ([`CapacityProfile::unreserve`]). Replaces the per-pass
-    /// rebuild-from-the-running-set the backfill disciplines used to pay.
-    skyline: CapacityProfile,
+    /// Waiting jobs, kept sorted by scheduling priority.
+    pub waiting: Vec<Waiter>,
+    /// Who runs until when: the units each running job hands back, keyed
+    /// by end estimate. The one structure the backfill disciplines plan
+    /// from; which job holds which units stays in the session's tables.
+    ledger: ReleaseLedger,
 }
 
 impl Partition {
@@ -51,67 +44,42 @@ impl Partition {
         Self {
             capacity,
             free: capacity,
-            running: Vec::new(),
             waiting: Vec::new(),
-            skyline: CapacityProfile::new(Timestamp::MIN, capacity),
+            ledger: ReleaseLedger::new(capacity),
         }
     }
 
-    /// Jobs currently executing, ascending by `(end_estimate, idx)`.
+    /// The release ledger of the running jobs, as of the last
+    /// [`Partition::prune_to`].
     #[must_use]
-    pub fn running(&self) -> &[RunningJob] {
-        &self.running
+    pub fn ledger(&self) -> &ReleaseLedger {
+        &self.ledger
     }
 
-    /// The incrementally maintained free-capacity skyline. Counts each
-    /// running job as busy over `[start, end_estimate)` only; jobs running
-    /// *past* their estimate have already been handed back, so scheduling
-    /// passes overlay their units on `[now, now+1)` before querying (see
-    /// `SimSession::schedule`).
-    #[must_use]
-    pub fn skyline(&self) -> &CapacityProfile {
-        &self.skyline
+    /// Brings the ledger to `now` — first thing in every scheduling pass.
+    pub fn prune_to(&mut self, now: Timestamp) {
+        self.ledger.prune_to(now);
     }
 
-    /// Mutable skyline access for the scheduling pass (prune + the
-    /// transient overrun overlay).
-    pub(crate) fn skyline_mut(&mut self) -> &mut CapacityProfile {
-        &mut self.skyline
-    }
-
-    /// Starts a job at `now`: allocates units, registers the running record
-    /// in end-estimate order, and carves `[now, end_estimate)` out of the
-    /// skyline.
+    /// Starts a job of `procs` units the scheduler plans to see end at
+    /// `end_estimate`.
     ///
     /// # Panics
     /// Panics (debug) if the job does not fit.
-    pub fn start(&mut self, job: RunningJob, now: Timestamp) {
-        debug_assert!(job.procs <= self.free, "starting a job that does not fit");
-        self.free -= job.procs;
-        let pos = self
-            .running
-            .partition_point(|r| (r.end_estimate, r.idx) < (job.end_estimate, job.idx));
-        self.running.insert(pos, job);
-        self.skyline.reserve(now, job.end_estimate, job.procs);
+    pub fn start(&mut self, procs: u64, end_estimate: Timestamp) {
+        debug_assert!(procs <= self.free, "starting a job that does not fit");
+        self.free -= procs;
+        self.ledger.add(end_estimate, procs);
     }
 
-    /// Completes the running job with table index `idx` at `now`, freeing
-    /// its units and returning the unused tail of its skyline reservation
-    /// (a no-op for jobs that overran their estimate — their reservation
-    /// already expired).
+    /// Completes a running job, freeing the `procs` units it was started
+    /// with; `end_estimate` is the one it was started with too.
     ///
     /// # Panics
-    /// Panics if no such job is running.
-    pub fn finish(&mut self, idx: usize, now: Timestamp) -> RunningJob {
-        let pos = self
-            .running
-            .iter()
-            .position(|r| r.idx == idx)
-            .expect("finishing a job that is not running");
-        let job = self.running.remove(pos);
-        self.free += job.procs;
-        self.skyline.unreserve(now, job.end_estimate, job.procs);
-        job
+    /// Panics if the ledger holds no such job.
+    pub fn finish(&mut self, procs: u64, end_estimate: Timestamp) {
+        self.ledger.remove(end_estimate, procs);
+        self.free += procs;
     }
 }
 
@@ -250,29 +218,23 @@ mod tests {
     fn start_and_finish_manage_units() {
         let mut c = Cluster::new(&SystemSpec::theta(), true);
         let p = c.partition_mut(0);
-        p.start(
-            RunningJob {
-                idx: 7,
-                procs: 100,
-                end_estimate: 50,
-                finish: 40,
-            },
-            0,
-        );
+        p.prune_to(0);
+        p.start(100, 50);
         assert_eq!(p.free, p.capacity - 100);
-        assert_eq!(p.skyline().free_at(0), p.capacity - 100);
-        assert_eq!(p.skyline().free_at(50), p.capacity);
-        let done = p.finish(7, 40);
-        assert_eq!(done.idx, 7);
+        assert_eq!(p.ledger().free_now(), p.capacity - 100);
+        assert_eq!(p.ledger().earliest(p.capacity), (50, p.capacity));
+        p.prune_to(40);
+        p.finish(100, 50);
         assert_eq!(p.free, p.capacity);
         // The unused tail [40, 50) came back.
-        assert_eq!(p.skyline().free_at(40), p.capacity);
+        assert_eq!(p.ledger().earliest(p.capacity), (40, p.capacity));
+        assert!(p.ledger().is_empty());
     }
 
     #[test]
     #[should_panic(expected = "not running")]
     fn finishing_unknown_job_panics() {
         let mut c = Cluster::new(&SystemSpec::theta(), true);
-        let _ = c.partition_mut(0).finish(3, 0);
+        c.partition_mut(0).finish(3, 10);
     }
 }

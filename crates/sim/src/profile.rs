@@ -6,43 +6,39 @@
 //! `procs` units can start?* [`CapacityProfile`] answers that with a
 //! breakpoint list of `(time, free_units)` that stays sorted by time.
 //!
-//! # Incremental maintenance
+//! # Who runs until when: the release ledger
 //!
-//! A profile can be rebuilt from the running set
-//! ([`CapacityProfile::from_sorted_running`], O(running jobs)), or — the
-//! hot path — maintained *incrementally* across scheduling passes:
-//!
-//! * a job start carves its planned interval out with
-//!   [`CapacityProfile::reserve`],
-//! * a completion hands the unused tail of the plan back with
-//!   [`CapacityProfile::unreserve`],
-//! * [`CapacityProfile::prune_to`] drops breakpoints the advancing clock
-//!   has made unreachable, keeping the list proportional to the number of
-//!   *future* end estimates.
-//!
-//! Maintained this way the profile is a **skyline**: every running job
-//! contributes a busy interval `[now, end_estimate)` whose left edge is
-//! the query time, so free capacity restricted to the future is
-//! *non-decreasing in time* — which is what lets
-//! [`CapacityProfile::earliest_forever`] answer the EASY shadow-time query
-//! with one O(log n) binary search over the sorted breakpoints. See
-//! `docs/PERFORMANCE.md` for the complexity argument and the differential
-//! test pinning incremental == rebuilt-from-scratch.
+//! Between passes the scheduler does not maintain a breakpoint list at
+//! all. Restricted to the future, the free-capacity timeline of a machine
+//! whose running jobs each hold `procs` units until their end estimate
+//! *is* "units handed back per end estimate, in time order", and
+//! [`ReleaseLedger`] stores exactly that: a job start adds its units at
+//! its end-estimate key, a completion takes them out again, the advancing
+//! clock drops the keys it passes. The EASY shadow time is a prefix-sum
+//! search over the keys ([`ReleaseLedger::earliest`]); conservative
+//! backfilling, which must carve trial reservations that do not outlive
+//! the pass, fills a scratch [`CapacityProfile`] from the ledger
+//! ([`ReleaseLedger::fill`]) and plans on that. See `docs/PERFORMANCE.md`
+//! §4 for what each operation costs and the differential tests pinning
+//! ledger == rebuilt-from-scratch.
 //!
 //! ```
-//! use lumos_sim::profile::CapacityProfile;
+//! use lumos_sim::profile::{CapacityProfile, ReleaseLedger};
 //!
-//! // 100 free units; a job takes 40 of them on [10, 50).
-//! let mut p = CapacityProfile::new(0, 100);
-//! p.reserve(10, 50, 40);
-//! assert_eq!(p.free_at(20), 60);
-//! // The job finishes early at t=30: the tail of its plan comes back.
-//! p.unreserve(30, 50, 40);
-//! assert_eq!(p.free_at(30), 100);
-//! // The clock reaches 30; history is dropped, queries are unaffected.
-//! p.prune_to(30);
-//! assert_eq!(p.free_at(30), 100);
-//! assert_eq!(p.earliest_forever(30, 100), Some(30));
+//! // 100 units; at t=0 a job takes 40 of them until its estimate, t=50.
+//! let mut ledger = ReleaseLedger::new(100);
+//! ledger.prune_to(0);
+//! ledger.add(50, 40);
+//! assert_eq!(ledger.free_now(), 60);
+//! // 70 units are free from t=50 on, with 30 to spare at that instant.
+//! assert_eq!(ledger.earliest(70), (50, 100));
+//! // Conservative's planning scratch, filled from the ledger.
+//! let mut scratch = CapacityProfile::new(0, 0);
+//! ledger.fill(&mut scratch);
+//! assert_eq!(scratch.points(), &[(0, 60), (50, 100)]);
+//! // The job finishes early: its units come back at once.
+//! ledger.remove(50, 40);
+//! assert_eq!(ledger.free_now(), 100);
 //! ```
 
 use lumos_core::Timestamp;
@@ -56,9 +52,7 @@ pub struct CapacityProfile {
 }
 
 // Hand-written instead of derived so `clone_from` reuses the target's
-// breakpoint allocation: conservative backfill copy-assigns the live
-// skyline into one long-lived scratch profile every pass, and the derived
-// impl would discard and reallocate the scratch vector each time.
+// breakpoint allocation instead of discarding and reallocating it.
 impl Clone for CapacityProfile {
     fn clone(&self) -> Self {
         Self {
@@ -90,8 +84,8 @@ impl CapacityProfile {
     }
 
     /// [`Self::from_running`] for end estimates already in ascending order
-    /// (the scheduler maintains its running set sorted, making this O(n)
-    /// instead of O(n log n) — it runs on every scheduling pass).
+    /// (O(n) instead of O(n log n)). The from-scratch reference the
+    /// differential tests hold [`ReleaseLedger::fill`] to.
     ///
     /// # Panics
     /// Debug-asserts the ascending order.
@@ -136,7 +130,7 @@ impl CapacityProfile {
 
     /// Adds `procs` free units from time `at` onwards (a running job's
     /// estimated completion).
-    pub fn release(&mut self, at: Timestamp, procs: u64) {
+    fn release(&mut self, at: Timestamp, procs: u64) {
         if procs == 0 {
             return;
         }
@@ -163,49 +157,6 @@ impl CapacityProfile {
         }
         self.coalesce_at(end_idx);
         self.coalesce_at(start_idx);
-    }
-
-    /// Returns `procs` free units over `[from, to)` — the inverse of
-    /// [`Self::reserve`]. Used when a running job completes before its end
-    /// estimate: the unused tail of its planned reservation comes back.
-    ///
-    /// ```
-    /// use lumos_sim::profile::CapacityProfile;
-    /// let mut p = CapacityProfile::new(0, 10);
-    /// p.reserve(0, 100, 4);
-    /// p.unreserve(60, 100, 4); // finished early at t=60
-    /// assert_eq!(p.free_at(59), 6);
-    /// assert_eq!(p.free_at(60), 10);
-    /// ```
-    pub fn unreserve(&mut self, from: Timestamp, to: Timestamp, procs: u64) {
-        if from >= to || procs == 0 {
-            return;
-        }
-        let start_idx = self.ensure_breakpoint(from);
-        let end_idx = self.ensure_breakpoint(to);
-        for p in &mut self.points[start_idx..end_idx] {
-            p.1 += procs;
-        }
-        self.coalesce_at(end_idx);
-        self.coalesce_at(start_idx);
-    }
-
-    /// Drops every breakpoint strictly before `t` and re-anchors the first
-    /// segment at `t`. Free values at times `>= t` are unchanged; history
-    /// before `t` becomes unqueryable. Amortized O(1) per dropped point —
-    /// the incremental skyline calls this every scheduling pass so the
-    /// breakpoint list stays proportional to the number of *future* end
-    /// estimates instead of growing with every job ever started.
-    pub fn prune_to(&mut self, t: Timestamp) {
-        let idx = match self.points.binary_search_by_key(&t, |&(ti, _)| ti) {
-            Ok(i) => i,
-            Err(0) => return, // every breakpoint is already at or after `t`
-            Err(i) => i - 1,
-        };
-        if idx > 0 {
-            self.points.drain(..idx);
-        }
-        self.points[0].0 = t;
     }
 
     /// True if `procs` units are free throughout `[from, to)`.
@@ -275,17 +226,12 @@ impl CapacityProfile {
     }
 
     /// Earliest time at which at least `procs` units are free *and remain
-    /// free forever after* (the EASY shadow time). Returns `None` if never.
-    ///
-    /// Requires a **monotone** profile — free capacity non-decreasing over
-    /// time (debug-asserted). The incremental skyline satisfies this by
-    /// construction: restricted to the future, every running job occupies a
-    /// prefix interval `[now, end_estimate)`, so capacity only ever comes
-    /// back. Monotonicity is what turns the query into a single
-    /// `partition_point` binary search: O(log n) over the sorted
-    /// breakpoints.
-    #[must_use]
-    pub fn earliest_forever(&self, after: Timestamp, procs: u64) -> Option<Timestamp> {
+    /// free forever after* (the EASY shadow time) on a **monotone**
+    /// profile — free capacity non-decreasing over time (debug-asserted).
+    /// Returns `None` if never. The reference [`ReleaseLedger::earliest`]
+    /// is tested against.
+    #[cfg(test)]
+    pub(crate) fn earliest_forever(&self, after: Timestamp, procs: u64) -> Option<Timestamp> {
         debug_assert!(
             self.points.windows(2).all(|w| w[0].1 <= w[1].1),
             "earliest_forever requires a monotone (release-only) profile"
@@ -329,6 +275,236 @@ impl CapacityProfile {
                 let free = self.points[i - 1].1;
                 self.points.insert(i, (t, free));
                 i
+            }
+        }
+    }
+}
+
+/// Keys a chunk of the ledger settles at; a chunk splits in two when it
+/// reaches twice this. Small enough that an insert or a prefix walk inside
+/// one chunk stays within two kilobytes, large enough that thousands
+/// of running jobs are a hundred-odd chunk sums.
+const CHUNK_KEYS: usize = 64;
+
+/// A run of consecutive ledger keys with their sum.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Σ units over `keys`.
+    sum: u64,
+    /// `(end_estimate, Σ units)` ascending by time; never empty.
+    keys: Vec<(Timestamp, u64)>,
+}
+
+/// The units every running job hands back, keyed by its end estimate.
+///
+/// For a machine of `capacity` units at the instant `now` the ledger was
+/// last pruned to, with `total` the units under keys (all later than
+/// `now`) and `overrun` the units of jobs running *past* their estimate:
+///
+/// * `free(now) = capacity − total − overrun`, and
+/// * `free(t) = capacity − total + Σ_{key ≤ t} units` for `t > now`
+///
+/// — an overrunning job is planned to end "any moment", i.e. at
+/// `now + 1`. That is the timeline [`CapacityProfile::from_sorted_running`]
+/// builds from end estimates clamped to `now + 1`, without ever being
+/// built: keys live in bounded chunks with a sum each, so a start, a
+/// completion and a prune touch one chunk, and a prefix-sum search walks
+/// the chunk sums and then one chunk — O(chunks + keys per chunk) instead
+/// of shifting a breakpoint per running job.
+#[derive(Debug, Clone)]
+pub struct ReleaseLedger {
+    capacity: u64,
+    /// Σ units over all keys.
+    total: u64,
+    /// Units held by jobs whose end estimate is at or before `now`.
+    overrun: u64,
+    /// The instant last pruned to; every key is strictly later.
+    now: Timestamp,
+    /// Non-empty chunks, ascending in time.
+    chunks: Vec<Chunk>,
+}
+
+impl ReleaseLedger {
+    /// An idle machine of `capacity` units.
+    #[must_use]
+    pub fn new(capacity: u64) -> Self {
+        Self {
+            capacity,
+            total: 0,
+            overrun: 0,
+            now: Timestamp::MIN,
+            chunks: Vec::new(),
+        }
+    }
+
+    /// Units free at the instant last pruned to.
+    #[must_use]
+    pub fn free_now(&self) -> u64 {
+        self.capacity - self.total - self.overrun
+    }
+
+    /// Number of distinct end estimates held (for tests).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.chunks.iter().map(|c| c.keys.len()).sum()
+    }
+
+    /// True when no running job has a future end estimate.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
+    /// Index of the chunk `end` belongs to: the last one starting at or
+    /// before it (the first when `end` precedes every key).
+    fn chunk_of(&self, end: Timestamp) -> usize {
+        self.chunks
+            .partition_point(|c| c.keys[0].0 <= end)
+            .saturating_sub(1)
+    }
+
+    /// A job holding `procs` units starts, planned to end at `end`.
+    pub fn add(&mut self, end: Timestamp, procs: u64) {
+        debug_assert!(procs <= self.free_now(), "starting a job that does not fit");
+        if end <= self.now {
+            // Already past its estimate: it holds its units as an
+            // overrunning job from the outset.
+            self.overrun += procs;
+            return;
+        }
+        self.total += procs;
+        if self.chunks.is_empty() {
+            self.chunks.push(Chunk {
+                sum: procs,
+                keys: vec![(end, procs)],
+            });
+            return;
+        }
+        let at = self.chunk_of(end);
+        let chunk = &mut self.chunks[at];
+        chunk.sum += procs;
+        match chunk.keys.binary_search_by_key(&end, |&(t, _)| t) {
+            Ok(i) => chunk.keys[i].1 += procs,
+            Err(i) => chunk.keys.insert(i, (end, procs)),
+        }
+        if chunk.keys.len() >= 2 * CHUNK_KEYS {
+            let keys = chunk.keys.split_off(CHUNK_KEYS);
+            let sum = keys.iter().map(|&(_, p)| p).sum();
+            chunk.sum -= sum;
+            self.chunks.insert(at + 1, Chunk { sum, keys });
+        }
+    }
+
+    /// The job that [`Self::add`]ed `procs` units at `end` completes.
+    ///
+    /// # Panics
+    /// Panics if the ledger holds no such units.
+    pub fn remove(&mut self, end: Timestamp, procs: u64) {
+        const NOT_HELD: &str = "finishing a job that is not running";
+        if end <= self.now {
+            self.overrun = self.overrun.checked_sub(procs).expect(NOT_HELD);
+            return;
+        }
+        let at = self.chunk_of(end);
+        let chunk = self.chunks.get_mut(at).expect(NOT_HELD);
+        let i = chunk
+            .keys
+            .binary_search_by_key(&end, |&(t, _)| t)
+            .expect(NOT_HELD);
+        chunk.keys[i].1 = chunk.keys[i].1.checked_sub(procs).expect(NOT_HELD);
+        chunk.sum -= procs;
+        self.total -= procs;
+        if chunk.keys[i].1 == 0 {
+            chunk.keys.remove(i);
+            if chunk.keys.is_empty() {
+                self.chunks.remove(at);
+            }
+        }
+    }
+
+    /// Moves the ledger's instant forward to `now`: jobs whose estimate
+    /// the clock has reached leave the keys and count as overrunning
+    /// until they complete. A `now` at or before the current instant is a
+    /// no-op.
+    pub fn prune_to(&mut self, now: Timestamp) {
+        if now <= self.now {
+            return;
+        }
+        self.now = now;
+        let whole = self
+            .chunks
+            .iter()
+            .take_while(|c| c.keys[c.keys.len() - 1].0 <= now)
+            .count();
+        let mut passed: u64 = self.chunks.drain(..whole).map(|c| c.sum).sum();
+        if let Some(first) = self.chunks.first_mut() {
+            let n = first.keys.partition_point(|&(t, _)| t <= now);
+            let part: u64 = first.keys.drain(..n).map(|(_, p)| p).sum();
+            first.sum -= part;
+            passed += part;
+        }
+        self.total -= passed;
+        self.overrun += passed;
+    }
+
+    /// Earliest time from which `need` units are free and stay free, and
+    /// the units free at that time — the EASY shadow query, answered on
+    /// the ledger's own instant.
+    ///
+    /// # Panics
+    /// Panics if `need` exceeds the capacity.
+    #[must_use]
+    pub fn earliest(&self, need: u64) -> (Timestamp, u64) {
+        if self.free_now() >= need {
+            return (self.now, self.free_now());
+        }
+        let mut free = self.capacity - self.total;
+        if free >= need {
+            // The overrunning jobs' units alone cover it; a key at that
+            // very instant releases there too.
+            let soon = self.now + 1;
+            return match self.chunks.first().map(|c| c.keys[0]) {
+                Some((t, p)) if t == soon => (soon, free + p),
+                _ => (soon, free),
+            };
+        }
+        for chunk in &self.chunks {
+            if free + chunk.sum < need {
+                free += chunk.sum;
+                continue;
+            }
+            for &(t, p) in &chunk.keys {
+                free += p;
+                if free >= need {
+                    return (t, free);
+                }
+            }
+        }
+        panic!("{need} units never fit a machine of {}", self.capacity);
+    }
+
+    /// Overwrites `profile` with the free-capacity timeline from the
+    /// ledger's instant on: `(now, free_now)`, `(now + 1, …)` where the
+    /// overrunning jobs hand back, then one point per key — point for
+    /// point what [`CapacityProfile::from_sorted_running`] builds from the
+    /// running set with end estimates clamped to `now + 1`. Reuses the
+    /// profile's allocation.
+    pub fn fill(&self, profile: &mut CapacityProfile) {
+        let points = &mut profile.points;
+        points.clear();
+        points.push((self.now, self.free_now()));
+        let mut free = self.capacity - self.total;
+        if self.overrun > 0 {
+            points.push((self.now + 1, free));
+        }
+        for chunk in &self.chunks {
+            for &(t, p) in &chunk.keys {
+                free += p;
+                match points.last_mut() {
+                    // A key at `now + 1` joins the overrun step.
+                    Some(last) if last.0 == t => last.1 = free,
+                    _ => points.push((t, free)),
+                }
             }
         }
     }
@@ -408,46 +584,12 @@ mod tests {
     }
 
     #[test]
-    fn unreserve_returns_the_tail_and_coalesces() {
-        let mut p = CapacityProfile::new(0, 100);
-        p.reserve(10, 50, 40);
-        assert_eq!(p.len(), 3);
-        // Full inverse restores the flat profile with no leftover points.
-        p.unreserve(10, 50, 40);
-        assert_eq!(p.points(), &[(0, 100)]);
-        // Partial inverse (early completion) keeps only the live step.
-        p.reserve(10, 50, 40);
-        p.unreserve(30, 50, 40);
-        assert_eq!(p.points(), &[(0, 100), (10, 60), (30, 100)]);
-        assert_eq!(p.free_at(29), 60);
-        assert_eq!(p.free_at(30), 100);
-    }
-
-    #[test]
     fn reserve_coalesces_boundary_steps() {
         // Two adjacent reservations of the same size merge into one step.
         let mut p = CapacityProfile::new(0, 100);
         p.reserve(10, 20, 40);
         p.reserve(20, 30, 40);
         assert_eq!(p.points(), &[(0, 100), (10, 60), (30, 100)]);
-    }
-
-    #[test]
-    fn prune_drops_history_and_reanchors() {
-        let mut p = CapacityProfile::new(0, 100);
-        p.reserve(10, 20, 40);
-        p.reserve(30, 60, 70);
-        p.prune_to(35);
-        assert_eq!(p.points(), &[(35, 30), (60, 100)]);
-        assert_eq!(p.free_at(35), 30);
-        assert_eq!(p.free_at(60), 100);
-        // Pruning to an existing breakpoint keeps it.
-        p.prune_to(60);
-        assert_eq!(p.points(), &[(60, 100)]);
-        // Pruning before every breakpoint is a no-op.
-        let mut q = CapacityProfile::new(50, 10);
-        q.prune_to(40);
-        assert_eq!(q.points(), &[(50, 10)]);
     }
 
     #[test]
@@ -488,5 +630,146 @@ mod tests {
         assert_eq!(p.earliest_forever(0, 41), Some(50));
         assert_eq!(p.earliest_forever(0, 100), Some(50));
         assert_eq!(p.earliest_forever(0, 101), None);
+    }
+
+    // ---- release ledger -------------------------------------------------
+
+    /// The ledger's pass view, as a profile.
+    fn view(ledger: &ReleaseLedger) -> CapacityProfile {
+        let mut p = CapacityProfile::new(0, 0);
+        ledger.fill(&mut p);
+        p
+    }
+
+    /// Every query the scheduler makes, against the from-scratch profile
+    /// of `running` (`(end_estimate, procs)`) at `now`.
+    fn assert_ledger_matches(ledger: &ReleaseLedger, now: Timestamp, running: &[(Timestamp, u64)]) {
+        let clamped: Vec<_> = running.iter().map(|&(e, p)| (e.max(now + 1), p)).collect();
+        let rebuilt = CapacityProfile::from_running(now, ledger.capacity, &clamped);
+        assert_eq!(view(ledger).points(), rebuilt.points(), "at t={now}");
+        assert_eq!(ledger.free_now(), rebuilt.free_at(now));
+        for need in 1..=ledger.capacity {
+            let shadow = rebuilt.earliest_forever(now, need).unwrap();
+            assert_eq!(
+                ledger.earliest(need),
+                (shadow, rebuilt.free_at(shadow)),
+                "need={need} at t={now}"
+            );
+        }
+    }
+
+    #[test]
+    fn ledger_answers_at_now_next_second_and_on_a_key() {
+        // 100 units at t=10: 30 held by a job past its estimate, 20 until
+        // t=11, 40 until t=60; 10 free.
+        let mut l = ReleaseLedger::new(100);
+        l.add(5, 30);
+        l.add(11, 20);
+        l.add(60, 40);
+        l.prune_to(10);
+        assert_eq!(l.free_now(), 10);
+        assert_eq!(l.earliest(10), (10, 10), "fits now");
+        // The overrunning job's units count from now + 1, where the key
+        // at that very instant releases too.
+        assert_eq!(l.earliest(11), (11, 60));
+        assert_eq!(l.earliest(60), (11, 60));
+        assert_eq!(l.earliest(61), (60, 100), "exactly on a key");
+        assert_eq!(view(&l).points(), &[(10, 10), (11, 60), (60, 100)]);
+        // Without a key at now + 1 the overrun step stands alone.
+        l.remove(11, 20);
+        assert_eq!(l.earliest(31), (11, 60));
+        assert_eq!(view(&l).points(), &[(10, 30), (11, 60), (60, 100)]);
+        // No overrun, no step.
+        l.remove(5, 30);
+        assert_eq!(l.earliest(61), (60, 100));
+        assert_eq!(view(&l).points(), &[(10, 60), (60, 100)]);
+    }
+
+    #[test]
+    fn equal_end_estimates_share_a_key() {
+        let mut l = ReleaseLedger::new(10);
+        l.prune_to(0);
+        l.add(50, 3);
+        l.add(50, 4);
+        assert_eq!(l.len(), 1);
+        assert_eq!(l.earliest(8), (50, 10));
+        l.remove(50, 3);
+        assert_eq!(l.len(), 1, "the other job still holds the key");
+        assert_eq!(l.free_now(), 6);
+        l.remove(50, 4);
+        assert!(l.is_empty());
+    }
+
+    #[test]
+    fn prune_drops_history_and_reanchors() {
+        // 100 units: 40 held until t=20, 30 until t=60.
+        let mut l = ReleaseLedger::new(100);
+        l.prune_to(0);
+        l.add(20, 40);
+        l.add(60, 30);
+        l.prune_to(35);
+        // The key the clock passed is gone; its job counts as overrunning.
+        assert_eq!(l.len(), 1);
+        assert_eq!(view(&l).points(), &[(35, 30), (36, 70), (60, 100)]);
+        // Pruning onto a key drops it too: nothing is planned to end "now".
+        l.prune_to(60);
+        assert!(l.is_empty());
+        assert_eq!(view(&l).points(), &[(60, 30), (61, 100)]);
+        // Pruning backwards is a no-op.
+        l.prune_to(40);
+        assert_eq!(view(&l).points(), &[(60, 30), (61, 100)]);
+    }
+
+    #[test]
+    fn chunks_split_empty_and_prune_across_boundaries() {
+        let keys = 5 * CHUNK_KEYS as i64;
+        let mut l = ReleaseLedger::new(10_000);
+        l.prune_to(0);
+        // Descending inserts land at the front of the first chunk every
+        // time: the worst case for splitting.
+        let mut running: Vec<(Timestamp, u64)> = Vec::new();
+        for k in (1..=keys).rev() {
+            l.add(k * 10, 2);
+            running.push((k * 10, 2));
+        }
+        assert!(l.chunks.len() >= 3, "{} chunks", l.chunks.len());
+        assert!(l.chunks.iter().all(|c| c.keys.len() < 2 * CHUNK_KEYS));
+        assert!(l
+            .chunks
+            .iter()
+            .all(|c| c.sum == c.keys.iter().map(|k| k.1).sum::<u64>()));
+        assert_ledger_matches(&l, 0, &running);
+
+        // Empty the second chunk key by key; it must disappear.
+        let before = l.chunks.len();
+        let second: Vec<_> = l.chunks[1].keys.clone();
+        for &(t, p) in &second {
+            l.remove(t, p);
+            running.retain(|&r| r != (t, p));
+        }
+        assert_eq!(l.chunks.len(), before - 1);
+        assert_ledger_matches(&l, 0, &running);
+
+        // Prune to the middle of what is now the second chunk: the whole
+        // first chunk and a prefix of the second pass into overrun.
+        let mid = l.chunks[1].keys[CHUNK_KEYS / 2].0;
+        l.prune_to(mid);
+        assert_eq!(l.chunks[0].keys[0].0, mid + 10);
+        assert_ledger_matches(&l, mid, &running);
+
+        // Completions at and after the estimate come out of the overrun.
+        for &(t, p) in running.iter().filter(|r| r.0 <= mid) {
+            l.remove(t, p);
+        }
+        running.retain(|r| r.0 > mid);
+        assert_ledger_matches(&l, mid, &running);
+    }
+
+    #[test]
+    #[should_panic(expected = "not running")]
+    fn removing_units_the_ledger_does_not_hold_panics() {
+        let mut l = ReleaseLedger::new(10);
+        l.add(50, 3);
+        l.remove(50, 4);
     }
 }

@@ -22,7 +22,7 @@ use lumos_core::{CoreError, Duration, Job, Result, SystemSpec, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use crate::backfill::Backfill;
-use crate::cluster::{Cluster, RunningJob};
+use crate::cluster::{Cluster, Waiter};
 use crate::metrics::{SimMetrics, UtilizationTimeline};
 use crate::profile::CapacityProfile;
 use crate::simulator::{SimConfig, SimResult};
@@ -106,7 +106,7 @@ pub struct SessionSnapshot {
 /// restore from those facts plus the [`SystemSpec`]: partition routing and
 /// effective requests (via the deterministic [`crate::cluster::Cluster::route`]),
 /// policy keys (the policy key never depends on the observed wait), queue
-/// orderings, the running set, and the completion heap. That keeps the
+/// orderings, the release ledgers, and the completion heap. That keeps the
 /// snapshot small and makes corruption detectable as inconsistency.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionState {
@@ -188,11 +188,14 @@ pub struct SimSession {
     /// any clock-reaching advance. Not part of the saved state: flush
     /// the round before saving (the serving layer flushes at round end).
     staged_parts: Vec<(usize, u64)>,
-    /// Scratch profile for conservative backfill: each pass copy-assigns
-    /// the partition's maintained skyline into it and carves trial
-    /// reservations, reusing one breakpoint allocation across passes.
-    /// Not part of the saved state — it is dead between passes.
+    /// Scratch profile for conservative backfill: each pass fills it from
+    /// the partition's release ledger and carves trial reservations,
+    /// reusing one breakpoint allocation across passes. Not part of the
+    /// saved state — it is dead between passes.
     scratch_profile: CapacityProfile,
+    /// Scratch list for conservative backfill: the jobs one pass plans to
+    /// start now, in queue order. Dead between passes, like the profile.
+    scratch_starts: Vec<usize>,
     /// Event log since the last `drain_events` (off for batch replay,
     /// where nobody drains and the log would only cost memory).
     pub(crate) record_events: bool,
@@ -210,6 +213,10 @@ pub struct SimSession {
     events_processed: u64,
     /// Tenant table + per-tenant accounting; `None` when tenancy is off.
     tenants: Option<TenantState>,
+    /// Run EASY passes through `schedule_easy_reference` (differential
+    /// tests only).
+    #[cfg(test)]
+    reference_easy: bool,
 }
 
 impl SimSession {
@@ -239,6 +246,7 @@ impl SimSession {
             dirty: Vec::new(),
             staged_parts: Vec::new(),
             scratch_profile: CapacityProfile::new(0, 0),
+            scratch_starts: Vec::new(),
             record_events: true,
             allow_duplicate_ids: false,
             events: Vec::new(),
@@ -246,6 +254,8 @@ impl SimSession {
             cancelled_count: 0,
             events_processed: 0,
             tenants: None,
+            #[cfg(test)]
+            reference_easy: false,
         }
     }
 
@@ -556,12 +566,8 @@ impl SimSession {
             }
             JobState::Waiting => {
                 let part = self.part_of[idx];
-                let waiting = &mut self.cluster.partition_mut(part).waiting;
-                let pos = waiting
-                    .iter()
-                    .position(|&i| i == idx)
-                    .expect("waiting job is in its partition queue");
-                waiting.remove(pos);
+                let pos = self.queue_position(part, idx);
+                self.cluster.partition_mut(part).waiting.remove(pos);
                 // The queue shrank mid-timeline; the head (and backfill
                 // candidates) may now be startable without waiting for the
                 // next arrival or completion.
@@ -769,7 +775,6 @@ impl SimSession {
         }
         let mut pending: Vec<usize> = Vec::new();
         let mut waiting: Vec<Vec<usize>> = vec![Vec::new(); parts];
-        let mut running: Vec<Vec<RunningJob>> = vec![Vec::new(); parts];
         for (idx, job) in jobs.iter().enumerate() {
             let part = s.cluster.route(job.virtual_cluster, job.procs);
             let cap = s.cluster.partition(part).capacity;
@@ -801,12 +806,16 @@ impl SimSession {
                     };
                     if states[idx] == JobState::Running {
                         let start = job.submit + wait;
-                        running[part].push(RunningJob {
-                            idx,
-                            procs: job.procs.min(cap),
-                            end_estimate: start + wall,
-                            finish: start + job.runtime,
-                        });
+                        let procs = job.procs.min(cap);
+                        let p = s.cluster.partition_mut(part);
+                        if procs > p.free {
+                            return Err(CoreError::InvalidSnapshot(format!(
+                                "partition {part} overcommitted: job {} holds {procs} units with {} free",
+                                job.id, p.free
+                            )));
+                        }
+                        p.start(procs, start + wall);
+                        s.finish_heap.push(Reverse((start + job.runtime, idx)));
                     } else {
                         s.finished_count += 1;
                     }
@@ -835,31 +844,13 @@ impl SimSession {
         pending.sort_unstable_by_key(|&i| (s.jobs[i].submit, s.jobs[i].id));
         s.pending = pending.into();
         for (part, mut queue) in waiting.into_iter().enumerate() {
-            let jobs = &s.jobs;
-            let key_of = &s.key_of;
             queue.sort_unstable_by(|&a, &b| {
-                (key_of[a], jobs[a].submit, jobs[a].id)
-                    .partial_cmp(&(key_of[b], jobs[b].submit, jobs[b].id))
+                s.queue_key(a)
+                    .partial_cmp(&s.queue_key(b))
                     .expect("policy keys are finite")
             });
+            let queue = queue.into_iter().map(|idx| s.waiter(idx)).collect();
             s.cluster.partition_mut(part).waiting = queue;
-        }
-        for (part, mut run) in running.into_iter().enumerate() {
-            run.sort_unstable_by_key(|r| (r.end_estimate, r.idx));
-            for r in run {
-                let p = s.cluster.partition_mut(part);
-                if r.procs > p.free {
-                    return Err(CoreError::InvalidSnapshot(format!(
-                        "partition {part} overcommitted: job {} holds {} units with {} free",
-                        s.jobs[r.idx].id, r.procs, p.free
-                    )));
-                }
-                // Re-anchoring the reservation at the restored clock keeps
-                // exactly the future part `[clock, end_estimate)`; the
-                // consumed prefix is history the skyline never queries.
-                p.start(r, clock);
-                s.finish_heap.push(Reverse((r.finish, r.idx)));
-            }
         }
         s.violations = violations;
         s.timeline = timeline;
@@ -911,39 +902,38 @@ impl SimSession {
         }
     }
 
-    /// Asserts that every partition's incrementally maintained skyline is
-    /// point-for-point identical to a from-scratch rebuild from the
-    /// running set — the invariant the whole incremental-profile refactor
-    /// rests on. Test hook for the differential property suite; panics
-    /// with context on divergence.
+    /// Asserts that every partition's release ledger, viewed the way a
+    /// scheduling pass at the current instant would view it, is
+    /// point-for-point identical to a profile rebuilt from scratch from
+    /// the running jobs in the session's tables — and that the ledger's
+    /// unit accounting agrees with the partition's. Test hook for the
+    /// differential property suite; panics with context on divergence.
     #[doc(hidden)]
     pub fn assert_profiles_match_rebuild(&self) {
         let now = self.clock;
+        let mut view = CapacityProfile::new(0, 0);
         for part in 0..self.cluster.partition_count() {
             let p = self.cluster.partition(part);
-            // Pass view of the maintained skyline: prune history, overlay
-            // overrunning jobs on [now, now+1) — what a scheduling pass at
-            // `now` would query.
-            let mut sky = p.skyline().clone();
-            sky.prune_to(now);
-            let overrun: u64 = p
-                .running()
-                .iter()
-                .take_while(|r| r.end_estimate <= now)
-                .map(|r| r.procs)
-                .sum();
-            sky.reserve(now, now + 1, overrun);
-            let rebuilt = CapacityProfile::from_sorted_running(
-                now,
-                p.capacity,
-                p.running()
-                    .iter()
-                    .map(|r| (r.end_estimate.max(now + 1), r.procs)),
-            );
+            let mut ledger = p.ledger().clone();
+            ledger.prune_to(now);
             assert_eq!(
-                sky.points(),
+                ledger.free_now(),
+                p.free,
+                "partition {part}: ledger out of sync with unit accounting at t={now}"
+            );
+            ledger.fill(&mut view);
+            // Jobs running past their estimate hold their units "until
+            // any moment now": the clamp to `now + 1`.
+            let mut ends: Vec<(Timestamp, u64)> = (0..self.jobs.len())
+                .filter(|&i| self.state[i] == JobState::Running && self.part_of[i] == part)
+                .map(|i| (self.end_estimate(i).max(now + 1), self.procs_eff[i]))
+                .collect();
+            ends.sort_unstable();
+            let rebuilt = CapacityProfile::from_sorted_running(now, p.capacity, ends.into_iter());
+            assert_eq!(
+                view.points(),
                 rebuilt.points(),
-                "partition {part}: incremental skyline diverged from rebuild at t={now}"
+                "partition {part}: release ledger diverged from rebuild at t={now}"
             );
         }
     }
@@ -965,7 +955,10 @@ impl SimSession {
             self.finish_heap.pop();
             self.events_processed += 1;
             let part = self.part_of[idx];
-            self.cluster.partition_mut(part).finish(idx, now);
+            let end_estimate = self.end_estimate(idx);
+            self.cluster
+                .partition_mut(part)
+                .finish(self.procs_eff[idx], end_estimate);
             self.state[idx] = JobState::Finished;
             self.finished_count += 1;
             if let Some(ts) = &mut self.tenants {
@@ -1036,15 +1029,51 @@ impl SimSession {
         self.timeline.push((now, used));
     }
 
+    /// The static queue order: `(policy key, submit, id)`.
+    fn queue_key(&self, idx: usize) -> (f64, Timestamp, u64) {
+        (self.key_of[idx], self.jobs[idx].submit, self.jobs[idx].id)
+    }
+
+    /// Job `idx` as a queue entry.
+    fn waiter(&self, idx: usize) -> Waiter {
+        Waiter {
+            idx,
+            procs: self.procs_eff[idx],
+            wall: self.plan_wall[idx],
+        }
+    }
+
     /// Inserts `idx` into its partition's priority-sorted waiting list.
     fn enqueue(&mut self, part: usize, idx: usize) {
-        let key = (self.key_of[idx], self.jobs[idx].submit, self.jobs[idx].id);
-        let jobs = &self.jobs;
-        let key_of = &self.key_of;
-        let waiting = &mut self.cluster.partition_mut(part).waiting;
-        let pos = waiting
-            .partition_point(|&other| (key_of[other], jobs[other].submit, jobs[other].id) <= key);
-        waiting.insert(pos, idx);
+        let key = self.queue_key(idx);
+        let waiting = &self.cluster.partition(part).waiting;
+        let pos = waiting.partition_point(|w| self.queue_key(w.idx) <= key);
+        let waiter = self.waiter(idx);
+        self.cluster.partition_mut(part).waiting.insert(pos, waiter);
+    }
+
+    /// Position of waiting job `idx` in its partition's queue: a binary
+    /// search on the static order. That order does not hold after a
+    /// fair-share re-sort (nor between two live jobs sharing an id, which
+    /// batch replay allows), so a miss falls back to a linear scan.
+    fn queue_position(&self, part: usize, idx: usize) -> usize {
+        let key = self.queue_key(idx);
+        let waiting = &self.cluster.partition(part).waiting;
+        let pos = waiting.partition_point(|w| self.queue_key(w.idx) < key);
+        if waiting.get(pos).is_some_and(|w| w.idx == idx) {
+            return pos;
+        }
+        waiting
+            .iter()
+            .position(|w| w.idx == idx)
+            .expect("waiting job is in its partition queue")
+    }
+
+    /// The end estimate running (or finished) job `idx` was started
+    /// with: `start + planning walltime`.
+    fn end_estimate(&self, idx: usize) -> Timestamp {
+        let job = &self.jobs[idx];
+        job.submit + job.wait.expect("started jobs have a wait") + self.plan_wall[idx]
     }
 
     /// Starts job `idx` at `now` on `part` (must fit).
@@ -1052,18 +1081,15 @@ impl SimSession {
         let job = &mut self.jobs[idx];
         debug_assert!(job.wait.is_none(), "job started twice");
         job.wait = Some(now - job.submit);
-        let running = RunningJob {
-            idx,
-            procs: self.procs_eff[idx],
-            end_estimate: now + self.plan_wall[idx],
-            finish: now + job.runtime,
-        };
+        let finish = now + job.runtime;
         self.state[idx] = JobState::Running;
         if let Some(ts) = &mut self.tenants {
             ts.on_start(idx, self.procs_eff[idx], self.jobs[idx].runtime);
         }
-        self.cluster.partition_mut(part).start(running, now);
-        self.finish_heap.push(Reverse((running.finish, idx)));
+        self.cluster
+            .partition_mut(part)
+            .start(self.procs_eff[idx], now + self.plan_wall[idx]);
+        self.finish_heap.push(Reverse((finish, idx)));
         if let Some(promise) = self.promised[idx] {
             self.violations.push((promise, now));
         }
@@ -1101,7 +1127,7 @@ impl SimSession {
         let key_of = &self.key_of;
         let tenant_of = &ts.tenant_of;
         let waiting = &mut self.cluster.partition_mut(part).waiting;
-        waiting.sort_unstable_by(|&a, &b| {
+        waiting.sort_unstable_by(|&Waiter { idx: a, .. }, &Waiter { idx: b, .. }| {
             let ka = (
                 shares[usize::from(tenant_of[a])],
                 key_of[a],
@@ -1128,9 +1154,9 @@ impl SimSession {
             self.fair_resort(part);
             let p = self.cluster.partition(part);
             match p.waiting.first() {
-                Some(&head) if self.procs_eff[head] <= p.free => {
+                Some(&head) if head.procs <= p.free => {
                     self.cluster.partition_mut(part).waiting.remove(0);
-                    self.start(part, head, now);
+                    self.start(part, head.idx, now);
                 }
                 _ => break,
             }
@@ -1139,10 +1165,10 @@ impl SimSession {
 
     /// One scheduling pass on a partition.
     fn schedule(&mut self, part: usize, now: Timestamp) {
-        // Drop skyline breakpoints the clock has passed — amortized O(1)
-        // per event, and what keeps every later skyline operation
-        // logarithmic in the number of *future* end estimates.
-        self.cluster.partition_mut(part).skyline_mut().prune_to(now);
+        // Bring the release ledger to `now`: keys the clock has passed
+        // become overrunning jobs. Usually none or one key — a drain at
+        // the front of one chunk.
+        self.cluster.partition_mut(part).prune_to(now);
         // Start from the head while it fits.
         self.start_head_while_fits(part, now);
         let qlen = self.cluster.partition(part).waiting.len();
@@ -1157,81 +1183,134 @@ impl SimSession {
         if self.cluster.partition(part).free == 0 {
             return;
         }
-        if self.config.backfill == Backfill::None {
-            return;
-        }
-        // Jobs running past their walltime estimate have already had their
-        // skyline reservation expire, but they still hold units *right
-        // now*. Overlay them on `[now, now+1)` for the duration of this
-        // pass — exactly the `end_estimate.max(now + 1)` clamp the
-        // from-scratch rebuild applied. The running set is end-sorted, so
-        // the overrun jobs are a prefix.
-        let overrun: u64 = {
-            let p = self.cluster.partition(part);
-            p.running()
-                .iter()
-                .take_while(|r| r.end_estimate <= now)
-                .map(|r| r.procs)
-                .sum()
-        };
-        let p = self.cluster.partition_mut(part);
-        p.skyline_mut().reserve(now, now + 1, overrun);
-        debug_assert_eq!(
-            p.skyline().free_at(now),
-            p.free,
-            "skyline out of sync with unit accounting"
-        );
         match self.config.backfill {
-            Backfill::None => unreachable!("handled above"),
+            Backfill::None => {}
+            #[cfg(test)]
+            Backfill::Easy if self.reference_easy => self.schedule_easy_reference(part, now),
             Backfill::Easy => self.schedule_easy(part, now),
             Backfill::Conservative => self.schedule_conservative(part, now),
         }
-        self.cluster
-            .partition_mut(part)
-            .skyline_mut()
-            .unreserve(now, now + 1, overrun);
+        let p = self.cluster.partition(part);
+        debug_assert_eq!(
+            p.ledger().free_now(),
+            p.free,
+            "release ledger out of sync with unit accounting"
+        );
+    }
+
+    /// The head's reservation for one EASY scan: `(shadow, extra,
+    /// promise, allowance)`. Issues the head's promise when it has none.
+    fn easy_reservation(&mut self, part: usize) -> (Timestamp, u64, Timestamp, i64) {
+        let p = self.cluster.partition(part);
+        let head = p.waiting[0];
+        // Shadow time and the units free at it, straight off the release
+        // ledger (`schedule` pruned it to `now`): a prefix-sum search, no
+        // profile built.
+        let (shadow, free_at_shadow) = p.ledger().earliest(head.procs);
+        let extra = free_at_shadow - head.procs;
+        // The allowance is measured against the head's *original*
+        // promise, not the recomputed shadow: a relaxed backfill pushes
+        // the shadow later, and re-deriving the allowance from that
+        // delayed shadow would let every subsequent round relax further
+        // — unbounded cumulative delay instead of Eq. 1's
+        // `factor × expected wait` budget.
+        let promise = *self.promised[head.idx].get_or_insert(shadow);
+        let allowance = self.config.relax.allowance(
+            promise - self.jobs[head.idx].submit,
+            p.waiting.len(),
+            self.max_queue[part],
+        );
+        (shadow, extra, promise, allowance)
     }
 
     /// EASY backfilling with (possibly relaxed) head reservation.
+    ///
+    /// A candidate behind the head starts when it fits the free units now
+    /// and is `harmless` (ends by the shadow), `in_extra` (fits the units
+    /// the head's reservation leaves over) or `in_allowance` (ends within
+    /// the relaxation budget past the head's promise). The first and the
+    /// last are one comparison against `horizon`, so the search for the
+    /// next startable candidate is a sequential scan over the inline
+    /// `(procs, wall)` of the queue.
+    ///
+    /// The scan repeats only after a start that was *neither* harmless
+    /// *nor* in the extra units — an allowance-only start, the one kind
+    /// that can move the shadow — or when fair-share ordering over a
+    /// tenant table can change who the head is. Every other repeat finds
+    /// nothing: a harmless start ends by the shadow, and an `in_extra`
+    /// start leaves `free_at(shadow) ≥ head + extra_remaining` on a
+    /// release-only (monotone) profile, so the recomputed `(shadow,
+    /// extra)` equals `(shadow, extra_remaining)`; `free` only shrank, the
+    /// allowance only shrank (the queue got shorter), `now` is the same —
+    /// every candidate rejected once is rejected again, and the head,
+    /// which did not fit before `free` shrank, still does not.
     fn schedule_easy(&mut self, part: usize, now: Timestamp) {
+        let head_can_change = self.config.policy.is_fair_share() && self.tenants.is_some();
         loop {
-            let (head, shadow, extra) = {
+            let (shadow, extra, promise, allowance) = self.easy_reservation(part);
+            // Gated on a positive allowance so a zero-allowance
+            // relaxation degenerates to strict EASY even when early
+            // completions pulled the shadow before the promise.
+            let horizon = if allowance > 0 {
+                shadow.max(promise + allowance)
+            } else {
+                shadow
+            };
+            let mut extra_remaining = extra;
+            let mut started_any = false;
+            let mut moved_shadow = false;
+            let mut i = 1usize;
+            loop {
                 let p = self.cluster.partition(part);
-                let head = p.waiting[0];
-                // The maintained skyline (pruned + overrun-overlaid by
-                // `schedule`) is monotone, so the shadow query is one
-                // binary search instead of an O(running) rebuild + scan.
-                let shadow = p
-                    .skyline()
-                    .earliest_forever(now, self.procs_eff[head])
-                    .expect("procs_eff ≤ partition capacity");
-                let extra = p
-                    .skyline()
-                    .free_at(shadow)
-                    .saturating_sub(self.procs_eff[head]);
-                (head, shadow, extra)
-            };
-            // The allowance is measured against the head's *original*
-            // promise, not the recomputed shadow: a relaxed backfill pushes
-            // the shadow later, and re-deriving the allowance from that
-            // delayed shadow would let every subsequent round relax further
-            // — unbounded cumulative delay instead of Eq. 1's
-            // `factor × expected wait` budget.
-            let promise = match self.promised[head] {
-                Some(p) => p,
-                None => {
-                    self.promised[head] = Some(shadow);
-                    shadow
+                let free = p.free;
+                let spare = free.min(extra_remaining);
+                let Some(offset) = p.waiting[i..]
+                    .iter()
+                    .position(|w| w.procs <= free && (w.wall <= horizon - now || w.procs <= spare))
+                else {
+                    break;
+                };
+                i += offset; // after the removal, `i` is the next candidate
+                let cand = self.cluster.partition_mut(part).waiting.remove(i);
+                let harmless = cand.wall <= shadow - now;
+                if !harmless {
+                    if cand.procs <= extra_remaining {
+                        extra_remaining -= cand.procs;
+                    } else {
+                        moved_shadow = true;
+                    }
                 }
-            };
-            let qlen = self.cluster.partition(part).waiting.len();
-            let allowance = self.config.relax.allowance(
-                promise - self.jobs[head].submit,
-                qlen,
-                self.max_queue[part],
-            );
+                self.start(part, cand.idx, now);
+                started_any = true;
+            }
+            if !(moved_shadow || head_can_change && started_any) {
+                break;
+            }
+            // Free capacity changed; under fair-share so did the shares —
+            // re-run the head loop.
+            self.start_head_while_fits(part, now);
+            if self.cluster.partition(part).waiting.is_empty() {
+                break;
+            }
+        }
+    }
 
-            // Scan backfill candidates in priority order.
+    /// The candidate loop as it stood before the inline scan: indexed
+    /// walk, the three tests spelled out per candidate, a full rescan
+    /// after any pass that started something, and the shadow cross-checked
+    /// against the profile queries it used to come from. Kept as the
+    /// reference the differential tests hold [`SimSession::schedule_easy`]
+    /// to.
+    #[cfg(test)]
+    fn schedule_easy_reference(&mut self, part: usize, now: Timestamp) {
+        loop {
+            let (shadow, extra, promise, allowance) = self.easy_reservation(part);
+            let p = self.cluster.partition(part);
+            let mut profile = CapacityProfile::new(0, 0);
+            p.ledger().fill(&mut profile);
+            let need = p.waiting[0].procs;
+            assert_eq!(profile.earliest_forever(now, need), Some(shadow));
+            assert_eq!(profile.free_at(shadow) - need, extra);
             let mut extra_remaining = extra;
             let mut started_any = false;
             let mut i = 1usize;
@@ -1241,21 +1320,17 @@ impl SimSession {
                     break;
                 }
                 let cand = p.waiting[i];
-                let procs = self.procs_eff[cand];
-                if procs <= p.free {
-                    let end = now + self.plan_wall[cand];
+                if cand.procs <= p.free {
+                    let end = now + cand.wall;
                     let harmless = end <= shadow;
-                    let in_extra = procs <= extra_remaining;
-                    // Gated on a positive allowance so a zero-allowance
-                    // relaxation degenerates to strict EASY even when early
-                    // completions pulled the shadow before the promise.
+                    let in_extra = cand.procs <= extra_remaining;
                     let in_allowance = allowance > 0 && end <= promise + allowance;
                     if harmless || in_extra || in_allowance {
                         if !harmless && in_extra {
-                            extra_remaining -= procs;
+                            extra_remaining -= cand.procs;
                         }
                         self.cluster.partition_mut(part).waiting.remove(i);
-                        self.start(part, cand, now);
+                        self.start(part, cand.idx, now);
                         started_any = true;
                         continue; // same i now points at the next candidate
                     }
@@ -1265,8 +1340,6 @@ impl SimSession {
             if !started_any {
                 break;
             }
-            // Free capacity changed; head might have become startable via
-            // cascaded completions elsewhere — re-run the head loop.
             self.start_head_while_fits(part, now);
             if self.cluster.partition(part).waiting.is_empty() {
                 break;
@@ -1278,48 +1351,49 @@ impl SimSession {
     /// shared capacity profile; whoever's slot is "now" starts.
     fn schedule_conservative(&mut self, part: usize, now: Timestamp) {
         // Conservative carves per-candidate reservations that must not
-        // outlive this pass, so it copy-assigns the maintained skyline
-        // into the session's scratch profile — a memcpy into one
-        // long-lived breakpoint allocation, not a fresh clone (and not an
-        // O(running) rebuild).
-        let waiting = {
-            let p = self.cluster.partition(part);
-            self.scratch_profile.clone_from(p.skyline());
-            p.waiting.clone()
-        };
+        // outlive this pass, so it plans on the session's scratch profile,
+        // filled from the release ledger: one point per distinct end
+        // estimate into one long-lived breakpoint allocation.
+        let mut to_start = std::mem::take(&mut self.scratch_starts);
+        to_start.clear();
+        let p = self.cluster.partition(part);
+        p.ledger().fill(&mut self.scratch_profile);
         let profile = &mut self.scratch_profile;
-        let mut to_start = Vec::new();
-        for &idx in &waiting {
-            let procs = self.procs_eff[idx];
-            let wall = self.plan_wall[idx];
+        for w in &p.waiting {
             let s = profile
-                .earliest_fit(now, procs, wall)
+                .earliest_fit(now, w.procs, w.wall)
                 .expect("procs_eff ≤ partition capacity");
-            profile.reserve(s, s + wall, procs);
-            if self.promised[idx].is_none() {
-                self.promised[idx] = Some(s);
+            profile.reserve(s, s + w.wall, w.procs);
+            if self.promised[w.idx].is_none() {
+                self.promised[w.idx] = Some(s);
             }
             if s == now {
-                to_start.push(idx);
+                to_start.push(w.idx);
             }
         }
-        for idx in to_start {
-            let p = self.cluster.partition_mut(part);
-            let pos = p
-                .waiting
-                .iter()
-                .position(|&w| w == idx)
-                .expect("job is waiting");
-            p.waiting.remove(pos);
-            self.start(part, idx, now);
+        if !to_start.is_empty() {
+            // The plan is a subsequence of the queue, in queue order: one
+            // merge-walk compacts the queue however many jobs start.
+            let mut planned = to_start.iter().peekable();
+            self.cluster.partition_mut(part).waiting.retain(|w| {
+                let starts = planned.peek().is_some_and(|&&idx| idx == w.idx);
+                if starts {
+                    planned.next();
+                }
+                !starts
+            });
+            for &idx in &to_start {
+                self.start(part, idx, now);
+            }
         }
+        self.scratch_starts = to_start;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate;
+    use crate::{simulate, Policy, Relax};
     use lumos_core::{JobStatus, Trace};
 
     fn tiny() -> SystemSpec {
@@ -1650,5 +1724,140 @@ mod tests {
         assert_eq!(s.query(1), Some(JobState::Finished));
         s.advance_to(100);
         assert_eq!(s.snapshot().finished, 2, "the reused id still ran");
+    }
+
+    // ---- differential: inline EASY scan vs the reference loop ----------
+
+    fn sixty_four() -> SystemSpec {
+        let mut s = tiny();
+        s.total_nodes = 64;
+        s.total_units = 64;
+        s
+    }
+
+    /// A contended stream on the 64-unit system: arrivals in bursts every
+    /// few seconds, holds of minutes to an hour, so the queue stands
+    /// hundreds deep. One job in six understates its walltime (it
+    /// overruns its estimate); the rest overstate it up to 3×.
+    fn contended_jobs(seed: u64, count: u64) -> Vec<Job> {
+        let mut rng = lumos_stats::Rng::new(seed);
+        let mut next = move |bound: u64| rng.next_below(bound);
+        let mut submit = 0i64;
+        (0..count)
+            .map(|id| {
+                submit += next(4) as i64;
+                let runtime = 60 + next(3_600) as i64;
+                let widest = if next(5) == 0 { 48 } else { 8 };
+                let procs = 1 + next(widest);
+                let wall = if next(6) == 0 {
+                    (runtime / 2).max(1)
+                } else {
+                    runtime + next(2 * runtime as u64) as i64
+                };
+                let mut j = job(id, submit, runtime, procs, wall);
+                j.user = (id % 3) as u32;
+                j
+            })
+            .collect()
+    }
+
+    /// Feeds `jobs` to a session running the inline scan and to one
+    /// running the reference loop, event by event, and requires the
+    /// saved states to agree after every event. Returns the deepest
+    /// queue seen.
+    fn assert_matches_reference(config: SimConfig, tenants: Option<&str>, jobs: &[Job]) -> usize {
+        let build = |reference: bool| {
+            let mut s = match tenants {
+                Some(t) => SimSession::new_with_tenants(
+                    &sixty_four(),
+                    config,
+                    TenantTable::parse(t).unwrap(),
+                ),
+                None => SimSession::new(&sixty_four(), config),
+            };
+            s.reference_easy = reference;
+            for j in jobs {
+                let owner = s.tenants.as_ref().map(|_| (j.user % 3) as TenantId);
+                s.submit_with_tenant(j.clone(), owner, None).unwrap();
+            }
+            s
+        };
+        let (mut fast, mut reference) = (build(false), build(true));
+        while let Some(t) = reference.next_event_time() {
+            assert_eq!(fast.next_event_time(), Some(t));
+            fast.advance_to(t);
+            reference.advance_to(t);
+            assert_eq!(
+                fast.save_state(),
+                reference.save_state(),
+                "diverged at t={t} under {config:?}"
+            );
+            fast.assert_profiles_match_rebuild();
+        }
+        assert_eq!(fast.next_event_time(), None);
+        fast.max_queue_total
+    }
+
+    #[test]
+    fn inline_easy_scan_matches_reference_loop() {
+        let relaxations = [
+            Relax::Strict,
+            Relax::Fixed { factor: 0.1 },
+            Relax::Adaptive { base: 0.1 },
+        ];
+        let orders = [
+            (Policy::Fcfs, None),
+            (Policy::Sjf, None),
+            (Policy::MaxMinFair, Some("a 1\nb 1\nc 1\n")),
+        ];
+        for (seed, relax) in relaxations.into_iter().enumerate() {
+            for (policy, tenants) in orders {
+                let config = SimConfig {
+                    policy,
+                    relax,
+                    ..SimConfig::default()
+                };
+                let jobs = contended_jobs(seed as u64 + 1, 700);
+                let deepest = assert_matches_reference(config, tenants, &jobs);
+                assert!(deepest >= 300, "queue only {deepest} deep under {config:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn allowance_only_start_still_triggers_the_rescan() {
+        // 64 units. A (40 until t=100) and B (14 until t=120) run; H needs
+        // 50, so its shadow is 100 with nothing to spare. C2 (4 units,
+        // far too long) is rejected: not harmless, no extra units. Then C1
+        // (6 units, ends at 142) arrives and starts on the allowance
+        // alone (0.5 × 99 s past the promise of 100). That moves H's
+        // shadow to 120, where B's 14 units leave 8 to spare — and the
+        // second scan must now admit C2 into them.
+        let config = SimConfig {
+            relax: Relax::Fixed { factor: 0.5 },
+            ..SimConfig::default()
+        };
+        let jobs = [
+            job(1, 0, 100, 40, 100),    // A
+            job(2, 0, 120, 14, 120),    // B
+            job(3, 1, 500, 50, 500),    // H
+            job(4, 1, 1_000, 4, 1_000), // C2
+            job(5, 2, 140, 6, 140),     // C1
+        ];
+        assert_matches_reference(config, None, &jobs);
+        let mut s = SimSession::new(&sixty_four(), config);
+        for j in &jobs {
+            s.submit(j.clone()).unwrap();
+        }
+        s.advance_to(1);
+        assert_eq!(s.query(4), Some(JobState::Waiting), "C2 does not fit yet");
+        s.advance_to(2);
+        assert_eq!(
+            s.job(5).unwrap().wait,
+            Some(0),
+            "C1 starts on the allowance"
+        );
+        assert_eq!(s.job(4).unwrap().wait, Some(1), "the rescan admits C2");
+        assert_eq!(s.query(3), Some(JobState::Waiting));
     }
 }

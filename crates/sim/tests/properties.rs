@@ -126,6 +126,95 @@ fn check_incremental_matches_batch(
     Ok(())
 }
 
+/// Drives a session through a seed-derived interleaving of submits,
+/// partial advances and cancels, checking after every operation that the
+/// release ledger matches a from-scratch rebuild
+/// (`assert_profiles_match_rebuild`). Returns the most jobs seen running
+/// at once.
+fn check_ledger_matches_rebuild(
+    trace: &Trace,
+    config: SimConfig,
+    seed: u64,
+) -> Result<usize, TestCaseError> {
+    let mut rng = TestRng::new(seed);
+    let mut session = SimSession::new(&trace.system, config);
+    session.assert_profiles_match_rebuild();
+    let mut submitted: Vec<u64> = Vec::new();
+    let mut peak_running = 0;
+    for job in trace.jobs() {
+        if rng.next_u64() % 3 == 0 {
+            let target = rng.next_u64() as i64 % (job.submit + 1);
+            session.advance_to(target.max(0));
+            session.assert_profiles_match_rebuild();
+            peak_running = peak_running.max(session.snapshot().running);
+        }
+        // Cancels exercise the mid-timeline reschedule path.
+        if rng.next_u64() % 5 == 0 {
+            if let Some(&victim) = submitted.get(rng.next_u64() as usize % submitted.len().max(1)) {
+                session.cancel(victim);
+                session.assert_profiles_match_rebuild();
+            }
+        }
+        let id = job.id;
+        session
+            .submit(job.clone())
+            .map_err(|e| TestCaseError::fail(format!("submit: {e}")))?;
+        submitted.push(id);
+        session.assert_profiles_match_rebuild();
+    }
+    // Event by event from here, so completions at, before and after the
+    // estimate are each checked where they happen.
+    while let Some(t) = session.next_event_time() {
+        session.advance_to(t);
+        session.assert_profiles_match_rebuild();
+        peak_running = peak_running.max(session.snapshot().running);
+    }
+    Ok(peak_running)
+}
+
+/// Narrow jobs for a wide machine, so hundreds run at once: arrivals on a
+/// 10 s grid and holds on a 50 s grid (end estimates collide and merge
+/// into one ledger key), a third of the jobs ending exactly at their
+/// estimate, a third running to twice it (overrunning), a third finishing
+/// early.
+fn arb_wide_jobs() -> impl Strategy<Value = Vec<Job>> {
+    prop::collection::vec((0i64..30, 1i64..40, 1u64..4, 0u8..3, 1i64..20), 700..900).prop_map(
+        |raw| {
+            raw.into_iter()
+                .enumerate()
+                .map(|(i, (slot, hold, procs, kind, slack))| {
+                    let wall = hold * 50;
+                    let runtime = match kind {
+                        0 => wall,
+                        1 => wall * 2,
+                        _ => (wall - slack * 2).max(1),
+                    };
+                    let mut j = Job::basic(i as u64, (i % 5) as u32, slot * 10, runtime, procs);
+                    j.walltime = Some(wall);
+                    j
+                })
+                .collect()
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The same invariant where the ledger is more than one chunk: a
+    /// 1 200-unit machine with at least 500 jobs running at once.
+    #[test]
+    fn ledger_matches_rebuild_with_hundreds_of_running_jobs(
+        jobs in arb_wide_jobs(),
+        config in arb_config(),
+        seed in any::<u64>(),
+    ) {
+        let trace = Trace::new(tiny_system(1_200), jobs).unwrap();
+        let peak_running = check_ledger_matches_rebuild(&trace, config, seed)?;
+        prop_assert!(peak_running >= 500, "only {} jobs ran at once", peak_running);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -291,11 +380,11 @@ proptest! {
         }
     }
 
-    /// The tentpole invariant of the incremental-skyline refactor: after
-    /// an *arbitrary* interleaving of submits, time advances, and cancels,
-    /// every partition's incrementally maintained profile is
-    /// point-for-point identical to one rebuilt from scratch from the
-    /// running set — under every policy/backfill/relaxation combination.
+    /// After an *arbitrary* interleaving of submits, time advances, and
+    /// cancels, every partition's release ledger — as a scheduling pass
+    /// would view it — is point-for-point identical to a profile rebuilt
+    /// from scratch from the running jobs, under every
+    /// policy/backfill/relaxation combination.
     #[test]
     fn incremental_profile_matches_rebuild_over_random_op_sequences(
         jobs in arb_jobs(50),
@@ -303,37 +392,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let trace = Trace::new(tiny_system(50), jobs).unwrap();
-        let mut rng = TestRng::new(seed);
-        let mut session = SimSession::new(&trace.system, config);
-        session.assert_profiles_match_rebuild();
-        let mut submitted: Vec<u64> = Vec::new();
-        for job in trace.jobs() {
-            if rng.next_u64() % 3 == 0 {
-                let target = rng.next_u64() as i64 % (job.submit + 1);
-                session.advance_to(target.max(0));
-                session.assert_profiles_match_rebuild();
-            }
-            // Cancels exercise the mid-timeline reschedule path.
-            if rng.next_u64() % 5 == 0 {
-                if let Some(&victim) = submitted.get(rng.next_u64() as usize % submitted.len().max(1)) {
-                    session.cancel(victim);
-                    session.assert_profiles_match_rebuild();
-                }
-            }
-            let id = job.id;
-            session
-                .submit(job.clone())
-                .map_err(|e| TestCaseError::fail(format!("submit: {e}")))?;
-            submitted.push(id);
-            session.assert_profiles_match_rebuild();
-        }
-        session.advance_to_completion();
-        session.assert_profiles_match_rebuild();
+        check_ledger_matches_rebuild(&trace, config, seed)?;
     }
 
-    /// The profile's incremental operations against a naive dense-array
-    /// model: any sequence of reserve/unreserve pairs leaves `free_at`,
-    /// `fits`, and `earliest_fit` agreeing with brute force everywhere.
+    /// The profile's reservations against a naive dense-array model: any
+    /// sequence of fitting reservations leaves `free_at`, `fits`, and
+    /// `earliest_fit` agreeing with brute force everywhere.
     #[test]
     fn profile_ops_match_dense_model(
         ops in prop::collection::vec((0i64..200, 1i64..60, 1u64..40), 1..20),
@@ -352,12 +416,6 @@ proptest! {
             if fits {
                 p.reserve(from, to, procs);
                 for f in &mut dense[from as usize..to as usize] { *f -= procs; }
-                // Sometimes hand back a tail, like an early completion.
-                if len > 2 {
-                    let cut = from + len / 2;
-                    p.unreserve(cut, to, procs);
-                    for f in &mut dense[cut as usize..to as usize] { *f += procs; }
-                }
             }
         }
         for (t, procs, dur) in queries {

@@ -1,0 +1,148 @@
+//! Deep-queue schedules pinned across commits.
+//!
+//! The differential suites compare two code paths of one build and the
+//! benchmark compares a digest with the first repetition of the same
+//! build; neither notices a commit that moves every schedule the same way.
+//! These constants were recorded at the commit *before* the EASY pass was
+//! rebuilt around inline waiting entries and the release ledger, on the
+//! two systems whose queues run thousands deep (Blue Waters) or split
+//! across many partitions (Philly). A change that moves one of them has
+//! changed a scheduling decision, not only its cost.
+
+use lumos_core::{SystemId, Trace};
+use lumos_sim::{simulate, Backfill, Policy, Relax, SimConfig};
+use lumos_traces::{systems, Generator, GeneratorConfig};
+
+/// Blue Waters jobs replayed under conservative backfilling: the whole
+/// day takes minutes in a debug build. Queueing sets in near job 15 000
+/// at this seed (a 15 000-job prefix never queues and would pin nothing);
+/// by 16 000 the queue is 302 deep behind thousands of running jobs.
+const BLUE_WATERS_CONSERVATIVE_PREFIX: usize = 16_000;
+
+fn generate(system: SystemId, days: u32) -> Trace {
+    Generator::new(
+        systems::profile_for(system),
+        GeneratorConfig {
+            seed: 2024,
+            span_days: days,
+            ..GeneratorConfig::default()
+        },
+    )
+    .generate()
+}
+
+/// `(label, backfill, relax)` for the four disciplines every system runs.
+fn disciplines() -> [(&'static str, Backfill, Relax); 4] {
+    [
+        ("easy-strict", Backfill::Easy, Relax::Strict),
+        (
+            "easy-adaptive",
+            Backfill::Easy,
+            Relax::Adaptive { base: 0.1 },
+        ),
+        ("easy-fixed", Backfill::Easy, Relax::Fixed { factor: 0.1 }),
+        ("conservative", Backfill::Conservative, Relax::Strict),
+    ]
+}
+
+/// FNV-1a over every `(id, wait)` in result order, then the two
+/// observables a schedule-preserving bug could still move.
+fn fingerprint(trace: &Trace, config: &SimConfig) -> (u64, usize, usize) {
+    let result = simulate(trace, config);
+    assert_eq!(result.jobs.len(), trace.len());
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for job in &result.jobs {
+        let wait = job.wait.expect("every job scheduled");
+        for word in [job.id, wait as u64] {
+            for byte in word.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    (h, result.metrics.violated_jobs, result.max_queue_len)
+}
+
+/// Runs every discipline × {FCFS, SJF} and compares with `golden`,
+/// reporting *all* mismatches at once so a re-recording is one run.
+/// Conservative replays only the first `conservative_prefix` jobs when
+/// one is given.
+fn check(
+    system: SystemId,
+    days: u32,
+    conservative_prefix: Option<usize>,
+    golden: &[(&str, u64, usize, usize)],
+) {
+    let full = generate(system, days);
+    let prefix = conservative_prefix.map(|n| {
+        Trace::new(full.system.clone(), full.jobs()[..n].to_vec()).expect("non-empty prefix")
+    });
+    let mut actual = Vec::new();
+    for (name, backfill, relax) in disciplines() {
+        for policy in [Policy::Fcfs, Policy::Sjf] {
+            let trace = match (&prefix, backfill) {
+                (Some(p), Backfill::Conservative) => p,
+                _ => &full,
+            };
+            let config = SimConfig {
+                policy,
+                backfill,
+                relax,
+                ..SimConfig::default()
+            };
+            let (digest, violated, max_queue) = fingerprint(trace, &config);
+            actual.push((
+                format!("{name}/{}", policy.name()),
+                digest,
+                violated,
+                max_queue,
+            ));
+        }
+    }
+    let expected: Vec<_> = golden
+        .iter()
+        .map(|&(label, d, v, q)| (label.to_string(), d, v, q))
+        .collect();
+    assert_eq!(
+        actual, expected,
+        "{system:?} schedules moved (left: this build, right: pinned)"
+    );
+}
+
+#[test]
+fn blue_waters_one_day_schedules_are_pinned() {
+    check(
+        SystemId::BlueWaters,
+        1,
+        Some(BLUE_WATERS_CONSERVATIVE_PREFIX),
+        &[
+            ("easy-strict/FCFS", 8_823_173_962_105_936_446, 0, 10_406),
+            ("easy-strict/SJF", 2_110_315_015_361_688_480, 226, 927),
+            ("easy-adaptive/FCFS", 13_534_177_377_632_236_123, 27, 2_727),
+            ("easy-adaptive/SJF", 2_110_315_015_361_688_480, 226, 927),
+            ("easy-fixed/FCFS", 986_013_565_758_413_590, 38, 2_718),
+            ("easy-fixed/SJF", 2_110_315_015_361_688_480, 226, 927),
+            ("conservative/FCFS", 14_283_382_093_122_104_620, 1, 302),
+            ("conservative/SJF", 15_985_278_352_222_658_561, 64, 177),
+        ],
+    );
+}
+
+#[test]
+fn philly_two_days_schedules_are_pinned() {
+    check(
+        SystemId::Philly,
+        2,
+        None,
+        &[
+            ("easy-strict/FCFS", 3_570_526_794_696_353_268, 0, 121),
+            ("easy-strict/SJF", 4_491_173_102_907_578_775, 26, 57),
+            ("easy-adaptive/FCFS", 11_360_096_541_160_628_226, 5, 123),
+            ("easy-adaptive/SJF", 14_680_315_797_083_641_531, 26, 92),
+            ("easy-fixed/FCFS", 10_539_680_961_297_645_870, 6, 123),
+            ("easy-fixed/SJF", 14_680_315_797_083_641_531, 26, 92),
+            ("conservative/FCFS", 10_741_467_860_671_839_948, 0, 121),
+            ("conservative/SJF", 4_307_442_710_982_604_845, 245, 57),
+        ],
+    );
+}
