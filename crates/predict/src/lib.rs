@@ -12,7 +12,8 @@
 //! * [`models::Last2`] — Tsafrir-style mean of the user's last two runtimes,
 //! * [`models::LinearRegression`] — ridge OLS via normal equations,
 //! * [`models::Tobit`] — censored Gaussian regression (killed-at-walltime
-//!   jobs are right-censored observations) fit by gradient ascent,
+//!   jobs are right-censored observations) fit by EM (impute the censored
+//!   targets, refit by OLS, re-estimate σ),
 //! * [`models::Gbt`] — gradient-boosted regression trees (the paper's
 //!   XGBoost stand-in),
 //! * [`models::Mlp`] — a small feed-forward network.

@@ -24,6 +24,8 @@ use serde::{Deserialize, Serialize};
 use crate::backfill::Backfill;
 use crate::cluster::{Cluster, Waiter};
 use crate::metrics::{SimMetrics, UtilizationTimeline};
+#[cfg(test)]
+use crate::profile::flat::FlatProfile;
 use crate::profile::CapacityProfile;
 use crate::simulator::{SimConfig, SimResult};
 use crate::tenant::{TenantId, TenantState, TenantTable, TenantUsage};
@@ -188,13 +190,15 @@ pub struct SimSession {
     /// any clock-reaching advance. Not part of the saved state: flush
     /// the round before saving (the serving layer flushes at round end).
     staged_parts: Vec<(usize, u64)>,
-    /// Scratch profile for conservative backfill: each pass fills it from
-    /// the partition's release ledger and carves trial reservations,
-    /// reusing one breakpoint allocation across passes. Not part of the
-    /// saved state — it is dead between passes.
-    scratch_profile: CapacityProfile,
+    /// Allocations behind conservative backfill's plan: each pass lays
+    /// this profile over its partition's release ledger
+    /// ([`crate::profile::ReleaseLedger::plan`]) and carves trial
+    /// reservations into it, reusing the span headers and copied-out
+    /// breakpoint lists of the passes before. Shared by all partitions.
+    /// Not part of the saved state — it is dead between passes.
+    plan_scratch: CapacityProfile,
     /// Scratch list for conservative backfill: the jobs one pass plans to
-    /// start now, in queue order. Dead between passes, like the profile.
+    /// start now, in queue order. Dead between passes, like the plan.
     scratch_starts: Vec<usize>,
     /// Event log since the last `drain_events` (off for batch replay,
     /// where nobody drains and the log would only cost memory).
@@ -213,10 +217,10 @@ pub struct SimSession {
     events_processed: u64,
     /// Tenant table + per-tenant accounting; `None` when tenancy is off.
     tenants: Option<TenantState>,
-    /// Run EASY passes through `schedule_easy_reference` (differential
-    /// tests only).
+    /// Run backfill passes through `schedule_easy_reference` and
+    /// `schedule_conservative_reference` (differential tests only).
     #[cfg(test)]
-    reference_easy: bool,
+    reference_passes: bool,
 }
 
 impl SimSession {
@@ -245,7 +249,7 @@ impl SimSession {
             clock: Timestamp::MIN,
             dirty: Vec::new(),
             staged_parts: Vec::new(),
-            scratch_profile: CapacityProfile::new(0, 0),
+            plan_scratch: CapacityProfile::new(0, 0),
             scratch_starts: Vec::new(),
             record_events: true,
             allow_duplicate_ids: false,
@@ -255,7 +259,7 @@ impl SimSession {
             events_processed: 0,
             tenants: None,
             #[cfg(test)]
-            reference_easy: false,
+            reference_passes: false,
         }
     }
 
@@ -911,7 +915,7 @@ impl SimSession {
     #[doc(hidden)]
     pub fn assert_profiles_match_rebuild(&self) {
         let now = self.clock;
-        let mut view = CapacityProfile::new(0, 0);
+        let mut scratch = CapacityProfile::new(0, 0);
         for part in 0..self.cluster.partition_count() {
             let p = self.cluster.partition(part);
             let mut ledger = p.ledger().clone();
@@ -921,7 +925,7 @@ impl SimSession {
                 p.free,
                 "partition {part}: ledger out of sync with unit accounting at t={now}"
             );
-            ledger.fill(&mut view);
+            let view = ledger.plan(&mut scratch).points();
             // Jobs running past their estimate hold their units "until
             // any moment now": the clamp to `now + 1`.
             let mut ends: Vec<(Timestamp, u64)> = (0..self.jobs.len())
@@ -931,7 +935,7 @@ impl SimSession {
             ends.sort_unstable();
             let rebuilt = CapacityProfile::from_sorted_running(now, p.capacity, ends.into_iter());
             assert_eq!(
-                view.points(),
+                view,
                 rebuilt.points(),
                 "partition {part}: release ledger diverged from rebuild at t={now}"
             );
@@ -1186,7 +1190,11 @@ impl SimSession {
         match self.config.backfill {
             Backfill::None => {}
             #[cfg(test)]
-            Backfill::Easy if self.reference_easy => self.schedule_easy_reference(part, now),
+            Backfill::Easy if self.reference_passes => self.schedule_easy_reference(part, now),
+            #[cfg(test)]
+            Backfill::Conservative if self.reference_passes => {
+                self.schedule_conservative_reference(part, now);
+            }
             Backfill::Easy => self.schedule_easy(part, now),
             Backfill::Conservative => self.schedule_conservative(part, now),
         }
@@ -1306,7 +1314,7 @@ impl SimSession {
         loop {
             let (shadow, extra, promise, allowance) = self.easy_reservation(part);
             let p = self.cluster.partition(part);
-            let mut profile = CapacityProfile::new(0, 0);
+            let mut profile = FlatProfile::new(0, 0);
             p.ledger().fill(&mut profile);
             let need = p.waiting[0].procs;
             assert_eq!(profile.earliest_forever(now, need), Some(shadow));
@@ -1351,14 +1359,40 @@ impl SimSession {
     /// shared capacity profile; whoever's slot is "now" starts.
     fn schedule_conservative(&mut self, part: usize, now: Timestamp) {
         // Conservative carves per-candidate reservations that must not
-        // outlive this pass, so it plans on the session's scratch profile,
-        // filled from the release ledger: one point per distinct end
-        // estimate into one long-lived breakpoint allocation.
+        // outlive this pass, so it plans on the session's scratch profile
+        // laid over the release ledger: a span header per ledger chunk at
+        // entry, breakpoints copied out only where an edge lands.
         let mut to_start = std::mem::take(&mut self.scratch_starts);
         to_start.clear();
         let p = self.cluster.partition(part);
-        p.ledger().fill(&mut self.scratch_profile);
-        let profile = &mut self.scratch_profile;
+        let mut plan = p.ledger().plan(&mut self.plan_scratch);
+        for w in &p.waiting {
+            let s = plan
+                .earliest_fit(now, w.procs, w.wall)
+                .expect("procs_eff ≤ partition capacity");
+            plan.reserve(s, s + w.wall, w.procs);
+            if self.promised[w.idx].is_none() {
+                self.promised[w.idx] = Some(s);
+            }
+            if s == now {
+                to_start.push(w.idx);
+            }
+        }
+        drop(plan);
+        self.start_planned(part, now, to_start);
+    }
+
+    /// The pass as it stood before the plan was laid over the ledger: a
+    /// full copy of the ledger into one flat breakpoint list, swept and
+    /// rewritten per waiting job. Kept as the reference the differential
+    /// tests hold [`SimSession::schedule_conservative`] to.
+    #[cfg(test)]
+    fn schedule_conservative_reference(&mut self, part: usize, now: Timestamp) {
+        let mut to_start = std::mem::take(&mut self.scratch_starts);
+        to_start.clear();
+        let p = self.cluster.partition(part);
+        let mut profile = FlatProfile::new(0, 0);
+        p.ledger().fill(&mut profile);
         for w in &p.waiting {
             let s = profile
                 .earliest_fit(now, w.procs, w.wall)
@@ -1371,9 +1405,15 @@ impl SimSession {
                 to_start.push(w.idx);
             }
         }
+        self.start_planned(part, now, to_start);
+    }
+
+    /// Starts the jobs a conservative pass planned for `now` — a
+    /// subsequence of the queue, in queue order — and hands the list back
+    /// to the scratch.
+    fn start_planned(&mut self, part: usize, now: Timestamp, to_start: Vec<usize>) {
         if !to_start.is_empty() {
-            // The plan is a subsequence of the queue, in queue order: one
-            // merge-walk compacts the queue however many jobs start.
+            // One merge-walk compacts the queue however many jobs start.
             let mut planned = to_start.iter().peekable();
             self.cluster.partition_mut(part).waiting.retain(|w| {
                 let starts = planned.peek().is_some_and(|&&idx| idx == w.idx);
@@ -1761,21 +1801,27 @@ mod tests {
             .collect()
     }
 
-    /// Feeds `jobs` to a session running the inline scan and to one
-    /// running the reference loop, event by event, and requires the
-    /// saved states to agree after every event. Returns the deepest
-    /// queue seen.
-    fn assert_matches_reference(config: SimConfig, tenants: Option<&str>, jobs: &[Job]) -> usize {
+    /// Feeds `jobs` to a session running the production passes and to one
+    /// running the reference passes, event by event, and requires the
+    /// saved states to agree after every event. With `cancel_every`
+    /// non-zero, every that-many-th event is followed by the cancellation
+    /// of the job at the back of the first non-empty queue. Returns the
+    /// deepest queue seen on each partition.
+    fn assert_matches_reference(
+        system: &SystemSpec,
+        config: SimConfig,
+        tenants: Option<&str>,
+        jobs: &[Job],
+        cancel_every: usize,
+    ) -> Vec<usize> {
         let build = |reference: bool| {
             let mut s = match tenants {
-                Some(t) => SimSession::new_with_tenants(
-                    &sixty_four(),
-                    config,
-                    TenantTable::parse(t).unwrap(),
-                ),
-                None => SimSession::new(&sixty_four(), config),
+                Some(t) => {
+                    SimSession::new_with_tenants(system, config, TenantTable::parse(t).unwrap())
+                }
+                None => SimSession::new(system, config),
             };
-            s.reference_easy = reference;
+            s.reference_passes = reference;
             for j in jobs {
                 let owner = s.tenants.as_ref().map(|_| (j.user % 3) as TenantId);
                 s.submit_with_tenant(j.clone(), owner, None).unwrap();
@@ -1783,10 +1829,22 @@ mod tests {
             s
         };
         let (mut fast, mut reference) = (build(false), build(true));
+        let mut events = 0;
         while let Some(t) = reference.next_event_time() {
             assert_eq!(fast.next_event_time(), Some(t));
             fast.advance_to(t);
             reference.advance_to(t);
+            events += 1;
+            if cancel_every > 0 && events % cancel_every == 0 {
+                let parts = 0..reference.cluster.partition_count();
+                let back = parts
+                    .filter_map(|p| reference.cluster.partition(p).waiting.last())
+                    .map(|w| reference.jobs[w.idx].id)
+                    .next();
+                if let Some(id) = back {
+                    assert!(reference.cancel(id) && fast.cancel(id));
+                }
+            }
             assert_eq!(
                 fast.save_state(),
                 reference.save_state(),
@@ -1795,7 +1853,8 @@ mod tests {
             fast.assert_profiles_match_rebuild();
         }
         assert_eq!(fast.next_event_time(), None);
-        fast.max_queue_total
+        assert_eq!(fast.max_queue, reference.max_queue);
+        fast.max_queue
     }
 
     #[test]
@@ -1818,9 +1877,67 @@ mod tests {
                     ..SimConfig::default()
                 };
                 let jobs = contended_jobs(seed as u64 + 1, 700);
-                let deepest = assert_matches_reference(config, tenants, &jobs);
-                assert!(deepest >= 300, "queue only {deepest} deep under {config:?}");
+                let deepest = assert_matches_reference(&sixty_four(), config, tenants, &jobs, 0);
+                assert!(
+                    deepest[0] >= 300,
+                    "queue only {deepest:?} deep under {config:?}"
+                );
             }
+        }
+    }
+
+    // ---- differential: plan over the ledger vs the flat copy ------------
+
+    #[test]
+    fn conservative_plan_over_the_ledger_matches_the_flat_copy() {
+        let orders = [
+            (Policy::Fcfs, None),
+            (Policy::Sjf, None),
+            (Policy::MaxMinFair, Some("a 1\nb 1\nc 1\n")),
+        ];
+        for (seed, (policy, tenants)) in orders.into_iter().enumerate() {
+            let config = SimConfig {
+                policy,
+                backfill: Backfill::Conservative,
+                ..SimConfig::default()
+            };
+            // One job in six overruns its walltime (`contended_jobs`).
+            let jobs = contended_jobs(seed as u64 + 11, 700);
+            for cancel_every in [0, 5] {
+                let deepest =
+                    assert_matches_reference(&sixty_four(), config, tenants, &jobs, cancel_every);
+                assert!(
+                    deepest[0] >= 300,
+                    "queue only {deepest:?} deep under {config:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn conservative_partitions_share_one_plan_scratch() {
+        // Philly-style: 256 units in four uneven virtual clusters, every
+        // job bound to one, all of them planning on the session's one
+        // scratch profile in turn.
+        let mut system = tiny();
+        system.total_nodes = 256;
+        system.total_units = 256;
+        system.virtual_clusters = 4;
+        let mut jobs = contended_jobs(21, 900);
+        for j in &mut jobs {
+            j.virtual_cluster = Some((j.id % 4) as u16);
+        }
+        for policy in [Policy::Fcfs, Policy::Sjf] {
+            let config = SimConfig {
+                policy,
+                backfill: Backfill::Conservative,
+                ..SimConfig::default()
+            };
+            let deepest = assert_matches_reference(&system, config, None, &jobs, 7);
+            assert!(
+                deepest.len() == 4 && deepest.iter().all(|&q| q >= 20),
+                "queues {deepest:?} under {config:?}"
+            );
         }
     }
 
@@ -1844,7 +1961,7 @@ mod tests {
             job(4, 1, 1_000, 4, 1_000), // C2
             job(5, 2, 140, 6, 140),     // C1
         ];
-        assert_matches_reference(config, None, &jobs);
+        assert_matches_reference(&sixty_four(), config, None, &jobs, 0);
         let mut s = SimSession::new(&sixty_four(), config);
         for j in &jobs {
             s.submit(j.clone()).unwrap();

@@ -446,7 +446,7 @@ proptest! {
         if let Some(t) = p.earliest_fit(0, procs, duration) {
             prop_assert!(p.fits(t, t + duration, procs));
             // Minimality at breakpoint granularity: no earlier breakpoint fits.
-            for &(bp, _) in p.points() {
+            for (bp, _) in p.points() {
                 if bp < t {
                     prop_assert!(!p.fits(bp, bp + duration, procs));
                 }

@@ -16,8 +16,10 @@ use lumos_traces::{systems, Generator, GeneratorConfig};
 /// Blue Waters jobs replayed under conservative backfilling: the whole
 /// day takes minutes in a debug build. Queueing sets in near job 15 000
 /// at this seed (a 15 000-job prefix never queues and would pin nothing);
-/// by 16 000 the queue is 302 deep behind thousands of running jobs.
-const BLUE_WATERS_CONSERVATIVE_PREFIX: usize = 16_000;
+/// by 16 000 the queue is 302 deep behind thousands of running jobs, by
+/// 17 000 it is 648 deep. The 17 000 rows were recorded at the commit
+/// *before* conservative planning moved onto spans laid over the ledger.
+const BLUE_WATERS_CONSERVATIVE_PREFIXES: [usize; 2] = [16_000, 17_000];
 
 fn generate(system: SystemId, days: u32) -> Trace {
     Generator::new(
@@ -65,38 +67,50 @@ fn fingerprint(trace: &Trace, config: &SimConfig) -> (u64, usize, usize) {
 
 /// Runs every discipline × {FCFS, SJF} and compares with `golden`,
 /// reporting *all* mismatches at once so a re-recording is one run.
-/// Conservative replays only the first `conservative_prefix` jobs when
-/// one is given.
+/// With `conservative_prefixes` given, conservative replays only the
+/// first that-many jobs, once per prefix, labelled `conservative@N`.
 fn check(
     system: SystemId,
     days: u32,
-    conservative_prefix: Option<usize>,
+    conservative_prefixes: &[usize],
     golden: &[(&str, u64, usize, usize)],
 ) {
     let full = generate(system, days);
-    let prefix = conservative_prefix.map(|n| {
-        Trace::new(full.system.clone(), full.jobs()[..n].to_vec()).expect("non-empty prefix")
-    });
+    let prefixes: Vec<(usize, Trace)> = conservative_prefixes
+        .iter()
+        .map(|&n| {
+            let jobs = full.jobs()[..n].to_vec();
+            let prefix = Trace::new(full.system.clone(), jobs).expect("non-empty prefix");
+            (n, prefix)
+        })
+        .collect();
     let mut actual = Vec::new();
     for (name, backfill, relax) in disciplines() {
-        for policy in [Policy::Fcfs, Policy::Sjf] {
-            let trace = match (&prefix, backfill) {
-                (Some(p), Backfill::Conservative) => p,
-                _ => &full,
+        let traces: Vec<(String, &Trace)> =
+            if backfill == Backfill::Conservative && !prefixes.is_empty() {
+                prefixes
+                    .iter()
+                    .map(|(n, prefix)| (format!("{name}@{n}"), prefix))
+                    .collect()
+            } else {
+                vec![(name.to_string(), &full)]
             };
-            let config = SimConfig {
-                policy,
-                backfill,
-                relax,
-                ..SimConfig::default()
-            };
-            let (digest, violated, max_queue) = fingerprint(trace, &config);
-            actual.push((
-                format!("{name}/{}", policy.name()),
-                digest,
-                violated,
-                max_queue,
-            ));
+        for (label, trace) in &traces {
+            for policy in [Policy::Fcfs, Policy::Sjf] {
+                let config = SimConfig {
+                    policy,
+                    backfill,
+                    relax,
+                    ..SimConfig::default()
+                };
+                let (digest, violated, max_queue) = fingerprint(trace, &config);
+                actual.push((
+                    format!("{label}/{}", policy.name()),
+                    digest,
+                    violated,
+                    max_queue,
+                ));
+            }
         }
     }
     let expected: Vec<_> = golden
@@ -114,7 +128,7 @@ fn blue_waters_one_day_schedules_are_pinned() {
     check(
         SystemId::BlueWaters,
         1,
-        Some(BLUE_WATERS_CONSERVATIVE_PREFIX),
+        &BLUE_WATERS_CONSERVATIVE_PREFIXES,
         &[
             ("easy-strict/FCFS", 8_823_173_962_105_936_446, 0, 10_406),
             ("easy-strict/SJF", 2_110_315_015_361_688_480, 226, 927),
@@ -122,8 +136,30 @@ fn blue_waters_one_day_schedules_are_pinned() {
             ("easy-adaptive/SJF", 2_110_315_015_361_688_480, 226, 927),
             ("easy-fixed/FCFS", 986_013_565_758_413_590, 38, 2_718),
             ("easy-fixed/SJF", 2_110_315_015_361_688_480, 226, 927),
-            ("conservative/FCFS", 14_283_382_093_122_104_620, 1, 302),
-            ("conservative/SJF", 15_985_278_352_222_658_561, 64, 177),
+            (
+                "conservative@16000/FCFS",
+                14_283_382_093_122_104_620,
+                1,
+                302,
+            ),
+            (
+                "conservative@16000/SJF",
+                15_985_278_352_222_658_561,
+                64,
+                177,
+            ),
+            (
+                "conservative@17000/FCFS",
+                16_580_161_907_472_324_007,
+                1,
+                648,
+            ),
+            (
+                "conservative@17000/SJF",
+                17_914_536_718_403_580_458,
+                197,
+                366,
+            ),
         ],
     );
 }
@@ -133,7 +169,7 @@ fn philly_two_days_schedules_are_pinned() {
     check(
         SystemId::Philly,
         2,
-        None,
+        &[],
         &[
             ("easy-strict/FCFS", 3_570_526_794_696_353_268, 0, 121),
             ("easy-strict/SJF", 4_491_173_102_907_578_775, 26, 57),
