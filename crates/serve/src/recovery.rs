@@ -7,11 +7,13 @@
 //! replaying the segments after it reconstructs the pre-crash session —
 //! and, because [`crate::metrics::LiveMetrics`] absorbs the replayed
 //! events through the same code path the live server uses, the recovered
-//! metrics are byte-identical too. Replay is per-record (round
-//! boundaries are invisible in the journal, by design); the live
-//! server's deferred round pass is gated so its states and metrics match
-//! per-record processing — see [`crate::metrics`] for the one
-//! multi-partition P² ordering corner.
+//! metrics are byte-identical too. The state and every way of changing
+//! it live in one struct, `Replica`: a replayed submission goes through
+//! the same `Replica::submit` as a live round's, as a round of one
+//! (round boundaries are invisible in the journal, by design — the
+//! deferred round pass is gated so its states and metrics match
+//! per-record processing; see [`crate::metrics`] for the one
+//! multi-partition P² ordering corner).
 //!
 //! Damage never aborts recovery, it only shrinks what is recovered:
 //! a torn tail is truncated with a warning; an unreadable snapshot falls
@@ -22,14 +24,15 @@
 use std::io;
 use std::path::Path;
 
-use lumos_core::SystemSpec;
-use lumos_predict::{OnlinePredictor, Predictor};
-use lumos_sim::{SimSession, TenantTable};
+use lumos_core::{CoreError, Job, JobStatus, SystemSpec, Timestamp};
+use lumos_predict::{OnlinePredictor, Predictor, PredictorConfig};
+use lumos_sim::{SimConfig, SimSession, Submission, TenantTable};
 use serde::{Deserialize, Serialize};
 
 use crate::journal::{self, Journal, JournalConfig, JournalRecord};
 use crate::metrics::LiveMetrics;
-use crate::server::{job_from_spec, new_session, ServeConfig};
+use crate::protocol::SubmitSpec;
+use crate::server::ServeConfig;
 
 /// What a rotation snapshot file (`snapshot-NNNNNN.json`) contains: the
 /// machine, the full session state, the metrics accumulated so far, and
@@ -65,6 +68,208 @@ pub fn snapshot_json(
     .expect("snapshots serialize")
 }
 
+/// The deterministic state a journal describes: what a rotation snapshot
+/// stores, what replay rebuilds, and what the live scheduler owns. Live
+/// rounds, journal replay and a follower applying shipped frames all
+/// change it through the methods here, so the three cannot drift apart.
+pub(crate) struct Replica {
+    pub system: SystemSpec,
+    pub session: SimSession,
+    pub metrics: LiveMetrics,
+    pub predictor: Option<Predictor>,
+    /// True while nothing has been applied (no snapshot loaded, no
+    /// mutation): the session still runs the CLI-provided configuration
+    /// and a journaled `Config` header may adopt a different one.
+    pub virgin: bool,
+}
+
+impl Replica {
+    /// An empty replica under the CLI-provided configuration.
+    pub fn fresh(serve: &ServeConfig) -> Self {
+        Self::new(
+            serve.system.clone(),
+            serve.sim,
+            serve.predictor,
+            serve.tenants.clone(),
+        )
+    }
+
+    fn new(
+        system: SystemSpec,
+        sim: SimConfig,
+        predictor: Option<PredictorConfig>,
+        tenants: Option<TenantTable>,
+    ) -> Self {
+        let metrics =
+            LiveMetrics::new_with_tenants(sim.bsld_bound, tenants.as_ref().map(TenantTable::len));
+        let mut session = match tenants {
+            Some(table) => SimSession::new_with_tenants(&system, sim, table),
+            None => SimSession::new(&system, sim),
+        };
+        // Sessions start at t = 0, not at the dawn of representable time.
+        session.advance_to(0);
+        Self {
+            system,
+            session,
+            metrics,
+            predictor: predictor.map(Predictor::new),
+            virgin: true,
+        }
+    }
+
+    /// The rotation snapshot of this state.
+    pub fn snapshot_json(&self) -> String {
+        snapshot_json(
+            &self.system,
+            &self.session,
+            &self.metrics,
+            self.predictor.as_ref(),
+        )
+    }
+
+    /// The `Config` header a segment written from this state starts with.
+    pub fn header(&self) -> JournalRecord {
+        JournalRecord::Config {
+            system: self.system.clone(),
+            sim: *self.session.config(),
+            predictor: self.predictor.as_ref().map(Predictor::config),
+            tenants: self.session.tenant_table().cloned(),
+        }
+    }
+
+    /// Runs the scheduling pass deferred by the submissions staged since
+    /// the last flush and folds everything the session did since then
+    /// into the metrics.
+    pub fn flush(&mut self) {
+        self.session.round_flush();
+        let events = self.session.drain_events();
+        self.metrics.absorb(&events, &self.session);
+    }
+
+    /// The one submit path: stages `spec` behind the deferred pass (the
+    /// caller flushes) and returns the record that journals it. A refused
+    /// submission changes nothing and is never journaled.
+    pub fn submit(&mut self, spec: SubmitSpec) -> Result<JournalRecord, CoreError> {
+        let tenant = self.session.resolve_tenant(spec.tenant.as_deref())?;
+        let now = self.session.now();
+        let job = job_from_spec(&spec, now.max(0));
+        let (user, runtime, submit) = (job.user, job.runtime, job.submit);
+        // Predict before submitting, observe only on acceptance: refused
+        // submissions are never journaled, so touching the predictor for
+        // one would diverge from journal replay.
+        let walltime = self
+            .predictor
+            .as_ref()
+            .map(|p| p.predict(user, job.walltime));
+        self.session.round_submit(Submission {
+            job,
+            tenant,
+            walltime,
+        })?;
+        if let Some(p) = self.predictor.as_mut() {
+            p.observe(user, runtime);
+        }
+        Ok(JournalRecord::Submit {
+            now,
+            // Resolve the defaulted arrival time so replay does not
+            // depend on the clock at replay time.
+            job: SubmitSpec {
+                submit: Some(submit),
+                ..spec
+            },
+        })
+    }
+
+    /// Applies one journal record; returns 1 for a replayed mutation, 0
+    /// for a header. Inconsistencies are warned about and skipped — a
+    /// damaged journal degrades recovery, it never aborts it. Also the
+    /// follower-side apply path: a replication follower feeds every
+    /// shipped frame through this function, so following *is* continuous
+    /// recovery.
+    pub fn apply(
+        &mut self,
+        record: JournalRecord,
+        serve: &ServeConfig,
+        warnings: &mut Vec<String>,
+    ) -> u64 {
+        match record {
+            JournalRecord::Config {
+                system,
+                sim,
+                predictor,
+                tenants,
+            } => {
+                let differs = system != self.system
+                    || sim != *self.session.config()
+                    || predictor != self.predictor.as_ref().map(Predictor::config)
+                    || tenants.as_ref() != self.session.tenant_table();
+                if differs && self.virgin {
+                    // The journal was written under a different
+                    // configuration than the CLI provided this time.
+                    // Continuity wins: adopt the journaled configuration
+                    // before replaying.
+                    if system != serve.system
+                        || sim != serve.sim
+                        || predictor != serve.predictor
+                        || tenants != serve.tenants
+                    {
+                        warnings.push(
+                            "journal header differs from the configured system/policy; \
+                             continuing the journaled configuration"
+                                .into(),
+                        );
+                    }
+                    *self = Self::new(system, sim, predictor, tenants);
+                } else if differs {
+                    warnings.push(
+                        "mid-journal Config header disagrees with replayed state; ignoring it"
+                            .into(),
+                    );
+                }
+                return 0;
+            }
+            JournalRecord::Submit { now, job } => {
+                self.session.advance_to(now);
+                let id = job.id;
+                if let Err(e) = self.submit(job) {
+                    warnings.push(format!(
+                        "replay: journaled submission of job {id} no longer applies ({e}); skipped"
+                    ));
+                }
+            }
+            JournalRecord::Cancel { now, id } => {
+                self.session.advance_to(now);
+                if !self.session.cancel(id) {
+                    warnings.push(format!(
+                        "replay: journaled cancellation of job {id} no longer applies; skipped"
+                    ));
+                }
+            }
+            JournalRecord::Advance { to } => self.session.advance_to(to),
+        }
+        self.virgin = false;
+        self.flush();
+        1
+    }
+}
+
+/// Builds the trace-shaped [`Job`] a [`SubmitSpec`] describes;
+/// `now_floor` resolves a missing submit time.
+pub(crate) fn job_from_spec(spec: &SubmitSpec, now_floor: Timestamp) -> Job {
+    Job {
+        id: spec.id,
+        user: spec.user.unwrap_or(0),
+        submit: spec.submit.unwrap_or(now_floor),
+        wait: None,
+        runtime: spec.runtime,
+        walltime: spec.walltime,
+        procs: spec.procs,
+        nodes: u32::try_from(spec.procs).unwrap_or(u32::MAX),
+        status: JobStatus::Passed,
+        virtual_cluster: spec.virtual_cluster,
+    }
+}
+
 /// Everything [`recover`] rebuilt.
 #[derive(Debug)]
 pub struct Recovered {
@@ -91,6 +296,20 @@ pub struct Recovered {
     /// different one. A replication follower continues this flag across
     /// the frames it applies.
     pub virgin: bool,
+}
+
+impl Recovered {
+    /// The recovered state as the scheduler owns it, and its journal.
+    pub(crate) fn into_parts(self) -> (Replica, Journal) {
+        let replica = Replica {
+            system: self.system,
+            session: self.session,
+            metrics: self.metrics,
+            predictor: self.predictor,
+            virgin: self.virgin,
+        };
+        (replica, self.journal)
+    }
 }
 
 /// Recovers server state from `jc.dir`, creating a fresh journal when the
@@ -128,23 +347,8 @@ fn recover_impl(serve: &ServeConfig, jc: &JournalConfig, follower: bool) -> io::
             break;
         }
     }
-    let mut virgin = base.is_none();
-    let (start_seq, (mut system, mut session, mut metrics, mut predictor)) =
-        base.unwrap_or_else(|| {
-            (
-                0,
-                (
-                    serve.system.clone(),
-                    new_session(serve),
-                    LiveMetrics::new_with_tenants(
-                        serve.sim.bsld_bound,
-                        serve.tenants.as_ref().map(TenantTable::len),
-                    ),
-                    serve.predictor.map(Predictor::new),
-                ),
-            )
-        });
-    if system != serve.system {
+    let (start_seq, mut replica) = base.unwrap_or_else(|| (0, Replica::fresh(serve)));
+    if replica.system != serve.system {
         warnings.push(
             "journaled system differs from the configured one; continuing the journaled system"
                 .into(),
@@ -193,16 +397,7 @@ fn recover_impl(serve: &ServeConfig, jc: &JournalConfig, follower: bool) -> io::
         active_seq = seq;
         active_records = seg.records.len() as u64;
         for record in seg.records {
-            replayed += apply(
-                record,
-                &mut system,
-                &mut session,
-                &mut metrics,
-                &mut predictor,
-                serve,
-                &mut virgin,
-                &mut warnings,
-            );
+            replayed += replica.apply(record, serve, &mut warnings);
         }
         if stop_after.is_some() {
             break;
@@ -233,33 +428,24 @@ fn recover_impl(serve: &ServeConfig, jc: &JournalConfig, follower: bool) -> io::
     //    follower, whose journal mirrors the primary's bytes.
     let mut journal = Journal::open_segment(jc.clone(), active_seq, active_records)?;
     if journal.records_in_segment() == 0 && !follower {
-        journal.append(&JournalRecord::Config {
-            system: system.clone(),
-            sim: *session.config(),
-            predictor: predictor.as_ref().map(Predictor::config),
-            tenants: session.tenant_table().cloned(),
-        })?;
+        journal.append(&replica.header())?;
     }
 
     Ok(Recovered {
-        session,
-        metrics,
-        predictor,
-        system,
+        session: replica.session,
+        metrics: replica.metrics,
+        predictor: replica.predictor,
+        system: replica.system,
         journal,
         warnings,
         replayed,
-        virgin,
+        virgin: replica.virgin,
     })
 }
 
 /// Loads and restores one snapshot file; on any failure, warns and
 /// returns `None` so recovery falls back to an older snapshot.
-fn load_snapshot(
-    dir: &Path,
-    seq: u64,
-    warnings: &mut Vec<String>,
-) -> Option<(SystemSpec, SimSession, LiveMetrics, Option<Predictor>)> {
+fn load_snapshot(dir: &Path, seq: u64, warnings: &mut Vec<String>) -> Option<Replica> {
     let path = journal::snapshot_path(dir, seq);
     let mut fail = |what: String| {
         warnings.push(format!(
@@ -276,122 +462,13 @@ fn load_snapshot(
         Err(e) => return fail(format!("corrupt: {e}")),
     };
     match SimSession::restore(&snap.system, snap.state) {
-        Ok(session) => Some((snap.system, session, snap.metrics, snap.predictor)),
+        Ok(session) => Some(Replica {
+            system: snap.system,
+            session,
+            metrics: snap.metrics,
+            predictor: snap.predictor,
+            virgin: false,
+        }),
         Err(e) => fail(format!("inconsistent: {e}")),
-    }
-}
-
-/// Applies one journal record; returns 1 for a replayed mutation, 0 for a
-/// header. Inconsistencies are warned about and skipped — a damaged
-/// journal degrades recovery, it never aborts it. Also the follower-side
-/// apply path: a replication follower feeds every shipped frame through
-/// this function, so following *is* continuous recovery.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply(
-    record: JournalRecord,
-    system: &mut SystemSpec,
-    session: &mut SimSession,
-    metrics: &mut LiveMetrics,
-    predictor: &mut Option<Predictor>,
-    serve: &ServeConfig,
-    virgin: &mut bool,
-    warnings: &mut Vec<String>,
-) -> u64 {
-    match record {
-        JournalRecord::Config {
-            system: js,
-            sim,
-            predictor: jp,
-            tenants: jt,
-        } => {
-            let differs = js != *system
-                || sim != *session.config()
-                || jp != predictor.as_ref().map(Predictor::config)
-                || jt.as_ref() != session.tenant_table();
-            if differs && *virgin {
-                // The journal was written under a different configuration
-                // than the CLI provided this time. Continuity wins: adopt
-                // the journaled configuration before replaying.
-                if js != serve.system
-                    || sim != serve.sim
-                    || jp != serve.predictor
-                    || jt != serve.tenants
-                {
-                    warnings.push(
-                        "journal header differs from the configured system/policy; \
-                         continuing the journaled configuration"
-                            .into(),
-                    );
-                }
-                let mut s = match &jt {
-                    Some(table) => SimSession::new_with_tenants(&js, sim, table.clone()),
-                    None => SimSession::new(&js, sim),
-                };
-                s.advance_to(0);
-                *session = s;
-                *metrics = LiveMetrics::new_with_tenants(
-                    sim.bsld_bound,
-                    jt.as_ref().map(TenantTable::len),
-                );
-                *predictor = jp.map(Predictor::new);
-                *system = js;
-            } else if differs {
-                warnings.push(
-                    "mid-journal Config header disagrees with replayed state; ignoring it".into(),
-                );
-            }
-            0
-        }
-        JournalRecord::Submit { now, job } => {
-            *virgin = false;
-            session.advance_to(now);
-            let spec_id = job.id;
-            // Mirror the live submit path exactly: resolve the tenant and
-            // predict before the submission, observe only when it is
-            // accepted — rejected submissions were never journaled, so
-            // they never touched the live predictor either.
-            let outcome = session
-                .resolve_tenant(job.tenant.as_deref())
-                .and_then(|tenant| {
-                    let built = job_from_spec(&job, session.now().max(0));
-                    let estimate = predictor
-                        .as_ref()
-                        .map(|p| p.predict(built.user, built.walltime));
-                    let (user, runtime) = (built.user, built.runtime);
-                    session.submit_with_tenant(built, tenant, estimate)?;
-                    if let Some(p) = predictor.as_mut() {
-                        p.observe(user, runtime);
-                    }
-                    session.advance_to(session.now());
-                    Ok(())
-                });
-            if let Err(e) = outcome {
-                warnings.push(format!(
-                    "replay: journaled submission of job {spec_id} no longer applies ({e}); skipped"
-                ));
-            }
-            let events = session.drain_events();
-            metrics.absorb(&events, session);
-            1
-        }
-        JournalRecord::Cancel { now, id } => {
-            *virgin = false;
-            session.advance_to(now);
-            if !session.cancel(id) {
-                warnings.push(format!(
-                    "replay: journaled cancellation of job {id} no longer applies; skipped"
-                ));
-            }
-            let events = session.drain_events();
-            metrics.absorb(&events, session);
-            1
-        }
-        JournalRecord::Advance { to } => {
-            *virgin = false;
-            session.advance_to(to);
-            let events = session.drain_events();
-            metrics.absorb(&events, session);
-            1
-        }
     }
 }

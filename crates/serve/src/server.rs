@@ -23,15 +23,23 @@
 //! command is appended to a write-ahead journal **before** its
 //! acknowledgment is sent (see [`crate::journal`]), and startup replays
 //! the journal to the pre-crash state (see [`crate::recovery`]). A failed
-//! journal append is fail-stop: the command is answered with an error and
-//! the server halts rather than acknowledge an unjournaled mutation.
+//! journal append is fail-stop: the commands it covered are answered with
+//! an error and the server halts rather than acknowledge an unjournaled
+//! mutation.
 //!
-//! Throughput: the scheduler drains up to [`ServeConfig::group_commit`]
-//! queued commands per round and group-commits their journal records —
-//! one buffered write, one fsync, replies released only after the shared
-//! fsync — while connection writers coalesce every response of a round
-//! into a single flush. Neither batch changes any byte on disk or on the
-//! wire, only the syscall count; see `docs/PERFORMANCE.md`.
+//! Rounds: every command reaches the session and the journal through one
+//! path. The scheduler drains up to [`ServeConfig::group_commit`] queued
+//! commands into a round, *applies* them in arrival order — submissions
+//! staged behind one deferred scheduling pass, which is flushed before
+//! anything that observes state — and *commits* the round: one buffered
+//! journal write, one fsync, a rotation check, and only then the replies,
+//! which connection writers coalesce into a single flush. A lockstep
+//! client, `group_commit = 1`, a follower's reads and the requests that
+//! change the loop itself (promotion, replication frames, shutdown) are
+//! rounds of one through the same two steps, and journal replay and a
+//! follower's apply share the round's submit path
+//! (`recovery::Replica::submit`). Round size changes no byte on disk or on
+//! the wire, only the syscall count; see `docs/PERFORMANCE.md`.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -40,14 +48,13 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use lumos_core::{CoreError, Job, JobStatus, SystemSpec, Timestamp};
-use lumos_predict::{OnlinePredictor, Predictor, PredictorConfig};
-use lumos_sim::{SimConfig, SimSession, TenantTable};
+use lumos_core::{CoreError, SystemSpec, Timestamp};
+use lumos_predict::{OnlinePredictor, PredictorConfig};
+use lumos_sim::{JobState, SimConfig, SimSession, TenantTable};
 
 use crate::journal::{decode_line, Journal, JournalConfig, JournalRecord};
-use crate::metrics::LiveMetrics;
 use crate::protocol::{ReplicationStats, Request, Response, SubmitSpec};
-use crate::recovery::{self, Recovered};
+use crate::recovery::{self, job_from_spec, Recovered, Replica};
 use crate::replication::{self, ReplLink};
 
 /// Server configuration.
@@ -77,21 +84,22 @@ pub struct ServeConfig {
     /// (`--follow`): apply replicated frames, refuse writes until
     /// promoted. Requires [`ServeConfig::journal`].
     pub follow: Option<String>,
-    /// Group-commit window (`--group-commit N`): the scheduler drains up
-    /// to this many already-queued commands per round and journals their
+    /// Round-size cap (`--group-commit N`): the scheduler drains up to
+    /// this many already-queued commands per round and journals their
     /// records with one buffered write and **one** fsync, releasing every
-    /// reply only after that shared fsync. `0` or `1` disables batching
-    /// (one append + one fsync per record, the pre-group-commit
-    /// behaviour). Frame bytes are identical either way, so journals,
-    /// replication mirrors, and recovery cannot tell the difference; see
+    /// reply only after that shared fsync. `1` makes every command a
+    /// round of one — the same code, one append and one fsync per record
+    /// — and `0` is read as `1` ([`Server::bind`]). Frame bytes are
+    /// identical at every size, so journals, replication mirrors, and
+    /// recovery cannot tell the difference; see
     /// [`crate::journal::Journal::append_batch`].
     pub group_commit: usize,
 }
 
 impl ServeConfig {
     /// Defaults: virtual time, queue of 1024 commands, no journal, no
-    /// predictor, group commit of 64 (harmless when clients run in
-    /// lockstep — a batch is only as large as the queue backlog).
+    /// predictor, rounds of up to 64 (harmless when clients run in
+    /// lockstep — a round is only as large as the queue backlog).
     #[must_use]
     pub fn new(system: SystemSpec) -> Self {
         Self {
@@ -109,21 +117,27 @@ impl ServeConfig {
     }
 }
 
-/// Builds a fresh session under `config`, with tenancy when configured.
-pub(crate) fn new_session(config: &ServeConfig) -> SimSession {
-    let mut session = match config.tenants.clone() {
-        Some(table) => SimSession::new_with_tenants(&config.system, config.sim, table),
-        None => SimSession::new(&config.system, config.sim),
-    };
-    // Sessions start at t = 0, not at the dawn of representable time.
-    session.advance_to(0);
-    session
-}
-
 /// One queued command and the channel its response travels back on.
 struct Envelope {
     req: Request,
-    reply: mpsc::Sender<Response>,
+    reply: mpsc::Sender<Reply>,
+}
+
+/// A scheduler answer on its way to a connection's writer half.
+struct Reply {
+    response: Response,
+    /// This is the last reply the scheduler releases (the `Bye`, or the
+    /// end of a fail-stopped round), so its flush gates process exit.
+    terminal: bool,
+}
+
+/// The reply to a command whose journal write failed. Fail-stop: an
+/// unjournaled mutation is never acknowledged, and the round that carries
+/// this reply is the scheduler's last.
+fn fail_stop(e: &io::Error) -> Response {
+    Response::Error {
+        message: format!("journal write failed ({e}); server stopping"),
+    }
 }
 
 /// Shared connection-side state.
@@ -133,10 +147,10 @@ struct Shared {
     /// Submissions rejected by backpressure (queue full).
     backpressure_rejects: AtomicU64,
     queue_capacity: usize,
-    /// Set once the reply that ended the scheduler loop (`Bye`, or the
-    /// fail-stop error) has been flushed to its client — or provably never
-    /// will be. `run` waits on it so the process cannot exit between the
-    /// scheduler answering and the connection thread writing the answer.
+    /// Set once the [`Reply::terminal`] reply has been flushed to its
+    /// client — or provably never will be. `run` waits on it so the
+    /// process cannot exit between the scheduler answering and the
+    /// connection thread writing the answer.
     terminal_flushed: Mutex<bool>,
     terminal_cv: Condvar,
 }
@@ -148,10 +162,10 @@ impl Shared {
     }
 }
 
-/// Whether this request must not share a group-commit round with plain
-/// commands: it either rewrites the loop's own state (promotion,
-/// replication frames) or ends the loop (shutdown), so it is handled
-/// alone, in arrival order.
+/// Whether this request must not share a round with plain commands: it
+/// either rewrites the loop's own state (promotion, replication frames)
+/// or ends the loop (shutdown), so it is a round of its own, in arrival
+/// order.
 fn is_barrier(req: &Request) -> bool {
     matches!(
         req,
@@ -161,16 +175,6 @@ fn is_barrier(req: &Request) -> bool {
             | Request::ReplRecord { .. }
             | Request::Shutdown
     )
-}
-
-/// Whether this response is the one that ends the scheduler loop, so its
-/// flush gates process exit.
-fn is_terminal(response: &Response) -> bool {
-    match response {
-        Response::Bye { .. } => true,
-        Response::Error { message } => message.ends_with("server stopping"),
-        _ => false,
-    }
 }
 
 /// A bound scheduling server. Create with [`Server::bind`], then [`Server::run`].
@@ -184,7 +188,9 @@ impl Server {
     ///
     /// # Errors
     /// Propagates socket errors.
-    pub fn bind(addr: &str, config: ServeConfig) -> io::Result<Self> {
+    pub fn bind(addr: &str, mut config: ServeConfig) -> io::Result<Self> {
+        // A round holds at least the command that opened it.
+        config.group_commit = config.group_commit.max(1);
         let listener = TcpListener::bind(addr)?;
         Ok(Self { listener, config })
     }
@@ -288,7 +294,11 @@ impl Server {
             });
         }
 
-        scheduler_loop(&self.config, &rx, &shared, recovered, link.as_ref());
+        let (replica, journal) = match recovered.map(Recovered::into_parts) {
+            Some((replica, journal)) => (replica, Some(journal)),
+            None => (Replica::fresh(&self.config), None),
+        };
+        Scheduler::new(&self.config, &shared, replica, journal, link.as_ref()).run(&rx);
         if let Some(link) = &link {
             link.stop();
         }
@@ -315,10 +325,6 @@ impl Server {
 enum Role {
     Primary,
     Follower {
-        /// Carried across applied frames so a journaled `Config` header
-        /// can adopt the primary's configuration (see
-        /// [`crate::recovery`]).
-        virgin: bool,
         /// Frames applied since startup.
         records: u64,
         /// A primary has completed the replication handshake.
@@ -326,74 +332,87 @@ enum Role {
     },
 }
 
-/// The single thread that owns the simulation.
-fn scheduler_loop(
-    config: &ServeConfig,
-    rx: &Receiver<Envelope>,
-    shared: &Shared,
-    recovered: Option<Recovered>,
-    link: Option<&Arc<ReplLink>>,
-) {
-    let recovered_virgin = recovered.as_ref().is_none_or(|r| r.virgin);
-    let (mut system, mut session, mut metrics, mut predictor, mut journal) = match recovered {
-        Some(r) => (r.system, r.session, r.metrics, r.predictor, Some(r.journal)),
-        None => {
-            let session = new_session(config);
-            (
-                config.system.clone(),
-                session,
-                LiveMetrics::new_with_tenants(
-                    config.sim.bsld_bound,
-                    config.tenants.as_ref().map(TenantTable::len),
-                ),
-                config.predictor.map(Predictor::new),
-                None,
-            )
-        }
-    };
-    let mut role = if config.follow.is_some() {
-        Role::Follower {
-            virgin: recovered_virgin,
-            records: 0,
-            hello_seen: false,
-        }
-    } else {
-        Role::Primary
-    };
-    // Map wall-clock time onto simulation time *from where the session
-    // already is*: a recovered session resumes at its pre-crash clock
-    // instead of stalling until wall time catches up with it from zero.
-    // (Mutable: promotion reseeds both, so the clock starts moving at
-    // the moment of promotion, not retroactively from follower startup.)
-    let mut sim_epoch = session.now().max(0);
-    let mut epoch = Instant::now();
+/// The single thread that owns the simulation: everything it owns, plus
+/// the round it is building.
+///
+/// Commands are served in **rounds**: up to [`ServeConfig::group_commit`]
+/// already-queued commands are *applied* in arrival order
+/// ([`Scheduler::apply`]) and then *committed* together
+/// ([`Scheduler::commit`]) — one journal write, one fsync, and only then
+/// the replies, so append-before-ack holds for every member. A lockstep
+/// client's command, `group_commit = 1`, a follower's read and a barrier
+/// ([`is_barrier`]) are rounds of one through the same two steps.
+struct Scheduler<'a> {
+    config: &'a ServeConfig,
+    shared: &'a Shared,
+    link: Option<&'a Arc<ReplLink>>,
+    replica: Replica,
+    journal: Option<Journal>,
+    role: Role,
+    /// Wall-clock time maps onto simulation time *from where the session
+    /// already is* (`sim_epoch` at `epoch`): a recovered session resumes
+    /// at its pre-crash clock instead of stalling until wall time catches
+    /// up with it from zero, and promotion reseeds both, so the clock
+    /// starts moving at the moment of promotion, not retroactively from
+    /// follower startup.
+    sim_epoch: Timestamp,
+    epoch: Instant,
+    /// The round's journal records, in command order.
+    records: Vec<JournalRecord>,
+    /// The round's replies, in command order, each with whether its
+    /// command is in `records`.
+    replies: Vec<(mpsc::Sender<Reply>, Response, bool)>,
+    /// Accepted submissions whose scheduling pass is still deferred, as
+    /// `(reply index, job id)`: their `Submitted` replies carry a
+    /// placeholder state until the flush that runs their pass patches in
+    /// the real one — always before the round's replies are released.
+    deferred: Vec<(usize, u64)>,
+    /// This round ends the loop (shutdown or fail-stop).
+    stop: bool,
+}
 
-    // Group commit: drain up to `group` already-queued commands per
-    // round, journal every record of the round with one buffered write
-    // and one fsync, and release the round's replies only after that
-    // shared fsync (append-before-ack holds for every member). Requests
-    // that change the loop's own state (promotion, replication frames,
-    // shutdown) are barriers: they end the drain and take the
-    // single-command path, as does everything on a follower.
-    let group = config.group_commit.max(1);
-    let mut carry: Option<Envelope> = None;
-    let mut batch: Vec<Envelope> = Vec::with_capacity(group);
-    let mut records: Vec<JournalRecord> = Vec::with_capacity(group);
-    let mut replies: Vec<(mpsc::Sender<Response>, Response, bool)> = Vec::with_capacity(group);
-    // Round submissions staged behind the deferred scheduling pass, as
-    // `(reply index, job id)`: their `Submitted` replies carry a
-    // placeholder state until the flush that runs their pass patches in
-    // the real one — always before the round's replies are released.
-    let mut deferred: Vec<(usize, u64)> = Vec::with_capacity(group);
+impl<'a> Scheduler<'a> {
+    fn new(
+        config: &'a ServeConfig,
+        shared: &'a Shared,
+        replica: Replica,
+        journal: Option<Journal>,
+        link: Option<&'a Arc<ReplLink>>,
+    ) -> Self {
+        Self {
+            config,
+            shared,
+            link,
+            sim_epoch: replica.session.now().max(0),
+            epoch: Instant::now(),
+            replica,
+            journal,
+            role: if config.follow.is_some() {
+                Role::Follower {
+                    records: 0,
+                    hello_seen: false,
+                }
+            } else {
+                Role::Primary
+            },
+            records: Vec::new(),
+            replies: Vec::new(),
+            deferred: Vec::new(),
+            stop: false,
+        }
+    }
 
-    'serve: loop {
-        let Some(env) = carry.take().or_else(|| rx.recv().ok()) else {
-            break;
-        };
-        if group > 1 && matches!(role, Role::Primary) && !is_barrier(&env.req) {
-            batch.clear();
-            batch.push(env);
-            while batch.len() < group {
+    /// Serves rounds until one stops the loop (or every sender is gone).
+    fn run(&mut self, rx: &Receiver<Envelope>) {
+        let group = self.config.group_commit;
+        let mut carry: Option<Envelope> = None;
+        let mut batch: Vec<Envelope> = Vec::with_capacity(group);
+        while let Some(first) = carry.take().or_else(|| rx.recv().ok()) {
+            // A request that changes the loop's own state is a round of
+            // its own: it ends the drain and waits for the next round.
+            let alone = is_barrier(&first.req);
+            batch.push(first);
+            while !alone && batch.len() < group {
                 match rx.try_recv() {
                     Ok(env) if is_barrier(&env.req) => {
                         carry = Some(env);
@@ -404,754 +423,415 @@ fn scheduler_loop(
                 }
             }
             // One wall-clock advance covers the whole round: its commands
-            // were all queued by now, so they share an arrival instant.
-            if config.time_scale > 0.0 {
-                let sim_now = sim_epoch
-                    + (epoch.elapsed().as_secs_f64() * config.time_scale).floor() as Timestamp;
-                session.advance_to(sim_now);
+            // were all queued by now, so they share an arrival instant. A
+            // follower's clock is the primary's clock: only applied
+            // frames move it, never local wall time.
+            if self.config.time_scale > 0.0 && matches!(self.role, Role::Primary) {
+                let elapsed = self.epoch.elapsed().as_secs_f64() * self.config.time_scale;
+                self.replica
+                    .session
+                    .advance_to(self.sim_epoch + elapsed.floor() as Timestamp);
             }
-            records.clear();
-            replies.clear();
-            deferred.clear();
-            for Envelope { req, reply } in batch.drain(..) {
-                if let Request::Submit { job: spec } = req {
-                    // Stage the submission and defer its scheduling
-                    // pass to the next flush — one pass covers the
-                    // whole run — unless deferral could change an
-                    // outcome, in which case flush first so this job
-                    // observes exactly the pass-per-submit order.
-                    let probe = job_from_spec(&spec, session.now().max(0));
-                    if session.round_needs_flush(&probe) {
-                        flush_round(&mut session, &mut metrics, &mut replies, &mut deferred);
-                    }
-                    let (response, record, patch) =
-                        submit_round(spec, &mut session, &mut metrics, &mut predictor);
-                    let journaled = record.is_some();
-                    if let Some(record) = record {
-                        records.push(record);
-                    }
-                    let events = session.drain_events();
-                    metrics.absorb(&events, &session);
-                    if let Some(id) = patch {
-                        deferred.push((replies.len(), id));
-                    }
-                    replies.push((reply, response, journaled));
-                    continue;
-                }
-                // Anything else observes or moves session state: run
-                // the round's deferred pass first so it sees what a
-                // pass-per-submit server would.
-                flush_round(&mut session, &mut metrics, &mut replies, &mut deferred);
-                let repl_stats = matches!(req, Request::Stats)
-                    .then(|| replication_stats(&role, link, config, journal.as_ref()))
-                    .flatten();
-                let (response, record) = handle(
-                    req,
-                    &mut session,
-                    &mut metrics,
-                    &mut predictor,
-                    config,
-                    shared,
-                    repl_stats,
-                );
-                let journaled = record.is_some();
-                if let Some(record) = record {
-                    records.push(record);
-                }
-                let events = session.drain_events();
-                metrics.absorb(&events, &session);
-                replies.push((reply, response, journaled));
+            for env in batch.drain(..) {
+                self.apply(env);
             }
-            // Round end: run the deferred pass and patch reply states
-            // before anything durable (rotation snapshots) or visible
-            // (reply release) happens.
-            flush_round(&mut session, &mut metrics, &mut replies, &mut deferred);
-            if !records.is_empty() {
-                if let Some(journal) = journal.as_mut() {
-                    if let Err(e) = journal.append_batch(&records) {
-                        // Fail-stop for the whole round: none of its
-                        // mutations is durable, so none may be
-                        // acknowledged. Reads still get their answers.
-                        eprintln!("lumos-serve: journal append failed: {e}; stopping");
-                        let mut delivered = false;
-                        for (reply, response, journaled) in replies.drain(..) {
-                            if journaled {
-                                let error = Response::Error {
-                                    message: format!("journal write failed ({e}); server stopping"),
-                                };
-                                if reply.send(error).is_ok() {
-                                    delivered = true;
-                                }
-                            } else {
-                                let _ = reply.send(response);
-                            }
-                        }
-                        if !delivered {
-                            shared.mark_terminal_flushed();
-                        }
-                        break 'serve;
-                    }
-                    if let Some(link) = link {
-                        link.notify();
-                    }
-                    // One rotation check per round: a segment may exceed
-                    // `snapshot_every` by at most `group - 1` records,
-                    // which recovery and replication are indifferent to.
-                    if journal.wants_rotation() {
-                        let snap = recovery::snapshot_json(
-                            &system,
-                            &session,
-                            &metrics,
-                            predictor.as_ref(),
-                        );
-                        let header = JournalRecord::Config {
-                            system: system.clone(),
-                            sim: *session.config(),
-                            predictor: predictor.as_ref().map(Predictor::config),
-                            tenants: session.tenant_table().cloned(),
-                        };
-                        if let Err(e) = journal.rotate(&snap, &header) {
-                            eprintln!("lumos-serve: journal rotation failed: {e}; continuing");
-                        } else if let Some(link) = link {
-                            link.notify();
-                        }
-                    }
-                }
+            self.commit();
+            if self.stop {
+                break;
             }
-            for (reply, response, _) in replies.drain(..) {
-                let _ = reply.send(response);
-            }
-            continue;
         }
-        let Envelope { req, reply } = env;
-        // A follower's clock is the primary's clock: only applied frames
-        // move it, never local wall time.
-        if config.time_scale > 0.0 && matches!(role, Role::Primary) {
-            let sim_now = sim_epoch
-                + (epoch.elapsed().as_secs_f64() * config.time_scale).floor() as Timestamp;
-            session.advance_to(sim_now);
-        }
-        // Promotion: flip the role in place — same session, same journal,
-        // same loop; only write admission and the wall clock change.
-        if matches!(req, Request::Promote) {
-            let response = match role {
-                Role::Primary => Response::Error {
-                    message: "already the primary; refusing promotion".into(),
+        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        // Refuse anything that squeezed into the queue behind the shutdown.
+        while let Ok(Envelope { reply, .. }) = rx.try_recv() {
+            let _ = reply.send(Reply {
+                response: Response::Error {
+                    message: "server is shutting down".into(),
                 },
-                Role::Follower { .. } => {
-                    // Seal the tail: an empty segment (nothing was ever
-                    // replicated) gets the Config header a primary's
-                    // segment always starts with.
-                    let sealed = journal.as_mut().map_or(Ok(()), |j| {
-                        if j.records_in_segment() == 0 {
-                            j.append(&JournalRecord::Config {
-                                system: system.clone(),
-                                sim: *session.config(),
-                                predictor: predictor.as_ref().map(Predictor::config),
-                                tenants: session.tenant_table().cloned(),
-                            })
-                        } else {
-                            Ok(())
-                        }
-                    });
-                    match sealed {
-                        Err(e) => {
-                            eprintln!("lumos-serve: promotion failed to seal the journal: {e}");
-                            Response::Error {
-                                message: format!("journal write failed ({e}); refusing promotion"),
-                            }
-                        }
-                        Ok(()) => {
-                            role = Role::Primary;
-                            sim_epoch = session.now().max(0);
-                            epoch = Instant::now();
-                            eprintln!("lumos-serve: promoted to primary at t = {}", session.now());
-                            Response::Promoted { now: session.now() }
-                        }
-                    }
-                }
-            };
-            let _ = reply.send(response);
-            continue;
+                terminal: false,
+            });
         }
-        // Replication frames from a primary.
-        if matches!(
-            req,
-            Request::ReplHello | Request::ReplSegment { .. } | Request::ReplRecord { .. }
-        ) {
-            let (response, fail_stop) = handle_repl(
-                req,
-                &mut role,
-                &mut system,
-                &mut session,
-                &mut metrics,
-                &mut predictor,
-                journal.as_mut(),
-                config,
-            );
-            let undeliverable = reply.send(response).is_err();
-            if fail_stop {
-                if undeliverable {
-                    shared.mark_terminal_flushed();
-                }
-                break;
-            }
-            continue;
+    }
+
+    /// Apply step: runs one command against the replica and files its
+    /// reply and journal record with the round.
+    fn apply(&mut self, Envelope { req, reply }: Envelope) {
+        // Everything but a submission observes or moves session state:
+        // run the round's deferred pass first so it sees what a
+        // pass-per-submit server would. (`submit` flushes only when
+        // deferral could change an outcome.)
+        if !matches!(req, Request::Submit { .. }) {
+            self.flush();
         }
-        // Everything else a follower may only read.
-        if matches!(role, Role::Follower { .. }) {
-            match req {
-                Request::Submit { .. } | Request::Cancel { .. } | Request::Advance { .. } => {
-                    let _ = reply.send(Response::Error {
-                        message: "this server is a read-only follower; promote it first".into(),
-                    });
-                    continue;
-                }
-                Request::Shutdown => {
-                    // Stop without draining: draining would journal an
-                    // advance the primary never had, forking the mirror.
-                    let undeliverable = reply.send(Response::Bye { metrics: None }).is_err();
-                    if undeliverable {
-                        shared.mark_terminal_flushed();
-                    }
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let shutdown = matches!(req, Request::Shutdown);
-        let repl_stats = matches!(req, Request::Stats)
-            .then(|| replication_stats(&role, link, config, journal.as_ref()))
-            .flatten();
-        let (response, record) = handle(
-            req,
-            &mut session,
-            &mut metrics,
-            &mut predictor,
-            config,
-            shared,
-            repl_stats,
-        );
-        // Write-ahead: a mutation is durable before it is acknowledged.
-        if let (Some(journal), Some(record)) = (journal.as_mut(), record.as_ref()) {
-            if let Err(e) = journal.append(record) {
-                // Fail-stop: never acknowledge an unjournaled mutation.
+        let (response, record) = self.handle(req);
+        self.replies.push((reply, response, record.is_some()));
+        self.records.extend(record);
+    }
+
+    /// Commit step: makes the round durable, then releases its replies —
+    /// or fail-stops it.
+    fn commit(&mut self) {
+        // Run the deferred pass and patch reply states before anything
+        // durable (rotation snapshots) or visible (reply release) happens.
+        self.flush();
+        if let (Some(journal), false) = (self.journal.as_mut(), self.records.is_empty()) {
+            if let Err(e) = journal.append_batch(&self.records) {
+                // Fail-stop for the whole round: none of its mutations is
+                // durable, so none may be acknowledged. Reads still get
+                // their answers.
                 eprintln!("lumos-serve: journal append failed: {e}; stopping");
-                let undeliverable = reply
-                    .send(Response::Error {
-                        message: format!("journal write failed ({e}); server stopping"),
-                    })
-                    .is_err();
-                if undeliverable {
-                    shared.mark_terminal_flushed();
+                for (_, response, journaled) in &mut self.replies {
+                    if *journaled {
+                        *response = fail_stop(&e);
+                    }
                 }
-                break;
-            }
-            if let Some(link) = link {
-                link.notify();
-            }
-        }
-        let events = session.drain_events();
-        metrics.absorb(&events, &session);
-        // Rotation happens after the absorb so the snapshot's metrics
-        // include this record's events (the snapshot must equal the state
-        // *before* the next segment's records).
-        if !shutdown {
-            if let Some(journal) = journal.as_mut() {
-                if record.is_some() && journal.wants_rotation() {
-                    let snap =
-                        recovery::snapshot_json(&system, &session, &metrics, predictor.as_ref());
-                    let header = JournalRecord::Config {
-                        system: system.clone(),
-                        sim: *session.config(),
-                        predictor: predictor.as_ref().map(Predictor::config),
-                        tenants: session.tenant_table().cloned(),
-                    };
-                    if let Err(e) = journal.rotate(&snap, &header) {
+                self.stop = true;
+            } else {
+                if let Some(link) = self.link {
+                    link.notify();
+                }
+                // One rotation check per round: a segment may exceed
+                // `snapshot_every` by at most `group - 1` records, which
+                // recovery and replication are indifferent to. A round
+                // that stops the loop skips it: shutdown has consumed the
+                // session the snapshot would describe.
+                if !self.stop && journal.wants_rotation() {
+                    let snap = self.replica.snapshot_json();
+                    if let Err(e) = journal.rotate(&snap, &self.replica.header()) {
                         // Not fatal: the old segment is intact, recovery
                         // just replays more.
                         eprintln!("lumos-serve: journal rotation failed: {e}; continuing");
-                    } else if let Some(link) = link {
+                    } else if let Some(link) = self.link {
                         link.notify();
                     }
                 }
             }
         }
-        let undeliverable = reply.send(response).is_err();
-        if shutdown {
-            if undeliverable {
-                // The shutting-down client vanished before its `Bye`;
-                // nothing is left to wait for.
-                shared.mark_terminal_flushed();
+        self.records.clear();
+        let mut replies = self.replies.drain(..).peekable();
+        while let Some((reply, response, _)) = replies.next() {
+            let terminal = self.stop && replies.peek().is_none();
+            let undeliverable = reply.send(Reply { response, terminal }).is_err();
+            if terminal && undeliverable {
+                // The client vanished before its final answer; nothing is
+                // left to wait for.
+                self.shared.mark_terminal_flushed();
             }
-            break;
         }
     }
-    shared.shutting_down.store(true, Ordering::SeqCst);
-    // Refuse anything that squeezed into the queue behind the shutdown.
-    while let Ok(Envelope { reply, .. }) = rx.try_recv() {
-        let _ = reply.send(Response::Error {
-            message: "server is shutting down".into(),
-        });
-    }
-}
 
-/// Handles one replication-protocol request (`ReplHello`, `ReplSegment`,
-/// `ReplRecord`). Returns the response plus whether the server must
-/// fail-stop (a follower that cannot persist a frame must not continue).
-#[allow(clippy::too_many_arguments)]
-fn handle_repl(
-    req: Request,
-    role: &mut Role,
-    system: &mut SystemSpec,
-    session: &mut SimSession,
-    metrics: &mut LiveMetrics,
-    predictor: &mut Option<Predictor>,
-    journal: Option<&mut Journal>,
-    config: &ServeConfig,
-) -> (Response, bool) {
-    let Role::Follower {
-        virgin,
-        records,
-        hello_seen,
-    } = role
-    else {
-        return (
-            Response::Error {
-                message: "this server is not a follower (start it with --follow)".into(),
-            },
-            false,
-        );
-    };
-    let Some(journal) = journal else {
-        // Unreachable in practice: `--follow` requires a journal.
-        return (
-            Response::Error {
-                message: "follower has no journal".into(),
-            },
-            false,
-        );
-    };
-    match req {
-        Request::ReplHello => {
-            *hello_seen = true;
-            (
-                Response::ReplPosition {
-                    seq: journal.seq(),
-                    offset: journal.segment_bytes(),
-                },
-                false,
-            )
-        }
-        Request::ReplSegment { seq } => {
-            if seq != journal.seq() + 1 {
-                return (
-                    Response::Error {
-                        message: format!(
-                            "out-of-order segment marker {seq} (follower is at {})",
-                            journal.seq()
-                        ),
-                    },
-                    false,
-                );
-            }
-            // Rotate with a locally synthesized snapshot: the follower's
-            // state equals the primary's at this boundary, so the
-            // snapshot JSON is byte-identical to the primary's too.
-            let snap = recovery::snapshot_json(system, session, metrics, predictor.as_ref());
-            match journal.rotate_without_header(&snap) {
-                Ok(()) => (
-                    Response::ReplAck {
-                        seq: journal.seq(),
-                        offset: 0,
-                    },
-                    false,
-                ),
-                Err(e) => {
-                    eprintln!("lumos-serve: follower rotation failed: {e}; stopping");
-                    (
-                        Response::Error {
-                            message: format!("journal write failed ({e}); server stopping"),
-                        },
-                        true,
-                    )
-                }
+    /// Runs the round's deferred scheduling pass, folds its events into
+    /// the live metrics, and patches the placeholder states of deferred
+    /// `Submitted` replies with what the pass decided — the state each
+    /// job would have shown after its own pass on a pass-per-submit
+    /// server.
+    fn flush(&mut self) {
+        self.replica.flush();
+        for (idx, id) in self.deferred.drain(..) {
+            if let Response::Submitted { state, .. } = &mut self.replies[idx].1 {
+                *state = self.replica.session.query(id).expect("accepted this round");
             }
         }
-        Request::ReplRecord { frame } => {
-            // Re-verify the frame end to end before trusting it: the
-            // CRC travelled from the primary's disk over the wire.
-            let record = match decode_line(frame.as_bytes()) {
-                Ok(record) => record,
-                Err(e) => {
-                    return (
-                        Response::Error {
-                            message: format!("bad replicated frame: {e}"),
-                        },
-                        false,
-                    )
-                }
-            };
-            // Mirror first (append-before-ack, exactly like a primary),
-            // then apply through the recovery path.
-            if let Err(e) = journal.append_raw_line(&frame) {
-                eprintln!("lumos-serve: follower journal append failed: {e}; stopping");
-                return (
-                    Response::Error {
-                        message: format!("journal write failed ({e}); server stopping"),
-                    },
-                    true,
-                );
-            }
-            let mut warnings = Vec::new();
-            recovery::apply(
-                record,
-                system,
-                session,
-                metrics,
-                predictor,
-                config,
-                virgin,
-                &mut warnings,
-            );
-            for w in warnings {
-                eprintln!("lumos-serve: follower apply: {w}");
-            }
-            *records += 1;
-            (
-                Response::ReplAck {
-                    seq: journal.seq(),
-                    offset: journal.segment_bytes(),
-                },
-                false,
-            )
-        }
-        _ => unreachable!("scheduler_loop routes only replication requests here"),
     }
-}
 
-/// The `stats` replication block for the current role: ack progress on a
-/// replicating primary, applied position on a follower, `None` on plain
-/// servers (and promoted followers, which serve exactly like one).
-fn replication_stats(
-    role: &Role,
-    link: Option<&Arc<ReplLink>>,
-    config: &ServeConfig,
-    journal: Option<&Journal>,
-) -> Option<ReplicationStats> {
-    match role {
-        Role::Primary => link.map(|link| ReplicationStats {
-            role: "primary".into(),
-            peer: link.target.clone(),
-            connected: link.is_connected(),
-            seq: link.acked_seq(),
-            offset: link.acked_offset(),
-            records: link.acked_count(),
-        }),
-        Role::Follower {
-            records,
-            hello_seen,
-            ..
-        } => Some(ReplicationStats {
-            role: "follower".into(),
-            peer: config.follow.clone().unwrap_or_default(),
-            connected: *hello_seen,
-            seq: journal.map_or(0, Journal::seq),
-            offset: journal.map_or(0, Journal::segment_bytes),
-            records: *records,
-        }),
-    }
-}
-
-/// Builds the trace-shaped [`Job`] a [`SubmitSpec`] describes;
-/// `now_floor` resolves a missing submit time. Shared by the live submit
-/// path and journal replay so both construct bit-identical jobs.
-pub(crate) fn job_from_spec(spec: &SubmitSpec, now_floor: Timestamp) -> Job {
-    Job {
-        id: spec.id,
-        user: spec.user.unwrap_or(0),
-        submit: spec.submit.unwrap_or(now_floor),
-        wait: None,
-        runtime: spec.runtime,
-        walltime: spec.walltime,
-        procs: spec.procs,
-        nodes: u32::try_from(spec.procs).unwrap_or(u32::MAX),
-        status: JobStatus::Passed,
-        virtual_cluster: spec.virtual_cluster,
-    }
-}
-
-/// Processes one command; returns the response plus the journal record to
-/// persist when the command mutated the session (`None` for reads and
-/// refused mutations).
-fn handle(
-    req: Request,
-    session: &mut SimSession,
-    metrics: &mut LiveMetrics,
-    predictor: &mut Option<Predictor>,
-    config: &ServeConfig,
-    shared: &Shared,
-    repl_stats: Option<ReplicationStats>,
-) -> (Response, Option<JournalRecord>) {
-    match req {
-        Request::Submit { job } => submit(job, session, metrics, predictor),
-        Request::Cancel { id } => {
-            let ok = session.cancel(id);
-            (
-                Response::Cancelled { id, ok },
-                ok.then(|| JournalRecord::Cancel {
-                    now: session.now(),
-                    id,
-                }),
-            )
-        }
-        Request::Query { id } => (
-            match session.query(id) {
-                Some(state) => Response::Job {
-                    id,
-                    state,
-                    wait: session.job(id).and_then(|j| j.wait),
-                },
-                None => Response::Error {
-                    message: format!("unknown job id {id}"),
-                },
-            },
-            None,
-        ),
-        Request::Advance { to } => {
-            if config.time_scale > 0.0 {
+    /// Processes one command; returns the response plus the journal
+    /// record to persist when the command mutated the session (`None`
+    /// for reads and refused mutations).
+    fn handle(&mut self, req: Request) -> (Response, Option<JournalRecord>) {
+        let follower = matches!(self.role, Role::Follower { .. });
+        let session = &mut self.replica.session;
+        match req {
+            Request::Promote => (self.promote(), None),
+            Request::ReplHello | Request::ReplSegment { .. } | Request::ReplRecord { .. } => {
+                (self.replicate(req), None)
+            }
+            Request::Submit { .. } | Request::Cancel { .. } | Request::Advance { .. }
+                if follower =>
+            {
                 (
                     Response::Error {
-                        message: "Advance is only valid on virtual-time servers (--time-scale 0)"
-                            .into(),
+                        message: "this server is a read-only follower; promote it first".into(),
                     },
                     None,
                 )
-            } else {
-                session.advance_to(to);
-                let now = session.now();
+            }
+            Request::Submit { job } => self.submit(job),
+            Request::Cancel { id } => {
+                let ok = session.cancel(id);
                 (
-                    Response::Advanced { now },
-                    Some(JournalRecord::Advance { to: now }),
+                    Response::Cancelled { id, ok },
+                    ok.then(|| JournalRecord::Cancel {
+                        now: session.now(),
+                        id,
+                    }),
+                )
+            }
+            Request::Query { id } => (
+                match session.query(id) {
+                    Some(state) => Response::Job {
+                        id,
+                        state,
+                        wait: session.job(id).and_then(|j| j.wait),
+                    },
+                    None => Response::Error {
+                        message: format!("unknown job id {id}"),
+                    },
+                },
+                None,
+            ),
+            Request::Advance { to } => {
+                if self.config.time_scale > 0.0 {
+                    (
+                        Response::Error {
+                            message:
+                                "Advance is only valid on virtual-time servers (--time-scale 0)"
+                                    .into(),
+                        },
+                        None,
+                    )
+                } else {
+                    session.advance_to(to);
+                    let now = session.now();
+                    (
+                        Response::Advanced { now },
+                        Some(JournalRecord::Advance { to: now }),
+                    )
+                }
+            }
+            Request::Stats => (
+                Response::Stats {
+                    stats: self.replica.metrics.report(
+                        &self.replica.session,
+                        self.shared.backpressure_rejects.load(Ordering::Relaxed),
+                        self.replica.predictor.as_ref().map(OnlinePredictor::name),
+                        self.replication_stats(),
+                    ),
+                },
+                None,
+            ),
+            Request::Snapshot => (
+                Response::Snapshot {
+                    snapshot: session.snapshot(),
+                },
+                None,
+            ),
+            Request::Shutdown => {
+                self.stop = true;
+                if follower {
+                    // Stop without draining: draining would journal an
+                    // advance the primary never had, forking the mirror.
+                    return (Response::Bye { metrics: None }, None);
+                }
+                session.advance_to_completion();
+                self.replica.flush();
+                let session = &mut self.replica.session;
+                // Journal the drain so a restart resumes the drained state.
+                let record = JournalRecord::Advance { to: session.now() };
+                let snap = session.snapshot();
+                let ran_any = snap.submitted > snap.cancelled;
+                // `into_result` consumes the session; replace it with an
+                // empty one (nothing can reach it — the loop exits right
+                // after).
+                let empty = SimSession::new(&self.config.system, self.config.sim);
+                let drained = std::mem::replace(session, empty);
+                (
+                    Response::Bye {
+                        metrics: ran_any.then(|| drained.into_result().metrics),
+                    },
+                    Some(record),
                 )
             }
         }
-        Request::Stats => (
-            Response::Stats {
-                stats: metrics.report(
-                    session,
-                    shared.backpressure_rejects.load(Ordering::Relaxed),
-                    predictor.as_ref().map(OnlinePredictor::name),
-                    repl_stats,
-                ),
-            },
-            None,
-        ),
-        Request::Snapshot => (
-            Response::Snapshot {
-                snapshot: session.snapshot(),
-            },
-            None,
-        ),
-        Request::Shutdown => {
-            session.advance_to_completion();
-            let events = session.drain_events();
-            metrics.absorb(&events, session);
-            // Journal the drain so a restart resumes the drained state.
-            let record = JournalRecord::Advance { to: session.now() };
-            let snap = session.snapshot();
-            let ran_any = snap.submitted > snap.cancelled;
-            // `into_result` consumes the session; replace it with an empty
-            // one (nothing can reach it — the loop exits right after).
-            let drained = std::mem::replace(session, SimSession::new(&config.system, config.sim));
-            (
-                Response::Bye {
-                    metrics: ran_any.then(|| drained.into_result().metrics),
-                },
-                Some(record),
-            )
-        }
-        // Routed by `scheduler_loop` before reaching here.
-        Request::Promote
-        | Request::ReplHello
-        | Request::ReplSegment { .. }
-        | Request::ReplRecord { .. } => (
-            Response::Error {
-                message: "replication requests are handled by the scheduler".into(),
-            },
-            None,
-        ),
     }
-}
 
-/// Runs the round's deferred scheduling pass, folds its events into the
-/// live metrics, and patches the placeholder states of deferred
-/// `Submitted` replies with what the pass decided — the state each job
-/// would have shown after its own pass on a pass-per-submit server.
-fn flush_round(
-    session: &mut SimSession,
-    metrics: &mut LiveMetrics,
-    replies: &mut [(mpsc::Sender<Response>, Response, bool)],
-    deferred: &mut Vec<(usize, u64)>,
-) {
-    session.round_flush();
-    let events = session.drain_events();
-    metrics.absorb(&events, session);
-    for (idx, id) in deferred.drain(..) {
-        if let Response::Submitted { state, .. } = &mut replies[idx].1 {
-            if let Some(s) = session.query(id) {
-                *state = s;
-            }
+    /// Stages one submission behind the round's deferred scheduling pass
+    /// — one pass covers a whole run of them — through the submit path
+    /// journal replay shares ([`Replica::submit`]).
+    fn submit(&mut self, spec: SubmitSpec) -> (Response, Option<JournalRecord>) {
+        let id = spec.id;
+        let session = &self.replica.session;
+        // Unless deferral could change an outcome: then flush first, so
+        // this job observes exactly the pass-per-submit order.
+        if session.round_needs_flush(&job_from_spec(&spec, session.now().max(0))) {
+            self.flush();
         }
-    }
-}
-
-fn submit(
-    spec: SubmitSpec,
-    session: &mut SimSession,
-    metrics: &mut LiveMetrics,
-    predictor: &mut Option<Predictor>,
-) -> (Response, Option<JournalRecord>) {
-    let (response, record, _) = submit_impl(spec, session, metrics, predictor, false);
-    (response, record)
-}
-
-/// [`submit`] for the group-commit round: stages the job with
-/// [`SimSession::round_submit_with_tenant`] instead of running a pass.
-/// Returns `Some(id)` when the reply's state is a placeholder the next
-/// [`flush_round`] must patch. The caller has already flushed if
-/// [`SimSession::round_needs_flush`] demanded it.
-fn submit_round(
-    spec: SubmitSpec,
-    session: &mut SimSession,
-    metrics: &mut LiveMetrics,
-    predictor: &mut Option<Predictor>,
-) -> (Response, Option<JournalRecord>, Option<u64>) {
-    submit_impl(spec, session, metrics, predictor, true)
-}
-
-fn submit_impl(
-    spec: SubmitSpec,
-    session: &mut SimSession,
-    metrics: &mut LiveMetrics,
-    predictor: &mut Option<Predictor>,
-    defer: bool,
-) -> (Response, Option<JournalRecord>, Option<u64>) {
-    // The service rejects *any* reuse of a known id — stricter than the
-    // session, which frees finished/cancelled ids — because queries and
-    // cancels address jobs by id for the whole server lifetime.
-    if session.query(spec.id).is_some() {
-        metrics.record_rejection();
-        return (
+        // The service rejects *any* reuse of a known id — stricter than
+        // the session, which frees finished/cancelled ids — because
+        // queries and cancels address jobs by id for the whole server
+        // lifetime.
+        let refusal = if self.replica.session.query(id).is_some() {
             Response::Rejected {
-                id: Some(spec.id),
-                reason: format!("duplicate job id {}", spec.id),
-            },
-            None,
-            None,
-        );
-    }
-    let id = spec.id;
-    // Resolve tenant ownership up front; an unknown name is a plain
-    // rejection (never journaled, like every refused submission).
-    let tenant = match session.resolve_tenant(spec.tenant.as_deref()) {
-        Ok(t) => t,
-        Err(e) => {
-            metrics.record_rejection();
-            return (
-                Response::Rejected {
-                    id: Some(id),
-                    reason: e.to_string(),
-                },
-                None,
-                None,
-            );
-        }
-    };
-    let now = session.now();
-    let job = job_from_spec(&spec, now.max(0));
-    let resolved_submit = job.submit;
-    // Predict before submitting, observe only on acceptance: rejected
-    // submissions are never journaled, so touching the predictor here
-    // would diverge from journal replay.
-    let estimate = predictor
-        .as_ref()
-        .map(|p| p.predict(job.user, job.walltime));
-    let (user, runtime) = (job.user, job.runtime);
-    let submitted = if defer {
-        session.round_submit_with_tenant(job, tenant, estimate)
-    } else {
-        session.submit_with_tenant(job, tenant, estimate)
-    };
-    match submitted {
-        Ok(()) => {
-            if let Some(p) = predictor.as_mut() {
-                p.observe(user, runtime);
+                id: Some(id),
+                reason: format!("duplicate job id {id}"),
             }
-            let patch = if defer {
-                // A staged arrival due now shows `Pending` until the
-                // round flush runs its pass; hand the id back so the
-                // flush can patch the reply with its real state.
-                // Future-dated or zero-length jobs already read true
-                // (`round_submit_with_tenant` flushes a zero-length
-                // job's own pass before returning).
-                (runtime != 0 && resolved_submit == session.now()).then_some(id)
-            } else {
-                // Process an arrival scheduled at or before the current
-                // instant immediately, so the reply reflects its real
-                // state.
-                session.advance_to(session.now());
-                None
-            };
-            let record = JournalRecord::Submit {
-                now,
-                job: SubmitSpec {
-                    // Resolve the defaulted arrival time so replay does not
-                    // depend on the clock at replay time.
-                    submit: Some(resolved_submit),
-                    ..spec
-                },
-            };
-            (
-                Response::Submitted {
-                    id,
-                    state: session.query(id).expect("just submitted"),
-                },
-                Some(record),
-                patch,
-            )
-        }
-        // Quota refusals get their own reply shape so clients can tell
-        // "back off" from "fix your request".
-        Err(CoreError::QuotaExceeded {
-            tenant,
-            requested,
-            in_use,
-            quota,
-        }) => {
-            metrics.record_rejection();
-            (
-                Response::QuotaExceeded {
+        } else {
+            match self.replica.submit(spec) {
+                Ok(record) => {
+                    self.deferred.push((self.replies.len(), id));
+                    let state = JobState::Pending;
+                    return (Response::Submitted { id, state }, Some(record));
+                }
+                // Quota refusals get their own reply shape so clients can
+                // tell "back off" from "fix your request".
+                Err(CoreError::QuotaExceeded {
+                    tenant,
+                    requested,
+                    in_use,
+                    quota,
+                }) => Response::QuotaExceeded {
                     id,
                     tenant,
                     requested,
                     in_use,
                     quota,
                 },
-                None,
-                None,
-            )
-        }
-        Err(e) => {
-            metrics.record_rejection();
-            (
-                Response::Rejected {
+                Err(e) => Response::Rejected {
                     id: Some(id),
                     reason: e.to_string(),
                 },
-                None,
-                None,
-            )
+            }
+        };
+        self.replica.metrics.record_rejection();
+        (refusal, None)
+    }
+
+    /// Promotion: flip the role in place — same session, same journal,
+    /// same loop; only write admission and the wall clock change.
+    fn promote(&mut self) -> Response {
+        if matches!(self.role, Role::Primary) {
+            return Response::Error {
+                message: "already the primary; refusing promotion".into(),
+            };
+        }
+        // Seal the tail: an empty segment (nothing was ever replicated)
+        // gets the Config header a primary's segment always starts with.
+        if let Some(journal) = self.journal.as_mut() {
+            if journal.records_in_segment() == 0 {
+                if let Err(e) = journal.append(&self.replica.header()) {
+                    eprintln!("lumos-serve: promotion failed to seal the journal: {e}");
+                    return Response::Error {
+                        message: format!("journal write failed ({e}); refusing promotion"),
+                    };
+                }
+            }
+        }
+        let now = self.replica.session.now();
+        self.role = Role::Primary;
+        self.sim_epoch = now.max(0);
+        self.epoch = Instant::now();
+        eprintln!("lumos-serve: promoted to primary at t = {now}");
+        Response::Promoted { now }
+    }
+
+    /// Handles one replication-protocol request (`ReplHello`,
+    /// `ReplSegment`, `ReplRecord`). A follower that cannot persist a
+    /// frame must not continue: it answers with [`fail_stop`] and stops.
+    fn replicate(&mut self, req: Request) -> Response {
+        let Role::Follower {
+            records,
+            hello_seen,
+        } = &mut self.role
+        else {
+            return Response::Error {
+                message: "this server is not a follower (start it with --follow)".into(),
+            };
+        };
+        let Some(journal) = self.journal.as_mut() else {
+            // Unreachable in practice: `--follow` requires a journal.
+            return Response::Error {
+                message: "follower has no journal".into(),
+            };
+        };
+        match req {
+            Request::ReplHello => {
+                *hello_seen = true;
+                Response::ReplPosition {
+                    seq: journal.seq(),
+                    offset: journal.segment_bytes(),
+                }
+            }
+            Request::ReplSegment { seq } => {
+                if seq != journal.seq() + 1 {
+                    return Response::Error {
+                        message: format!(
+                            "out-of-order segment marker {seq} (follower is at {})",
+                            journal.seq()
+                        ),
+                    };
+                }
+                // Rotate with a locally synthesized snapshot: the
+                // follower's state equals the primary's at this boundary,
+                // so the snapshot JSON is byte-identical to the primary's
+                // too.
+                match journal.rotate_without_header(&self.replica.snapshot_json()) {
+                    Ok(()) => Response::ReplAck {
+                        seq: journal.seq(),
+                        offset: 0,
+                    },
+                    Err(e) => {
+                        eprintln!("lumos-serve: follower rotation failed: {e}; stopping");
+                        self.stop = true;
+                        fail_stop(&e)
+                    }
+                }
+            }
+            Request::ReplRecord { frame } => {
+                // Re-verify the frame end to end before trusting it: the
+                // CRC travelled from the primary's disk over the wire.
+                let record = match decode_line(frame.as_bytes()) {
+                    Ok(record) => record,
+                    Err(e) => {
+                        return Response::Error {
+                            message: format!("bad replicated frame: {e}"),
+                        }
+                    }
+                };
+                // Mirror first (append-before-ack, exactly like a
+                // primary), then apply through the recovery path.
+                if let Err(e) = journal.append_raw_line(&frame) {
+                    eprintln!("lumos-serve: follower journal append failed: {e}; stopping");
+                    self.stop = true;
+                    return fail_stop(&e);
+                }
+                let mut warnings = Vec::new();
+                self.replica.apply(record, self.config, &mut warnings);
+                for w in warnings {
+                    eprintln!("lumos-serve: follower apply: {w}");
+                }
+                *records += 1;
+                Response::ReplAck {
+                    seq: journal.seq(),
+                    offset: journal.segment_bytes(),
+                }
+            }
+            _ => unreachable!("`handle` routes only replication requests here"),
+        }
+    }
+
+    /// The `stats` replication block for the current role: ack progress
+    /// on a replicating primary, applied position on a follower, `None`
+    /// on plain servers (and promoted followers, which serve exactly like
+    /// one).
+    fn replication_stats(&self) -> Option<ReplicationStats> {
+        match &self.role {
+            Role::Primary => self.link.map(|link| ReplicationStats {
+                role: "primary".into(),
+                peer: link.target.clone(),
+                connected: link.is_connected(),
+                seq: link.acked_seq(),
+                offset: link.acked_offset(),
+                records: link.acked_count(),
+            }),
+            Role::Follower {
+                records,
+                hello_seen,
+            } => Some(ReplicationStats {
+                role: "follower".into(),
+                peer: self.config.follow.clone().unwrap_or_default(),
+                connected: *hello_seen,
+                seq: self.journal.as_ref().map_or(0, Journal::seq),
+                offset: self.journal.as_ref().map_or(0, Journal::segment_bytes),
+                records: *records,
+            }),
         }
     }
 }
@@ -1200,7 +880,7 @@ fn serve_lines<R: BufRead, W: Write + Send>(
     shared: &Shared,
 ) -> io::Result<()> {
     let (slot_tx, slot_rx) = mpsc::channel::<Slot>();
-    let (reply_tx, reply_rx) = mpsc::channel::<Response>();
+    let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
     std::thread::scope(|scope| {
         let writer_half = scope.spawn(move || write_replies(writer, &slot_rx, &reply_rx, shared));
         let read = (|| {
@@ -1241,21 +921,27 @@ fn serve_lines<R: BufRead, W: Write + Send>(
 fn write_replies<W: Write>(
     mut writer: W,
     slots: &Receiver<Slot>,
-    replies: &Receiver<Response>,
+    replies: &Receiver<Reply>,
     shared: &Shared,
 ) -> io::Result<()> {
-    let closed = || Response::Error {
-        message: "server is shutting down".into(),
+    let closed = || Reply {
+        response: Response::Error {
+            message: "server is shutting down".into(),
+        },
+        terminal: false,
     };
     let mut buf = String::new();
     while let Ok(first) = slots.recv() {
         let mut pending = 0usize;
         let mut next = Some(first);
         while let Some(slot) = next {
-            let response = match slot {
-                Slot::Ready(response) => response,
+            let Reply { response, terminal } = match slot {
+                Slot::Ready(response) => Reply {
+                    response,
+                    terminal: false,
+                },
                 Slot::Scheduled => match replies.try_recv() {
-                    Ok(response) => response,
+                    Ok(reply) => reply,
                     Err(_) => {
                         // The scheduler has not answered this one yet:
                         // release what is already buffered, then wait.
@@ -1270,7 +956,6 @@ fn write_replies<W: Write>(
             buf.clear();
             response.to_line_into(&mut buf);
             buf.push('\n');
-            let terminal = is_terminal(&response);
             let wrote = writer.write_all(buf.as_bytes());
             if terminal {
                 // Written (or failed definitively): `run` may exit now.
@@ -1297,7 +982,7 @@ fn write_replies<W: Write>(
 /// right here (parse error, backpressure rejection, shutdown), otherwise
 /// `Scheduled`. `lineno` is the 1-based physical line number within this
 /// client's stream, used to contextualize parse errors.
-fn dispatch(line: &str, lineno: usize, shared: &Shared, reply: &mpsc::Sender<Response>) -> Slot {
+fn dispatch(line: &str, lineno: usize, shared: &Shared, reply: &mpsc::Sender<Reply>) -> Slot {
     let req = match Request::parse(line) {
         Ok(req) => req,
         Err(message) => {
@@ -1341,4 +1026,397 @@ fn dispatch(line: &str, lineno: usize, shared: &Shared, reply: &mpsc::Sender<Res
         });
     }
     Slot::Scheduled
+}
+
+#[cfg(test)]
+mod tests {
+    //! Socket-free tests of the round machine: commands go in through
+    //! its `mpsc` queue, replies come back on one shared reply channel,
+    //! and the journal lives in a temp dir. Every command is queued
+    //! before the scheduler runs, so a `group_commit` of 64 really does
+    //! build the largest rounds the barriers allow.
+
+    use std::path::{Path, PathBuf};
+
+    use lumos_sim::Policy;
+
+    use super::*;
+    use crate::journal::FsyncPolicy;
+    use crate::recovery::{recover, recover_follower};
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("lumos-rounds-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        dir
+    }
+
+    /// An 8-unit machine with tenants (one capped at 6 outstanding
+    /// units), a fair-share policy and a walltime predictor, so the
+    /// shared submit path exercises tenant resolution, quota refusal and
+    /// predict/observe on every route.
+    fn config(dir: &Path, group_commit: usize, snapshot_every: u64) -> ServeConfig {
+        let mut system = SystemSpec::theta();
+        system.name = "rounds-test".into();
+        system.total_nodes = 8;
+        system.units_per_node = 1;
+        system.total_units = 8;
+        let mut config = ServeConfig::new(system);
+        config.sim.policy = Policy::MaxMinFair;
+        config.predictor = Some(PredictorConfig::Last2 { margin: 1.5 });
+        config.tenants = Some(TenantTable::parse("capped 1 6\nfree 2\n").expect("tenant table"));
+        let mut journal = JournalConfig::new(dir.to_path_buf());
+        journal.fsync = FsyncPolicy::Never;
+        journal.snapshot_every = snapshot_every;
+        config.journal = Some(journal);
+        config.group_commit = group_commit;
+        config
+    }
+
+    fn submit(id: u64, procs: u64, runtime: i64, submit: Option<i64>, tenant: &str) -> Request {
+        Request::Submit {
+            job: SubmitSpec {
+                id,
+                procs,
+                runtime,
+                walltime: Some(runtime + 50),
+                user: Some((id % 3) as u32),
+                submit,
+                virtual_cluster: None,
+                tenant: Some(tenant.into()),
+            },
+        }
+    }
+
+    /// Every kind of command a primary's round can hold: submissions that
+    /// start at once, queue, are zero-length or future-dated; a cancel,
+    /// reads, advances, and `Promote` — a barrier in the middle of what
+    /// would otherwise be one round. With `refusals`, also a duplicate,
+    /// an over-quota and an unknown-tenant submission; refusals are never
+    /// journaled, so the `rejected` counter they bump is only as durable
+    /// as the next rotation snapshot and a replay cannot reproduce it.
+    fn mixed_stream(refusals: bool) -> Vec<Request> {
+        let mut stream = vec![
+            submit(1, 4, 100, None, "capped"),
+            submit(2, 2, 300, None, "free"),
+            submit(3, 4, 200, None, "free"), // queues behind 1 and 2
+            submit(4, 1, 0, None, "free"),   // zero-length
+            submit(5, 2, 50, Some(40), "free"), // future-dated
+        ];
+        if refusals {
+            stream.extend([
+                submit(1, 1, 10, None, "free"),   // duplicate id
+                submit(6, 4, 10, None, "capped"), // 4 + 4 > quota 6
+                submit(7, 1, 10, None, "nobody"), // unknown tenant
+            ]);
+        }
+        stream.extend([
+            Request::Query { id: 3 },
+            submit(8, 2, 80, None, "capped"),
+            Request::Cancel { id: 3 },
+            Request::Cancel { id: 99 },
+            Request::Stats,
+            Request::Promote,
+            submit(9, 3, 60, None, "free"),
+            Request::Advance { to: 45 },
+            Request::Query { id: 5 },
+            Request::Snapshot,
+        ]);
+        for i in 0..20 {
+            stream.push(submit(100 + i, 1 + i % 3, 20 + i as i64 * 7, None, "free"));
+            if i % 6 == 5 {
+                stream.push(Request::Advance {
+                    to: 45 + i as i64 * 10,
+                });
+            }
+        }
+        stream.push(Request::Stats);
+        stream
+    }
+
+    /// What one run of the round machine left behind.
+    struct Served {
+        /// Reply lines in release order, each with its terminal mark.
+        replies: Vec<(String, bool)>,
+        /// The live rotation snapshot at the end of the run.
+        snapshot: String,
+        /// `Shared::terminal_flushed` at the end of the run.
+        terminal_flushed: bool,
+    }
+
+    /// Queues `stream`, runs the scheduler over `replica` and `journal`
+    /// until the queue is empty (or a round stops it), and collects the
+    /// replies. `keep_replies` false drops the reply receiver first, as a
+    /// client that vanished would.
+    fn serve_on(
+        config: &ServeConfig,
+        (replica, journal): (Replica, Journal),
+        stream: Vec<Request>,
+        keep_replies: bool,
+    ) -> Served {
+        let (tx, rx) = mpsc::sync_channel(stream.len());
+        let (reply_tx, reply_rx) = mpsc::channel();
+        for req in stream {
+            let reply = reply_tx.clone();
+            tx.send(Envelope { req, reply }).expect("queue a command");
+        }
+        drop((tx, reply_tx));
+        let reply_rx = keep_replies.then_some(reply_rx);
+        // The scheduler never sends on `commands`; only `dispatch` does.
+        let (commands, _unused) = mpsc::sync_channel(1);
+        let shared = Shared {
+            commands,
+            shutting_down: AtomicBool::new(false),
+            backpressure_rejects: AtomicU64::new(0),
+            queue_capacity: 1,
+            terminal_flushed: Mutex::new(false),
+            terminal_cv: Condvar::new(),
+        };
+        let mut scheduler = Scheduler::new(config, &shared, replica, Some(journal), None);
+        scheduler.run(&rx);
+        let snapshot = scheduler.replica.snapshot_json();
+        drop(scheduler);
+        let replies = reply_rx.into_iter().flatten();
+        let terminal_flushed = *shared.terminal_flushed.lock().unwrap();
+        Served {
+            replies: replies
+                .map(|r| (r.response.to_line(), r.terminal))
+                .collect(),
+            snapshot,
+            terminal_flushed,
+        }
+    }
+
+    fn serve(config: &ServeConfig, stream: Vec<Request>) -> Served {
+        let journal = config.journal.as_ref().expect("tests journal");
+        let recovered = if config.follow.is_some() {
+            recover_follower(config, journal)
+        } else {
+            recover(config, journal)
+        };
+        serve_on(
+            config,
+            recovered.expect("recover").into_parts(),
+            stream,
+            true,
+        )
+    }
+
+    /// Every file in a journal directory, by name.
+    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("read journal dir")
+            .map(|entry| {
+                let path = entry.expect("dir entry").path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).expect("read journal file"))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn rounds_of_one_and_of_sixty_four_are_byte_identical() {
+        let mut stream = mixed_stream(true);
+        stream.push(Request::Shutdown);
+        let run = |group: usize| {
+            let dir = temp_dir(&format!("mixed-g{group}"));
+            let served = serve(&config(&dir, group, 0), stream.clone());
+            let files = dir_bytes(&dir);
+            std::fs::remove_dir_all(&dir).ok();
+            (served.replies, files)
+        };
+        let (lockstep, lockstep_files) = run(1);
+        let (batched, batched_files) = run(64);
+        assert_eq!(lockstep.len(), stream.len(), "one reply per command");
+        assert_eq!(lockstep, batched);
+        assert_eq!(lockstep_files, batched_files);
+        // `--group-commit 0` is a round of one too.
+        assert_eq!(run(0), (lockstep.clone(), lockstep_files));
+
+        // The stream really did take every route.
+        let lines: Vec<&str> = lockstep.iter().map(|(line, _)| line.as_str()).collect();
+        for needle in [
+            "\"Waiting\"",
+            "\"Finished\"",
+            "\"Pending\"",
+            "duplicate job id 1",
+            "QuotaExceeded",
+            "unknown tenant",
+            "\"Cancelled\":{\"id\":3,\"ok\":true}",
+            "\"Cancelled\":{\"id\":99,\"ok\":false}",
+            "already the primary",
+            "\"Advanced\"",
+            "\"Bye\"",
+        ] {
+            assert!(
+                lines.iter().any(|l| l.contains(needle)),
+                "no reply mentions {needle}: {lines:#?}"
+            );
+        }
+        // Only the `Bye` is terminal.
+        let terminal: Vec<&str> = lockstep
+            .iter()
+            .filter(|(_, terminal)| *terminal)
+            .map(|(line, _)| line.as_str())
+            .collect();
+        assert_eq!(terminal.len(), 1);
+        assert!(terminal[0].contains("\"Bye\""));
+    }
+
+    #[test]
+    fn a_barrier_met_mid_drain_is_carried_and_answered_in_arrival_order() {
+        let dir = temp_dir("carry");
+        let stream = vec![
+            submit(1, 8, 100, None, "free"),
+            submit(2, 8, 100, None, "free"),
+            Request::Promote,
+            Request::Query { id: 2 },
+            Request::Shutdown,
+            Request::Query { id: 1 }, // behind the shutdown: refused
+        ];
+        let served = serve(&config(&dir, 64, 0), stream);
+        let lines: Vec<&str> = served.replies.iter().map(|(l, _)| l.as_str()).collect();
+        assert!(lines[0].contains("\"Running\""), "{lines:#?}");
+        assert!(lines[1].contains("\"Waiting\""), "{lines:#?}");
+        assert!(lines[2].contains("already the primary"), "{lines:#?}");
+        assert!(lines[3].contains("\"Waiting\""), "{lines:#?}");
+        assert!(lines[4].contains("\"Bye\""), "{lines:#?}");
+        assert!(lines[5].contains("shutting down"), "{lines:#?}");
+        let marks: Vec<bool> = served.replies.iter().map(|&(_, t)| t).collect();
+        assert_eq!(marks, [false, false, false, false, true, false]);
+        // The `Bye` was delivered, so its flush is the writer's to report.
+        assert!(!served.terminal_flushed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The journal a primary wrote, shipped frame by frame, takes a
+    /// follower through `Replica::apply` to the primary's exact state and
+    /// bytes; reads are answered and writes refused on the way, in rounds
+    /// of any size; and `recover()` over the same journal — replay through
+    /// the same submit path — lands on the same snapshot.
+    #[test]
+    fn replay_and_follower_apply_reproduce_the_live_snapshot() {
+        let primary_dir = temp_dir("primary");
+        let primary = config(&primary_dir, 64, 7);
+        let live = serve(&primary, mixed_stream(false));
+        let files = dir_bytes(&primary_dir);
+        assert!(
+            files.iter().any(|(name, _)| name.starts_with("snapshot-")),
+            "the run must rotate"
+        );
+
+        let journal = primary.journal.as_ref().unwrap();
+        let recovered = recover(&primary, journal).expect("recover");
+        assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
+        let replayed = recovered.into_parts().0.snapshot_json();
+        assert!(replayed == live.snapshot, "snapshot + tail replay diverged");
+        // From the very beginning too, not only from the last snapshot.
+        let full_dir = temp_dir("primary-full");
+        let mut frames = vec![Request::ReplHello];
+        for (name, bytes) in &files {
+            if name.starts_with("journal-") {
+                std::fs::write(full_dir.join(name), bytes).expect("copy segment");
+                let seq: u64 = name["journal-".len()..name.len() - ".log".len()]
+                    .parse()
+                    .unwrap();
+                if seq > 0 {
+                    frames.push(Request::ReplSegment { seq });
+                }
+                for frame in std::str::from_utf8(bytes).unwrap().lines() {
+                    frames.push(Request::ReplRecord {
+                        frame: frame.into(),
+                    });
+                }
+            }
+        }
+        let mut full = primary.clone();
+        full.journal.as_mut().unwrap().dir = full_dir.clone();
+        let recovered = recover(&full, full.journal.as_ref().unwrap()).expect("recover");
+        let replayed = recovered.into_parts().0.snapshot_json();
+        assert!(replayed == live.snapshot, "full replay diverged");
+
+        let shipped = frames.len();
+        frames.extend([
+            Request::Query { id: 3 },
+            submit(500, 1, 10, None, "free"),
+            Request::Cancel { id: 9 },
+            Request::Advance { to: 10_000 },
+            Request::Stats,
+            Request::Snapshot,
+        ]);
+        let follow = |group: usize| {
+            let dir = temp_dir(&format!("follower-g{group}"));
+            let mut follower = config(&dir, group, 7);
+            follower.follow = Some("primary.invalid:0".into());
+            let served = serve(&follower, frames.clone());
+            let files = dir_bytes(&dir);
+            std::fs::remove_dir_all(&dir).ok();
+            (served, files)
+        };
+        let (follower, follower_files) = follow(64);
+        assert!(follower.snapshot == live.snapshot, "follower diverged");
+        assert_eq!(follower_files, files);
+        let lines: Vec<&str> = follower.replies.iter().map(|(l, _)| l.as_str()).collect();
+        assert!(lines[0].contains("ReplPosition"), "{lines:#?}");
+        assert!(
+            lines[1..shipped].iter().all(|l| l.contains("ReplAck")),
+            "{lines:#?}"
+        );
+        assert!(lines[shipped].contains("\"Cancelled\""), "{lines:#?}");
+        for refused in &lines[shipped + 1..shipped + 4] {
+            assert!(refused.contains("read-only follower"), "{lines:#?}");
+        }
+        assert!(lines[shipped + 4].contains("\"role\":\"follower\""));
+        assert!(lines[shipped + 5].contains("\"Snapshot\""));
+        let (lockstep, lockstep_files) = follow(1);
+        assert_eq!(lockstep.replies, follower.replies);
+        assert_eq!(lockstep_files, files);
+
+        std::fs::remove_dir_all(&primary_dir).ok();
+        std::fs::remove_dir_all(&full_dir).ok();
+    }
+
+    /// A fresh replica over a journal whose segment is `/dev/full`: every
+    /// append fails.
+    #[cfg(target_os = "linux")]
+    fn on_a_full_disk(config: &ServeConfig, dir: &Path) -> (Replica, Journal) {
+        let segment = crate::journal::segment_path(dir, 0);
+        let _ = std::fs::remove_file(&segment);
+        std::os::unix::fs::symlink("/dev/full", segment).expect("symlink");
+        let journal = Journal::open_segment(config.journal.clone().unwrap(), 0, 1);
+        (Replica::fresh(config), journal.expect("open /dev/full"))
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_append_stops_the_round_and_marks_one_terminal_reply() {
+        let dir = temp_dir("full");
+        let config = config(&dir, 64, 0);
+        let stream = vec![
+            submit(1, 1, 10, None, "free"),
+            Request::Query { id: 1 },
+            submit(2, 1, 10, None, "free"),
+            submit(1, 1, 10, None, "free"), // refused: never journaled
+        ];
+        let served = serve_on(&config, on_a_full_disk(&config, &dir), stream.clone(), true);
+        let stopping = fail_stop(&io::Error::from_raw_os_error(28)).to_line();
+        let lines: Vec<&str> = served.replies.iter().map(|(l, _)| l.as_str()).collect();
+        // Journaled members get the fail-stop error; the read and the
+        // refusal, which promised nothing durable, keep their answers.
+        assert_eq!(lines[0], stopping);
+        assert!(lines[1].contains("\"Job\""), "{lines:#?}");
+        assert_eq!(lines[2], stopping);
+        assert!(lines[3].contains("duplicate job id 1"), "{lines:#?}");
+        let marks: Vec<bool> = served.replies.iter().map(|&(_, t)| t).collect();
+        assert_eq!(marks, [false, false, false, true]);
+        assert!(!served.terminal_flushed);
+
+        // With nobody left to read the final reply, the scheduler itself
+        // reports the terminal flush, so `run` does not wait for one.
+        let served = serve_on(&config, on_a_full_disk(&config, &dir), stream, false);
+        assert!(served.terminal_flushed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

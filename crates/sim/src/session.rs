@@ -146,6 +146,32 @@ pub struct SessionState {
     pub tenant_of: Option<Vec<TenantId>>,
 }
 
+/// One submission: the job, plus what the scheduler — not the trace —
+/// decides about it. `Submission::from(job)` leaves both decisions to
+/// the session.
+#[derive(Debug, Clone)]
+pub struct Submission {
+    /// The job as the client described it.
+    pub job: Job,
+    /// Owning tenant (from [`SimSession::resolve_tenant`]). `None`
+    /// assigns the built-in `default` tenant when tenancy is enabled.
+    pub tenant: Option<TenantId>,
+    /// Scheduler-side walltime estimate overriding the user-supplied one
+    /// (the runtime-predictor hook; floored at 1 s). The job still runs
+    /// its true runtime — only the scheduler's plan changes.
+    pub walltime: Option<Duration>,
+}
+
+impl From<Job> for Submission {
+    fn from(job: Job) -> Self {
+        Self {
+            job,
+            tenant: None,
+            walltime: None,
+        }
+    }
+}
+
 /// An incremental scheduling simulation.
 ///
 /// Jobs must be submitted with `submit >= now` (no rewriting history);
@@ -287,64 +313,6 @@ impl SimSession {
         &self.config
     }
 
-    /// Submits a job using its own planning walltime.
-    ///
-    /// # Errors
-    /// Rejects jobs submitted in the simulation past, with zero or
-    /// machine-oversized requests, or with negative runtime.
-    pub fn submit(&mut self, job: Job) -> Result<()> {
-        self.submit_with_walltime(job, None)
-    }
-
-    /// Submits a job with a scheduler-side walltime estimate overriding the
-    /// user-supplied one (the runtime-predictor hook; floored at 1 s). The
-    /// job still runs its true runtime — only the scheduler's plan changes.
-    ///
-    /// An id may be reused once its previous holder has finished or been
-    /// cancelled; `query`/`cancel`/`job` keep resolving to the *first*
-    /// submission of that id.
-    ///
-    /// # Errors
-    /// Same contract as [`SimSession::submit`], plus
-    /// [`CoreError::DuplicateJob`] when an earlier job with the same id is
-    /// still live (pending, waiting, or running) — a duplicate would run
-    /// but be unaddressable through `query`/`cancel`.
-    pub fn submit_with_walltime(&mut self, job: Job, walltime: Option<Duration>) -> Result<()> {
-        self.submit_with_tenant(job, None, walltime)
-    }
-
-    /// Submits every job in `jobs` with round-deferred scheduling
-    /// ([`SimSession::round_submit`]), then flushes: in the common case
-    /// the whole batch is covered by **one** scheduling pass instead of
-    /// one per submission, and every outcome — verdicts, job states and
-    /// waits, reservations, violations, the utilization timeline, the
-    /// saved state — is byte-identical to calling [`SimSession::submit`]
-    /// followed by `advance_to(now())` once per job. This is what the
-    /// serving layer leans on to turn a drained group-commit round of
-    /// submissions into a single pass.
-    ///
-    /// Equivalence is *enforced*, not assumed: deferral is gated by
-    /// [`SimSession::round_needs_flush`], which falls back to the
-    /// sequential pass order whenever same-instant arrivals could
-    /// contend (see its docs for the exact rule). The one observable
-    /// difference that remains is the *ordering* of same-instant
-    /// [`SimEvent::Started`] records within one flushed group — jobs
-    /// that all start immediately are logged in policy-key order rather
-    /// than submission order (same events, same timestamps, same waits).
-    ///
-    /// Returns one verdict per job, in order. A rejected job (duplicate
-    /// live id, submission in the past, zero/oversized request, quota)
-    /// does not stop the rest of the batch, exactly as individual
-    /// `submit` calls would not.
-    pub fn submit_batch<I>(&mut self, jobs: I) -> Vec<Result<()>>
-    where
-        I: IntoIterator<Item = Job>,
-    {
-        let results = jobs.into_iter().map(|job| self.round_submit(job)).collect();
-        self.round_flush();
-        results
-    }
-
     /// True when staging `job` behind the round's already-deferred
     /// submissions could change an outcome, so the round must be
     /// flushed first ([`SimSession::round_flush`]).
@@ -380,37 +348,37 @@ impl SimSession {
         !(p.waiting.is_empty() && p.free >= staged + eff)
     }
 
-    /// [`SimSession::submit`] with round-deferred scheduling: no pass
-    /// runs now unless required for equivalence. Call
-    /// [`SimSession::round_flush`] (or any clock-reaching advance) to
-    /// run the round's single deferred pass; query/cancel/save before
-    /// the flush observe staged jobs as [`JobState::Pending`].
+    /// [`SimSession::submit`] for a round of commands that share one
+    /// instant: a run of these followed by one
+    /// [`SimSession::round_flush`] (or any clock-reaching advance) is
+    /// covered, in the common case, by **one** scheduling pass, and every
+    /// outcome — verdicts, job states and waits, reservations,
+    /// violations, the utilization timeline, the saved state — is
+    /// byte-identical to `submit` followed by `advance_to(now())` once
+    /// per job. Equivalence is *enforced*, not assumed: the round is
+    /// flushed first whenever [`SimSession::round_needs_flush`] says
+    /// same-instant arrivals could contend. The one observable
+    /// difference that remains is the *ordering* of same-instant
+    /// [`SimEvent::Started`] records within one flushed group — jobs
+    /// that all start immediately are logged in policy-key order rather
+    /// than submission order (same events, same timestamps, same waits).
+    /// Query/cancel/save before the flush observe staged jobs as
+    /// [`JobState::Pending`].
     ///
     /// # Errors
-    /// Same contract as [`SimSession::submit`].
-    pub fn round_submit(&mut self, job: Job) -> Result<()> {
-        self.round_submit_with_tenant(job, None, None)
-    }
-
-    /// [`SimSession::submit_with_tenant`] with round-deferred
-    /// scheduling — see [`SimSession::round_submit`].
-    ///
-    /// # Errors
-    /// Same contract as [`SimSession::submit_with_tenant`].
-    pub fn round_submit_with_tenant(
-        &mut self,
-        job: Job,
-        tenant: Option<TenantId>,
-        walltime: Option<Duration>,
-    ) -> Result<()> {
-        if self.round_needs_flush(&job) {
+    /// Same contract as [`SimSession::submit`]; a refusal does not
+    /// disturb the rest of the round.
+    pub fn round_submit(&mut self, submission: impl Into<Submission>) -> Result<()> {
+        let submission = submission.into();
+        let job = &submission.job;
+        if self.round_needs_flush(job) {
             self.round_flush();
         }
         let due = job.submit == self.clock;
         let zero_len = job.runtime == 0;
         let part = self.cluster.route(job.virtual_cluster, job.procs);
         let eff = job.procs.min(self.cluster.partition(part).capacity);
-        let res = self.submit_with_tenant(job, tenant, walltime);
+        let res = self.submit(submission);
         if res.is_ok() && due {
             if zero_len {
                 // Run its pass alone so the id and quota it frees are
@@ -455,21 +423,30 @@ impl SimSession {
         }
     }
 
-    /// [`SimSession::submit_with_walltime`] with an explicit owning
-    /// tenant (from [`SimSession::resolve_tenant`]). `None` assigns the
-    /// built-in `default` tenant when tenancy is enabled.
+    /// Stages a submission: validates it and files it under its arrival
+    /// time. No scheduling pass runs — an arrival due now is processed by
+    /// the next clock-reaching [`SimSession::advance_to`]. Takes a
+    /// [`Submission`] or, through `From`, a bare [`Job`].
+    ///
+    /// An id may be reused once its previous holder has finished or been
+    /// cancelled; `query`/`cancel`/`job` keep resolving to the *first*
+    /// submission of that id.
     ///
     /// # Errors
-    /// Same contract as [`SimSession::submit_with_walltime`], plus
-    /// [`CoreError::UnknownTenant`] for an out-of-table id and
+    /// Rejects jobs submitted in the simulation past, with zero or
+    /// machine-oversized requests, or with negative runtime;
+    /// [`CoreError::DuplicateJob`] when an earlier job with the same id is
+    /// still live (pending, waiting, or running) — a duplicate would run
+    /// but be unaddressable through `query`/`cancel`;
+    /// [`CoreError::UnknownTenant`] for an out-of-table tenant id and
     /// [`CoreError::QuotaExceeded`] when accepting the job would push
     /// its tenant past its outstanding-units quota.
-    pub fn submit_with_tenant(
-        &mut self,
-        mut job: Job,
-        tenant: Option<TenantId>,
-        walltime: Option<Duration>,
-    ) -> Result<()> {
+    pub fn submit(&mut self, submission: impl Into<Submission>) -> Result<()> {
+        let Submission {
+            mut job,
+            tenant,
+            walltime,
+        } = submission.into();
         if !self.allow_duplicate_ids {
             if let Some(&prev) = self.by_id.get(&job.id) {
                 if matches!(
@@ -1013,7 +990,7 @@ impl SimSession {
     /// returns to its prior value), so the recorded trace depends only
     /// on the utilization trajectory — not on how many scheduling passes
     /// or event sub-steps produced it. That independence is what lets a
-    /// deferred round pass ([`SimSession::submit_batch`]) record a
+    /// deferred round pass ([`SimSession::round_submit`]) record a
     /// byte-identical timeline to pass-per-submit processing.
     fn record_state_point(&mut self, now: Timestamp) {
         self.max_queue_total = self.max_queue_total.max(self.cluster.queue_len());
@@ -1824,7 +1801,12 @@ mod tests {
             s.reference_passes = reference;
             for j in jobs {
                 let owner = s.tenants.as_ref().map(|_| (j.user % 3) as TenantId);
-                s.submit_with_tenant(j.clone(), owner, None).unwrap();
+                s.submit(Submission {
+                    job: j.clone(),
+                    tenant: owner,
+                    walltime: None,
+                })
+                .unwrap();
             }
             s
         };

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::backfill::{Backfill, Relax};
 use crate::metrics::{SimMetrics, UtilizationTimeline};
 use crate::policy::Policy;
-use crate::session::SimSession;
+use crate::session::{SimSession, Submission};
 
 /// Simulation configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -103,9 +103,12 @@ fn replay(trace: &Trace, config: &SimConfig, walltimes: Option<&[Duration]>) -> 
     // submission — while the incremental API rejects live duplicates.
     session.allow_duplicate_ids = true;
     for (i, job) in trace.jobs().iter().enumerate() {
-        let wall = walltimes.map(|w| w[i]);
         session
-            .submit_with_walltime(job.clone(), wall)
+            .submit(Submission {
+                job: job.clone(),
+                tenant: None,
+                walltime: walltimes.map(|w| w[i]),
+            })
             .expect("trace jobs were validated by Trace::new");
     }
     session.into_result()

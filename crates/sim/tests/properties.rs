@@ -4,7 +4,7 @@
 use lumos_core::{Job, SystemSpec, Trace};
 use lumos_sim::profile::CapacityProfile;
 use lumos_sim::{
-    simulate, Backfill, Policy, Relax, SessionState, SimConfig, SimSession, TenantTable,
+    simulate, Backfill, Policy, Relax, SessionState, SimConfig, SimSession, Submission, TenantTable,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -262,12 +262,12 @@ proptest! {
         prop_assert_eq!(online.max_queue_len, batch.max_queue_len);
     }
 
-    /// The one-pass batch API behind group-commit rounds: `submit_batch`
-    /// must be byte-identical — per-job verdicts, event multiset, and the
-    /// complete saved state after every batch — to the interleaved
-    /// `submit` + `advance_to(now)` sequence it replaces, for any
-    /// partition of the stream into batches and under every
-    /// policy/backfill/relaxation combination.
+    /// The one-pass path behind scheduler rounds: a run of `round_submit`s
+    /// closed by one `round_flush` must be byte-identical — per-job
+    /// verdicts, event multiset, and the complete saved state after every
+    /// round — to the interleaved `submit` + `advance_to(now)` sequence
+    /// it replaces, for any partition of the stream into rounds and under
+    /// every policy/backfill/relaxation combination.
     #[test]
     fn submit_batch_matches_sequential_submits(
         jobs in arb_jobs(50),
@@ -301,11 +301,11 @@ proptest! {
                     v
                 })
                 .collect();
-            let batch_verdicts: Vec<Result<(), String>> = batch
-                .submit_batch(chunk.iter().cloned())
-                .into_iter()
-                .map(|v| v.map_err(|e| e.to_string()))
+            let batch_verdicts: Vec<Result<(), String>> = chunk
+                .iter()
+                .map(|j| batch.round_submit(j.clone()).map_err(|e| e.to_string()))
                 .collect();
+            batch.round_flush();
             prop_assert_eq!(seq_verdicts, batch_verdicts);
 
             // Same events (the batch pass may emit same-instant starts in
@@ -479,7 +479,8 @@ proptest! {
                 .map_err(|e| TestCaseError::fail(format!("resolve: {e}")))?;
             // alpha's quota may refuse; a refusal must leave no trace,
             // which the conservation checks below would expose.
-            if session.submit_with_tenant(job, tenant, None).is_ok() {
+            let submission = Submission { job, tenant, walltime: None };
+            if session.submit(submission).is_ok() {
                 accepted += 1;
             }
         }

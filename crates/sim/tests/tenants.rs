@@ -3,7 +3,7 @@
 //! effects, and tenant accounting survives checkpoint/restore.
 
 use lumos_core::{CoreError, Job, SystemSpec};
-use lumos_sim::{Policy, SimConfig, SimSession, TenantTable};
+use lumos_sim::{Policy, SimConfig, SimSession, Submission, TenantTable};
 
 fn tiny_system(capacity: u64) -> SystemSpec {
     let mut s = SystemSpec::theta();
@@ -29,12 +29,20 @@ fn skewed_session(policy: Policy, table: &str) -> SimSession {
     let light = session.resolve_tenant(Some("light")).unwrap();
     for i in 0..16u64 {
         session
-            .submit_with_tenant(Job::basic(i, 0, 0, 400, 2), heavy, Some(450))
+            .submit(Submission {
+                job: Job::basic(i, 0, 0, 400, 2),
+                tenant: heavy,
+                walltime: Some(450),
+            })
             .unwrap();
     }
     for i in 100..104u64 {
         session
-            .submit_with_tenant(Job::basic(i, 1, 0, 400, 2), light, Some(450))
+            .submit(Submission {
+                job: Job::basic(i, 1, 0, 400, 2),
+                tenant: light,
+                walltime: Some(450),
+            })
             .unwrap();
     }
     session
@@ -109,10 +117,11 @@ fn fair_share_without_tenants_degrades_to_fcfs() {
         for i in 0..12u64 {
             let procs = 1 + i % 3;
             session
-                .submit_with_walltime(
-                    Job::basic(i, 0, (i as i64) * 7, 100 + (i as i64) * 31, procs),
-                    Some(600),
-                )
+                .submit(Submission {
+                    job: Job::basic(i, 0, (i as i64) * 7, 100 + (i as i64) * 31, procs),
+                    tenant: None,
+                    walltime: Some(600),
+                })
                 .unwrap();
         }
         session.advance_to(10_000);
@@ -129,13 +138,21 @@ fn quota_rejection_is_stateless() {
     session.advance_to(0);
     let capped = session.resolve_tenant(Some("capped")).unwrap();
     session
-        .submit_with_tenant(Job::basic(1, 0, 0, 100, 3), capped, None)
+        .submit(Submission {
+            job: Job::basic(1, 0, 0, 100, 3),
+            tenant: capped,
+            walltime: None,
+        })
         .unwrap();
     let before = session.save_state();
 
     // 3 outstanding + 2 requested > 4: refused with full context...
     let err = session
-        .submit_with_tenant(Job::basic(2, 0, 0, 100, 2), capped, None)
+        .submit(Submission {
+            job: Job::basic(2, 0, 0, 100, 2),
+            tenant: capped,
+            walltime: None,
+        })
         .unwrap_err();
     assert_eq!(
         err,
@@ -151,11 +168,19 @@ fn quota_rejection_is_stateless() {
 
     // Within quota still works; releasing via completion frees it again.
     session
-        .submit_with_tenant(Job::basic(3, 0, 0, 100, 1), capped, None)
+        .submit(Submission {
+            job: Job::basic(3, 0, 0, 100, 1),
+            tenant: capped,
+            walltime: None,
+        })
         .unwrap();
     session.advance_to(200); // both jobs finished
     session
-        .submit_with_tenant(Job::basic(4, 0, 200, 100, 4), capped, None)
+        .submit(Submission {
+            job: Job::basic(4, 0, 200, 100, 4),
+            tenant: capped,
+            walltime: None,
+        })
         .unwrap();
 }
 
@@ -170,8 +195,7 @@ fn unknown_tenants_are_refused() {
     ));
     // Untenanted submissions land on the built-in default tenant.
     assert_eq!(with.resolve_tenant(None).unwrap(), None);
-    with.submit_with_tenant(Job::basic(1, 0, 0, 10, 1), None, None)
-        .unwrap();
+    with.submit(Job::basic(1, 0, 0, 10, 1)).unwrap();
     let usage = with.tenant_usage().unwrap();
     let default = usage.iter().find(|u| u.name == "default").unwrap();
     assert_eq!(default.counts.submitted, 1);
