@@ -303,26 +303,7 @@ fn run_journal(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
         return Ok(());
     }
 
-    for &seq in &snapshots {
-        let path = journal::snapshot_path(&dir, seq);
-        match std::fs::read_to_string(&path) {
-            Err(e) => eprintln!("warning: snapshot-{seq:06}.json: unreadable: {e}"),
-            Ok(text) => match serde_json::from_str::<lumos_serve::ServerSnapshot>(&text) {
-                Err(e) => eprintln!("warning: snapshot-{seq:06}.json: corrupt: {e}"),
-                Ok(snap) => {
-                    let clock = snap.state.clock;
-                    let jobs = snap.state.jobs.len();
-                    match lumos_sim::SimSession::restore(&snap.system, snap.state) {
-                        Ok(_) => println!(
-                            "snapshot-{seq:06}.json: valid ({} bytes, t = {clock}, {jobs} jobs)",
-                            text.len()
-                        ),
-                        Err(e) => eprintln!("warning: snapshot-{seq:06}.json: inconsistent: {e}"),
-                    }
-                }
-            },
-        }
-    }
+    inspect_snapshots(&dir, &snapshots);
 
     let mut total = 0usize;
     let mut torn_segments = 0usize;
@@ -413,6 +394,93 @@ fn run_journal(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
         }
     );
     Ok(())
+}
+
+/// The snapshot half of `journal inspect`: one ascending pass that reads
+/// every snapshot once and checks each increment against the snapshot it
+/// names — present, valid itself, and ending where the increment starts —
+/// then says where recovery would start. A snapshot is `valid` when its
+/// whole chain is.
+fn inspect_snapshots(dir: &std::path::Path, snapshots: &[u64]) {
+    use lumos_serve::recovery::{read_snapshot, SnapshotBody};
+    use std::collections::BTreeMap;
+
+    /// What a link has to agree with its predecessor on.
+    struct Link {
+        prev: Option<u64>,
+        jobs: usize,
+        violations: usize,
+    }
+    let mut valid: BTreeMap<u64, Link> = BTreeMap::new();
+    for &seq in snapshots {
+        let name = format!("snapshot-{seq:06}.json");
+        let snap = match read_snapshot(dir, seq) {
+            Ok(snap) => snap,
+            Err(what) => {
+                eprintln!("warning: {name}: {what}");
+                continue;
+            }
+        };
+        let bytes =
+            std::fs::metadata(lumos_serve::journal::snapshot_path(dir, seq)).map_or(0, |m| m.len());
+        let (shape, clock, states, link) = match &snap.body {
+            SnapshotBody::Base(state) => (
+                "base".to_string(),
+                state.clock,
+                &state.states,
+                Link {
+                    prev: None,
+                    jobs: state.jobs.len(),
+                    violations: state.violations.len(),
+                },
+            ),
+            SnapshotBody::Delta { prev, delta } => {
+                let fits = valid
+                    .get(prev)
+                    .map(|on| on.jobs <= delta.len && on.violations == delta.violations_from);
+                match fits {
+                    Some(true) => {}
+                    Some(false) => {
+                        eprintln!(
+                            "warning: {name}: broken link: does not continue snapshot-{prev:06}.json"
+                        );
+                        continue;
+                    }
+                    None => {
+                        eprintln!(
+                            "warning: {name}: broken link: snapshot-{prev:06}.json is missing or not valid"
+                        );
+                        continue;
+                    }
+                }
+                (
+                    format!("delta on snapshot-{prev:06}"),
+                    delta.clock,
+                    &delta.states,
+                    Link {
+                        prev: Some(*prev),
+                        jobs: delta.len,
+                        violations: delta.violations_from + delta.violations.len(),
+                    },
+                )
+            }
+        };
+        let live = states.iter().filter(|s| s.is_live()).count();
+        println!(
+            "{name}: valid, {shape} ({bytes} bytes, t = {clock}, {} sealed rows, {live} live rows)",
+            states.len() - live
+        );
+        valid.insert(seq, link);
+    }
+    if let Some(&head) = valid.keys().next_back() {
+        let (mut base, mut links) = (head, 1);
+        while let Some(prev) = valid[&base].prev {
+            (base, links) = (prev, links + 1);
+        }
+        println!(
+            "recovery starts from snapshot-{head:06}.json: a chain of {links} down to base snapshot-{base:06}.json"
+        );
+    }
 }
 
 /// Loads the analysis suite: either the five synthetic systems, or a single

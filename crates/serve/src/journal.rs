@@ -15,7 +15,13 @@
 //! journal-000000.log            records 0..  (first segment)
 //! snapshot-000001.json          state *before* journal-000001.log
 //! journal-000001.log            records appended after the snapshot
+//! snapshot-000002.json          what changed since snapshot-000001.json
+//! journal-000002.log            ...
 //! ```
+//!
+//! The first snapshot a server writes is complete; each later one is an
+//! increment on the one before it, so a snapshot is read together with
+//! the chain it names ([`crate::recovery::SnapshotBody`]).
 //!
 //! Each segment is a sequence of framed NDJSON records, one per line:
 //!
@@ -516,8 +522,9 @@ impl Journal {
     /// Rotates: durably writes `snapshot_json` as `snapshot-(seq+1).json`
     /// (via a temp file and atomic rename), syncs and closes the active
     /// segment, and opens `journal-(seq+1).log` starting with the `header`
-    /// record. Older segments are kept — `journal inspect` can audit the
-    /// full history — but recovery only reads from the newest valid
+    /// record. Older segments and snapshots are kept — `journal inspect`
+    /// can audit the full history, and a snapshot may be an increment on
+    /// older ones — but recovery only replays from the newest valid
     /// snapshot on.
     ///
     /// # Errors

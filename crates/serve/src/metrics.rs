@@ -64,19 +64,38 @@ impl TenantWaits {
     }
 }
 
+/// The `rejected` key of checkpointed metrics. Refused submissions are
+/// never journaled, so a count of them cannot be part of the state a
+/// journal describes: a replay or a follower could not reproduce it. The
+/// key stays in the format, written as `0`; whatever an older checkpoint
+/// holds there is read and dropped.
+#[derive(Debug, Clone, Copy)]
+struct RetiredCounter;
+
+impl Serialize for RetiredCounter {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::I64(0)
+    }
+}
+
+impl Deserialize for RetiredCounter {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        u64::from_value(v).map(|_| Self)
+    }
+}
+
 /// Streaming aggregates over everything the session has done so far.
 ///
 /// Serializable so a journaling server can checkpoint its metrics next to
-/// the session state; the rejection counter is part of the state, but
-/// connection-side backpressure rejections (counted outside the scheduler
-/// loop) are process-local and reset on recovery.
+/// the session state. Refusals are not in here: the scheduler and the
+/// connections count them per process, and both counts reset on recovery.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LiveMetrics {
     bsld_bound: Duration,
     wait_quantiles: QuantileBank,
     wait_summary: Summary,
     bsld_summary: Summary,
-    rejected: u64,
+    rejected: RetiredCounter,
     /// Completed jobs scored against their planned walltime.
     pred_scored: u64,
     /// Of those, jobs whose planned walltime undershot the true runtime.
@@ -105,17 +124,12 @@ impl LiveMetrics {
             wait_quantiles: QuantileBank::new(&WAIT_PERCENTILES),
             wait_summary: Summary::new(),
             bsld_summary: Summary::new(),
-            rejected: 0,
+            rejected: RetiredCounter,
             pred_scored: 0,
             pred_under: 0,
             pred_abs_err: Summary::new(),
             tenant_waits: tenants.map(|n| (0..n).map(|_| TenantWaits::new()).collect()),
         }
-    }
-
-    /// Records a refused submission (validation failure or backpressure).
-    pub fn record_rejection(&mut self) {
-        self.rejected += 1;
     }
 
     /// Absorbs drained session events; `session` resolves job lookups for
@@ -160,15 +174,15 @@ impl LiveMetrics {
     }
 
     /// The `stats` payload for the current session state.
-    /// `extra_rejected` counts rejections recorded outside the scheduler
-    /// loop (connection-side backpressure); `predictor` is the active
+    /// `rejected` counts the submissions this process refused (by the
+    /// scheduler or by connection-side backpressure); `predictor` is the active
     /// walltime predictor's display name, if one is enabled;
     /// `replication` is the role/progress block on replicating servers.
     #[must_use]
     pub fn report(
         &self,
         session: &SimSession,
-        extra_rejected: u64,
+        rejected: u64,
         predictor: Option<&str>,
         replication: Option<ReplicationStats>,
     ) -> ServeStats {
@@ -177,7 +191,7 @@ impl LiveMetrics {
             wait_quantiles: self.wait_quantiles.estimates(),
             mean_wait: self.wait_summary.mean(),
             mean_bsld: self.bsld_summary.mean(),
-            rejected: self.rejected + extra_rejected,
+            rejected,
             predictor: predictor.map(str::to_owned),
             prediction: PredictionStats {
                 jobs: self.pred_scored,
@@ -342,13 +356,20 @@ mod tests {
     fn metrics_round_trip_through_json() {
         let mut rng = lumos_stats::Rng::new(5);
         let waits: Vec<f64> = (0..500).map(|_| (rng.next_f64() * 100.0).floor()).collect();
-        let mut metrics = absorb_waits(&waits);
-        metrics.record_rejection();
+        let metrics = absorb_waits(&waits);
         let json = serde_json::to_string(&metrics).unwrap();
         let restored: LiveMetrics = serde_json::from_str(&json).unwrap();
         let session = SimSession::new(&SystemSpec::theta(), SimConfig::default());
         let a = metrics.report(&session, 0, None, None);
         let b = restored.report(&session, 0, None, None);
         assert_eq!(a, b, "restored metrics report identically");
+
+        // Refusals are counted per process, not checkpointed: the key is
+        // written as 0, and a count an older checkpoint holds is dropped.
+        assert!(json.contains("\"rejected\":0,"), "{json}");
+        let old = json.replace("\"rejected\":0,", "\"rejected\":3,");
+        let read: LiveMetrics = serde_json::from_str(&old).unwrap();
+        assert_eq!(serde_json::to_string(&read).unwrap(), json);
+        assert_eq!(read.report(&session, 2, None, None).rejected, 2);
     }
 }

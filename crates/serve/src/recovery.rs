@@ -3,7 +3,9 @@
 //! Recovery is deterministic replay. The journal holds every
 //! state-mutating command the crashed server acknowledged (see
 //! [`crate::journal`]); [`lumos_sim::SimSession`] is a pure function of
-//! its command sequence; therefore loading the newest valid snapshot and
+//! its command sequence; therefore loading the newest valid snapshot —
+//! the complete state a server's first rotation wrote, with the
+//! increments of its later rotations folded over it — and
 //! replaying the segments after it reconstructs the pre-crash session —
 //! and, because [`crate::metrics::LiveMetrics`] absorbs the replayed
 //! events through the same code path the live server uses, the recovered
@@ -16,8 +18,9 @@
 //! multi-partition P² ordering corner).
 //!
 //! Damage never aborts recovery, it only shrinks what is recovered:
-//! a torn tail is truncated with a warning; an unreadable snapshot falls
-//! back to the previous one (or to empty + full replay); segments after a
+//! a torn tail is truncated with a warning; an unreadable snapshot costs
+//! the snapshots chained on it and falls back to the newest one that is
+//! not (or to empty + full replay); segments after a
 //! gap or a mid-history tear are quarantined (renamed `*.orphaned`) so
 //! the journal stays linear.
 
@@ -26,8 +29,8 @@ use std::path::Path;
 
 use lumos_core::{CoreError, Job, JobStatus, SystemSpec, Timestamp};
 use lumos_predict::{OnlinePredictor, Predictor, PredictorConfig};
-use lumos_sim::{SimConfig, SimSession, Submission, TenantTable};
-use serde::{Deserialize, Serialize};
+use lumos_sim::{SessionState, SimConfig, SimSession, StateDelta, Submission, TenantTable};
+use serde::Deserialize;
 
 use crate::journal::{self, Journal, JournalConfig, JournalRecord};
 use crate::metrics::LiveMetrics;
@@ -35,23 +38,51 @@ use crate::protocol::SubmitSpec;
 use crate::server::ServeConfig;
 
 /// What a rotation snapshot file (`snapshot-NNNNNN.json`) contains: the
-/// machine, the full session state, the metrics accumulated so far, and
-/// the walltime predictor's streaming state (absent when no predictor is
-/// enabled — and in pre-predictor snapshots, which deserialize with
-/// `None`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// machine, the session state — in full, or as an increment on an earlier
+/// snapshot — the metrics accumulated so far, and the walltime predictor's
+/// streaming state (absent when no predictor is enabled — and in
+/// pre-predictor snapshots, which deserialize with `None`).
+#[derive(Debug, Clone)]
 pub struct ServerSnapshot {
     /// The machine being scheduled (partition geometry derives from it).
     pub system: SystemSpec,
-    /// Complete scheduling state.
-    pub state: lumos_sim::SessionState,
+    /// The scheduling state, complete or incremental.
+    pub body: SnapshotBody,
     /// Streaming metrics at the moment of the snapshot.
     pub metrics: LiveMetrics,
     /// Walltime predictor state at the moment of the snapshot.
     pub predictor: Option<Predictor>,
 }
 
-/// Serializes a rotation snapshot.
+/// The two shapes of a snapshot's scheduling state. A server writes a
+/// base at its first rotation and increments from then on, so the
+/// snapshots of a directory form a *chain*: following `prev` from any of
+/// them ends at a base, and the base with the increments above it, oldest
+/// first, is the complete state ([`SessionState::fold`]).
+#[derive(Debug, Clone)]
+pub enum SnapshotBody {
+    /// `{system, state, metrics, predictor}`: the complete state.
+    Base(SessionState),
+    /// `{system, prev, delta, metrics, predictor}`: what changed since
+    /// `snapshot-<prev>.json` was written.
+    #[allow(missing_docs)]
+    Delta { prev: u64, delta: StateDelta },
+}
+
+/// Both shapes as one document; [`read_snapshot`] sorts out which it is.
+#[derive(Deserialize)]
+struct SnapshotFile {
+    system: SystemSpec,
+    state: Option<SessionState>,
+    prev: Option<u64>,
+    delta: Option<StateDelta>,
+    metrics: LiveMetrics,
+    predictor: Option<Predictor>,
+}
+
+/// Serializes a rotation snapshot: the increment on the save `session`
+/// was last marked at ([`SimSession::mark_saved`]), or the complete state
+/// of a session never marked.
 #[must_use]
 pub fn snapshot_json(
     system: &SystemSpec,
@@ -59,13 +90,53 @@ pub fn snapshot_json(
     metrics: &LiveMetrics,
     predictor: Option<&Predictor>,
 ) -> String {
-    serde_json::to_string(&ServerSnapshot {
-        system: system.clone(),
-        state: session.save_state(),
-        metrics: metrics.clone(),
-        predictor: predictor.cloned(),
+    // Field by field, so nothing but the state is copied to be written.
+    let mut out = String::from("{\"system\":");
+    serde_json::to_string_into(system, &mut out);
+    match session.save_delta() {
+        None => {
+            out.push_str(",\"state\":");
+            serde_json::to_string_into(&session.save_state(), &mut out);
+        }
+        Some((prev, delta)) => {
+            out.push_str(",\"prev\":");
+            serde_json::to_string_into(&prev, &mut out);
+            out.push_str(",\"delta\":");
+            serde_json::to_string_into(&delta, &mut out);
+        }
+    }
+    out.push_str(",\"metrics\":");
+    serde_json::to_string_into(metrics, &mut out);
+    out.push_str(",\"predictor\":");
+    serde_json::to_string_into(&predictor, &mut out);
+    out.push('}');
+    out
+}
+
+/// Reads and parses `snapshot-<seq>.json`.
+///
+/// # Errors
+/// Says what is wrong with the file (`unreadable: …`, `corrupt: …`).
+pub fn read_snapshot(dir: &Path, seq: u64) -> Result<ServerSnapshot, String> {
+    let text = std::fs::read_to_string(journal::snapshot_path(dir, seq))
+        .map_err(|e| format!("unreadable: {e}"))?;
+    let file: SnapshotFile = serde_json::from_str(&text).map_err(|e| format!("corrupt: {e}"))?;
+    let body = match (file.state, file.prev, file.delta) {
+        (Some(state), None, None) => SnapshotBody::Base(state),
+        (None, Some(prev), Some(delta)) if prev < seq => SnapshotBody::Delta { prev, delta },
+        (None, Some(prev), Some(_)) => {
+            return Err(format!(
+                "corrupt: an increment on snapshot-{prev:06}.json, which is not older"
+            ))
+        }
+        _ => return Err("corrupt: neither a complete state nor an increment".into()),
+    };
+    Ok(ServerSnapshot {
+        system: file.system,
+        body,
+        metrics: file.metrics,
+        predictor: file.predictor,
     })
-    .expect("snapshots serialize")
 }
 
 /// The deterministic state a journal describes: what a rotation snapshot
@@ -135,6 +206,27 @@ impl Replica {
             predictor: self.predictor.as_ref().map(Predictor::config),
             tenants: self.session.tenant_table().cloned(),
         }
+    }
+
+    /// The one rotation routine: snapshots this state — as an increment
+    /// on the last snapshot that made it to disk, when there is one —
+    /// rotates `journal`, and only then moves the session's saved mark. A
+    /// primary's new segment starts with a header; a follower's header
+    /// arrives from its primary.
+    ///
+    /// # Errors
+    /// Whatever [`Journal::rotate`] reports. The mark stays where it was,
+    /// so the next rotation's increment covers this span too and names a
+    /// snapshot that exists.
+    pub fn rotate(&mut self, journal: &mut Journal, with_header: bool) -> io::Result<()> {
+        let snap = self.snapshot_json();
+        if with_header {
+            journal.rotate(&snap, &self.header())?;
+        } else {
+            journal.rotate_without_header(&snap)?;
+        }
+        self.session.mark_saved(journal.seq());
+        Ok(())
     }
 
     /// Runs the scheduling pass deferred by the submissions staged since
@@ -339,12 +431,24 @@ fn recover_impl(serve: &ServeConfig, jc: &JournalConfig, follower: bool) -> io::
     let (segments, snapshots) = journal::scan_dir(&jc.dir)?;
     let mut warnings = Vec::new();
 
-    // 1. Newest loadable snapshot, else empty state.
+    // 1. The newest snapshot whose whole chain loads, else empty state.
     let mut base = None;
+    let mut broken: Vec<u64> = Vec::new();
     for &seq in snapshots.iter().rev() {
-        if let Some(loaded) = load_snapshot(&jc.dir, seq, &mut warnings) {
-            base = Some((seq, loaded));
-            break;
+        // A snapshot chained on a link already found broken needs no
+        // second reading.
+        if broken.contains(&seq) {
+            continue;
+        }
+        match load_chain(&jc.dir, seq) {
+            Ok(loaded) => {
+                base = Some((seq, loaded));
+                break;
+            }
+            Err(BrokenChain { what, through }) => {
+                warnings.push(format!("{what}; falling back to an earlier snapshot"));
+                broken = through;
+            }
         }
     }
     let (start_seq, mut replica) = base.unwrap_or_else(|| (0, Replica::fresh(serve)));
@@ -443,32 +547,69 @@ fn recover_impl(serve: &ServeConfig, jc: &JournalConfig, follower: bool) -> io::
     })
 }
 
-/// Loads and restores one snapshot file; on any failure, warns and
-/// returns `None` so recovery falls back to an older snapshot.
-fn load_snapshot(dir: &Path, seq: u64, warnings: &mut Vec<String>) -> Option<Replica> {
-    let path = journal::snapshot_path(dir, seq);
-    let mut fail = |what: String| {
-        warnings.push(format!(
-            "snapshot-{seq:06}.json: {what}; falling back to an earlier snapshot"
-        ));
-        None
+/// Why a snapshot cannot be restored from.
+struct BrokenChain {
+    /// What is wrong, naming the file.
+    what: String,
+    /// The snapshots known to share the fault: the one asked for down to
+    /// the link that failed, newest first.
+    through: Vec<u64>,
+}
+
+/// Restores from `snapshot-<seq>.json` and the chain it names: follows
+/// `prev` down to a base, folds the increments over it oldest first, and
+/// goes through [`SimSession::restore`]. The restored session is marked
+/// saved at `seq`, where the server that wrote the chain left its mark,
+/// so the next rotation continues the chain.
+fn load_chain(dir: &Path, seq: u64) -> Result<Replica, BrokenChain> {
+    let mut through = Vec::new();
+    let mut deltas = Vec::new();
+    // The machine, metrics and predictor are those of `seq` itself.
+    let mut head = None;
+    let mut at = seq;
+    let state = loop {
+        through.push(at);
+        let snap = match read_snapshot(dir, at) {
+            Ok(snap) => snap,
+            Err(what) if at == seq => {
+                let what = format!("snapshot-{seq:06}.json: {what}");
+                return Err(BrokenChain { what, through });
+            }
+            Err(what) => {
+                let what = format!(
+                    "snapshot-{seq:06}.json: its chain breaks at snapshot-{at:06}.json: {what}"
+                );
+                return Err(BrokenChain { what, through });
+            }
+        };
+        head.get_or_insert((snap.system, snap.metrics, snap.predictor));
+        match snap.body {
+            SnapshotBody::Base(state) => break state,
+            SnapshotBody::Delta { prev, delta } => {
+                deltas.push(delta);
+                at = prev;
+            }
+        }
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) => return fail(format!("unreadable: {e}")),
-    };
-    let snap: ServerSnapshot = match serde_json::from_str(&text) {
-        Ok(snap) => snap,
-        Err(e) => return fail(format!("corrupt: {e}")),
-    };
-    match SimSession::restore(&snap.system, snap.state) {
-        Ok(session) => Some(Replica {
-            system: snap.system,
-            session,
-            metrics: snap.metrics,
-            predictor: snap.predictor,
-            virgin: false,
+    let (system, metrics, predictor) = head.expect("the loop read `seq` first");
+    let restored = state
+        .fold(deltas.into_iter().rev())
+        .and_then(|state| SimSession::restore(&system, state));
+    match restored {
+        Ok(mut session) => {
+            session.mark_saved(seq);
+            Ok(Replica {
+                system,
+                session,
+                metrics,
+                predictor,
+                virgin: false,
+            })
+        }
+        // Which link does not fit is not known: only `seq` is ruled out.
+        Err(e) => Err(BrokenChain {
+            what: format!("snapshot-{seq:06}.json: inconsistent: {e}"),
+            through: vec![seq],
         }),
-        Err(e) => fail(format!("inconsistent: {e}")),
     }
 }

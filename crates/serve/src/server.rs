@@ -367,6 +367,11 @@ struct Scheduler<'a> {
     /// placeholder state until the flush that runs their pass patches in
     /// the real one — always before the round's replies are released.
     deferred: Vec<(usize, u64)>,
+    /// Submissions this scheduler refused (duplicate id, validation,
+    /// quota). Refusals are not journaled, so the count belongs to the
+    /// process — like [`Shared::backpressure_rejects`], which `stats`
+    /// adds it to — not to the replicated state.
+    refused: u64,
     /// This round ends the loop (shutdown or fail-stop).
     stop: bool,
 }
@@ -398,6 +403,7 @@ impl<'a> Scheduler<'a> {
             records: Vec::new(),
             replies: Vec::new(),
             deferred: Vec::new(),
+            refused: 0,
             stop: false,
         }
     }
@@ -495,10 +501,10 @@ impl<'a> Scheduler<'a> {
                 // that stops the loop skips it: shutdown has consumed the
                 // session the snapshot would describe.
                 if !self.stop && journal.wants_rotation() {
-                    let snap = self.replica.snapshot_json();
-                    if let Err(e) = journal.rotate(&snap, &self.replica.header()) {
+                    if let Err(e) = self.replica.rotate(journal, true) {
                         // Not fatal: the old segment is intact, recovery
-                        // just replays more.
+                        // just replays more, and the next snapshot covers
+                        // what this one would have.
                         eprintln!("lumos-serve: journal rotation failed: {e}; continuing");
                     } else if let Some(link) = self.link {
                         link.notify();
@@ -601,7 +607,7 @@ impl<'a> Scheduler<'a> {
                 Response::Stats {
                     stats: self.replica.metrics.report(
                         &self.replica.session,
-                        self.shared.backpressure_rejects.load(Ordering::Relaxed),
+                        self.refused + self.shared.backpressure_rejects.load(Ordering::Relaxed),
                         self.replica.predictor.as_ref().map(OnlinePredictor::name),
                         self.replication_stats(),
                     ),
@@ -690,7 +696,7 @@ impl<'a> Scheduler<'a> {
                 },
             }
         };
-        self.replica.metrics.record_rejection();
+        self.refused += 1;
         (refusal, None)
     }
 
@@ -759,10 +765,11 @@ impl<'a> Scheduler<'a> {
                     };
                 }
                 // Rotate with a locally synthesized snapshot: the
-                // follower's state equals the primary's at this boundary,
-                // so the snapshot JSON is byte-identical to the primary's
-                // too.
-                match journal.rotate_without_header(&self.replica.snapshot_json()) {
+                // follower's state equals the primary's at this boundary
+                // and both left their saved mark at the boundary before,
+                // so the snapshot JSON — an increment, usually — is
+                // byte-identical to the primary's too.
+                match self.replica.rotate(journal, false) {
                     Ok(()) => Response::ReplAck {
                         seq: journal.seq(),
                         offset: 0,
@@ -1091,26 +1098,21 @@ mod tests {
     /// Every kind of command a primary's round can hold: submissions that
     /// start at once, queue, are zero-length or future-dated; a cancel,
     /// reads, advances, and `Promote` — a barrier in the middle of what
-    /// would otherwise be one round. With `refusals`, also a duplicate,
-    /// an over-quota and an unknown-tenant submission; refusals are never
-    /// journaled, so the `rejected` counter they bump is only as durable
-    /// as the next rotation snapshot and a replay cannot reproduce it.
-    fn mixed_stream(refusals: bool) -> Vec<Request> {
+    /// would otherwise be one round; and a duplicate, an over-quota and
+    /// an unknown-tenant submission. Refusals are never journaled, and
+    /// what counts them is the scheduler, not the replicated state: a
+    /// replay or a follower, which never sees them, still writes the
+    /// primary's snapshots.
+    fn mixed_stream() -> Vec<Request> {
         let mut stream = vec![
             submit(1, 4, 100, None, "capped"),
             submit(2, 2, 300, None, "free"),
             submit(3, 4, 200, None, "free"), // queues behind 1 and 2
             submit(4, 1, 0, None, "free"),   // zero-length
             submit(5, 2, 50, Some(40), "free"), // future-dated
-        ];
-        if refusals {
-            stream.extend([
-                submit(1, 1, 10, None, "free"),   // duplicate id
-                submit(6, 4, 10, None, "capped"), // 4 + 4 > quota 6
-                submit(7, 1, 10, None, "nobody"), // unknown tenant
-            ]);
-        }
-        stream.extend([
+            submit(1, 1, 10, None, "free"),  // duplicate id
+            submit(6, 4, 10, None, "capped"), // 4 + 4 > quota 6
+            submit(7, 1, 10, None, "nobody"), // unknown tenant
             Request::Query { id: 3 },
             submit(8, 2, 80, None, "capped"),
             Request::Cancel { id: 3 },
@@ -1121,7 +1123,7 @@ mod tests {
             Request::Advance { to: 45 },
             Request::Query { id: 5 },
             Request::Snapshot,
-        ]);
+        ];
         for i in 0..20 {
             stream.push(submit(100 + i, 1 + i % 3, 20 + i as i64 * 7, None, "free"));
             if i % 6 == 5 {
@@ -1138,10 +1140,28 @@ mod tests {
     struct Served {
         /// Reply lines in release order, each with its terminal mark.
         replies: Vec<(String, bool)>,
-        /// The live rotation snapshot at the end of the run.
+        /// The rotation snapshot the replica would write at the end of
+        /// the run: an increment, once the run has rotated.
         snapshot: String,
+        /// [`full_state`] at the end of the run.
+        state: String,
         /// `Shared::terminal_flushed` at the end of the run.
         terminal_flushed: bool,
+        /// What the scheduler owned, to serve another stream on.
+        parts: (Replica, Journal),
+    }
+
+    /// The complete state of a replica, wherever its saved mark is: what
+    /// two replicas that rotated at different boundaries (or not at all)
+    /// are compared by.
+    fn full_state(replica: &Replica) -> String {
+        [
+            serde_json::to_string(&replica.session.save_state()),
+            serde_json::to_string(&replica.metrics),
+            serde_json::to_string(&replica.predictor),
+        ]
+        .map(|part| part.expect("state serializes"))
+        .join("\n")
     }
 
     /// Queues `stream`, runs the scheduler over `replica` and `journal`
@@ -1174,16 +1194,19 @@ mod tests {
         };
         let mut scheduler = Scheduler::new(config, &shared, replica, Some(journal), None);
         scheduler.run(&rx);
-        let snapshot = scheduler.replica.snapshot_json();
-        drop(scheduler);
+        let Scheduler {
+            replica, journal, ..
+        } = scheduler;
         let replies = reply_rx.into_iter().flatten();
         let terminal_flushed = *shared.terminal_flushed.lock().unwrap();
         Served {
             replies: replies
                 .map(|r| (r.response.to_line(), r.terminal))
                 .collect(),
-            snapshot,
+            snapshot: replica.snapshot_json(),
+            state: full_state(&replica),
             terminal_flushed,
+            parts: (replica, journal.expect("served with a journal")),
         }
     }
 
@@ -1218,7 +1241,7 @@ mod tests {
 
     #[test]
     fn rounds_of_one_and_of_sixty_four_are_byte_identical() {
-        let mut stream = mixed_stream(true);
+        let mut stream = mixed_stream();
         stream.push(Request::Shutdown);
         let run = |group: usize| {
             let dir = temp_dir(&format!("mixed-g{group}"));
@@ -1300,7 +1323,7 @@ mod tests {
     fn replay_and_follower_apply_reproduce_the_live_snapshot() {
         let primary_dir = temp_dir("primary");
         let primary = config(&primary_dir, 64, 7);
-        let live = serve(&primary, mixed_stream(false));
+        let live = serve(&primary, mixed_stream());
         let files = dir_bytes(&primary_dir);
         assert!(
             files.iter().any(|(name, _)| name.starts_with("snapshot-")),
@@ -1334,8 +1357,11 @@ mod tests {
         let mut full = primary.clone();
         full.journal.as_mut().unwrap().dir = full_dir.clone();
         let recovered = recover(&full, full.journal.as_ref().unwrap()).expect("recover");
-        let replayed = recovered.into_parts().0.snapshot_json();
-        assert!(replayed == live.snapshot, "full replay diverged");
+        // That replica never rotated, so it holds no saved mark and would
+        // write a complete snapshot where the live one writes an
+        // increment: compare what they hold, not what they would write.
+        let replayed = full_state(&recovered.into_parts().0);
+        assert!(replayed == live.state, "full replay diverged");
 
         let shipped = frames.len();
         frames.extend([
@@ -1376,6 +1402,58 @@ mod tests {
 
         std::fs::remove_dir_all(&primary_dir).ok();
         std::fs::remove_dir_all(&full_dir).ok();
+    }
+
+    /// A rotation that fails moves nothing: the journal keeps its
+    /// segment, the session keeps its saved mark, and the next rotation
+    /// that succeeds writes one increment on the last snapshot that
+    /// exists, covering both spans.
+    #[test]
+    fn a_failed_rotation_keeps_the_mark_and_the_next_increment_covers_both_spans() {
+        let dir = temp_dir("rotate-fail");
+        let config = config(&dir, 1, 7);
+        let journal = config.journal.as_ref().unwrap();
+        let mut commands = mixed_stream().into_iter();
+        let mut parts = recover(&config, journal).expect("recover").into_parts();
+        let mut step = |parts, n: usize| {
+            let stream: Vec<Request> = commands.by_ref().take(n).collect();
+            assert!(!stream.is_empty(), "the stream ran out");
+            serve_on(&config, parts, stream, true)
+        };
+        // Up to the first rotation: the chain's base.
+        while parts.1.seq() == 0 {
+            parts = step(parts, 1).parts;
+        }
+        assert_eq!(parts.0.session.save_delta().expect("marked").0, 1);
+        // The next snapshot's temp file cannot be created. A journal still
+        // asking for a rotation after a round has tried one and failed.
+        let in_the_way = dir.join("snapshot-000002.json.tmp");
+        std::fs::create_dir(&in_the_way).expect("block the temp file");
+        while !parts.1.wants_rotation() {
+            parts = step(parts, 1).parts;
+        }
+        parts = step(parts, 3).parts;
+        assert_eq!(parts.1.seq(), 1, "the journal keeps its segment");
+        assert_eq!(parts.0.session.save_delta().expect("marked").0, 1);
+        assert!(!crate::journal::snapshot_path(&dir, 2).exists());
+
+        std::fs::remove_dir(&in_the_way).expect("unblock the temp file");
+        let live = step(parts, usize::MAX);
+        assert!(live.parts.1.seq() > 2, "later rounds rotate again");
+        match recovery::read_snapshot(&dir, 2)
+            .expect("read snapshot 2")
+            .body
+        {
+            recovery::SnapshotBody::Delta { prev, .. } => assert_eq!(prev, 1),
+            recovery::SnapshotBody::Base(_) => panic!("snapshot 2 is not an increment"),
+        }
+        let recovered = recover(&config, journal).expect("recover");
+        assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
+        assert!(recovered.replayed < 7, "{}", recovered.replayed);
+        let replica = recovered.into_parts().0;
+        assert!(full_state(&replica) == live.state, "recovery diverged");
+        assert!(replica.snapshot_json() == live.snapshot);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A fresh replica over a journal whose segment is `/dev/full`: every

@@ -8,7 +8,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lumos_core::{Job, JobStatus, SystemSpec, Timestamp};
-use lumos_serve::journal::{encode_record, segment_path};
+use lumos_serve::journal::{encode_record, read_segment, segment_path, snapshot_path};
+use lumos_serve::recovery::{read_snapshot, snapshot_json, SnapshotBody};
 use lumos_serve::{
     recover, FsyncPolicy, Journal, JournalConfig, JournalRecord, LiveMetrics, ServeConfig,
     SubmitSpec,
@@ -140,6 +141,59 @@ fn write_segment(dir: &Path, records: &[JournalRecord]) -> PathBuf {
     segment_path(dir, 0)
 }
 
+/// The live path with rotation: appends each record, applies it, and
+/// once the segment holds `jc.snapshot_every` records rotates the way
+/// the server does — snapshot, rotate, and the session's saved mark,
+/// which is what makes the *next* snapshot an increment. `marks(seq)`
+/// says whether the mark follows rotation `seq`; a server older than
+/// increments never set one and wrote a complete snapshot every time.
+/// Returns the live end state and the last segment's number.
+fn serve_with_rotation(
+    jc: &JournalConfig,
+    system: &SystemSpec,
+    sim: SimConfig,
+    records: &[JournalRecord],
+    marks: impl Fn(u64) -> bool,
+) -> (SimSession, LiveMetrics, u64) {
+    let mut journal = Journal::open_segment(jc.clone(), 0, 0).expect("open");
+    let mut session = SimSession::new(system, sim);
+    session.advance_to(0);
+    let mut metrics = LiveMetrics::new(sim.bsld_bound);
+    for record in records {
+        journal.append(record).expect("append");
+        // Apply, so each rotation snapshots the state *after* the record.
+        match record {
+            JournalRecord::Config { .. } => continue,
+            JournalRecord::Submit { now, job } => {
+                session.advance_to(*now);
+                session.submit(job_of(job, session.now().max(0))).unwrap();
+                session.advance_to(session.now());
+            }
+            JournalRecord::Cancel { now, id } => {
+                session.advance_to(*now);
+                let _ = session.cancel(*id);
+            }
+            JournalRecord::Advance { to } => session.advance_to(*to),
+        }
+        let events = session.drain_events();
+        metrics.absorb(&events, &session);
+        if journal.wants_rotation() {
+            let snap = snapshot_json(system, &session, &metrics, None);
+            let header = JournalRecord::Config {
+                system: system.clone(),
+                sim,
+                predictor: None,
+                tenants: None,
+            };
+            journal.rotate(&snap, &header).expect("rotate");
+            if marks(journal.seq()) {
+                session.mark_saved(journal.seq());
+            }
+        }
+    }
+    (session, metrics, journal.seq())
+}
+
 #[test]
 fn recover_replays_a_full_log_byte_identically() {
     let system = tiny_system(100);
@@ -173,46 +227,13 @@ fn rotation_bounds_replay_to_snapshot_plus_tail() {
     let records = fixture_records(&system, sim);
     let dir = fresh_dir("rotate");
 
-    // Live path: append with rotation every 5 records.
+    // Live path: append with rotation every 5 records, every snapshot
+    // a complete one.
     let mut jc = JournalConfig::new(dir.clone());
     jc.fsync = FsyncPolicy::Never;
     jc.snapshot_every = 5;
-    let mut journal = Journal::open_segment(jc.clone(), 0, 0).expect("open");
-    let mut session = SimSession::new(&system, sim);
-    session.advance_to(0);
-    let mut metrics = LiveMetrics::new(sim.bsld_bound);
-    for record in &records {
-        journal.append(record).expect("append");
-        // Apply, so each rotation snapshots the state *after* the record.
-        match record {
-            JournalRecord::Config { .. } => {}
-            JournalRecord::Submit { now, job } => {
-                session.advance_to(*now);
-                session.submit(job_of(job, session.now().max(0))).unwrap();
-                session.advance_to(session.now());
-            }
-            JournalRecord::Cancel { now, id } => {
-                session.advance_to(*now);
-                let _ = session.cancel(*id);
-            }
-            JournalRecord::Advance { to } => session.advance_to(*to),
-        }
-        let events = session.drain_events();
-        metrics.absorb(&events, &session);
-        if !matches!(record, JournalRecord::Config { .. }) && journal.wants_rotation() {
-            let snap = lumos_serve::recovery::snapshot_json(&system, &session, &metrics, None);
-            let header = JournalRecord::Config {
-                system: system.clone(),
-                sim,
-                predictor: None,
-                tenants: None,
-            };
-            journal.rotate(&snap, &header).expect("rotate");
-        }
-    }
-    let final_seq = journal.seq();
+    let (_, _, final_seq) = serve_with_rotation(&jc, &system, sim, &records, |_| false);
     assert!(final_seq > 1, "rotation must have happened");
-    drop(journal);
 
     let recovered = recover(&serve_config(&system, sim), &jc).expect("recover");
     assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
@@ -302,11 +323,11 @@ fn pre_tenancy_snapshots_still_restore() {
     // A rotation snapshot as an old server wrote it: no `tenants` /
     // `tenant_of` in the session state, no `tenant_waits` in metrics.
     let snap = strip_keys(
-        &lumos_serve::recovery::snapshot_json(&system, &session, &metrics, None),
+        &snapshot_json(&system, &session, &metrics, None),
         &["tenants", "tenant_of", "tenant_waits"],
     );
     let dir = fresh_dir("presnap");
-    std::fs::write(lumos_serve::journal::snapshot_path(&dir, 1), snap).expect("write snapshot");
+    std::fs::write(snapshot_path(&dir, 1), snap).expect("write snapshot");
 
     let jc = JournalConfig::new(dir.clone());
     let recovered = recover(&serve_config(&system, sim), &jc).expect("recover");
@@ -334,41 +355,8 @@ fn rotation_under_fsync_always_recovers_byte_identically() {
     let mut jc = JournalConfig::new(dir.clone());
     jc.fsync = FsyncPolicy::Always;
     jc.snapshot_every = 5;
-    let mut journal = Journal::open_segment(jc.clone(), 0, 0).expect("open");
-    let mut session = SimSession::new(&system, sim);
-    session.advance_to(0);
-    let mut metrics = LiveMetrics::new(sim.bsld_bound);
-    for record in &records {
-        journal.append(record).expect("append");
-        match record {
-            JournalRecord::Config { .. } => {}
-            JournalRecord::Submit { now, job } => {
-                session.advance_to(*now);
-                session.submit(job_of(job, session.now().max(0))).unwrap();
-                session.advance_to(session.now());
-            }
-            JournalRecord::Cancel { now, id } => {
-                session.advance_to(*now);
-                let _ = session.cancel(*id);
-            }
-            JournalRecord::Advance { to } => session.advance_to(*to),
-        }
-        let events = session.drain_events();
-        metrics.absorb(&events, &session);
-        if !matches!(record, JournalRecord::Config { .. }) && journal.wants_rotation() {
-            let snap = lumos_serve::recovery::snapshot_json(&system, &session, &metrics, None);
-            let header = JournalRecord::Config {
-                system: system.clone(),
-                sim,
-                predictor: None,
-                tenants: None,
-            };
-            journal.rotate(&snap, &header).expect("rotate");
-        }
-    }
-    let final_seq = journal.seq();
+    let (session, metrics, final_seq) = serve_with_rotation(&jc, &system, sim, &records, |_| false);
     assert!(final_seq > 1, "rotation must have happened");
-    drop(journal);
 
     // Every segment and snapshot the rotation chain created is on disk.
     for seq in 0..=final_seq {
@@ -378,7 +366,7 @@ fn rotation_under_fsync_always_recovers_byte_identically() {
         );
         if seq > 0 {
             assert!(
-                lumos_serve::journal::snapshot_path(&dir, seq).exists(),
+                snapshot_path(&dir, seq).exists(),
                 "snapshot {seq} of {final_seq} missing"
             );
         }
@@ -391,6 +379,222 @@ fn rotation_under_fsync_always_recovers_byte_identically() {
         serde_json::to_string(&metrics).unwrap()
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---- snapshot chains: a base and increments --------------------------
+
+/// A directory as a server left it that rotated every five records and,
+/// from rotation `first_mark` on, wrote increments; plus the state that
+/// server held when it stopped, which every recovery must land on.
+struct Chained {
+    jc: JournalConfig,
+    system: SystemSpec,
+    sim: SimConfig,
+    session: SimSession,
+    metrics: LiveMetrics,
+    /// The active segment: snapshots 1..=last exist.
+    last: u64,
+}
+
+fn chained_dir(tag: &str, first_mark: u64) -> Chained {
+    let system = tiny_system(100);
+    let sim = SimConfig::default();
+    let mut jc = JournalConfig::new(fresh_dir(tag));
+    jc.fsync = FsyncPolicy::Never;
+    jc.snapshot_every = 5;
+    let records = fixture_records(&system, sim);
+    let (session, metrics, last) =
+        serve_with_rotation(&jc, &system, sim, &records, |seq| seq >= first_mark);
+    assert!(last >= 5, "the fixture rotates five times, got {last}");
+    Chained {
+        jc,
+        system,
+        sim,
+        session,
+        metrics,
+        last,
+    }
+}
+
+impl Chained {
+    /// `Some(prev)` for an increment, `None` for a complete snapshot.
+    fn prev_of(&self, seq: u64) -> Option<u64> {
+        match read_snapshot(&self.jc.dir, seq)
+            .expect("read snapshot")
+            .body
+        {
+            SnapshotBody::Base(_) => None,
+            SnapshotBody::Delta { prev, .. } => Some(prev),
+        }
+    }
+
+    fn corrupt(&self, seq: u64) {
+        let path = snapshot_path(&self.jc.dir, seq);
+        let text = std::fs::read_to_string(&path).expect("read snapshot");
+        std::fs::write(&path, &text[..text.len() / 2]).expect("tear snapshot");
+    }
+
+    /// Recovers and requires the never-crashed state, a start from
+    /// snapshot `from` (0: from nothing) with exactly the segments after
+    /// it replayed, the saved mark left there, and one warning per
+    /// `warned` entry, holding it.
+    fn recover_from(&self, from: u64, warned: &[&str]) {
+        let recovered = recover(&serve_config(&self.system, self.sim), &self.jc).expect("recover");
+        assert_eq!(
+            recovered.warnings.len(),
+            warned.len(),
+            "{:?}",
+            recovered.warnings
+        );
+        for (warning, needle) in recovered.warnings.iter().zip(warned) {
+            assert!(warning.contains(needle), "`{warning}` lacks `{needle}`");
+        }
+        let tail: usize = (from..=self.last)
+            .map(|seq| {
+                let segment = read_segment(&segment_path(&self.jc.dir, seq)).expect("segment");
+                mutations_in_prefix(&segment.records, segment.records.len()) as usize
+            })
+            .sum();
+        assert_eq!(recovered.replayed, tail as u64);
+        assert_eq!(recovered.session.save_state(), self.session.save_state());
+        assert_eq!(
+            serde_json::to_string(&recovered.metrics).unwrap(),
+            serde_json::to_string(&self.metrics).unwrap()
+        );
+        let mark = recovered.session.save_delta().map(|(since, _)| since);
+        assert_eq!(mark, (from > 0).then_some(from));
+        std::fs::remove_dir_all(&self.jc.dir).ok();
+    }
+}
+
+/// The complete snapshot as it has always been derived: four keys in
+/// this order. What a session never marked saved must keep writing, byte
+/// for byte — older directories hold nothing else.
+#[derive(serde::Serialize)]
+struct CompleteSnapshot {
+    system: SystemSpec,
+    state: lumos_sim::SessionState,
+    metrics: LiveMetrics,
+    predictor: Option<lumos_serve::Predictor>,
+}
+
+#[test]
+fn a_session_never_marked_writes_the_complete_snapshot_as_before() {
+    let system = tiny_system(100);
+    let sim = SimConfig::default();
+    let (session, metrics) = replay_expected(&fixture_records(&system, sim), &system, sim);
+    let derived = serde_json::to_string(&CompleteSnapshot {
+        system: system.clone(),
+        state: session.save_state(),
+        metrics: metrics.clone(),
+        predictor: None,
+    })
+    .unwrap();
+    assert_eq!(snapshot_json(&system, &session, &metrics, None), derived);
+}
+
+#[test]
+fn a_chain_of_increments_recovers_from_its_newest_link() {
+    let c = chained_dir("chain", 1);
+    assert_eq!(c.prev_of(1), None, "the first rotation writes the base");
+    for seq in 2..=c.last {
+        assert_eq!(c.prev_of(seq), Some(seq - 1));
+    }
+    c.recover_from(c.last, &[]);
+}
+
+#[test]
+fn a_corrupt_newest_increment_falls_back_one_link() {
+    let c = chained_dir("chain-newest", 1);
+    c.corrupt(c.last);
+    let newest = format!("snapshot-{:06}.json: corrupt", c.last);
+    c.recover_from(c.last - 1, &[&newest]);
+}
+
+#[test]
+fn a_corrupt_middle_increment_costs_every_snapshot_chained_on_it() {
+    let c = chained_dir("chain-middle", 1);
+    c.corrupt(3);
+    // One warning: the snapshots between the newest and the broken link
+    // are known to chain through it and are not read again.
+    let broken = format!(
+        "snapshot-{:06}.json: its chain breaks at snapshot-000003.json: corrupt",
+        c.last
+    );
+    c.recover_from(2, &[&broken]);
+}
+
+#[test]
+fn a_missing_link_costs_every_snapshot_chained_on_it() {
+    let c = chained_dir("chain-missing", 1);
+    std::fs::remove_file(snapshot_path(&c.jc.dir, 2)).expect("remove a link");
+    c.recover_from(1, &["breaks at snapshot-000002.json: unreadable"]);
+}
+
+#[test]
+fn a_missing_base_costs_the_whole_chain_and_replays_from_nothing() {
+    let c = chained_dir("chain-base", 1);
+    std::fs::remove_file(snapshot_path(&c.jc.dir, 1)).expect("remove the base");
+    c.recover_from(0, &["breaks at snapshot-000001.json: unreadable"]);
+}
+
+/// A directory begun by a server that wrote a complete snapshot at every
+/// rotation and continued by one that writes increments: the last
+/// complete snapshot is the chain's base.
+#[test]
+fn complete_snapshots_continued_with_increments_recover() {
+    let c = chained_dir("chain-old", 3);
+    assert_eq!(
+        (1..=c.last).map(|seq| c.prev_of(seq)).collect::<Vec<_>>()[..4],
+        [None, None, None, Some(3)]
+    );
+    // Damage below the base the chain ends on is never read.
+    c.corrupt(2);
+    c.recover_from(c.last, &[]);
+}
+
+/// What increments are for, as a count: on a steady stream a snapshot
+/// holds the live set and one segment's worth of history, so the twelfth
+/// is about the size of the fourth. (Complete snapshots grow with every
+/// rotation: the twelfth would be some three times the fourth.)
+#[test]
+fn increments_stay_flat_on_a_steady_stream() {
+    let system = tiny_system(100);
+    let sim = SimConfig::default();
+    let mut jc = JournalConfig::new(fresh_dir("flat"));
+    jc.fsync = FsyncPolicy::Never;
+    jc.snapshot_every = 40;
+    let mut records = fixture_records(&system, sim)[..1].to_vec();
+    records.extend((0..12 * 40u64).map(|i| JournalRecord::Submit {
+        now: i as i64 * 10,
+        job: SubmitSpec {
+            id: i,
+            procs: 1 + i % 9,
+            runtime: 150 + (i % 7) as i64 * 20,
+            walltime: Some(400),
+            user: Some((i % 3) as u32),
+            submit: Some(i as i64 * 10),
+            virtual_cluster: None,
+            tenant: None,
+        },
+    }));
+    let (session, _, last) = serve_with_rotation(&jc, &system, sim, &records, |_| true);
+    assert_eq!(last, 12);
+    let size = |seq| {
+        std::fs::metadata(snapshot_path(&jc.dir, seq))
+            .expect("snapshot")
+            .len()
+    };
+    assert!(
+        size(12) * 2 <= size(4) * 3,
+        "snapshot 4 has {} bytes, snapshot 12 has {}",
+        size(4),
+        size(12)
+    );
+    let recovered = recover(&serve_config(&system, sim), &jc).expect("recover");
+    assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
+    assert_eq!(recovered.session.save_state(), session.save_state());
+    std::fs::remove_dir_all(&jc.dir).ok();
 }
 
 /// A segment beyond a gap is quarantined (renamed `*.log.orphaned`, with

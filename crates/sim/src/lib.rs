@@ -36,6 +36,8 @@ pub mod tenant;
 pub use backfill::{Backfill, Relax};
 pub use metrics::{SimMetrics, UtilizationTimeline};
 pub use policy::Policy;
-pub use session::{JobState, SessionSnapshot, SessionState, SimEvent, SimSession, Submission};
+pub use session::{
+    JobState, SessionSnapshot, SessionState, SimEvent, SimSession, StateDelta, Submission,
+};
 pub use simulator::{simulate, simulate_with_walltimes, SimConfig, SimResult};
 pub use tenant::{TenantCounts, TenantId, TenantSpec, TenantTable, TenantUsage};

@@ -45,6 +45,15 @@ pub enum JobState {
     Cancelled,
 }
 
+impl JobState {
+    /// Pending, waiting or running: the job's row can still change. A
+    /// finished or cancelled row never does.
+    #[must_use]
+    pub fn is_live(self) -> bool {
+        matches!(self, Self::Pending | Self::Waiting | Self::Running)
+    }
+}
+
 /// Something that happened inside the session, in event order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SimEvent {
@@ -146,6 +155,167 @@ pub struct SessionState {
     pub tenant_of: Option<Vec<TenantId>>,
 }
 
+/// What changed in a session since the save it was last marked at
+/// ([`SimSession::mark_saved`]): an increment that
+/// [`SessionState::fold`] lays over that save's state to get the state
+/// at the moment of [`SimSession::save_delta`].
+///
+/// A finished or cancelled job's row never changes again, so an
+/// increment holds the rows that were *sealed* since the mark, the
+/// current rows of the jobs still live, and the tails of the append-only
+/// observables — O(live + new history), however long the table is.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StateDelta {
+    /// Simulation time at the moment of the save.
+    pub clock: Timestamp,
+    /// Length of the job table at the moment of the save.
+    pub len: usize,
+    /// Table indices of the rows carried, strictly ascending: every row
+    /// sealed since the mark and every row still live.
+    pub rows: Vec<usize>,
+    /// The jobs at `rows`.
+    pub jobs: Vec<Job>,
+    /// The lifecycle states at `rows`.
+    pub states: Vec<JobState>,
+    /// The planning walltimes at `rows`.
+    pub plan_wall: Vec<Duration>,
+    /// The promised start times at `rows`.
+    pub promised: Vec<Option<Timestamp>>,
+    /// The owning tenants at `rows`; saved iff the session has tenancy.
+    pub tenant_of: Option<Vec<TenantId>>,
+    /// Index the `violations` tail starts at.
+    pub violations_from: usize,
+    /// Violations observed since the mark.
+    pub violations: Vec<(Timestamp, Timestamp)>,
+    /// Index the `timeline` tail starts at: the last point the marked
+    /// save held (a later same-instant change may still fold it) or the
+    /// first one past it.
+    pub timeline_from: usize,
+    /// Timeline points from `timeline_from` on.
+    pub timeline: Vec<(Timestamp, u64)>,
+    /// Per-partition running-maximum queue length.
+    pub max_queue: Vec<usize>,
+    /// Global maximum total queue length.
+    pub max_queue_total: usize,
+    /// Events recorded but not yet drained at save time.
+    pub events: Vec<SimEvent>,
+    /// Whether the session records events.
+    pub record_events: bool,
+}
+
+impl SessionState {
+    /// The per-job columns must be as long as the job table.
+    fn check_columns(&self) -> Result<()> {
+        let n = self.jobs.len();
+        if self.states.len() != n
+            || self.plan_wall.len() != n
+            || self.promised.len() != n
+            || self.tenant_of.as_ref().is_some_and(|t| t.len() != n)
+        {
+            return Err(CoreError::InvalidSnapshot(format!(
+                "table lengths disagree: {n} jobs, {} states, {} walltimes, {} promises, {} owners",
+                self.states.len(),
+                self.plan_wall.len(),
+                self.promised.len(),
+                self.tenant_of.as_ref().map_or(n, Vec::len)
+            )));
+        }
+        Ok(())
+    }
+
+    /// Lays a chain of increments, oldest first, over this state: the
+    /// result is what [`SimSession::save_state`] returned when the last
+    /// increment was taken.
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidSnapshot`] unless every table index is covered
+    /// exactly once: an increment must rewrite every row that was live
+    /// before it and no sealed one, append the rows past the old table
+    /// end without a gap up to its `len`, and continue the violation and
+    /// timeline lists where the state before it stopped.
+    pub fn fold(mut self, deltas: impl IntoIterator<Item = StateDelta>) -> Result<Self> {
+        let bad = |what: String| Err(CoreError::InvalidSnapshot(what));
+        self.check_columns()?;
+        let mut live = self.states.iter().filter(|s| s.is_live()).count();
+        for delta in deltas {
+            let n = delta.rows.len();
+            if delta.jobs.len() != n
+                || delta.states.len() != n
+                || delta.plan_wall.len() != n
+                || delta.promised.len() != n
+                || delta.tenant_of.as_ref().map(Vec::len) != self.tenant_of.as_ref().map(|_| n)
+            {
+                return bad(format!("increment columns disagree on {n} rows"));
+            }
+            let old_len = self.jobs.len();
+            let rewritten = delta.rows.partition_point(|&idx| idx < old_len);
+            let ascending = delta.rows.windows(2).all(|w| w[0] < w[1]);
+            let sealed = delta.rows[..rewritten]
+                .iter()
+                .find(|&&idx| !self.states[idx].is_live());
+            let appended = delta.rows[rewritten..].iter().copied();
+            if !ascending || !appended.eq(old_len..delta.len) {
+                return bad(format!(
+                    "increment does not extend a table of {old_len} rows to {} one row at a time",
+                    delta.len
+                ));
+            }
+            if let Some(idx) = sealed {
+                return bad(format!("increment rewrites row {idx}, which was sealed"));
+            }
+            if rewritten != live {
+                return bad(format!(
+                    "increment carries {rewritten} of the {live} rows that were live before it"
+                ));
+            }
+            let timeline_len = self.timeline.len();
+            if delta.timeline_from > timeline_len || delta.timeline_from + 1 < timeline_len {
+                return bad(format!(
+                    "timeline tail starts at {}, the timeline before it has {timeline_len} points",
+                    delta.timeline_from
+                ));
+            }
+            if delta.violations_from != self.violations.len() {
+                return bad(format!(
+                    "violation tail starts at {}, {} were recorded before it",
+                    delta.violations_from,
+                    self.violations.len()
+                ));
+            }
+            live = delta.states.iter().filter(|s| s.is_live()).count();
+            scatter(&mut self.jobs, &delta.rows, delta.jobs);
+            scatter(&mut self.states, &delta.rows, delta.states);
+            scatter(&mut self.plan_wall, &delta.rows, delta.plan_wall);
+            scatter(&mut self.promised, &delta.rows, delta.promised);
+            if let (Some(column), Some(owners)) = (&mut self.tenant_of, delta.tenant_of) {
+                scatter(column, &delta.rows, owners);
+            }
+            self.timeline.truncate(delta.timeline_from);
+            self.timeline.extend(delta.timeline);
+            self.violations.extend(delta.violations);
+            self.clock = delta.clock;
+            self.max_queue = delta.max_queue;
+            self.max_queue_total = delta.max_queue_total;
+            self.events = delta.events;
+            self.record_events = delta.record_events;
+        }
+        Ok(self)
+    }
+}
+
+/// Writes `values[k]` to `column[rows[k]]`; a row one past the column's
+/// end is appended ([`SessionState::fold`] has checked that the rows past
+/// the end are consecutive).
+fn scatter<T>(column: &mut Vec<T>, rows: &[usize], values: Vec<T>) {
+    for (&idx, value) in rows.iter().zip(values) {
+        if idx < column.len() {
+            column[idx] = value;
+        } else {
+            column.push(value);
+        }
+    }
+}
+
 /// One submission: the job, plus what the scheduler — not the trace —
 /// decides about it. `Submission::from(job)` leaves both decisions to
 /// the session.
@@ -170,6 +340,23 @@ impl From<Job> for Submission {
             walltime: None,
         }
     }
+}
+
+/// What a durable save of the session already holds
+/// ([`SimSession::mark_saved`]), so that the next one
+/// ([`SimSession::save_delta`]) can leave it out.
+#[derive(Debug)]
+struct SavedMark {
+    /// The caller's name for that save.
+    id: u64,
+    /// Jobs that finished or were cancelled since, in event order.
+    sealed: Vec<usize>,
+    /// The save's timeline is final below this index: its last point may
+    /// still be folded by a change at the same instant
+    /// ([`SimSession::record_state_point`]), nothing before it can.
+    timeline_from: usize,
+    /// Violations the save holds (the list only grows).
+    violations_from: usize,
 }
 
 /// An incremental scheduling simulation.
@@ -243,6 +430,9 @@ pub struct SimSession {
     events_processed: u64,
     /// Tenant table + per-tenant accounting; `None` when tenancy is off.
     tenants: Option<TenantState>,
+    /// Set once a save of this session is durable; `None` until then, and
+    /// the session keeps no log.
+    mark: Option<SavedMark>,
     /// Run backfill passes through `schedule_easy_reference` and
     /// `schedule_conservative_reference` (differential tests only).
     #[cfg(test)]
@@ -284,6 +474,7 @@ impl SimSession {
             cancelled_count: 0,
             events_processed: 0,
             tenants: None,
+            mark: None,
             #[cfg(test)]
             reference_passes: false,
         }
@@ -449,10 +640,7 @@ impl SimSession {
         } = submission.into();
         if !self.allow_duplicate_ids {
             if let Some(&prev) = self.by_id.get(&job.id) {
-                if matches!(
-                    self.state[prev],
-                    JobState::Pending | JobState::Waiting | JobState::Running
-                ) {
+                if self.state[prev].is_live() {
                     return Err(CoreError::DuplicateJob { job: job.id });
                 }
             }
@@ -559,6 +747,9 @@ impl SimSession {
         }
         self.state[idx] = JobState::Cancelled;
         self.cancelled_count += 1;
+        if let Some(mark) = &mut self.mark {
+            mark.sealed.push(idx);
+        }
         if let Some(ts) = &mut self.tenants {
             ts.on_cancel(idx, self.procs_eff[idx], was);
         }
@@ -708,6 +899,64 @@ impl SimSession {
         }
     }
 
+    /// Declares the session's current state durably saved under the name
+    /// `id` (the serving layer passes the snapshot's sequence number):
+    /// from here on [`SimSession::save_delta`] returns what changed since
+    /// this call. Call it only once the save is durable — an increment on
+    /// a save that was lost restores nothing.
+    pub fn mark_saved(&mut self, id: u64) {
+        let mut sealed = self.mark.take().map_or_else(Vec::new, |mark| mark.sealed);
+        sealed.clear();
+        self.mark = Some(SavedMark {
+            id,
+            sealed,
+            timeline_from: self.timeline.len().saturating_sub(1),
+            violations_from: self.violations.len(),
+        });
+    }
+
+    /// What changed since the session was last marked saved, with the
+    /// name that save was given — or `None` for a session never marked,
+    /// whose only complete save is [`SimSession::save_state`].
+    ///
+    /// Costs O(live jobs + history since the mark): the live set is read
+    /// off the pending queue, the waiting lists and the completion heap,
+    /// never by scanning the job table.
+    #[must_use]
+    pub fn save_delta(&self) -> Option<(u64, StateDelta)> {
+        let mark = self.mark.as_ref()?;
+        let parts = 0..self.cluster.partition_count();
+        let waiting = parts.flat_map(|p| self.cluster.partition(p).waiting.iter().map(|w| w.idx));
+        let running = self.finish_heap.iter().map(|&Reverse((_, idx))| idx);
+        let mut rows = mark.sealed.clone();
+        rows.extend(self.pending.iter().copied());
+        rows.extend(waiting);
+        rows.extend(running);
+        rows.sort_unstable();
+        let delta = StateDelta {
+            clock: self.clock,
+            len: self.jobs.len(),
+            jobs: rows.iter().map(|&i| self.jobs[i].clone()).collect(),
+            states: rows.iter().map(|&i| self.state[i]).collect(),
+            plan_wall: rows.iter().map(|&i| self.plan_wall[i]).collect(),
+            promised: rows.iter().map(|&i| self.promised[i]).collect(),
+            tenant_of: self
+                .tenants
+                .as_ref()
+                .map(|ts| rows.iter().map(|&i| ts.tenant_of[i]).collect()),
+            rows,
+            violations_from: mark.violations_from,
+            violations: self.violations[mark.violations_from..].to_vec(),
+            timeline_from: mark.timeline_from,
+            timeline: self.timeline[mark.timeline_from..].to_vec(),
+            max_queue: self.max_queue.clone(),
+            max_queue_total: self.max_queue_total,
+            events: self.events.clone(),
+            record_events: self.record_events,
+        };
+        Some((mark.id, delta))
+    }
+
     /// Rebuilds a session from a previously saved [`SessionState`].
     ///
     /// `system` must be the spec the state was saved under — partition
@@ -721,6 +970,7 @@ impl SimSession {
     /// recorded wait (or unstarted jobs with one), or running jobs that
     /// overcommit a partition.
     pub fn restore(system: &SystemSpec, state: SessionState) -> Result<Self> {
+        state.check_columns()?;
         let SessionState {
             config,
             clock,
@@ -738,15 +988,6 @@ impl SimSession {
             tenant_of,
         } = state;
         let mut s = Self::new(system, config);
-        let n = jobs.len();
-        if states.len() != n || plan_wall.len() != n || promised.len() != n {
-            return Err(CoreError::InvalidSnapshot(format!(
-                "table lengths disagree: {n} jobs, {} states, {} walltimes, {} promises",
-                states.len(),
-                plan_wall.len(),
-                promised.len()
-            )));
-        }
         let parts = s.cluster.partition_count();
         if max_queue.len() != parts {
             return Err(CoreError::InvalidSnapshot(format!(
@@ -942,6 +1183,9 @@ impl SimSession {
                 .finish(self.procs_eff[idx], end_estimate);
             self.state[idx] = JobState::Finished;
             self.finished_count += 1;
+            if let Some(mark) = &mut self.mark {
+                mark.sealed.push(idx);
+            }
             if let Some(ts) = &mut self.tenants {
                 ts.on_finish(idx, self.procs_eff[idx]);
             }
@@ -1689,6 +1933,84 @@ mod tests {
             SimSession::restore(&tiny(), overcommitted).unwrap_err(),
             CoreError::InvalidSnapshot(_)
         ));
+    }
+
+    #[test]
+    fn an_unmarked_session_has_no_increment_and_a_marked_one_folds() {
+        let mut s = mid_flight_session();
+        assert_eq!(s.save_delta(), None);
+        let base = s.save_state();
+        s.mark_saved(7);
+        // Nothing happened yet: the increment is the live set alone.
+        let (since, idle) = s.save_delta().unwrap();
+        assert_eq!(since, 7);
+        assert_eq!(idle.rows, [1, 2, 3, 4], "running, waiting ×2, pending");
+        assert_eq!(base.clone().fold([idle]).unwrap(), base);
+        // Job 2 finishes, 3 starts, 7 arrives and queues, 5 is cancelled.
+        s.submit(job(7, 25, 40, 20, 40)).unwrap();
+        s.advance_to(150);
+        assert!(s.cancel(5));
+        let (_, delta) = s.save_delta().unwrap();
+        assert_eq!(delta.rows, [1, 2, 3, 4, 6]);
+        assert_eq!(delta.len, 7);
+        assert_eq!(base.fold([delta]).unwrap(), s.save_state());
+    }
+
+    #[test]
+    fn fold_rejects_increments_that_do_not_cover_every_row_once() {
+        let mut s = mid_flight_session();
+        let base = s.save_state();
+        s.mark_saved(1);
+        s.submit(job(7, 25, 40, 20, 40)).unwrap();
+        s.advance_to(150);
+        let (_, good) = s.save_delta().unwrap();
+        assert!(base.clone().fold([good.clone()]).is_ok());
+        let rejected = |damage: &dyn Fn(&mut StateDelta), needle: &str| {
+            let mut delta = good.clone();
+            damage(&mut delta);
+            match base.clone().fold([delta]) {
+                Err(CoreError::InvalidSnapshot(what)) => {
+                    assert!(what.contains(needle), "`{what}` lacks `{needle}`");
+                }
+                other => panic!("expected a rejection naming `{needle}`, got {other:?}"),
+            }
+        };
+        // A column shorter than the others.
+        rejected(
+            &|d| {
+                d.states.pop();
+            },
+            "columns disagree",
+        );
+        // Row 0 finished before the base was taken: it is sealed.
+        rejected(&|d| d.rows[0] = 0, "row 0, which was sealed");
+        // A live row of the base left out.
+        let drop_first = |d: &mut StateDelta| {
+            d.rows.remove(0);
+            d.jobs.remove(0);
+            d.states.remove(0);
+            d.plan_wall.remove(0);
+            d.promised.remove(0);
+        };
+        rejected(&drop_first, "3 of the 4 rows that were live");
+        // A gap where the new row should be, a length that overshoots,
+        // rows out of order.
+        rejected(&|d| *d.rows.last_mut().unwrap() = 7, "one row at a time");
+        rejected(&|d| d.len += 1, "one row at a time");
+        rejected(&|d| d.rows.swap(0, 1), "one row at a time");
+        // Tails that do not start where the base's lists end.
+        rejected(&|d| d.timeline_from += 2, "timeline tail");
+        rejected(&|d| d.timeline_from -= 1, "timeline tail");
+        rejected(&|d| d.violations_from += 1, "violation tail");
+        // Owners for a session that has no tenants.
+        rejected(
+            &|d| d.tenant_of = Some(vec![0; d.rows.len()]),
+            "columns disagree",
+        );
+        // And a base whose own columns disagree is not indexed into.
+        let mut short = base.clone();
+        short.states.pop();
+        assert!(short.fold([good.clone()]).is_err());
     }
 
     #[test]

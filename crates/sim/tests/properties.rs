@@ -4,7 +4,8 @@
 use lumos_core::{Job, SystemSpec, Trace};
 use lumos_sim::profile::CapacityProfile;
 use lumos_sim::{
-    simulate, Backfill, Policy, Relax, SessionState, SimConfig, SimSession, Submission, TenantTable,
+    simulate, Backfill, Policy, Relax, SessionState, SimConfig, SimSession, StateDelta, Submission,
+    TenantTable,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -530,6 +531,148 @@ proptest! {
         let usage = session.tenant_usage().unwrap();
         let outstanding: u64 = usage.iter().map(|u| u.outstanding_units).sum();
         prop_assert_eq!(outstanding, 0, "drained sessions hold no units");
+    }
+}
+
+/// One step of the increment property below.
+enum Op {
+    Advance(i64),
+    /// Through `round_submit` (the flag set: due at the current instant,
+    /// staged behind the round's deferred pass) or `submit`.
+    Submit(Submission, bool),
+    Cancel(u64),
+    /// Flush the round and drain the event log.
+    Drain,
+    /// Take a save; the flag says whether it "reaches the disk", i.e.
+    /// whether the session is marked saved afterwards.
+    Save(bool),
+}
+
+fn apply(session: &mut SimSession, op: &Op) {
+    match op {
+        Op::Advance(t) => session.advance_to(*t),
+        // A quota refusal leaves no trace, a cancel that comes too late
+        // changes nothing: every outcome is fine here.
+        Op::Submit(submission, true) => drop(session.round_submit(submission.clone())),
+        Op::Submit(submission, false) => drop(session.submit(submission.clone())),
+        Op::Cancel(id) => {
+            session.cancel(*id);
+        }
+        Op::Drain => {
+            session.round_flush();
+            session.drain_events();
+        }
+        Op::Save(_) => session.round_flush(),
+    }
+}
+
+fn through_json<T: serde::Serialize + serde::Deserialize>(value: &T) -> T {
+    serde_json::from_str(&serde_json::to_string(value).unwrap()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The contract rotation snapshots stand on. A session marked saved
+    /// at arbitrary points of an arbitrary submit / advance / cancel /
+    /// same-instant-round sequence — two partitions, tenants, overridden
+    /// walltimes, the timeline on — emits increments such that the first
+    /// full save with every increment that was kept folded over it is
+    /// `save_state()`, field for field, at every save; an increment that
+    /// was lost (a save without a mark) is covered by the next; and a
+    /// session restored from such a fold and marked where the original
+    /// was emits the same increments and states from there on.
+    #[test]
+    fn folded_increments_equal_the_full_state_and_restore_continues(
+        jobs in arb_jobs(50),
+        config in arb_tenant_config(),
+        seed in any::<u64>(),
+    ) {
+        let mut system = tiny_system(50);
+        system.virtual_clusters = 2;
+        let table = TenantTable::parse("alpha 2.0 120\nbeta 0.5 -\n").unwrap();
+        let mut rng = TestRng::new(seed);
+        let mut draw = move |bound: u64| rng.next_u64() % bound;
+
+        // Arrivals in bursts, so that saves fall between changes at one
+        // instant: the timeline point a save ends on may still be folded.
+        let mut sorted = jobs;
+        for job in &mut sorted {
+            job.submit -= job.submit % 400;
+        }
+        sorted.sort_by_key(|j| (j.submit, j.id));
+        let mut ops = Vec::new();
+        let mut now = 0i64;
+        for (i, mut job) in sorted.into_iter().enumerate() {
+            if draw(4) == 0 {
+                now += draw((job.submit - now) as u64 + 1) as i64;
+                ops.push(Op::Advance(now));
+            }
+            let due = draw(3) != 0;
+            if due {
+                now = job.submit;
+                ops.push(Op::Advance(now));
+            }
+            job.virtual_cluster = Some((i % 2) as u16);
+            let walltime = (draw(3) == 0).then(|| 1 + draw(3_000) as i64);
+            let tenant = Some(draw(3) as u16);
+            ops.push(Op::Submit(Submission { job, tenant, walltime }, due));
+            for _ in 0..draw(3) {
+                ops.push(match draw(6) {
+                    0 | 1 => Op::Cancel(draw(i as u64 + 1)),
+                    2 => Op::Drain,
+                    _ => Op::Save(draw(4) != 0),
+                });
+            }
+        }
+        ops.extend([Op::Advance(now + 20_000), Op::Save(true), Op::Save(true)]);
+
+        let mut session = SimSession::new_with_tenants(&system, config, table);
+        session.advance_to(0);
+        // A session restored from a fold part of the way in, then driven
+        // alongside the original.
+        let mut twin: Option<SimSession> = None;
+        let mut base: Option<SessionState> = None;
+        let mut kept: Vec<StateDelta> = Vec::new();
+        let mut marked_at = 0u64;
+        for (at, op) in ops.iter().enumerate() {
+            apply(&mut session, op);
+            if let Some(twin) = &mut twin {
+                apply(twin, op);
+            }
+            let Op::Save(reaches_disk) = *op else { continue };
+            let full = session.save_state();
+            let Some(base) = &base else {
+                prop_assert_eq!(session.save_delta(), None, "never marked, no increment");
+                if reaches_disk {
+                    base = Some(through_json(&full));
+                    marked_at = at as u64;
+                    session.mark_saved(marked_at);
+                }
+                continue;
+            };
+            let (since, delta) = session.save_delta().expect("marked sessions emit increments");
+            prop_assert_eq!(since, marked_at);
+            let delta = through_json(&delta);
+            let chain = kept.iter().cloned().chain([delta.clone()]);
+            let folded = base.clone().fold(chain)
+                .map_err(|e| TestCaseError::fail(format!("fold: {e}")))?;
+            prop_assert_eq!(&folded, &full);
+            if let Some(twin) = &twin {
+                prop_assert_eq!(twin.save_delta(), Some((since, delta.clone())));
+                prop_assert_eq!(twin.save_state(), full);
+            }
+            if reaches_disk {
+                kept.push(delta);
+                marked_at = at as u64;
+                session.mark_saved(marked_at);
+                let twin = twin.get_or_insert_with(|| {
+                    SimSession::restore(&system, folded).expect("a fold restores")
+                });
+                twin.mark_saved(marked_at);
+            }
+        }
+        prop_assert!(base.is_some() && twin.is_some(), "the closing saves reach the disk");
     }
 }
 
