@@ -46,10 +46,12 @@ impl Dataset {
     /// runtime 1 (they exist in real traces).
     #[must_use]
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut history: HashMap<UserId, Vec<f64>> = HashMap::new();
+        // Per user: the runtimes so far and their running sum, which adds
+        // them in the order a fresh sum over the list would.
+        let mut history: HashMap<UserId, (Vec<f64>, f64)> = HashMap::new();
         let mut instances = Vec::with_capacity(trace.len());
         for j in trace.jobs() {
-            let user_hist = history.entry(j.user).or_default();
+            let (user_hist, user_sum) = history.entry(j.user).or_default();
             let runtime = j.runtime.max(1) as f64;
             let last = user_hist.last().copied().unwrap_or(0.0);
             let last2 = if user_hist.len() >= 2 {
@@ -60,7 +62,7 @@ impl Dataset {
             let mean = if user_hist.is_empty() {
                 0.0
             } else {
-                user_hist.iter().sum::<f64>() / user_hist.len() as f64
+                *user_sum / user_hist.len() as f64
             };
             let features = [
                 (j.procs as f64).ln_1p(),
@@ -79,15 +81,10 @@ impl Dataset {
                 walltime: j.walltime.map(|w| w.max(1) as f64),
                 censored: j.status == JobStatus::Killed
                     && j.walltime.is_some_and(|w| j.runtime >= w),
-                history: user_hist
-                    .iter()
-                    .rev()
-                    .take(HISTORY)
-                    .rev()
-                    .copied()
-                    .collect(),
+                history: user_hist[user_hist.len().saturating_sub(HISTORY)..].to_vec(),
             });
             user_hist.push(runtime);
+            *user_sum += runtime;
         }
         Self { instances }
     }

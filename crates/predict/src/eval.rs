@@ -17,6 +17,9 @@ use crate::dataset::{Dataset, Instance};
 use crate::metrics::{score, PredictionScore};
 use crate::models::{Gbt, Last2, LinearRegression, Mlp, Model, Tobit};
 
+/// A feature model the pool can fit on one thread and score from another.
+type SharedModel = Box<dyn Model + Send + Sync>;
+
 /// Model families of Fig. 12.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ModelKind {
@@ -54,7 +57,9 @@ impl ModelKind {
         }
     }
 
-    fn build(self) -> Option<Box<dyn Model + Send>> {
+    /// An unfit model of the family; `None` for Last2, which reads the
+    /// user's history and has nothing to fit.
+    fn build(self) -> Option<SharedModel> {
         match self {
             Self::Last2 => None,
             Self::LinReg => Some(Box::new(LinearRegression::default())),
@@ -63,15 +68,6 @@ impl ModelKind {
             Self::Mlp => Some(Box::new(Mlp::default())),
         }
     }
-}
-
-/// Which side of the comparison a score belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Variant {
-    /// Baseline: elapsed time not considered.
-    Without,
-    /// Improved: elapsed time as a feature + survival conditioning + clamp.
-    WithElapsed,
 }
 
 /// One Fig. 12 cell pair: a model at one elapsed point.
@@ -89,79 +85,98 @@ pub struct Fig12Row {
     pub with_elapsed: PredictionScore,
 }
 
-fn static_features(i: &Instance) -> Vec<f64> {
-    i.features.to_vec()
-}
-
 fn elapsed_features(i: &Instance, elapsed: f64) -> Vec<f64> {
     let mut f = i.features.to_vec();
     f.push((1.0 + elapsed).ln());
     f
 }
 
-fn run_model(
-    kind: ModelKind,
-    train: &[Instance],
-    test: &[Instance],
+/// The rows one fit trains on, shared by every model fit on them.
+struct TrainingSet {
+    x: Vec<Vec<f64>>,
+    y: Vec<f64>,
+    censored: Vec<bool>,
+}
+
+impl TrainingSet {
+    /// The baseline's set (`elapsed` `None`): every row, static features
+    /// only. An elapsed-aware set: survival-conditioned — the rows that
+    /// outlived `elapsed` — with the elapsed feature appended.
+    fn new(train: &[Instance], elapsed: Option<f64>) -> Self {
+        let mut pool: Vec<&Instance> = train
+            .iter()
+            .filter(|i| elapsed.is_none_or(|e| i.runtime > e))
+            .collect();
+        // Degenerate guard: if nothing survived E, fall back to all.
+        if pool.is_empty() {
+            pool = train.iter().collect();
+        }
+        Self {
+            x: pool
+                .iter()
+                .map(|i| elapsed.map_or_else(|| i.features.to_vec(), |e| elapsed_features(i, e)))
+                .collect(),
+            y: pool.iter().map(|i| i.runtime).collect(),
+            censored: pool.iter().map(|i| i.censored).collect(),
+        }
+    }
+}
+
+/// One elapsed point and the test jobs still running at it — the only
+/// jobs either variant predicts.
+struct ElapsedPoint<'a> {
+    frac: f64,
     elapsed: f64,
-    global_mean: f64,
-) -> (PredictionScore, PredictionScore) {
-    let actual: Vec<f64> = test.iter().map(|i| i.runtime).collect();
-    match kind.build() {
-        None => {
-            // Last2 is history-based.
-            let without: Vec<f64> = test
-                .iter()
-                .map(|i| Last2::predict(i, global_mean))
-                .collect();
-            let with: Vec<f64> = test
-                .iter()
-                .map(|i| Last2::predict_with_elapsed(i, global_mean, elapsed))
-                .collect();
-            (score(&actual, &without), score(&actual, &with))
-        }
-        Some(_) => {
-            // Baseline: trained on everything, static features only.
-            let mut base = kind.build().expect("feature model");
-            let bx: Vec<Vec<f64>> = train.iter().map(static_features).collect();
-            let by: Vec<f64> = train.iter().map(|i| i.runtime).collect();
-            let bc: Vec<bool> = train.iter().map(|i| i.censored).collect();
-            base.fit(&bx, &by, &bc);
-            let without: Vec<f64> = test
-                .iter()
-                .map(|i| base.predict(&static_features(i)))
-                .collect();
+    eligible: Vec<&'a Instance>,
+    /// The eligible jobs' rows as an elapsed-aware model takes them.
+    aware_x: Vec<Vec<f64>>,
+    actual: Vec<f64>,
+}
 
-            // Elapsed-aware: survival-conditioned training + elapsed feature
-            // + clamp at the observed elapsed time.
-            let mut aware = kind.build().expect("feature model");
-            let survivors: Vec<&Instance> = train.iter().filter(|i| i.runtime > elapsed).collect();
-            // Degenerate guard: if nothing survived E, fall back to all.
-            let pool: Vec<&Instance> = if survivors.is_empty() {
-                train.iter().collect()
-            } else {
-                survivors
-            };
-            let ax: Vec<Vec<f64>> = pool.iter().map(|i| elapsed_features(i, elapsed)).collect();
-            let ay: Vec<f64> = pool.iter().map(|i| i.runtime).collect();
-            let ac: Vec<bool> = pool.iter().map(|i| i.censored).collect();
-            aware.fit(&ax, &ay, &ac);
-            let with: Vec<f64> = test
-                .iter()
-                .map(|i| {
-                    aware
-                        .predict(&elapsed_features(i, elapsed))
-                        .max(elapsed.max(1.0))
-                })
-                .collect();
-
-            (score(&actual, &without), score(&actual, &with))
-        }
+impl ElapsedPoint<'_> {
+    /// Scores `(without, with)` elapsed time; `models` is the family's
+    /// baseline and its model conditioned on this point, `None` for Last2.
+    fn score(
+        &self,
+        models: Option<(&SharedModel, &SharedModel)>,
+        global_mean: f64,
+    ) -> (PredictionScore, PredictionScore) {
+        let elapsed = self.elapsed;
+        let (without, with): (Vec<f64>, Vec<f64>) = match models {
+            None => (
+                self.eligible
+                    .iter()
+                    .map(|i| Last2::predict(i, global_mean))
+                    .collect(),
+                self.eligible
+                    .iter()
+                    .map(|i| Last2::predict_with_elapsed(i, global_mean, elapsed))
+                    .collect(),
+            ),
+            Some((base, aware)) => (
+                self.eligible
+                    .iter()
+                    .map(|i| base.predict(&i.features))
+                    .collect(),
+                // Never below the observed elapsed time.
+                self.aware_x
+                    .iter()
+                    .map(|x| aware.predict(x).max(elapsed.max(1.0)))
+                    .collect(),
+            ),
+        };
+        (score(&self.actual, &without), score(&self.actual, &with))
     }
 }
 
 /// Runs the full Fig. 12 grid on one trace. `max_instances` caps the
 /// dataset (chronological thinning) so debug-mode tests stay fast.
+///
+/// A family's baseline does not depend on the elapsed point, so the grid
+/// is the list of its *distinct* fits — per feature model one baseline
+/// and one elapsed-aware model per surviving point — run flat on the
+/// work-stealing pool; every `(model, point)` cell is then scored from
+/// the fitted models.
 #[must_use]
 pub fn evaluate_trace(trace: &Trace, fracs: &[f64], max_instances: usize) -> Vec<Fig12Row> {
     let mut dataset = Dataset::from_trace(trace);
@@ -176,30 +191,67 @@ pub fn evaluate_trace(trace: &Trace, fracs: &[f64], max_instances: usize) -> Vec
     let mean_runtime = train.iter().map(|i| i.runtime).sum::<f64>() / train.len() as f64;
     let global_mean = mean_runtime;
 
-    let grid: Vec<(ModelKind, f64)> = ModelKind::ALL
+    // Fewer than 10 eligible test jobs: the point gets no row.
+    let points: Vec<ElapsedPoint> = fracs
         .iter()
-        .flat_map(|&m| fracs.iter().map(move |&f| (m, f)))
+        .filter_map(|&frac| {
+            let elapsed = frac * mean_runtime;
+            let eligible: Vec<&Instance> = test.iter().filter(|i| i.runtime > elapsed).collect();
+            (eligible.len() >= 10).then(|| ElapsedPoint {
+                frac,
+                elapsed,
+                aware_x: eligible
+                    .iter()
+                    .map(|i| elapsed_features(i, elapsed))
+                    .collect(),
+                actual: eligible.iter().map(|i| i.runtime).collect(),
+                eligible,
+            })
+        })
+        .collect();
+    if points.is_empty() {
+        return Vec::new();
+    }
+
+    // Set 0 is the baseline's, set 1 + p is point p's, and a family's fits
+    // sit in that order from its slot on. A cell is a family, its slot
+    // (Last2 has none) and the index of a point.
+    let sets: Vec<TrainingSet> = std::iter::once(None)
+        .chain(points.iter().map(|p| Some(p.elapsed)))
+        .map(|elapsed| TrainingSet::new(train, elapsed))
+        .collect();
+    let mut fits: Vec<(SharedModel, &TrainingSet)> = Vec::new();
+    let mut cells: Vec<(ModelKind, Option<usize>, usize)> = Vec::new();
+    for kind in ModelKind::ALL {
+        let slot = fits.len();
+        fits.extend(
+            sets.iter()
+                .filter_map(|set| kind.build().map(|model| (model, set))),
+        );
+        let slot = (fits.len() > slot).then_some(slot);
+        cells.extend((0..points.len()).map(|p| (kind, slot, p)));
+    }
+    let fitted: Vec<SharedModel> = fits
+        .into_par_iter()
+        .map(|(mut model, set)| {
+            model.fit(&set.x, &set.y, &set.censored);
+            model
+        })
         .collect();
 
-    grid.par_iter()
-        .filter_map(|&(model, frac)| {
-            let elapsed = frac * mean_runtime;
-            let eligible: Vec<Instance> = test
-                .iter()
-                .filter(|i| i.runtime > elapsed)
-                .cloned()
-                .collect();
-            if eligible.len() < 10 {
-                return None;
-            }
-            let (without, with_elapsed) = run_model(model, train, &eligible, elapsed, global_mean);
-            Some(Fig12Row {
+    cells
+        .into_par_iter()
+        .map(|(model, slot, p)| {
+            let point = &points[p];
+            let models = slot.map(|slot| (&fitted[slot], &fitted[slot + 1 + p]));
+            let (without, with_elapsed) = point.score(models, global_mean);
+            Fig12Row {
                 model,
-                elapsed_frac: frac,
-                elapsed_seconds: elapsed,
+                elapsed_frac: point.frac,
+                elapsed_seconds: point.elapsed,
                 without,
                 with_elapsed,
-            })
+            }
         })
         .collect()
 }
@@ -278,6 +330,24 @@ mod tests {
             mean_with > mean_without - 0.05,
             "with {mean_with:.3} vs without {mean_without:.3}"
         );
+    }
+
+    #[test]
+    fn rows_are_byte_identical_across_thread_counts() {
+        // The fits and the cells are index-keyed lists on the pool: which
+        // worker takes which must not show in a single output byte.
+        let trace = bimodal_trace(600, 6);
+        let at = |threads: usize| {
+            let rows = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| evaluate_trace(&trace, &[0.125, 0.25, 0.5], 10_000));
+            serde_json::to_string(&rows).unwrap()
+        };
+        let one = at(1);
+        assert_eq!(one, at(2));
+        assert_eq!(one, at(8));
     }
 
     #[test]

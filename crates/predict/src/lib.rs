@@ -42,6 +42,6 @@ pub mod online;
 pub mod walltime;
 
 pub use dataset::{Dataset, Instance};
-pub use eval::{evaluate_trace, Fig12Row, ModelKind, Variant};
+pub use eval::{evaluate_trace, Fig12Row, ModelKind};
 pub use metrics::{accuracy, underestimate_rate, PredictionScore};
 pub use online::{Last2Online, OnlinePredictor, Predictor, PredictorConfig, UserOnline};

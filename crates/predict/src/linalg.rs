@@ -1,5 +1,46 @@
-//! Minimal dense linear algebra: solve `A x = b` by Gaussian elimination
-//! with partial pivoting. Enough for normal-equation ridge regression.
+//! Minimal dense linear algebra: the normal equations of a ridge
+//! regression with a bias column, and `A x = b` by Gaussian elimination
+//! with partial pivoting.
+
+/// `XᵀX + ridge·I` of the normal equations `(XᵀX + λI) w = Xᵀt`, with a
+/// bias column of ones appended to `x` (so the bias is the last weight).
+#[must_use]
+#[allow(clippy::needless_range_loop)] // index form mirrors the math
+pub(crate) fn ridge_gram(x: &[Vec<f64>], ridge: f64) -> Vec<Vec<f64>> {
+    let d = x[0].len() + 1;
+    let mut xtx = vec![vec![0.0f64; d]; d];
+    for row in x {
+        debug_assert_eq!(row.len(), d - 1);
+        for i in 0..d {
+            let xi = if i == d - 1 { 1.0 } else { row[i] };
+            for j in i..d {
+                let xj = if j == d - 1 { 1.0 } else { row[j] };
+                xtx[i][j] += xi * xj;
+            }
+        }
+    }
+    for i in 0..d {
+        for j in 0..i {
+            xtx[i][j] = xtx[j][i];
+        }
+        xtx[i][i] += ridge;
+    }
+    xtx
+}
+
+/// `Xᵀt`, the right-hand side to [`ridge_gram`]'s matrix.
+#[must_use]
+pub(crate) fn moments(x: &[Vec<f64>], targets: &[f64]) -> Vec<f64> {
+    let d = x[0].len() + 1;
+    let mut xty = vec![0.0f64; d];
+    for (row, &t) in x.iter().zip(targets) {
+        for (acc, xi) in xty.iter_mut().zip(row) {
+            *acc += xi * t;
+        }
+        xty[d - 1] += t;
+    }
+    xty
+}
 
 /// Solves `A x = b` in place. `a` is row-major `n × n`.
 /// Returns `None` when the matrix is numerically singular.

@@ -1,6 +1,6 @@
 //! Ridge linear regression on `ln(runtime)` via the normal equations.
 
-use crate::linalg::solve;
+use crate::linalg::{moments, ridge_gram, solve};
 use crate::models::Model;
 
 /// Ridge OLS over log-runtimes.
@@ -38,37 +38,16 @@ impl Default for LinearRegression {
 }
 
 impl Model for LinearRegression {
-    #[allow(clippy::needless_range_loop)] // index form mirrors the math
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64], _censored: &[bool]) {
         assert_eq!(x.len(), y.len());
         if x.is_empty() {
             return;
         }
-        let d = x[0].len() + 1; // + bias
         let logs: Vec<f64> = y.iter().map(|&v| v.max(1.0).ln()).collect();
         self.fallback = (logs.iter().sum::<f64>() / logs.len() as f64).exp();
 
         // Normal equations: (XᵀX + λI) w = Xᵀy, with bias column appended.
-        let mut xtx = vec![vec![0.0f64; d]; d];
-        let mut xty = vec![0.0f64; d];
-        for (row, &t) in x.iter().zip(&logs) {
-            debug_assert_eq!(row.len(), d - 1);
-            for i in 0..d {
-                let xi = if i == d - 1 { 1.0 } else { row[i] };
-                xty[i] += xi * t;
-                for j in i..d {
-                    let xj = if j == d - 1 { 1.0 } else { row[j] };
-                    xtx[i][j] += xi * xj;
-                }
-            }
-        }
-        for i in 0..d {
-            for j in 0..i {
-                xtx[i][j] = xtx[j][i];
-            }
-            xtx[i][i] += self.ridge;
-        }
-        if let Some(w) = solve(xtx, xty) {
+        if let Some(w) = solve(ridge_gram(x, self.ridge), moments(x, &logs)) {
             self.weights = w;
         }
     }

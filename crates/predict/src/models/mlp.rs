@@ -1,6 +1,11 @@
 //! A small feed-forward network: one tanh hidden layer, linear output,
 //! SGD with momentum on standardized `ln(runtime)` targets. Deterministic
 //! via an explicit seed.
+//!
+//! Weights and standardized inputs are flat row-major arrays and the
+//! hidden layer is one buffer reused across samples; every sum runs in
+//! index order with no fused multiply-add, so a fit is a fixed sequence
+//! of floating-point operations and its weights repeat bit for bit.
 
 use lumos_stats::Rng;
 
@@ -14,7 +19,7 @@ pub struct Mlp {
     learning_rate: f64,
     seed: u64,
     // Fitted state.
-    w1: Vec<Vec<f64>>, // hidden × input
+    w1: Vec<f64>, // hidden × input, row-major
     b1: Vec<f64>,
     w2: Vec<f64>, // hidden
     b2: f64,
@@ -23,6 +28,22 @@ pub struct Mlp {
     target_mu: f64,
     target_sd: f64,
     fitted: bool,
+}
+
+/// The network's output for one standardized row; `h` receives the hidden
+/// activations.
+fn forward(w1: &[f64], b1: &[f64], w2: &[f64], b2: f64, x: &[f64], h: &mut [f64]) -> f64 {
+    let d = w1.len() / h.len();
+    let mut out = b2;
+    for (j, hj) in h.iter_mut().enumerate() {
+        let mut acc = b1[j];
+        for (w, v) in w1[j * d..(j + 1) * d].iter().zip(x) {
+            acc += w * v;
+        }
+        *hj = acc.tanh();
+        out += w2[j] * *hj;
+    }
+    out
 }
 
 impl Mlp {
@@ -46,30 +67,6 @@ impl Mlp {
             fitted: false,
         }
     }
-
-    fn forward(&self, x: &[f64]) -> (Vec<f64>, f64) {
-        let mut h = Vec::with_capacity(self.hidden);
-        for (wrow, b) in self.w1.iter().zip(&self.b1) {
-            let mut acc = *b;
-            for (w, v) in wrow.iter().zip(x) {
-                acc += w * v;
-            }
-            h.push(acc.tanh());
-        }
-        let mut out = self.b2;
-        for (w, v) in self.w2.iter().zip(&h) {
-            out += w * v;
-        }
-        (h, out)
-    }
-
-    fn standardize(&self, x: &[f64]) -> Vec<f64> {
-        x.iter()
-            .zip(&self.feat_mu)
-            .zip(&self.feat_sd)
-            .map(|((v, m), s)| (v - m) / s)
-            .collect()
-    }
 }
 
 impl Default for Mlp {
@@ -86,6 +83,7 @@ impl Model for Mlp {
         }
         let n = x.len();
         let d = x[0].len();
+        let hidden = self.hidden;
         let logs: Vec<f64> = y.iter().map(|&v| v.max(1.0).ln()).collect();
 
         // Standardize features and target.
@@ -115,7 +113,16 @@ impl Model for Mlp {
             / n as f64;
         self.target_sd = var.sqrt().max(1e-9);
 
-        let xs: Vec<Vec<f64>> = x.iter().map(|r| self.standardize(r)).collect();
+        let mut xs = Vec::with_capacity(n * d);
+        for row in x {
+            debug_assert_eq!(row.len(), d);
+            xs.extend(
+                row.iter()
+                    .zip(&self.feat_mu)
+                    .zip(&self.feat_sd)
+                    .map(|((v, m), s)| (v - m) / s),
+            );
+        }
         let ts: Vec<f64> = logs
             .iter()
             .map(|l| (l - self.target_mu) / self.target_sd)
@@ -124,47 +131,49 @@ impl Model for Mlp {
         // Xavier-ish init.
         let mut rng = Rng::new(self.seed);
         let scale = (1.0 / d as f64).sqrt();
-        self.w1 = (0..self.hidden)
-            .map(|_| (0..d).map(|_| rng.next_gaussian() * scale).collect())
+        let mut w1: Vec<f64> = (0..hidden * d)
+            .map(|_| rng.next_gaussian() * scale)
             .collect();
-        self.b1 = vec![0.0; self.hidden];
-        let hscale = (1.0 / self.hidden as f64).sqrt();
-        self.w2 = (0..self.hidden)
-            .map(|_| rng.next_gaussian() * hscale)
-            .collect();
-        self.b2 = 0.0;
+        let mut b1 = vec![0.0; hidden];
+        let hscale = (1.0 / hidden as f64).sqrt();
+        let mut w2: Vec<f64> = (0..hidden).map(|_| rng.next_gaussian() * hscale).collect();
+        let mut b2 = 0.0;
 
         // SGD with momentum over shuffled epochs.
         let mut order: Vec<usize> = (0..n).collect();
-        let mut m_w1 = vec![vec![0.0; d]; self.hidden];
-        let mut m_b1 = vec![0.0; self.hidden];
-        let mut m_w2 = vec![0.0; self.hidden];
+        let mut m_w1 = vec![0.0; hidden * d];
+        let mut m_b1 = vec![0.0; hidden];
+        let mut m_w2 = vec![0.0; hidden];
         let mut m_b2 = 0.0;
+        let mut h = vec![0.0; hidden];
         let beta = 0.9;
+        let rate = self.learning_rate;
         for _ in 0..self.epochs {
             rng.shuffle(&mut order);
             for &i in &order {
-                let (h, out) = self.forward(&xs[i]);
-                let err = out - ts[i];
-                // Output layer gradients.
-                for j in 0..self.hidden {
+                let xi = &xs[i * d..(i + 1) * d];
+                let err = forward(&w1, &b1, &w2, b2, xi, &mut h) - ts[i];
+                for j in 0..hidden {
+                    // Output layer gradients.
                     let g2 = err * h[j];
                     m_w2[j] = beta * m_w2[j] + (1.0 - beta) * g2;
-                    // Hidden layer.
-                    let dh = err * self.w2[j] * (1.0 - h[j] * h[j]);
-                    for k in 0..d {
-                        let g1 = dh * xs[i][k];
-                        m_w1[j][k] = beta * m_w1[j][k] + (1.0 - beta) * g1;
-                        self.w1[j][k] -= self.learning_rate * m_w1[j][k];
+                    // Hidden layer, through `w2[j]` as the forward pass saw it.
+                    let dh = err * w2[j] * (1.0 - h[j] * h[j]);
+                    let row = j * d..(j + 1) * d;
+                    for ((w, m), v) in w1[row.clone()].iter_mut().zip(&mut m_w1[row]).zip(xi) {
+                        let g1 = dh * v;
+                        *m = beta * *m + (1.0 - beta) * g1;
+                        *w -= rate * *m;
                     }
                     m_b1[j] = beta * m_b1[j] + (1.0 - beta) * dh;
-                    self.b1[j] -= self.learning_rate * m_b1[j];
-                    self.w2[j] -= self.learning_rate * m_w2[j];
+                    b1[j] -= rate * m_b1[j];
+                    w2[j] -= rate * m_w2[j];
                 }
                 m_b2 = beta * m_b2 + (1.0 - beta) * err;
-                self.b2 -= self.learning_rate * m_b2;
+                b2 -= rate * m_b2;
             }
         }
+        (self.w1, self.b1, self.w2, self.b2) = (w1, b1, w2, b2);
         self.fitted = true;
     }
 
@@ -172,7 +181,14 @@ impl Model for Mlp {
         if !self.fitted {
             return 1.0;
         }
-        let (_, out) = self.forward(&self.standardize(x));
+        let xs: Vec<f64> = x
+            .iter()
+            .zip(&self.feat_mu)
+            .zip(&self.feat_sd)
+            .map(|((v, m), s)| (v - m) / s)
+            .collect();
+        let mut h = vec![0.0; self.hidden];
+        let out = forward(&self.w1, &self.b1, &self.w2, self.b2, &xs, &mut h);
         let log = out * self.target_sd + self.target_mu;
         log.clamp(-5.0, 20.0).exp()
     }

@@ -10,7 +10,7 @@
 //! predictor, and σ is re-estimated — unconditionally stable, unlike raw
 //! gradient ascent on the censored likelihood.
 
-use crate::linalg::solve;
+use crate::linalg::{moments, ridge_gram, solve};
 use crate::models::{normal_cdf, normal_pdf, Model};
 
 /// Censored Gaussian regressor over log-runtimes.
@@ -44,31 +44,6 @@ impl Tobit {
         self.sigma
     }
 
-    /// Ridge OLS on `(x, targets)`; returns weights with bias last.
-    #[allow(clippy::needless_range_loop)] // index form mirrors the math
-    fn ols(&self, x: &[Vec<f64>], targets: &[f64]) -> Option<Vec<f64>> {
-        let d = x[0].len() + 1;
-        let mut xtx = vec![vec![0.0f64; d]; d];
-        let mut xty = vec![0.0f64; d];
-        for (row, &t) in x.iter().zip(targets) {
-            for i in 0..d {
-                let xi = if i == d - 1 { 1.0 } else { row[i] };
-                xty[i] += xi * t;
-                for j in i..d {
-                    let xj = if j == d - 1 { 1.0 } else { row[j] };
-                    xtx[i][j] += xi * xj;
-                }
-            }
-        }
-        for i in 0..d {
-            for j in 0..i {
-                xtx[i][j] = xtx[j][i];
-            }
-            xtx[i][i] += self.ridge.max(1e-9);
-        }
-        solve(xtx, xty)
-    }
-
     fn linear(&self, w: &[f64], x: &[f64]) -> f64 {
         let mut acc = *w.last().expect("bias present");
         for (wi, v) in w.iter().zip(x) {
@@ -95,8 +70,13 @@ impl Model for Tobit {
         let mean = logs.iter().sum::<f64>() / logs.len() as f64;
         self.fallback = mean.exp();
 
+        // Ridge OLS on `(x, targets)`, weights with bias last. `x` is the
+        // same in every round, so `XᵀX + λI` is formed once.
+        let gram = ridge_gram(x, self.ridge.max(1e-9));
+        let ols = |targets: &[f64]| solve(gram.clone(), moments(x, targets));
+
         // Start from the uncensored OLS fit.
-        let Some(mut w) = self.ols(x, &logs) else {
+        let Some(mut w) = ols(&logs) else {
             return;
         };
         let mut sigma = {
@@ -132,7 +112,7 @@ impl Model for Tobit {
                 }
             }
             // M-step: refit and re-estimate σ on the imputed targets.
-            match self.ols(x, &targets) {
+            match ols(&targets) {
                 Some(new_w) => w = new_w,
                 None => break,
             }

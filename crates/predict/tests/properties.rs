@@ -1,9 +1,10 @@
 //! Property-based tests for the prediction substrate: metric bounds,
 //! model sanity, and the elapsed-time clamp invariant.
 
+use lumos_core::{hour_of_day, Job, JobStatus, SystemSpec, Trace};
 use lumos_predict::metrics::{pair_accuracy, score};
 use lumos_predict::models::{Gbt, Last2, LinearRegression, Mlp, Model, Tobit};
-use lumos_predict::Instance;
+use lumos_predict::{Dataset, Instance};
 use proptest::prelude::*;
 
 fn arb_xy() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
@@ -16,8 +17,78 @@ fn arb_xy() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
     )
 }
 
+/// `Dataset::from_trace` by its definition: every job's features from a
+/// fresh walk over the user's earlier jobs, nothing carried along.
+fn dataset_by_definition(trace: &Trace) -> Vec<Instance> {
+    let jobs = trace.jobs();
+    jobs.iter()
+        .enumerate()
+        .map(|(at, j)| {
+            let past: Vec<f64> = jobs[..at]
+                .iter()
+                .filter(|p| p.user == j.user)
+                .map(|p| p.runtime.max(1) as f64)
+                .collect();
+            let last = past.last().copied().unwrap_or(0.0);
+            let last2 = if past.len() >= 2 {
+                (past[past.len() - 1] + past[past.len() - 2]) / 2.0
+            } else {
+                last
+            };
+            let mean = if past.is_empty() {
+                0.0
+            } else {
+                past.iter().sum::<f64>() / past.len() as f64
+            };
+            Instance {
+                user: j.user,
+                features: [
+                    (j.procs as f64).ln_1p(),
+                    j.walltime.map_or(0.0, |w| (w.max(1) as f64).ln()),
+                    f64::from(j.walltime.is_some()),
+                    f64::from(hour_of_day(j.submit, trace.system.tz_offset)) / 24.0,
+                    last.max(1.0).ln(),
+                    last2.max(1.0).ln(),
+                    mean.max(1.0).ln(),
+                    (past.len() as f64).ln_1p(),
+                ],
+                runtime: j.runtime.max(1) as f64,
+                walltime: j.walltime.map(|w| w.max(1) as f64),
+                censored: j.status == JobStatus::Killed
+                    && j.walltime.is_some_and(|w| j.runtime >= w),
+                history: past.iter().rev().take(8).rev().copied().collect(),
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn dataset_matches_its_definition(
+        jobs in prop::collection::vec(
+            (0u32..4, 0i64..500, 0i64..100_000, prop::option::of(0i64..50_000), 0u8..3),
+            1..120,
+        ),
+    ) {
+        // Few users, so some are heavy: histories past the cap of eight,
+        // means over dozens of runtimes, zero runtimes and walltimes.
+        let mut submit = 0;
+        let jobs: Vec<Job> = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(id, (user, gap, runtime, walltime, status))| {
+                submit += gap;
+                let mut j = Job::basic(id as u64, user, submit, runtime, 8);
+                j.walltime = walltime;
+                j.status = [JobStatus::Passed, JobStatus::Failed, JobStatus::Killed][status as usize];
+                j
+            })
+            .collect();
+        let trace = Trace::new(SystemSpec::theta(), jobs).unwrap();
+        prop_assert_eq!(Dataset::from_trace(&trace).instances, dataset_by_definition(&trace));
+    }
 
     #[test]
     fn accuracy_is_in_unit_interval(r in 0.001f64..1e7, p in 0.001f64..1e7) {

@@ -64,15 +64,23 @@ impl Kde {
     }
 
     /// Density estimate at `x`.
+    ///
+    /// The sample is sorted, so equal values are neighbours and share one
+    /// kernel evaluation (runtimes are whole seconds: a day of jobs is
+    /// mostly repeats). Every sample still adds its term, in order.
     #[must_use]
     pub fn density(&self, x: f64) -> f64 {
         let h = self.bandwidth;
         let norm = 1.0 / ((self.sample.len() as f64) * h * (std::f64::consts::TAU).sqrt());
+        let mut last = (f64::NAN, 0.0);
         self.sample
             .iter()
             .map(|&xi| {
-                let z = (x - xi) / h;
-                (-0.5 * z * z).exp()
+                if xi != last.0 {
+                    let z = (x - xi) / h;
+                    last = (xi, (-0.5 * z * z).exp());
+                }
+                last.1
             })
             .sum::<f64>()
             * norm
@@ -100,12 +108,18 @@ impl Kde {
     /// "widest part" that §V.C reasons about.
     #[must_use]
     pub fn mode(&self, grid: usize) -> f64 {
-        self.curve(grid.max(2))
-            .into_iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("densities are finite"))
-            .map(|(x, _)| x)
-            .expect("non-empty curve")
+        peak(&self.curve(grid.max(2)))
     }
+}
+
+/// Location of the highest point of a density curve (the last, among
+/// equals).
+fn peak(curve: &[(f64, f64)]) -> f64 {
+    curve
+        .iter()
+        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("densities are finite"))
+        .map(|&(x, _)| x)
+        .expect("non-empty curve")
 }
 
 /// Everything a violin plot needs: quartiles, extremes, and the density
@@ -161,8 +175,8 @@ impl ViolinSummary {
         let kde = Kde::new(transformed);
         let raw_curve = kde.curve(grid.max(2));
         let back = |x: f64| if log_scale { 10f64.powf(x) } else { x };
+        let mode = back(peak(&raw_curve));
         let curve: Vec<(f64, f64)> = raw_curve.into_iter().map(|(x, d)| (back(x), d)).collect();
-        let mode = back(kde.mode(grid.max(2)));
 
         Self {
             log_scale,
@@ -239,6 +253,48 @@ mod tests {
         let v = ViolinSummary::build(&sample, false, 1.0, 50);
         assert!(!v.log_scale);
         assert_eq!(v.median, 3.0);
+    }
+
+    #[test]
+    fn density_is_the_plain_sum_over_runs_of_duplicates() {
+        // Whole-second runtimes in log space: a few values, each repeated
+        // many times, next to values that occur once.
+        let mut rng = Rng::new(4);
+        let mut sample: Vec<f64> = Vec::new();
+        for _ in 0..40 {
+            let value = (1.0 + rng.next_below(5_000) as f64).log10();
+            let run = 1 + rng.next_below(60) as usize;
+            sample.extend(std::iter::repeat_n(value, run));
+        }
+        let kde = Kde::new(sample);
+        let plain = |x: f64| {
+            let h = kde.bandwidth;
+            let norm = 1.0 / ((kde.sample.len() as f64) * h * (std::f64::consts::TAU).sqrt());
+            kde.sample
+                .iter()
+                .map(|&xi| {
+                    let z = (x - xi) / h;
+                    (-0.5 * z * z).exp()
+                })
+                .sum::<f64>()
+                * norm
+        };
+        for (x, d) in kde.curve(200) {
+            assert_eq!(d.to_bits(), plain(x).to_bits(), "density at {x}");
+        }
+    }
+
+    #[test]
+    fn violin_mode_is_the_kde_mode() {
+        let mut rng = Rng::new(5);
+        let sample: Vec<f64> = (0..500)
+            .map(|_| (1.0 + rng.next_below(300) as f64) * if rng.chance(0.3) { 40.0 } else { 1.0 })
+            .collect();
+        let linear = ViolinSummary::build(&sample, false, 1.0, 80);
+        assert_eq!(linear.mode, Kde::new(sample.clone()).mode(80));
+        let log = ViolinSummary::build(&sample, true, 1.0, 80);
+        let logs: Vec<f64> = sample.iter().map(|x| x.log10()).collect();
+        assert_eq!(log.mode, 10f64.powf(Kde::new(logs).mode(80)));
     }
 
     #[test]
