@@ -54,12 +54,12 @@ use lumos_core::Timestamp;
 /// `(end estimate, units handed back at it)`.
 type Point = (Timestamp, u64);
 
-/// Entries a chunk — of the ledger's keys or of a profile's breakpoints —
-/// settles at; a chunk splits in two when it reaches twice this. Small
-/// enough that an insert or a walk inside one chunk stays within two
-/// kilobytes, large enough that thousands of running jobs are a
-/// hundred-odd chunk headers.
-const CHUNK_KEYS: usize = 64;
+/// Entries a chunk — of the ledger's keys, of a profile's breakpoints or
+/// of a partition's waiting queue — settles at; a chunk splits in two when
+/// it reaches twice this. Small enough that an insert or a walk inside one
+/// chunk stays within three kilobytes, large enough that thousands of
+/// running or waiting jobs are a hundred-odd chunk headers.
+pub(crate) const CHUNK_KEYS: usize = 64;
 
 /// Where a span's breakpoints are stored.
 #[derive(Debug, Clone)]

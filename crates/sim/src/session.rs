@@ -22,7 +22,7 @@ use lumos_core::{CoreError, Duration, Job, Result, SystemSpec, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use crate::backfill::Backfill;
-use crate::cluster::{Cluster, Waiter};
+use crate::cluster::{Cluster, Cursor, WaitQueue, Waiter};
 use crate::metrics::{SimMetrics, UtilizationTimeline};
 #[cfg(test)]
 use crate::profile::flat::FlatProfile;
@@ -413,6 +413,9 @@ pub struct SimSession {
     /// Scratch list for conservative backfill: the jobs one pass plans to
     /// start now, in queue order. Dead between passes, like the plan.
     scratch_starts: Vec<usize>,
+    /// Scratch list a fair-share re-sort orders a queue in before writing
+    /// it back. Dead between re-sorts.
+    fair_scratch: Vec<Waiter>,
     /// Event log since the last `drain_events` (off for batch replay,
     /// where nobody drains and the log would only cost memory).
     pub(crate) record_events: bool,
@@ -467,6 +470,7 @@ impl SimSession {
             staged_parts: Vec::new(),
             plan_scratch: CapacityProfile::new(0, 0),
             scratch_starts: Vec::new(),
+            fair_scratch: Vec::new(),
             record_events: true,
             allow_duplicate_ids: false,
             events: Vec::new(),
@@ -536,7 +540,7 @@ impl SimSession {
         };
         let p = self.cluster.partition(part);
         let eff = job.procs.min(p.capacity);
-        !(p.waiting.is_empty() && p.free >= staged + eff)
+        !(p.waiting().is_empty() && p.free >= staged + eff)
     }
 
     /// [`SimSession::submit`] for a round of commands that share one
@@ -735,8 +739,8 @@ impl SimSession {
             }
             JobState::Waiting => {
                 let part = self.part_of[idx];
-                let pos = self.queue_position(part, idx);
-                self.cluster.partition_mut(part).waiting.remove(pos);
+                let at = self.queue_position(part, idx);
+                self.cluster.partition_mut(part).waiting_mut().remove(at);
                 // The queue shrank mid-timeline; the head (and backfill
                 // candidates) may now be startable without waiting for the
                 // next arrival or completion.
@@ -925,12 +929,13 @@ impl SimSession {
     #[must_use]
     pub fn save_delta(&self) -> Option<(u64, StateDelta)> {
         let mark = self.mark.as_ref()?;
-        let parts = 0..self.cluster.partition_count();
-        let waiting = parts.flat_map(|p| self.cluster.partition(p).waiting.iter().map(|w| w.idx));
         let running = self.finish_heap.iter().map(|&Reverse((_, idx))| idx);
         let mut rows = mark.sealed.clone();
         rows.extend(self.pending.iter().copied());
-        rows.extend(waiting);
+        for part in 0..self.cluster.partition_count() {
+            let waiting = self.cluster.partition(part).waiting();
+            rows.extend(waiting.chunks().flatten().map(|w| w.idx));
+        }
         rows.extend(running);
         rows.sort_unstable();
         let delta = StateDelta {
@@ -996,7 +1001,7 @@ impl SimSession {
             )));
         }
         let mut pending: Vec<usize> = Vec::new();
-        let mut waiting: Vec<Vec<usize>> = vec![Vec::new(); parts];
+        let mut waiting: Vec<usize> = Vec::new();
         for (idx, job) in jobs.iter().enumerate() {
             let part = s.cluster.route(job.virtual_cluster, job.procs);
             let cap = s.cluster.partition(part).capacity;
@@ -1016,7 +1021,7 @@ impl SimSession {
                     if states[idx] == JobState::Pending {
                         pending.push(idx);
                     } else {
-                        waiting[part].push(idx);
+                        waiting.push(idx);
                     }
                 }
                 JobState::Running | JobState::Finished => {
@@ -1065,14 +1070,10 @@ impl SimSession {
         };
         pending.sort_unstable_by_key(|&i| (s.jobs[i].submit, s.jobs[i].id));
         s.pending = pending.into();
-        for (part, mut queue) in waiting.into_iter().enumerate() {
-            queue.sort_unstable_by(|&a, &b| {
-                s.queue_key(a)
-                    .partial_cmp(&s.queue_key(b))
-                    .expect("policy keys are finite")
-            });
-            let queue = queue.into_iter().map(|idx| s.waiter(idx)).collect();
-            s.cluster.partition_mut(part).waiting = queue;
+        // Queue order is not stored: each job goes back where its static
+        // key puts it.
+        for idx in waiting {
+            s.enqueue(s.part_of[idx], idx);
         }
         s.violations = violations;
         s.timeline = timeline;
@@ -1128,14 +1129,36 @@ impl SimSession {
     /// scheduling pass at the current instant would view it, is
     /// point-for-point identical to a profile rebuilt from scratch from
     /// the running jobs in the session's tables — and that the ledger's
-    /// unit accounting agrees with the partition's. Test hook for the
-    /// differential property suite; panics with context on divergence.
+    /// unit accounting agrees with the partition's. Also checks each
+    /// partition's waiting queue: sound in itself
+    /// ([`WaitQueue::assert_sound`]), holding exactly the partition's
+    /// waiting jobs, and in static-key order unless the ordering is
+    /// fair-share over a tenant table. Test hook for the differential
+    /// property suite; panics with context on divergence.
     #[doc(hidden)]
     pub fn assert_profiles_match_rebuild(&self) {
         let now = self.clock;
         let mut scratch = CapacityProfile::new(0, 0);
+        let resorted = self.config.policy.is_fair_share() && self.tenants.is_some();
         for part in 0..self.cluster.partition_count() {
             let p = self.cluster.partition(part);
+            p.waiting().assert_sound();
+            let mut queued: Vec<usize> = p.waiting().chunks().flatten().map(|w| w.idx).collect();
+            assert!(
+                resorted
+                    || queued
+                        .windows(2)
+                        .all(|w| self.queue_key(w[0]) <= self.queue_key(w[1])),
+                "partition {part}: queue out of static-key order at t={now}"
+            );
+            queued.sort_unstable();
+            let waiting: Vec<usize> = (0..self.jobs.len())
+                .filter(|&i| self.state[i] == JobState::Waiting && self.part_of[i] == part)
+                .collect();
+            assert_eq!(
+                queued, waiting,
+                "partition {part}: queue does not hold the waiting jobs at t={now}"
+            );
             let mut ledger = p.ledger().clone();
             ledger.prune_to(now);
             assert_eq!(
@@ -1268,29 +1291,37 @@ impl SimSession {
         }
     }
 
-    /// Inserts `idx` into its partition's priority-sorted waiting list.
+    /// Inserts `idx` into its partition's waiting queue, behind every job
+    /// whose static key is at or before its own.
+    ///
+    /// Under fair-share ordering over a tenant table the queue is *not*
+    /// in static-key order when this runs — [`SimSession::fair_resort`]
+    /// left it ordered by tenant share — so the search lands anywhere.
+    /// That is unobservable: the re-sort imposes the total order
+    /// `(share, key, submit, id, index)` again before anything reads the
+    /// queue, and a total order does not care where the entries stood.
     fn enqueue(&mut self, part: usize, idx: usize) {
         let key = self.queue_key(idx);
-        let waiting = &self.cluster.partition(part).waiting;
-        let pos = waiting.partition_point(|w| self.queue_key(w.idx) <= key);
         let waiter = self.waiter(idx);
-        self.cluster.partition_mut(part).waiting.insert(pos, waiter);
+        let (jobs, key_of) = (&self.jobs, &self.key_of);
+        self.cluster
+            .partition_mut(part)
+            .waiting_mut()
+            .insert_by(waiter, |w| {
+                (key_of[w.idx], jobs[w.idx].submit, jobs[w.idx].id) <= key
+            });
     }
 
-    /// Position of waiting job `idx` in its partition's queue: a binary
-    /// search on the static order. That order does not hold after a
-    /// fair-share re-sort (nor between two live jobs sharing an id, which
-    /// batch replay allows), so a miss falls back to a linear scan.
-    fn queue_position(&self, part: usize, idx: usize) -> usize {
+    /// Where waiting job `idx` stands in its partition's queue: a search
+    /// on the static order. That order does not hold after a fair-share
+    /// re-sort (nor between two live jobs sharing an id, which batch
+    /// replay allows), so the queue falls back to a scan on a miss.
+    fn queue_position(&self, part: usize, idx: usize) -> Cursor {
         let key = self.queue_key(idx);
-        let waiting = &self.cluster.partition(part).waiting;
-        let pos = waiting.partition_point(|w| self.queue_key(w.idx) < key);
-        if waiting.get(pos).is_some_and(|w| w.idx == idx) {
-            return pos;
-        }
-        waiting
-            .iter()
-            .position(|w| w.idx == idx)
+        self.cluster
+            .partition(part)
+            .waiting()
+            .find(idx, |w| self.queue_key(w.idx) < key)
             .expect("waiting job is in its partition queue")
     }
 
@@ -1344,6 +1375,9 @@ impl SimSession {
             // the order the queue is already in.
             return;
         };
+        if self.cluster.partition(part).waiting().len() <= 1 {
+            return;
+        }
         let shares = ts.shares(
             self.cluster.total_capacity(),
             self.config.policy.is_weighted(),
@@ -1351,8 +1385,8 @@ impl SimSession {
         let jobs = &self.jobs;
         let key_of = &self.key_of;
         let tenant_of = &ts.tenant_of;
-        let waiting = &mut self.cluster.partition_mut(part).waiting;
-        waiting.sort_unstable_by(|&Waiter { idx: a, .. }, &Waiter { idx: b, .. }| {
+        let waiting = self.cluster.partition_mut(part).waiting_mut();
+        let by_share = |&Waiter { idx: a, .. }: &Waiter, &Waiter { idx: b, .. }: &Waiter| {
             let ka = (
                 shares[usize::from(tenant_of[a])],
                 key_of[a],
@@ -1368,7 +1402,8 @@ impl SimSession {
                 b,
             );
             ka.partial_cmp(&kb).expect("shares and keys are finite")
-        });
+        };
+        waiting.sort_unstable_by(&mut self.fair_scratch, by_share);
     }
 
     /// Starts jobs from the head of the queue while the head fits,
@@ -1377,10 +1412,10 @@ impl SimSession {
     fn start_head_while_fits(&mut self, part: usize, now: Timestamp) {
         loop {
             self.fair_resort(part);
-            let p = self.cluster.partition(part);
-            match p.waiting.first() {
+            let p = self.cluster.partition_mut(part);
+            match p.waiting().first() {
                 Some(&head) if head.procs <= p.free => {
-                    self.cluster.partition_mut(part).waiting.remove(0);
+                    p.waiting_mut().pop_front();
                     self.start(part, head.idx, now);
                 }
                 _ => break,
@@ -1396,7 +1431,7 @@ impl SimSession {
         self.cluster.partition_mut(part).prune_to(now);
         // Start from the head while it fits.
         self.start_head_while_fits(part, now);
-        let qlen = self.cluster.partition(part).waiting.len();
+        let qlen = self.cluster.partition(part).waiting().len();
         if qlen == 0 {
             return;
         }
@@ -1431,7 +1466,7 @@ impl SimSession {
     /// promise, allowance)`. Issues the head's promise when it has none.
     fn easy_reservation(&mut self, part: usize) -> (Timestamp, u64, Timestamp, i64) {
         let p = self.cluster.partition(part);
-        let head = p.waiting[0];
+        let head = *p.waiting().first().expect("a backfill pass has a head");
         // Shadow time and the units free at it, straight off the release
         // ledger (`schedule` pruned it to `now`): a prefix-sum search, no
         // profile built.
@@ -1446,7 +1481,7 @@ impl SimSession {
         let promise = *self.promised[head.idx].get_or_insert(shadow);
         let allowance = self.config.relax.allowance(
             promise - self.jobs[head.idx].submit,
-            p.waiting.len(),
+            p.waiting().len(),
             self.max_queue[part],
         );
         (shadow, extra, promise, allowance)
@@ -1459,8 +1494,12 @@ impl SimSession {
     /// the head's reservation leaves over) or `in_allowance` (ends within
     /// the relaxation budget past the head's promise). The first and the
     /// last are one comparison against `horizon`, so the search for the
-    /// next startable candidate is a sequential scan over the inline
-    /// `(procs, wall)` of the queue.
+    /// next startable candidate is one test on the inline `(procs, wall)`
+    /// of each entry — and [`WaitQueue::find_from`] runs it only inside
+    /// the chunks whose smallest request and smallest walltime do not
+    /// already fail it: in a standing queue thousands deep, where most
+    /// chunks hold nothing that both fits the free units and ends by the
+    /// horizon, a scan reads a header per chunk and a few chunks' entries.
     ///
     /// The scan repeats only after a start that was *neither* harmless
     /// *nor* in the extra units — an allowance-only start, the one kind
@@ -1488,19 +1527,15 @@ impl SimSession {
             let mut extra_remaining = extra;
             let mut started_any = false;
             let mut moved_shadow = false;
-            let mut i = 1usize;
+            let mut at = WaitQueue::BEHIND_HEAD;
             loop {
-                let p = self.cluster.partition(part);
-                let free = p.free;
-                let spare = free.min(extra_remaining);
-                let Some(offset) = p.waiting[i..]
-                    .iter()
-                    .position(|w| w.procs <= free && (w.wall <= horizon - now || w.procs <= spare))
-                else {
+                let p = self.cluster.partition_mut(part);
+                let spare = p.free.min(extra_remaining);
+                let Some(found) = p.waiting().find_from(at, p.free, spare, horizon - now) else {
                     break;
                 };
-                i += offset; // after the removal, `i` is the next candidate
-                let cand = self.cluster.partition_mut(part).waiting.remove(i);
+                at = found; // after the removal, `at` is the next candidate
+                let cand = p.waiting_mut().remove(at);
                 let harmless = cand.wall <= shadow - now;
                 if !harmless {
                     if cand.procs <= extra_remaining {
@@ -1518,7 +1553,7 @@ impl SimSession {
             // Free capacity changed; under fair-share so did the shares —
             // re-run the head loop.
             self.start_head_while_fits(part, now);
-            if self.cluster.partition(part).waiting.is_empty() {
+            if self.cluster.partition(part).waiting().is_empty() {
                 break;
             }
         }
@@ -1537,7 +1572,7 @@ impl SimSession {
             let p = self.cluster.partition(part);
             let mut profile = FlatProfile::new(0, 0);
             p.ledger().fill(&mut profile);
-            let need = p.waiting[0].procs;
+            let need = p.waiting().first().expect("a head").procs;
             assert_eq!(profile.earliest_forever(now, need), Some(shadow));
             assert_eq!(profile.free_at(shadow) - need, extra);
             let mut extra_remaining = extra;
@@ -1545,10 +1580,9 @@ impl SimSession {
             let mut i = 1usize;
             loop {
                 let p = self.cluster.partition(part);
-                if i >= p.waiting.len() {
+                let Some((at, cand)) = p.waiting().nth(i) else {
                     break;
-                }
-                let cand = p.waiting[i];
+                };
                 if cand.procs <= p.free {
                     let end = now + cand.wall;
                     let harmless = end <= shadow;
@@ -1558,7 +1592,7 @@ impl SimSession {
                         if !harmless && in_extra {
                             extra_remaining -= cand.procs;
                         }
-                        self.cluster.partition_mut(part).waiting.remove(i);
+                        self.cluster.partition_mut(part).waiting_mut().remove(at);
                         self.start(part, cand.idx, now);
                         started_any = true;
                         continue; // same i now points at the next candidate
@@ -1570,7 +1604,7 @@ impl SimSession {
                 break;
             }
             self.start_head_while_fits(part, now);
-            if self.cluster.partition(part).waiting.is_empty() {
+            if self.cluster.partition(part).waiting().is_empty() {
                 break;
             }
         }
@@ -1587,16 +1621,20 @@ impl SimSession {
         to_start.clear();
         let p = self.cluster.partition(part);
         let mut plan = p.ledger().plan(&mut self.plan_scratch);
-        for w in &p.waiting {
-            let s = plan
-                .earliest_fit(now, w.procs, w.wall)
-                .expect("procs_eff ≤ partition capacity");
-            plan.reserve(s, s + w.wall, w.procs);
-            if self.promised[w.idx].is_none() {
-                self.promised[w.idx] = Some(s);
-            }
-            if s == now {
-                to_start.push(w.idx);
+        // Chunk slice by chunk slice in a plain nested loop: a flattening
+        // iterator in this loop measured slower.
+        for chunk in p.waiting().chunks() {
+            for w in chunk {
+                let s = plan
+                    .earliest_fit(now, w.procs, w.wall)
+                    .expect("procs_eff ≤ partition capacity");
+                plan.reserve(s, s + w.wall, w.procs);
+                if self.promised[w.idx].is_none() {
+                    self.promised[w.idx] = Some(s);
+                }
+                if s == now {
+                    to_start.push(w.idx);
+                }
             }
         }
         drop(plan);
@@ -1614,7 +1652,7 @@ impl SimSession {
         let p = self.cluster.partition(part);
         let mut profile = FlatProfile::new(0, 0);
         p.ledger().fill(&mut profile);
-        for w in &p.waiting {
+        for w in p.waiting().chunks().flatten() {
             let s = profile
                 .earliest_fit(now, w.procs, w.wall)
                 .expect("procs_eff ≤ partition capacity");
@@ -1636,7 +1674,7 @@ impl SimSession {
         if !to_start.is_empty() {
             // One merge-walk compacts the queue however many jobs start.
             let mut planned = to_start.iter().peekable();
-            self.cluster.partition_mut(part).waiting.retain(|w| {
+            self.cluster.partition_mut(part).waiting_mut().retain(|w| {
                 let starts = planned.peek().is_some_and(|&&idx| idx == w.idx);
                 if starts {
                     planned.next();
@@ -2105,14 +2143,15 @@ mod tests {
     /// saved states to agree after every event. With `cancel_every`
     /// non-zero, every that-many-th event is followed by the cancellation
     /// of the job at the back of the first non-empty queue. Returns the
-    /// deepest queue seen on each partition.
+    /// deepest queue seen on each partition and the most chunks any one
+    /// queue was cut into.
     fn assert_matches_reference(
         system: &SystemSpec,
         config: SimConfig,
         tenants: Option<&str>,
         jobs: &[Job],
         cancel_every: usize,
-    ) -> Vec<usize> {
+    ) -> (Vec<usize>, usize) {
         let build = |reference: bool| {
             let mut s = match tenants {
                 Some(t) => {
@@ -2134,6 +2173,7 @@ mod tests {
         };
         let (mut fast, mut reference) = (build(false), build(true));
         let mut events = 0;
+        let mut most_chunks = 0;
         while let Some(t) = reference.next_event_time() {
             assert_eq!(fast.next_event_time(), Some(t));
             fast.advance_to(t);
@@ -2142,8 +2182,8 @@ mod tests {
             if cancel_every > 0 && events % cancel_every == 0 {
                 let parts = 0..reference.cluster.partition_count();
                 let back = parts
-                    .filter_map(|p| reference.cluster.partition(p).waiting.last())
-                    .map(|w| reference.jobs[w.idx].id)
+                    .filter_map(|p| reference.cluster.partition(p).waiting().chunks().last())
+                    .map(|chunk| reference.jobs[chunk[chunk.len() - 1].idx].id)
                     .next();
                 if let Some(id) = back {
                     assert!(reference.cancel(id) && fast.cancel(id));
@@ -2155,10 +2195,13 @@ mod tests {
                 "diverged at t={t} under {config:?}"
             );
             fast.assert_profiles_match_rebuild();
+            let parts = 0..fast.cluster.partition_count();
+            let chunks = parts.map(|p| fast.cluster.partition(p).waiting().chunks().count());
+            most_chunks = most_chunks.max(chunks.max().unwrap_or(0));
         }
         assert_eq!(fast.next_event_time(), None);
         assert_eq!(fast.max_queue, reference.max_queue);
-        fast.max_queue
+        (fast.max_queue, most_chunks)
     }
 
     #[test]
@@ -2181,10 +2224,11 @@ mod tests {
                     ..SimConfig::default()
                 };
                 let jobs = contended_jobs(seed as u64 + 1, 700);
-                let deepest = assert_matches_reference(&sixty_four(), config, tenants, &jobs, 0);
+                let (deepest, chunks) =
+                    assert_matches_reference(&sixty_four(), config, tenants, &jobs, 0);
                 assert!(
-                    deepest[0] >= 300,
-                    "queue only {deepest:?} deep under {config:?}"
+                    deepest[0] >= 300 && chunks >= 5,
+                    "queue only {deepest:?} deep in {chunks} chunks under {config:?}"
                 );
             }
         }
@@ -2208,11 +2252,11 @@ mod tests {
             // One job in six overruns its walltime (`contended_jobs`).
             let jobs = contended_jobs(seed as u64 + 11, 700);
             for cancel_every in [0, 5] {
-                let deepest =
+                let (deepest, chunks) =
                     assert_matches_reference(&sixty_four(), config, tenants, &jobs, cancel_every);
                 assert!(
-                    deepest[0] >= 300,
-                    "queue only {deepest:?} deep under {config:?}"
+                    deepest[0] >= 300 && chunks >= 5,
+                    "queue only {deepest:?} deep in {chunks} chunks under {config:?}"
                 );
             }
         }
@@ -2237,12 +2281,56 @@ mod tests {
                 backfill: Backfill::Conservative,
                 ..SimConfig::default()
             };
-            let deepest = assert_matches_reference(&system, config, None, &jobs, 7);
+            let (deepest, _) = assert_matches_reference(&system, config, None, &jobs, 7);
             assert!(
                 deepest.len() == 4 && deepest.iter().all(|&q| q >= 20),
                 "queues {deepest:?} under {config:?}"
             );
         }
+    }
+
+    #[test]
+    fn cancel_after_a_fair_resort_finds_the_job_wherever_it_stands() {
+        // Max-min over three tenants leaves the queue ordered by share,
+        // several chunks deep; `cancel` looks a job up by its static key
+        // all the same. A copy restored from the saved state — its queue
+        // rebuilt in static-key order — is the witness: the same cancels
+        // succeed on both and both go on to the same schedule.
+        let config = SimConfig {
+            policy: Policy::MaxMinFair,
+            ..SimConfig::default()
+        };
+        let jobs = contended_jobs(31, 700);
+        let table = TenantTable::parse("a 1\nb 1\nc 1\n").unwrap();
+        let mut live = SimSession::new_with_tenants(&sixty_four(), config, table);
+        for j in &jobs {
+            live.submit(Submission {
+                job: j.clone(),
+                tenant: Some((j.user % 3) as TenantId),
+                walltime: None,
+            })
+            .unwrap();
+        }
+        live.advance_to(jobs[500].submit);
+        let queue = live.cluster.partition(0).waiting();
+        let queued: Vec<usize> = queue.chunks().flatten().map(|w| w.idx).collect();
+        assert!(queue.chunks().count() >= 3, "{} jobs queued", queued.len());
+        assert!(
+            queued
+                .windows(2)
+                .any(|w| live.queue_key(w[0]) > live.queue_key(w[1])),
+            "the re-sort left the queue in static-key order"
+        );
+        let mut restored = SimSession::restore(&sixty_four(), live.save_state()).unwrap();
+        for &idx in queued.iter().skip(1).step_by(7) {
+            let id = jobs[idx].id;
+            assert!(live.cancel(id) && restored.cancel(id), "job {id}");
+            live.assert_profiles_match_rebuild();
+            assert_eq!(live.save_state(), restored.save_state(), "after job {id}");
+        }
+        live.advance_to_completion();
+        restored.advance_to_completion();
+        assert_eq!(live.save_state(), restored.save_state());
     }
 
     #[test]

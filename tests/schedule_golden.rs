@@ -10,7 +10,10 @@
 //! changed a scheduling decision, not only its cost.
 
 use lumos_core::{SystemId, Trace};
-use lumos_sim::{simulate, Backfill, Policy, Relax, SimConfig};
+use lumos_sim::{
+    simulate, Backfill, Policy, Relax, SimConfig, SimResult, SimSession, Submission, TenantId,
+    TenantTable,
+};
 use lumos_traces::{systems, Generator, GeneratorConfig};
 
 /// Blue Waters jobs replayed under conservative backfilling: the whole
@@ -49,8 +52,7 @@ fn disciplines() -> [(&'static str, Backfill, Relax); 4] {
 
 /// FNV-1a over every `(id, wait)` in result order, then the two
 /// observables a schedule-preserving bug could still move.
-fn fingerprint(trace: &Trace, config: &SimConfig) -> (u64, usize, usize) {
-    let result = simulate(trace, config);
+fn fingerprint(trace: &Trace, result: &SimResult) -> (u64, usize, usize) {
     assert_eq!(result.jobs.len(), trace.len());
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for job in &result.jobs {
@@ -103,7 +105,7 @@ fn check(
                     relax,
                     ..SimConfig::default()
                 };
-                let (digest, violated, max_queue) = fingerprint(trace, &config);
+                let (digest, violated, max_queue) = fingerprint(trace, &simulate(trace, &config));
                 actual.push((
                     format!("{label}/{}", policy.name()),
                     digest,
@@ -113,6 +115,14 @@ fn check(
             }
         }
     }
+    assert_pinned(system, actual, golden);
+}
+
+fn assert_pinned(
+    system: SystemId,
+    actual: Vec<(String, u64, usize, usize)>,
+    golden: &[(&str, u64, usize, usize)],
+) {
     let expected: Vec<_> = golden
         .iter()
         .map(|&(label, d, v, q)| (label.to_string(), d, v, q))
@@ -121,6 +131,50 @@ fn check(
         actual, expected,
         "{system:?} schedules moved (left: this build, right: pinned)"
     );
+}
+
+/// Three tenants of unequal weight; jobs are dealt to them by user.
+const TENANTS: &str = "astro 1\nbio 2\nclimate 3\n";
+
+/// The fair-share orderings over a tenant table: the queue is re-sorted
+/// by live tenant share before every head decision, so it is the one
+/// ordering under which the queue is not in static-key order. Driven
+/// through a session, since `simulate()` has no tenants. These rows were
+/// recorded at the commit *before* the waiting queue was cut into chunks.
+fn check_fair_share(system: SystemId, trace: &Trace, golden: &[(&str, u64, usize, usize)]) {
+    let mut actual = Vec::new();
+    for (name, backfill, relax) in disciplines() {
+        if matches!(relax, Relax::Fixed { .. }) {
+            continue;
+        }
+        for policy in [Policy::MaxMinFair, Policy::WeightedFair] {
+            let config = SimConfig {
+                policy,
+                backfill,
+                relax,
+                ..SimConfig::default()
+            };
+            let table = TenantTable::parse(TENANTS).expect("valid table");
+            let mut session = SimSession::new_with_tenants(&trace.system, config, table);
+            for job in trace.jobs() {
+                session
+                    .submit(Submission {
+                        job: job.clone(),
+                        tenant: Some((job.user % 3) as TenantId),
+                        walltime: None,
+                    })
+                    .expect("trace jobs are valid and their ids unique");
+            }
+            let (digest, violated, max_queue) = fingerprint(trace, &session.into_result());
+            actual.push((
+                format!("{name}/{}", policy.name()),
+                digest,
+                violated,
+                max_queue,
+            ));
+        }
+    }
+    assert_pinned(system, actual, golden);
 }
 
 #[test]
@@ -179,6 +233,44 @@ fn philly_two_days_schedules_are_pinned() {
             ("easy-fixed/SJF", 14_680_315_797_083_641_531, 26, 92),
             ("conservative/FCFS", 10_741_467_860_671_839_948, 0, 121),
             ("conservative/SJF", 4_307_442_710_982_604_845, 245, 57),
+        ],
+    );
+}
+
+#[test]
+fn philly_two_days_fair_share_schedules_are_pinned() {
+    check_fair_share(
+        SystemId::Philly,
+        &generate(SystemId::Philly, 2),
+        &[
+            ("easy-strict/MaxMin", 8_283_997_182_828_108_848, 22, 208),
+            ("easy-strict/WFair", 15_788_581_230_197_643_624, 21, 170),
+            ("easy-adaptive/MaxMin", 1_399_039_447_813_681_560, 26, 208),
+            ("easy-adaptive/WFair", 3_363_584_251_889_934_857, 25, 170),
+            ("conservative/MaxMin", 9_828_432_523_961_725_087, 800, 235),
+            ("conservative/WFair", 894_267_747_118_420_982, 651, 175),
+        ],
+    );
+}
+
+/// The first 17 000 Blue Waters jobs: past the onset of queueing, so the
+/// fair re-sort runs over a queue hundreds deep — several chunks — while
+/// a debug build still replays all six rows in seconds.
+#[test]
+fn blue_waters_prefix_fair_share_schedules_are_pinned() {
+    let full = generate(SystemId::BlueWaters, 1);
+    let prefix =
+        Trace::new(full.system.clone(), full.jobs()[..17_000].to_vec()).expect("non-empty");
+    check_fair_share(
+        SystemId::BlueWaters,
+        &prefix,
+        &[
+            ("easy-strict/MaxMin", 16_317_423_885_477_303_006, 9, 183),
+            ("easy-strict/WFair", 7_612_468_670_042_428_531, 6, 233),
+            ("easy-adaptive/MaxMin", 3_932_998_779_094_999_262, 7, 173),
+            ("easy-adaptive/WFair", 12_571_466_337_379_188_304, 6, 228),
+            ("conservative/MaxMin", 3_549_904_229_992_526_345, 97, 436),
+            ("conservative/WFair", 9_755_893_243_035_026_838, 112, 623),
         ],
     );
 }
