@@ -162,8 +162,11 @@ pub enum JournalRecord {
 
 // ---- CRC-32 (IEEE 802.3, reflected) --------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `[0]` is the classic byte table, and `[k][b]` is
+/// the CRC register after byte `b` followed by `k` zero bytes, so eight
+/// input bytes fold into the register with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -176,20 +179,45 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// IEEE CRC-32 (the zlib/Ethernet polynomial) of `bytes`.
+/// IEEE CRC-32 (the zlib/Ethernet polynomial) of `bytes`, eight bytes per
+/// step.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -211,13 +239,31 @@ pub fn encode_record(record: &JournalRecord) -> String {
 ///
 /// The record streams straight into `out` (no intermediate `Value` tree
 /// or per-record `String`); the `<len> <crc>` prefix is computed over
-/// the emitted bytes and spliced in front of them afterwards.
+/// the emitted bytes, laid out in a stack buffer and spliced in front of
+/// them afterwards.
 pub fn encode_record_into(record: &JournalRecord, out: &mut String) {
     let start = out.len();
     serde_json::to_string_into(record, out);
     let json = &out.as_bytes()[start..];
-    let prefix = format!("{} {:08x} ", json.len(), crc32(json));
-    out.insert_str(start, &prefix);
+    let (mut len, crc) = (json.len(), crc32(json));
+    // Back to front: "<decimal len> <8 hex digits> ", at most 20 + 10.
+    let mut prefix = [b' '; 30];
+    let mut at = prefix.len() - 1;
+    for nibble in 0..8 {
+        at -= 1;
+        prefix[at] = b"0123456789abcdef"[((crc >> (4 * nibble)) & 0xF) as usize];
+    }
+    at -= 1;
+    loop {
+        at -= 1;
+        prefix[at] = b'0' + (len % 10) as u8;
+        len /= 10;
+        if len == 0 {
+            break;
+        }
+    }
+    let prefix = std::str::from_utf8(&prefix[at..]).expect("digits and spaces are ASCII");
+    out.insert_str(start, prefix);
     out.push('\n');
 }
 
@@ -377,8 +423,9 @@ pub struct Journal {
     records_in_segment: u64,
     segment_bytes: u64,
     last_sync: Instant,
-    /// Reused frame-encoding buffer: batch appends encode every frame into
-    /// it and issue one `write_all`, so the steady state allocates nothing
+    /// Reused frame buffer: a batch append encodes every frame into it, a
+    /// mirrored line is copied into it with its newline, and either way
+    /// one `write_all` follows, so the steady state allocates nothing
     /// beyond each record's JSON serialization.
     scratch: String,
 }
@@ -492,10 +539,14 @@ impl Journal {
     /// [`Journal::append`]: an unpersisted frame must never be
     /// acknowledged back to the primary.
     pub fn append_raw_line(&mut self, frame: &str) -> io::Result<()> {
-        self.file.write_all(frame.as_bytes())?;
-        self.file.write_all(b"\n")?;
+        // One write for frame and newline: the file is unbuffered, and a
+        // segment must never end in a whole frame that lacks its newline.
+        self.scratch.clear();
+        self.scratch.push_str(frame);
+        self.scratch.push('\n');
+        self.file.write_all(self.scratch.as_bytes())?;
         self.records_in_segment += 1;
-        self.segment_bytes += frame.len() as u64 + 1;
+        self.segment_bytes += self.scratch.len() as u64;
         self.apply_fsync_policy()
     }
 
@@ -588,6 +639,194 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// One table entry per byte: the oracle the sliced loop is held to.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// Every remainder of the eight-byte step, behind every alignment of
+    /// the slice's first byte.
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_loop_at_every_length_and_offset() {
+        let mut rng = lumos_stats::Rng::new(0xC2C);
+        let buf: Vec<u8> = (0..208).map(|_| (rng.next_f64() * 256.0) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=200 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+    }
+
+    fn golden_spec(tenant: Option<&str>, virtual_cluster: Option<u16>) -> SubmitSpec {
+        SubmitSpec {
+            id: 77,
+            procs: 16,
+            runtime: 3_600,
+            walltime: Some(7_200),
+            user: Some(5),
+            submit: Some(120),
+            virtual_cluster,
+            tenant: tenant.map(str::to_owned),
+        }
+    }
+
+    fn golden_config(predictor: Option<PredictorConfig>, tenants: Option<&str>) -> JournalRecord {
+        let mut system = SystemSpec::theta();
+        system.name = "golden".into();
+        JournalRecord::Config {
+            system,
+            sim: SimConfig::default(),
+            predictor,
+            tenants: tenants.map(|t| TenantTable::parse(t).expect("tenant table")),
+        }
+    }
+
+    /// A header over twenty tenants: a frame with a four-digit length.
+    fn golden_wide_config() -> JournalRecord {
+        let many: String = (0..20)
+            .map(|i| format!("team-{i} {}\n", 1 + i % 3))
+            .collect();
+        golden_config(None, Some(&many))
+    }
+
+    /// The literal frames the commit before the sliced CRC and the
+    /// stack-built prefix wrote for one record of each kind.
+    #[test]
+    fn frames_are_the_bytes_the_format_prefix_wrote() {
+        let system = r#"{"id":"Theta","name":"golden","kind":"ClassicHpc","resource":"CpuCores","total_nodes":4392,"units_per_node":64,"total_units":281088,"virtual_clusters":1,"tz_offset":-21600}"#;
+        let sim = r#"{"policy":"Fcfs","backfill":"Easy","relax":"Strict","bsld_bound":10,"respect_virtual_clusters":true,"record_timeline":true}"#;
+        let tenants = r#"{"tenants":[{"name":"capped","weight":1,"quota":6},{"name":"free","weight":2,"quota":null},{"name":"default","weight":1,"quota":null}]}"#;
+        let golden = [
+            (
+                golden_config(None, None),
+                format!(
+                    "356 3311297c {{\"Config\":{{\"system\":{system},\"sim\":{sim},\"predictor\":null,\"tenants\":null}}}}\n"
+                ),
+            ),
+            (
+                golden_config(
+                    Some(PredictorConfig::Last2 { margin: 1.5 }),
+                    Some("capped 1 6\nfree 2\n"),
+                ),
+                format!(
+                    "507 588aee11 {{\"Config\":{{\"system\":{system},\"sim\":{sim},\"predictor\":{{\"Last2\":{{\"margin\":1.5}}}},\"tenants\":{tenants}}}}}\n"
+                ),
+            ),
+            (
+                JournalRecord::Submit {
+                    now: 100,
+                    job: golden_spec(None, None),
+                },
+                concat!(
+                    r#"139 c2fc56be {"Submit":{"now":100,"job":{"id":77,"procs":16,"runtime":3600,"#,
+                    r#""walltime":7200,"user":5,"submit":120,"virtual_cluster":null,"tenant":null}}}"#,
+                    "\n"
+                )
+                .to_owned(),
+            ),
+            (
+                JournalRecord::Submit {
+                    now: 100,
+                    job: golden_spec(Some("capped"), Some(3)),
+                },
+                concat!(
+                    r#"140 9f99d732 {"Submit":{"now":100,"job":{"id":77,"procs":16,"runtime":3600,"#,
+                    r#""walltime":7200,"user":5,"submit":120,"virtual_cluster":3,"tenant":"capped"}}}"#,
+                    "\n"
+                )
+                .to_owned(),
+            ),
+            (
+                JournalRecord::Cancel { now: 42, id: 7 },
+                "28 4c343153 {\"Cancel\":{\"now\":42,\"id\":7}}\n".to_owned(),
+            ),
+            (
+                JournalRecord::Advance { to: 12_345 },
+                "24 c91b0e36 {\"Advance\":{\"to\":12345}}\n".to_owned(),
+            ),
+        ];
+        for (record, frame) in &golden {
+            assert_eq!(&encode_record(record), frame);
+            assert_eq!(&decode_line(frame.trim_end().as_bytes()).unwrap(), record);
+        }
+        assert!(encode_record(&golden_wide_config()).starts_with("1258 ebe7ffb8 {\"Config\":"));
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("lumos-journal-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn never_synced(dir: PathBuf) -> JournalConfig {
+        let mut config = JournalConfig::new(dir);
+        config.fsync = FsyncPolicy::Never;
+        config.snapshot_every = 0;
+        config
+    }
+
+    /// One frame, three ways: `encode_record`, `encode_record_into` behind
+    /// other frames in the buffer, and what `append_batch` leaves on disk
+    /// — for lengths of two, three and four digits. A follower fed those
+    /// frames line by line mirrors the segment byte for byte.
+    #[test]
+    fn buffer_batch_and_mirror_hold_the_same_frames() {
+        let records = [
+            JournalRecord::Advance { to: 12_345 },
+            golden_wide_config(),
+            JournalRecord::Submit {
+                now: 100,
+                job: golden_spec(Some("capped"), None),
+            },
+            record(7),
+        ];
+        let mut buffer = String::new();
+        let mut lines = String::new();
+        for record in &records {
+            encode_record_into(record, &mut buffer);
+            lines.push_str(&encode_record(record));
+        }
+        assert_eq!(buffer, lines);
+        let digits: Vec<usize> = lines
+            .lines()
+            .map(|line| line.find(' ').expect("a length prefix"))
+            .collect();
+        assert_eq!(digits, [2, 4, 3, 2]);
+
+        let primary_dir = temp_dir("primary");
+        let mut primary = Journal::open_segment(never_synced(primary_dir.clone()), 0, 0).unwrap();
+        primary.append_batch(&records[..3]).unwrap();
+        primary.append(&records[3]).unwrap();
+        let on_disk = std::fs::read(segment_path(&primary_dir, 0)).unwrap();
+        assert_eq!(on_disk, lines.as_bytes());
+        assert_eq!(primary.segment_bytes(), on_disk.len() as u64);
+
+        let follower_dir = temp_dir("follower");
+        let mut follower = Journal::open_segment(never_synced(follower_dir.clone()), 0, 0).unwrap();
+        for frame in lines.lines() {
+            assert!(decode_line(frame.as_bytes()).is_ok());
+            follower.append_raw_line(frame).unwrap();
+        }
+        let mirrored = std::fs::read(segment_path(&follower_dir, 0)).unwrap();
+        assert_eq!(mirrored, on_disk);
+        assert_eq!(follower.segment_bytes(), primary.segment_bytes());
+        assert_eq!(follower.records_in_segment(), primary.records_in_segment());
+        let read = read_segment(&segment_path(&follower_dir, 0)).unwrap();
+        assert_eq!(read.records, records);
+        assert_eq!(read.torn, None);
+        std::fs::remove_dir_all(&primary_dir).ok();
+        std::fs::remove_dir_all(&follower_dir).ok();
     }
 
     #[test]

@@ -132,34 +132,35 @@ impl LiveMetrics {
         }
     }
 
-    /// Absorbs drained session events; `session` resolves job lookups for
-    /// slowdown computation.
+    /// Absorbs drained session events; `session` — the one that recorded
+    /// them — supplies each job's columns by the row its event carries.
     pub fn absorb(&mut self, events: &[SimEvent], session: &SimSession) {
         for event in events {
-            match event {
-                SimEvent::Started { id, wait, .. } => {
-                    self.wait_quantiles.observe(*wait as f64);
-                    self.wait_summary.add(*wait as f64);
+            match *event {
+                SimEvent::Started { row, wait, .. } => {
+                    self.wait_quantiles.observe(wait as f64);
+                    self.wait_summary.add(wait as f64);
                     if let (Some(banks), Some(tenant)) =
-                        (self.tenant_waits.as_mut(), session.tenant_of(*id))
+                        (self.tenant_waits.as_mut(), session.tenant_at(row))
                     {
                         if let Some(tw) = banks.get_mut(usize::from(tenant)) {
-                            tw.wait_quantiles.observe(*wait as f64);
-                            tw.wait_summary.add(*wait as f64);
+                            tw.wait_quantiles.observe(wait as f64);
+                            tw.wait_summary.add(wait as f64);
                         }
                     }
                     if let Some(bsld) = session
-                        .job(*id)
+                        .job_at(row)
                         .and_then(|j| j.bounded_slowdown(self.bsld_bound))
                     {
                         self.bsld_summary.add(bsld);
                     }
                 }
-                SimEvent::Finished { id, .. } => {
+                SimEvent::Finished { row, .. } => {
                     // Score the walltime the scheduler actually planned
                     // with against the observed runtime — with a predictor
                     // enabled this is live prediction accuracy.
-                    if let (Some(job), Some(plan)) = (session.job(*id), session.plan_walltime(*id))
+                    if let (Some(job), Some(plan)) =
+                        (session.job_at(row), session.plan_walltime_at(row))
                     {
                         self.pred_scored += 1;
                         if plan < job.runtime {
@@ -168,7 +169,7 @@ impl LiveMetrics {
                         self.pred_abs_err.add((plan - job.runtime).abs() as f64);
                     }
                 }
-                _ => {}
+                SimEvent::Cancelled { .. } => {}
             }
         }
     }
@@ -273,15 +274,59 @@ mod tests {
         assert!(est.is_some());
     }
 
+    /// The session frees a finished job's id, and `by_id` keeps resolving
+    /// it to its first holder; events name the row, so the second holder
+    /// is scored with its own wait, runtime and planned walltime.
+    #[test]
+    fn a_reused_id_is_scored_as_the_job_that_ran() {
+        let mut spec = SystemSpec::theta();
+        spec.total_nodes = 100;
+        spec.units_per_node = 1;
+        spec.total_units = 100;
+        let mut session = SimSession::new(&spec, SimConfig::default());
+        let mut metrics = LiveMetrics::new(10);
+        let walled = |id, submit, runtime, walltime| Job {
+            walltime: Some(walltime),
+            ..Job::basic(id, 1, submit, runtime, 100)
+        };
+
+        // First holder of id 1: starts at once, estimate exact.
+        session.submit(walled(1, 0, 1_000, 1_000)).unwrap();
+        session.advance_to(1_000);
+        metrics.absorb(&session.drain_events(), &session);
+        // Second holder: waits 40 s behind job 2, runs twice its estimate.
+        session.submit(walled(2, 1_000, 50, 50)).unwrap();
+        session.submit(walled(1, 1_010, 20, 10)).unwrap();
+        session.advance_to(2_000);
+        metrics.absorb(&session.drain_events(), &session);
+        assert_eq!(session.job(1).map(|j| j.runtime), Some(1_000), "first wins");
+
+        let rows = 0..session.job_count();
+        let per_job: Vec<(f64, i64)> = rows
+            .map(|row| {
+                let job = session.job_at(row).unwrap();
+                let plan = session.plan_walltime_at(row).unwrap();
+                (job.bounded_slowdown(10).unwrap(), plan - job.runtime)
+            })
+            .collect();
+        assert_eq!(per_job, [(1.0, 0), (1.0, 0), (3.0, -10)]);
+        let stats = metrics.report(&session, 0, None, None);
+        assert!((stats.mean_bsld - 5.0 / 3.0).abs() < 1e-12, "{stats:?}");
+        assert_eq!(stats.prediction.jobs, 3);
+        assert!((stats.prediction.mean_abs_error - 10.0 / 3.0).abs() < 1e-12);
+        assert!((stats.prediction.underestimate_rate - 1.0 / 3.0).abs() < 1e-12);
+    }
+
     /// Feeds a deterministic wait sequence through the same `absorb` path
     /// the server uses (fabricated `Started` events against an empty
-    /// session — unknown ids simply skip the slowdown lookup).
+    /// session — rows past its table simply skip the slowdown lookup).
     fn absorb_waits(waits: &[f64]) -> LiveMetrics {
         let session = SimSession::new(&SystemSpec::theta(), SimConfig::default());
         let mut metrics = LiveMetrics::new(10);
         for (i, &w) in waits.iter().enumerate() {
             let events = [SimEvent::Started {
                 id: i as u64,
+                row: i,
                 time: 0,
                 wait: w as i64,
             }];

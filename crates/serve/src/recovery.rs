@@ -29,7 +29,9 @@ use std::path::Path;
 
 use lumos_core::{CoreError, Job, JobStatus, SystemSpec, Timestamp};
 use lumos_predict::{OnlinePredictor, Predictor, PredictorConfig};
-use lumos_sim::{SessionState, SimConfig, SimSession, StateDelta, Submission, TenantTable};
+use lumos_sim::{
+    SessionState, SimConfig, SimEvent, SimSession, StateDelta, Submission, TenantTable,
+};
 use serde::Deserialize;
 
 use crate::journal::{self, Journal, JournalConfig, JournalRecord};
@@ -152,6 +154,8 @@ pub(crate) struct Replica {
     /// mutation): the session still runs the CLI-provided configuration
     /// and a journaled `Config` header may adopt a different one.
     pub virgin: bool,
+    /// The buffer every flush drains the session's events into.
+    events: Vec<SimEvent>,
 }
 
 impl Replica {
@@ -185,6 +189,7 @@ impl Replica {
             metrics,
             predictor: predictor.map(Predictor::new),
             virgin: true,
+            events: Vec::new(),
         }
     }
 
@@ -234,8 +239,8 @@ impl Replica {
     /// into the metrics.
     pub fn flush(&mut self) {
         self.session.round_flush();
-        let events = self.session.drain_events();
-        self.metrics.absorb(&events, &self.session);
+        self.session.drain_events_into(&mut self.events);
+        self.metrics.absorb(&self.events, &self.session);
     }
 
     /// The one submit path: stages `spec` behind the deferred pass (the
@@ -399,6 +404,7 @@ impl Recovered {
             metrics: self.metrics,
             predictor: self.predictor,
             virgin: self.virgin,
+            events: Vec::new(),
         };
         (replica, self.journal)
     }
@@ -604,6 +610,7 @@ fn load_chain(dir: &Path, seq: u64) -> Result<Replica, BrokenChain> {
                 metrics,
                 predictor,
                 virgin: false,
+                events: Vec::new(),
             })
         }
         // Which link does not fit is not known: only `seq` is ruled out.

@@ -363,10 +363,10 @@ struct Scheduler<'a> {
     /// command is in `records`.
     replies: Vec<(mpsc::Sender<Reply>, Response, bool)>,
     /// Accepted submissions whose scheduling pass is still deferred, as
-    /// `(reply index, job id)`: their `Submitted` replies carry a
+    /// `(reply index, job table row)`: their `Submitted` replies carry a
     /// placeholder state until the flush that runs their pass patches in
     /// the real one — always before the round's replies are released.
-    deferred: Vec<(usize, u64)>,
+    deferred: Vec<(usize, usize)>,
     /// Submissions this scheduler refused (duplicate id, validation,
     /// quota). Refusals are not journaled, so the count belongs to the
     /// process — like [`Shared::backpressure_rejects`], which `stats`
@@ -532,9 +532,10 @@ impl<'a> Scheduler<'a> {
     /// server.
     fn flush(&mut self) {
         self.replica.flush();
-        for (idx, id) in self.deferred.drain(..) {
+        let session = &self.replica.session;
+        for (idx, row) in self.deferred.drain(..) {
             if let Response::Submitted { state, .. } = &mut self.replies[idx].1 {
-                *state = self.replica.session.query(id).expect("accepted this round");
+                *state = session.state_at(row).expect("accepted this round");
             }
         }
     }
@@ -572,11 +573,11 @@ impl<'a> Scheduler<'a> {
                 )
             }
             Request::Query { id } => (
-                match session.query(id) {
-                    Some(state) => Response::Job {
+                match session.row_of(id) {
+                    Some(row) => Response::Job {
                         id,
-                        state,
-                        wait: session.job(id).and_then(|j| j.wait),
+                        state: session.state_at(row).expect("a row of the table"),
+                        wait: session.job_at(row).and_then(|j| j.wait),
                     },
                     None => Response::Error {
                         message: format!("unknown job id {id}"),
@@ -670,9 +671,11 @@ impl<'a> Scheduler<'a> {
                 reason: format!("duplicate job id {id}"),
             }
         } else {
+            // An accepted job takes the next row of the table.
+            let row = self.replica.session.job_count();
             match self.replica.submit(spec) {
                 Ok(record) => {
-                    self.deferred.push((self.replies.len(), id));
+                    self.deferred.push((self.replies.len(), row));
                     let state = JobState::Pending;
                     return (Response::Submitted { id, state }, Some(record));
                 }
@@ -1132,9 +1135,44 @@ mod tests {
                 });
             }
         }
+        stream.extend(refusals_between_deferred_submissions());
         stream.push(Request::Stats);
         stream
     }
+
+    /// On a drained machine, one run of submissions with no read between
+    /// them: three that start at once and one that queues, each answered
+    /// from its row after the deferred pass, around a zero-length job and
+    /// five refusals — two of which break a second rule as well.
+    fn refusals_between_deferred_submissions() -> Vec<Request> {
+        vec![
+            Request::Advance { to: 5_000 },
+            submit(200, 2, 30, None, "free"),
+            submit(201, 1, 0, None, "free"), // zero-length: a pass of its own
+            submit(202, 2, 30, None, "free"),
+            submit(200, 1, 10, Some(10), "free"), // duplicate, and past-dated
+            submit(202, 99, 10, None, "free"),    // duplicate, and oversized
+            submit(203, 99, 10, None, "capped"),  // oversized, and over quota
+            submit(204, 7, 10, None, "capped"),   // 7 > quota 6
+            submit(205, 3, 30, None, "capped"),   // 2 + 2 + 3 of 8 units
+            submit(206, 4, 30, None, "free"),     // queues behind them
+        ]
+    }
+
+    /// What the commit before events carried rows answered to
+    /// [`refusals_between_deferred_submissions`].
+    const REFUSALS_BETWEEN_DEFERRED_SUBMISSIONS: [&str; 10] = [
+        r#"{"Advanced":{"now":5000}}"#,
+        r#"{"Submitted":{"id":200,"state":"Running"}}"#,
+        r#"{"Submitted":{"id":201,"state":"Finished"}}"#,
+        r#"{"Submitted":{"id":202,"state":"Running"}}"#,
+        r#"{"Rejected":{"id":200,"reason":"duplicate job id 200"}}"#,
+        r#"{"Rejected":{"id":202,"reason":"duplicate job id 202"}}"#,
+        r#"{"Rejected":{"id":203,"reason":"job 203 requests 99 resource units but the system has 8"}}"#,
+        r#"{"QuotaExceeded":{"id":204,"tenant":"capped","requested":7,"in_use":0,"quota":6}}"#,
+        r#"{"Submitted":{"id":205,"state":"Running"}}"#,
+        r#"{"Submitted":{"id":206,"state":"Waiting"}}"#,
+    ];
 
     /// What one run of the round machine left behind.
     struct Served {
@@ -1278,6 +1316,13 @@ mod tests {
                 "no reply mentions {needle}: {lines:#?}"
             );
         }
+        // Rows patch the deferred states to what ids did, refusals
+        // between them or not.
+        let at = lines
+            .iter()
+            .position(|l| l.contains("\"now\":5000"))
+            .expect("the advance to 5000");
+        assert_eq!(lines[at..at + 10], REFUSALS_BETWEEN_DEFERRED_SUBMISSIONS);
         // Only the `Bye` is terminal.
         let terminal: Vec<&str> = lockstep
             .iter()

@@ -16,6 +16,7 @@
 //! order yields the same schedule as one batch run.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use lumos_core::{CoreError, Duration, Job, Result, SystemSpec, Timestamp};
@@ -55,12 +56,21 @@ impl JobState {
 }
 
 /// Something that happened inside the session, in event order.
+///
+/// `Started` and `Finished` name their job twice: by the client's `id`,
+/// and by `row`, its index in the session's job table. The row is what
+/// [`SimSession::job_at`] and its siblings take — an array read where
+/// the id costs a hash probe — and it is exact where the id is not: a
+/// reused id resolves to its *first* holder, a row to the job the event
+/// is about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SimEvent {
     /// A job left the waiting queue and began executing.
     Started {
         /// Job id.
         id: u64,
+        /// The job's row in the session's table.
+        row: usize,
         /// Simulation time it started.
         time: Timestamp,
         /// Observed waiting time (`start − submit`).
@@ -70,6 +80,8 @@ pub enum SimEvent {
     Finished {
         /// Job id.
         id: u64,
+        /// The job's row in the session's table.
+        row: usize,
         /// Simulation time it finished.
         time: Timestamp,
     },
@@ -642,11 +654,13 @@ impl SimSession {
             tenant,
             walltime,
         } = submission.into();
-        if !self.allow_duplicate_ids {
-            if let Some(&prev) = self.by_id.get(&job.id) {
-                if self.state[prev].is_live() {
-                    return Err(CoreError::DuplicateJob { job: job.id });
-                }
+        // The one probe of the id map: the duplicate verdict comes first,
+        // and the slot is filled only after every other check has passed
+        // (an unused entry leaves the map as it was).
+        let slot = self.by_id.entry(job.id);
+        if let Entry::Occupied(first) = &slot {
+            if !self.allow_duplicate_ids && self.state[*first.get()].is_live() {
+                return Err(CoreError::DuplicateJob { job: job.id });
             }
         }
         if job.submit < self.clock {
@@ -705,7 +719,9 @@ impl SimSession {
         self.key_of.push(self.config.policy.key_with(&job, wall));
         self.promised.push(None);
         self.state.push(JobState::Pending);
-        self.by_id.entry(job.id).or_insert(idx);
+        if let Entry::Vacant(slot) = slot {
+            slot.insert(idx);
+        }
         if let Some(ts) = &mut self.tenants {
             ts.on_submit(owner.expect("tenancy on implies an owner"), procs_eff);
         }
@@ -766,27 +782,54 @@ impl SimSession {
         true
     }
 
+    /// The table row of the job with `id` (first submission wins when ids
+    /// collide): the one hash probe, after which the `*_at` accessors
+    /// read columns. `None` for unknown ids.
+    #[must_use]
+    pub fn row_of(&self, id: u64) -> Option<usize> {
+        self.by_id.get(&id).copied()
+    }
+
     /// Lifecycle state of the job with `id` (first submission wins when ids
     /// collide). `None` for unknown ids.
     #[must_use]
     pub fn query(&self, id: u64) -> Option<JobState> {
-        self.by_id.get(&id).map(|&idx| self.state[idx])
+        self.row_of(id).map(|idx| self.state[idx])
     }
 
     /// The job record for `id`, with its observed wait filled in once it
     /// has started.
     #[must_use]
     pub fn job(&self, id: u64) -> Option<&Job> {
-        self.by_id.get(&id).map(|&idx| &self.jobs[idx])
+        self.row_of(id).map(|idx| &self.jobs[idx])
     }
 
-    /// The walltime the scheduler plans with for job `id`: the estimate
-    /// supplied at submission (predictor or operator override) when there
-    /// was one, otherwise the job's own planning walltime. `None` for
-    /// unknown ids.
+    /// Length of the job table: the row the next accepted submission
+    /// takes. Rows are handed out in submission order and never move.
     #[must_use]
-    pub fn plan_walltime(&self, id: u64) -> Option<Duration> {
-        self.by_id.get(&id).map(|&idx| self.plan_wall[idx])
+    pub fn job_count(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// [`SimSession::job`] by table row (as carried by [`SimEvent`]s).
+    /// `None` past the end of the table.
+    #[must_use]
+    pub fn job_at(&self, row: usize) -> Option<&Job> {
+        self.jobs.get(row)
+    }
+
+    /// [`SimSession::query`] by table row.
+    #[must_use]
+    pub fn state_at(&self, row: usize) -> Option<JobState> {
+        self.state.get(row).copied()
+    }
+
+    /// The walltime the scheduler plans with for the job at `row`: the
+    /// estimate supplied at submission (predictor or operator override)
+    /// when there was one, otherwise the job's own planning walltime.
+    #[must_use]
+    pub fn plan_walltime_at(&self, row: usize) -> Option<Duration> {
+        self.plan_wall.get(row).copied()
     }
 
     /// The tenant table, when tenancy is enabled.
@@ -795,12 +838,11 @@ impl SimSession {
         self.tenants.as_ref().map(|ts| &ts.table)
     }
 
-    /// Owning tenant of job `id` (first submission wins when ids
-    /// collide). `None` for unknown ids or when tenancy is off.
+    /// Owning tenant of the job at `row`. `None` past the end of the
+    /// table or when tenancy is off.
     #[must_use]
-    pub fn tenant_of(&self, id: u64) -> Option<TenantId> {
-        let ts = self.tenants.as_ref()?;
-        self.by_id.get(&id).map(|&idx| ts.tenant_of[idx])
+    pub fn tenant_at(&self, row: usize) -> Option<TenantId> {
+        self.tenants.as_ref()?.tenant_of.get(row).copied()
     }
 
     /// Point-in-time per-tenant usage in table order, or `None` when
@@ -855,6 +897,14 @@ impl SimSession {
     /// Returns and clears the event log accumulated since the last drain.
     pub fn drain_events(&mut self) -> Vec<SimEvent> {
         std::mem::take(&mut self.events)
+    }
+
+    /// [`SimSession::drain_events`] into a buffer the caller keeps:
+    /// `out`'s old contents are dropped and its allocation becomes the
+    /// session's next log, so a drain per round allocates nothing.
+    pub fn drain_events_into(&mut self, out: &mut Vec<SimEvent>) {
+        out.clear();
+        std::mem::swap(out, &mut self.events);
     }
 
     /// Point-in-time counters for monitoring.
@@ -1215,6 +1265,7 @@ impl SimSession {
             if self.record_events {
                 self.events.push(SimEvent::Finished {
                     id: self.jobs[idx].id,
+                    row: idx,
                     time: now,
                 });
             }
@@ -1353,6 +1404,7 @@ impl SimSession {
             let job = &self.jobs[idx];
             self.events.push(SimEvent::Started {
                 id: job.id,
+                row: idx,
                 time: now,
                 wait: now - job.submit,
             });
@@ -1764,6 +1816,7 @@ mod tests {
         // Job 1 starts immediately; job 2 (60 units) waits behind it.
         assert!(events.contains(&SimEvent::Started {
             id: 1,
+            row: 0,
             time: 0,
             wait: 0
         }));
@@ -1771,13 +1824,15 @@ mod tests {
         assert_eq!(s.query(2), Some(JobState::Waiting));
         s.advance_to(100);
         let events = s.drain_events();
-        assert!(events.contains(&SimEvent::Finished { id: 1, time: 10 }));
+        let finished = |id, row, time| SimEvent::Finished { id, row, time };
+        assert!(events.contains(&finished(1, 0, 10)));
         assert!(events.contains(&SimEvent::Started {
             id: 2,
+            row: 1,
             time: 10,
             wait: 10
         }));
-        assert!(events.contains(&SimEvent::Finished { id: 2, time: 30 }));
+        assert!(events.contains(&finished(2, 1, 30)));
         assert_eq!(s.query(2), Some(JobState::Finished));
         assert_eq!(s.drain_events(), vec![], "drain clears the log");
     }
@@ -2087,6 +2142,63 @@ mod tests {
         ));
         // The rejected submissions left no trace behind.
         assert_eq!(s.snapshot().submitted, 2);
+    }
+
+    /// A submission that breaks two rules is refused for the one checked
+    /// first — live duplicate, past-dated, negative runtime, oversized,
+    /// tenant, quota — and a refusal of any kind leaves no trace, the id
+    /// map included.
+    #[test]
+    fn a_refusal_names_the_first_broken_rule_and_leaves_no_trace() {
+        let table = TenantTable::parse("capped 1 6\n").expect("tenant table");
+        let mut s = SimSession::new_with_tenants(&tiny(), SimConfig::default(), table);
+        let capped = s.resolve_tenant(Some("capped")).unwrap();
+        let owned = |job: Job, tenant| Submission {
+            job,
+            tenant,
+            walltime: None,
+        };
+        s.submit(job(1, 10, 50, 4, 50)).unwrap();
+        s.advance_to(10);
+        let before = s.save_state();
+
+        let refused = |s: &mut SimSession, submission: Submission| {
+            let id = submission.job.id;
+            let verdict = s.submit(submission).unwrap_err().to_string();
+            assert!(id == 1 || s.query(id).is_none(), "job {id} left a trace");
+            verdict
+        };
+        let verdicts = [
+            refused(&mut s, owned(job(1, 5, 10, 1, 10), None)), // + past-dated
+            refused(&mut s, owned(job(1, 20, 10, 101, 10), None)), // + oversized
+            refused(&mut s, owned(job(1, 20, 10, 7, 10), capped)), // + over quota
+            refused(&mut s, owned(job(2, 5, -1, 101, 10), None)), // past + negative + oversized
+            refused(&mut s, owned(job(2, 20, -1, 101, 10), None)), // negative + oversized
+            refused(&mut s, owned(job(2, 20, 10, 101, 10), capped)), // oversized + over quota
+            refused(&mut s, owned(job(2, 20, 10, 101, 10), Some(9))), // oversized + no such tenant
+            refused(&mut s, owned(job(2, 20, 10, 7, 10), Some(9))), // no such tenant
+            refused(&mut s, owned(job(2, 20, 10, 7, 10), capped)), // over quota
+        ];
+        // As the commit before the single probe of the id map answered.
+        assert_eq!(
+            verdicts,
+            [
+                "duplicate job id 1: an earlier submission is still live",
+                "duplicate job id 1: an earlier submission is still live",
+                "duplicate job id 1: an earlier submission is still live",
+                "job 2 has invalid time field: submission before current simulation time",
+                "job 2 has invalid time field: negative runtime",
+                "job 2 requests 101 resource units but the system has 100",
+                "job 2 requests 101 resource units but the system has 100",
+                "unknown tenant `#9`",
+                "tenant `capped` quota exceeded: 7 units requested with 0 already outstanding \
+                 against a quota of 6",
+            ]
+        );
+        assert_eq!(s.save_state(), before);
+        // The id a refusal named is still free.
+        s.submit(owned(job(2, 20, 10, 6, 10), capped)).unwrap();
+        assert_eq!(s.query(2), Some(JobState::Pending));
     }
 
     #[test]
