@@ -1,8 +1,9 @@
-//! # lumos-bench
+//! # lumos-cli
 //!
-//! Shared experiment harness: the functions that regenerate every paper
-//! table and figure, used both by the `lumos` CLI and by the Criterion
-//! benches in `benches/`.
+//! The experiments behind the `lumos` binary: the functions that
+//! regenerate the paper's tables and figures. `src/main.rs` holds the
+//! table of experiments that names them, parses arguments and writes
+//! files; nothing else runs them.
 //!
 //! Each experiment is a pure function of `(seed, span_days)`; the returned
 //! structures serialize to JSON (the CLI's report format) and render to
@@ -11,18 +12,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod feedback;
 pub mod fig12;
-pub mod perf;
 pub mod render;
 pub mod table2;
 
 use lumos_analysis::SystemAnalysis;
 use lumos_core::Trace;
 
-/// Default deterministic seed used by the CLI and benches.
+/// Default deterministic seed (`--seed`).
 pub const DEFAULT_SEED: u64 = 2024;
 
-/// Default trace window (days). Long enough for diurnal structure and
+/// Default trace window in days (`--days`). Long enough for diurnal structure and
 /// queue buildup, short enough to regenerate in seconds.
 pub const DEFAULT_DAYS: u32 = 2;
 

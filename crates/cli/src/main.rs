@@ -1,40 +1,49 @@
 //! `lumos` — regenerate every table and figure of the paper from the
 //! synthetic five-system suite (or from SWF traces you supply), or run
-//! the online scheduling service.
+//! the online scheduling service. Every experiment is one row of
+//! [`EXPERIMENTS`]; single commands, `all` and the usage text below
+//! (`lumos --help`; a test holds this copy to it) are read off that table.
 //!
 //! ```text
-//! lumos <command> [--seed N] [--days N] [--out DIR] [--swf FILE --system NAME]
-//! lumos serve [--addr HOST:PORT] [--system NAME] [--policy P] [--backfill B]
-//!             [--queue-cap N] [--time-scale X] [--tenants FILE]
-//!             [--journal DIR] [--fsync always|never|interval:MS] [--snapshot-every N]
-//!             [--group-commit N] [--replicate-to ADDR | --follow ADDR]
-//! lumos journal inspect DIR [--verbose]
+//! usage: lumos <experiment> [--seed N] [--days N] [--out DIR] [--swf FILE [--system NAME]]
+//!        lumos serve [--addr HOST:PORT] [--system NAME] [--policy P] [--backfill B]
+//!                    [--queue-cap N] [--time-scale X] [--tenants FILE]
+//!                    [--predictor last2[:MARGIN]|user[:MARGIN]|off]
+//!                    [--journal DIR] [--fsync always|never|interval:MS] [--snapshot-every N]
+//!                    [--group-commit N] [--replicate-to ADDR | --follow ADDR]
+//!        lumos journal inspect DIR [--verbose]
+//!        lumos --help | --version
 //!
-//! Commands:
-//!   table1      dataset overview (Table I)
-//!   fig1        job geometries: runtime / arrival / resources (Fig. 1)
-//!   fig2        core-hour domination (Fig. 2)
-//!   fig3        system utilization (Fig. 3)
-//!   fig4        waiting & turnaround + per-class waits (Figs. 4–5)
-//!   fig6        failure distributions + geometry correlations (Figs. 6–7)
-//!   fig8        per-user resource-configuration groups (Fig. 8)
-//!   fig9        queue-conditioned submission behaviour (Figs. 9–10)
-//!   fig11       per-user runtime violins by status (Fig. 11)
-//!   fig12       runtime prediction with elapsed time (Fig. 12)
-//!   table2      adaptive relaxed backfilling (Table II)
-//!   takeaways   evaluate the paper's eight takeaways
-//!   all         everything above + JSON report
-//!   serve       online scheduling service (NDJSON over TCP + stdin)
-//!   journal     audit a serve journal directory (inspect)
+//! experiments:
+//!   table1             Table I
+//!   fig1               Fig. 1 (geometries)
+//!   fig2               Fig. 2 (domination)
+//!   fig3               Fig. 3 (utilization)
+//!   fig4 | fig5        Figs. 4–5 (waiting)
+//!   fig6 | fig7        Figs. 6–7 (failures)
+//!   fig8               Fig. 8 (user groups)
+//!   fig9 | fig10       Figs. 9–10 (submissions)
+//!   fig11              Fig. 11 (user violins)
+//!   fig12              Fig. 12 (prediction)
+//!   table2             Table II (adaptive backfilling)
+//!   takeaways          Takeaways
+//!   all                everything above, + JSON report with --out
+//!   ablation-relax     relaxation-factor sweep on Theta, 4 days by default (DESIGN.md §4.2)
+//!   ablation-feedback  queue-feedback gradient on Philly (DESIGN.md §4.1)
+//!
+//! other commands:
+//!   serve              online scheduling service (NDJSON over TCP + stdin)
+//!   journal            audit a serve journal directory (inspect)
 //! ```
 //!
 //! Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lumos_analysis::SystemAnalysis;
-use lumos_bench::{fig12::run_fig12, render, table2::run_table2};
+use lumos_cli::{feedback, fig12::run_fig12, render, table2};
 
 /// CLI failure, split so `main` can exit 2 on bad invocations and 1 on
 /// runtime errors.
@@ -54,18 +63,146 @@ impl From<String> for CliError {
 struct Options {
     command: String,
     seed: u64,
-    days: u32,
+    /// `--days`; each experiment has its own default window.
+    days: Option<u32>,
     out: Option<PathBuf>,
     swf: Option<PathBuf>,
-    system: Option<String>,
+    /// `--system`, the machine the `--swf` trace ran on.
+    system: Option<lumos_core::SystemSpec>,
+}
+
+impl Options {
+    fn days(&self) -> u32 {
+        self.days.unwrap_or(lumos_cli::DEFAULT_DAYS)
+    }
+}
+
+/// What one experiment prints, and the `(file stem, JSON)` that `--out`
+/// writes for it.
+type Rendered = (String, Option<(&'static str, String)>);
+
+/// What an experiment runs on, with the function that runs it.
+enum Run {
+    /// The analysed suite: the five synthetic systems, or the `--swf` trace.
+    Suite(fn(&[SystemAnalysis]) -> Rendered),
+    /// Traces it generates itself from `--seed` and `--days`; `--swf`
+    /// cannot feed it.
+    Generators(fn(&Options) -> Rendered),
+    /// An ablation over generated traces: run by name only, `all` leaves
+    /// it out.
+    Ablation(fn(&Options) -> Rendered),
+}
+
+struct Experiment {
+    /// The command, then its aliases.
+    names: &'static [&'static str],
+    /// Section title under `all`, description in `usage()`.
+    title: &'static str,
+    run: Run,
+}
+
+/// Every experiment `lumos` runs, in the order `all` prints them.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        names: &["table1"],
+        title: "Table I",
+        run: Run::Suite(|a| {
+            let rows: Vec<_> = a.iter().map(|a| a.overview.clone()).collect();
+            let text = lumos_analysis::report::render_table(&rows);
+            (text, Some(("table1", to_json(&rows))))
+        }),
+    },
+    Experiment {
+        names: &["fig1"],
+        title: "Fig. 1 (geometries)",
+        run: Run::Suite(|a| (render::fig1(a), Some(("fig1", to_json(a))))),
+    },
+    Experiment {
+        names: &["fig2"],
+        title: "Fig. 2 (domination)",
+        run: Run::Suite(|a| (render::fig2(a), None)),
+    },
+    Experiment {
+        names: &["fig3"],
+        title: "Fig. 3 (utilization)",
+        run: Run::Suite(|a| (render::fig3(a), None)),
+    },
+    Experiment {
+        names: &["fig4", "fig5"],
+        title: "Figs. 4–5 (waiting)",
+        run: Run::Suite(|a| (render::fig4_fig5(a), None)),
+    },
+    Experiment {
+        names: &["fig6", "fig7"],
+        title: "Figs. 6–7 (failures)",
+        run: Run::Suite(|a| (render::fig6_fig7(a), None)),
+    },
+    Experiment {
+        names: &["fig8"],
+        title: "Fig. 8 (user groups)",
+        run: Run::Suite(|a| (render::fig8(a), None)),
+    },
+    Experiment {
+        names: &["fig9", "fig10"],
+        title: "Figs. 9–10 (submissions)",
+        run: Run::Suite(|a| (render::fig9_fig10(a), None)),
+    },
+    Experiment {
+        names: &["fig11"],
+        title: "Fig. 11 (user violins)",
+        run: Run::Suite(|a| (render::fig11(a), None)),
+    },
+    Experiment {
+        names: &["fig12"],
+        title: "Fig. 12 (prediction)",
+        run: Run::Generators(|o| {
+            let results = run_fig12(o.seed, o.days(), 20_000);
+            (render::fig12(&results), Some(("fig12", to_json(&results))))
+        }),
+    },
+    Experiment {
+        names: &["table2"],
+        title: "Table II (adaptive backfilling)",
+        run: Run::Generators(|o| {
+            let rows = table2::run_table2(o.seed, o.days(), 0.10);
+            (render::table2(&rows), Some(("table2", to_json(&rows))))
+        }),
+    },
+    Experiment {
+        names: &["takeaways"],
+        title: "Takeaways",
+        run: Run::Suite(|a| (render::takeaway_report(a), None)),
+    },
+    Experiment {
+        names: &["ablation-relax"],
+        title: "relaxation-factor sweep on Theta, 4 days by default (DESIGN.md §4.2)",
+        run: Run::Ablation(|o| {
+            let days = o.days.unwrap_or(4);
+            let sweep = table2::relax_ablation(lumos_core::SystemId::Theta, o.seed, days);
+            (render::relax_ablation(&sweep), None)
+        }),
+    },
+    Experiment {
+        names: &["ablation-feedback"],
+        title: "queue-feedback gradient on Philly (DESIGN.md §4.1)",
+        run: Run::Ablation(|o| {
+            let gradient = |on| feedback::minimal_gradient(o.seed, o.days(), on);
+            let text = render::feedback_ablation(gradient(true), gradient(false));
+            (text, None)
+        }),
+    },
+];
+
+fn to_json<T: serde::Serialize + ?Sized>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("report types serialize")
 }
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let command = args.next().ok_or_else(usage)?;
     let mut opts = Options {
         command,
-        seed: lumos_bench::DEFAULT_SEED,
-        days: lumos_bench::DEFAULT_DAYS,
+        seed: lumos_cli::DEFAULT_SEED,
+        days: None,
         out: None,
         swf: None,
         system: None,
@@ -79,29 +216,61 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                     .map_err(|e| format!("--seed: {e}"))?
             }
             "--days" => {
-                opts.days = value("--days")?
+                let days: u32 = value("--days")?
                     .parse()
-                    .map_err(|e| format!("--days: {e}"))?
+                    .map_err(|e| format!("--days: {e}"))?;
+                if days == 0 {
+                    return Err("--days must be at least 1".into());
+                }
+                opts.days = Some(days);
             }
             "--out" => opts.out = Some(PathBuf::from(value("--out")?)),
             "--swf" => opts.swf = Some(PathBuf::from(value("--swf")?)),
-            "--system" => opts.system = Some(value("--system")?),
+            "--system" => opts.system = Some(system_spec(&value("--system")?)?),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
+    }
+    if opts.system.is_some() && opts.swf.is_none() {
+        return Err(
+            "--system names the machine of a --swf trace; without --swf FILE it does nothing"
+                .into(),
+        );
     }
     Ok(opts)
 }
 
 fn usage() -> String {
-    "usage: lumos <table1|fig1|fig2|fig3|fig4|fig6|fig8|fig9|fig11|fig12|table2|takeaways|all> \
-     [--seed N] [--days N] [--out DIR] [--swf FILE --system NAME]\n\
-     \x20      lumos serve [--addr HOST:PORT] [--system NAME] [--policy P] [--backfill B] \
-     [--queue-cap N] [--time-scale X] [--predictor last2[:MARGIN]|user[:MARGIN]|off] \
-     [--tenants FILE] [--journal DIR] [--fsync always|never|interval:MS] [--snapshot-every N] \
-     [--group-commit N] [--replicate-to ADDR | --follow ADDR]\n\
-     \x20      lumos journal inspect DIR [--verbose]\n\
-     \x20      lumos --help | --version"
-        .to_string()
+    let mut out = String::from(
+        "usage: lumos <experiment> [--seed N] [--days N] [--out DIR] [--swf FILE [--system NAME]]\n\
+         \x20      lumos serve [--addr HOST:PORT] [--system NAME] [--policy P] [--backfill B]\n\
+         \x20                  [--queue-cap N] [--time-scale X] [--tenants FILE]\n\
+         \x20                  [--predictor last2[:MARGIN]|user[:MARGIN]|off]\n\
+         \x20                  [--journal DIR] [--fsync always|never|interval:MS] [--snapshot-every N]\n\
+         \x20                  [--group-commit N] [--replicate-to ADDR | --follow ADDR]\n\
+         \x20      lumos journal inspect DIR [--verbose]\n\
+         \x20      lumos --help | --version\n\
+         \n\
+         experiments:\n",
+    );
+    let mut row = |names: &str, what: &str| {
+        let _ = writeln!(out, "  {names:<18} {what}");
+    };
+    let (ablations, in_all): (Vec<_>, Vec<_>) = EXPERIMENTS
+        .iter()
+        .partition(|e| matches!(e.run, Run::Ablation(_)));
+    for e in in_all {
+        row(&e.names.join(" | "), e.title);
+    }
+    row("all", "everything above, + JSON report with --out");
+    for e in ablations {
+        row(&e.names.join(" | "), e.title);
+    }
+    out.push_str(
+        "\nother commands:\n\
+         \x20 serve              online scheduling service (NDJSON over TCP + stdin)\n\
+         \x20 journal            audit a serve journal directory (inspect)",
+    );
+    out
 }
 
 /// Resolves a `--system` name to its paper spec.
@@ -487,14 +656,14 @@ fn inspect_snapshots(dir: &std::path::Path, snapshots: &[u64]) {
 /// SWF trace when `--swf` is given.
 fn load_suite(opts: &Options) -> Result<Vec<SystemAnalysis>, String> {
     match &opts.swf {
-        None => Ok(lumos_bench::analyzed_suite(opts.seed, opts.days)),
+        None => Ok(lumos_cli::analyzed_suite(opts.seed, opts.days())),
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            let spec = match opts.system.as_deref() {
-                None => lumos_core::SystemSpec::theta(),
-                Some(name) => system_spec(name)?,
-            };
+            let spec = opts
+                .system
+                .clone()
+                .unwrap_or_else(lumos_core::SystemSpec::theta);
             let trace = lumos_traces::swf::parse(&text, spec).map_err(|e| e.to_string())?;
             Ok(vec![lumos_analysis::analyze_system(&trace)])
         }
@@ -511,123 +680,80 @@ fn write_json(opts: &Options, name: &str, json: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: impl Iterator<Item = String>) -> Result<(), CliError> {
-    let opts = parse_args(args).map_err(CliError::Usage)?;
-    let to_json = |v: &dyn erased::Json| v.to_json();
-
-    match opts.command.as_str() {
-        "table1" => {
-            let analyses = load_suite(&opts)?;
-            let rows: Vec<_> = analyses.iter().map(|a| a.overview.clone()).collect();
-            print!("{}", lumos_analysis::report::render_table(&rows));
-            write_json(&opts, "table1", &to_json(&rows))?;
-        }
-        "fig1" => {
-            let analyses = load_suite(&opts)?;
-            print!("{}", render::fig1(&analyses));
-            write_json(&opts, "fig1", &to_json(&analyses))?;
-        }
-        "fig2" => {
-            let analyses = load_suite(&opts)?;
-            print!("{}", render::fig2(&analyses));
-        }
-        "fig3" => {
-            let analyses = load_suite(&opts)?;
-            print!("{}", render::fig3(&analyses));
-        }
-        "fig4" | "fig5" => {
-            let analyses = load_suite(&opts)?;
-            print!("{}", render::fig4_fig5(&analyses));
-        }
-        "fig6" | "fig7" => {
-            let analyses = load_suite(&opts)?;
-            print!("{}", render::fig6_fig7(&analyses));
-        }
-        "fig8" => {
-            let analyses = load_suite(&opts)?;
-            print!("{}", render::fig8(&analyses));
-        }
-        "fig9" | "fig10" => {
-            let analyses = load_suite(&opts)?;
-            print!("{}", render::fig9_fig10(&analyses));
-        }
-        "fig11" => {
-            let analyses = load_suite(&opts)?;
-            print!("{}", render::fig11(&analyses));
-        }
-        "fig12" => {
-            let results = run_fig12(opts.seed, opts.days, 20_000);
-            print!("{}", render::fig12(&results));
-            write_json(&opts, "fig12", &to_json(&results))?;
-        }
-        "table2" => {
-            let rows = run_table2(opts.seed, opts.days, 0.10);
-            print!("{}", render::table2(&rows));
-            write_json(&opts, "table2", &to_json(&rows))?;
-        }
-        "takeaways" => {
-            let analyses = load_suite(&opts)?;
-            print!("{}", render::takeaway_report(&analyses));
-        }
-        "all" => {
-            let analyses = load_suite(&opts)?;
-            let rows: Vec<_> = analyses.iter().map(|a| a.overview.clone()).collect();
-            println!(
-                "== Table I ==\n{}",
-                lumos_analysis::report::render_table(&rows)
-            );
-            println!("== Fig. 1 (geometries) ==\n{}", render::fig1(&analyses));
-            println!("== Fig. 2 (domination) ==\n{}", render::fig2(&analyses));
-            println!("== Fig. 3 (utilization) ==\n{}", render::fig3(&analyses));
-            println!(
-                "== Figs. 4–5 (waiting) ==\n{}",
-                render::fig4_fig5(&analyses)
-            );
-            println!(
-                "== Figs. 6–7 (failures) ==\n{}",
-                render::fig6_fig7(&analyses)
-            );
-            println!("== Fig. 8 (user groups) ==\n{}", render::fig8(&analyses));
-            println!(
-                "== Figs. 9–10 (submissions) ==\n{}",
-                render::fig9_fig10(&analyses)
-            );
-            println!("== Fig. 11 (user violins) ==\n{}", render::fig11(&analyses));
-            let fig12_results = run_fig12(opts.seed, opts.days, 20_000);
-            println!(
-                "== Fig. 12 (prediction) ==\n{}",
-                render::fig12(&fig12_results)
-            );
-            let table2_rows = run_table2(opts.seed, opts.days, 0.10);
-            println!(
-                "== Table II (adaptive backfilling) ==\n{}",
-                render::table2(&table2_rows)
-            );
-            println!("== Takeaways ==\n{}", render::takeaway_report(&analyses));
-            write_json(&opts, "suite", &to_json(&analyses))?;
-            write_json(&opts, "fig12", &to_json(&fig12_results))?;
-            write_json(&opts, "table2", &to_json(&table2_rows))?;
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown command {other}\n{}",
-                usage()
-            )))
-        }
-    }
-    Ok(())
+/// The rows a command runs: the one it names, or under `all` every row
+/// that is not an ablation. Empty for a name no row has.
+fn select(command: &str) -> Vec<&'static Experiment> {
+    EXPERIMENTS
+        .iter()
+        .filter(|e| match command {
+            "all" => !matches!(e.run, Run::Ablation(_)),
+            name => e.names.contains(&name),
+        })
+        .collect()
 }
 
-/// Tiny serialization helper so each match arm can serialize its own type.
-mod erased {
-    pub trait Json {
-        fn to_json(&self) -> String;
+/// Runs the selected experiments: a lone one prints its text; `all` gives
+/// each a `== title ==` section and writes `suite.json` in place of the
+/// suite-based rows' own files.
+fn run(args: impl Iterator<Item = String>) -> Result<(), CliError> {
+    let opts = parse_args(args).map_err(CliError::Usage)?;
+    let all = opts.command == "all";
+    let mut selected = select(&opts.command);
+    if selected.is_empty() {
+        return Err(CliError::Usage(format!(
+            "unknown command {}\n{}",
+            opts.command,
+            usage()
+        )));
     }
-    impl<T: serde::Serialize> Json for T {
-        fn to_json(&self) -> String {
-            serde_json::to_string_pretty(self).expect("report types serialize")
+    if opts.swf.is_some() {
+        let (fed, unfed): (Vec<_>, Vec<_>) = selected
+            .into_iter()
+            .partition(|e| matches!(e.run, Run::Suite(_)));
+        if fed.is_empty() {
+            return Err(CliError::Usage(format!(
+                "{} generates its own traces from --seed and --days; --swf cannot feed it",
+                opts.command
+            )));
         }
+        if !unfed.is_empty() {
+            let names: Vec<_> = unfed.iter().map(|e| e.names[0]).collect();
+            eprintln!(
+                "--swf: skipping {} (generated from --seed and --days, not from the trace)",
+                names.join(", ")
+            );
+        }
+        selected = fed;
     }
+
+    let analyses = if selected.iter().any(|e| matches!(e.run, Run::Suite(_))) {
+        load_suite(&opts)?
+    } else {
+        Vec::new()
+    };
+    let mut files = Vec::new();
+    if all && opts.out.is_some() {
+        files.push(("suite", to_json(&analyses)));
+    }
+    for e in selected {
+        let (text, file) = match e.run {
+            Run::Suite(run) => {
+                let (text, file) = run(&analyses);
+                (text, file.filter(|_| !all))
+            }
+            Run::Generators(run) | Run::Ablation(run) => run(&opts),
+        };
+        if all {
+            println!("== {} ==\n{text}", e.title);
+        } else {
+            print!("{text}");
+        }
+        files.extend(file);
+    }
+    for (stem, json) in files {
+        write_json(&opts, stem, &json)?;
+    }
+    Ok(())
 }
 
 fn report(result: Result<(), CliError>) -> ExitCode {
@@ -664,5 +790,80 @@ fn main() -> ExitCode {
             report(run_journal(args))
         }
         _ => report(run(args)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    #[test]
+    fn names_and_aliases_are_unique() {
+        let mut seen = HashSet::from(["all", "serve", "journal"]);
+        for e in EXPERIMENTS {
+            assert!(!e.names.is_empty(), "{}: a row needs a name", e.title);
+            for name in e.names {
+                assert!(seen.insert(name), "{name} names two commands");
+            }
+        }
+    }
+
+    #[test]
+    fn usage_names_every_row() {
+        let usage = usage();
+        for e in EXPERIMENTS {
+            let listed = format!("  {} ", e.names.join(" | "));
+            assert!(usage.contains(&listed), "usage() leaves out {listed:?}");
+            assert!(usage.contains(e.title), "usage() leaves out {:?}", e.title);
+        }
+    }
+
+    #[test]
+    fn module_doc_is_the_usage_text() {
+        let doc: Vec<&str> = include_str!("main.rs")
+            .lines()
+            .skip_while(|line| *line != "//! ```text")
+            .skip(1)
+            .take_while(|line| *line != "//! ```")
+            .map(|line| line.strip_prefix("//! ").unwrap_or(""))
+            .collect();
+        assert_eq!(doc.join("\n"), usage());
+    }
+
+    #[test]
+    fn all_runs_every_row_that_is_not_an_ablation() {
+        let all: Vec<_> = select("all").iter().map(|e| e.names[0]).collect();
+        let rest: Vec<_> = ["ablation-relax", "ablation-feedback"]
+            .iter()
+            .flat_map(|name| select(name))
+            .map(|e| e.names[0])
+            .collect();
+        assert_eq!(rest, ["ablation-relax", "ablation-feedback"]);
+        let table: Vec<_> = EXPERIMENTS.iter().map(|e| e.names[0]).collect();
+        assert_eq!([all, rest].concat(), table);
+        assert_eq!(select("fig5")[0].names[0], "fig4");
+        assert!(select("nosuch").is_empty());
+    }
+
+    fn args(line: &str) -> impl Iterator<Item = String> + '_ {
+        line.split_whitespace().map(String::from)
+    }
+
+    #[test]
+    fn flags_that_cannot_mean_anything_are_usage_errors() {
+        for line in [
+            "table1 --days 0",
+            "table1 --system theta",
+            "table1 --system nosuch",
+            "table1 --swf x --system nosuch",
+            "table1 --seed",
+            "table1 --frobnicate",
+        ] {
+            assert!(parse_args(args(line)).is_err(), "{line} parsed");
+        }
+        let ok = parse_args(args("fig4 --swf x --system mira --days 3"))
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!((ok.days(), ok.system.unwrap().name), (3, "Mira".into()));
     }
 }

@@ -7,6 +7,8 @@ use std::fmt::Write as _;
 
 use lumos_analysis::{takeaways, SystemAnalysis};
 
+use lumos_sim::SimMetrics;
+
 use crate::fig12::Fig12System;
 use crate::table2::Table2Row;
 
@@ -283,6 +285,41 @@ pub fn table2(rows: &[Table2Row]) -> String {
         }
     }
     out
+}
+
+/// Renders the relaxation-factor sweep (`table2::relax_ablation`).
+#[must_use]
+pub fn relax_ablation(sweep: &[(String, SimMetrics)]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<14} {:>12} {:>8} {:>8} {:>12} {:>10}",
+        "variant", "mean wait", "bsld", "util", "violation", "violated"
+    );
+    for (name, m) in sweep {
+        let _ = writeln!(
+            out,
+            "{:<14} {:>11.0}s {:>8.2} {:>7.1}% {:>11.1}s {:>10}",
+            name,
+            m.mean_wait,
+            m.mean_bsld,
+            m.util * 100.0,
+            m.violation,
+            m.violated_jobs,
+        );
+    }
+    out
+}
+
+/// Renders the queue-feedback ablation (`feedback::minimal_gradient` with
+/// feedback on, then off).
+#[must_use]
+pub fn feedback_ablation(with: Option<f64>, without: Option<f64>) -> String {
+    format!(
+        "minimal-request share gradient (long queue − short queue):\n\
+         \x20 with feedback    : {with:?}\n\
+         \x20 without feedback : {without:?}\n"
+    )
 }
 
 /// Renders the eight takeaways checklist.

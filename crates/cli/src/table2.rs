@@ -87,8 +87,7 @@ pub fn run_system(id: SystemId, seed: u64, days: u32, relax: Relax) -> SimMetric
 }
 
 /// The independent simulation cells of the Table II grid: every
-/// `(system, relaxation rule)` pair, fixed rule first. Exposed so the
-/// throughput bench can time exactly the sweep `run_table2` parallelizes.
+/// `(system, relaxation rule)` pair, fixed rule first.
 #[must_use]
 pub fn table2_cells(base_factor: f64) -> Vec<(SystemId, Relax)> {
     TABLE2_SYSTEMS
@@ -138,8 +137,8 @@ pub fn run_table2(seed: u64, days: u32, base_factor: f64) -> Vec<Table2Row> {
         .collect()
 }
 
-/// Relaxation-factor sweep for the ablation bench: strict, fixed
-/// {5, 10, 20} %, adaptive {5, 10, 20} %.
+/// Relaxation-factor sweep (`lumos ablation-relax`, DESIGN.md §4.2):
+/// strict, fixed {5, 10, 20} %, adaptive {5, 10, 20} %.
 #[must_use]
 pub fn relax_ablation(id: SystemId, seed: u64, days: u32) -> Vec<(String, SimMetrics)> {
     let variants: Vec<(String, Relax)> = vec![

@@ -78,7 +78,7 @@ fn maxmin_interleaves_tenants_where_fcfs_starves() {
     assert_eq!(served[0], ("heavy".into(), 3200.0));
     assert_eq!(served[1], ("light".into(), 3200.0));
 
-    // Jain's index over the same vectors pins the acceptance criterion:
+    // Jain's index over the same vectors pins the acceptance bar:
     // max-min is strictly fairer than FCFS on this trace.
     let jain = |s: &[(String, f64)]| {
         lumos_stats::jain_index(&s.iter().map(|(_, x)| *x).collect::<Vec<_>>()).unwrap()

@@ -29,7 +29,7 @@ pub struct GeneratorConfig {
     /// Multiplier on the profile's `target_load` (ablation knob).
     pub load_scale: f64,
     /// When false, the queue-feedback behaviours are disabled: users submit
-    /// the same mix regardless of congestion (the `ablation_feedback` bench).
+    /// the same mix regardless of congestion (`lumos ablation-feedback`).
     pub queue_feedback: bool,
 }
 

@@ -22,9 +22,9 @@
 //! `Advance` commands, so every run is deterministic for a given seed.
 //!
 //! `--firehose` drops the lockstep pacing: submissions are pipelined
-//! (up to 256 outstanding) the way the `serve_throughput` bench drives
-//! the server, and the sustained acknowledged-commands/sec rate plus
-//! p50/p99 reply latency are printed — handy for eyeballing
+//! (up to 256 outstanding) the way the benchmark's `serve-firehose`
+//! workload drives the server, and the sustained acknowledged-commands/sec
+//! rate plus p50/p99 reply latency are printed — handy for eyeballing
 //! group-commit throughput (and codec wins in the tail) against a
 //! `--journal --fsync always` server.
 

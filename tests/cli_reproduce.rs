@@ -1,0 +1,154 @@
+//! The experiment runner, end to end through the `lumos` binary.
+//!
+//! The digests below were recorded at the commit *before* the twelve-arm
+//! `match` and its hand-copied `all` arm became one table of experiments:
+//! the report is not allowed to move a byte for being driven differently.
+//! A digest that moves with `schedule_golden` / `prediction_golden` still
+//! green is a change in the runner or a renderer, not in the numbers.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn lumos(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_lumos"))
+        .args(args)
+        .output()
+        .expect("lumos runs")
+}
+
+fn stdout(out: &Output) -> &str {
+    std::str::from_utf8(&out.stdout).expect("lumos prints UTF-8")
+}
+
+fn stderr(out: &Output) -> &str {
+    std::str::from_utf8(&out.stderr).expect("lumos prints UTF-8")
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("lumos-reproduce-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in bytes {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn all_is_pinned_to_the_parent_commit() {
+    let dir = scratch_dir("all");
+    let out_dir = dir.to_str().expect("temp dir is UTF-8");
+    let out = lumos(&["all", "--seed", "2024", "--days", "1", "--out", out_dir]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(
+        (out.stdout.len(), fnv1a(&out.stdout)),
+        (13_094, 9_747_497_279_482_294_932),
+        "stdout of `all` moved:\n{}",
+        stdout(&out)
+    );
+
+    let golden = [
+        ("fig12.json", 30_910, 13_588_989_959_997_580_084),
+        ("suite.json", 718_569, 6_654_751_129_088_433_621),
+        ("table2.json", 2_145, 9_369_647_210_182_292_171),
+    ];
+    let mut written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("--out directory exists")
+        .map(|entry| entry.expect("readable entry").file_name())
+        .collect();
+    written.sort();
+    assert_eq!(written, golden.map(|(name, ..)| name));
+    for (name, len, digest) in golden {
+        let bytes = std::fs::read(dir.join(name)).expect("written file reads");
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (len, digest), "{name} moved");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn invocations_that_cannot_mean_anything_exit_2() {
+    for (args, names) in [
+        (&["frobnicate"][..], "unknown command frobnicate"),
+        (&["table1", "--days", "0"], "--days"),
+        (&["fig12", "--swf", "x"], "--swf"),
+        (&["table2", "--swf", "x"], "--swf"),
+        (&["ablation-relax", "--swf", "x"], "--swf"),
+        (&["table1", "--system", "theta"], "--system"),
+        (&["table1", "--system", "nosuch"], "--system"),
+    ] {
+        let out = lumos(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(names), "{args:?}: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
+}
+
+#[test]
+fn ablations_print_the_rows_of_the_binaries_they_replace() {
+    // `cargo bench --bench ablation_relax_factor` and `--bench
+    // ablation_feedback`, as they printed at the parent commit.
+    let relax = lumos(&["ablation-relax"]);
+    assert!(relax.status.success(), "{}", stderr(&relax));
+    assert_eq!(
+        stdout(&relax),
+        "\
+variant           mean wait     bsld     util    violation   violated
+strict                2845s     2.83    59.5%         0.0s          0
+fixed-5%              2837s     2.79    59.3%         0.0s          0
+fixed-10%             2822s     2.79    59.3%        49.8s          4
+fixed-20%             2872s     2.83    59.3%       125.0s          6
+adaptive-5%           2853s     2.80    59.5%         0.0s          0
+adaptive-10%          2816s     2.79    59.5%         0.0s          0
+adaptive-20%          2842s     2.82    59.3%        30.3s          1
+"
+    );
+
+    let feedback = lumos(&["ablation-feedback"]);
+    assert!(feedback.status.success(), "{}", stderr(&feedback));
+    assert_eq!(
+        stdout(&feedback),
+        "\
+minimal-request share gradient (long queue − short queue):
+  with feedback    : Some(0.045549292796606244)
+  without feedback : Some(-0.007153182451793305)
+"
+    );
+}
+
+#[test]
+fn all_with_swf_runs_the_suite_rows_and_names_what_it_skipped() {
+    let trace = lumos_traces::Generator::new(
+        lumos_traces::systems::profile_for(lumos_core::SystemId::Theta),
+        lumos_traces::GeneratorConfig {
+            seed: 55,
+            span_days: 1,
+            ..lumos_traces::GeneratorConfig::default()
+        },
+    )
+    .generate();
+    let dir = scratch_dir("swf");
+    let swf = dir.join("theta.swf");
+    std::fs::write(&swf, lumos_traces::swf::write(&trace)).expect("write SWF");
+    let swf = swf.to_str().expect("temp dir is UTF-8");
+
+    let out = lumos(&["all", "--swf", swf, "--system", "theta"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let skipped = stderr(&out);
+    assert!(
+        skipped.contains("fig12") && skipped.contains("table2"),
+        "{skipped}"
+    );
+    let report = stdout(&out);
+    assert!(report.contains("== Table I ==") && report.contains("== Takeaways =="));
+    assert!(!report.contains("Fig. 12") && !report.contains("Table II"));
+    assert!(!report.contains("Mira"), "a synthetic system in:\n{report}");
+
+    let missing = lumos(&["all", "--swf", "/nonexistent/trace.swf"]);
+    assert_eq!(missing.status.code(), Some(1), "{}", stderr(&missing));
+    let _ = std::fs::remove_dir_all(&dir);
+}
