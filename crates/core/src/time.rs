@@ -20,6 +20,14 @@ pub const HOUR: Duration = 3_600;
 /// One day, in seconds.
 pub const DAY: Duration = 86_400;
 
+/// The largest timestamp or duration taken from outside the program: 2⁴⁰
+/// seconds, some 34 800 years. Far beyond any trace, and small enough
+/// that the sums a scheduler forms — a start plus a walltime, or the
+/// reservations of millions of queued jobs end to end — stay far from
+/// the `i64` range, where a debug build panics and a release build wraps
+/// into the past.
+pub const MAX_TIME: Timestamp = 1 << 40;
+
 /// Returns the local hour of day (`0..=23`) for `t`, where `tz_offset` is the
 /// system's offset from the trace clock in seconds (e.g. `-6 * HOUR` for a
 /// Central-Time cluster driven by a UTC trace clock).

@@ -18,22 +18,12 @@
 //! round-trips are exact), so recovered servers continue the same
 //! estimate trajectory to the bit.
 //!
-//! This state is part of every rotation snapshot, so the group-commit
-//! scheduler ([`crate::server`]) absorbs events at every *round flush* —
-//! before any mid-round `Stats`/`Query`/`Cancel`/`Advance`, and at round
-//! end before rotation and reply release — and no batching counters live
-//! here where they would leak into snapshot bytes. Flush-grouped
-//! absorption matches a per-record server byte-for-byte because a
-//! deferred flush group only ever contains same-instant submissions that
-//! either occupy distinct partitions (each pass is the identical
-//! single-arrival pass) or all start immediately with zero wait (P² is
-//! insensitive to the order of equal observations, and their BSLD at
-//! zero wait is identically 1). The one unpinned corner: on a
-//! *multi-partition* system, older waiting jobs started by one flush
-//! pass are absorbed in partition order rather than command order, which
-//! can wiggle P² marker state relative to journal replay — single-
-//! partition systems (every pinned suite and the reference benchmark)
-//! are exact.
+//! This state is part of every rotation snapshot, so the scheduler
+//! ([`crate::server`]) absorbs events before any command that is not a
+//! submission and at round end, before rotation and reply release, and
+//! no batching counters live here. How often it absorbs moves no byte:
+//! the live server's event log is in command order, the order journal
+//! replay produces one record at a time.
 
 use lumos_core::Duration;
 use lumos_sim::{SimEvent, SimSession};

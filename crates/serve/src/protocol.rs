@@ -17,6 +17,7 @@
 //! ← {"Bye": {"metrics": {...}}}
 //! ```
 
+use lumos_core::time::MAX_TIME;
 use lumos_core::{Duration, Timestamp};
 use lumos_sim::{JobState, SessionSnapshot, SimMetrics, TenantUsage};
 use serde::{Deserialize, Serialize};
@@ -241,10 +242,10 @@ pub enum Response {
 }
 
 impl Request {
-    /// Parses one request line, including semantic validation of submit
-    /// specs (zero resource units, empty tenant names) so nonsense is
-    /// refused at the protocol edge with field context instead of
-    /// reaching the scheduler.
+    /// Parses one request line, including semantic validation (zero
+    /// resource units, empty tenant names, times past [`MAX_TIME`]) so
+    /// nonsense is refused at the protocol edge with field context
+    /// instead of reaching the scheduler.
     ///
     /// # Errors
     /// Returns a human-readable message for malformed JSON, an unknown
@@ -262,9 +263,21 @@ impl Request {
     /// parsing goes through this — journal replay applies records that
     /// were already validated when first accepted.
     fn validate(&self) -> Result<(), String> {
-        let Request::Submit { job } = self else {
-            return Ok(());
+        // The scheduler adds these to its clock and to each other.
+        let bounded = |field: &str, seconds: Option<i64>| match seconds {
+            Some(s) if s > MAX_TIME => Err(format!(
+                "{field}: {s} seconds is past the limit of {MAX_TIME}"
+            )),
+            _ => Ok(()),
         };
+        let job = match self {
+            Request::Submit { job } => job,
+            Request::Advance { to } => return bounded("Advance.to", Some(*to)),
+            _ => return Ok(()),
+        };
+        bounded("Submit.job.runtime", Some(job.runtime))?;
+        bounded("Submit.job.walltime", job.walltime)?;
+        bounded("Submit.job.submit", job.submit)?;
         if job.procs == 0 {
             return Err(format!(
                 "Submit.job.procs: job {} requests zero resource units",
@@ -370,6 +383,33 @@ mod tests {
         // A well-formed tenant passes.
         Request::parse(r#"{"Submit":{"job":{"id":3,"procs":1,"runtime":60,"tenant":"a"}}}"#)
             .unwrap();
+    }
+
+    #[test]
+    fn times_past_the_limit_are_refused_naming_the_field() {
+        let submit =
+            |fields: &str| format!(r#"{{"Submit":{{"job":{{"id":1,"procs":1,{fields}}}}}}}"#);
+        let advance = |to: i64| format!(r#"{{"Advance":{{"to":{to}}}}}"#);
+        let far = i64::MAX - 5;
+        for (line, field) in [
+            (submit(&format!(r#""runtime":{far}"#)), "Submit.job.runtime"),
+            (
+                submit(&format!(r#""runtime":1,"walltime":{far}"#)),
+                "Submit.job.walltime",
+            ),
+            (
+                submit(&format!(r#""runtime":1,"submit":{far}"#)),
+                "Submit.job.submit",
+            ),
+            (advance(MAX_TIME + 1), "Advance.to"),
+        ] {
+            let err = Request::parse(&line).unwrap_err();
+            assert!(err.starts_with(&format!("{field}: ")), "{err}");
+        }
+        // The limit itself is a time like any other.
+        let at = format!(r#""runtime":{MAX_TIME},"walltime":{MAX_TIME},"submit":{MAX_TIME}"#);
+        Request::parse(&submit(&at)).unwrap();
+        Request::parse(&advance(MAX_TIME)).unwrap();
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! events through the same code path the live server uses, the recovered
 //! metrics are byte-identical too. The state and every way of changing
 //! it live in one struct, `Replica`: a replayed submission goes through
-//! the same `Replica::submit` as a live round's, as a round of one
-//! (round boundaries are invisible in the journal, by design — the
-//! deferred round pass is gated so its states and metrics match
-//! per-record processing; see [`crate::metrics`] for the one
-//! multi-partition P² ordering corner).
+//! the same `Replica::submit` as a live round's — the submission, then
+//! its scheduling pass — so the two make the same session calls in the
+//! same order, and round boundaries are invisible in the journal.
 //!
 //! Damage never aborts recovery, it only shrinks what is recovered:
 //! a torn tail is truncated with a warning; an unreadable snapshot costs
@@ -154,7 +152,7 @@ pub(crate) struct Replica {
     /// mutation): the session still runs the CLI-provided configuration
     /// and a journaled `Config` header may adopt a different one.
     pub virgin: bool,
-    /// The buffer every flush drains the session's events into.
+    /// The buffer [`Replica::absorb`] drains the session's events into.
     events: Vec<SimEvent>,
 }
 
@@ -234,18 +232,16 @@ impl Replica {
         Ok(())
     }
 
-    /// Runs the scheduling pass deferred by the submissions staged since
-    /// the last flush and folds everything the session did since then
-    /// into the metrics.
-    pub fn flush(&mut self) {
-        self.session.round_flush();
+    /// Folds everything the session did since the last call into the
+    /// metrics, in event order: how often it is called moves no byte.
+    pub fn absorb(&mut self) {
         self.session.drain_events_into(&mut self.events);
         self.metrics.absorb(&self.events, &self.session);
     }
 
-    /// The one submit path: stages `spec` behind the deferred pass (the
-    /// caller flushes) and returns the record that journals it. A refused
-    /// submission changes nothing and is never journaled.
+    /// The one submit path: submits `spec`, runs the scheduling pass of
+    /// an arrival due now, and returns the record that journals it. A
+    /// refused submission changes nothing and is never journaled.
     pub fn submit(&mut self, spec: SubmitSpec) -> Result<JournalRecord, CoreError> {
         let tenant = self.session.resolve_tenant(spec.tenant.as_deref())?;
         let now = self.session.now();
@@ -258,11 +254,12 @@ impl Replica {
             .predictor
             .as_ref()
             .map(|p| p.predict(user, job.walltime));
-        self.session.round_submit(Submission {
+        self.session.submit(Submission {
             job,
             tenant,
             walltime,
         })?;
+        self.session.advance_to(now);
         if let Some(p) = self.predictor.as_mut() {
             p.observe(user, runtime);
         }
@@ -345,14 +342,14 @@ impl Replica {
             JournalRecord::Advance { to } => self.session.advance_to(to),
         }
         self.virgin = false;
-        self.flush();
+        self.absorb();
         1
     }
 }
 
 /// Builds the trace-shaped [`Job`] a [`SubmitSpec`] describes;
 /// `now_floor` resolves a missing submit time.
-pub(crate) fn job_from_spec(spec: &SubmitSpec, now_floor: Timestamp) -> Job {
+fn job_from_spec(spec: &SubmitSpec, now_floor: Timestamp) -> Job {
     Job {
         id: spec.id,
         user: spec.user.unwrap_or(0),

@@ -29,11 +29,11 @@
 //!
 //! Rounds: every command reaches the session and the journal through one
 //! path. The scheduler drains up to [`ServeConfig::group_commit`] queued
-//! commands into a round, *applies* them in arrival order — submissions
-//! staged behind one deferred scheduling pass, which is flushed before
-//! anything that observes state — and *commits* the round: one buffered
-//! journal write, one fsync, a rotation check, and only then the replies,
-//! which connection writers coalesce into a single flush. A lockstep
+//! commands into a round, *applies* them in arrival order — a submission
+//! due now gets its scheduling pass at once, and its reply says what the
+//! pass decided — and *commits* the round: one buffered journal write,
+//! one fsync, a rotation check, and only then the replies, which
+//! connection writers coalesce into a single flush. A lockstep
 //! client, `group_commit = 1`, a follower's reads and the requests that
 //! change the loop itself (promotion, replication frames, shutdown) are
 //! rounds of one through the same two steps, and journal replay and a
@@ -50,11 +50,11 @@ use std::time::Instant;
 
 use lumos_core::{CoreError, SystemSpec, Timestamp};
 use lumos_predict::{OnlinePredictor, PredictorConfig};
-use lumos_sim::{JobState, SimConfig, SimSession, TenantTable};
+use lumos_sim::{SimConfig, SimSession, TenantTable};
 
 use crate::journal::{decode_line, Journal, JournalConfig, JournalRecord};
 use crate::protocol::{ReplicationStats, Request, Response, SubmitSpec};
-use crate::recovery::{self, job_from_spec, Recovered, Replica};
+use crate::recovery::{self, Recovered, Replica};
 use crate::replication::{self, ReplLink};
 
 /// Server configuration.
@@ -362,11 +362,6 @@ struct Scheduler<'a> {
     /// The round's replies, in command order, each with whether its
     /// command is in `records`.
     replies: Vec<(mpsc::Sender<Reply>, Response, bool)>,
-    /// Accepted submissions whose scheduling pass is still deferred, as
-    /// `(reply index, job table row)`: their `Submitted` replies carry a
-    /// placeholder state until the flush that runs their pass patches in
-    /// the real one — always before the round's replies are released.
-    deferred: Vec<(usize, usize)>,
     /// Submissions this scheduler refused (duplicate id, validation,
     /// quota). Refusals are not journaled, so the count belongs to the
     /// process — like [`Shared::backpressure_rejects`], which `stats`
@@ -402,7 +397,6 @@ impl<'a> Scheduler<'a> {
             },
             records: Vec::new(),
             replies: Vec::new(),
-            deferred: Vec::new(),
             refused: 0,
             stop: false,
         }
@@ -461,12 +455,10 @@ impl<'a> Scheduler<'a> {
     /// Apply step: runs one command against the replica and files its
     /// reply and journal record with the round.
     fn apply(&mut self, Envelope { req, reply }: Envelope) {
-        // Everything but a submission observes or moves session state:
-        // run the round's deferred pass first so it sees what a
-        // pass-per-submit server would. (`submit` flushes only when
-        // deferral could change an outcome.)
+        // A run of submissions leaves its events in the session's log;
+        // anything else may read the metrics they feed.
         if !matches!(req, Request::Submit { .. }) {
-            self.flush();
+            self.replica.absorb();
         }
         let (response, record) = self.handle(req);
         self.replies.push((reply, response, record.is_some()));
@@ -476,9 +468,8 @@ impl<'a> Scheduler<'a> {
     /// Commit step: makes the round durable, then releases its replies —
     /// or fail-stops it.
     fn commit(&mut self) {
-        // Run the deferred pass and patch reply states before anything
-        // durable (rotation snapshots) or visible (reply release) happens.
-        self.flush();
+        // The metrics are part of a rotation snapshot.
+        self.replica.absorb();
         if let (Some(journal), false) = (self.journal.as_mut(), self.records.is_empty()) {
             if let Err(e) = journal.append_batch(&self.records) {
                 // Fail-stop for the whole round: none of its mutations is
@@ -521,21 +512,6 @@ impl<'a> Scheduler<'a> {
                 // The client vanished before its final answer; nothing is
                 // left to wait for.
                 self.shared.mark_terminal_flushed();
-            }
-        }
-    }
-
-    /// Runs the round's deferred scheduling pass, folds its events into
-    /// the live metrics, and patches the placeholder states of deferred
-    /// `Submitted` replies with what the pass decided — the state each
-    /// job would have shown after its own pass on a pass-per-submit
-    /// server.
-    fn flush(&mut self) {
-        self.replica.flush();
-        let session = &self.replica.session;
-        for (idx, row) in self.deferred.drain(..) {
-            if let Response::Submitted { state, .. } = &mut self.replies[idx].1 {
-                *state = session.state_at(row).expect("accepted this round");
             }
         }
     }
@@ -629,7 +605,7 @@ impl<'a> Scheduler<'a> {
                     return (Response::Bye { metrics: None }, None);
                 }
                 session.advance_to_completion();
-                self.replica.flush();
+                self.replica.absorb();
                 let session = &mut self.replica.session;
                 // Journal the drain so a restart resumes the drained state.
                 let record = JournalRecord::Advance { to: session.now() };
@@ -650,17 +626,11 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Stages one submission behind the round's deferred scheduling pass
-    /// — one pass covers a whole run of them — through the submit path
-    /// journal replay shares ([`Replica::submit`]).
+    /// Serves one submission through the submit path journal replay
+    /// shares ([`Replica::submit`]); an accepted job answers with the
+    /// state its own scheduling pass left it in.
     fn submit(&mut self, spec: SubmitSpec) -> (Response, Option<JournalRecord>) {
         let id = spec.id;
-        let session = &self.replica.session;
-        // Unless deferral could change an outcome: then flush first, so
-        // this job observes exactly the pass-per-submit order.
-        if session.round_needs_flush(&job_from_spec(&spec, session.now().max(0))) {
-            self.flush();
-        }
         // The service rejects *any* reuse of a known id — stricter than
         // the session, which frees finished/cancelled ids — because
         // queries and cancels address jobs by id for the whole server
@@ -675,8 +645,8 @@ impl<'a> Scheduler<'a> {
             let row = self.replica.session.job_count();
             match self.replica.submit(spec) {
                 Ok(record) => {
-                    self.deferred.push((self.replies.len(), row));
-                    let state = JobState::Pending;
+                    let state = self.replica.session.state_at(row);
+                    let state = state.expect("the row it was just given");
                     return (Response::Submitted { id, state }, Some(record));
                 }
                 // Quota refusals get their own reply shape so clients can
@@ -1048,7 +1018,7 @@ mod tests {
 
     use std::path::{Path, PathBuf};
 
-    use lumos_sim::Policy;
+    use lumos_sim::{Policy, Relax};
 
     use super::*;
     use crate::journal::FsyncPolicy;
@@ -1135,20 +1105,20 @@ mod tests {
                 });
             }
         }
-        stream.extend(refusals_between_deferred_submissions());
+        stream.extend(refusals_between_submissions());
         stream.push(Request::Stats);
         stream
     }
 
     /// On a drained machine, one run of submissions with no read between
     /// them: three that start at once and one that queues, each answered
-    /// from its row after the deferred pass, around a zero-length job and
-    /// five refusals — two of which break a second rule as well.
-    fn refusals_between_deferred_submissions() -> Vec<Request> {
+    /// from its row after its pass, around a zero-length job and five
+    /// refusals — two of which break a second rule as well.
+    fn refusals_between_submissions() -> Vec<Request> {
         vec![
             Request::Advance { to: 5_000 },
             submit(200, 2, 30, None, "free"),
-            submit(201, 1, 0, None, "free"), // zero-length: a pass of its own
+            submit(201, 1, 0, None, "free"), // zero-length: done in its own pass
             submit(202, 2, 30, None, "free"),
             submit(200, 1, 10, Some(10), "free"), // duplicate, and past-dated
             submit(202, 99, 10, None, "free"),    // duplicate, and oversized
@@ -1160,8 +1130,8 @@ mod tests {
     }
 
     /// What the commit before events carried rows answered to
-    /// [`refusals_between_deferred_submissions`].
-    const REFUSALS_BETWEEN_DEFERRED_SUBMISSIONS: [&str; 10] = [
+    /// [`refusals_between_submissions`].
+    const REFUSALS_BETWEEN_SUBMISSIONS: [&str; 10] = [
         r#"{"Advanced":{"now":5000}}"#,
         r#"{"Submitted":{"id":200,"state":"Running"}}"#,
         r#"{"Submitted":{"id":201,"state":"Finished"}}"#,
@@ -1316,13 +1286,13 @@ mod tests {
                 "no reply mentions {needle}: {lines:#?}"
             );
         }
-        // Rows patch the deferred states to what ids did, refusals
-        // between them or not.
+        // Every accepted job answers from its own row, refusals between
+        // them or not.
         let at = lines
             .iter()
             .position(|l| l.contains("\"now\":5000"))
             .expect("the advance to 5000");
-        assert_eq!(lines[at..at + 10], REFUSALS_BETWEEN_DEFERRED_SUBMISSIONS);
+        assert_eq!(lines[at..at + 10], REFUSALS_BETWEEN_SUBMISSIONS);
         // Only the `Bye` is terminal.
         let terminal: Vec<&str> = lockstep
             .iter()
@@ -1447,6 +1417,76 @@ mod tests {
 
         std::fs::remove_dir_all(&primary_dir).ok();
         std::fs::remove_dir_all(&full_dir).ok();
+    }
+
+    /// Several partitions, queues standing on two of them, and a
+    /// pipelined burst that keeps arriving on both in rounds of 64, under
+    /// a relaxation that lets an arrival's pass start jobs that were
+    /// already waiting: the live replica absorbs its events in command
+    /// order, as replay does, so `recover()` over its journal answers
+    /// `Stats` and writes its snapshot byte for byte as the live one.
+    #[test]
+    fn a_contended_burst_over_two_partitions_recovers_to_the_live_stats() {
+        let dir = temp_dir("philly");
+        let mut config = ServeConfig::new(SystemSpec::philly());
+        config.sim.relax = Relax::Adaptive { base: 0.5 };
+        let mut journal = JournalConfig::new(dir.clone());
+        journal.fsync = FsyncPolicy::Never;
+        journal.snapshot_every = 0;
+        config.journal = Some(journal);
+        config.group_commit = 64;
+
+        let mut rng = lumos_stats::Rng::new(23);
+        let mut next = move |bound: u64| rng.next_below(bound);
+        let mut stream = Vec::new();
+        for id in 0..600u64 {
+            if id % 50 == 0 {
+                stream.push(Request::Advance {
+                    to: id as i64 / 50 * 40,
+                });
+            }
+            let runtime = 30 + next(600) as i64;
+            stream.push(Request::Submit {
+                job: SubmitSpec {
+                    id,
+                    procs: 20 + next(120),
+                    runtime,
+                    walltime: Some(runtime / 2 + next(2 * runtime as u64) as i64),
+                    user: Some((id % 5) as u32),
+                    submit: None,
+                    // Partition 1, then partition 0: against the order a
+                    // pass over both would take them in.
+                    virtual_cluster: Some(((id + 1) % 2) as u16),
+                    tenant: None,
+                },
+            });
+        }
+        let live = serve(&config, stream.clone());
+        let waiting_on = |partition: u16| {
+            let queued = stream.iter().zip(&live.replies).filter(|(req, (line, _))| {
+                matches!(req, Request::Submit { job } if job.virtual_cluster == Some(partition))
+                    && line.contains("\"Waiting\"")
+            });
+            queued.count()
+        };
+        assert!(
+            waiting_on(0) > 50 && waiting_on(1) > 50,
+            "no standing queues"
+        );
+
+        let stats = |replica: &Replica| {
+            let stats = replica.metrics.report(&replica.session, 0, None, None);
+            Response::Stats { stats }.to_line()
+        };
+        let recovered = recover(&config, config.journal.as_ref().unwrap()).expect("recover");
+        assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
+        let replayed = recovered.into_parts().0;
+        assert!(stats(&replayed) == stats(&live.parts.0), "Stats diverged");
+        assert!(
+            replayed.snapshot_json() == live.snapshot,
+            "snapshot diverged"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A rotation that fails moves nothing: the journal keeps its

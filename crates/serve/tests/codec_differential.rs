@@ -419,6 +419,17 @@ proptest! {
     }
 }
 
+/// A tenant name whose high surrogate is followed by an escape that is
+/// not a low one: both paths refuse it, in the same words, in a debug
+/// and in a release build.
+#[test]
+fn an_unpaired_surrogate_in_a_tenant_name_is_refused_by_both_paths() {
+    let text = r#"{"Submit":{"job":{"id":1,"procs":1,"runtime":5,"tenant":"\ud800\u0041"}}}"#;
+    check_verdicts::<Request>(text);
+    let refusal = Request::from_json_str(text).expect_err("a lone surrogate");
+    assert_eq!(refusal.to_string(), "lone surrogate in string");
+}
+
 /// The deep serialize-only payloads (`Stats`, `Snapshot`): direct writer
 /// vs `Value` oracle, byte for byte.
 #[test]

@@ -14,6 +14,15 @@
 //! backfilling). Determinism: ties are broken by `(priority, submit, id)`
 //! everywhere, so interleaving `submit`/`advance_to` calls in any valid
 //! order yields the same schedule as one batch run.
+//!
+//! Here: the types, submit / cancel, the event loop, the accessors.
+//! `passes`: the queue order and the scheduling passes. `state`: the save
+//! format. `testing` (test builds): the reference passes.
+
+mod passes;
+mod state;
+#[cfg(test)]
+mod testing;
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -22,14 +31,14 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use lumos_core::{CoreError, Duration, Job, Result, SystemSpec, Timestamp};
 use serde::{Deserialize, Serialize};
 
-use crate::backfill::Backfill;
-use crate::cluster::{Cluster, Cursor, WaitQueue, Waiter};
+use crate::cluster::{Cluster, Waiter};
 use crate::metrics::{SimMetrics, UtilizationTimeline};
-#[cfg(test)]
-use crate::profile::flat::FlatProfile;
 use crate::profile::CapacityProfile;
 use crate::simulator::{SimConfig, SimResult};
 use crate::tenant::{TenantId, TenantState, TenantTable, TenantUsage};
+
+use state::SavedMark;
+pub use state::{SessionState, StateDelta};
 
 /// Lifecycle state of a job inside a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -119,215 +128,6 @@ pub struct SessionSnapshot {
     pub utilization: f64,
 }
 
-/// Complete, serializable scheduling state of a [`SimSession`].
-///
-/// Produced by [`SimSession::save_state`] and consumed by
-/// [`SimSession::restore`]. Only *facts* are stored — the job table with
-/// observed waits, per-job lifecycle states, planning walltimes, issued
-/// reservations, and the accumulated observables (violations, timeline,
-/// queue maxima, undrained events). Everything derivable is rebuilt on
-/// restore from those facts plus the [`SystemSpec`]: partition routing and
-/// effective requests (via the deterministic [`crate::cluster::Cluster::route`]),
-/// policy keys (the policy key never depends on the observed wait), queue
-/// orderings, the release ledgers, and the completion heap. That keeps the
-/// snapshot small and makes corruption detectable as inconsistency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionState {
-    /// Scheduling configuration the session runs under.
-    pub config: SimConfig,
-    /// Simulation time at the moment of the save.
-    pub clock: Timestamp,
-    /// Every job ever submitted, in submission order, with observed waits
-    /// filled in for started jobs.
-    pub jobs: Vec<Job>,
-    /// Per-job lifecycle state, parallel to `jobs`.
-    pub states: Vec<JobState>,
-    /// Per-job walltime the scheduler plans with, parallel to `jobs`.
-    pub plan_wall: Vec<Duration>,
-    /// Per-job promised (reserved) start time, parallel to `jobs`.
-    pub promised: Vec<Option<Timestamp>>,
-    /// Reservation violations observed so far, as `(promised, actual)`.
-    pub violations: Vec<(Timestamp, Timestamp)>,
-    /// Utilization timeline points, as `(time, used_units)`.
-    pub timeline: Vec<(Timestamp, u64)>,
-    /// Per-partition running-maximum queue length.
-    pub max_queue: Vec<usize>,
-    /// Global maximum total queue length.
-    pub max_queue_total: usize,
-    /// Events recorded but not yet drained at save time.
-    pub events: Vec<SimEvent>,
-    /// Whether the session records events.
-    pub record_events: bool,
-    /// Tenant table, when the session runs with tenancy enabled.
-    /// `Option` so snapshots written before tenancy existed still
-    /// deserialize (missing field → `None` → tenancy off).
-    pub tenants: Option<TenantTable>,
-    /// Owning tenant per job, parallel to `jobs`; saved iff `tenants`
-    /// is. Usage accounting is re-derived from this plus the states.
-    pub tenant_of: Option<Vec<TenantId>>,
-}
-
-/// What changed in a session since the save it was last marked at
-/// ([`SimSession::mark_saved`]): an increment that
-/// [`SessionState::fold`] lays over that save's state to get the state
-/// at the moment of [`SimSession::save_delta`].
-///
-/// A finished or cancelled job's row never changes again, so an
-/// increment holds the rows that were *sealed* since the mark, the
-/// current rows of the jobs still live, and the tails of the append-only
-/// observables — O(live + new history), however long the table is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StateDelta {
-    /// Simulation time at the moment of the save.
-    pub clock: Timestamp,
-    /// Length of the job table at the moment of the save.
-    pub len: usize,
-    /// Table indices of the rows carried, strictly ascending: every row
-    /// sealed since the mark and every row still live.
-    pub rows: Vec<usize>,
-    /// The jobs at `rows`.
-    pub jobs: Vec<Job>,
-    /// The lifecycle states at `rows`.
-    pub states: Vec<JobState>,
-    /// The planning walltimes at `rows`.
-    pub plan_wall: Vec<Duration>,
-    /// The promised start times at `rows`.
-    pub promised: Vec<Option<Timestamp>>,
-    /// The owning tenants at `rows`; saved iff the session has tenancy.
-    pub tenant_of: Option<Vec<TenantId>>,
-    /// Index the `violations` tail starts at.
-    pub violations_from: usize,
-    /// Violations observed since the mark.
-    pub violations: Vec<(Timestamp, Timestamp)>,
-    /// Index the `timeline` tail starts at: the last point the marked
-    /// save held (a later same-instant change may still fold it) or the
-    /// first one past it.
-    pub timeline_from: usize,
-    /// Timeline points from `timeline_from` on.
-    pub timeline: Vec<(Timestamp, u64)>,
-    /// Per-partition running-maximum queue length.
-    pub max_queue: Vec<usize>,
-    /// Global maximum total queue length.
-    pub max_queue_total: usize,
-    /// Events recorded but not yet drained at save time.
-    pub events: Vec<SimEvent>,
-    /// Whether the session records events.
-    pub record_events: bool,
-}
-
-impl SessionState {
-    /// The per-job columns must be as long as the job table.
-    fn check_columns(&self) -> Result<()> {
-        let n = self.jobs.len();
-        if self.states.len() != n
-            || self.plan_wall.len() != n
-            || self.promised.len() != n
-            || self.tenant_of.as_ref().is_some_and(|t| t.len() != n)
-        {
-            return Err(CoreError::InvalidSnapshot(format!(
-                "table lengths disagree: {n} jobs, {} states, {} walltimes, {} promises, {} owners",
-                self.states.len(),
-                self.plan_wall.len(),
-                self.promised.len(),
-                self.tenant_of.as_ref().map_or(n, Vec::len)
-            )));
-        }
-        Ok(())
-    }
-
-    /// Lays a chain of increments, oldest first, over this state: the
-    /// result is what [`SimSession::save_state`] returned when the last
-    /// increment was taken.
-    ///
-    /// # Errors
-    /// [`CoreError::InvalidSnapshot`] unless every table index is covered
-    /// exactly once: an increment must rewrite every row that was live
-    /// before it and no sealed one, append the rows past the old table
-    /// end without a gap up to its `len`, and continue the violation and
-    /// timeline lists where the state before it stopped.
-    pub fn fold(mut self, deltas: impl IntoIterator<Item = StateDelta>) -> Result<Self> {
-        let bad = |what: String| Err(CoreError::InvalidSnapshot(what));
-        self.check_columns()?;
-        let mut live = self.states.iter().filter(|s| s.is_live()).count();
-        for delta in deltas {
-            let n = delta.rows.len();
-            if delta.jobs.len() != n
-                || delta.states.len() != n
-                || delta.plan_wall.len() != n
-                || delta.promised.len() != n
-                || delta.tenant_of.as_ref().map(Vec::len) != self.tenant_of.as_ref().map(|_| n)
-            {
-                return bad(format!("increment columns disagree on {n} rows"));
-            }
-            let old_len = self.jobs.len();
-            let rewritten = delta.rows.partition_point(|&idx| idx < old_len);
-            let ascending = delta.rows.windows(2).all(|w| w[0] < w[1]);
-            let sealed = delta.rows[..rewritten]
-                .iter()
-                .find(|&&idx| !self.states[idx].is_live());
-            let appended = delta.rows[rewritten..].iter().copied();
-            if !ascending || !appended.eq(old_len..delta.len) {
-                return bad(format!(
-                    "increment does not extend a table of {old_len} rows to {} one row at a time",
-                    delta.len
-                ));
-            }
-            if let Some(idx) = sealed {
-                return bad(format!("increment rewrites row {idx}, which was sealed"));
-            }
-            if rewritten != live {
-                return bad(format!(
-                    "increment carries {rewritten} of the {live} rows that were live before it"
-                ));
-            }
-            let timeline_len = self.timeline.len();
-            if delta.timeline_from > timeline_len || delta.timeline_from + 1 < timeline_len {
-                return bad(format!(
-                    "timeline tail starts at {}, the timeline before it has {timeline_len} points",
-                    delta.timeline_from
-                ));
-            }
-            if delta.violations_from != self.violations.len() {
-                return bad(format!(
-                    "violation tail starts at {}, {} were recorded before it",
-                    delta.violations_from,
-                    self.violations.len()
-                ));
-            }
-            live = delta.states.iter().filter(|s| s.is_live()).count();
-            scatter(&mut self.jobs, &delta.rows, delta.jobs);
-            scatter(&mut self.states, &delta.rows, delta.states);
-            scatter(&mut self.plan_wall, &delta.rows, delta.plan_wall);
-            scatter(&mut self.promised, &delta.rows, delta.promised);
-            if let (Some(column), Some(owners)) = (&mut self.tenant_of, delta.tenant_of) {
-                scatter(column, &delta.rows, owners);
-            }
-            self.timeline.truncate(delta.timeline_from);
-            self.timeline.extend(delta.timeline);
-            self.violations.extend(delta.violations);
-            self.clock = delta.clock;
-            self.max_queue = delta.max_queue;
-            self.max_queue_total = delta.max_queue_total;
-            self.events = delta.events;
-            self.record_events = delta.record_events;
-        }
-        Ok(self)
-    }
-}
-
-/// Writes `values[k]` to `column[rows[k]]`; a row one past the column's
-/// end is appended ([`SessionState::fold`] has checked that the rows past
-/// the end are consecutive).
-fn scatter<T>(column: &mut Vec<T>, rows: &[usize], values: Vec<T>) {
-    for (&idx, value) in rows.iter().zip(values) {
-        if idx < column.len() {
-            column[idx] = value;
-        } else {
-            column.push(value);
-        }
-    }
-}
-
 /// One submission: the job, plus what the scheduler — not the trace —
 /// decides about it. `Submission::from(job)` leaves both decisions to
 /// the session.
@@ -352,23 +152,6 @@ impl From<Job> for Submission {
             walltime: None,
         }
     }
-}
-
-/// What a durable save of the session already holds
-/// ([`SimSession::mark_saved`]), so that the next one
-/// ([`SimSession::save_delta`]) can leave it out.
-#[derive(Debug)]
-struct SavedMark {
-    /// The caller's name for that save.
-    id: u64,
-    /// Jobs that finished or were cancelled since, in event order.
-    sealed: Vec<usize>,
-    /// The save's timeline is final below this index: its last point may
-    /// still be folded by a change at the same instant
-    /// ([`SimSession::record_state_point`]), nothing before it can.
-    timeline_from: usize,
-    /// Violations the save holds (the list only grows).
-    violations_from: usize,
 }
 
 /// An incremental scheduling simulation.
@@ -409,12 +192,6 @@ pub struct SimSession {
     clock: Timestamp,
     /// Scratch buffer: partitions touched by the current event.
     dirty: Vec<usize>,
-    /// Partitions with round-deferred arrivals staged at the current
-    /// instant, as `(partition, staged effective units)` — the
-    /// bookkeeping behind [`SimSession::round_needs_flush`]. Cleared by
-    /// any clock-reaching advance. Not part of the saved state: flush
-    /// the round before saving (the serving layer flushes at round end).
-    staged_parts: Vec<(usize, u64)>,
     /// Allocations behind conservative backfill's plan: each pass lays
     /// this profile over its partition's release ledger
     /// ([`crate::profile::ReleaseLedger::plan`]) and carves trial
@@ -479,7 +256,6 @@ impl SimSession {
             max_queue_total: 0,
             clock: Timestamp::MIN,
             dirty: Vec::new(),
-            staged_parts: Vec::new(),
             plan_scratch: CapacityProfile::new(0, 0),
             scratch_starts: Vec::new(),
             fair_scratch: Vec::new(),
@@ -520,90 +296,21 @@ impl SimSession {
         &self.config
     }
 
-    /// True when staging `job` behind the round's already-deferred
-    /// submissions could change an outcome, so the round must be
-    /// flushed first ([`SimSession::round_flush`]).
-    ///
-    /// Deferring a pass is provably equivalent to running it per submit
-    /// when same-instant arrivals cannot contend: the job lands on a
-    /// partition with no deferred arrival (per-partition passes are
-    /// independent, and the flush runs the identical single-arrival
-    /// pass), or its partition's waiting queue is empty and free
-    /// capacity covers every deferred arrival plus this one (then every
-    /// pass order starts them all immediately with zero wait). Anything
-    /// else — contention, where which job starts first depends on pass
-    /// grouping — reports `true` and falls back to sequential order.
-    /// Zero-length jobs also flush: they free their id and quota inside
-    /// their own pass, which later submissions in the round may observe
-    /// ([`SimSession::round_submit`] flushes again right after staging
-    /// one). Future-dated jobs never need a flush — they arrive when
-    /// the clock reaches them.
-    #[must_use]
-    pub fn round_needs_flush(&self, job: &Job) -> bool {
-        if job.submit != self.clock || self.staged_parts.is_empty() {
-            return false;
-        }
-        if job.runtime == 0 {
-            return true;
-        }
-        let part = self.cluster.route(job.virtual_cluster, job.procs);
-        let Some(&(_, staged)) = self.staged_parts.iter().find(|&&(p, _)| p == part) else {
-            return false;
-        };
-        let p = self.cluster.partition(part);
-        let eff = job.procs.min(p.capacity);
-        !(p.waiting().is_empty() && p.free >= staged + eff)
-    }
-
-    /// [`SimSession::submit`] for a round of commands that share one
-    /// instant: a run of these followed by one
-    /// [`SimSession::round_flush`] (or any clock-reaching advance) is
-    /// covered, in the common case, by **one** scheduling pass, and every
-    /// outcome — verdicts, job states and waits, reservations,
-    /// violations, the utilization timeline, the saved state — is
-    /// byte-identical to `submit` followed by `advance_to(now())` once
-    /// per job. Equivalence is *enforced*, not assumed: the round is
-    /// flushed first whenever [`SimSession::round_needs_flush`] says
-    /// same-instant arrivals could contend. The one observable
-    /// difference that remains is the *ordering* of same-instant
-    /// [`SimEvent::Started`] records within one flushed group — jobs
-    /// that all start immediately are logged in policy-key order rather
-    /// than submission order (same events, same timestamps, same waits).
-    /// Query/cancel/save before the flush observe staged jobs as
-    /// [`JobState::Pending`].
-    ///
-    /// # Errors
-    /// Same contract as [`SimSession::submit`]; a refusal does not
-    /// disturb the rest of the round.
+    /// What is left of a deferred round pass, for the frozen `benchmark/`
+    /// alone (ROADMAP, "Benchmark v2" (8)): submit, then the arrival's pass.
+    #[doc(hidden)]
     pub fn round_submit(&mut self, submission: impl Into<Submission>) -> Result<()> {
-        let submission = submission.into();
-        let job = &submission.job;
-        if self.round_needs_flush(job) {
-            self.round_flush();
-        }
-        let due = job.submit == self.clock;
-        let zero_len = job.runtime == 0;
-        let part = self.cluster.route(job.virtual_cluster, job.procs);
-        let eff = job.procs.min(self.cluster.partition(part).capacity);
-        let res = self.submit(submission);
-        if res.is_ok() && due {
-            if zero_len {
-                // Run its pass alone so the id and quota it frees are
-                // visible to the rest of the round, as they would be
-                // under pass-per-submit processing.
-                self.round_flush();
-            } else {
-                match self.staged_parts.iter_mut().find(|(p, _)| *p == part) {
-                    Some(entry) => entry.1 += eff,
-                    None => self.staged_parts.push((part, eff)),
-                }
-            }
-        }
-        res
+        self.submit(submission)?;
+        self.advance_to(self.clock);
+        Ok(())
     }
 
-    /// Runs the round's single deferred scheduling pass (a no-op when
-    /// nothing is staged). Equivalent to `advance_to(now())`.
+    #[doc(hidden)]
+    pub fn round_needs_flush(&self, _job: &Job) -> bool {
+        false
+    }
+
+    #[doc(hidden)]
     pub fn round_flush(&mut self) {
         self.advance_to(self.clock);
     }
@@ -872,11 +579,6 @@ impl SimSession {
     /// completion at times `<= t` in event order. Monotone: a target in the
     /// past is a no-op.
     pub fn advance_to(&mut self, t: Timestamp) {
-        if t >= self.clock {
-            // Every round-staged arrival (submit == clock) is processed
-            // below, so the deferral bookkeeping starts over.
-            self.staged_parts.clear();
-        }
         while let Some(te) = self.next_event_time() {
             if te > t {
                 break;
@@ -888,7 +590,6 @@ impl SimSession {
 
     /// Runs until no arrivals or completions remain.
     pub fn advance_to_completion(&mut self) {
-        self.staged_parts.clear();
         while let Some(te) = self.next_event_time() {
             self.step(te);
         }
@@ -928,211 +629,6 @@ impl SimSession {
                 used as f64 / capacity as f64
             },
         }
-    }
-
-    /// Captures the session's complete scheduling state for durable
-    /// storage. See [`SessionState`] for what is stored versus re-derived;
-    /// [`SimSession::restore`] is the inverse.
-    #[must_use]
-    pub fn save_state(&self) -> SessionState {
-        SessionState {
-            config: self.config,
-            clock: self.clock,
-            jobs: self.jobs.clone(),
-            states: self.state.clone(),
-            plan_wall: self.plan_wall.clone(),
-            promised: self.promised.clone(),
-            violations: self.violations.clone(),
-            timeline: self.timeline.clone(),
-            max_queue: self.max_queue.clone(),
-            max_queue_total: self.max_queue_total,
-            events: self.events.clone(),
-            record_events: self.record_events,
-            tenants: self.tenants.as_ref().map(|ts| ts.table.clone()),
-            tenant_of: self.tenants.as_ref().map(|ts| ts.tenant_of.clone()),
-        }
-    }
-
-    /// Declares the session's current state durably saved under the name
-    /// `id` (the serving layer passes the snapshot's sequence number):
-    /// from here on [`SimSession::save_delta`] returns what changed since
-    /// this call. Call it only once the save is durable — an increment on
-    /// a save that was lost restores nothing.
-    pub fn mark_saved(&mut self, id: u64) {
-        let mut sealed = self.mark.take().map_or_else(Vec::new, |mark| mark.sealed);
-        sealed.clear();
-        self.mark = Some(SavedMark {
-            id,
-            sealed,
-            timeline_from: self.timeline.len().saturating_sub(1),
-            violations_from: self.violations.len(),
-        });
-    }
-
-    /// What changed since the session was last marked saved, with the
-    /// name that save was given — or `None` for a session never marked,
-    /// whose only complete save is [`SimSession::save_state`].
-    ///
-    /// Costs O(live jobs + history since the mark): the live set is read
-    /// off the pending queue, the waiting lists and the completion heap,
-    /// never by scanning the job table.
-    #[must_use]
-    pub fn save_delta(&self) -> Option<(u64, StateDelta)> {
-        let mark = self.mark.as_ref()?;
-        let running = self.finish_heap.iter().map(|&Reverse((_, idx))| idx);
-        let mut rows = mark.sealed.clone();
-        rows.extend(self.pending.iter().copied());
-        for part in 0..self.cluster.partition_count() {
-            let waiting = self.cluster.partition(part).waiting();
-            rows.extend(waiting.chunks().flatten().map(|w| w.idx));
-        }
-        rows.extend(running);
-        rows.sort_unstable();
-        let delta = StateDelta {
-            clock: self.clock,
-            len: self.jobs.len(),
-            jobs: rows.iter().map(|&i| self.jobs[i].clone()).collect(),
-            states: rows.iter().map(|&i| self.state[i]).collect(),
-            plan_wall: rows.iter().map(|&i| self.plan_wall[i]).collect(),
-            promised: rows.iter().map(|&i| self.promised[i]).collect(),
-            tenant_of: self
-                .tenants
-                .as_ref()
-                .map(|ts| rows.iter().map(|&i| ts.tenant_of[i]).collect()),
-            rows,
-            violations_from: mark.violations_from,
-            violations: self.violations[mark.violations_from..].to_vec(),
-            timeline_from: mark.timeline_from,
-            timeline: self.timeline[mark.timeline_from..].to_vec(),
-            max_queue: self.max_queue.clone(),
-            max_queue_total: self.max_queue_total,
-            events: self.events.clone(),
-            record_events: self.record_events,
-        };
-        Some((mark.id, delta))
-    }
-
-    /// Rebuilds a session from a previously saved [`SessionState`].
-    ///
-    /// `system` must be the spec the state was saved under — partition
-    /// geometry is derived from it, and the restored session continues
-    /// exactly where the saved one stopped: identical future schedules for
-    /// identical future inputs, and `restore(save_state())` round-trips.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::InvalidSnapshot`] when the state is internally
-    /// inconsistent: mismatched table lengths, started jobs without a
-    /// recorded wait (or unstarted jobs with one), or running jobs that
-    /// overcommit a partition.
-    pub fn restore(system: &SystemSpec, state: SessionState) -> Result<Self> {
-        state.check_columns()?;
-        let SessionState {
-            config,
-            clock,
-            jobs,
-            states,
-            plan_wall,
-            promised,
-            violations,
-            timeline,
-            max_queue,
-            max_queue_total,
-            events,
-            record_events,
-            tenants,
-            tenant_of,
-        } = state;
-        let mut s = Self::new(system, config);
-        let parts = s.cluster.partition_count();
-        if max_queue.len() != parts {
-            return Err(CoreError::InvalidSnapshot(format!(
-                "max_queue covers {} partitions, the system has {parts}",
-                max_queue.len()
-            )));
-        }
-        let mut pending: Vec<usize> = Vec::new();
-        let mut waiting: Vec<usize> = Vec::new();
-        for (idx, job) in jobs.iter().enumerate() {
-            let part = s.cluster.route(job.virtual_cluster, job.procs);
-            let cap = s.cluster.partition(part).capacity;
-            let wall = plan_wall[idx];
-            s.part_of.push(part);
-            s.procs_eff.push(job.procs.min(cap));
-            s.key_of.push(s.config.policy.key_with(job, wall));
-            s.by_id.entry(job.id).or_insert(idx);
-            match states[idx] {
-                JobState::Pending | JobState::Waiting => {
-                    if job.wait.is_some() {
-                        return Err(CoreError::InvalidSnapshot(format!(
-                            "job {} is {:?} but already has a wait",
-                            job.id, states[idx]
-                        )));
-                    }
-                    if states[idx] == JobState::Pending {
-                        pending.push(idx);
-                    } else {
-                        waiting.push(idx);
-                    }
-                }
-                JobState::Running | JobState::Finished => {
-                    let Some(wait) = job.wait else {
-                        return Err(CoreError::InvalidSnapshot(format!(
-                            "job {} is {:?} but has no recorded wait",
-                            job.id, states[idx]
-                        )));
-                    };
-                    if states[idx] == JobState::Running {
-                        let start = job.submit + wait;
-                        let procs = job.procs.min(cap);
-                        let p = s.cluster.partition_mut(part);
-                        if procs > p.free {
-                            return Err(CoreError::InvalidSnapshot(format!(
-                                "partition {part} overcommitted: job {} holds {procs} units with {} free",
-                                job.id, p.free
-                            )));
-                        }
-                        p.start(procs, start + wall);
-                        s.finish_heap.push(Reverse((start + job.runtime, idx)));
-                    } else {
-                        s.finished_count += 1;
-                    }
-                }
-                JobState::Cancelled => s.cancelled_count += 1,
-            }
-        }
-        s.jobs = jobs;
-        s.plan_wall = plan_wall;
-        s.promised = promised;
-        s.state = states;
-        s.tenants = match (tenants, tenant_of) {
-            (None, None) => None,
-            (Some(table), Some(owners)) => {
-                let runtimes: Vec<Duration> = s.jobs.iter().map(|j| j.runtime).collect();
-                let ts = TenantState::rebuild(table, owners, &s.state, &s.procs_eff, &runtimes)
-                    .map_err(CoreError::InvalidSnapshot)?;
-                Some(ts)
-            }
-            _ => {
-                return Err(CoreError::InvalidSnapshot(
-                    "tenant table and tenant_of must be saved together".into(),
-                ))
-            }
-        };
-        pending.sort_unstable_by_key(|&i| (s.jobs[i].submit, s.jobs[i].id));
-        s.pending = pending.into();
-        // Queue order is not stored: each job goes back where its static
-        // key puts it.
-        for idx in waiting {
-            s.enqueue(s.part_of[idx], idx);
-        }
-        s.violations = violations;
-        s.timeline = timeline;
-        s.max_queue = max_queue;
-        s.max_queue_total = max_queue_total;
-        s.clock = clock;
-        s.events = events;
-        s.record_events = record_events;
-        Ok(s)
     }
 
     /// Discrete events (arrivals + completions) processed so far.
@@ -1181,7 +677,7 @@ impl SimSession {
     /// the running jobs in the session's tables — and that the ledger's
     /// unit accounting agrees with the partition's. Also checks each
     /// partition's waiting queue: sound in itself
-    /// ([`WaitQueue::assert_sound`]), holding exactly the partition's
+    /// ([`crate::cluster::WaitQueue::assert_sound`]), holding exactly the partition's
     /// waiting jobs, and in static-key order unless the ordering is
     /// fair-share over a tenant table. Test hook for the differential
     /// property suite; panics with context on divergence.
@@ -1308,8 +804,9 @@ impl SimSession {
     /// returns to its prior value), so the recorded trace depends only
     /// on the utilization trajectory — not on how many scheduling passes
     /// or event sub-steps produced it. That independence is what lets a
-    /// deferred round pass ([`SimSession::round_submit`]) record a
-    /// byte-identical timeline to pass-per-submit processing.
+    /// served stream, one step per submission, record the timeline batch
+    /// replay records in one step per instant, and a restored or replayed
+    /// session continue it ([`StateDelta::timeline_from`]).
     fn record_state_point(&mut self, now: Timestamp) {
         self.max_queue_total = self.max_queue_total.max(self.cluster.queue_len());
         if !self.config.record_timeline {
@@ -1326,54 +823,6 @@ impl SimSession {
             }
         }
         self.timeline.push((now, used));
-    }
-
-    /// The static queue order: `(policy key, submit, id)`.
-    fn queue_key(&self, idx: usize) -> (f64, Timestamp, u64) {
-        (self.key_of[idx], self.jobs[idx].submit, self.jobs[idx].id)
-    }
-
-    /// Job `idx` as a queue entry.
-    fn waiter(&self, idx: usize) -> Waiter {
-        Waiter {
-            idx,
-            procs: self.procs_eff[idx],
-            wall: self.plan_wall[idx],
-        }
-    }
-
-    /// Inserts `idx` into its partition's waiting queue, behind every job
-    /// whose static key is at or before its own.
-    ///
-    /// Under fair-share ordering over a tenant table the queue is *not*
-    /// in static-key order when this runs — [`SimSession::fair_resort`]
-    /// left it ordered by tenant share — so the search lands anywhere.
-    /// That is unobservable: the re-sort imposes the total order
-    /// `(share, key, submit, id, index)` again before anything reads the
-    /// queue, and a total order does not care where the entries stood.
-    fn enqueue(&mut self, part: usize, idx: usize) {
-        let key = self.queue_key(idx);
-        let waiter = self.waiter(idx);
-        let (jobs, key_of) = (&self.jobs, &self.key_of);
-        self.cluster
-            .partition_mut(part)
-            .waiting_mut()
-            .insert_by(waiter, |w| {
-                (key_of[w.idx], jobs[w.idx].submit, jobs[w.idx].id) <= key
-            });
-    }
-
-    /// Where waiting job `idx` stands in its partition's queue: a search
-    /// on the static order. That order does not hold after a fair-share
-    /// re-sort (nor between two live jobs sharing an id, which batch
-    /// replay allows), so the queue falls back to a scan on a miss.
-    fn queue_position(&self, part: usize, idx: usize) -> Cursor {
-        let key = self.queue_key(idx);
-        self.cluster
-            .partition(part)
-            .waiting()
-            .find(idx, |w| self.queue_key(w.idx) < key)
-            .expect("waiting job is in its partition queue")
     }
 
     /// The end estimate running (or finished) job `idx` was started
@@ -1410,341 +859,12 @@ impl SimSession {
             });
         }
     }
-
-    /// Re-sorts a partition's waiting queue by live tenant share under
-    /// fair-share policies; a no-op otherwise (static-key order from
-    /// [`SimSession::enqueue`] is already correct). Shares move whenever
-    /// a job starts or finishes, so every scheduling decision re-derives
-    /// the order: `(share, key, submit, id, index)` — the static key and
-    /// tie-breaks keep the ordering total and deterministic.
-    fn fair_resort(&mut self, part: usize) {
-        if !self.config.policy.is_fair_share() {
-            return;
-        }
-        let Some(ts) = &self.tenants else {
-            // Without a tenant table every job shares one implicit
-            // tenant, so fair-share degrades to the static FCFS key —
-            // the order the queue is already in.
-            return;
-        };
-        if self.cluster.partition(part).waiting().len() <= 1 {
-            return;
-        }
-        let shares = ts.shares(
-            self.cluster.total_capacity(),
-            self.config.policy.is_weighted(),
-        );
-        let jobs = &self.jobs;
-        let key_of = &self.key_of;
-        let tenant_of = &ts.tenant_of;
-        let waiting = self.cluster.partition_mut(part).waiting_mut();
-        let by_share = |&Waiter { idx: a, .. }: &Waiter, &Waiter { idx: b, .. }: &Waiter| {
-            let ka = (
-                shares[usize::from(tenant_of[a])],
-                key_of[a],
-                jobs[a].submit,
-                jobs[a].id,
-                a,
-            );
-            let kb = (
-                shares[usize::from(tenant_of[b])],
-                key_of[b],
-                jobs[b].submit,
-                jobs[b].id,
-                b,
-            );
-            ka.partial_cmp(&kb).expect("shares and keys are finite")
-        };
-        waiting.sort_unstable_by(&mut self.fair_scratch, by_share);
-    }
-
-    /// Starts jobs from the head of the queue while the head fits,
-    /// re-deriving fair-share order before each decision (each start
-    /// moves the shares, which may change who the head *is*).
-    fn start_head_while_fits(&mut self, part: usize, now: Timestamp) {
-        loop {
-            self.fair_resort(part);
-            let p = self.cluster.partition_mut(part);
-            match p.waiting().first() {
-                Some(&head) if head.procs <= p.free => {
-                    p.waiting_mut().pop_front();
-                    self.start(part, head.idx, now);
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// One scheduling pass on a partition.
-    fn schedule(&mut self, part: usize, now: Timestamp) {
-        // Bring the release ledger to `now`: keys the clock has passed
-        // become overrunning jobs. Usually none or one key — a drain at
-        // the front of one chunk.
-        self.cluster.partition_mut(part).prune_to(now);
-        // Start from the head while it fits.
-        self.start_head_while_fits(part, now);
-        let qlen = self.cluster.partition(part).waiting().len();
-        if qlen == 0 {
-            return;
-        }
-        self.max_queue[part] = self.max_queue[part].max(qlen);
-        // Nothing can start while zero units are free — neither the head
-        // nor any backfill candidate — so skip the backfill pass entirely.
-        // On saturated systems this short-circuits the majority of arrival
-        // events.
-        if self.cluster.partition(part).free == 0 {
-            return;
-        }
-        match self.config.backfill {
-            Backfill::None => {}
-            #[cfg(test)]
-            Backfill::Easy if self.reference_passes => self.schedule_easy_reference(part, now),
-            #[cfg(test)]
-            Backfill::Conservative if self.reference_passes => {
-                self.schedule_conservative_reference(part, now);
-            }
-            Backfill::Easy => self.schedule_easy(part, now),
-            Backfill::Conservative => self.schedule_conservative(part, now),
-        }
-        let p = self.cluster.partition(part);
-        debug_assert_eq!(
-            p.ledger().free_now(),
-            p.free,
-            "release ledger out of sync with unit accounting"
-        );
-    }
-
-    /// The head's reservation for one EASY scan: `(shadow, extra,
-    /// promise, allowance)`. Issues the head's promise when it has none.
-    fn easy_reservation(&mut self, part: usize) -> (Timestamp, u64, Timestamp, i64) {
-        let p = self.cluster.partition(part);
-        let head = *p.waiting().first().expect("a backfill pass has a head");
-        // Shadow time and the units free at it, straight off the release
-        // ledger (`schedule` pruned it to `now`): a prefix-sum search, no
-        // profile built.
-        let (shadow, free_at_shadow) = p.ledger().earliest(head.procs);
-        let extra = free_at_shadow - head.procs;
-        // The allowance is measured against the head's *original*
-        // promise, not the recomputed shadow: a relaxed backfill pushes
-        // the shadow later, and re-deriving the allowance from that
-        // delayed shadow would let every subsequent round relax further
-        // — unbounded cumulative delay instead of Eq. 1's
-        // `factor × expected wait` budget.
-        let promise = *self.promised[head.idx].get_or_insert(shadow);
-        let allowance = self.config.relax.allowance(
-            promise - self.jobs[head.idx].submit,
-            p.waiting().len(),
-            self.max_queue[part],
-        );
-        (shadow, extra, promise, allowance)
-    }
-
-    /// EASY backfilling with (possibly relaxed) head reservation.
-    ///
-    /// A candidate behind the head starts when it fits the free units now
-    /// and is `harmless` (ends by the shadow), `in_extra` (fits the units
-    /// the head's reservation leaves over) or `in_allowance` (ends within
-    /// the relaxation budget past the head's promise). The first and the
-    /// last are one comparison against `horizon`, so the search for the
-    /// next startable candidate is one test on the inline `(procs, wall)`
-    /// of each entry — and [`WaitQueue::find_from`] runs it only inside
-    /// the chunks whose smallest request and smallest walltime do not
-    /// already fail it: in a standing queue thousands deep, where most
-    /// chunks hold nothing that both fits the free units and ends by the
-    /// horizon, a scan reads a header per chunk and a few chunks' entries.
-    ///
-    /// The scan repeats only after a start that was *neither* harmless
-    /// *nor* in the extra units — an allowance-only start, the one kind
-    /// that can move the shadow — or when fair-share ordering over a
-    /// tenant table can change who the head is. Every other repeat finds
-    /// nothing: a harmless start ends by the shadow, and an `in_extra`
-    /// start leaves `free_at(shadow) ≥ head + extra_remaining` on a
-    /// release-only (monotone) profile, so the recomputed `(shadow,
-    /// extra)` equals `(shadow, extra_remaining)`; `free` only shrank, the
-    /// allowance only shrank (the queue got shorter), `now` is the same —
-    /// every candidate rejected once is rejected again, and the head,
-    /// which did not fit before `free` shrank, still does not.
-    fn schedule_easy(&mut self, part: usize, now: Timestamp) {
-        let head_can_change = self.config.policy.is_fair_share() && self.tenants.is_some();
-        loop {
-            let (shadow, extra, promise, allowance) = self.easy_reservation(part);
-            // Gated on a positive allowance so a zero-allowance
-            // relaxation degenerates to strict EASY even when early
-            // completions pulled the shadow before the promise.
-            let horizon = if allowance > 0 {
-                shadow.max(promise + allowance)
-            } else {
-                shadow
-            };
-            let mut extra_remaining = extra;
-            let mut started_any = false;
-            let mut moved_shadow = false;
-            let mut at = WaitQueue::BEHIND_HEAD;
-            loop {
-                let p = self.cluster.partition_mut(part);
-                let spare = p.free.min(extra_remaining);
-                let Some(found) = p.waiting().find_from(at, p.free, spare, horizon - now) else {
-                    break;
-                };
-                at = found; // after the removal, `at` is the next candidate
-                let cand = p.waiting_mut().remove(at);
-                let harmless = cand.wall <= shadow - now;
-                if !harmless {
-                    if cand.procs <= extra_remaining {
-                        extra_remaining -= cand.procs;
-                    } else {
-                        moved_shadow = true;
-                    }
-                }
-                self.start(part, cand.idx, now);
-                started_any = true;
-            }
-            if !(moved_shadow || head_can_change && started_any) {
-                break;
-            }
-            // Free capacity changed; under fair-share so did the shares —
-            // re-run the head loop.
-            self.start_head_while_fits(part, now);
-            if self.cluster.partition(part).waiting().is_empty() {
-                break;
-            }
-        }
-    }
-
-    /// The candidate loop as it stood before the inline scan: indexed
-    /// walk, the three tests spelled out per candidate, a full rescan
-    /// after any pass that started something, and the shadow cross-checked
-    /// against the profile queries it used to come from. Kept as the
-    /// reference the differential tests hold [`SimSession::schedule_easy`]
-    /// to.
-    #[cfg(test)]
-    fn schedule_easy_reference(&mut self, part: usize, now: Timestamp) {
-        loop {
-            let (shadow, extra, promise, allowance) = self.easy_reservation(part);
-            let p = self.cluster.partition(part);
-            let mut profile = FlatProfile::new(0, 0);
-            p.ledger().fill(&mut profile);
-            let need = p.waiting().first().expect("a head").procs;
-            assert_eq!(profile.earliest_forever(now, need), Some(shadow));
-            assert_eq!(profile.free_at(shadow) - need, extra);
-            let mut extra_remaining = extra;
-            let mut started_any = false;
-            let mut i = 1usize;
-            loop {
-                let p = self.cluster.partition(part);
-                let Some((at, cand)) = p.waiting().nth(i) else {
-                    break;
-                };
-                if cand.procs <= p.free {
-                    let end = now + cand.wall;
-                    let harmless = end <= shadow;
-                    let in_extra = cand.procs <= extra_remaining;
-                    let in_allowance = allowance > 0 && end <= promise + allowance;
-                    if harmless || in_extra || in_allowance {
-                        if !harmless && in_extra {
-                            extra_remaining -= cand.procs;
-                        }
-                        self.cluster.partition_mut(part).waiting_mut().remove(at);
-                        self.start(part, cand.idx, now);
-                        started_any = true;
-                        continue; // same i now points at the next candidate
-                    }
-                }
-                i += 1;
-            }
-            if !started_any {
-                break;
-            }
-            self.start_head_while_fits(part, now);
-            if self.cluster.partition(part).waiting().is_empty() {
-                break;
-            }
-        }
-    }
-
-    /// Conservative backfilling: every queued job gets a planned slot in a
-    /// shared capacity profile; whoever's slot is "now" starts.
-    fn schedule_conservative(&mut self, part: usize, now: Timestamp) {
-        // Conservative carves per-candidate reservations that must not
-        // outlive this pass, so it plans on the session's scratch profile
-        // laid over the release ledger: a span header per ledger chunk at
-        // entry, breakpoints copied out only where an edge lands.
-        let mut to_start = std::mem::take(&mut self.scratch_starts);
-        to_start.clear();
-        let p = self.cluster.partition(part);
-        let mut plan = p.ledger().plan(&mut self.plan_scratch);
-        // Chunk slice by chunk slice in a plain nested loop: a flattening
-        // iterator in this loop measured slower.
-        for chunk in p.waiting().chunks() {
-            for w in chunk {
-                let s = plan
-                    .earliest_fit(now, w.procs, w.wall)
-                    .expect("procs_eff ≤ partition capacity");
-                plan.reserve(s, s + w.wall, w.procs);
-                if self.promised[w.idx].is_none() {
-                    self.promised[w.idx] = Some(s);
-                }
-                if s == now {
-                    to_start.push(w.idx);
-                }
-            }
-        }
-        drop(plan);
-        self.start_planned(part, now, to_start);
-    }
-
-    /// The pass as it stood before the plan was laid over the ledger: a
-    /// full copy of the ledger into one flat breakpoint list, swept and
-    /// rewritten per waiting job. Kept as the reference the differential
-    /// tests hold [`SimSession::schedule_conservative`] to.
-    #[cfg(test)]
-    fn schedule_conservative_reference(&mut self, part: usize, now: Timestamp) {
-        let mut to_start = std::mem::take(&mut self.scratch_starts);
-        to_start.clear();
-        let p = self.cluster.partition(part);
-        let mut profile = FlatProfile::new(0, 0);
-        p.ledger().fill(&mut profile);
-        for w in p.waiting().chunks().flatten() {
-            let s = profile
-                .earliest_fit(now, w.procs, w.wall)
-                .expect("procs_eff ≤ partition capacity");
-            profile.reserve(s, s + w.wall, w.procs);
-            if self.promised[w.idx].is_none() {
-                self.promised[w.idx] = Some(s);
-            }
-            if s == now {
-                to_start.push(w.idx);
-            }
-        }
-        self.start_planned(part, now, to_start);
-    }
-
-    /// Starts the jobs a conservative pass planned for `now` — a
-    /// subsequence of the queue, in queue order — and hands the list back
-    /// to the scratch.
-    fn start_planned(&mut self, part: usize, now: Timestamp, to_start: Vec<usize>) {
-        if !to_start.is_empty() {
-            // One merge-walk compacts the queue however many jobs start.
-            let mut planned = to_start.iter().peekable();
-            self.cluster.partition_mut(part).waiting_mut().retain(|w| {
-                let starts = planned.peek().is_some_and(|&&idx| idx == w.idx);
-                if starts {
-                    planned.next();
-                }
-                !starts
-            });
-            for &idx in &to_start {
-                self.start(part, idx, now);
-            }
-        }
-        self.scratch_starts = to_start;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, Policy, Relax};
+    use crate::{simulate, Backfill, Policy, Relax};
     use lumos_core::{JobStatus, Trace};
 
     fn tiny() -> SystemSpec {

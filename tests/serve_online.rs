@@ -44,6 +44,13 @@ fn roundtrip(writer: &mut impl Write, reader: &mut impl BufRead, request: &str) 
     serde_json::parse_value_complete(&line).expect("response is JSON")
 }
 
+/// The message of an `Error` reply.
+fn error_message(reply: &Value) -> String {
+    let message = reply.get("Error").and_then(|e| e.get("message"));
+    let message = message.and_then(Value::as_str).expect("error with message");
+    message.to_string()
+}
+
 #[test]
 fn online_replay_matches_batch_simulate() {
     let system = tiny_system(16);
@@ -215,12 +222,7 @@ fn protocol_errors_name_the_line_and_field() {
     assert!(reply.get("Submitted").is_some(), "unexpected {reply:?}");
     writeln!(writer).expect("blank line");
     let reply = roundtrip(&mut writer, &mut reader, "{nonsense");
-    let msg = reply
-        .get("Error")
-        .and_then(|e| e.get("message"))
-        .and_then(|m| m.as_str())
-        .expect("error with message")
-        .to_string();
+    let msg = error_message(&reply);
     assert!(msg.starts_with("line 3:"), "no line context: {msg}");
 
     // Line 4: a submit missing its required `id` — the error names the
@@ -230,12 +232,7 @@ fn protocol_errors_name_the_line_and_field() {
         &mut reader,
         r#"{"Submit":{"job":{"procs":1,"runtime":5}}}"#,
     );
-    let msg = reply
-        .get("Error")
-        .and_then(|e| e.get("message"))
-        .and_then(|m| m.as_str())
-        .expect("error with message")
-        .to_string();
+    let msg = error_message(&reply);
     assert!(msg.starts_with("line 4:"), "no line context: {msg}");
     assert!(msg.contains("id"), "field not named: {msg}");
 
@@ -244,15 +241,58 @@ fn protocol_errors_name_the_line_and_field() {
     handle.join().expect("server thread").expect("server run");
 }
 
+/// One line with a runtime near `i64::MAX` used to reach `now + runtime`
+/// in the session: a debug build lost its scheduler thread — the whole
+/// server — and a release build reported the job finished in the past.
+/// It is refused at the wire edge, and only that line.
+#[test]
+fn a_time_near_i64_max_costs_one_line_not_the_scheduler() {
+    let mut config = ServeConfig::new(tiny_system(4));
+    config.queue_capacity = 16;
+    let server = Server::bind("127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let handle = std::thread::spawn(move || server.run(false));
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    // A scheduler that is gone answers nothing: fail, do not hang.
+    let patience = std::time::Duration::from_secs(20);
+    stream.set_read_timeout(Some(patience)).expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+
+    let good = |id: u64| format!(r#"{{"Submit":{{"job":{{"id":{id},"procs":1,"runtime":5}}}}}}"#);
+    let reply = roundtrip(&mut writer, &mut reader, &good(1));
+    assert!(reply.get("Submitted").is_some(), "unexpected {reply:?}");
+    let reply = roundtrip(
+        &mut writer,
+        &mut reader,
+        r#"{"Submit":{"job":{"id":2,"procs":1,"runtime":9223372036854775807}}}"#,
+    );
+    let msg = error_message(&reply);
+    assert!(msg.starts_with("line 2: Submit.job.runtime:"), "{msg}");
+    let reply = roundtrip(&mut writer, &mut reader, &good(3));
+    assert!(reply.get("Submitted").is_some(), "unexpected {reply:?}");
+    let reply = roundtrip(&mut writer, &mut reader, r#""Stats""#);
+    let snapshot = reply
+        .get("Stats")
+        .and_then(|v| v.get("stats"))
+        .and_then(|v| v.get("snapshot"))
+        .expect("stats from a live scheduler");
+    assert_eq!(snapshot.get("submitted"), Some(&Value::I64(2)));
+
+    let reply = roundtrip(&mut writer, &mut reader, r#""Shutdown""#);
+    assert!(reply.get("Bye").is_some(), "unexpected {reply:?}");
+    handle.join().expect("server thread").expect("server run");
+}
+
 /// The deterministic command script for the batched-vs-lockstep
-/// differential: same-instant bursts that overfill the machine (the
-/// contended fallback path), bursts that all fit (the deferred
-/// single-pass path), a zero-length job, rejections, and mid-burst
-/// reads — every class of command a group-commit round can contain.
+/// differential: same-instant bursts that overfill the machine, bursts
+/// that all fit, a zero-length job, rejections, and mid-burst reads —
+/// every class of command a group-commit round can contain.
 fn round_script() -> Vec<String> {
     let mut s = Vec::new();
     // Burst at t=0 on a 12-unit machine: early jobs start, later ones
-    // queue, so deferral must fall back to sequential pass order.
+    // queue.
     for i in 0..20u64 {
         s.push(format!(
             r#"{{"Submit":{{"job":{{"id":{},"procs":{},"runtime":{},"walltime":400,"user":{}}}}}}}"#,
@@ -262,16 +302,16 @@ fn round_script() -> Vec<String> {
             i % 3
         ));
     }
-    // Mid-burst reads observe the flushed state.
+    // Mid-burst reads observe every submission before them scheduled.
     s.push(r#"{"Query":{"id":3}}"#.into());
     s.push("\"Stats\"".into());
-    // A zero-length job runs its own pass before the round continues.
+    // A zero-length job starts and finishes inside its own pass.
     s.push(r#"{"Submit":{"job":{"id":100,"procs":2,"runtime":0}}}"#.into());
     // Rejections: duplicate id, oversized request.
     s.push(r#"{"Submit":{"job":{"id":3,"procs":1,"runtime":10}}}"#.into());
     s.push(r#"{"Submit":{"job":{"id":101,"procs":99,"runtime":10}}}"#.into());
     s.push(r#"{"Advance":{"to":300}}"#.into());
-    // Burst that fits entirely: the deferred one-pass case.
+    // Burst that fits entirely.
     for i in 30..42u64 {
         s.push(format!(
             r#"{{"Submit":{{"job":{{"id":{},"procs":1,"runtime":30,"walltime":60,"submit":300}}}}}}"#,
@@ -288,8 +328,8 @@ fn round_script() -> Vec<String> {
 /// A pipelined client (whole script written before any reply is read)
 /// forces multi-command rounds on a `group_commit > 1` server. Whatever
 /// way the scheduler splits the stream into rounds, every reply must be
-/// byte-identical to a `group_commit = 1` server's — the deferred round
-/// pass is an invisible optimization.
+/// byte-identical to a `group_commit = 1` server's — round size is
+/// invisible on the wire.
 #[test]
 fn batched_rounds_match_lockstep_rounds() {
     let script = round_script();
