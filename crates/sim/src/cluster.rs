@@ -9,7 +9,7 @@ use std::cmp::Ordering;
 
 use lumos_core::{Duration, SystemSpec, Timestamp};
 
-use crate::profile::{ReleaseLedger, CHUNK_KEYS};
+use crate::profile::{CapacityProfile, ReleaseLedger, CHUNK_KEYS};
 
 /// A queued job as the backfill scan sees it: the table index plus the two
 /// numbers every candidate test needs, stored inline so a scan of a queue
@@ -329,6 +329,35 @@ impl WaitQueue {
     }
 }
 
+/// Conservative backfilling's plan for one partition, kept from one pass
+/// to the next.
+///
+/// While the plan is *live*, `profile` is the partition's free-capacity
+/// timeline net of the running jobs — the release ledger — *and* of
+/// `[slot, slot + wall)` for every job in `slots`, and each slot is the
+/// one a pass planning the queue from scratch would give its job now. That
+/// holds for as long as the machine does what the plan says and the queue
+/// only grows at its tail; the partition and the session mark the plan
+/// diverged the moment either stops being true
+/// ([`Partition::plan_diverged`]), and the next planning pass rebuilds it
+/// from the ledger. Derived state: never saved, and a new or restored
+/// session starts diverged.
+#[derive(Debug, Clone)]
+pub(crate) struct KeptPlan {
+    /// Free units from the last planning pass on.
+    pub(crate) profile: CapacityProfile,
+    /// The planned jobs that still wait, `(row, slot)`: a prefix of the
+    /// waiting queue, in its order.
+    pub(crate) slots: Vec<(usize, Timestamp)>,
+    live: bool,
+    /// Times the plan was rebuilt from the ledger.
+    #[cfg(test)]
+    pub(crate) rebuilds: usize,
+    /// `earliest_fit` + `reserve` pairs issued.
+    #[cfg(test)]
+    pub(crate) pairs: usize,
+}
+
 /// One isolated scheduling domain (the whole machine, or one virtual
 /// cluster).
 #[derive(Debug, Clone)]
@@ -343,6 +372,8 @@ pub struct Partition {
     /// by end estimate. The one structure the backfill disciplines plan
     /// from; which job holds which units stays in the session's tables.
     ledger: ReleaseLedger,
+    /// The plan over both, under conservative backfilling.
+    plan: Option<KeptPlan>,
 }
 
 impl Partition {
@@ -352,6 +383,7 @@ impl Partition {
             free: capacity,
             waiting: WaitQueue::new(),
             ledger: ReleaseLedger::new(capacity),
+            plan: None,
         }
     }
 
@@ -374,8 +406,81 @@ impl Partition {
     }
 
     /// Brings the ledger to `now` — first thing in every scheduling pass.
+    /// A job running past its estimate is not what a kept plan holds, and
+    /// while one does the `now + 1` at which it is planned to end moves
+    /// with the clock.
     pub fn prune_to(&mut self, now: Timestamp) {
         self.ledger.prune_to(now);
+        if self.ledger.overrun() > 0 {
+            self.plan_diverged();
+        }
+    }
+
+    /// The kept plan, live or not: its counters.
+    #[cfg(test)]
+    pub(crate) fn kept_plan(&self) -> Option<&KeptPlan> {
+        self.plan.as_ref()
+    }
+
+    /// The kept plan, while it is live.
+    pub(crate) fn live_plan(&self) -> Option<&KeptPlan> {
+        self.plan.as_ref().filter(|plan| plan.live)
+    }
+
+    /// The machine or the queue did something the kept plan does not
+    /// hold: a completion off its end estimate, an overrun, a cancelled
+    /// or overtaken planned job, a re-sorted queue, a start the plan did
+    /// not make. The next planning pass starts from the ledger.
+    pub(crate) fn plan_diverged(&mut self) {
+        if let Some(plan) = &mut self.plan {
+            plan.live = false;
+        }
+    }
+
+    /// The head of the queue, already popped, starts at `now` ahead of the
+    /// planning pass: the first slot of a live plan, or a start the plan
+    /// does not hold — the job that finds the machine free on arrival,
+    /// which nobody ever planned.
+    pub(crate) fn plan_head_start(&mut self, head: usize, now: Timestamp) {
+        let Some(plan) = self.plan.as_mut().filter(|plan| plan.live) else {
+            return;
+        };
+        if plan.slots.first() == Some(&(head, now)) {
+            plan.slots.remove(0);
+        } else {
+            plan.live = false;
+        }
+    }
+
+    /// Waiting job `idx` is cancelled: if it was planned, its slot goes
+    /// back to those behind it.
+    pub(crate) fn plan_cancel(&mut self, idx: usize) {
+        let planned = |plan: &KeptPlan| plan.slots.iter().any(|&(row, _)| row == idx);
+        if self.live_plan().is_some_and(planned) {
+            self.plan_diverged();
+        }
+    }
+
+    /// The waiting queue and the plan a conservative pass extends over
+    /// it: the kept one while it is live, otherwise one rebuilt from the
+    /// ledger — O(ledger keys), once per divergence — with nobody planned.
+    ///
+    /// # Panics
+    /// Panics unless the cluster keeps plans ([`Cluster::keep_plans`]).
+    pub(crate) fn planning(&mut self, now: Timestamp) -> (&WaitQueue, &mut KeptPlan) {
+        let plan = self.plan.as_mut().expect("conservative keeps a plan");
+        if plan.live {
+            plan.profile.forget_before(now);
+        } else {
+            self.ledger.copy_to(&mut plan.profile);
+            plan.slots.clear();
+            plan.live = true;
+            #[cfg(test)]
+            {
+                plan.rebuilds += 1;
+            }
+        }
+        (&self.waiting, plan)
     }
 
     /// Starts a job of `procs` units the scheduler plans to see end at
@@ -435,6 +540,23 @@ impl Cluster {
         caps[0] += spec.total_units.saturating_sub(assigned);
         Self {
             partitions: caps.into_iter().map(Partition::new).collect(),
+        }
+    }
+
+    /// Gives every partition a plan to keep between passes — diverged, so
+    /// the first planning pass builds it. For conservative backfilling,
+    /// the one discipline that plans every waiting job.
+    pub(crate) fn keep_plans(&mut self) {
+        for p in &mut self.partitions {
+            p.plan = Some(KeptPlan {
+                profile: CapacityProfile::new(0, 0),
+                slots: Vec::new(),
+                live: false,
+                #[cfg(test)]
+                rebuilds: 0,
+                #[cfg(test)]
+                pairs: 0,
+            });
         }
     }
 

@@ -9,21 +9,26 @@
 //!
 //! # Who runs until when: the release ledger
 //!
-//! Between passes the scheduler does not maintain a breakpoint list at
-//! all. Restricted to the future, the free-capacity timeline of a machine
+//! Of the running jobs the scheduler maintains no breakpoint list at all.
+//! Restricted to the future, the free-capacity timeline of a machine
 //! whose running jobs each hold `procs` units until their end estimate
 //! *is* "units handed back per end estimate, in time order", and
 //! [`ReleaseLedger`] stores exactly that: a job start adds its units at
 //! its end-estimate key, a completion takes them out again, the advancing
 //! clock drops the keys it passes. The EASY shadow time is a prefix-sum
-//! search over the keys ([`ReleaseLedger::earliest`]); conservative
-//! backfilling, which must carve trial reservations that do not outlive
-//! the pass, lays a scratch [`CapacityProfile`] *over* the ledger
+//! search over the keys ([`ReleaseLedger::earliest`]). Conservative
+//! backfilling, which gives every waiting job a reservation, keeps a
+//! [`CapacityProfile`] of its own per partition — the ledger's timeline
+//! with the reservations carved in — for as long as the machine does what
+//! that plan says, and rebuilds it from the ledger when it does not
+//! ([`ReleaseLedger::copy_to`]: every breakpoint copied out, O(keys), once
+//! per divergence). A reader that only needs the ledger's timeline for the
+//! length of a borrow lays a scratch profile *over* the ledger instead
 //! ([`ReleaseLedger::plan`]): one span header per ledger chunk, the keys
 //! read where they are, and only the chunks a reservation's edge lands in
-//! copied out. See `docs/PERFORMANCE.md` §4 for what each operation costs
-//! and the differential tests pinning plan == flat breakpoint list ==
-//! rebuilt-from-scratch.
+//! copied out. See `docs/PERFORMANCE.md` §4 and §14 for what each costs
+//! and the differential tests pinning copy == plan == flat breakpoint
+//! list == rebuilt-from-scratch.
 //!
 //! ```
 //! use lumos_sim::profile::{CapacityProfile, ReleaseLedger};
@@ -35,17 +40,23 @@
 //! assert_eq!(ledger.free_now(), 60);
 //! // 70 units are free from t=50 on, with 30 to spare at that instant.
 //! assert_eq!(ledger.earliest(70), (50, 100));
-//! // Conservative's plan, laid over the ledger for one pass.
+//! // The ledger's timeline, laid over it for the length of a borrow.
 //! let mut scratch = CapacityProfile::new(0, 0);
 //! let mut plan = ledger.plan(&mut scratch);
 //! assert_eq!(plan.points(), &[(0, 60), (50, 100)]);
 //! assert_eq!(plan.earliest_fit(0, 70, 10), Some(50));
 //! plan.reserve(50, 60, 70);
 //! assert_eq!(plan.points(), &[(0, 60), (50, 30), (60, 100)]);
-//! drop(plan); // the reservation dies with the pass
-//! // The job finishes early: its units come back at once.
+//! drop(plan); // the reservation dies with the borrow
+//! // Conservative's plan: a copy that stands on its own.
+//! let mut kept = CapacityProfile::new(0, 0);
+//! ledger.copy_to(&mut kept);
+//! kept.reserve(50, 60, 70);
+//! // The job finishes early: its units come back at once — in the
+//! // ledger; the copy is now a plan the machine has diverged from.
 //! ledger.remove(50, 40);
 //! assert_eq!(ledger.free_now(), 100);
+//! assert_eq!(kept.points(), &[(0, 60), (50, 30), (60, 100)]);
 //! ```
 
 use lumos_core::Timestamp;
@@ -577,6 +588,15 @@ impl CapacityProfile {
         }
     }
 
+    /// Drops the spans that end before `t`: nothing at or after `t` reads
+    /// them, and a profile kept for a whole replay must not grow with it.
+    pub(crate) fn forget_before(&mut self, t: Timestamp) {
+        let passed = self.span_of(t);
+        if passed > 0 {
+            self.recycle(..passed);
+        }
+    }
+
     /// Drops the spans in `range`, keeping their breakpoint lists for reuse.
     fn recycle(&mut self, range: impl std::ops::RangeBounds<usize>) {
         for span in self.spans.drain(range) {
@@ -785,7 +805,13 @@ impl ReleaseLedger {
         panic!("{need} units never fit a machine of {}", self.capacity);
     }
 
-    /// Lays `scratch` over the ledger for one conservative pass: the
+    /// Units held by jobs running past their end estimate, as of the last
+    /// [`Self::prune_to`].
+    pub(crate) fn overrun(&self) -> u64 {
+        self.overrun
+    }
+
+    /// Lays `scratch` over the ledger for the length of one borrow: the
     /// free-capacity timeline from the ledger's instant on — `(now,
     /// free_now)`, `(now + 1, …)` where the overrunning jobs hand back,
     /// then one breakpoint per key — point for point what
@@ -795,8 +821,31 @@ impl ReleaseLedger {
     /// reservation's edge lands among them. Reuses the scratch's
     /// allocations; what it held before is gone.
     pub fn plan<'a>(&'a self, scratch: &'a mut CapacityProfile) -> Plan<'a> {
-        scratch.recycle(..);
-        let mut head = scratch.pool.pop().unwrap_or_default();
+        self.lay(scratch);
+        Plan {
+            ledger: &self.chunks,
+            profile: scratch,
+        }
+    }
+
+    /// Overwrites `profile` with the timeline [`Self::plan`] lays over
+    /// the ledger, every breakpoint copied out: a profile that stands on
+    /// its own, so that reservations carved into it outlive the ledger's
+    /// next change — what conservative backfilling keeps between passes.
+    /// O(keys), into the allocations `profile` already holds.
+    pub fn copy_to(&self, profile: &mut CapacityProfile) {
+        self.lay(profile);
+        let CapacityProfile { spans, pool } = profile;
+        for span in &mut spans[1..] {
+            span.materialise(&self.chunks, pool);
+        }
+    }
+
+    /// The body of [`Self::plan`]: `profile` becomes the plan's own first
+    /// span and one span per chunk reading the keys in place.
+    fn lay(&self, profile: &mut CapacityProfile) {
+        profile.recycle(..);
+        let mut head = profile.pool.pop().unwrap_or_default();
         head.push((self.now, self.free_now()));
         let mut free = self.capacity - self.total;
         let soon = self.now + 1;
@@ -804,8 +853,8 @@ impl ReleaseLedger {
         if self.overrun > 0 && self.chunks.first().is_none_or(|c| c.keys[0].0 != soon) {
             head.push((soon, free));
         }
-        scratch.spans.push(Span::owned(head, 0));
-        scratch
+        profile.spans.push(Span::owned(head, 0));
+        profile
             .spans
             .extend(self.chunks.iter().enumerate().map(|(chunk, c)| {
                 let base = free;
@@ -818,17 +867,15 @@ impl ReleaseLedger {
                     points: Points::Ledger { chunk, base },
                 }
             }));
-        Plan {
-            ledger: &self.chunks,
-            profile: scratch,
-        }
     }
 }
 
 /// A [`CapacityProfile`] laid over a [`ReleaseLedger`] for the length of
-/// one scheduling pass ([`ReleaseLedger::plan`]): the ledger cannot move
-/// while the plan reads its keys, and reservations carved into the plan
-/// never reach the ledger.
+/// one borrow ([`ReleaseLedger::plan`]): the ledger cannot move while the
+/// plan reads its keys, and reservations carved into the plan never reach
+/// the ledger. (Conservative backfilling planned on one of these, a pass
+/// at a time, until it kept its plan between passes: see
+/// [`ReleaseLedger::copy_to`].)
 #[derive(Debug)]
 pub struct Plan<'a> {
     ledger: &'a [Chunk],
@@ -1239,12 +1286,17 @@ mod tests {
         }
 
         /// The ledger's timeline: the oracle by the full copy a pass used
-        /// to make, the plan over the keys in place.
+        /// to make, the profile standing on its own by the copy a kept
+        /// plan is rebuilt from, the plan over the keys in place.
         fn over(ledger: &'a ReleaseLedger, scratch: &'a mut CapacityProfile) -> Self {
             let mut flat = FlatProfile::new(0, 0);
             ledger.fill(&mut flat);
+            // Over what another copy left behind: spans and a pool.
+            let mut owned = CapacityProfile::from_points(&[(7, 7), (9, 9)]);
+            ledger.copy_to(&mut owned);
+            assert_spans_are_sound(&owned, &[]);
             let s = Self {
-                owned: CapacityProfile::from_points(flat.points()),
+                owned,
                 flat,
                 plan: Some(ledger.plan(scratch)),
             };
@@ -1634,6 +1686,40 @@ mod tests {
         );
         // The next pass starts from the ledger again.
         assert_eq!(view(&ledger).len(), 201);
+    }
+
+    #[test]
+    fn a_copy_of_the_ledger_outlives_its_changes_and_forgets_the_past() {
+        let mut ledger = staircase();
+        let mut kept = CapacityProfile::new(0, 0);
+        ledger.copy_to(&mut kept);
+        assert_eq!(kept.points(), view(&ledger));
+        assert_eq!(kept.spans.len(), 4, "a span per ledger chunk");
+        kept.reserve(15, 1_500, 100);
+        let carved = kept.points();
+        // The ledger moves on; the copy does not read it.
+        ledger.remove(10, 1);
+        ledger.prune_to(700);
+        ledger.add(705, 3);
+        assert_eq!(kept.points(), carved);
+        assert_spans_are_sound(&kept, &[]);
+        // Spans that end before t=700 go; every answer from there on stays.
+        let answers = |p: &CapacityProfile| {
+            let fits = [1, 30, 66, 100, 229].map(|procs| p.earliest_fit(700, procs, 400));
+            (p.free_at(700), p.fits(700, 1_400, 60), fits)
+        };
+        let before = answers(&kept);
+        kept.forget_before(700);
+        assert_eq!(kept.spans.len(), 2);
+        assert_eq!(kept.spans[0].first, 650);
+        assert_eq!(answers(&kept), before);
+        assert_eq!(kept.points(), carved[carved.len() - kept.len()..]);
+        kept.forget_before(600); // nothing ends before the first span
+        assert_eq!(kept.spans.len(), 2);
+        assert_spans_are_sound(&kept, &[]);
+        // And the next copy starts from the ledger again, over the pool.
+        ledger.copy_to(&mut kept);
+        assert_eq!(kept.points(), view(&ledger));
     }
 
     #[test]

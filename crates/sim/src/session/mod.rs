@@ -31,6 +31,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use lumos_core::{CoreError, Duration, Job, Result, SystemSpec, Timestamp};
 use serde::{Deserialize, Serialize};
 
+use crate::backfill::Backfill;
 use crate::cluster::{Cluster, Waiter};
 use crate::metrics::{SimMetrics, UtilizationTimeline};
 use crate::profile::CapacityProfile;
@@ -192,15 +193,9 @@ pub struct SimSession {
     clock: Timestamp,
     /// Scratch buffer: partitions touched by the current event.
     dirty: Vec<usize>,
-    /// Allocations behind conservative backfill's plan: each pass lays
-    /// this profile over its partition's release ledger
-    /// ([`crate::profile::ReleaseLedger::plan`]) and carves trial
-    /// reservations into it, reusing the span headers and copied-out
-    /// breakpoint lists of the passes before. Shared by all partitions.
-    /// Not part of the saved state — it is dead between passes.
-    plan_scratch: CapacityProfile,
     /// Scratch list for conservative backfill: the jobs one pass plans to
-    /// start now, in queue order. Dead between passes, like the plan.
+    /// start now, in queue order. Dead between passes — unlike the plan,
+    /// which each partition keeps ([`crate::cluster::KeptPlan`]).
     scratch_starts: Vec<usize>,
     /// Scratch list a fair-share re-sort orders a queue in before writing
     /// it back. Dead between re-sorts.
@@ -235,7 +230,10 @@ impl SimSession {
     /// Creates an empty session for `system` under `config`.
     #[must_use]
     pub fn new(system: &SystemSpec, config: SimConfig) -> Self {
-        let cluster = Cluster::new(system, config.respect_virtual_clusters);
+        let mut cluster = Cluster::new(system, config.respect_virtual_clusters);
+        if config.backfill == Backfill::Conservative {
+            cluster.keep_plans();
+        }
         let parts = cluster.partition_count();
         Self {
             config,
@@ -256,7 +254,6 @@ impl SimSession {
             max_queue_total: 0,
             clock: Timestamp::MIN,
             dirty: Vec::new(),
-            plan_scratch: CapacityProfile::new(0, 0),
             scratch_starts: Vec::new(),
             fair_scratch: Vec::new(),
             record_events: true,
@@ -453,17 +450,15 @@ impl SimSession {
         let was = self.state[idx];
         match was {
             JobState::Pending => {
-                let pos = self
-                    .pending
-                    .iter()
-                    .position(|&i| i == idx)
-                    .expect("pending job is in the pending queue");
+                let pos = self.pending_position(idx);
                 self.pending.remove(pos);
             }
             JobState::Waiting => {
                 let part = self.part_of[idx];
                 let at = self.queue_position(part, idx);
-                self.cluster.partition_mut(part).waiting_mut().remove(at);
+                let p = self.cluster.partition_mut(part);
+                p.waiting_mut().remove(at);
+                p.plan_cancel(idx);
                 // The queue shrank mid-timeline; the head (and backfill
                 // candidates) may now be startable without waiting for the
                 // next arrival or completion.
@@ -487,6 +482,17 @@ impl SimSession {
             });
         }
         true
+    }
+
+    /// Where pending job `idx` stands in the pending queue: a search on
+    /// its `(submit, id)` order, then a scan of the run of equal keys —
+    /// batch replay allows two live jobs under one id.
+    fn pending_position(&self, idx: usize) -> usize {
+        let key_of = |i: usize| (self.jobs[i].submit, self.jobs[i].id);
+        let key = key_of(idx);
+        let run = self.pending.partition_point(|&i| key_of(i) < key);
+        let within = self.pending.range(run..).position(|&i| i == idx);
+        run + within.expect("pending job is in the pending queue")
     }
 
     /// The table row of the job with `id` (first submission wins when ids
@@ -679,8 +685,12 @@ impl SimSession {
     /// partition's waiting queue: sound in itself
     /// ([`crate::cluster::WaitQueue::assert_sound`]), holding exactly the partition's
     /// waiting jobs, and in static-key order unless the ordering is
-    /// fair-share over a tenant table. Test hook for the differential
-    /// property suite; panics with context on divergence.
+    /// fair-share over a tenant table. And each partition's kept
+    /// conservative plan, while it is live: the planned jobs are the
+    /// queue's prefix in its order, each holds the slot that planning the
+    /// queue from the ledger would give it now, and from now on the plan's
+    /// breakpoints are that from-scratch plan's. Test hook for the
+    /// differential property suite; panics with context on divergence.
     #[doc(hidden)]
     pub fn assert_profiles_match_rebuild(&self) {
         let now = self.clock;
@@ -689,7 +699,8 @@ impl SimSession {
         for part in 0..self.cluster.partition_count() {
             let p = self.cluster.partition(part);
             p.waiting().assert_sound();
-            let mut queued: Vec<usize> = p.waiting().chunks().flatten().map(|w| w.idx).collect();
+            let order: Vec<usize> = p.waiting().chunks().flatten().map(|w| w.idx).collect();
+            let mut queued = order.clone();
             assert!(
                 resorted
                     || queued
@@ -726,6 +737,33 @@ impl SimSession {
                 rebuilt.points(),
                 "partition {part}: release ledger diverged from rebuild at t={now}"
             );
+            // A job the clock has carried past its estimate since the last
+            // pass is a divergence the next pass has yet to observe.
+            let Some(plan) = p.live_plan().filter(|_| ledger.overrun() == 0) else {
+                continue;
+            };
+            let planned: Vec<usize> = plan.slots.iter().map(|&(row, _)| row).collect();
+            assert!(
+                order.starts_with(&planned),
+                "partition {part}: planned {planned:?} is no prefix of the queue {order:?} at t={now}"
+            );
+            ledger.copy_to(&mut scratch);
+            for &(row, slot) in &plan.slots {
+                let (procs, wall) = (self.procs_eff[row], self.plan_wall[row]);
+                assert_eq!(
+                    scratch.earliest_fit(now, procs, wall),
+                    Some(slot),
+                    "partition {part}: kept slot of row {row} is not the from-scratch one at t={now}"
+                );
+                scratch.reserve(slot, slot + wall, procs);
+            }
+            let mut kept = vec![(now, plan.profile.free_at(now))];
+            kept.extend(plan.profile.points().iter().filter(|&&(t, _)| t > now));
+            assert_eq!(
+                kept,
+                scratch.points(),
+                "partition {part}: kept plan diverged from a from-scratch plan at t={now}"
+            );
         }
     }
 
@@ -747,9 +785,12 @@ impl SimSession {
             self.events_processed += 1;
             let part = self.part_of[idx];
             let end_estimate = self.end_estimate(idx);
-            self.cluster
-                .partition_mut(part)
-                .finish(self.procs_eff[idx], end_estimate);
+            let p = self.cluster.partition_mut(part);
+            p.finish(self.procs_eff[idx], end_estimate);
+            if now != end_estimate {
+                // Early or late: not when a kept plan has the units back.
+                p.plan_diverged();
+            }
             self.state[idx] = JobState::Finished;
             self.finished_count += 1;
             if let Some(mark) = &mut self.mark {
@@ -1370,20 +1411,58 @@ mod tests {
             .collect()
     }
 
+    /// [`contended_jobs`] with nothing for a kept plan to diverge from:
+    /// even ids carry no walltime (the scheduler plans with the runtime),
+    /// odd ids are killed exactly at their limit.
+    fn punctual_jobs(seed: u64, count: u64) -> Vec<Job> {
+        let mut jobs = contended_jobs(seed, count);
+        for j in &mut jobs {
+            j.walltime = (j.id % 2 == 1).then_some(j.runtime);
+        }
+        jobs
+    }
+
+    /// What [`assert_matches_reference`] saw of the session under test.
+    struct Seen {
+        /// The deepest queue on each partition.
+        deepest: Vec<usize>,
+        /// The most chunks any one queue was cut into.
+        chunks: usize,
+        /// Kept plans rebuilt from the ledger, over all partitions (and
+        /// both sessions, when one was restored from the other).
+        rebuilds: usize,
+        /// `earliest_fit` + `reserve` pairs issued, likewise.
+        pairs: usize,
+        /// Events after which some partition held a live plan with jobs
+        /// in it — what `assert_profiles_match_rebuild` then checked.
+        live_plans: usize,
+    }
+
+    /// `(rebuilds, pairs)` of the session's kept plans so far.
+    fn plan_counts(s: &SimSession) -> (usize, usize) {
+        let parts = 0..s.cluster.partition_count();
+        let plans = parts.filter_map(|p| s.cluster.partition(p).kept_plan());
+        plans.fold((0, 0), |(rebuilds, pairs), plan| {
+            (rebuilds + plan.rebuilds, pairs + plan.pairs)
+        })
+    }
+
     /// Feeds `jobs` to a session running the production passes and to one
     /// running the reference passes, event by event, and requires the
     /// saved states to agree after every event. With `cancel_every`
     /// non-zero, every that-many-th event is followed by the cancellation
-    /// of the job at the back of the first non-empty queue. Returns the
-    /// deepest queue seen on each partition and the most chunks any one
-    /// queue was cut into.
+    /// of the job at the back of the first non-empty queue. With
+    /// `restore_after` non-zero, the session under test is saved after
+    /// that many events and a session restored from the save takes its
+    /// place: derived state — the kept plan — starts over.
     fn assert_matches_reference(
         system: &SystemSpec,
         config: SimConfig,
         tenants: Option<&str>,
         jobs: &[Job],
         cancel_every: usize,
-    ) -> (Vec<usize>, usize) {
+        restore_after: usize,
+    ) -> Seen {
         let build = |reference: bool| {
             let mut s = match tenants {
                 Some(t) => {
@@ -1405,7 +1484,13 @@ mod tests {
         };
         let (mut fast, mut reference) = (build(false), build(true));
         let mut events = 0;
-        let mut most_chunks = 0;
+        let mut seen = Seen {
+            deepest: Vec::new(),
+            chunks: 0,
+            rebuilds: 0,
+            pairs: 0,
+            live_plans: 0,
+        };
         while let Some(t) = reference.next_event_time() {
             assert_eq!(fast.next_event_time(), Some(t));
             fast.advance_to(t);
@@ -1421,19 +1506,29 @@ mod tests {
                     assert!(reference.cancel(id) && fast.cancel(id));
                 }
             }
+            if events == restore_after {
+                let (rebuilds, pairs) = plan_counts(&fast);
+                (seen.rebuilds, seen.pairs) = (seen.rebuilds + rebuilds, seen.pairs + pairs);
+                fast = SimSession::restore(system, fast.save_state()).unwrap();
+            }
             assert_eq!(
                 fast.save_state(),
                 reference.save_state(),
                 "diverged at t={t} under {config:?}"
             );
             fast.assert_profiles_match_rebuild();
-            let parts = 0..fast.cluster.partition_count();
-            let chunks = parts.map(|p| fast.cluster.partition(p).waiting().chunks().count());
-            most_chunks = most_chunks.max(chunks.max().unwrap_or(0));
+            let parts = || (0..fast.cluster.partition_count()).map(|p| fast.cluster.partition(p));
+            let chunks = parts().map(|p| p.waiting().chunks().count());
+            seen.chunks = seen.chunks.max(chunks.max().unwrap_or(0));
+            let mut live = parts().filter_map(|p| p.live_plan());
+            seen.live_plans += usize::from(live.any(|plan| !plan.slots.is_empty()));
         }
         assert_eq!(fast.next_event_time(), None);
         assert_eq!(fast.max_queue, reference.max_queue);
-        (fast.max_queue, most_chunks)
+        let (rebuilds, pairs) = plan_counts(&fast);
+        (seen.rebuilds, seen.pairs) = (seen.rebuilds + rebuilds, seen.pairs + pairs);
+        seen.deepest = fast.max_queue;
+        seen
     }
 
     #[test]
@@ -1456,8 +1551,9 @@ mod tests {
                     ..SimConfig::default()
                 };
                 let jobs = contended_jobs(seed as u64 + 1, 700);
-                let (deepest, chunks) =
-                    assert_matches_reference(&sixty_four(), config, tenants, &jobs, 0);
+                let Seen {
+                    deepest, chunks, ..
+                } = assert_matches_reference(&sixty_four(), config, tenants, &jobs, 0, 0);
                 assert!(
                     deepest[0] >= 300 && chunks >= 5,
                     "queue only {deepest:?} deep in {chunks} chunks under {config:?}"
@@ -1481,28 +1577,53 @@ mod tests {
                 backfill: Backfill::Conservative,
                 ..SimConfig::default()
             };
-            // One job in six overruns its walltime (`contended_jobs`).
+            // One job in six overruns its walltime (`contended_jobs`); the
+            // other five finish early. The second run cancels, and goes
+            // on from a restored session halfway through.
             let jobs = contended_jobs(seed as u64 + 11, 700);
-            for cancel_every in [0, 5] {
-                let (deepest, chunks) =
-                    assert_matches_reference(&sixty_four(), config, tenants, &jobs, cancel_every);
+            for (cancel_every, restore_after) in [(0, 0), (5, 700)] {
+                let seen = assert_matches_reference(
+                    &sixty_four(),
+                    config,
+                    tenants,
+                    &jobs,
+                    cancel_every,
+                    restore_after,
+                );
+                let Seen {
+                    deepest, chunks, ..
+                } = &seen;
                 assert!(
-                    deepest[0] >= 300 && chunks >= 5,
+                    deepest[0] >= 300 && *chunks >= 5,
                     "queue only {deepest:?} deep in {chunks} chunks under {config:?}"
+                );
+                // Early completions, overruns and cancels: the plan is
+                // rebuilt over and over, and between two rebuilds it is
+                // checked against a from-scratch one while it holds jobs.
+                assert!(
+                    seen.rebuilds >= 100 && seen.live_plans >= 100,
+                    "{} rebuilds, {} live plans checked under {config:?}",
+                    seen.rebuilds,
+                    seen.live_plans
                 );
             }
         }
     }
 
-    #[test]
-    fn conservative_partitions_share_one_plan_scratch() {
-        // Philly-style: 256 units in four uneven virtual clusters, every
-        // job bound to one, all of them planning on the session's one
-        // scratch profile in turn.
+    /// Philly-style: 256 units in four uneven virtual clusters, every job
+    /// bound to one.
+    fn four_clusters() -> SystemSpec {
         let mut system = tiny();
         system.total_nodes = 256;
         system.total_units = 256;
         system.virtual_clusters = 4;
+        system
+    }
+
+    #[test]
+    fn conservative_partitions_each_keep_their_own_plan() {
+        // Each of the four partitions plans on the profile it keeps, in
+        // turn within one event; the schedules are the reference's.
         let mut jobs = contended_jobs(21, 900);
         for j in &mut jobs {
             j.virtual_cluster = Some((j.id % 4) as u16);
@@ -1513,12 +1634,174 @@ mod tests {
                 backfill: Backfill::Conservative,
                 ..SimConfig::default()
             };
-            let (deepest, _) = assert_matches_reference(&system, config, None, &jobs, 7);
+            let seen = assert_matches_reference(&four_clusters(), config, None, &jobs, 7, 0);
+            let deepest = &seen.deepest;
             assert!(
                 deepest.len() == 4 && deepest.iter().all(|&q| q >= 20),
                 "queues {deepest:?} under {config:?}"
             );
+            assert!(seen.rebuilds >= 4 && seen.live_plans >= 100);
         }
+    }
+
+    // ---- the kept plan: what diverges it and what does not --------------
+
+    fn conservative(policy: Policy) -> SimConfig {
+        SimConfig {
+            policy,
+            backfill: Backfill::Conservative,
+            ..SimConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_plan_nothing_diverges_from_is_built_once() {
+        // No walltimes, or killed exactly at the limit: every completion
+        // is at its end estimate, FCFS arrivals queue at the tail, and the
+        // queue stands from the first wait to the last start. One build —
+        // and a second by the session restored halfway through, which
+        // plans again the hundreds of jobs waiting then.
+        let jobs = punctual_jobs(41, 700);
+        let once =
+            assert_matches_reference(&sixty_four(), conservative(Policy::Fcfs), None, &jobs, 0, 0);
+        assert!(once.deepest[0] >= 300 && once.live_plans >= 1_000);
+        assert_eq!(once.rebuilds, 1);
+        let restored = assert_matches_reference(
+            &sixty_four(),
+            conservative(Policy::Fcfs),
+            None,
+            &jobs,
+            0,
+            700,
+        );
+        assert_eq!(restored.rebuilds, 2);
+        let again = restored.pairs - once.pairs;
+        assert!((300..700).contains(&again), "{again} jobs planned again");
+    }
+
+    #[test]
+    fn each_job_that_waits_without_a_walltime_is_planned_once() {
+        // The count guard: on a Philly-style trace without walltimes
+        // nothing ever re-derives a slot, so the pairs issued are the jobs
+        // that were ever promised one. (Before the plan was kept a pass
+        // issued a pair per waiting job, every pass.)
+        let mut jobs = contended_jobs(21, 900);
+        for j in &mut jobs {
+            j.virtual_cluster = Some((j.id % 4) as u16);
+            j.walltime = None;
+        }
+        let config = conservative(Policy::Fcfs);
+        let mut s = SimSession::new(&four_clusters(), config);
+        for j in &jobs {
+            s.submit(j.clone()).unwrap();
+        }
+        s.advance_to_completion();
+        let promised = s.promised.iter().flatten().count();
+        let waited = s.jobs.iter().filter(|j| j.wait != Some(0)).count();
+        let (rebuilds, pairs) = plan_counts(&s);
+        assert_eq!(pairs, promised);
+        // Near enough the jobs that waited: a few were promised "now"
+        // on arrival behind a queue and never waited, a few queued only
+        // while nothing was free and started as the head, never planned.
+        assert!(
+            promised >= 800 && promised.abs_diff(waited) <= 10,
+            "{promised} promised, {waited} waited"
+        );
+        assert_eq!(rebuilds, 4, "one build per partition");
+        let reference = simulate(&Trace::new(four_clusters(), jobs).unwrap(), &config);
+        assert_eq!(s.into_result().metrics, reference.metrics);
+    }
+
+    #[test]
+    fn a_start_the_plan_does_not_hold_diverges_it() {
+        // 64 units, every job punctual. A holds 60 until t=100; B (32) is
+        // planned for t=100 at t=1 — the one build so far. At t=100 B
+        // starts as the plan's first slot and the plan, live, holds nobody.
+        // C (16) arrives at t=110 into 32 free units and starts on
+        // arrival: nobody planned that. D (40) at t=120 has to wait, and
+        // the pass that plans it builds the plan again.
+        let jobs = [
+            job(1, 0, 100, 60, 100), // A
+            job(2, 1, 50, 32, 50),   // B
+            job(3, 110, 90, 16, 90), // C
+            job(4, 120, 10, 40, 10), // D
+        ];
+        let seen =
+            assert_matches_reference(&sixty_four(), conservative(Policy::Fcfs), None, &jobs, 0, 0);
+        assert_eq!((seen.rebuilds, seen.pairs), (2, 2));
+        // Without C the plan made at t=1 is still live when D arrives.
+        let without = [jobs[0].clone(), jobs[1].clone(), jobs[3].clone()];
+        let seen = assert_matches_reference(
+            &sixty_four(),
+            conservative(Policy::Fcfs),
+            None,
+            &without,
+            0,
+            0,
+        );
+        assert_eq!((seen.rebuilds, seen.pairs), (1, 2));
+    }
+
+    #[test]
+    fn an_arrival_that_sorts_ahead_of_a_planned_job_diverges_the_plan() {
+        // A holds 60 of 64 units until t=100; B (32 units, 500 s) is
+        // planned for t=100 at t=1. C (32 units) arrives at t=2, with 4
+        // units free so the pass goes on to plan it. Shorter than B, under
+        // SJF it queues ahead of B and the plan is built again, a pair for
+        // each; longer, it queues behind B and gets the one pair.
+        let arrivals = |wall_c| {
+            [
+                job(1, 0, 100, 60, 100),
+                job(2, 1, 500, 32, 500),
+                job(3, 2, wall_c, 32, wall_c),
+            ]
+        };
+        let sjf = conservative(Policy::Sjf);
+        let seen = assert_matches_reference(&sixty_four(), sjf, None, &arrivals(50), 0, 0);
+        assert_eq!((seen.rebuilds, seen.pairs), (2, 3));
+        let seen = assert_matches_reference(&sixty_four(), sjf, None, &arrivals(600), 0, 0);
+        assert_eq!((seen.rebuilds, seen.pairs), (1, 2));
+    }
+
+    #[test]
+    fn cancelling_a_pending_job_finds_it_by_its_key() {
+        // 5 000 arrivals still in the future, several to a second and ids
+        // in no order within one, and two live jobs under one id (batch
+        // replay allows it). The twin removes by the scan the search
+        // replaced; the pending queues must stay equal entry for entry.
+        let mut rng = lumos_stats::Rng::new(5);
+        let build = || {
+            let mut s = SimSession::new(&tiny(), SimConfig::default());
+            s.allow_duplicate_ids = true;
+            s
+        };
+        let (mut s, mut twin) = (build(), build());
+        for n in 0..5_000u64 {
+            let id = if n == 4_000 { 3_990 } else { n ^ 5 };
+            let j = job(id, 10 + (n / 4) as i64, 60, 1 + rng.next_below(8), 60);
+            s.submit(j.clone()).unwrap();
+            twin.submit(j).unwrap();
+        }
+        s.advance_to(5);
+        twin.advance_to(5);
+        let mut cancelled = 0;
+        for id in (0..5_000u64).step_by(7) {
+            let idx = twin.by_id[&id];
+            let at = twin.pending.iter().position(|&i| i == idx).unwrap();
+            assert_eq!(s.pending_position(idx), at, "job {id}");
+            assert!(s.cancel(id), "job {id}");
+            twin.pending.remove(at);
+            twin.state[idx] = JobState::Cancelled;
+            twin.cancelled_count += 1;
+            twin.events.push(SimEvent::Cancelled { id, time: 5 });
+            cancelled += 1;
+            assert_eq!(s.pending, twin.pending, "after job {id}");
+        }
+        assert_eq!(s.snapshot().cancelled, cancelled);
+        assert_eq!(s.save_state(), twin.save_state());
+        s.advance_to_completion();
+        twin.advance_to_completion();
+        assert_eq!(s.save_state(), twin.save_state());
     }
 
     #[test]
@@ -1585,7 +1868,7 @@ mod tests {
             job(4, 1, 1_000, 4, 1_000), // C2
             job(5, 2, 140, 6, 140),     // C1
         ];
-        assert_matches_reference(&sixty_four(), config, None, &jobs, 0);
+        assert_matches_reference(&sixty_four(), config, None, &jobs, 0, 0);
         let mut s = SimSession::new(&sixty_four(), config);
         for j in &jobs {
             s.submit(j.clone()).unwrap();

@@ -1,5 +1,9 @@
 //! The queue order and the scheduling passes: head start while it fits,
-//! then backfilling behind it under the configured discipline.
+//! then backfilling behind it under the configured discipline — and,
+//! under conservative backfilling, telling the partition's kept plan
+//! when the queue does something it does not hold (an arrival ahead of a
+//! planned job, a fair-share re-sort; the head start, the cancel and the
+//! completions report themselves where they happen).
 
 use lumos_core::Timestamp;
 
@@ -34,13 +38,21 @@ impl SimSession {
     pub(super) fn enqueue(&mut self, part: usize, idx: usize) {
         let key = self.queue_key(idx);
         let waiter = self.waiter(idx);
+        let p = self.cluster.partition(part);
+        // An arrival that sorts ahead of a planned job takes its slot
+        // from those behind it. (In a queue a fair-share re-sort left in
+        // another order the comparison means nothing, and the next
+        // re-sort marks the plan anyway.)
+        let last_planned = p.live_plan().and_then(|plan| plan.slots.last());
+        let overtakes = last_planned.is_some_and(|&(last, _)| key < self.queue_key(last));
         let (jobs, key_of) = (&self.jobs, &self.key_of);
-        self.cluster
-            .partition_mut(part)
-            .waiting_mut()
-            .insert_by(waiter, |w| {
-                (key_of[w.idx], jobs[w.idx].submit, jobs[w.idx].id) <= key
-            });
+        let p = self.cluster.partition_mut(part);
+        if overtakes {
+            p.plan_diverged();
+        }
+        p.waiting_mut().insert_by(waiter, |w| {
+            (key_of[w.idx], jobs[w.idx].submit, jobs[w.idx].id) <= key
+        });
     }
 
     /// Where waiting job `idx` stands in its partition's queue: a search
@@ -101,6 +113,8 @@ impl SimSession {
             ka.partial_cmp(&kb).expect("shares and keys are finite")
         };
         waiting.sort_unstable_by(&mut self.fair_scratch, by_share);
+        // Whatever order the plan was made in, this may be another.
+        self.cluster.partition_mut(part).plan_diverged();
     }
 
     /// Starts jobs from the head of the queue while the head fits,
@@ -113,6 +127,7 @@ impl SimSession {
             match p.waiting().first() {
                 Some(&head) if head.procs <= p.free => {
                     p.waiting_mut().pop_front();
+                    p.plan_head_start(head.idx, now);
                     self.start(part, head.idx, now);
                 }
                 _ => break,
@@ -254,32 +269,64 @@ impl SimSession {
 
     /// Conservative backfilling: every queued job gets a planned slot in a
     /// shared capacity profile; whoever's slot is "now" starts.
+    ///
+    /// The profile and the slots are the partition's
+    /// [`crate::cluster::KeptPlan`], which outlives the pass. While it is
+    /// live — since it was made the machine did what it says and the
+    /// queue grew only at its tail — planning the queue from scratch would
+    /// give every planned job its slot again: the profile a later pass
+    /// starts from is the one the job was planned on, less the slots of
+    /// jobs behind it that have started since, so it is nowhere higher (no
+    /// earlier fit appears) and the job still fits where it is. So the
+    /// pass reads the planned jobs' slots, one comparison each, and issues
+    /// an `earliest_fit` + `reserve` pair for the unplanned tail alone:
+    /// the arrivals since the last pass that got this far. A diverged plan
+    /// comes back from [`crate::cluster::Partition::planning`] rebuilt from
+    /// the ledger with nobody planned, and the same loop runs from the
+    /// head of the queue. Nothing in between: once one job moves earlier,
+    /// planning from scratch may move a job behind it *later*, so a repair
+    /// that keeps the later slots is another schedule.
+    ///
+    /// `promised[idx]` is the slot of a job's first planning, as ever.
     fn schedule_conservative(&mut self, part: usize, now: Timestamp) {
-        // Conservative carves per-candidate reservations that must not
-        // outlive this pass, so it plans on the session's scratch profile
-        // laid over the release ledger: a span header per ledger chunk at
-        // entry, breakpoints copied out only where an edge lands.
         let mut to_start = std::mem::take(&mut self.scratch_starts);
         to_start.clear();
-        let p = self.cluster.partition(part);
-        let mut plan = p.ledger().plan(&mut self.plan_scratch);
-        // Chunk slice by chunk slice in a plain nested loop: a flattening
-        // iterator in this loop measured slower.
-        for chunk in p.waiting().chunks() {
-            for w in chunk {
+        let (waiting, plan) = self.cluster.partition_mut(part).planning(now);
+        // The planned jobs whose slot has come, in queue order.
+        plan.slots.retain(|&(row, slot)| {
+            debug_assert!(slot >= now, "a live plan let a slot pass");
+            if slot == now {
+                to_start.push(row);
+            }
+            slot != now
+        });
+        // Everyone behind them is yet to be planned. Chunk slice by chunk
+        // slice in a plain nested loop: a flattening iterator in this loop
+        // measured slower.
+        let mut planned = plan.slots.len() + to_start.len();
+        for chunk in waiting.chunks() {
+            let tail = chunk.get(planned..).unwrap_or_default();
+            planned -= chunk.len() - tail.len();
+            for w in tail {
                 let s = plan
+                    .profile
                     .earliest_fit(now, w.procs, w.wall)
                     .expect("procs_eff ≤ partition capacity");
-                plan.reserve(s, s + w.wall, w.procs);
+                plan.profile.reserve(s, s + w.wall, w.procs);
+                #[cfg(test)]
+                {
+                    plan.pairs += 1;
+                }
                 if self.promised[w.idx].is_none() {
                     self.promised[w.idx] = Some(s);
                 }
                 if s == now {
                     to_start.push(w.idx);
+                } else {
+                    plan.slots.push((w.idx, s));
                 }
             }
         }
-        drop(plan);
         self.start_planned(part, now, to_start);
     }
 

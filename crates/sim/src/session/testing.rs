@@ -67,10 +67,11 @@ impl SimSession {
         }
     }
 
-    /// The pass as it stood before the plan was laid over the ledger: a
-    /// full copy of the ledger into one flat breakpoint list, swept and
-    /// rewritten per waiting job. Kept as the reference the differential
-    /// tests hold [`SimSession::schedule_conservative`] to.
+    /// The pass as it stood before the plan moved onto spans and then
+    /// outlived the pass: a full copy of the ledger into one flat
+    /// breakpoint list, swept and rewritten per waiting job, every pass.
+    /// Kept as the reference the differential tests hold
+    /// [`SimSession::schedule_conservative`] to.
     fn schedule_conservative_reference(&mut self, part: usize, now: Timestamp) {
         let mut to_start = std::mem::take(&mut self.scratch_starts);
         to_start.clear();
