@@ -1,4 +1,6 @@
-//! Cluster state: resource partitions, their queues and release ledgers.
+//! Cluster state: resource partitions, their queues and release ledgers,
+//! and under conservative backfilling the plan kept over both — as deep
+//! into the queue as the passes have had to plan it.
 //!
 //! A machine is a set of partitions. Unpartitioned systems have exactly
 //! one; Philly-style systems get one partition per isolated virtual
@@ -136,8 +138,14 @@ impl WaitQueue {
     /// The chunks' entries, in queue order: every entry once, no slice
     /// empty.
     pub fn chunks(&self) -> impl Iterator<Item = &[Waiter]> {
+        self.summarised_chunks().map(|(_, _, entries)| entries)
+    }
+
+    /// [`WaitQueue::chunks`], each under its smallest `procs` and smallest
+    /// `wall`.
+    pub(crate) fn summarised_chunks(&self) -> impl Iterator<Item = (u64, Duration, &[Waiter])> {
         let filled = self.chunks.iter().filter(|c| !c.entries.is_empty());
-        filled.map(|c| &c.entries[..])
+        filled.map(|c| (c.min_procs, c.min_wall, &c.entries[..]))
     }
 
     /// Inserts `waiter` behind the entries that `precedes` it and before
@@ -347,7 +355,9 @@ pub(crate) struct KeptPlan {
     /// Free units from the last planning pass on.
     pub(crate) profile: CapacityProfile,
     /// The planned jobs that still wait, `(row, slot)`: a prefix of the
-    /// waiting queue, in its order.
+    /// waiting queue, in its order. A pass plans only as deep as it can
+    /// observe, so the jobs behind the prefix may be waiting unplanned,
+    /// each holding the promise of an earlier pass.
     pub(crate) slots: Vec<(usize, Timestamp)>,
     live: bool,
     /// Times the plan was rebuilt from the ledger.
@@ -440,7 +450,7 @@ impl Partition {
     /// The head of the queue, already popped, starts at `now` ahead of the
     /// planning pass: the first slot of a live plan, or a start the plan
     /// does not hold — the job that finds the machine free on arrival,
-    /// which nobody ever planned.
+    /// which nobody ever planned, or a head off the unplanned tail.
     pub(crate) fn plan_head_start(&mut self, head: usize, now: Timestamp) {
         let Some(plan) = self.plan.as_mut().filter(|plan| plan.live) else {
             return;

@@ -387,14 +387,37 @@ impl CapacityProfile {
         self.spans[span].free_from(ledger, at)
     }
 
+    /// From the segment containing `from`, span by span: one step over a
+    /// span whose values all carry `procs` or all break it, a walk inside
+    /// the others up to `to`.
     fn fits_over(&self, ledger: &[Chunk], from: Timestamp, to: Timestamp, procs: u64) -> bool {
         if from >= to {
             return true;
         }
-        // From the segment containing `from`:
-        self.walk_from(ledger, self.locate(ledger, from))
-            .take_while(|&(t, _)| t < to)
-            .all(|(_, free)| free >= procs)
+        let (start, at) = self.locate(ledger, from);
+        for (i, span) in self.spans.iter().enumerate().skip(start) {
+            // Past here the span has a breakpoint before `to` that counts:
+            // its first, or the one in force at `from`.
+            if span.first >= to {
+                break;
+            }
+            if span.min - span.sub >= procs {
+                continue;
+            }
+            if span.max - span.sub < procs {
+                return false;
+            }
+            let at = if i == start { at } else { 0 };
+            for (t, free) in span.walk_from(ledger, at) {
+                if t >= to {
+                    return true;
+                }
+                if free < procs {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     fn earliest_fit_over(
@@ -1556,6 +1579,27 @@ mod tests {
         let s = Lockstep::of_points(stairs_with_a_drop(192, 150, 5));
         assert_eq!(s.earliest_fit(0, 70, 900), Some(600));
         assert_eq!(s.earliest_fit(0, 70, 901), Some(1_510));
+    }
+
+    #[test]
+    fn fits_steps_over_spans_and_walks_only_where_one_dips() {
+        // Four spans of 64 from t=0, 640, 1280 and 1920, free rising
+        // 10‥265 — but the breakpoint at t=2000, in the fourth, drops to 5.
+        let s = Lockstep::of_points(stairs_with_a_drop(256, 200, 5));
+        assert_eq!(s.owned.spans.len(), 4);
+        // Across all four, the last breakpoint reached deciding.
+        assert!(s.fits(5, 2_000, 10), "ends on the drop");
+        assert!(!s.fits(5, 2_001, 10), "fails on the drop");
+        assert!(s.fits(5, 2_001, 5), "fits exactly on the drop");
+        assert!(!s.fits(635, 2_010, 6));
+        // From inside the first span: the walk starts at the breakpoint in
+        // force, (630, 73), and the two spans after it carry the run whole.
+        assert!(s.fits(635, 1_995, 73));
+        assert!(!s.fits(635, 1_995, 74));
+        assert!(s.fits(640, 1_995, 74));
+        // A span every value of which breaks the request fails at once.
+        assert!(!s.fits(645, 1_500, 140));
+        assert!(s.fits(2_010, 9_999, 211), "on into the last segment");
     }
 
     proptest! {

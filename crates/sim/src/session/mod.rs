@@ -1436,6 +1436,8 @@ mod tests {
         /// Events after which some partition held a live plan with jobs
         /// in it — what `assert_profiles_match_rebuild` then checked.
         live_plans: usize,
+        /// Jobs waiting when the session under test was saved and restored.
+        queued_at_restore: usize,
     }
 
     /// `(rebuilds, pairs)` of the session's kept plans so far.
@@ -1490,6 +1492,7 @@ mod tests {
             rebuilds: 0,
             pairs: 0,
             live_plans: 0,
+            queued_at_restore: 0,
         };
         while let Some(t) = reference.next_event_time() {
             assert_eq!(fast.next_event_time(), Some(t));
@@ -1507,6 +1510,7 @@ mod tests {
                 }
             }
             if events == restore_after {
+                seen.queued_at_restore = fast.cluster.queue_len();
                 let (rebuilds, pairs) = plan_counts(&fast);
                 (seen.rebuilds, seen.pairs) = (seen.rebuilds + rebuilds, seen.pairs + pairs);
                 fast = SimSession::restore(system, fast.save_state()).unwrap();
@@ -1658,9 +1662,9 @@ mod tests {
     fn a_plan_nothing_diverges_from_is_built_once() {
         // No walltimes, or killed exactly at the limit: every completion
         // is at its end estimate, FCFS arrivals queue at the tail, and the
-        // queue stands from the first wait to the last start. One build —
-        // and a second by the session restored halfway through, which
-        // plans again the hundreds of jobs waiting then.
+        // queue stands from the first wait to the last start. One build:
+        // every pass plans down to the newest arrival, which has no
+        // promise yet.
         let jobs = punctual_jobs(41, 700);
         let once =
             assert_matches_reference(&sixty_four(), conservative(Policy::Fcfs), None, &jobs, 0, 0);
@@ -1674,9 +1678,19 @@ mod tests {
             0,
             700,
         );
-        assert_eq!(restored.rebuilds, 2);
-        let again = restored.pairs - once.pairs;
-        assert!((300..700).contains(&again), "{again} jobs planned again");
+        // The restored session builds a second time. The arrivals are
+        // over by then and every job waiting holds its promise, so its
+        // passes plan only as far as a job could start, and once the
+        // planned jobs have started a head starts off the unplanned tail:
+        // a start the plan does not hold, and the third build.
+        assert_eq!(restored.rebuilds, 3);
+        // So the jobs waiting at the restore are planned once more, all
+        // but the few that start as the head before a pass reaches them.
+        let (again, queued) = (restored.pairs - once.pairs, restored.queued_at_restore);
+        assert!(
+            queued >= 300 && (queued - 10..=queued).contains(&again),
+            "{again} of the {queued} jobs waiting at the restore planned again"
+        );
     }
 
     #[test]
@@ -1747,8 +1761,10 @@ mod tests {
         // A holds 60 of 64 units until t=100; B (32 units, 500 s) is
         // planned for t=100 at t=1. C (32 units) arrives at t=2, with 4
         // units free so the pass goes on to plan it. Shorter than B, under
-        // SJF it queues ahead of B and the plan is built again, a pair for
-        // each; longer, it queues behind B and gets the one pair.
+        // SJF it queues ahead of B and the plan is built again, C's pair
+        // alone: B holds its promise and cannot start before t=100, so the
+        // pass stops behind C, and at t=100 B starts as the head unplanned.
+        // Longer, C queues behind B and gets the one pair.
         let arrivals = |wall_c| {
             [
                 job(1, 0, 100, 60, 100),
@@ -1758,9 +1774,88 @@ mod tests {
         };
         let sjf = conservative(Policy::Sjf);
         let seen = assert_matches_reference(&sixty_four(), sjf, None, &arrivals(50), 0, 0);
-        assert_eq!((seen.rebuilds, seen.pairs), (2, 3));
+        assert_eq!((seen.rebuilds, seen.pairs), (2, 2));
         let seen = assert_matches_reference(&sixty_four(), sjf, None, &arrivals(600), 0, 0);
         assert_eq!((seen.rebuilds, seen.pairs), (1, 2));
+    }
+
+    // ---- the cut: a pass plans only as deep as it can tell --------------
+
+    /// 64 units. A (40 units, estimate t=1000) and B (20 until t=2000)
+    /// start at t=0; ten jobs arrive at t=1‥10 into the 4 units left and
+    /// are each planned on arrival: J1 and J2 (48 units, 100 s) for t=2000
+    /// and 2100, J3 (8 units, 100 s) for t=1000, J4‥J10 (48 units, 200 s)
+    /// for t=2200‥3400. A ends at t=100, 900 s early, which diverges the
+    /// plan. Rows: A 0, B 1, J*k* 1 + *k*; ids one more.
+    fn behind_a_cut() -> Vec<Job> {
+        let mut jobs = vec![job(1, 0, 100, 40, 1_000), job(2, 0, 2_000, 20, 2_000)];
+        for k in 1..=10 {
+            let (procs, wall) = match k {
+                1 | 2 => (48, 100),
+                3 => (8, 100),
+                _ => (48, 200),
+            };
+            jobs.push(job(2 + k, k as i64, wall, procs, wall));
+        }
+        jobs
+    }
+
+    #[test]
+    fn a_pass_stops_planning_where_nothing_behind_can_start() {
+        // At t=100, 44 units free: the rebuilt plan gives J1 and J2 their
+        // slots again and starts J3, which fits beside them. None of
+        // J4‥J10 fits the 36 units left and each holds its promise, so the
+        // pass stops there — three pairs where planning the whole queue
+        // issues ten — and the plan, live, holds J1 and J2 alone.
+        let mut s = SimSession::new(&sixty_four(), conservative(Policy::Fcfs));
+        for j in behind_a_cut() {
+            s.submit(j).unwrap();
+        }
+        s.advance_to(99);
+        assert_eq!(plan_counts(&s), (1, 10), "each arrival planned once");
+        s.advance_to(100);
+        assert_eq!(plan_counts(&s), (2, 13), "one build, three pairs");
+        let plan = s.cluster.partition(0).live_plan().expect("live");
+        assert_eq!(plan.slots, [(2, 2_000), (3, 2_100)]);
+        assert_eq!(s.query(5), Some(JobState::Running), "J3 backfills");
+        assert_eq!(s.cluster.queue_len(), 9);
+        assert_eq!(s.promised[5], Some(2_200), "J4's promise stands");
+        s.assert_profiles_match_rebuild();
+    }
+
+    #[test]
+    fn a_job_behind_a_cut_matches_the_reference_however_it_leaves_the_queue() {
+        let jobs = behind_a_cut();
+        let fcfs = conservative(Policy::Fcfs);
+        let leg = |config, jobs: &[Job], cancel_every, restore_after| {
+            let seen = assert_matches_reference(
+                &sixty_four(),
+                config,
+                None,
+                jobs,
+                cancel_every,
+                restore_after,
+            );
+            (seen.rebuilds, seen.pairs)
+        };
+        // Started as the head: J4, never planned again after the cut, at
+        // t=2200; J5‥J10 likewise in turn, each a start the plan does not
+        // hold and a build by the pass after it.
+        assert_eq!(leg(fcfs, &jobs, 0, 0), (8, 13));
+        // Cancelled: the pass at t=100 is the twelfth event, and J10, at
+        // the back of the queue behind the cut, goes right after it.
+        assert_eq!(leg(fcfs, &jobs, 12, 0), (7, 13));
+        // Carried across a restore right after that pass: the restored
+        // session plans from scratch and issues no pair at all — every job
+        // waiting holds its promise and none fits until it is the head —
+        // so J1 and J2 start as heads unplanned too: three more builds.
+        assert_eq!(leg(fcfs, &jobs, 0, 12), (11, 13));
+        // Overtaken: under SJF, X (48 units, 150 s) arrives at t=101 and
+        // queues behind J1 and J2 but ahead of J4‥J10 — no planned job is
+        // overtaken, the plan stays live and X's one pair stops the pass.
+        let mut overtaken = jobs.clone();
+        overtaken.push(job(13, 101, 150, 48, 150));
+        assert_eq!(leg(conservative(Policy::Sjf), &overtaken, 0, 0), (8, 14));
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! under conservative backfilling, telling the partition's kept plan
 //! when the queue does something it does not hold (an arrival ahead of a
 //! planned job, a fair-share re-sort; the head start, the cancel and the
-//! completions report themselves where they happen).
+//! completions report themselves where they happen), and planning the
+//! queue only as deep as the pass can observe ([`Horizon`]).
 
-use lumos_core::Timestamp;
+use lumos_core::{Duration, Timestamp};
 
 use super::SimSession;
 use crate::backfill::Backfill;
 use crate::cluster::{Cursor, WaitQueue, Waiter};
+use crate::profile::CapacityProfile;
 
 impl SimSession {
     /// The static queue order: `(policy key, submit, id)`.
@@ -280,12 +282,24 @@ impl SimSession {
     /// earlier fit appears) and the job still fits where it is. So the
     /// pass reads the planned jobs' slots, one comparison each, and issues
     /// an `earliest_fit` + `reserve` pair for the unplanned tail alone:
-    /// the arrivals since the last pass that got this far. A diverged plan
+    /// the arrivals since the last pass, and the jobs an earlier pass left
+    /// behind its cut (below). A diverged plan
     /// comes back from [`crate::cluster::Partition::planning`] rebuilt from
     /// the ledger with nobody planned, and the same loop runs from the
     /// head of the queue. Nothing in between: once one job moves earlier,
     /// planning from scratch may move a job behind it *later*, so a repair
     /// that keeps the later slots is another schedule.
+    ///
+    /// The tail is planned only as deep as the pass can tell: it stops at
+    /// the first position from which no waiting job is without a promise
+    /// and none fits `[now, now + wall)` on the profile as it stands
+    /// ([`Horizon`]). A pass only takes units out of the profile, so a job
+    /// that does not fit now there does not fit now anywhere further down
+    /// either: planning from scratch would give each job behind the cut a
+    /// slot after `now`, and its promise is issued already — no start, no
+    /// promise, nothing this pass leaves differs. The jobs behind the cut
+    /// stay unplanned, the tail the next live pass plans as it plans
+    /// arrivals: the slots stay a prefix of the queue.
     ///
     /// `promised[idx]` is the slot of a job's first planning, as ever.
     fn schedule_conservative(&mut self, part: usize, now: Timestamp) {
@@ -304,10 +318,14 @@ impl SimSession {
         // slice in a plain nested loop: a flattening iterator in this loop
         // measured slower.
         let mut planned = plan.slots.len() + to_start.len();
-        for chunk in waiting.chunks() {
+        let mut horizon = Horizon::new(waiting.summarised_chunks(), planned);
+        'plan: for chunk in waiting.chunks() {
             let tail = chunk.get(planned..).unwrap_or_default();
             planned -= chunk.len() - tail.len();
             for w in tail {
+                if !horizon.reaches(&plan.profile, now, &self.promised) {
+                    break 'plan;
+                }
                 let s = plan
                     .profile
                     .earliest_fit(now, w.procs, w.wall)
@@ -327,6 +345,7 @@ impl SimSession {
                 }
             }
         }
+        drop(horizon); // it reads the queue
         self.start_planned(part, now, to_start);
     }
 
@@ -349,5 +368,134 @@ impl SimSession {
             }
         }
         self.scratch_starts = to_start;
+    }
+}
+
+/// How deep a conservative pass plans: a cursor running ahead of the
+/// planning position to the first entry the pass can still observe — one
+/// without a promise, which the pass must issue, or one that fits `[now,
+/// now + wall)` on the plan's profile as it stands, which may start now.
+///
+/// The profile only loses units while the pass plans, so an entry once
+/// found unobservable stays so for the rest of the pass, and the cursor
+/// only moves forward: every entry is passed over once, and an observable
+/// one is asked again per position planned until it is reached or no
+/// longer fits — linear in the queue. A chunk whose smallest request does
+/// not fit now for its shortest walltime holds no entry that fits, and
+/// only its promises are read.
+struct Horizon<'q, I> {
+    /// The chunks the cursor has yet to enter, each with its minima.
+    ahead: I,
+    /// The entries of the cursor's chunk from the cursor on.
+    rest: &'q [Waiter],
+    /// False once the chunk's minima showed that none of it fits now.
+    may_fit: bool,
+    /// Entries between the planning position and the cursor: none of them
+    /// observable.
+    lead: usize,
+}
+
+impl<'q, I: Iterator<Item = (u64, Duration, &'q [Waiter])>> Horizon<'q, I> {
+    /// The cursor on the queue's entry `planned`, the first not planned.
+    fn new(mut chunks: I, mut planned: usize) -> Self {
+        let mut rest: &[Waiter] = &[];
+        for (_, _, entries) in chunks.by_ref() {
+            if planned < entries.len() {
+                rest = &entries[planned..];
+                break;
+            }
+            planned -= entries.len();
+        }
+        Self {
+            ahead: chunks,
+            rest,
+            may_fit: true,
+            lead: 0,
+        }
+    }
+
+    /// True, and on to the next position, when the entry at the planning
+    /// position or one behind it is observable on `profile` at `now`.
+    fn reaches(
+        &mut self,
+        profile: &CapacityProfile,
+        now: Timestamp,
+        promised: &[Option<Timestamp>],
+    ) -> bool {
+        loop {
+            let Some(w) = self.rest.first() else {
+                let Some((procs, wall, entries)) = self.ahead.next() else {
+                    return false;
+                };
+                self.may_fit = profile.fits(now, now + wall, procs);
+                self.rest = entries;
+                continue;
+            };
+            if promised[w.idx].is_none() || self.may_fit && profile.fits(now, now + w.wall, w.procs)
+            {
+                break;
+            }
+            self.rest = &self.rest[1..];
+            self.lead += 1;
+        }
+        // The planning position moves on, and with it a cursor standing
+        // there.
+        if self.lead == 0 {
+            self.rest = &self.rest[1..];
+        } else {
+            self.lead -= 1;
+        }
+        true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Positions a pass plans of 200 queued entries — chunks of 64, 64 and
+    /// 72 — from entry `planned` on, on a profile with 10 units free until
+    /// t=100 and none from then to t=200. Every entry is 20 units wide and
+    /// promised, so none can start now, except what `odd` makes of entry
+    /// 150, in the third chunk.
+    fn depth(odd: Waiter, promised_odd: bool, planned: usize) -> usize {
+        let mut queue = WaitQueue::new();
+        for idx in 0..200 {
+            let wide = Waiter {
+                idx,
+                procs: 20,
+                wall: 100,
+            };
+            queue.insert_by(if idx == 150 { odd } else { wide }, |_| true);
+        }
+        let mut promised = vec![Some(500); 200];
+        promised[150] = promised_odd.then_some(500);
+        let mut profile = CapacityProfile::new(0, 10);
+        profile.reserve(100, 200, 10);
+        let mut horizon = Horizon::new(queue.summarised_chunks(), planned);
+        let mut reached = 0;
+        while horizon.reaches(&profile, 0, &promised) {
+            reached += 1;
+        }
+        reached
+    }
+
+    #[test]
+    fn a_pass_plans_down_to_the_last_entry_it_can_observe() {
+        // Ten units for exactly the hundred seconds before the drop: the
+        // third chunk's minima fit, and so does entry 150.
+        let fits = Waiter {
+            idx: 150,
+            procs: 10,
+            wall: 100,
+        };
+        assert_eq!(depth(fits, true, 0), 151);
+        assert_eq!(depth(fits, true, 100), 51);
+        // A second longer, it fits nowhere now: nothing to plan.
+        let too_long = Waiter { wall: 101, ..fits };
+        assert_eq!(depth(too_long, true, 0), 0);
+        // Unless it has a promise to be issued.
+        assert_eq!(depth(too_long, false, 0), 151);
+        assert_eq!(depth(too_long, false, 151), 0);
     }
 }

@@ -22,7 +22,12 @@ use lumos_traces::{systems, Generator, GeneratorConfig};
 /// by 16 000 the queue is 302 deep behind thousands of running jobs, by
 /// 17 000 it is 648 deep. The 17 000 rows were recorded at the commit
 /// *before* conservative planning moved onto spans laid over the ledger.
-const BLUE_WATERS_CONSERVATIVE_PREFIXES: [usize; 2] = [16_000, 17_000];
+/// By 20 000 the queue stands 1 365 deep under FCFS and 557 under SJF:
+/// seconds even in a release build, so those rows run in release only
+/// ([`blue_waters_deep_conservative_prefix_schedules_are_pinned`]); they
+/// were recorded at the commit *before* a conservative pass stopped
+/// planning where nothing behind could start.
+const BLUE_WATERS_CONSERVATIVE_PREFIXES: [usize; 3] = [16_000, 17_000, 20_000];
 
 fn generate(system: SystemId, days: u32) -> Trace {
     Generator::new(
@@ -67,13 +72,14 @@ fn fingerprint(trace: &Trace, result: &SimResult) -> (u64, usize, usize) {
     (h, result.metrics.violated_jobs, result.max_queue_len)
 }
 
-/// Runs every discipline × {FCFS, SJF} and compares with `golden`,
+/// Runs each of `disciplines` × {FCFS, SJF} and compares with `golden`,
 /// reporting *all* mismatches at once so a re-recording is one run.
 /// With `conservative_prefixes` given, conservative replays only the
 /// first that-many jobs, once per prefix, labelled `conservative@N`.
 fn check(
     system: SystemId,
     days: u32,
+    disciplines: &[(&str, Backfill, Relax)],
     conservative_prefixes: &[usize],
     golden: &[(&str, u64, usize, usize)],
 ) {
@@ -87,7 +93,7 @@ fn check(
         })
         .collect();
     let mut actual = Vec::new();
-    for (name, backfill, relax) in disciplines() {
+    for &(name, backfill, relax) in disciplines {
         let traces: Vec<(String, &Trace)> =
             if backfill == Backfill::Conservative && !prefixes.is_empty() {
                 prefixes
@@ -182,7 +188,8 @@ fn blue_waters_one_day_schedules_are_pinned() {
     check(
         SystemId::BlueWaters,
         1,
-        &BLUE_WATERS_CONSERVATIVE_PREFIXES,
+        &disciplines(),
+        &BLUE_WATERS_CONSERVATIVE_PREFIXES[..2],
         &[
             ("easy-strict/FCFS", 8_823_173_962_105_936_446, 0, 10_406),
             ("easy-strict/SJF", 2_110_315_015_361_688_480, 226, 927),
@@ -219,10 +226,39 @@ fn blue_waters_one_day_schedules_are_pinned() {
 }
 
 #[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "minutes in a debug build; run with --release"
+)]
+fn blue_waters_deep_conservative_prefix_schedules_are_pinned() {
+    check(
+        SystemId::BlueWaters,
+        1,
+        &[("conservative", Backfill::Conservative, Relax::Strict)],
+        &BLUE_WATERS_CONSERVATIVE_PREFIXES[2..],
+        &[
+            (
+                "conservative@20000/FCFS",
+                4_656_257_651_620_567_324,
+                1,
+                1_365,
+            ),
+            (
+                "conservative@20000/SJF",
+                3_674_063_615_859_763_087,
+                507,
+                557,
+            ),
+        ],
+    );
+}
+
+#[test]
 fn philly_two_days_schedules_are_pinned() {
     check(
         SystemId::Philly,
         2,
+        &disciplines(),
         &[],
         &[
             ("easy-strict/FCFS", 3_570_526_794_696_353_268, 0, 121),
