@@ -108,7 +108,7 @@ pub fn table2_cells(base_factor: f64) -> Vec<(SystemId, Relax)> {
 
 /// Regenerates Table II.
 ///
-/// Fans the work-stealing pool over all six `(system, rule)` cells rather
+/// Fans the pool over all six `(system, rule)` cells rather
 /// than three system tasks of two sequential runs each: every cell is an
 /// independent simulation, so the critical path is one cell, not two.
 /// Results are reassembled by index, which keeps the output deterministic
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn table2_is_byte_identical_across_thread_counts() {
         // The determinism contract the docs promise: fanning the grid over
-        // the work-stealing pool must not change a single output byte,
+        // the pool must not change a single output byte,
         // whatever the thread count.
         let at = |threads: usize| {
             let rows = rayon::ThreadPoolBuilder::new()

@@ -102,16 +102,6 @@ impl Dataset {
         self.instances.split_at(cut)
     }
 
-    /// Mean runtime over the whole dataset (the reference for the elapsed
-    /// points 1/8, 1/4, 1/2 of Fig. 12).
-    #[must_use]
-    pub fn mean_runtime(&self) -> f64 {
-        if self.instances.is_empty() {
-            return 0.0;
-        }
-        self.instances.iter().map(|i| i.runtime).sum::<f64>() / self.instances.len() as f64
-    }
-
     /// Number of instances.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -185,11 +175,5 @@ mod tests {
         assert_eq!(train.len(), 6);
         assert_eq!(test.len(), 4);
         assert!(train.last().unwrap().runtime <= test.first().unwrap().runtime);
-    }
-
-    #[test]
-    fn mean_runtime() {
-        let d = Dataset::from_trace(&trace());
-        assert!((d.mean_runtime() - 104.5).abs() < 1e-9);
     }
 }

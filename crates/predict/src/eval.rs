@@ -57,8 +57,16 @@ impl ModelKind {
         }
     }
 
-    /// An unfit model of the family; `None` for Last2, which reads the
-    /// user's history and has nothing to fit.
+    /// The families that fit a model, costliest fit first (Last2 reads
+    /// the user's history and has nothing to fit).
+    const FITTED: [ModelKind; 4] = [
+        ModelKind::Mlp,
+        ModelKind::Xgboost,
+        ModelKind::Tobit,
+        ModelKind::LinReg,
+    ];
+
+    /// An unfit model of the family; `None` for Last2.
     fn build(self) -> Option<SharedModel> {
         match self {
             Self::Last2 => None,
@@ -175,8 +183,9 @@ impl ElapsedPoint<'_> {
 /// A family's baseline does not depend on the elapsed point, so the grid
 /// is the list of its *distinct* fits — per feature model one baseline
 /// and one elapsed-aware model per surviving point — run flat on the
-/// work-stealing pool; every `(model, point)` cell is then scored from
-/// the fitted models.
+/// pool, costliest family first so that its in-order dispatch is greedy
+/// longest-first scheduling; every `(model, point)` cell is then scored
+/// from the fitted models.
 #[must_use]
 pub fn evaluate_trace(trace: &Trace, fracs: &[f64], max_instances: usize) -> Vec<Fig12Row> {
     let mut dataset = Dataset::from_trace(trace);
@@ -214,23 +223,30 @@ pub fn evaluate_trace(trace: &Trace, fracs: &[f64], max_instances: usize) -> Vec
     }
 
     // Set 0 is the baseline's, set 1 + p is point p's, and a family's fits
-    // sit in that order from its slot on. A cell is a family, its slot
-    // (Last2 has none) and the index of a point.
+    // sit in that order from its slot on. The families are listed costliest
+    // first: the pool starts tasks in list order, so the longest fits start
+    // first and the short ones fill in behind them.
     let sets: Vec<TrainingSet> = std::iter::once(None)
         .chain(points.iter().map(|p| Some(p.elapsed)))
         .map(|elapsed| TrainingSet::new(train, elapsed))
         .collect();
-    let mut fits: Vec<(SharedModel, &TrainingSet)> = Vec::new();
-    let mut cells: Vec<(ModelKind, Option<usize>, usize)> = Vec::new();
-    for kind in ModelKind::ALL {
-        let slot = fits.len();
-        fits.extend(
+    let fits: Vec<(SharedModel, &TrainingSet)> = ModelKind::FITTED
+        .iter()
+        .flat_map(|kind| {
             sets.iter()
-                .filter_map(|set| kind.build().map(|model| (model, set))),
-        );
-        let slot = (fits.len() > slot).then_some(slot);
-        cells.extend((0..points.len()).map(|p| (kind, slot, p)));
-    }
+                .filter_map(|set| kind.build().map(|model| (model, set)))
+        })
+        .collect();
+    // A cell is a family, its slot (Last2 has none) and the index of a
+    // point, in the paper's order.
+    let cells: Vec<(ModelKind, Option<usize>, usize)> = ModelKind::ALL
+        .iter()
+        .flat_map(|&kind| {
+            let family = ModelKind::FITTED.iter().position(|&k| k == kind);
+            let slot = family.map(|f| f * sets.len());
+            (0..points.len()).map(move |p| (kind, slot, p))
+        })
+        .collect();
     let fitted: Vec<SharedModel> = fits
         .into_par_iter()
         .map(|(mut model, set)| {

@@ -17,6 +17,8 @@
 //! ← {"Bye": {"metrics": {...}}}
 //! ```
 
+use std::io::{self, BufRead, Read};
+
 use lumos_core::time::MAX_TIME;
 use lumos_core::{Duration, Timestamp};
 use lumos_sim::{JobState, SessionSnapshot, SimMetrics, TenantUsage};
@@ -309,6 +311,43 @@ impl Request {
     pub fn to_line_into(&self, out: &mut String) {
         serde_json::to_string_into(self, out);
     }
+}
+
+/// The longest line a server or a replication sender reads, in bytes,
+/// newline excluded. The largest line the test suites send is a
+/// replicated journal frame of about 1.3 KB (a segment's `Config` header),
+/// so this leaves room for tenant tables hundreds of times larger while a
+/// client that never sends a newline costs at most this much memory.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One line of an NDJSON stream, as [`read_line`] found it.
+pub(crate) enum Line<'a> {
+    /// A line of at most [`MAX_LINE_BYTES`], its newline included.
+    Text(&'a str),
+    /// A longer line: read through its newline and dropped.
+    TooLong,
+}
+
+/// Reads the next line of `reader` into `buf`, holding at most
+/// [`MAX_LINE_BYTES`] + 1 bytes of it; `None` at end of stream. A line
+/// that is not UTF-8 is an `InvalidData` error, as `BufRead::read_line`
+/// makes it.
+pub(crate) fn read_line<'a, R: BufRead>(
+    reader: &mut R,
+    buf: &'a mut Vec<u8>,
+) -> io::Result<Option<Line<'a>>> {
+    buf.clear();
+    let limit = MAX_LINE_BYTES + 1;
+    if reader.by_ref().take(limit as u64).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.len() == limit && buf.last() != Some(&b'\n') {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(Line::TooLong));
+    }
+    let text =
+        std::str::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    Ok(Some(Line::Text(text)))
 }
 
 impl Response {

@@ -51,7 +51,7 @@ use std::time::Duration;
 use serde::Deserialize;
 
 use crate::journal::segment_path;
-use crate::protocol::Request;
+use crate::protocol::{read_line, Line, Request, MAX_LINE_BYTES};
 
 /// Messages (frames + segment markers) the sender keeps in flight before
 /// waiting for the follower to acknowledge.
@@ -232,14 +232,14 @@ fn ship(dir: &Path, link: &ReplLink, stream: TcpStream) -> io::Result<()> {
     // Handshake: where is the follower?
     writeln!(writer, "{}", Request::ReplHello.to_line())?;
     writer.flush()?;
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let mut buf = Vec::new();
+    let Some(line) = read_line(&mut reader, &mut buf)? else {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "follower closed during handshake",
         ));
-    }
-    let (seq, offset) = match serde_json::from_str::<ReplReply>(line.trim()) {
+    };
+    let (seq, offset) = match decode_reply(line) {
         Ok(ReplReply::ReplPosition { seq, offset }) => (seq, offset),
         Ok(ReplReply::Error { message }) => {
             link.set_fatal(&format!("follower refused the handshake: {message}"));
@@ -283,14 +283,22 @@ fn ship(dir: &Path, link: &ReplLink, stream: TcpStream) -> io::Result<()> {
     })
 }
 
+/// Decodes one line from the follower; a line over the cap is as
+/// unparseable as bad JSON.
+fn decode_reply(line: Line<'_>) -> Result<ReplReply, String> {
+    match line {
+        Line::Text(text) => serde_json::from_str(text.trim()).map_err(|e| e.to_string()),
+        Line::TooLong => Err(format!("line longer than {MAX_LINE_BYTES} bytes")),
+    }
+}
+
 /// Reads follower replies until the link drops or a protocol error.
 fn ack_reader<R: BufRead>(reader: &mut R, link: &ReplLink, dead: &AtomicBool) {
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => match serde_json::from_str::<ReplReply>(line.trim()) {
+        match read_line(reader, &mut buf) {
+            Ok(None) | Err(_) => break,
+            Ok(Some(line)) => match decode_reply(line) {
                 Ok(ReplReply::ReplAck { seq, offset }) => link.record_ack(seq, offset),
                 Ok(ReplReply::Error { message }) => {
                     link.set_fatal(&format!("follower refused a frame: {message}"));

@@ -53,7 +53,9 @@ use lumos_predict::{OnlinePredictor, PredictorConfig};
 use lumos_sim::{SimConfig, SimSession, TenantTable};
 
 use crate::journal::{decode_line, Journal, JournalConfig, JournalRecord};
-use crate::protocol::{ReplicationStats, Request, Response, SubmitSpec};
+use crate::protocol::{
+    read_line, Line, ReplicationStats, Request, Response, SubmitSpec, MAX_LINE_BYTES,
+};
 use crate::recovery::{self, Recovered, Replica};
 use crate::replication::{self, ReplLink};
 
@@ -853,7 +855,9 @@ enum Slot {
 /// as before.
 ///
 /// Physical lines (blank ones included) are counted so parse errors can
-/// name the offending line of the stream.
+/// name the offending line of the stream. A line longer than
+/// [`MAX_LINE_BYTES`] is answered with an error and skipped; the
+/// connection stays open.
 fn serve_lines<R: BufRead, W: Write + Send>(
     mut reader: R,
     writer: W,
@@ -864,18 +868,19 @@ fn serve_lines<R: BufRead, W: Write + Send>(
     std::thread::scope(|scope| {
         let writer_half = scope.spawn(move || write_replies(writer, &slot_rx, &reply_rx, shared));
         let read = (|| {
-            let mut line = String::new();
+            let mut buf = Vec::new();
             let mut lineno = 0usize;
-            loop {
-                line.clear();
-                if reader.read_line(&mut line)? == 0 {
-                    break;
-                }
+            while let Some(line) = read_line(&mut reader, &mut buf)? {
                 lineno += 1;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let slot = dispatch(&line, lineno, shared, &reply_tx);
+                let slot = match line {
+                    Line::Text(line) if line.trim().is_empty() => continue,
+                    Line::Text(line) => dispatch(line, lineno, shared, &reply_tx),
+                    Line::TooLong => Slot::Ready(Response::Error {
+                        message: format!(
+                            "line {lineno}: request line longer than {MAX_LINE_BYTES} bytes"
+                        ),
+                    }),
+                };
                 if slot_tx.send(slot).is_err() {
                     // The writer half died on a write error; responses
                     // have nowhere to go, so stop reading too.
@@ -1581,5 +1586,51 @@ mod tests {
         let served = serve_on(&config, on_a_full_disk(&config, &dir), stream, false);
         assert!(served.terminal_flushed);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_over_long_line_is_answered_and_skipped_and_the_connection_kept() {
+        // A line one byte over the cap is refused by number; one exactly at
+        // the cap is read and parsed. The requests around them are served.
+        let over = "x".repeat(MAX_LINE_BYTES + 1);
+        let at_cap = "x".repeat(MAX_LINE_BYTES);
+        let input = format!(
+            "{{\"Advance\":{{\"to\":5}}}}\n{over}\n{at_cap}\n{{\"Advance\":{{\"to\":7}}}}\n\"Shutdown\"\n"
+        );
+        let config = ServeConfig::new(SystemSpec::theta());
+        let (commands, rx) = mpsc::sync_channel(config.queue_capacity);
+        let shared = Shared {
+            commands,
+            shutting_down: AtomicBool::new(false),
+            backpressure_rejects: AtomicU64::new(0),
+            queue_capacity: config.queue_capacity,
+            terminal_flushed: Mutex::new(false),
+            terminal_cv: Condvar::new(),
+        };
+        let mut out = Vec::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let rx = rx;
+                Scheduler::new(&config, &shared, Replica::fresh(&config), None, None).run(&rx);
+            });
+            serve_lines(input.as_bytes(), &mut out, &shared).expect("served");
+        });
+        let out = String::from_utf8(out).expect("replies are UTF-8");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 5, "one reply per line: {lines:#?}");
+        assert_eq!(lines[0], r#"{"Advanced":{"now":5}}"#);
+        assert_eq!(
+            lines[1],
+            format!(
+                r#"{{"Error":{{"message":"line 2: request line longer than {MAX_LINE_BYTES} bytes"}}}}"#
+            )
+        );
+        assert!(
+            lines[2].starts_with(r#"{"Error":{"message":"line 3: bad request"#),
+            "{}",
+            lines[2]
+        );
+        assert_eq!(lines[3], r#"{"Advanced":{"now":7}}"#);
+        assert!(lines[4].starts_with(r#"{"Bye""#), "{}", lines[4]);
     }
 }

@@ -4,6 +4,7 @@
 //! runtime, usually on a log axis. [`ViolinSummary`] packages the density
 //! curve together with the quartiles — exactly the data a violin plot needs.
 
+use rayon::prelude::*;
 use serde::Serialize;
 
 use crate::quantile::quantile_sorted;
@@ -87,7 +88,8 @@ impl Kde {
     }
 
     /// Density evaluated on a uniform grid of `n` points spanning the sample
-    /// padded by three bandwidths.
+    /// padded by three bandwidths. The points are independent, so they are
+    /// evaluated on the pool; the curve is the same at any thread count.
     ///
     /// # Panics
     /// Panics if `n < 2`.
@@ -97,6 +99,7 @@ impl Kde {
         let lo = self.sample[0] - 3.0 * self.bandwidth;
         let hi = self.sample[self.sample.len() - 1] + 3.0 * self.bandwidth;
         (0..n)
+            .into_par_iter()
             .map(|i| {
                 let x = lo + (hi - lo) * i as f64 / (n - 1) as f64;
                 (x, self.density(x))
@@ -295,6 +298,34 @@ mod tests {
         let log = ViolinSummary::build(&sample, true, 1.0, 80);
         let logs: Vec<f64> = sample.iter().map(|x| x.log10()).collect();
         assert_eq!(log.mode, 10f64.powf(Kde::new(logs).mode(80)));
+    }
+
+    #[test]
+    fn curves_and_violins_are_byte_identical_across_thread_counts() {
+        // The grid is an index-keyed list on the pool: which worker
+        // evaluates which point must not show in a single output byte.
+        let mut rng = Rng::new(6);
+        let sample: Vec<f64> = (0..3_000)
+            .map(|_| 1.0 + rng.next_below(50_000) as f64)
+            .collect();
+        let at = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let curve: Vec<(u64, u64)> = Kde::new(sample.clone())
+                    .curve(120)
+                    .iter()
+                    .map(|(x, d)| (x.to_bits(), d.to_bits()))
+                    .collect();
+                let violin = ViolinSummary::build(&sample, true, 1.0, 120);
+                (curve, serde_json::to_string(&violin).unwrap())
+            })
+        };
+        let one = at(1);
+        assert_eq!(one, at(2));
+        assert_eq!(one, at(8));
     }
 
     #[test]
