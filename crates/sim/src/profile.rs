@@ -21,14 +21,11 @@
 //! [`CapacityProfile`] of its own per partition — the ledger's timeline
 //! with the reservations carved in — for as long as the machine does what
 //! that plan says, and rebuilds it from the ledger when it does not
-//! ([`ReleaseLedger::copy_to`]: every breakpoint copied out, O(keys), once
-//! per divergence). A reader that only needs the ledger's timeline for the
-//! length of a borrow lays a scratch profile *over* the ledger instead
-//! ([`ReleaseLedger::plan`]): one span header per ledger chunk, the keys
-//! read where they are, and only the chunks a reservation's edge lands in
-//! copied out. See `docs/PERFORMANCE.md` §4 and §14 for what each costs
-//! and the differential tests pinning copy == plan == flat breakpoint
-//! list == rebuilt-from-scratch.
+//! ([`ReleaseLedger::copy_to`]: one span per ledger chunk, every
+//! breakpoint copied out, O(keys), once per divergence). See
+//! `docs/PERFORMANCE.md` §4 and §17 for what that costs, and for the
+//! differential tests pinning copy == flat breakpoint list ==
+//! rebuilt-from-scratch.
 //!
 //! ```
 //! use lumos_sim::profile::{CapacityProfile, ReleaseLedger};
@@ -40,18 +37,14 @@
 //! assert_eq!(ledger.free_now(), 60);
 //! // 70 units are free from t=50 on, with 30 to spare at that instant.
 //! assert_eq!(ledger.earliest(70), (50, 100));
-//! // The ledger's timeline, laid over it for the length of a borrow.
-//! let mut scratch = CapacityProfile::new(0, 0);
-//! let mut plan = ledger.plan(&mut scratch);
-//! assert_eq!(plan.points(), &[(0, 60), (50, 100)]);
-//! assert_eq!(plan.earliest_fit(0, 70, 10), Some(50));
-//! plan.reserve(50, 60, 70);
-//! assert_eq!(plan.points(), &[(0, 60), (50, 30), (60, 100)]);
-//! drop(plan); // the reservation dies with the borrow
-//! // Conservative's plan: a copy that stands on its own.
+//! // Conservative's plan: the ledger's timeline, copied out of it…
 //! let mut kept = CapacityProfile::new(0, 0);
 //! ledger.copy_to(&mut kept);
+//! assert_eq!(kept.points(), &[(0, 60), (50, 100)]);
+//! assert_eq!(kept.earliest_fit(0, 70, 10), Some(50));
+//! // …with a reservation carved in.
 //! kept.reserve(50, 60, 70);
+//! assert_eq!(kept.points(), &[(0, 60), (50, 30), (60, 100)]);
 //! // The job finishes early: its units come back at once — in the
 //! // ledger; the copy is now a plan the machine has diverged from.
 //! ledger.remove(50, 40);
@@ -72,17 +65,6 @@ type Point = (Timestamp, u64);
 /// running or waiting jobs are a hundred-odd chunk headers.
 pub(crate) const CHUNK_KEYS: usize = 64;
 
-/// Where a span's breakpoints are stored.
-#[derive(Debug, Clone)]
-enum Points {
-    /// In the span: `(instant, stored value)`, ascending, never empty.
-    Owned(Vec<Point>),
-    /// In chunk `chunk` of the ledger the profile is laid over, read in
-    /// place: one breakpoint per key, its stored value `base` plus the
-    /// units of the keys up to and including it (so values only rise).
-    Ledger { chunk: usize, base: u64 },
-}
-
 /// A run of consecutive breakpoints: what a profile is made of.
 ///
 /// The units free from a breakpoint on are its stored value minus `sub`,
@@ -98,7 +80,8 @@ struct Span {
     min: u64,
     /// Largest stored value.
     max: u64,
-    points: Points,
+    /// `(instant, stored value)`, ascending, never empty.
+    points: Vec<Point>,
 }
 
 /// Smallest and largest value in `points`.
@@ -109,109 +92,39 @@ fn measure(points: &[Point]) -> (u64, u64) {
 }
 
 impl Span {
-    /// A span owning `points` (not empty), `sub` units pending on each.
-    fn owned(points: Vec<Point>, sub: u64) -> Self {
+    /// A span of `points` (not empty), `sub` units pending on each.
+    fn new(points: Vec<Point>, sub: u64) -> Self {
         let (min, max) = measure(&points);
         Self {
             first: points[0].0,
             sub,
             min,
             max,
-            points: Points::Owned(points),
-        }
-    }
-
-    /// The span's entries where they are stored: instants as they are,
-    /// values as [`Span::walk_from`] reads them.
-    fn raw<'a>(&'a self, ledger: &'a [Chunk]) -> &'a [Point] {
-        match &self.points {
-            Points::Owned(points) => points,
-            Points::Ledger { chunk, .. } => &ledger[*chunk].keys,
+            points,
         }
     }
 
     /// Index of the breakpoint in force at `t`: the last one at or before
     /// it (the first when `t` precedes the span).
-    fn position(&self, ledger: &[Chunk], t: Timestamp) -> usize {
-        self.raw(ledger)
+    fn position(&self, t: Timestamp) -> usize {
+        self.points
             .partition_point(|&(ti, _)| ti <= t)
             .saturating_sub(1)
     }
 
     /// The breakpoints from index `at` on, as `(instant, units free)`.
-    fn walk_from<'a>(&'a self, ledger: &'a [Chunk], at: usize) -> Walk<'a> {
-        let raw = self.raw(ledger);
-        let (acc, summing) = match self.points {
-            Points::Owned(_) => (0, false),
-            Points::Ledger { base, .. } => {
-                (base + raw[..at].iter().map(|&(_, p)| p).sum::<u64>(), true)
-            }
-        };
-        Walk {
-            rest: raw[at..].iter(),
-            acc,
-            summing,
-            sub: self.sub,
-        }
+    fn walk_from(&self, at: usize) -> impl Iterator<Item = Point> + '_ {
+        self.points[at..].iter().map(|&(t, v)| (t, v - self.sub))
     }
 
     /// Units free from breakpoint `at` on.
-    fn free_from(&self, ledger: &[Chunk], at: usize) -> u64 {
-        let (_, free) = self
-            .walk_from(ledger, at)
-            .next()
-            .expect("index of a breakpoint");
-        free
+    fn free_from(&self, at: usize) -> u64 {
+        self.points[at].1 - self.sub
     }
 
     /// Units free from the span's last breakpoint on.
     fn last_free(&self) -> u64 {
-        match &self.points {
-            Points::Owned(points) => points[points.len() - 1].1 - self.sub,
-            Points::Ledger { .. } => self.max - self.sub,
-        }
-    }
-
-    /// The span's own breakpoint list, copied out of the ledger first if
-    /// it was read in place until now.
-    fn materialise(&mut self, ledger: &[Chunk], pool: &mut Vec<Vec<Point>>) -> &mut Vec<Point> {
-        if let Points::Ledger { chunk, base } = self.points {
-            let mut points = pool.pop().unwrap_or_default();
-            let mut free = base;
-            points.extend(ledger[chunk].keys.iter().map(|&(t, p)| {
-                free += p;
-                (t, free)
-            }));
-            self.points = Points::Owned(points);
-        }
-        self.own()
-    }
-
-    /// The breakpoint list of a span that owns one.
-    fn own(&mut self) -> &mut Vec<Point> {
-        match &mut self.points {
-            Points::Owned(points) => points,
-            Points::Ledger { .. } => unreachable!("an edge inside a span materialises it"),
-        }
-    }
-}
-
-/// Iterator over a span's breakpoints as `(instant, units free)`.
-struct Walk<'a> {
-    rest: std::slice::Iter<'a, Point>,
-    /// The last stored value; over ledger keys, their running sum.
-    acc: u64,
-    summing: bool,
-    sub: u64,
-}
-
-impl Iterator for Walk<'_> {
-    type Item = Point;
-
-    fn next(&mut self) -> Option<Point> {
-        let &(t, v) = self.rest.next()?;
-        self.acc = if self.summing { self.acc + v } else { v };
-        Some((t, self.acc - self.sub))
+        self.free_from(self.points.len() - 1)
     }
 }
 
@@ -225,13 +138,9 @@ impl Iterator for Walk<'_> {
 /// carry the run or all break it, and [`CapacityProfile::reserve`] shifts
 /// a span it wholly covers in one addition. Which breakpoints exist, and
 /// every answer, are those of one flat sorted list.
-///
-/// Every routine takes the chunks of the ledger the profile is laid over
-/// (see [`Plan`]); a profile standing on its own passes none and holds no
-/// span that reads the ledger.
 #[derive(Debug, Clone)]
 pub struct CapacityProfile {
-    /// Ascending in time, none empty, the first always owning its points.
+    /// Ascending in time, none empty.
     spans: Vec<Span>,
     /// Emptied breakpoint lists, for the next span that needs one.
     pool: Vec<Vec<Point>>,
@@ -249,7 +158,7 @@ impl CapacityProfile {
         Self {
             spans: points
                 .chunks(CHUNK_KEYS)
-                .map(|run| Span::owned(run.to_vec(), 0))
+                .map(|run| Span::new(run.to_vec(), 0))
                 .collect(),
             pool: Vec::new(),
         }
@@ -266,7 +175,7 @@ impl CapacityProfile {
 
     /// [`Self::from_running`] for end estimates already in ascending order
     /// (O(n) instead of O(n log n)). The from-scratch reference the
-    /// differential tests hold [`ReleaseLedger::plan`] to.
+    /// differential tests hold [`ReleaseLedger::copy_to`] to.
     ///
     /// # Panics
     /// Debug-asserts the ascending order.
@@ -300,7 +209,7 @@ impl CapacityProfile {
     /// Number of breakpoints (for tests).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.spans.iter().map(|s| s.raw(&[]).len()).sum()
+        self.spans.iter().map(|s| s.points.len()).sum()
     }
 
     /// True when no breakpoints exist (never: construction seeds one, and
@@ -313,88 +222,21 @@ impl CapacityProfile {
     /// Free units at time `t` (clamped to the first segment before it).
     #[must_use]
     pub fn free_at(&self, t: Timestamp) -> u64 {
-        self.free_at_over(&[], t)
-    }
-
-    /// Removes `procs` free units over `[from, to)` (a reservation).
-    ///
-    /// # Panics
-    /// Panics (debug) if the interval lacks capacity — callers must have
-    /// checked with [`Self::earliest_fit`] / [`Self::fits`].
-    pub fn reserve(&mut self, from: Timestamp, to: Timestamp, procs: u64) {
-        self.reserve_over(&[], from, to, procs);
+        let (span, at) = self.locate(t);
+        self.spans[span].free_from(at)
     }
 
     /// True if `procs` units are free throughout `[from, to)`.
-    #[must_use]
-    pub fn fits(&self, from: Timestamp, to: Timestamp, procs: u64) -> bool {
-        self.fits_over(&[], from, to, procs)
-    }
-
-    /// Earliest `t ≥ after` at which `procs` units stay free for
-    /// `duration` seconds. Candidate starts are `after` itself and the
-    /// breakpoints (capacity only changes there). Returns `None` if `procs`
-    /// can never fit (i.e. exceeds the eventual total).
     ///
-    /// One forward sweep over the spans at or after `after`: O(log n) to
-    /// locate the first, one step per span whose values all lie on one
-    /// side of `procs`, a walk through the others.
-    #[must_use]
-    pub fn earliest_fit(&self, after: Timestamp, procs: u64, duration: i64) -> Option<Timestamp> {
-        self.earliest_fit_over(&[], after, procs, duration)
-    }
-
-    /// The breakpoints (for tests and debugging).
-    #[must_use]
-    pub fn points(&self) -> Vec<(Timestamp, u64)> {
-        self.points_over(&[])
-    }
-
-    // ---- the routines proper, over the ledger's chunks -------------------
-
-    /// Index of the span `t` falls in: the last one starting at or before
-    /// it (the first when `t` precedes every breakpoint).
-    fn span_of(&self, t: Timestamp) -> usize {
-        self.spans
-            .partition_point(|s| s.first <= t)
-            .saturating_sub(1)
-    }
-
-    /// Span and index of the breakpoint in force at `t`.
-    fn locate(&self, ledger: &[Chunk], t: Timestamp) -> (usize, usize) {
-        let span = self.span_of(t);
-        (span, self.spans[span].position(ledger, t))
-    }
-
-    /// Every breakpoint from index `at` of span `span` on.
-    fn walk_from<'a>(
-        &'a self,
-        ledger: &'a [Chunk],
-        (span, at): (usize, usize),
-    ) -> impl Iterator<Item = Point> + 'a {
-        self.spans[span..]
-            .iter()
-            .enumerate()
-            .flat_map(move |(i, s)| s.walk_from(ledger, if i == 0 { at } else { 0 }))
-    }
-
-    fn points_over(&self, ledger: &[Chunk]) -> Vec<Point> {
-        self.walk_from(ledger, (0, 0)).collect()
-    }
-
-    fn free_at_over(&self, ledger: &[Chunk], t: Timestamp) -> u64 {
-        let (span, at) = self.locate(ledger, t);
-        self.spans[span].free_from(ledger, at)
-    }
-
     /// From the segment containing `from`, span by span: one step over a
     /// span whose values all carry `procs` or all break it, a walk inside
     /// the others up to `to`.
-    fn fits_over(&self, ledger: &[Chunk], from: Timestamp, to: Timestamp, procs: u64) -> bool {
+    #[must_use]
+    pub fn fits(&self, from: Timestamp, to: Timestamp, procs: u64) -> bool {
         if from >= to {
             return true;
         }
-        let (start, at) = self.locate(ledger, from);
+        let (start, at) = self.locate(from);
         for (i, span) in self.spans.iter().enumerate().skip(start) {
             // Past here the span has a breakpoint before `to` that counts:
             // its first, or the one in force at `from`.
@@ -408,7 +250,7 @@ impl CapacityProfile {
                 return false;
             }
             let at = if i == start { at } else { 0 };
-            for (t, free) in span.walk_from(ledger, at) {
+            for (t, free) in span.walk_from(at) {
                 if t >= to {
                     return true;
                 }
@@ -420,13 +262,16 @@ impl CapacityProfile {
         true
     }
 
-    fn earliest_fit_over(
-        &self,
-        ledger: &[Chunk],
-        after: Timestamp,
-        procs: u64,
-        duration: i64,
-    ) -> Option<Timestamp> {
+    /// Earliest `t ≥ after` at which `procs` units stay free for
+    /// `duration` seconds. Candidate starts are `after` itself and the
+    /// breakpoints (capacity only changes there). Returns `None` if `procs`
+    /// can never fit (i.e. exceeds the eventual total).
+    ///
+    /// One forward sweep over the spans at or after `after`: O(log n) to
+    /// locate the first, one step per span whose values all lie on one
+    /// side of `procs`, a walk through the others.
+    #[must_use]
+    pub fn earliest_fit(&self, after: Timestamp, procs: u64, duration: i64) -> Option<Timestamp> {
         if duration <= 0 {
             return Some(after); // an empty interval fits anywhere
         }
@@ -460,12 +305,8 @@ impl CapacityProfile {
                 }
                 continue;
             }
-            let at = if i == start {
-                span.position(ledger, after)
-            } else {
-                0
-            };
-            let mut walk = span.walk_from(ledger, at);
+            let at = if i == start { span.position(after) } else { 0 };
+            let mut walk = span.walk_from(at);
             let mut here = walk.next();
             while let Some((_, free)) = here {
                 let next = walk.next();
@@ -486,16 +327,21 @@ impl CapacityProfile {
         None
     }
 
-    fn reserve_over(&mut self, ledger: &[Chunk], from: Timestamp, to: Timestamp, procs: u64) {
+    /// Removes `procs` free units over `[from, to)` (a reservation).
+    ///
+    /// # Panics
+    /// Panics (debug) if the interval lacks capacity — callers must have
+    /// checked with [`Self::earliest_fit`] / [`Self::fits`].
+    pub fn reserve(&mut self, from: Timestamp, to: Timestamp, procs: u64) {
         if from >= to || procs == 0 {
             return;
         }
-        let (mut first, mut lo) = self.ensure_breakpoint(ledger, from);
+        let (mut first, mut lo) = self.ensure_breakpoint(from);
         let spans = self.spans.len();
-        let (last, hi) = self.ensure_breakpoint(ledger, to);
+        let (last, hi) = self.ensure_breakpoint(to);
         if self.spans.len() != spans {
             // Inserting `to` split a span, perhaps the one `from` is in.
-            (first, lo) = self.locate(ledger, from);
+            (first, lo) = self.locate(from);
         }
         // Spans wholly inside `[from, to)` shift as one; the (at most two)
         // an edge lands inside are rewritten point by point.
@@ -522,12 +368,32 @@ impl CapacityProfile {
         // A contiguous range moved by a constant, so only the two boundary
         // pairs can have become redundant. `to` first: removing it leaves
         // `from` where it is.
-        self.coalesce_at(ledger, last, hi);
-        self.coalesce_at(ledger, first, lo);
+        self.coalesce_at(last, hi);
+        self.coalesce_at(first, lo);
+    }
+
+    /// The breakpoints (for tests and debugging).
+    #[must_use]
+    pub fn points(&self) -> Vec<(Timestamp, u64)> {
+        self.spans.iter().flat_map(|s| s.walk_from(0)).collect()
+    }
+
+    /// Index of the span `t` falls in: the last one starting at or before
+    /// it (the first when `t` precedes every breakpoint).
+    fn span_of(&self, t: Timestamp) -> usize {
+        self.spans
+            .partition_point(|s| s.first <= t)
+            .saturating_sub(1)
+    }
+
+    /// Span and index of the breakpoint in force at `t`.
+    fn locate(&self, t: Timestamp) -> (usize, usize) {
+        let span = self.span_of(t);
+        (span, self.spans[span].position(t))
     }
 
     /// Takes `procs` out of the breakpoints in `range` of span `span`,
-    /// which an edge of the reservation lies inside (so it owns its points).
+    /// which an edge of the reservation lies inside.
     fn lower(
         &mut self,
         span: usize,
@@ -535,13 +401,11 @@ impl CapacityProfile {
         procs: u64,
     ) {
         let span = &mut self.spans[span];
-        let sub = span.sub;
-        let points = span.own();
-        for p in &mut points[range] {
-            debug_assert!(p.1 - sub >= procs, "reservation exceeds free capacity");
+        for p in &mut span.points[range] {
+            debug_assert!(p.1 - span.sub >= procs, "reservation exceeds free capacity");
             p.1 -= procs;
         }
-        (span.min, span.max) = measure(points);
+        (span.min, span.max) = measure(&span.points);
     }
 
     /// Removes breakpoint `at` of span `span` if it repeats its
@@ -549,60 +413,51 @@ impl CapacityProfile {
     /// it is the first of its own), keeping the representation canonical:
     /// no two adjacent breakpoints with equal free counts. A span left
     /// without breakpoints goes too.
-    fn coalesce_at(&mut self, ledger: &[Chunk], span: usize, at: usize) {
+    fn coalesce_at(&mut self, span: usize, at: usize) {
         let here = &self.spans[span];
         let before = match (span, at) {
             (0, 0) => return,
             (_, 0) => self.spans[span - 1].last_free(),
-            _ => here.free_from(ledger, at - 1),
+            _ => here.free_from(at - 1),
         };
-        if here.free_from(ledger, at) != before {
+        if here.free_from(at) != before {
             return;
         }
         let here = &mut self.spans[span];
-        let points = here.materialise(ledger, &mut self.pool);
-        points.remove(at);
-        if points.is_empty() {
+        here.points.remove(at);
+        if here.points.is_empty() {
             self.recycle(span..=span);
         } else {
-            let bounds = measure(points);
-            here.first = points[0].0;
-            (here.min, here.max) = bounds;
+            here.first = here.points[0].0;
+            (here.min, here.max) = measure(&here.points);
         }
     }
 
     /// Ensures a breakpoint exists exactly at `t`, returning its span and
-    /// its index there. The span owns its points afterwards unless the
-    /// breakpoint is its first.
-    fn ensure_breakpoint(&mut self, ledger: &[Chunk], t: Timestamp) -> (usize, usize) {
+    /// its index there.
+    fn ensure_breakpoint(&mut self, t: Timestamp) -> (usize, usize) {
         let at = self.span_of(t);
         let span = &mut self.spans[at];
-        let raw = span.raw(ledger);
-        let upto = raw.partition_point(|&(ti, _)| ti <= t);
-        if upto > 0 && raw[upto - 1].0 == t {
-            if upto > 1 {
-                span.materialise(ledger, &mut self.pool);
-            }
+        let points = &mut span.points;
+        let upto = points.partition_point(|&(ti, _)| ti <= t);
+        if upto > 0 && points[upto - 1].0 == t {
             return (at, upto - 1);
         }
         // The new breakpoint repeats the value in force at `t`: its
         // predecessor's or, before every breakpoint, the first one's,
         // whose segment extends backwards.
-        let points = span.materialise(ledger, &mut self.pool);
         let value = points[upto.saturating_sub(1)].1;
         points.insert(upto, (t, value));
-        let len = points.len();
         if upto == 0 {
             span.first = t;
         }
-        if len < 2 * CHUNK_KEYS {
+        if points.len() < 2 * CHUNK_KEYS {
             return (at, upto);
         }
         let mut tail = self.pool.pop().unwrap_or_default();
-        let points = span.own();
         tail.extend(points.drain(CHUNK_KEYS..));
         (span.min, span.max) = measure(points);
-        let tail = Span::owned(tail, span.sub);
+        let tail = Span::new(tail, span.sub);
         self.spans.insert(at + 1, tail);
         if upto < CHUNK_KEYS {
             (at, upto)
@@ -622,11 +477,9 @@ impl CapacityProfile {
 
     /// Drops the spans in `range`, keeping their breakpoint lists for reuse.
     fn recycle(&mut self, range: impl std::ops::RangeBounds<usize>) {
-        for span in self.spans.drain(range) {
-            if let Points::Owned(mut points) = span.points {
-                points.clear();
-                self.pool.push(points);
-            }
+        for mut span in self.spans.drain(range) {
+            span.points.clear();
+            self.pool.push(span.points);
         }
     }
 }
@@ -834,41 +687,19 @@ impl ReleaseLedger {
         self.overrun
     }
 
-    /// Lays `scratch` over the ledger for the length of one borrow: the
-    /// free-capacity timeline from the ledger's instant on — `(now,
-    /// free_now)`, `(now + 1, …)` where the overrunning jobs hand back,
-    /// then one breakpoint per key — point for point what
-    /// [`CapacityProfile::from_sorted_running`] builds from the running
-    /// set with end estimates clamped to `now + 1`, at the cost of one
-    /// span header per chunk: the keys stay where they are until a
-    /// reservation's edge lands among them. Reuses the scratch's
-    /// allocations; what it held before is gone.
-    pub fn plan<'a>(&'a self, scratch: &'a mut CapacityProfile) -> Plan<'a> {
-        self.lay(scratch);
-        Plan {
-            ledger: &self.chunks,
-            profile: scratch,
-        }
-    }
-
-    /// Overwrites `profile` with the timeline [`Self::plan`] lays over
-    /// the ledger, every breakpoint copied out: a profile that stands on
-    /// its own, so that reservations carved into it outlive the ledger's
-    /// next change — what conservative backfilling keeps between passes.
-    /// O(keys), into the allocations `profile` already holds.
+    /// Overwrites `profile` with the free-capacity timeline from the
+    /// ledger's instant on — `(now, free_now)`, `(now + 1, …)` where the
+    /// overrunning jobs hand back, then one breakpoint per key — point for
+    /// point what [`CapacityProfile::from_sorted_running`] builds from the
+    /// running set with end estimates clamped to `now + 1`. A profile that
+    /// stands on its own, so that reservations carved into it outlive the
+    /// ledger's next change: what conservative backfilling keeps between
+    /// passes. One span per ledger chunk, written from its keys with a
+    /// running sum: O(keys), into the allocations `profile` already holds.
     pub fn copy_to(&self, profile: &mut CapacityProfile) {
-        self.lay(profile);
-        let CapacityProfile { spans, pool } = profile;
-        for span in &mut spans[1..] {
-            span.materialise(&self.chunks, pool);
-        }
-    }
-
-    /// The body of [`Self::plan`]: `profile` becomes the plan's own first
-    /// span and one span per chunk reading the keys in place.
-    fn lay(&self, profile: &mut CapacityProfile) {
         profile.recycle(..);
-        let mut head = profile.pool.pop().unwrap_or_default();
+        let CapacityProfile { spans, pool } = profile;
+        let mut head = pool.pop().unwrap_or_default();
         head.push((self.now, self.free_now()));
         let mut free = self.capacity - self.total;
         let soon = self.now + 1;
@@ -876,78 +707,30 @@ impl ReleaseLedger {
         if self.overrun > 0 && self.chunks.first().is_none_or(|c| c.keys[0].0 != soon) {
             head.push((soon, free));
         }
-        profile.spans.push(Span::owned(head, 0));
-        profile
-            .spans
-            .extend(self.chunks.iter().enumerate().map(|(chunk, c)| {
-                let base = free;
-                free += c.sum;
-                Span {
-                    first: c.keys[0].0,
-                    sub: 0,
-                    min: base + c.keys[0].1,
-                    max: free,
-                    points: Points::Ledger { chunk, base },
-                }
+        spans.push(Span::new(head, 0));
+        for chunk in &self.chunks {
+            let mut points = pool.pop().unwrap_or_default();
+            points.extend(chunk.keys.iter().map(|&(t, p)| {
+                free += p;
+                (t, free)
             }));
-    }
-}
-
-/// A [`CapacityProfile`] laid over a [`ReleaseLedger`] for the length of
-/// one borrow ([`ReleaseLedger::plan`]): the ledger cannot move while the
-/// plan reads its keys, and reservations carved into the plan never reach
-/// the ledger. (Conservative backfilling planned on one of these, a pass
-/// at a time, until it kept its plan between passes: see
-/// [`ReleaseLedger::copy_to`].)
-#[derive(Debug)]
-pub struct Plan<'a> {
-    ledger: &'a [Chunk],
-    profile: &'a mut CapacityProfile,
-}
-
-impl Plan<'_> {
-    /// [`CapacityProfile::earliest_fit`] on the plan.
-    #[must_use]
-    pub fn earliest_fit(&self, after: Timestamp, procs: u64, duration: i64) -> Option<Timestamp> {
-        self.profile
-            .earliest_fit_over(self.ledger, after, procs, duration)
-    }
-
-    /// [`CapacityProfile::reserve`] on the plan.
-    pub fn reserve(&mut self, from: Timestamp, to: Timestamp, procs: u64) {
-        self.profile.reserve_over(self.ledger, from, to, procs);
-    }
-
-    /// The breakpoints (for tests and debugging).
-    #[must_use]
-    pub fn points(&self) -> Vec<(Timestamp, u64)> {
-        self.profile.points_over(self.ledger)
-    }
-
-    #[cfg(test)]
-    fn fits(&self, from: Timestamp, to: Timestamp, procs: u64) -> bool {
-        self.profile.fits_over(self.ledger, from, to, procs)
-    }
-
-    #[cfg(test)]
-    fn free_at(&self, t: Timestamp) -> u64 {
-        self.profile.free_at_over(self.ledger, t)
-    }
-}
-
-impl Drop for Plan<'_> {
-    /// Leaves the scratch a profile that stands on its own again — the
-    /// plan's first span, which never reads the ledger.
-    fn drop(&mut self) {
-        self.profile.recycle(1..);
+            // Every key hands units back, so the values only rise.
+            spans.push(Span {
+                first: points[0].0,
+                sub: 0,
+                min: points[0].1,
+                max: free,
+                points,
+            });
+        }
     }
 }
 
 /// The breakpoint list as one flat sorted `Vec`, the way
 /// [`CapacityProfile`] stored it before spans, and
 /// [`ReleaseLedger::fill`], the full copy a pass used to start with: the
-/// oracle the chunked profile and the plan laid over the ledger are held
-/// to, answer for answer and point for point.
+/// oracle the chunked profile and the ledger's copy are held to, answer
+/// for answer and point for point.
 #[cfg(test)]
 pub(crate) mod flat {
     use super::{Point, ReleaseLedger, Timestamp};
@@ -1283,46 +1066,42 @@ mod tests {
         assert_eq!(p.earliest_forever(0, 101), None);
     }
 
-    // ---- chunked profile and plan vs the flat oracle --------------------
+    // ---- chunked profile vs the flat oracle ------------------------------
 
-    /// One timeline held three ways — the flat oracle, a profile standing
-    /// on its own, and (when there is a ledger) a plan laid over it —
-    /// driven in lockstep: every answer must agree, and after every
-    /// reservation so must the breakpoint lists.
-    struct Lockstep<'a> {
+    /// One timeline held two ways — the flat oracle and the chunked
+    /// profile — driven in lockstep: every answer must agree, and after
+    /// every reservation so must the breakpoint lists.
+    struct Lockstep {
         flat: FlatProfile,
         owned: CapacityProfile,
-        plan: Option<Plan<'a>>,
     }
 
-    impl<'a> Lockstep<'a> {
+    impl Lockstep {
         /// Exactly these breakpoints; spans of 64 in index order.
         fn of_points(points: Vec<Point>) -> Self {
             let owned = CapacityProfile::from_points(&points);
             let s = Self {
                 flat: FlatProfile::from_points(points),
                 owned,
-                plan: None,
             };
             s.assert_same_points();
             s
         }
 
         /// The ledger's timeline: the oracle by the full copy a pass used
-        /// to make, the profile standing on its own by the copy a kept
-        /// plan is rebuilt from, the plan over the keys in place.
-        fn over(ledger: &'a ReleaseLedger, scratch: &'a mut CapacityProfile) -> Self {
+        /// to make, the chunked profile by the copy a kept plan is rebuilt
+        /// from.
+        fn over(ledger: &ReleaseLedger) -> Self {
             let mut flat = FlatProfile::new(0, 0);
             ledger.fill(&mut flat);
-            // Over what another copy left behind: spans and a pool.
-            let mut owned = CapacityProfile::from_points(&[(7, 7), (9, 9)]);
+            // Over what another copy left behind: a span, and the lists of
+            // two forgotten ones in the pool.
+            let mut owned = CapacityProfile::from_points(&stairs_with_a_drop(192, -1, 0));
+            owned.forget_before(1_280);
+            assert_eq!((owned.spans.len(), owned.pool.len()), (1, 2));
             ledger.copy_to(&mut owned);
-            assert_spans_are_sound(&owned, &[]);
-            let s = Self {
-                owned,
-                flat,
-                plan: Some(ledger.plan(scratch)),
-            };
+            assert_spans_are_sound(&owned);
+            let s = Self { flat, owned };
             s.assert_same_points();
             s
         }
@@ -1330,54 +1109,32 @@ mod tests {
         fn assert_same_points(&self) {
             assert_eq!(self.owned.points(), self.flat.points());
             assert_eq!(self.owned.len(), self.flat.points().len());
-            if let Some(plan) = &self.plan {
-                assert_eq!(plan.points(), self.flat.points());
-            }
         }
 
-        /// The plan's spans.
-        fn plan_spans(&self) -> &[Span] {
-            &self
-                .plan
-                .as_ref()
-                .expect("laid over a ledger")
-                .profile
-                .spans
+        /// How many breakpoints each span holds.
+        fn span_lens(&self) -> Vec<usize> {
+            self.owned.spans.iter().map(|sp| sp.points.len()).collect()
         }
 
         fn earliest_fit(&self, after: Timestamp, procs: u64, duration: i64) -> Option<Timestamp> {
             let expect = self.flat.earliest_fit(after, procs, duration);
-            let context = format!("earliest_fit({after}, {procs}, {duration})");
             assert_eq!(
                 self.owned.earliest_fit(after, procs, duration),
                 expect,
-                "{context}"
+                "earliest_fit({after}, {procs}, {duration})"
             );
-            if let Some(plan) = &self.plan {
-                assert_eq!(
-                    plan.earliest_fit(after, procs, duration),
-                    expect,
-                    "plan {context}"
-                );
-            }
             expect
         }
 
         fn fits(&self, from: Timestamp, to: Timestamp, procs: u64) -> bool {
             let expect = self.flat.fits(from, to, procs);
             assert_eq!(self.owned.fits(from, to, procs), expect);
-            if let Some(plan) = &self.plan {
-                assert_eq!(plan.fits(from, to, procs), expect);
-            }
             expect
         }
 
         fn free_at(&self, t: Timestamp) -> u64 {
             let expect = self.flat.free_at(t);
             assert_eq!(self.owned.free_at(t), expect, "free_at({t})");
-            if let Some(plan) = &self.plan {
-                assert_eq!(plan.free_at(t), expect, "plan free_at({t})");
-            }
             expect
         }
 
@@ -1385,31 +1142,19 @@ mod tests {
             assert!(self.fits(from, to, procs));
             self.flat.reserve(from, to, procs);
             self.owned.reserve(from, to, procs);
-            if let Some(plan) = &mut self.plan {
-                plan.reserve(from, to, procs);
-            }
             self.assert_same_points();
-            assert_spans_are_sound(&self.owned, &[]);
-            if let Some(plan) = &self.plan {
-                assert_spans_are_sound(plan.profile, plan.ledger);
-            }
+            assert_spans_are_sound(&self.owned);
         }
     }
 
     /// What every routine relies on: spans in time order, none empty, each
     /// headed by its first instant and measured exactly, split before 128.
-    fn assert_spans_are_sound(profile: &CapacityProfile, ledger: &[Chunk]) {
-        assert!(matches!(profile.spans[0].points, Points::Owned(_)));
+    fn assert_spans_are_sound(profile: &CapacityProfile) {
         for span in &profile.spans {
-            let raw = span.raw(ledger);
-            assert!(!raw.is_empty() && raw.len() < 2 * CHUNK_KEYS);
-            assert_eq!(span.first, raw[0].0);
-            let stored: Vec<Point> = span
-                .walk_from(ledger, 0)
-                .map(|(t, free)| (t, free + span.sub))
-                .collect();
-            assert_eq!((span.min, span.max), measure(&stored));
-            assert_eq!(span.last_free(), stored[stored.len() - 1].1 - span.sub);
+            let points = &span.points;
+            assert!(!points.is_empty() && points.len() < 2 * CHUNK_KEYS);
+            assert_eq!(span.first, points[0].0);
+            assert_eq!((span.min, span.max), measure(points));
         }
         assert!(profile.spans.windows(2).all(|w| w[0].first < w[1].first));
     }
@@ -1426,7 +1171,7 @@ mod tests {
 
     /// 200 jobs of one unit ending every ten seconds from t=10 on a
     /// 300-unit machine: ledger chunks start at keys 10, 650 and 1290, so
-    /// a plan is `[(0, 100)]` and three spans read in place, free rising
+    /// a copy is `[(0, 100)]` and three spans of 64, 64 and 72, free rising
     /// 101‥164, 165‥228, 229‥300.
     fn staircase() -> ReleaseLedger {
         let running: Vec<Point> = (1..=200).map(|k| (k * 10, 1)).collect();
@@ -1436,37 +1181,35 @@ mod tests {
         ledger
     }
 
-    fn reads_ledger(span: &Span) -> bool {
-        matches!(span.points, Points::Ledger { .. })
-    }
-
     #[test]
-    fn an_edge_on_a_spans_first_instant_leaves_it_in_the_ledger() {
-        let (ledger, mut scratch) = (staircase(), CapacityProfile::new(0, 0));
-        let mut s = Lockstep::over(&ledger, &mut scratch);
-        assert_eq!(s.plan_spans().len(), 4);
-        // Both edges on first instants: the span between shifts as one.
+    fn an_edge_on_a_spans_first_instant_shifts_the_span_whole() {
+        let mut s = Lockstep::over(&staircase());
+        assert_eq!(s.span_lens(), [1, 64, 64, 72]);
+        // Both edges on first instants: the span between shifts as one,
+        // its stored values as they were.
         s.reserve(650, 1_290, 150);
-        assert!(s.plan_spans()[1..].iter().all(reads_ledger));
-        assert_eq!(s.plan_spans()[2].sub, 150);
+        assert_eq!(s.span_lens(), [1, 64, 64, 72]);
+        let subs: Vec<_> = s.owned.spans.iter().map(|sp| sp.sub).collect();
+        assert_eq!(subs, [0, 0, 150, 0]);
+        assert_eq!(s.owned.spans[2].points[0], (650, 165));
         assert_eq!(s.free_at(650), 15);
         assert_eq!(s.free_at(1_289), 78);
         assert_eq!(s.free_at(1_290), 229);
         // From a first instant to the middle of the next span: the first
-        // shifts, the second is copied out and rewritten.
+        // shifts, the second is rewritten up to the edge, the third stays.
         s.reserve(10, 700, 10);
-        assert!(reads_ledger(&s.plan_spans()[1]));
-        assert_eq!(s.plan_spans()[1].sub, 10);
-        assert!(!reads_ledger(&s.plan_spans()[2]));
-        assert!(reads_ledger(&s.plan_spans()[3]));
+        let subs: Vec<_> = s.owned.spans.iter().map(|sp| sp.sub).collect();
+        assert_eq!(subs, [0, 10, 150, 0]);
+        assert_eq!(s.owned.spans[2].points[0], (650, 155));
+        assert_eq!(s.owned.spans[2].points[4..6], [(690, 159), (700, 170)]);
+        assert_eq!(s.owned.spans[3].points[0], (1_290, 229));
         assert_eq!(s.free_at(690), 9);
         assert_eq!(s.free_at(700), 20);
     }
 
     #[test]
-    fn earliest_fit_starts_inside_a_span_read_in_place() {
-        let (ledger, mut scratch) = (staircase(), CapacityProfile::new(0, 0));
-        let s = Lockstep::over(&ledger, &mut scratch);
+    fn earliest_fit_starts_inside_a_copied_span() {
+        let s = Lockstep::over(&staircase());
         // 200 units are free from the key at t=1000 (100 + 100 keys).
         for after in [655, 660, 999, 1_000, 1_001, 1_285, 1_290, 5_000] {
             for procs in [1, 165, 166, 200, 228, 229, 300] {
@@ -1484,10 +1227,7 @@ mod tests {
         );
         assert_eq!(s.earliest_fit(655, 166, 50), Some(660));
         assert_eq!(s.earliest_fit(655, 301, 1), None);
-        assert!(
-            s.plan_spans()[1..].iter().all(reads_ledger),
-            "queries copy nothing"
-        );
+        assert_eq!(s.span_lens(), [1, 64, 64, 72], "a query starts mid-span");
         assert_eq!(s.free_at(655), 165);
         assert!(s.fits(655, 700, 165));
         assert!(!s.fits(640, 700, 165));
@@ -1495,8 +1235,8 @@ mod tests {
 
     #[test]
     fn an_edge_insert_splits_a_full_span() {
-        // 127 keys in one ledger chunk: copied out, the 128th breakpoint
-        // splits the span 64/64.
+        // 127 keys in one ledger chunk, one span in the copy: the 128th
+        // breakpoint splits it 64/64.
         let running: Vec<Point> = (1..=127).map(|k| (k * 10, 1)).collect();
         let ledger = ledger_of(200, 0, &running);
         assert_eq!(ledger.chunks.len(), 1);
@@ -1507,10 +1247,10 @@ mod tests {
             (100, 1_005), // `from` a key before it, `to` splits
             (900, 1_000), // both keys: nothing to split
         ] {
-            let mut scratch = CapacityProfile::new(0, 0);
-            let mut s = Lockstep::over(&ledger, &mut scratch);
+            let mut s = Lockstep::over(&ledger);
+            assert_eq!(s.span_lens(), [1, 127]);
             s.reserve(from, to, 73);
-            let lens: Vec<_> = s.plan_spans().iter().map(|sp| sp.raw(&[]).len()).collect();
+            let lens = s.span_lens();
             let is_key = |t: Timestamp| t % 10 == 0 && t <= 1_270;
             let inserted = usize::from(!is_key(from)) + usize::from(!is_key(to));
             assert_eq!(lens.iter().sum::<usize>(), 1 + 127 + inserted);
@@ -1606,12 +1346,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Hundreds of running jobs, hundreds of reservations each placed
-        /// where `earliest_fit` says, queries in between: the chunked
-        /// profile and the plan over the ledger answer as the flat list
-        /// does and hold the same breakpoints after every operation.
+        /// where `earliest_fit` says, queries in between: the ledger's
+        /// copy answers as the flat list does and holds the same
+        /// breakpoints after every operation.
         #[test]
-        fn chunked_profile_and_plan_match_the_flat_oracle(
-            running in prop::collection::vec((1i64..20_000, 1u64..8), 600..700),
+        fn chunked_ledger_copy_matches_the_flat_oracle(
+            running in prop::collection::vec((1i64..20_000, 1u64..8), 900..1_000),
             spare in 8u64..200,
             ops in prop::collection::vec(
                 (0i64..3, 0i64..25_000, 1u64..200, 1i64..4_000),
@@ -1623,8 +1363,7 @@ mod tests {
             let capacity = running.iter().map(|&(_, p)| p).sum::<u64>() + spare;
             let ledger = ledger_of(capacity, now, &running);
             prop_assert!(ledger.chunks.len() >= 8);
-            let mut scratch = CapacityProfile::new(0, 0);
-            let mut s = Lockstep::over(&ledger, &mut scratch);
+            let mut s = Lockstep::over(&ledger);
             for (kind, offset, procs, duration) in ops {
                 // Two in three as the scheduler asks: from `now`.
                 let after = if kind == 0 { now + offset } else { now };
@@ -1636,15 +1375,16 @@ mod tests {
                 s.earliest_fit(now + offset, capacity, duration);
             }
             prop_assert!(s.owned.spans.len() >= 12, "{}", s.owned.spans.len());
-            prop_assert!(s.plan_spans().len() >= 12, "{}", s.plan_spans().len());
         }
     }
 
     // ---- release ledger -------------------------------------------------
 
-    /// The ledger's pass view: the breakpoints of a plan laid over it.
+    /// The ledger's timeline as a pass rebuilds its plan from it.
     fn view(ledger: &ReleaseLedger) -> Vec<Point> {
-        ledger.plan(&mut CapacityProfile::new(0, 0)).points()
+        let mut copy = CapacityProfile::new(0, 0);
+        ledger.copy_to(&mut copy);
+        copy.points()
     }
 
     /// Every query the scheduler makes, against the from-scratch profile
@@ -1701,35 +1441,18 @@ mod tests {
         // The same with 30 more held by a job that should have ended at 5.
         let overrun = ledger_of(100, 10, &[(5, 30), (11, 20), (60, 40)]);
         for (ledger, free_now) in [(&calm, 40), (&overrun, 10)] {
-            let mut scratch = CapacityProfile::new(0, 0);
-            let mut s = Lockstep::over(ledger, &mut scratch);
+            let mut s = Lockstep::over(ledger);
             assert_eq!(s.flat.points(), &[(10, free_now), (11, 60), (60, 100)]);
-            // Either way the plan's own span holds `now` alone.
-            assert_eq!(s.plan_spans()[0].raw(&[]), &[(10, free_now)]);
+            // Either way the head span holds `now` alone.
+            assert_eq!(s.owned.spans[0].points, &[(10, free_now)]);
             assert_eq!(s.earliest_fit(10, 50, 20), Some(11));
             s.reserve(11, 31, 50);
             assert_eq!(s.earliest_fit(10, 11, 5), Some(31));
         }
-        // Without the key the step is the plan's to hold.
+        // Without the key the step is the head span's to hold.
         let later = ledger_of(100, 10, &[(5, 30), (60, 40)]);
-        let mut scratch = CapacityProfile::new(0, 0);
-        let s = Lockstep::over(&later, &mut scratch);
-        assert_eq!(s.plan_spans()[0].raw(&[]), &[(10, 30), (11, 60)]);
-    }
-
-    #[test]
-    fn a_dropped_plan_leaves_the_scratch_standing_on_its_own() {
-        let (ledger, mut scratch) = (staircase(), CapacityProfile::new(0, 0));
-        let mut plan = ledger.plan(&mut scratch);
-        plan.reserve(15, 1_500, 100);
-        drop(plan);
-        assert_eq!(scratch.points(), &[(0, 100)]);
-        assert!(
-            !scratch.pool.is_empty(),
-            "copied-out spans are kept for reuse"
-        );
-        // The next pass starts from the ledger again.
-        assert_eq!(view(&ledger).len(), 201);
+        let s = Lockstep::over(&later);
+        assert_eq!(s.owned.spans[0].points, &[(10, 30), (11, 60)]);
     }
 
     #[test]
@@ -1746,7 +1469,7 @@ mod tests {
         ledger.prune_to(700);
         ledger.add(705, 3);
         assert_eq!(kept.points(), carved);
-        assert_spans_are_sound(&kept, &[]);
+        assert_spans_are_sound(&kept);
         // Spans that end before t=700 go; every answer from there on stays.
         let answers = |p: &CapacityProfile| {
             let fits = [1, 30, 66, 100, 229].map(|procs| p.earliest_fit(700, procs, 400));
@@ -1760,7 +1483,7 @@ mod tests {
         assert_eq!(kept.points(), carved[carved.len() - kept.len()..]);
         kept.forget_before(600); // nothing ends before the first span
         assert_eq!(kept.spans.len(), 2);
-        assert_spans_are_sound(&kept, &[]);
+        assert_spans_are_sound(&kept);
         // And the next copy starts from the ledger again, over the pool.
         ledger.copy_to(&mut kept);
         assert_eq!(kept.points(), view(&ledger));

@@ -723,7 +723,8 @@ impl SimSession {
                 p.free,
                 "partition {part}: ledger out of sync with unit accounting at t={now}"
             );
-            let view = ledger.plan(&mut scratch).points();
+            // The copy a planning pass rebuilds from, and then plans on.
+            ledger.copy_to(&mut scratch);
             // Jobs running past their estimate hold their units "until
             // any moment now": the clamp to `now + 1`.
             let mut ends: Vec<(Timestamp, u64)> = (0..self.jobs.len())
@@ -733,7 +734,7 @@ impl SimSession {
             ends.sort_unstable();
             let rebuilt = CapacityProfile::from_sorted_running(now, p.capacity, ends.into_iter());
             assert_eq!(
-                view,
+                scratch.points(),
                 rebuilt.points(),
                 "partition {part}: release ledger diverged from rebuild at t={now}"
             );
@@ -747,7 +748,6 @@ impl SimSession {
                 order.starts_with(&planned),
                 "partition {part}: planned {planned:?} is no prefix of the queue {order:?} at t={now}"
             );
-            ledger.copy_to(&mut scratch);
             for &(row, slot) in &plan.slots {
                 let (procs, wall) = (self.procs_eff[row], self.plan_wall[row]);
                 assert_eq!(
