@@ -10,7 +10,7 @@
 //!                    [--queue-cap N] [--time-scale X] [--tenants FILE]
 //!                    [--predictor last2[:MARGIN]|user[:MARGIN]|off]
 //!                    [--journal DIR] [--fsync always|never|interval:MS] [--snapshot-every N]
-//!                    [--group-commit N] [--replicate-to ADDR | --follow ADDR]
+//!                    [--replicate-to ADDR | --follow ADDR]
 //!        lumos journal inspect DIR [--verbose]
 //!        lumos --help | --version
 //!
@@ -246,7 +246,7 @@ fn usage() -> String {
          \x20                  [--queue-cap N] [--time-scale X] [--tenants FILE]\n\
          \x20                  [--predictor last2[:MARGIN]|user[:MARGIN]|off]\n\
          \x20                  [--journal DIR] [--fsync always|never|interval:MS] [--snapshot-every N]\n\
-         \x20                  [--group-commit N] [--replicate-to ADDR | --follow ADDR]\n\
+         \x20                  [--replicate-to ADDR | --follow ADDR]\n\
          \x20      lumos journal inspect DIR [--verbose]\n\
          \x20      lumos --help | --version\n\
          \n\
@@ -294,6 +294,7 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
     let mut journal_dir: Option<PathBuf> = None;
     let mut fsync: Option<lumos_serve::FsyncPolicy> = None;
     let mut snapshot_every: Option<u64> = None;
+    let (mut replicate_to, mut follow) = (None, None);
     while let Some(flag) = args.next() {
         let mut value = |name: &str| {
             args.next()
@@ -360,14 +361,9 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
                     .map_err(|e| CliError::Usage(format!("--tenants: {}: {e}", path.display())))?;
                 config.tenants = Some(table);
             }
-            "--group-commit" => {
-                config.group_commit = value("--group-commit")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--group-commit: {e}")))?;
-            }
             "--journal" => journal_dir = Some(PathBuf::from(value("--journal")?)),
-            "--replicate-to" => config.replicate_to = Some(value("--replicate-to")?),
-            "--follow" => config.follow = Some(value("--follow")?),
+            "--replicate-to" => replicate_to = Some(value("--replicate-to")?),
+            "--follow" => follow = Some(value("--follow")?),
             "--fsync" => {
                 fsync = Some(
                     lumos_serve::FsyncPolicy::parse(&value("--fsync")?)
@@ -389,13 +385,18 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
             }
         }
     }
-    if config.replicate_to.is_some() && config.follow.is_some() {
-        return Err(CliError::Usage(
-            "--replicate-to and --follow are mutually exclusive (a server is \
-             either the primary or the follower)"
-                .into(),
-        ));
-    }
+    config.replication = match (replicate_to, follow) {
+        (Some(_), Some(_)) => {
+            return Err(CliError::Usage(
+                "--replicate-to and --follow are mutually exclusive (a server is \
+                 either the primary or the follower)"
+                    .into(),
+            ))
+        }
+        (Some(follower), None) => Some(lumos_serve::Replication::To(follower)),
+        (None, Some(primary)) => Some(lumos_serve::Replication::Follow(primary)),
+        (None, None) => None,
+    };
     match journal_dir {
         Some(dir) => {
             let mut jc = lumos_serve::JournalConfig::new(dir);
@@ -412,7 +413,7 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
                 "--fsync and --snapshot-every require --journal DIR".into(),
             ));
         }
-        None if config.replicate_to.is_some() || config.follow.is_some() => {
+        None if config.replication.is_some() => {
             return Err(CliError::Usage(
                 "--replicate-to and --follow require --journal DIR".into(),
             ));
@@ -431,9 +432,9 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
 }
 
 /// Runs `lumos journal inspect DIR [--verbose]`: audits a serve journal
-/// directory — per-segment record counts, snapshot validity, torn tails.
-/// Damage is a warning on stderr, not a failure: exit 0 unless the
-/// directory itself is unreadable.
+/// directory — per-segment record counts, snapshots and the one recovery
+/// starts from, torn tails. Damage is a warning on stderr, not a failure:
+/// exit 0 unless the directory itself is unreadable.
 fn run_journal(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
     use lumos_serve::journal;
 
@@ -565,22 +566,15 @@ fn run_journal(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The snapshot half of `journal inspect`: one ascending pass that reads
-/// every snapshot once and checks each increment against the snapshot it
-/// names — present, valid itself, and ending where the increment starts —
-/// then says where recovery would start. A snapshot is `valid` when its
-/// whole chain is.
+/// The snapshot half of `journal inspect`: one line per snapshot — its
+/// shape, size, clock and rows, or a warning on stderr saying why it does
+/// not parse — then the
+/// snapshot recovery would start from, found the way recovery finds it
+/// (every link folded and restored), with recovery's own warnings on
+/// stderr.
 fn inspect_snapshots(dir: &std::path::Path, snapshots: &[u64]) {
-    use lumos_serve::recovery::{read_snapshot, SnapshotBody};
-    use std::collections::BTreeMap;
+    use lumos_serve::recovery::{read_snapshot, starting_snapshot, SnapshotBody};
 
-    /// What a link has to agree with its predecessor on.
-    struct Link {
-        prev: Option<u64>,
-        jobs: usize,
-        violations: usize,
-    }
-    let mut valid: BTreeMap<u64, Link> = BTreeMap::new();
     for &seq in snapshots {
         let name = format!("snapshot-{seq:06}.json");
         let snap = match read_snapshot(dir, seq) {
@@ -592,63 +586,28 @@ fn inspect_snapshots(dir: &std::path::Path, snapshots: &[u64]) {
         };
         let bytes =
             std::fs::metadata(lumos_serve::journal::snapshot_path(dir, seq)).map_or(0, |m| m.len());
-        let (shape, clock, states, link) = match &snap.body {
-            SnapshotBody::Base(state) => (
-                "base".to_string(),
-                state.clock,
-                &state.states,
-                Link {
-                    prev: None,
-                    jobs: state.jobs.len(),
-                    violations: state.violations.len(),
-                },
+        let (shape, clock, states) = match &snap.body {
+            SnapshotBody::Base(state) => ("base".to_string(), state.clock, &state.states),
+            SnapshotBody::Delta { prev, delta } => (
+                format!("delta on snapshot-{prev:06}"),
+                delta.clock,
+                &delta.states,
             ),
-            SnapshotBody::Delta { prev, delta } => {
-                let fits = valid
-                    .get(prev)
-                    .map(|on| on.jobs <= delta.len && on.violations == delta.violations_from);
-                match fits {
-                    Some(true) => {}
-                    Some(false) => {
-                        eprintln!(
-                            "warning: {name}: broken link: does not continue snapshot-{prev:06}.json"
-                        );
-                        continue;
-                    }
-                    None => {
-                        eprintln!(
-                            "warning: {name}: broken link: snapshot-{prev:06}.json is missing or not valid"
-                        );
-                        continue;
-                    }
-                }
-                (
-                    format!("delta on snapshot-{prev:06}"),
-                    delta.clock,
-                    &delta.states,
-                    Link {
-                        prev: Some(*prev),
-                        jobs: delta.len,
-                        violations: delta.violations_from + delta.violations.len(),
-                    },
-                )
-            }
         };
         let live = states.iter().filter(|s| s.is_live()).count();
         println!(
-            "{name}: valid, {shape} ({bytes} bytes, t = {clock}, {} sealed rows, {live} live rows)",
+            "{name}: {shape} ({bytes} bytes, t = {clock}, {} sealed rows, {live} live rows)",
             states.len() - live
         );
-        valid.insert(seq, link);
     }
-    if let Some(&head) = valid.keys().next_back() {
-        let (mut base, mut links) = (head, 1);
-        while let Some(prev) = valid[&base].prev {
-            (base, links) = (prev, links + 1);
-        }
-        println!(
-            "recovery starts from snapshot-{head:06}.json: a chain of {links} down to base snapshot-{base:06}.json"
-        );
+    let (start, warnings) = starting_snapshot(dir, snapshots);
+    for warning in warnings {
+        eprintln!("warning: recovery: {warning}");
+    }
+    match start {
+        Some(seq) => println!("recovery starts from snapshot-{seq:06}.json"),
+        None if snapshots.is_empty() => {}
+        None => println!("recovery starts from no snapshot: it replays every segment"),
     }
 }
 

@@ -128,12 +128,6 @@ impl Job {
         (self.procs as f64) * (self.runtime as f64) / 3_600.0
     }
 
-    /// The job's end time given an actual start time.
-    #[must_use]
-    pub fn end_given_start(&self, start: Timestamp) -> Timestamp {
-        start + self.runtime
-    }
-
     /// Observed start time (`submit + wait`), if a wait was recorded.
     #[must_use]
     pub fn start(&self) -> Option<Timestamp> {

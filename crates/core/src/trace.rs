@@ -108,12 +108,6 @@ impl Trace {
         u
     }
 
-    /// Jobs belonging to `user`, in submit order.
-    #[must_use]
-    pub fn jobs_of(&self, user: UserId) -> Vec<&Job> {
-        self.jobs.iter().filter(|j| j.user == user).collect()
-    }
-
     /// The `n` users who submitted the most jobs, descending by job count
     /// (ties broken by user id for determinism). Paper §V.C analyses the
     /// top-3 heaviest users per system.
@@ -164,19 +158,6 @@ impl Trace {
             j.wait = None;
         }
         self
-    }
-
-    /// Consumes the trace, returning its jobs.
-    #[must_use]
-    pub fn into_jobs(self) -> Vec<Job> {
-        self.jobs
-    }
-
-    /// Mutable access for controlled rewrites (e.g. the simulator writing
-    /// observed waits back into the trace). Jobs must remain sorted by
-    /// submit time; `debug_assert`s guard this in tests.
-    pub fn jobs_mut(&mut self) -> &mut [Job] {
-        &mut self.jobs
     }
 }
 

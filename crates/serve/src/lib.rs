@@ -48,6 +48,6 @@ pub use journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord};
 pub use lumos_predict::{Predictor, PredictorConfig};
 pub use metrics::{LiveMetrics, WAIT_PERCENTILES};
 pub use protocol::{PredictionStats, ReplicationStats, Request, Response, ServeStats, SubmitSpec};
-pub use recovery::{recover, recover_follower, Recovered, ServerSnapshot, SnapshotBody};
+pub use recovery::{recover, Recovered, ServerSnapshot, SnapshotBody};
 pub use replication::{ReplLink, REPL_WINDOW};
-pub use server::{ServeConfig, Server};
+pub use server::{Replication, ServeConfig, Server};

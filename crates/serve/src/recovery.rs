@@ -35,7 +35,7 @@ use serde::Deserialize;
 use crate::journal::{self, Journal, JournalConfig, JournalRecord};
 use crate::metrics::LiveMetrics;
 use crate::protocol::SubmitSpec;
-use crate::server::ServeConfig;
+use crate::server::{Replication, ServeConfig};
 
 /// What a rotation snapshot file (`snapshot-NNNNNN.json`) contains: the
 /// machine, the session state — in full, or as an increment on an earlier
@@ -411,50 +411,19 @@ impl Recovered {
 /// directory is empty. Never fails on *damaged* journal content — only on
 /// real I/O errors.
 ///
+/// A follower ([`Replication::Follow`]) leaves an empty segment without
+/// its `Config` header, which the primary ships.
+///
 /// # Errors
 /// Propagates filesystem errors (unreadable directory, failed truncate or
 /// rename, failed segment open).
 pub fn recover(serve: &ServeConfig, jc: &JournalConfig) -> io::Result<Recovered> {
-    recover_impl(serve, jc, false)
-}
-
-/// [`recover`] for a replication follower: identical, except an empty
-/// active segment is *not* given a `Config` header — the follower's
-/// journal must stay a byte-for-byte mirror of the primary's, whose
-/// header arrives over the replication stream.
-///
-/// # Errors
-/// Propagates filesystem errors, like [`recover`].
-pub fn recover_follower(serve: &ServeConfig, jc: &JournalConfig) -> io::Result<Recovered> {
-    recover_impl(serve, jc, true)
-}
-
-fn recover_impl(serve: &ServeConfig, jc: &JournalConfig, follower: bool) -> io::Result<Recovered> {
     std::fs::create_dir_all(&jc.dir)?;
     let (segments, snapshots) = journal::scan_dir(&jc.dir)?;
-    let mut warnings = Vec::new();
 
     // 1. The newest snapshot whose whole chain loads, else empty state.
-    let mut base = None;
-    let mut broken: Vec<u64> = Vec::new();
-    for &seq in snapshots.iter().rev() {
-        // A snapshot chained on a link already found broken needs no
-        // second reading.
-        if broken.contains(&seq) {
-            continue;
-        }
-        match load_chain(&jc.dir, seq) {
-            Ok(loaded) => {
-                base = Some((seq, loaded));
-                break;
-            }
-            Err(BrokenChain { what, through }) => {
-                warnings.push(format!("{what}; falling back to an earlier snapshot"));
-                broken = through;
-            }
-        }
-    }
-    let (start_seq, mut replica) = base.unwrap_or_else(|| (0, Replica::fresh(serve)));
+    let (start, mut warnings) = newest_restorable(&jc.dir, &snapshots);
+    let (start_seq, mut replica) = start.unwrap_or_else(|| (0, Replica::fresh(serve)));
     if replica.system != serve.system {
         warnings.push(
             "journaled system differs from the configured one; continuing the journaled system"
@@ -534,6 +503,7 @@ fn recover_impl(serve: &ServeConfig, jc: &JournalConfig, follower: bool) -> io::
     //    truncated) segment gets its Config header — except on a
     //    follower, whose journal mirrors the primary's bytes.
     let mut journal = Journal::open_segment(jc.clone(), active_seq, active_records)?;
+    let follower = matches!(serve.replication, Some(Replication::Follow(_)));
     if journal.records_in_segment() == 0 && !follower {
         journal.append(&replica.header())?;
     }
@@ -548,6 +518,38 @@ fn recover_impl(serve: &ServeConfig, jc: &JournalConfig, follower: bool) -> io::
         replayed,
         virgin: replica.virgin,
     })
+}
+
+/// Step 1 of [`recover`]: the newest of `snapshots` (ascending, as
+/// [`journal::scan_dir`] lists them) whose whole chain loads, restored,
+/// and a warning for each newer one passed over.
+fn newest_restorable(dir: &Path, snapshots: &[u64]) -> (Option<(u64, Replica)>, Vec<String>) {
+    let mut warnings = Vec::new();
+    let mut broken: Vec<u64> = Vec::new();
+    for &seq in snapshots.iter().rev() {
+        // A snapshot chained on a link already found broken needs no
+        // second reading.
+        if broken.contains(&seq) {
+            continue;
+        }
+        match load_chain(dir, seq) {
+            Ok(loaded) => return (Some((seq, loaded)), warnings),
+            Err(BrokenChain { what, through }) => {
+                warnings.push(format!("{what}; falling back to an earlier snapshot"));
+                broken = through;
+            }
+        }
+    }
+    (None, warnings)
+}
+
+/// The snapshot [`recover`] would start from among `snapshots` in `dir`
+/// (`None`: none, a replay from the first segment), with the warnings it
+/// would give. Reads the directory, writes nothing.
+#[must_use]
+pub fn starting_snapshot(dir: &Path, snapshots: &[u64]) -> (Option<u64>, Vec<String>) {
+    let (start, warnings) = newest_restorable(dir, snapshots);
+    (start.map(|(seq, _)| seq), warnings)
 }
 
 /// Why a snapshot cannot be restored from.

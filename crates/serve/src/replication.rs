@@ -34,12 +34,10 @@
 //! which is also exactly what lets a late-joining follower receive
 //! segments written before it ever connected.
 //!
-//! Group-commit journaling (`--group-commit`, [`crate::server`]) is
-//! invisible here by construction: a batched append writes exactly the
-//! concatenation of the per-record frames and bumps the epoch once, so
-//! the tailer just finds several complete lines at its next read and
-//! ships them one `ReplRecord` each. The follower's mirror stays
-//! byte-for-byte identical whatever batch boundaries the primary used.
+//! A scheduler round's one append ([`crate::server`]) is invisible here:
+//! it writes exactly the concatenation of the per-record frames, so the
+//! tailer ships them one `ReplRecord` each and the follower's mirror is
+//! the same bytes whatever the round boundaries were.
 
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::TcpStream;

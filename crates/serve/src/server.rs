@@ -28,25 +28,23 @@
 //! mutation.
 //!
 //! Rounds: every command reaches the session and the journal through one
-//! path. The scheduler drains up to [`ServeConfig::group_commit`] queued
-//! commands into a round, *applies* them in arrival order — a submission
-//! due now gets its scheduling pass at once, and its reply says what the
-//! pass decided — and *commits* the round: one buffered journal write,
-//! one fsync, a rotation check, and only then the replies, which
-//! connection writers coalesce into a single flush. A lockstep
-//! client, `group_commit = 1`, a follower's reads and the requests that
+//! path. The scheduler drains up to 64 queued commands into a round,
+//! *applies* them in arrival order — a submission due now gets its
+//! scheduling pass at once, and its reply says what the pass decided —
+//! and *commits* the round: one buffered journal write, one fsync, a
+//! rotation check, and only then the replies, which connection writers
+//! coalesce into a single flush. A round is only as large as the backlog:
+//! a lockstep client's commands, a follower's reads and the requests that
 //! change the loop itself (promotion, replication frames, shutdown) are
-//! rounds of one through the same two steps, and journal replay and a
-//! follower's apply share the round's submit path
-//! (`recovery::Replica::submit`). Round size changes no byte on disk or on
-//! the wire, only the syscall count; see `docs/PERFORMANCE.md`.
+//! rounds of one. Round size changes no byte on disk or on the wire, only
+//! the syscall count; see `docs/PERFORMANCE.md`.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lumos_core::{CoreError, SystemSpec, Timestamp};
 use lumos_predict::{OnlinePredictor, PredictorConfig};
@@ -56,7 +54,7 @@ use crate::journal::{decode_line, Journal, JournalConfig, JournalRecord};
 use crate::protocol::{
     read_line, Line, ReplicationStats, Request, Response, SubmitSpec, MAX_LINE_BYTES,
 };
-use crate::recovery::{self, Recovered, Replica};
+use crate::recovery::{self, Replica};
 use crate::replication::{self, ReplLink};
 
 /// Server configuration.
@@ -79,29 +77,26 @@ pub struct ServeConfig {
     /// Static tenant table (`--tenants FILE`); `None` serves one
     /// undifferentiated queue with no quotas or per-tenant accounting.
     pub tenants: Option<TenantTable>,
+    /// This server's side of a replication pair; `None` serves alone.
+    /// Requires [`ServeConfig::journal`].
+    pub replication: Option<Replication>,
+}
+
+/// A journaled server's side of a replication pair.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Replication {
     /// Stream the journal to a hot-standby follower at this address
-    /// (`--replicate-to`). Requires [`ServeConfig::journal`].
-    pub replicate_to: Option<String>,
+    /// (`--replicate-to`).
+    To(String),
     /// Run as a read-only follower of the primary at this address
     /// (`--follow`): apply replicated frames, refuse writes until
-    /// promoted. Requires [`ServeConfig::journal`].
-    pub follow: Option<String>,
-    /// Round-size cap (`--group-commit N`): the scheduler drains up to
-    /// this many already-queued commands per round and journals their
-    /// records with one buffered write and **one** fsync, releasing every
-    /// reply only after that shared fsync. `1` makes every command a
-    /// round of one — the same code, one append and one fsync per record
-    /// — and `0` is read as `1` ([`Server::bind`]). Frame bytes are
-    /// identical at every size, so journals, replication mirrors, and
-    /// recovery cannot tell the difference; see
-    /// [`crate::journal::Journal::append_batch`].
-    pub group_commit: usize,
+    /// promoted.
+    Follow(String),
 }
 
 impl ServeConfig {
     /// Defaults: virtual time, queue of 1024 commands, no journal, no
-    /// predictor, rounds of up to 64 (harmless when clients run in
-    /// lockstep — a round is only as large as the queue backlog).
+    /// predictor, no tenants, no replication.
     #[must_use]
     pub fn new(system: SystemSpec) -> Self {
         Self {
@@ -112,12 +107,14 @@ impl ServeConfig {
             journal: None,
             predictor: None,
             tenants: None,
-            replicate_to: None,
-            follow: None,
-            group_commit: 64,
+            replication: None,
         }
     }
 }
+
+/// The most already-queued commands one round drains. Frame bytes are
+/// the same at every round size ([`Journal::append_batch`]).
+const ROUND_CAP: usize = 64;
 
 /// One queued command and the channel its response travels back on.
 struct Envelope {
@@ -128,9 +125,10 @@ struct Envelope {
 /// A scheduler answer on its way to a connection's writer half.
 struct Reply {
     response: Response,
-    /// This is the last reply the scheduler releases (the `Bye`, or the
-    /// end of a fail-stopped round), so its flush gates process exit.
-    terminal: bool,
+    /// On the scheduler's last reply only (the `Bye`, or the end of a
+    /// fail-stopped round): dropped once that reply is flushed, or with
+    /// it if it cannot be delivered, which is what `Server::run` waits on.
+    done: Option<mpsc::Sender<()>>,
 }
 
 /// The reply to a command whose journal write failed. Fail-stop: an
@@ -142,6 +140,13 @@ fn fail_stop(e: &io::Error) -> Response {
     }
 }
 
+/// The reply to a command that arrives after the scheduler stopped.
+fn shutting_down() -> Response {
+    Response::Error {
+        message: "server is shutting down".into(),
+    }
+}
+
 /// Shared connection-side state.
 struct Shared {
     commands: SyncSender<Envelope>,
@@ -149,19 +154,6 @@ struct Shared {
     /// Submissions rejected by backpressure (queue full).
     backpressure_rejects: AtomicU64,
     queue_capacity: usize,
-    /// Set once the [`Reply::terminal`] reply has been flushed to its
-    /// client — or provably never will be. `run` waits on it so the
-    /// process cannot exit between the scheduler answering and the
-    /// connection thread writing the answer.
-    terminal_flushed: Mutex<bool>,
-    terminal_cv: Condvar,
-}
-
-impl Shared {
-    fn mark_terminal_flushed(&self) {
-        *self.terminal_flushed.lock().expect("terminal flag lock") = true;
-        self.terminal_cv.notify_all();
-    }
 }
 
 /// Whether this request must not share a round with plain commands: it
@@ -190,9 +182,7 @@ impl Server {
     ///
     /// # Errors
     /// Propagates socket errors.
-    pub fn bind(addr: &str, mut config: ServeConfig) -> io::Result<Self> {
-        // A round holds at least the command that opened it.
-        config.group_commit = config.group_commit.max(1);
+    pub fn bind(addr: &str, config: ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         Ok(Self { listener, config })
     }
@@ -213,9 +203,7 @@ impl Server {
     /// Propagates socket errors from the initial setup.
     pub fn run(self, serve_stdin: bool) -> io::Result<()> {
         let addr = self.listener.local_addr()?;
-        if (self.config.replicate_to.is_some() || self.config.follow.is_some())
-            && self.config.journal.is_none()
-        {
+        if self.config.replication.is_some() && self.config.journal.is_none() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "replication requires a journal (--replicate-to / --follow need --journal DIR)",
@@ -223,13 +211,9 @@ impl Server {
         }
         // Recover (or initialize) journal state before accepting clients,
         // so the first command already sees the pre-crash session.
-        let recovered = match &self.config.journal {
+        let (replica, journal) = match &self.config.journal {
             Some(jc) => {
-                let r = if self.config.follow.is_some() {
-                    recovery::recover_follower(&self.config, jc)?
-                } else {
-                    recovery::recover(&self.config, jc)?
-                };
+                let r = recovery::recover(&self.config, jc)?;
                 for w in &r.warnings {
                     eprintln!("lumos-serve: recovery: {w}");
                 }
@@ -240,32 +224,27 @@ impl Server {
                         r.session.now()
                     );
                 }
-                Some(r)
+                let (replica, journal) = r.into_parts();
+                (replica, Some(journal))
             }
-            None => None,
+            None => (Replica::fresh(&self.config), None),
         };
         // A replicating primary ships its journal from a dedicated sender
         // thread; the scheduler loop only nudges the link after appends.
-        let link = self.config.replicate_to.as_ref().map(|target| {
-            let dir = self
-                .config
-                .journal
-                .as_ref()
-                .expect("checked above: replication requires a journal")
-                .dir
-                .clone();
-            let link = Arc::new(ReplLink::new(target.clone()));
-            replication::spawn_sender(dir, Arc::clone(&link));
-            link
-        });
+        let link = match (&self.config.replication, &self.config.journal) {
+            (Some(Replication::To(target)), Some(jc)) => {
+                let link = Arc::new(ReplLink::new(target.clone()));
+                replication::spawn_sender(jc.dir.clone(), Arc::clone(&link));
+                Some(link)
+            }
+            _ => None,
+        };
         let (tx, rx) = mpsc::sync_channel::<Envelope>(self.config.queue_capacity);
         let shared = Arc::new(Shared {
             commands: tx,
             shutting_down: AtomicBool::new(false),
             backpressure_rejects: AtomicU64::new(0),
             queue_capacity: self.config.queue_capacity,
-            terminal_flushed: Mutex::new(false),
-            terminal_cv: Condvar::new(),
         });
 
         // Accept loop.
@@ -296,23 +275,16 @@ impl Server {
             });
         }
 
-        let (replica, journal) = match recovered.map(Recovered::into_parts) {
-            Some((replica, journal)) => (replica, Some(journal)),
-            None => (Replica::fresh(&self.config), None),
-        };
-        Scheduler::new(&self.config, &shared, replica, journal, link.as_ref()).run(&rx);
+        let (done, flushed) = mpsc::channel();
+        Scheduler::new(&self.config, &shared, replica, journal, link.as_ref(), done).run(&rx);
         if let Some(link) = &link {
             link.stop();
         }
 
-        // The final reply is written by a connection thread; wait for that
-        // flush, or the process could exit with the answer still queued.
-        let flushed = shared.terminal_flushed.lock().expect("terminal flag lock");
-        let _ = shared.terminal_cv.wait_timeout_while(
-            flushed,
-            std::time::Duration::from_secs(5),
-            |done| !*done,
-        );
+        // The final reply is written by a connection thread, which drops
+        // `done` once it has flushed it; wait for that, or the process
+        // could exit with the answer still queued.
+        let _ = flushed.recv_timeout(Duration::from_secs(5));
 
         // Wake the accept loop so its thread exits.
         shared.shutting_down.store(true, Ordering::SeqCst);
@@ -327,6 +299,8 @@ impl Server {
 enum Role {
     Primary,
     Follower {
+        /// The primary's address (`--follow`).
+        primary: String,
         /// Frames applied since startup.
         records: u64,
         /// A primary has completed the replication handshake.
@@ -337,13 +311,9 @@ enum Role {
 /// The single thread that owns the simulation: everything it owns, plus
 /// the round it is building.
 ///
-/// Commands are served in **rounds**: up to [`ServeConfig::group_commit`]
-/// already-queued commands are *applied* in arrival order
-/// ([`Scheduler::apply`]) and then *committed* together
-/// ([`Scheduler::commit`]) — one journal write, one fsync, and only then
-/// the replies, so append-before-ack holds for every member. A lockstep
-/// client's command, `group_commit = 1`, a follower's read and a barrier
-/// ([`is_barrier`]) are rounds of one through the same two steps.
+/// Commands are served in **rounds** (see the module docs): up to
+/// [`ROUND_CAP`] are applied in arrival order ([`Scheduler::apply`]),
+/// then committed together ([`Scheduler::commit`]).
 struct Scheduler<'a> {
     config: &'a ServeConfig,
     shared: &'a Shared,
@@ -371,6 +341,8 @@ struct Scheduler<'a> {
     refused: u64,
     /// This round ends the loop (shutdown or fail-stop).
     stop: bool,
+    /// What the stopping round's last reply carries ([`Reply::done`]).
+    done: Option<mpsc::Sender<()>>,
 }
 
 impl<'a> Scheduler<'a> {
@@ -380,6 +352,7 @@ impl<'a> Scheduler<'a> {
         replica: Replica,
         journal: Option<Journal>,
         link: Option<&'a Arc<ReplLink>>,
+        done: mpsc::Sender<()>,
     ) -> Self {
         Self {
             config,
@@ -389,32 +362,32 @@ impl<'a> Scheduler<'a> {
             epoch: Instant::now(),
             replica,
             journal,
-            role: if config.follow.is_some() {
-                Role::Follower {
+            role: match &config.replication {
+                Some(Replication::Follow(primary)) => Role::Follower {
+                    primary: primary.clone(),
                     records: 0,
                     hello_seen: false,
-                }
-            } else {
-                Role::Primary
+                },
+                _ => Role::Primary,
             },
             records: Vec::new(),
             replies: Vec::new(),
             refused: 0,
             stop: false,
+            done: Some(done),
         }
     }
 
     /// Serves rounds until one stops the loop (or every sender is gone).
     fn run(&mut self, rx: &Receiver<Envelope>) {
-        let group = self.config.group_commit;
         let mut carry: Option<Envelope> = None;
-        let mut batch: Vec<Envelope> = Vec::with_capacity(group);
+        let mut batch: Vec<Envelope> = Vec::with_capacity(ROUND_CAP);
         while let Some(first) = carry.take().or_else(|| rx.recv().ok()) {
             // A request that changes the loop's own state is a round of
             // its own: it ends the drain and waits for the next round.
             let alone = is_barrier(&first.req);
             batch.push(first);
-            while !alone && batch.len() < group {
+            while !alone && batch.len() < ROUND_CAP {
                 match rx.try_recv() {
                     Ok(env) if is_barrier(&env.req) => {
                         carry = Some(env);
@@ -446,10 +419,8 @@ impl<'a> Scheduler<'a> {
         // Refuse anything that squeezed into the queue behind the shutdown.
         while let Ok(Envelope { reply, .. }) = rx.try_recv() {
             let _ = reply.send(Reply {
-                response: Response::Error {
-                    message: "server is shutting down".into(),
-                },
-                terminal: false,
+                response: shutting_down(),
+                done: None,
             });
         }
     }
@@ -489,7 +460,7 @@ impl<'a> Scheduler<'a> {
                     link.notify();
                 }
                 // One rotation check per round: a segment may exceed
-                // `snapshot_every` by at most `group - 1` records, which
+                // `snapshot_every` by at most `ROUND_CAP - 1` records, which
                 // recovery and replication are indifferent to. A round
                 // that stops the loop skips it: shutdown has consumed the
                 // session the snapshot would describe.
@@ -508,13 +479,10 @@ impl<'a> Scheduler<'a> {
         self.records.clear();
         let mut replies = self.replies.drain(..).peekable();
         while let Some((reply, response, _)) = replies.next() {
-            let terminal = self.stop && replies.peek().is_none();
-            let undeliverable = reply.send(Reply { response, terminal }).is_err();
-            if terminal && undeliverable {
-                // The client vanished before its final answer; nothing is
-                // left to wait for.
-                self.shared.mark_terminal_flushed();
-            }
+            let last = self.stop && replies.peek().is_none();
+            let done = if last { self.done.take() } else { None };
+            // A client that vanished drops the reply, `done` with it.
+            let _ = reply.send(Reply { response, done });
         }
     }
 
@@ -710,6 +678,7 @@ impl<'a> Scheduler<'a> {
         let Role::Follower {
             records,
             hello_seen,
+            ..
         } = &mut self.role
         else {
             return Response::Error {
@@ -804,11 +773,12 @@ impl<'a> Scheduler<'a> {
                 records: link.acked_count(),
             }),
             Role::Follower {
+                primary,
                 records,
                 hello_seen,
             } => Some(ReplicationStats {
                 role: "follower".into(),
-                peer: self.config.follow.clone().unwrap_or_default(),
+                peer: primary.clone(),
                 connected: *hello_seen,
                 seq: self.journal.as_ref().map_or(0, Journal::seq),
                 offset: self.journal.as_ref().map_or(0, Journal::segment_bytes),
@@ -849,10 +819,9 @@ enum Slot {
 /// and enqueues commands without waiting for their answers, and a writer
 /// half (scoped thread) that writes responses in request order,
 /// coalescing every response available in the same scheduler round into
-/// a single buffered write + flush. Pipelined clients therefore keep the
-/// scheduler's command queue full — which is what group commit batches —
-/// while lockstep clients see one immediate flush per request, exactly
-/// as before.
+/// a single buffered write + flush. A pipelined client thus keeps the
+/// command queue full and its rounds large; a lockstep client gets one
+/// flush per request.
 ///
 /// Physical lines (blank ones included) are counted so parse errors can
 /// name the offending line of the stream. A line longer than
@@ -866,7 +835,7 @@ fn serve_lines<R: BufRead, W: Write + Send>(
     let (slot_tx, slot_rx) = mpsc::channel::<Slot>();
     let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
     std::thread::scope(|scope| {
-        let writer_half = scope.spawn(move || write_replies(writer, &slot_rx, &reply_rx, shared));
+        let writer_half = scope.spawn(move || write_replies(writer, &slot_rx, &reply_rx));
         let read = (|| {
             let mut buf = Vec::new();
             let mut lineno = 0usize;
@@ -907,23 +876,16 @@ fn write_replies<W: Write>(
     mut writer: W,
     slots: &Receiver<Slot>,
     replies: &Receiver<Reply>,
-    shared: &Shared,
 ) -> io::Result<()> {
-    let closed = || Reply {
-        response: Response::Error {
-            message: "server is shutting down".into(),
-        },
-        terminal: false,
-    };
     let mut buf = String::new();
     while let Ok(first) = slots.recv() {
         let mut pending = 0usize;
         let mut next = Some(first);
         while let Some(slot) = next {
-            let Reply { response, terminal } = match slot {
+            let Reply { response, done } = match slot {
                 Slot::Ready(response) => Reply {
                     response,
-                    terminal: false,
+                    done: None,
                 },
                 Slot::Scheduled => match replies.try_recv() {
                     Ok(reply) => reply,
@@ -934,7 +896,10 @@ fn write_replies<W: Write>(
                             writer.flush()?;
                             pending = 0;
                         }
-                        replies.recv().unwrap_or_else(|_| closed())
+                        replies.recv().unwrap_or_else(|_| Reply {
+                            response: shutting_down(),
+                            done: None,
+                        })
                     }
                 },
             };
@@ -942,11 +907,10 @@ fn write_replies<W: Write>(
             response.to_line_into(&mut buf);
             buf.push('\n');
             let wrote = writer.write_all(buf.as_bytes());
-            if terminal {
-                // Written (or failed definitively): `run` may exit now.
-                let flushed = wrote.and_then(|()| writer.flush());
-                shared.mark_terminal_flushed();
-                flushed?;
+            if done.is_some() {
+                // `done` goes at the end of this iteration: once flushed,
+                // or with the write error.
+                wrote.and_then(|()| writer.flush())?;
                 pending = 0;
             } else {
                 wrote?;
@@ -984,7 +948,6 @@ fn dispatch(line: &str, lineno: usize, shared: &Shared, reply: &mpsc::Sender<Rep
         req,
         reply: reply.clone(),
     };
-    let closed = "server is shutting down";
     if let Some(id) = submit_id {
         // Submissions never block: a full queue is an explicit rejection.
         match shared.commands.try_send(envelope) {
@@ -999,16 +962,10 @@ fn dispatch(line: &str, lineno: usize, shared: &Shared, reply: &mpsc::Sender<Rep
                     ),
                 });
             }
-            Err(TrySendError::Disconnected(_)) => {
-                return Slot::Ready(Response::Error {
-                    message: closed.into(),
-                })
-            }
+            Err(TrySendError::Disconnected(_)) => return Slot::Ready(shutting_down()),
         }
     } else if shared.commands.send(envelope).is_err() {
-        return Slot::Ready(Response::Error {
-            message: closed.into(),
-        });
+        return Slot::Ready(shutting_down());
     }
     Slot::Scheduled
 }
@@ -1016,18 +973,20 @@ fn dispatch(line: &str, lineno: usize, shared: &Shared, reply: &mpsc::Sender<Rep
 #[cfg(test)]
 mod tests {
     //! Socket-free tests of the round machine: commands go in through
-    //! its `mpsc` queue, replies come back on one shared reply channel,
-    //! and the journal lives in a temp dir. Every command is queued
-    //! before the scheduler runs, so a `group_commit` of 64 really does
-    //! build the largest rounds the barriers allow.
+    //! its `mpsc` queue, replies come back on reply channels, and the
+    //! journal lives in a temp dir. A pipelined client queues every
+    //! command before the scheduler runs, so rounds are the largest the
+    //! cap and the barriers allow; a lockstep client waits for each reply
+    //! before it sends the next command, so every round holds one.
 
     use std::path::{Path, PathBuf};
+    use std::sync::mpsc::TryRecvError;
 
     use lumos_sim::{Policy, Relax};
 
     use super::*;
     use crate::journal::FsyncPolicy;
-    use crate::recovery::{recover, recover_follower};
+    use crate::recovery::recover;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lumos-rounds-{tag}-{}", std::process::id()));
@@ -1040,7 +999,7 @@ mod tests {
     /// units), a fair-share policy and a walltime predictor, so the
     /// shared submit path exercises tenant resolution, quota refusal and
     /// predict/observe on every route.
-    fn config(dir: &Path, group_commit: usize, snapshot_every: u64) -> ServeConfig {
+    fn config(dir: &Path, snapshot_every: u64) -> ServeConfig {
         let mut system = SystemSpec::theta();
         system.name = "rounds-test".into();
         system.total_nodes = 8;
@@ -1054,7 +1013,6 @@ mod tests {
         journal.fsync = FsyncPolicy::Never;
         journal.snapshot_every = snapshot_every;
         config.journal = Some(journal);
-        config.group_commit = group_commit;
         config
     }
 
@@ -1149,17 +1107,30 @@ mod tests {
         r#"{"Submitted":{"id":206,"state":"Waiting"}}"#,
     ];
 
+    /// How a test client feeds the scheduler.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Client {
+        /// Queues the whole stream before the scheduler runs.
+        Pipelined,
+        /// Sends each command once the one before it is answered.
+        Lockstep,
+        /// Queues the whole stream and is gone before the first reply.
+        Vanished,
+    }
+
     /// What one run of the round machine left behind.
     struct Served {
-        /// Reply lines in release order, each with its terminal mark.
+        /// Reply lines in release order, each with whether it carried
+        /// [`Reply::done`].
         replies: Vec<(String, bool)>,
         /// The rotation snapshot the replica would write at the end of
         /// the run: an increment, once the run has rotated.
         snapshot: String,
         /// [`full_state`] at the end of the run.
         state: String,
-        /// `Shared::terminal_flushed` at the end of the run.
-        terminal_flushed: bool,
+        /// Whether `done`'s receiver was already disconnected when the
+        /// scheduler returned.
+        done_dropped: bool,
         /// What the scheduler owned, to serve another stream on.
         parts: (Replica, Journal),
     }
@@ -1177,24 +1148,15 @@ mod tests {
         .join("\n")
     }
 
-    /// Queues `stream`, runs the scheduler over `replica` and `journal`
-    /// until the queue is empty (or a round stops it), and collects the
-    /// replies. `keep_replies` false drops the reply receiver first, as a
-    /// client that vanished would.
+    /// Feeds `stream` to a scheduler over `replica` and `journal` the way
+    /// `client` does, until the stream ends (or a round stops the
+    /// scheduler), and collects the replies.
     fn serve_on(
         config: &ServeConfig,
         (replica, journal): (Replica, Journal),
         stream: Vec<Request>,
-        keep_replies: bool,
+        client: Client,
     ) -> Served {
-        let (tx, rx) = mpsc::sync_channel(stream.len());
-        let (reply_tx, reply_rx) = mpsc::channel();
-        for req in stream {
-            let reply = reply_tx.clone();
-            tx.send(Envelope { req, reply }).expect("queue a command");
-        }
-        drop((tx, reply_tx));
-        let reply_rx = keep_replies.then_some(reply_rx);
         // The scheduler never sends on `commands`; only `dispatch` does.
         let (commands, _unused) = mpsc::sync_channel(1);
         let shared = Shared {
@@ -1202,40 +1164,64 @@ mod tests {
             shutting_down: AtomicBool::new(false),
             backpressure_rejects: AtomicU64::new(0),
             queue_capacity: 1,
-            terminal_flushed: Mutex::new(false),
-            terminal_cv: Condvar::new(),
         };
-        let mut scheduler = Scheduler::new(config, &shared, replica, Some(journal), None);
-        scheduler.run(&rx);
+        let (done, flushed) = mpsc::channel();
+        let mut scheduler = Scheduler::new(config, &shared, replica, Some(journal), None, done);
+        let (tx, rx) = mpsc::sync_channel(stream.len().max(1));
+        let replies: Vec<Reply> = if client == Client::Lockstep {
+            std::thread::scope(|scope| {
+                let client = scope.spawn(move || {
+                    let mut replies = Vec::new();
+                    for req in stream {
+                        let (reply, answer) = mpsc::channel();
+                        // The queue is gone, or no answer came: the
+                        // scheduler stopped before this command.
+                        if tx.send(Envelope { req, reply }).is_err() {
+                            break;
+                        }
+                        let Ok(reply) = answer.recv() else { break };
+                        replies.push(reply);
+                    }
+                    replies
+                });
+                scheduler.run(&rx);
+                // A command queued after the stop goes with the queue,
+                // which ends the client's wait for its answer; one sent
+                // after this drop fails to queue.
+                drop(rx);
+                client.join().expect("client thread")
+            })
+        } else {
+            let (reply, replies) = mpsc::channel();
+            for req in stream {
+                let reply = reply.clone();
+                tx.send(Envelope { req, reply }).expect("queue a command");
+            }
+            drop((tx, reply));
+            let replies = (client == Client::Pipelined).then_some(replies);
+            scheduler.run(&rx);
+            replies.into_iter().flatten().collect()
+        };
+        let done_dropped = flushed.try_recv() == Err(TryRecvError::Disconnected);
         let Scheduler {
             replica, journal, ..
         } = scheduler;
-        let replies = reply_rx.into_iter().flatten();
-        let terminal_flushed = *shared.terminal_flushed.lock().unwrap();
         Served {
             replies: replies
-                .map(|r| (r.response.to_line(), r.terminal))
+                .into_iter()
+                .map(|r| (r.response.to_line(), r.done.is_some()))
                 .collect(),
             snapshot: replica.snapshot_json(),
             state: full_state(&replica),
-            terminal_flushed,
+            done_dropped,
             parts: (replica, journal.expect("served with a journal")),
         }
     }
 
-    fn serve(config: &ServeConfig, stream: Vec<Request>) -> Served {
+    fn serve(config: &ServeConfig, stream: Vec<Request>, client: Client) -> Served {
         let journal = config.journal.as_ref().expect("tests journal");
-        let recovered = if config.follow.is_some() {
-            recover_follower(config, journal)
-        } else {
-            recover(config, journal)
-        };
-        serve_on(
-            config,
-            recovered.expect("recover").into_parts(),
-            stream,
-            true,
-        )
+        let recovered = recover(config, journal).expect("recover");
+        serve_on(config, recovered.into_parts(), stream, client)
     }
 
     /// Every file in a journal directory, by name.
@@ -1256,20 +1242,18 @@ mod tests {
     fn rounds_of_one_and_of_sixty_four_are_byte_identical() {
         let mut stream = mixed_stream();
         stream.push(Request::Shutdown);
-        let run = |group: usize| {
-            let dir = temp_dir(&format!("mixed-g{group}"));
-            let served = serve(&config(&dir, group, 0), stream.clone());
+        let run = |client: Client| {
+            let dir = temp_dir(&format!("mixed-{client:?}"));
+            let served = serve(&config(&dir, 0), stream.clone(), client);
             let files = dir_bytes(&dir);
             std::fs::remove_dir_all(&dir).ok();
             (served.replies, files)
         };
-        let (lockstep, lockstep_files) = run(1);
-        let (batched, batched_files) = run(64);
+        let (lockstep, lockstep_files) = run(Client::Lockstep);
+        let (batched, batched_files) = run(Client::Pipelined);
         assert_eq!(lockstep.len(), stream.len(), "one reply per command");
         assert_eq!(lockstep, batched);
         assert_eq!(lockstep_files, batched_files);
-        // `--group-commit 0` is a round of one too.
-        assert_eq!(run(0), (lockstep.clone(), lockstep_files));
 
         // The stream really did take every route.
         let lines: Vec<&str> = lockstep.iter().map(|(line, _)| line.as_str()).collect();
@@ -1298,14 +1282,14 @@ mod tests {
             .position(|l| l.contains("\"now\":5000"))
             .expect("the advance to 5000");
         assert_eq!(lines[at..at + 10], REFUSALS_BETWEEN_SUBMISSIONS);
-        // Only the `Bye` is terminal.
-        let terminal: Vec<&str> = lockstep
+        // Only the `Bye` carries `done`.
+        let last: Vec<&str> = lockstep
             .iter()
-            .filter(|(_, terminal)| *terminal)
+            .filter(|(_, done)| *done)
             .map(|(line, _)| line.as_str())
             .collect();
-        assert_eq!(terminal.len(), 1);
-        assert!(terminal[0].contains("\"Bye\""));
+        assert_eq!(last.len(), 1);
+        assert!(last[0].contains("\"Bye\""));
     }
 
     #[test]
@@ -1319,7 +1303,7 @@ mod tests {
             Request::Shutdown,
             Request::Query { id: 1 }, // behind the shutdown: refused
         ];
-        let served = serve(&config(&dir, 64, 0), stream);
+        let served = serve(&config(&dir, 0), stream, Client::Pipelined);
         let lines: Vec<&str> = served.replies.iter().map(|(l, _)| l.as_str()).collect();
         assert!(lines[0].contains("\"Running\""), "{lines:#?}");
         assert!(lines[1].contains("\"Waiting\""), "{lines:#?}");
@@ -1327,23 +1311,24 @@ mod tests {
         assert!(lines[3].contains("\"Waiting\""), "{lines:#?}");
         assert!(lines[4].contains("\"Bye\""), "{lines:#?}");
         assert!(lines[5].contains("shutting down"), "{lines:#?}");
-        let marks: Vec<bool> = served.replies.iter().map(|&(_, t)| t).collect();
+        let marks: Vec<bool> = served.replies.iter().map(|&(_, done)| done).collect();
         assert_eq!(marks, [false, false, false, false, true, false]);
-        // The `Bye` was delivered, so its flush is the writer's to report.
-        assert!(!served.terminal_flushed);
+        // The `Bye` was delivered, so `done` is the writer's to drop.
+        assert!(!served.done_dropped);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The journal a primary wrote, shipped frame by frame, takes a
     /// follower through `Replica::apply` to the primary's exact state and
-    /// bytes; reads are answered and writes refused on the way, in rounds
-    /// of any size; and `recover()` over the same journal — replay through
-    /// the same submit path — lands on the same snapshot.
+    /// bytes; reads are answered and writes refused on the way, whether
+    /// the frames arrive pipelined or lockstep; and `recover()` over the
+    /// same journal — replay through the same submit path — lands on the
+    /// same snapshot.
     #[test]
     fn replay_and_follower_apply_reproduce_the_live_snapshot() {
         let primary_dir = temp_dir("primary");
-        let primary = config(&primary_dir, 64, 7);
-        let live = serve(&primary, mixed_stream());
+        let primary = config(&primary_dir, 7);
+        let live = serve(&primary, mixed_stream(), Client::Pipelined);
         let files = dir_bytes(&primary_dir);
         assert!(
             files.iter().any(|(name, _)| name.starts_with("snapshot-")),
@@ -1392,16 +1377,16 @@ mod tests {
             Request::Stats,
             Request::Snapshot,
         ]);
-        let follow = |group: usize| {
-            let dir = temp_dir(&format!("follower-g{group}"));
-            let mut follower = config(&dir, group, 7);
-            follower.follow = Some("primary.invalid:0".into());
-            let served = serve(&follower, frames.clone());
+        let follow = |client: Client| {
+            let dir = temp_dir(&format!("follower-{client:?}"));
+            let mut follower = config(&dir, 7);
+            follower.replication = Some(Replication::Follow("primary.invalid:0".into()));
+            let served = serve(&follower, frames.clone(), client);
             let files = dir_bytes(&dir);
             std::fs::remove_dir_all(&dir).ok();
             (served, files)
         };
-        let (follower, follower_files) = follow(64);
+        let (follower, follower_files) = follow(Client::Pipelined);
         assert!(follower.snapshot == live.snapshot, "follower diverged");
         assert_eq!(follower_files, files);
         let lines: Vec<&str> = follower.replies.iter().map(|(l, _)| l.as_str()).collect();
@@ -1416,7 +1401,7 @@ mod tests {
         }
         assert!(lines[shipped + 4].contains("\"role\":\"follower\""));
         assert!(lines[shipped + 5].contains("\"Snapshot\""));
-        let (lockstep, lockstep_files) = follow(1);
+        let (lockstep, lockstep_files) = follow(Client::Lockstep);
         assert_eq!(lockstep.replies, follower.replies);
         assert_eq!(lockstep_files, files);
 
@@ -1439,7 +1424,6 @@ mod tests {
         journal.fsync = FsyncPolicy::Never;
         journal.snapshot_every = 0;
         config.journal = Some(journal);
-        config.group_commit = 64;
 
         let mut rng = lumos_stats::Rng::new(23);
         let mut next = move |bound: u64| rng.next_below(bound);
@@ -1466,7 +1450,7 @@ mod tests {
                 },
             });
         }
-        let live = serve(&config, stream.clone());
+        let live = serve(&config, stream.clone(), Client::Pipelined);
         let waiting_on = |partition: u16| {
             let queued = stream.iter().zip(&live.replies).filter(|(req, (line, _))| {
                 matches!(req, Request::Submit { job } if job.virtual_cluster == Some(partition))
@@ -1501,14 +1485,16 @@ mod tests {
     #[test]
     fn a_failed_rotation_keeps_the_mark_and_the_next_increment_covers_both_spans() {
         let dir = temp_dir("rotate-fail");
-        let config = config(&dir, 1, 7);
+        let config = config(&dir, 7);
         let journal = config.journal.as_ref().unwrap();
         let mut commands = mixed_stream().into_iter();
         let mut parts = recover(&config, journal).expect("recover").into_parts();
+        // Lockstep: every command is a round, and every round checks for
+        // a rotation.
         let mut step = |parts, n: usize| {
             let stream: Vec<Request> = commands.by_ref().take(n).collect();
             assert!(!stream.is_empty(), "the stream ran out");
-            serve_on(&config, parts, stream, true)
+            serve_on(&config, parts, stream, Client::Lockstep)
         };
         // Up to the first rotation: the chain's base.
         while parts.1.seq() == 0 {
@@ -1561,14 +1547,15 @@ mod tests {
     #[test]
     fn a_failed_append_stops_the_round_and_marks_one_terminal_reply() {
         let dir = temp_dir("full");
-        let config = config(&dir, 64, 0);
+        let config = config(&dir, 0);
         let stream = vec![
             submit(1, 1, 10, None, "free"),
             Request::Query { id: 1 },
             submit(2, 1, 10, None, "free"),
             submit(1, 1, 10, None, "free"), // refused: never journaled
         ];
-        let served = serve_on(&config, on_a_full_disk(&config, &dir), stream.clone(), true);
+        let full_disk = || on_a_full_disk(&config, &dir);
+        let served = serve_on(&config, full_disk(), stream.clone(), Client::Pipelined);
         let stopping = fail_stop(&io::Error::from_raw_os_error(28)).to_line();
         let lines: Vec<&str> = served.replies.iter().map(|(l, _)| l.as_str()).collect();
         // Journaled members get the fail-stop error; the read and the
@@ -1577,14 +1564,16 @@ mod tests {
         assert!(lines[1].contains("\"Job\""), "{lines:#?}");
         assert_eq!(lines[2], stopping);
         assert!(lines[3].contains("duplicate job id 1"), "{lines:#?}");
-        let marks: Vec<bool> = served.replies.iter().map(|&(_, t)| t).collect();
+        // The round's last reply carries `done`, read or not.
+        let marks: Vec<bool> = served.replies.iter().map(|&(_, done)| done).collect();
         assert_eq!(marks, [false, false, false, true]);
-        assert!(!served.terminal_flushed);
+        assert!(!served.done_dropped);
 
-        // With nobody left to read the final reply, the scheduler itself
-        // reports the terminal flush, so `run` does not wait for one.
-        let served = serve_on(&config, on_a_full_disk(&config, &dir), stream, false);
-        assert!(served.terminal_flushed);
+        // With nobody left to read the final reply, `done` goes with it
+        // as the scheduler sends it, so `run` does not wait.
+        let served = serve_on(&config, full_disk(), stream, Client::Vanished);
+        assert!(served.replies.is_empty());
+        assert!(served.done_dropped);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1604,14 +1593,14 @@ mod tests {
             shutting_down: AtomicBool::new(false),
             backpressure_rejects: AtomicU64::new(0),
             queue_capacity: config.queue_capacity,
-            terminal_flushed: Mutex::new(false),
-            terminal_cv: Condvar::new(),
         };
+        let (done, _flushed) = mpsc::channel();
         let mut out = Vec::new();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let rx = rx;
-                Scheduler::new(&config, &shared, Replica::fresh(&config), None, None).run(&rx);
+                let replica = Replica::fresh(&config);
+                Scheduler::new(&config, &shared, replica, None, None, done).run(&rx);
             });
             serve_lines(input.as_bytes(), &mut out, &shared).expect("served");
         });

@@ -415,7 +415,7 @@ impl SimSession {
             (None, None) => None,
             (Some(table), Some(owners)) => {
                 let runtimes: Vec<Duration> = s.jobs.iter().map(|j| j.runtime).collect();
-                let ts = TenantState::rebuild(table, owners, &s.state, &s.procs_eff, &runtimes)
+                let ts = TenantState::rebuild(table, &owners, &s.state, &s.procs_eff, &runtimes)
                     .map_err(CoreError::InvalidSnapshot)?;
                 Some(ts)
             }

@@ -355,10 +355,12 @@ impl TenantState {
             .collect()
     }
 
-    /// Rebuilds accounting from saved facts (used by session restore).
+    /// Rebuilds accounting from saved facts (used by session restore):
+    /// each row goes through the live hooks in lifecycle order up to its
+    /// state, a cancelled row through submit and cancel-from-pending.
     pub fn rebuild(
         table: TenantTable,
-        tenant_of: Vec<TenantId>,
+        tenant_of: &[TenantId],
         states: &[JobState],
         procs_eff: &[u64],
         runtimes: &[Duration],
@@ -372,36 +374,27 @@ impl TenantState {
             ));
         }
         let mut s = Self::new(table);
-        for (idx, &tenant) in tenant_of.iter().enumerate() {
+        for (idx, (&tenant, &state)) in tenant_of.iter().zip(states).enumerate() {
             let t = usize::from(tenant);
             if t >= s.table.len() {
                 return Err(format!("job {idx} names tenant #{t} of {}", s.table.len()));
             }
             let units = procs_eff[idx];
-            s.counts[t].submitted += 1;
-            match states[idx] {
-                JobState::Pending => {
-                    s.counts[t].pending += 1;
-                    s.outstanding[t] += units;
+            s.on_submit(tenant, units);
+            match state {
+                JobState::Pending => {}
+                JobState::Cancelled => s.on_cancel(idx, units, JobState::Pending),
+                JobState::Waiting | JobState::Running | JobState::Finished => {
+                    s.on_arrive(idx);
+                    if state != JobState::Waiting {
+                        s.on_start(idx, units, runtimes[idx]);
+                    }
+                    if state == JobState::Finished {
+                        s.on_finish(idx, units);
+                    }
                 }
-                JobState::Waiting => {
-                    s.counts[t].waiting += 1;
-                    s.outstanding[t] += units;
-                }
-                JobState::Running => {
-                    s.counts[t].running += 1;
-                    s.outstanding[t] += units;
-                    s.running_units[t] += units;
-                    s.served[t] += units * runtimes[idx] as u64;
-                }
-                JobState::Finished => {
-                    s.counts[t].finished += 1;
-                    s.served[t] += units * runtimes[idx] as u64;
-                }
-                JobState::Cancelled => s.counts[t].cancelled += 1,
             }
         }
-        s.tenant_of = tenant_of;
         Ok(s)
     }
 

@@ -3,7 +3,7 @@
 //! effects, and tenant accounting survives checkpoint/restore.
 
 use lumos_core::{CoreError, Job, SystemSpec};
-use lumos_sim::{Policy, SimConfig, SimSession, Submission, TenantTable};
+use lumos_sim::{JobState, Policy, SimConfig, SimSession, Submission, TenantTable};
 
 fn tiny_system(capacity: u64) -> SystemSpec {
     let mut s = SystemSpec::theta();
@@ -212,13 +212,34 @@ fn unknown_tenants_are_refused() {
 fn checkpoint_restore_preserves_tenant_accounting() {
     let system = tiny_system(8);
     let mut live = skewed_session(Policy::MaxMinFair, "heavy 1\nlight 1\n");
-    live.advance_to(450); // mid-backlog: running, waiting, finished mix
+    // Mid-backlog: running, waiting and finished jobs. Every other state
+    // too: a job still pending, one cancelled while pending and one
+    // cancelled while waiting.
+    live.advance_to(450);
+    let tenant = live.resolve_tenant(Some("light")).unwrap();
+    for (id, submit) in [(200, 1_000), (201, 1_500)] {
+        let job = Job::basic(id, 1, submit, 100, 2);
+        let walltime = Some(150);
+        live.submit(Submission {
+            job,
+            tenant,
+            walltime,
+        })
+        .unwrap();
+    }
+    let waiting = (0..16).find(|&id| live.query(id) == Some(JobState::Waiting));
+    assert!(live.cancel(201) && live.cancel(waiting.expect("a heavy job waits")));
     live.drain_events();
 
     let state = live.save_state();
     let mut restored = SimSession::restore(&system, state.clone()).expect("restore");
     assert_eq!(restored.save_state(), state, "save/restore round-trips");
     assert_eq!(restored.tenant_usage(), live.tenant_usage());
+    let usage = live.tenant_usage().unwrap();
+    let counts = |name: &str| usage.iter().find(|u| u.name == name).unwrap().counts;
+    let (heavy, light) = (counts("heavy"), counts("light"));
+    assert!(heavy.waiting > 0 && heavy.running > 0 && heavy.finished > 0);
+    assert_eq!((heavy.cancelled, light.pending, light.cancelled), (1, 1, 1));
 
     // Both sessions must continue identically — accounting included.
     live.advance_to(2_000);

@@ -25,15 +25,6 @@ impl Ecdf {
         Self { sorted: sample }
     }
 
-    /// Builds from an iterator.
-    ///
-    /// # Panics
-    /// Panics if the iterator yields no non-NaN values.
-    #[allow(clippy::should_implement_trait)] // keeps callers trait-import-free
-    pub fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        Self::new(iter.into_iter().collect())
-    }
-
     /// Sample size.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -118,22 +109,6 @@ impl Ecdf {
                 } else {
                     (llo + (lhi - llo) * i as f64 / (n - 1) as f64).exp()
                 };
-                (x, self.eval(x))
-            })
-            .collect()
-    }
-
-    /// Evaluates on a linear grid of `n` points between min and max.
-    ///
-    /// # Panics
-    /// Panics if `n < 2`.
-    #[must_use]
-    pub fn linear_curve(&self, n: usize) -> Vec<(f64, f64)> {
-        assert!(n >= 2, "need at least two curve points");
-        let (lo, hi) = (self.min(), self.max());
-        (0..n)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (n - 1) as f64;
                 (x, self.eval(x))
             })
             .collect()

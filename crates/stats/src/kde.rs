@@ -46,18 +46,6 @@ impl Kde {
         }
     }
 
-    /// Builds with an explicit bandwidth.
-    ///
-    /// # Panics
-    /// Panics on empty sample or non-positive bandwidth.
-    #[must_use]
-    pub fn with_bandwidth(sample: Vec<f64>, bandwidth: f64) -> Self {
-        assert!(bandwidth > 0.0, "bandwidth must be positive");
-        let mut kde = Self::new(sample);
-        kde.bandwidth = bandwidth;
-        kde
-    }
-
     /// Selected bandwidth.
     #[must_use]
     pub fn bandwidth(&self) -> f64 {

@@ -101,12 +101,6 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum (`None` when empty).
     #[must_use]
     pub fn min(&self) -> Option<f64> {

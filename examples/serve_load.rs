@@ -20,16 +20,8 @@
 //! The generator targets *virtual-time* servers (`--time-scale 0`, the
 //! default): it stamps explicit submit times and drives the clock with
 //! `Advance` commands, so every run is deterministic for a given seed.
-//!
-//! `--firehose` drops the lockstep pacing: submissions are pipelined
-//! (up to 256 outstanding) the way the benchmark's `serve-firehose`
-//! workload drives the server, and the sustained acknowledged-commands/sec
-//! rate plus p50/p99 reply latency are printed — handy for eyeballing
-//! group-commit throughput (and codec wins in the tail) against a
-//! `--journal --fsync always` server.
 
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use lumos_core::SystemSpec;
@@ -45,8 +37,6 @@ struct Options {
     mean_gap: f64,
     /// Run the two-tenant fairness demo instead of the plain load.
     two_tenant: bool,
-    /// Pipeline submissions with no pacing and report commands/sec.
-    firehose: bool,
 }
 
 fn parse_options() -> Result<Options, String> {
@@ -56,7 +46,6 @@ fn parse_options() -> Result<Options, String> {
         seed: 42,
         mean_gap: 30.0,
         two_tenant: false,
-        firehose: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -79,15 +68,11 @@ fn parse_options() -> Result<Options, String> {
                     .map_err(|e| format!("--mean-gap: {e}"))?;
             }
             "--two-tenant" => opts.two_tenant = true,
-            "--firehose" => opts.firehose = true,
             other => return Err(format!("unknown flag {other}")),
         }
     }
     if opts.two_tenant && opts.addr.is_some() {
         return Err("--two-tenant spawns its own servers; drop --addr".into());
-    }
-    if opts.two_tenant && opts.firehose {
-        return Err("--firehose is the plain-load mode; drop --two-tenant".into());
     }
     Ok(opts)
 }
@@ -133,9 +118,7 @@ fn two_tenant_stats(policy: Policy, opts: &Options) -> serde_json::Value {
         journal: None,
         predictor: None,
         tenants: Some(TenantTable::parse("heavy 1.0 -\nlight 1.0 -\n").expect("valid table")),
-        replicate_to: None,
-        follow: None,
-        group_commit: 64,
+        replication: None,
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind demo server");
     let addr = server.local_addr().expect("local addr").to_string();
@@ -186,96 +169,6 @@ fn two_tenant_stats(policy: Policy, opts: &Options) -> serde_json::Value {
         .clone()
 }
 
-/// The `--firehose` loop: the same workload as the paced mode, but every
-/// command is pipelined (up to [`FIREHOSE_WINDOW`] outstanding, well
-/// under the server's submission-queue bound) with no per-command
-/// lockstep, an `Advance` every 64 commands so completed jobs drain, and
-/// the sustained acknowledged rate printed at the end.
-fn firehose(opts: &Options, stream: TcpStream, reader: &mut BufReader<TcpStream>) {
-    const FIREHOSE_WINDOW: usize = 256;
-    let mut writer = BufWriter::new(stream);
-    let mut rng = Rng::new(opts.seed);
-    let mut clock: i64 = 0;
-    let (mut accepted, mut rejected) = (0u64, 0u64);
-    let mut in_flight: VecDeque<std::time::Instant> = VecDeque::with_capacity(FIREHOSE_WINDOW);
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(opts.jobs as usize);
-    let mut line = String::new();
-    let mut reap = |reader: &mut BufReader<TcpStream>,
-                    line: &mut String,
-                    in_flight: &mut VecDeque<std::time::Instant>| {
-        let sent = in_flight.pop_front().expect("reply without a command");
-        line.clear();
-        reader.read_line(line).expect("read reply");
-        assert!(!line.is_empty(), "server closed mid-stream");
-        latencies_ms.push(sent.elapsed().as_secs_f64() * 1e3);
-        line.contains("Rejected")
-    };
-
-    let start = std::time::Instant::now();
-    let mut commands = 0u64;
-    for id in 0..opts.jobs {
-        if in_flight.len() == FIREHOSE_WINDOW {
-            writer.flush().expect("flush before reap");
-            if reap(reader, &mut line, &mut in_flight) {
-                rejected += 1;
-            } else {
-                accepted += 1;
-            }
-        }
-        clock += 1;
-        let runtime = (60.0 * (0.8 * rng.next_gaussian()).exp() * 10.0).ceil() as i64;
-        let procs = 1u64 << rng.next_below(7);
-        writeln!(
-            writer,
-            r#"{{"Submit":{{"job":{{"id":{id},"procs":{procs},"runtime":{runtime},"submit":{clock}}}}}}}"#
-        )
-        .expect("write submit");
-        in_flight.push_back(std::time::Instant::now());
-        commands += 1;
-        if (id + 1) % 64 == 0 {
-            writeln!(writer, r#"{{"Advance":{{"to":{clock}}}}}"#).expect("write advance");
-            in_flight.push_back(std::time::Instant::now());
-            commands += 1;
-        }
-    }
-    writer.flush().expect("flush tail");
-    while !in_flight.is_empty() {
-        if reap(reader, &mut line, &mut in_flight) {
-            rejected += 1;
-        } else {
-            accepted += 1;
-        }
-    }
-    let seconds = start.elapsed().as_secs_f64();
-
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let quantile = |q: f64| {
-        let idx =
-            ((latencies_ms.len() as f64 * q).ceil() as usize).clamp(1, latencies_ms.len()) - 1;
-        latencies_ms[idx]
-    };
-    println!(
-        "firehose: {commands} commands acknowledged in {seconds:.3}s — {:.0} cmds/sec \
-         ({accepted} accepted, {rejected} rejected)",
-        commands as f64 / seconds.max(1e-9),
-    );
-    println!(
-        "firehose: reply latency p50 {:.3} ms, p99 {:.3} ms over {} replies \
-         (window {FIREHOSE_WINDOW})",
-        quantile(0.5),
-        quantile(0.99),
-        latencies_ms.len(),
-    );
-    let stats = roundtrip(&mut writer, reader, r#""Stats""#);
-    println!("final stats: {stats}");
-    if opts.addr.is_none() {
-        let bye = roundtrip(&mut writer, reader, r#""Shutdown""#);
-        println!("drained: {bye}");
-    } else {
-        println!("leaving the external server running (send \"Shutdown\" to stop it)");
-    }
-}
-
 /// The `--two-tenant` fairness demo: same skewed load, FIFO vs max-min.
 fn fairness_demo(opts: &Options) {
     println!(
@@ -324,7 +217,7 @@ fn main() {
             eprintln!("serve_load: {message}");
             eprintln!(
                 "usage: serve_load [--addr HOST:PORT] [--jobs N] [--seed S] [--mean-gap SECS] \
-                 [--two-tenant] [--firehose]"
+                 [--two-tenant]"
             );
             std::process::exit(2);
         }
@@ -339,18 +232,7 @@ fn main() {
     let (addr, server_thread) = match &opts.addr {
         Some(addr) => (addr.clone(), None),
         None => {
-            let config = ServeConfig {
-                system: SystemSpec::theta(),
-                sim: SimConfig::default(),
-                queue_capacity: 1024,
-                time_scale: 0.0,
-                journal: None,
-                predictor: None,
-                tenants: None,
-                replicate_to: None,
-                follow: None,
-                group_commit: 64,
-            };
+            let config = ServeConfig::new(SystemSpec::theta());
             let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral server");
             let addr = server.local_addr().expect("local addr").to_string();
             println!("spawned in-process server on {addr}");
@@ -360,14 +242,6 @@ fn main() {
 
     let stream = TcpStream::connect(&addr).expect("connect to server");
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-
-    if opts.firehose {
-        firehose(&opts, stream, &mut reader);
-        if let Some(handle) = server_thread {
-            handle.join().expect("server thread").expect("server run");
-        }
-        return;
-    }
     let mut writer = stream;
 
     // Synthetic open-arrival workload: exponential gaps, heavy-tailed

@@ -80,6 +80,13 @@ fn invocations_that_cannot_mean_anything_exit_2() {
         (&["ablation-relax", "--swf", "x"], "--swf"),
         (&["table1", "--system", "theta"], "--system"),
         (&["table1", "--system", "nosuch"], "--system"),
+        (&["serve", "--group-commit", "4"], "unknown flag"),
+        (
+            &["serve", "--follow", "a", "--replicate-to", "b"],
+            "exclusive",
+        ),
+        (&["serve", "--follow", "a"], "require --journal"),
+        (&["serve", "--replicate-to", "b"], "require --journal"),
     ] {
         let out = lumos(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));

@@ -67,9 +67,7 @@ fn online_replay_matches_batch_simulate() {
         journal: None,
         predictor: None,
         tenants: None,
-        replicate_to: None,
-        follow: None,
-        group_commit: 64,
+        replication: None,
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr().expect("local addr");
@@ -160,9 +158,7 @@ fn backpressure_rejects_instead_of_blocking() {
         journal: None,
         predictor: None,
         tenants: None,
-        replicate_to: None,
-        follow: None,
-        group_commit: 64,
+        replication: None,
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr().expect("local addr");
@@ -201,9 +197,7 @@ fn protocol_errors_name_the_line_and_field() {
         journal: None,
         predictor: None,
         tenants: None,
-        replicate_to: None,
-        follow: None,
-        group_commit: 64,
+        replication: None,
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr().expect("local addr");
@@ -326,27 +320,17 @@ fn round_script() -> Vec<String> {
 }
 
 /// A pipelined client (whole script written before any reply is read)
-/// forces multi-command rounds on a `group_commit > 1` server. Whatever
-/// way the scheduler splits the stream into rounds, every reply must be
-/// byte-identical to a `group_commit = 1` server's — round size is
-/// invisible on the wire.
+/// makes multi-command rounds; a lockstep client (each reply read before
+/// the next line is written) makes rounds of one. Whatever way the
+/// scheduler splits the stream into rounds, every reply must be
+/// byte-identical — round size is invisible on the wire.
 #[test]
 fn batched_rounds_match_lockstep_rounds() {
     let script = round_script();
     let mut transcripts = Vec::new();
-    for group in [64usize, 1] {
-        let config = ServeConfig {
-            system: tiny_system(12),
-            sim: SimConfig::default(),
-            queue_capacity: 512,
-            time_scale: 0.0,
-            journal: None,
-            predictor: None,
-            tenants: None,
-            replicate_to: None,
-            follow: None,
-            group_commit: group,
-        };
+    for pipelined in [true, false] {
+        let mut config = ServeConfig::new(tiny_system(12));
+        config.queue_capacity = 512;
         let server = Server::bind("127.0.0.1:0", config).expect("bind");
         let addr = server.local_addr().expect("local addr");
         let handle = std::thread::spawn(move || server.run(false));
@@ -354,15 +338,22 @@ fn batched_rounds_match_lockstep_rounds() {
         let stream = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
         let mut writer = stream;
-        for line in &script {
-            writeln!(writer, "{line}").expect("write request");
-        }
-        writer.flush().expect("flush script");
-        let mut got = Vec::with_capacity(script.len());
-        for _ in 0..script.len() {
+        let mut read_reply = || {
             let mut line = String::new();
             reader.read_line(&mut line).expect("read reply");
-            got.push(line);
+            line
+        };
+        let mut got = Vec::with_capacity(script.len());
+        for line in &script {
+            writeln!(writer, "{line}").expect("write request");
+            if !pipelined {
+                writer.flush().expect("flush request");
+                got.push(read_reply());
+            }
+        }
+        writer.flush().expect("flush script");
+        while got.len() < script.len() {
+            got.push(read_reply());
         }
         transcripts.push(got);
         handle.join().expect("server thread").expect("server run");

@@ -83,9 +83,7 @@ fn serve_trace(trace: &Trace, sim: SimConfig, predictor: PredictorConfig) -> (Va
         journal: None,
         predictor: Some(predictor),
         tenants: None,
-        replicate_to: None,
-        follow: None,
-        group_commit: 64,
+        replication: None,
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr().expect("local addr");

@@ -163,9 +163,7 @@ fn reference_responses_with(
         journal: None,
         predictor,
         tenants: None,
-        replicate_to: None,
-        follow: None,
-        group_commit: 64,
+        replication: None,
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind reference");
     let addr = server.local_addr().expect("local addr").to_string();
@@ -413,16 +411,15 @@ fn torn_tail_is_truncated_with_a_warning() {
 #[test]
 fn group_commit_kill_mid_batch_loses_no_acked_command() {
     let dir = journal_dir("groupkill");
-    let flags = ["--group-commit", "8"];
 
-    let server = ServerProc::spawn(&dir, &flags);
+    let server = ServerProc::spawn(&dir, &[]);
     let (mut writer, mut reader) = connect(&server.addr);
 
-    // Firehose: pipeline every submit without waiting for replies, so the
-    // scheduler drains multi-command batches and the SIGKILL lands with
-    // whole batches still in flight (including, with 8-command groups,
-    // inside a batch more often than not).
-    let total = 64u64;
+    // Firehose: pipeline five rounds' worth of submits without waiting for
+    // replies, so the scheduler drains several full rounds and the SIGKILL
+    // lands with whole batches still in flight (including, more often than
+    // not, inside a batch).
+    let total = 5 * 64u64;
     for i in 0..total {
         writeln!(
             writer,
@@ -436,7 +433,7 @@ fn group_commit_kill_mid_batch_loses_no_acked_command() {
     // rest of the stream still unanswered. Replies come back in request
     // order, so reply k must acknowledge submit id k — a reply for a
     // command the server never journaled would show up here as a hole.
-    let acked = 21u64;
+    let acked = 101u64;
     for i in 0..acked {
         let mut line = String::new();
         reader.read_line(&mut line).expect("read ack");
@@ -453,7 +450,7 @@ fn group_commit_kill_mid_batch_loses_no_acked_command() {
     // permitted (the WAL write precedes the ack), but it must be a
     // *prefix* of the submission order — group commit may not reorder or
     // punch holes in the stream.
-    let mut restarted = ServerProc::spawn(&dir, &flags);
+    let mut restarted = ServerProc::spawn(&dir, &[]);
     restarted.read_recovery_lines();
     let (mut writer, mut reader) = connect(&restarted.addr);
     let mut known = 0u64;
@@ -512,7 +509,7 @@ fn journal_inspect_audits_the_directory() {
         "no segment listing:\n{stdout}"
     );
     assert!(
-        stdout.contains("snapshot-") && stdout.contains("valid"),
+        stdout.contains("delta on snapshot-") && stdout.contains("recovery starts from snapshot-"),
         "no snapshot audit:\n{stdout}"
     );
     assert!(stdout.contains("submit"), "no record counts:\n{stdout}");
@@ -529,6 +526,75 @@ fn journal_inspect_audits_the_directory() {
         .output()
         .expect("run on missing dir");
     assert_eq!(missing.status.code(), Some(1));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("serializes")
+}
+
+/// An increment that parses, names a snapshot that exists and continues
+/// its table length and violations, but drops a row: it does not fold.
+/// `journal inspect` and `recover()` both pass it over for the snapshot
+/// below it, with the same warning.
+#[test]
+fn inspect_and_recovery_start_from_the_same_snapshot() {
+    use lumos_serve::recovery::{read_snapshot, SnapshotBody};
+
+    let dir = journal_dir("unfolding");
+    let mut server = ServerProc::spawn(&dir, &["--snapshot-every", "4"]);
+    let (mut writer, mut reader) = connect(&server.addr);
+    for c in precrash_commands() {
+        exchange(&mut writer, &mut reader, &c);
+    }
+    exchange(&mut writer, &mut reader, r#""Shutdown""#);
+    server.child.wait().expect("reap");
+
+    let (_, snapshots) = lumos_serve::journal::scan_dir(&dir).expect("scan");
+    let newest = *snapshots.last().expect("the run rotated");
+    let snap = read_snapshot(&dir, newest).expect("read the newest snapshot");
+    let SnapshotBody::Delta { prev, mut delta } = snap.body else {
+        panic!("snapshot {newest} is not an increment");
+    };
+    delta.rows.remove(0);
+    delta.jobs.remove(0);
+    delta.states.remove(0);
+    delta.plan_wall.remove(0);
+    delta.promised.remove(0);
+    let text = format!(
+        r#"{{"system":{},"prev":{prev},"delta":{},"metrics":{},"predictor":{}}}"#,
+        json(&snap.system),
+        json(&delta),
+        json(&snap.metrics),
+        json(&snap.predictor)
+    );
+    std::fs::write(lumos_serve::journal::snapshot_path(&dir, newest), text).expect("rewrite");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_lumos"))
+        .args(["journal", "inspect"])
+        .arg(&dir)
+        .output()
+        .expect("run journal inspect");
+    assert!(output.status.success(), "inspect failed: {output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 stdout");
+    let stderr = String::from_utf8(output.stderr).expect("UTF-8 stderr");
+    let start = format!("recovery starts from snapshot-{:06}.json", newest - 1);
+    assert!(stdout.contains(&start), "{stdout}");
+
+    let config = ServeConfig::new(SystemSpec::theta());
+    let recovered = lumos_serve::recover(&config, &lumos_serve::JournalConfig::new(dir.clone()))
+        .expect("recover");
+    let mark = recovered.session.save_delta().map(|(since, _)| since);
+    assert_eq!(mark, Some(newest - 1), "recovery started elsewhere");
+    let [warning] = &recovered.warnings[..] else {
+        panic!("{:?}", recovered.warnings);
+    };
+    assert!(
+        warning.contains(&format!("snapshot-{newest:06}.json: inconsistent")),
+        "{warning}"
+    );
+    assert!(stderr.contains(warning.as_str()), "{stderr}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

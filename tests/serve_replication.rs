@@ -175,9 +175,7 @@ fn reference_responses(commands: &[String]) -> Vec<String> {
         journal: None,
         predictor: None,
         tenants: None,
-        replicate_to: None,
-        follow: None,
-        group_commit: 64,
+        replication: None,
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind reference");
     let addr = server.local_addr().expect("local addr").to_string();

@@ -81,9 +81,7 @@ fn bind_tenant_server(policy: Policy) -> (String, std::thread::JoinHandle<std::i
         journal: None,
         predictor: None,
         tenants: Some(TenantTable::parse(TENANTS).expect("valid table")),
-        replicate_to: None,
-        follow: None,
-        group_commit: 64,
+        replication: None,
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr().expect("local addr").to_string();
@@ -369,9 +367,7 @@ fn reference_responses(commands: &[String]) -> Vec<String> {
         journal: None,
         predictor: None,
         tenants: Some(TenantTable::parse(TENANTS).expect("valid table")),
-        replicate_to: None,
-        follow: None,
-        group_commit: 64,
+        replication: None,
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind reference");
     let addr = server.local_addr().expect("local addr").to_string();
