@@ -43,9 +43,9 @@
 //! configuration and warns on drift.
 
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use lumos_core::{SystemSpec, Timestamp};
@@ -54,6 +54,7 @@ use lumos_sim::{SimConfig, TenantTable};
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::SubmitSpec;
+use crate::store::{Appender, FileStore, Store};
 
 /// When appended records are flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,7 +326,11 @@ pub struct SegmentRecords {
 /// Only I/O errors reading the file; damage is reported via
 /// [`SegmentRecords::torn`].
 pub fn read_segment(path: &Path) -> io::Result<SegmentRecords> {
-    let data = std::fs::read(path)?;
+    Ok(parse_segment(&FileStore::read_path(path)?))
+}
+
+/// The intact records of a segment's bytes, up to the first torn one.
+pub(crate) fn parse_segment(data: &[u8]) -> SegmentRecords {
     let mut records = Vec::new();
     let mut offset = 0usize;
     let torn = loop {
@@ -352,33 +357,31 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentRecords> {
             }
         }
     };
-    Ok(SegmentRecords { records, torn })
+    SegmentRecords { records, torn }
 }
 
 // ---- directory layout ----------------------------------------------------
 
-/// Fsyncs a directory so freshly created or renamed entries survive a
-/// machine crash. File data reaching stable storage says nothing about
-/// the *directory entry* pointing at the file — a crash right after
-/// rotation could otherwise lose the new segment even under
-/// `--fsync always`.
-///
-/// # Errors
-/// Propagates open/sync errors.
-pub fn fsync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
+/// File name of segment `seq`.
+pub(crate) fn segment_name(seq: u64) -> String {
+    format!("journal-{seq:06}.log")
+}
+
+/// File name of the snapshot taken before segment `seq` was opened.
+pub(crate) fn snapshot_name(seq: u64) -> String {
+    format!("snapshot-{seq:06}.json")
 }
 
 /// Path of segment `seq` in `dir`.
 #[must_use]
 pub fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("journal-{seq:06}.log"))
+    dir.join(segment_name(seq))
 }
 
 /// Path of the snapshot taken before segment `seq` was opened.
 #[must_use]
 pub fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("snapshot-{seq:06}.json"))
+    dir.join(snapshot_name(seq))
 }
 
 /// Sorted sequence numbers of `(segments, snapshots)` present in `dir`.
@@ -386,11 +389,14 @@ pub fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
 /// # Errors
 /// Propagates directory-read errors.
 pub fn scan_dir(dir: &Path) -> io::Result<(Vec<u64>, Vec<u64>)> {
+    scan(&FileStore::new(dir))
+}
+
+/// [`scan_dir`] over any store.
+pub(crate) fn scan(store: &dyn Store) -> io::Result<(Vec<u64>, Vec<u64>)> {
     let mut segments = Vec::new();
     let mut snapshots = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
+    for name in store.list()? {
         if let Some(seq) = name
             .strip_prefix("journal-")
             .and_then(|r| r.strip_suffix(".log"))
@@ -418,7 +424,8 @@ pub fn scan_dir(dir: &Path) -> io::Result<(Vec<u64>, Vec<u64>)> {
 #[derive(Debug)]
 pub struct Journal {
     config: JournalConfig,
-    file: File,
+    store: Arc<dyn Store>,
+    file: Box<dyn Appender>,
     seq: u64,
     records_in_segment: u64,
     segment_bytes: u64,
@@ -444,17 +451,24 @@ impl Journal {
         seq: u64,
         existing_records: u64,
     ) -> io::Result<Self> {
-        std::fs::create_dir_all(&config.dir)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(segment_path(&config.dir, seq))?;
-        let segment_bytes = file.metadata()?.len();
+        let store = Arc::new(FileStore::create(&config.dir)?);
+        Self::open_in(store, config, seq, existing_records)
+    }
+
+    /// [`Journal::open_segment`] in any store.
+    pub(crate) fn open_in(
+        store: Arc<dyn Store>,
+        config: JournalConfig,
+        seq: u64,
+        existing_records: u64,
+    ) -> io::Result<Self> {
+        let (file, segment_bytes) = store.append(&segment_name(seq), false)?;
         if config.fsync != FsyncPolicy::Never {
-            fsync_dir(&config.dir)?;
+            store.sync_dir()?;
         }
         Ok(Self {
             config,
+            store,
             file,
             seq,
             records_in_segment: existing_records,
@@ -481,12 +495,6 @@ impl Journal {
     #[must_use]
     pub fn segment_bytes(&self) -> u64 {
         self.segment_bytes
-    }
-
-    /// The journal's configuration.
-    #[must_use]
-    pub fn config(&self) -> &JournalConfig {
-        &self.config
     }
 
     /// Appends one record and applies the fsync policy. On success the
@@ -523,7 +531,7 @@ impl Journal {
         for record in records {
             encode_record_into(record, &mut self.scratch);
         }
-        self.file.write_all(self.scratch.as_bytes())?;
+        self.file.write(self.scratch.as_bytes())?;
         self.records_in_segment += records.len() as u64;
         self.segment_bytes += self.scratch.len() as u64;
         self.apply_fsync_policy()
@@ -544,7 +552,7 @@ impl Journal {
         self.scratch.clear();
         self.scratch.push_str(frame);
         self.scratch.push('\n');
-        self.file.write_all(self.scratch.as_bytes())?;
+        self.file.write(self.scratch.as_bytes())?;
         self.records_in_segment += 1;
         self.segment_bytes += self.scratch.len() as u64;
         self.apply_fsync_policy()
@@ -595,24 +603,16 @@ impl Journal {
     /// Propagates I/O errors, like [`Journal::rotate`].
     pub fn rotate_without_header(&mut self, snapshot_json: &str) -> io::Result<()> {
         let next = self.seq + 1;
-        let tmp = self.config.dir.join(format!("snapshot-{next:06}.json.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(snapshot_json.as_bytes())?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, snapshot_path(&self.config.dir, next))?;
+        self.store
+            .create_durable(&snapshot_name(next), snapshot_json.as_bytes())?;
         // The old segment must be durable before the snapshot supersedes it.
         self.file.sync_data()?;
-        let file = OpenOptions::new()
-            .create_new(true)
-            .append(true)
-            .open(segment_path(&self.config.dir, next))?;
+        let (file, _) = self.store.append(&segment_name(next), true)?;
         // The new segment's directory entry (and the snapshot's rename)
         // must survive a crash too, or recovery would come up one
         // rotation behind what was acknowledged.
         if self.config.fsync != FsyncPolicy::Never {
-            fsync_dir(&self.config.dir)?;
+            self.store.sync_dir()?;
         }
         self.file = file;
         self.seq = next;

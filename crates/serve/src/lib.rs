@@ -37,17 +37,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod core;
 pub mod journal;
 pub mod metrics;
 pub mod protocol;
 pub mod recovery;
 pub mod replication;
 pub mod server;
+mod store;
 
 pub use journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord};
 pub use lumos_predict::{Predictor, PredictorConfig};
 pub use metrics::{LiveMetrics, WAIT_PERCENTILES};
 pub use protocol::{PredictionStats, ReplicationStats, Request, Response, ServeStats, SubmitSpec};
 pub use recovery::{recover, Recovered, ServerSnapshot, SnapshotBody};
-pub use replication::{ReplLink, REPL_WINDOW};
 pub use server::{Replication, ServeConfig, Server};

@@ -351,6 +351,13 @@ pub(crate) fn read_line<'a, R: BufRead>(
 }
 
 impl Response {
+    /// An `Error` reply saying `message`.
+    pub(crate) fn error(message: impl Into<String>) -> Self {
+        Self::Error {
+            message: message.into(),
+        }
+    }
+
     /// Serializes the response as one NDJSON line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {

@@ -24,6 +24,7 @@
 
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use lumos_core::{CoreError, Job, JobStatus, SystemSpec, Timestamp};
 use lumos_predict::{OnlinePredictor, Predictor, PredictorConfig};
@@ -36,6 +37,7 @@ use crate::journal::{self, Journal, JournalConfig, JournalRecord};
 use crate::metrics::LiveMetrics;
 use crate::protocol::SubmitSpec;
 use crate::server::{Replication, ServeConfig};
+use crate::store::{FileStore, Store};
 
 /// What a rotation snapshot file (`snapshot-NNNNNN.json`) contains: the
 /// machine, the session state — in full, or as an increment on an earlier
@@ -118,9 +120,17 @@ pub fn snapshot_json(
 /// # Errors
 /// Says what is wrong with the file (`unreadable: …`, `corrupt: …`).
 pub fn read_snapshot(dir: &Path, seq: u64) -> Result<ServerSnapshot, String> {
-    let text = std::fs::read_to_string(journal::snapshot_path(dir, seq))
+    read_snapshot_in(&FileStore::new(dir), seq)
+}
+
+/// [`read_snapshot`] from any store.
+pub(crate) fn read_snapshot_in(store: &dyn Store, seq: u64) -> Result<ServerSnapshot, String> {
+    let bytes = store
+        .read(&journal::snapshot_name(seq))
         .map_err(|e| format!("unreadable: {e}"))?;
-    let file: SnapshotFile = serde_json::from_str(&text).map_err(|e| format!("corrupt: {e}"))?;
+    let text = std::str::from_utf8(&bytes)
+        .map_err(|_| "unreadable: stream did not contain valid UTF-8")?;
+    let file: SnapshotFile = serde_json::from_str(text).map_err(|e| format!("corrupt: {e}"))?;
     let body = match (file.state, file.prev, file.delta) {
         (Some(state), None, None) => SnapshotBody::Base(state),
         (None, Some(prev), Some(delta)) if prev < seq => SnapshotBody::Delta { prev, delta },
@@ -418,11 +428,19 @@ impl Recovered {
 /// Propagates filesystem errors (unreadable directory, failed truncate or
 /// rename, failed segment open).
 pub fn recover(serve: &ServeConfig, jc: &JournalConfig) -> io::Result<Recovered> {
-    std::fs::create_dir_all(&jc.dir)?;
-    let (segments, snapshots) = journal::scan_dir(&jc.dir)?;
+    recover_in(Arc::new(FileStore::create(&jc.dir)?), serve, jc)
+}
+
+/// [`recover`] from any store holding `jc`'s journal.
+pub(crate) fn recover_in(
+    store: Arc<dyn Store>,
+    serve: &ServeConfig,
+    jc: &JournalConfig,
+) -> io::Result<Recovered> {
+    let (segments, snapshots) = journal::scan(&*store)?;
 
     // 1. The newest snapshot whose whole chain loads, else empty state.
-    let (start, mut warnings) = newest_restorable(&jc.dir, &snapshots);
+    let (start, mut warnings) = newest_restorable(&*store, &snapshots);
     let (start_seq, mut replica) = start.unwrap_or_else(|| (0, Replica::fresh(serve)));
     if replica.system != serve.system {
         warnings.push(
@@ -453,16 +471,14 @@ pub fn recover(serve: &ServeConfig, jc: &JournalConfig) -> io::Result<Recovered>
     let mut active_records = 0u64;
     let mut stop_after = None;
     for (i, &seq) in contiguous.iter().enumerate() {
-        let path = journal::segment_path(&jc.dir, seq);
-        let seg = journal::read_segment(&path)?;
+        let name = journal::segment_name(seq);
+        let seg = journal::parse_segment(&store.read(&name)?);
         if let Some(torn) = &seg.torn {
             warnings.push(format!(
-                "journal-{seq:06}.log: torn record at byte {}: {}; truncating",
+                "{name}: torn record at byte {}: {}; truncating",
                 torn.offset, torn.reason
             ));
-            let file = std::fs::OpenOptions::new().write(true).open(&path)?;
-            file.set_len(torn.offset)?;
-            file.sync_data()?;
+            store.truncate(&name, torn.offset)?;
             if i + 1 < contiguous.len() {
                 warnings.push(format!(
                     "journal-{seq:06}.log was torn mid-history; quarantining later segments"
@@ -483,26 +499,24 @@ pub fn recover(serve: &ServeConfig, jc: &JournalConfig) -> io::Result<Recovered>
     // 4. Quarantine segments that can no longer be part of linear history.
     let mut quarantined = false;
     for &seq in segments.iter().filter(|&&s| s > active_seq) {
-        let from = journal::segment_path(&jc.dir, seq);
-        let to = from.with_extension("log.orphaned");
-        std::fs::rename(&from, &to)?;
+        let from = journal::segment_name(seq);
+        let to = format!("{from}.orphaned");
+        store.rename(&from, &to)?;
         quarantined = true;
-        warnings.push(format!(
-            "quarantined journal-{seq:06}.log as {}",
-            to.display()
-        ));
+        let to = jc.dir.join(to);
+        warnings.push(format!("quarantined {from} as {}", to.display()));
     }
     if quarantined {
         // The renames must be durable: a crash must not resurrect an
         // orphaned segment under its original name, where a second
         // recovery would replay it as linear history.
-        journal::fsync_dir(&jc.dir)?;
+        store.sync_dir()?;
     }
 
     // 5. Reopen the active segment for appending; a brand-new (or fully
     //    truncated) segment gets its Config header — except on a
     //    follower, whose journal mirrors the primary's bytes.
-    let mut journal = Journal::open_segment(jc.clone(), active_seq, active_records)?;
+    let mut journal = Journal::open_in(store, jc.clone(), active_seq, active_records)?;
     let follower = matches!(serve.replication, Some(Replication::Follow(_)));
     if journal.records_in_segment() == 0 && !follower {
         journal.append(&replica.header())?;
@@ -520,19 +534,19 @@ pub fn recover(serve: &ServeConfig, jc: &JournalConfig) -> io::Result<Recovered>
     })
 }
 
-/// Step 1 of [`recover`]: the newest of `snapshots` (ascending, as
-/// [`journal::scan_dir`] lists them) whose whole chain loads, restored,
-/// and a warning for each newer one passed over.
-fn newest_restorable(dir: &Path, snapshots: &[u64]) -> (Option<(u64, Replica)>, Vec<String>) {
+/// Step 1 of [`recover`]: the newest of the snapshots `seqs` (ascending,
+/// as [`journal::scan_dir`] lists them) whose whole chain loads,
+/// restored, and a warning for each newer one passed over.
+fn newest_restorable(store: &dyn Store, seqs: &[u64]) -> (Option<(u64, Replica)>, Vec<String>) {
     let mut warnings = Vec::new();
     let mut broken: Vec<u64> = Vec::new();
-    for &seq in snapshots.iter().rev() {
+    for &seq in seqs.iter().rev() {
         // A snapshot chained on a link already found broken needs no
         // second reading.
         if broken.contains(&seq) {
             continue;
         }
-        match load_chain(dir, seq) {
+        match load_chain(store, seq) {
             Ok(loaded) => return (Some((seq, loaded)), warnings),
             Err(BrokenChain { what, through }) => {
                 warnings.push(format!("{what}; falling back to an earlier snapshot"));
@@ -548,7 +562,7 @@ fn newest_restorable(dir: &Path, snapshots: &[u64]) -> (Option<(u64, Replica)>, 
 /// would give. Reads the directory, writes nothing.
 #[must_use]
 pub fn starting_snapshot(dir: &Path, snapshots: &[u64]) -> (Option<u64>, Vec<String>) {
-    let (start, warnings) = newest_restorable(dir, snapshots);
+    let (start, warnings) = newest_restorable(&FileStore::new(dir), snapshots);
     (start.map(|(seq, _)| seq), warnings)
 }
 
@@ -566,7 +580,7 @@ struct BrokenChain {
 /// goes through [`SimSession::restore`]. The restored session is marked
 /// saved at `seq`, where the server that wrote the chain left its mark,
 /// so the next rotation continues the chain.
-fn load_chain(dir: &Path, seq: u64) -> Result<Replica, BrokenChain> {
+fn load_chain(store: &dyn Store, seq: u64) -> Result<Replica, BrokenChain> {
     let mut through = Vec::new();
     let mut deltas = Vec::new();
     // The machine, metrics and predictor are those of `seq` itself.
@@ -574,7 +588,7 @@ fn load_chain(dir: &Path, seq: u64) -> Result<Replica, BrokenChain> {
     let mut at = seq;
     let state = loop {
         through.push(at);
-        let snap = match read_snapshot(dir, at) {
+        let snap = match read_snapshot_in(store, at) {
             Ok(snap) => snap,
             Err(what) if at == seq => {
                 let what = format!("snapshot-{seq:06}.json: {what}");

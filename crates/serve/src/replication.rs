@@ -16,7 +16,7 @@
 //!    frames (not re-encoded records) makes the follower's journal a
 //!    byte-for-byte mirror and lets the follower re-verify every CRC.
 //! 3. The follower acknowledges each message with its new durable
-//!    position (`ReplAck`). At most [`REPL_WINDOW`] messages are in
+//!    position (`ReplAck`). At most `REPL_WINDOW` messages are in
 //!    flight; a slow follower backpressures the sender, never the
 //!    primary's clients (replication is asynchronous — the primary
 //!    acknowledges clients after its *local* append, and `stats`
@@ -39,21 +39,21 @@
 //! tailer ships them one `ReplRecord` each and the follower's mirror is
 //! the same bytes whatever the round boundaries were.
 
-use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use serde::Deserialize;
 
-use crate::journal::segment_path;
-use crate::protocol::{read_line, Line, Request, MAX_LINE_BYTES};
+use crate::journal::segment_name;
+use crate::protocol::{read_line, Line, ReplicationStats, Request, MAX_LINE_BYTES};
+use crate::store::Store;
 
 /// Messages (frames + segment markers) the sender keeps in flight before
 /// waiting for the follower to acknowledge.
-pub const REPL_WINDOW: u64 = 64;
+const REPL_WINDOW: u64 = 64;
 
 /// How the replies a follower may send deserialize on the primary side
 /// (a subset of [`crate::protocol::Response`]; anything else on the link
@@ -71,11 +71,12 @@ enum ReplReply {
     Error { message: String },
 }
 
-/// Shared state between the scheduler loop and the sender thread.
-#[derive(Debug)]
-pub struct ReplLink {
+/// Shared state between the scheduler loop and the sender thread; a
+/// fresh one is unconnected.
+#[derive(Debug, Default)]
+pub(crate) struct ReplLink {
     /// The follower's address (the `--replicate-to` value).
-    pub target: String,
+    target: String,
     /// Bumped by the scheduler loop after every journal append or
     /// rotation; the sender waits on it instead of polling hot.
     epoch: Mutex<u64>,
@@ -90,23 +91,6 @@ pub struct ReplLink {
 }
 
 impl ReplLink {
-    /// A fresh, unconnected link towards `target`.
-    #[must_use]
-    pub fn new(target: String) -> Self {
-        Self {
-            target,
-            epoch: Mutex::new(0),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            connected: AtomicBool::new(false),
-            fatal: AtomicBool::new(false),
-            sent: AtomicU64::new(0),
-            acked: AtomicU64::new(0),
-            acked_seq: AtomicU64::new(0),
-            acked_offset: AtomicU64::new(0),
-        }
-    }
-
     /// Wakes the sender: new journal bytes exist (or state changed).
     pub fn notify(&self) {
         let mut epoch = self.epoch.lock().expect("repl epoch lock");
@@ -120,28 +104,18 @@ impl ReplLink {
         self.notify();
     }
 
-    /// Whether the link to the follower is currently established.
-    #[must_use]
-    pub fn is_connected(&self) -> bool {
-        self.connected.load(Ordering::SeqCst)
-    }
-
-    /// Segment of the follower's last acknowledged position.
-    #[must_use]
-    pub fn acked_seq(&self) -> u64 {
-        self.acked_seq.load(Ordering::SeqCst)
-    }
-
-    /// Byte offset of the follower's last acknowledged position.
-    #[must_use]
-    pub fn acked_offset(&self) -> u64 {
-        self.acked_offset.load(Ordering::SeqCst)
-    }
-
-    /// Messages acknowledged over the current connection.
-    #[must_use]
-    pub fn acked_count(&self) -> u64 {
-        self.acked.load(Ordering::SeqCst)
+    /// The primary's `stats` replication block: whether the link is up,
+    /// the follower's last acknowledged position, and the messages
+    /// acknowledged over the current connection.
+    pub fn stats(&self) -> ReplicationStats {
+        ReplicationStats {
+            role: "primary".into(),
+            peer: self.target.clone(),
+            connected: self.connected.load(Ordering::SeqCst),
+            seq: self.acked_seq.load(Ordering::SeqCst),
+            offset: self.acked_offset.load(Ordering::SeqCst),
+            records: self.acked.load(Ordering::SeqCst),
+        }
     }
 
     fn stopped(&self) -> bool {
@@ -182,19 +156,27 @@ impl ReplLink {
     }
 }
 
-/// Spawns the sender thread for a primary journaling into `dir`.
-pub fn spawn_sender(dir: PathBuf, link: Arc<ReplLink>) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || sender_loop(&dir, &link))
+/// Spawns the sender thread for a primary journaling into `store`, and
+/// returns its link to the follower at `target`.
+pub(crate) fn spawn_sender(store: Arc<dyn Store>, target: &str) -> Arc<ReplLink> {
+    let target = target.to_owned();
+    let link = Arc::new(ReplLink {
+        target,
+        ..ReplLink::default()
+    });
+    let sender = Arc::clone(&link);
+    std::thread::spawn(move || sender_loop(&*store, &sender));
+    link
 }
 
-fn sender_loop(dir: &Path, link: &ReplLink) {
+fn sender_loop(store: &dyn Store, link: &ReplLink) {
     let mut announced_wait = false;
     while !link.stopped() && !link.is_fatal() {
         match TcpStream::connect(&link.target) {
             Ok(stream) => {
                 announced_wait = false;
                 eprintln!("lumos-serve: replicating to {}", link.target);
-                if let Err(e) = ship(dir, link, stream) {
+                if let Err(e) = ship(store, link, stream) {
                     if !link.is_fatal() && !link.stopped() {
                         eprintln!(
                             "lumos-serve: replication link to {} lost: {e}; reconnecting",
@@ -222,7 +204,7 @@ fn sender_loop(dir: &Path, link: &ReplLink) {
 
 /// One connection's worth of streaming: handshake, then tail-and-ship
 /// until the link drops, a fatal protocol error, or server shutdown.
-fn ship(dir: &Path, link: &ReplLink, stream: TcpStream) -> io::Result<()> {
+fn ship(store: &dyn Store, link: &ReplLink, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let mut writer = io::BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
@@ -239,20 +221,12 @@ fn ship(dir: &Path, link: &ReplLink, stream: TcpStream) -> io::Result<()> {
     };
     let (seq, offset) = match decode_reply(line) {
         Ok(ReplReply::ReplPosition { seq, offset }) => (seq, offset),
-        Ok(ReplReply::Error { message }) => {
-            link.set_fatal(&format!("follower refused the handshake: {message}"));
-            return Ok(());
-        }
-        Ok(other) => {
-            link.set_fatal(&format!("unexpected handshake reply: {other:?}"));
-            return Ok(());
-        }
-        Err(e) => {
-            link.set_fatal(&format!("unparseable handshake reply: {e}"));
+        other => {
+            link.set_fatal(&misfit(other, "the handshake", "handshake reply"));
             return Ok(());
         }
     };
-    if let Err(why) = validate_position(dir, seq, offset) {
+    if let Err(why) = validate_position(store, seq, offset) {
         link.set_fatal(&why);
         return Ok(());
     }
@@ -275,7 +249,7 @@ fn ship(dir: &Path, link: &ReplLink, stream: TcpStream) -> io::Result<()> {
         scope.spawn(|| {
             ack_reader(&mut reader, link, &dead);
         });
-        let result = stream_records(dir, link, &mut writer, &dead, seq, offset);
+        let result = stream_records(store, link, &mut writer, &dead, seq, offset);
         let _ = writer.get_ref().shutdown(std::net::Shutdown::Both);
         result
     })
@@ -290,6 +264,16 @@ fn decode_reply(line: Line<'_>) -> Result<ReplReply, String> {
     }
 }
 
+/// Why a follower reply other than the expected one ends the link: the
+/// follower refused `what`, or sent an unexpected or unparseable `kind`.
+fn misfit(reply: Result<ReplReply, String>, what: &str, kind: &str) -> String {
+    match reply {
+        Ok(ReplReply::Error { message }) => format!("follower refused {what}: {message}"),
+        Ok(other) => format!("unexpected {kind}: {other:?}"),
+        Err(e) => format!("unparseable {kind}: {e}"),
+    }
+}
+
 /// Reads follower replies until the link drops or a protocol error.
 fn ack_reader<R: BufRead>(reader: &mut R, link: &ReplLink, dead: &AtomicBool) {
     let mut buf = Vec::new();
@@ -298,16 +282,8 @@ fn ack_reader<R: BufRead>(reader: &mut R, link: &ReplLink, dead: &AtomicBool) {
             Ok(None) | Err(_) => break,
             Ok(Some(line)) => match decode_reply(line) {
                 Ok(ReplReply::ReplAck { seq, offset }) => link.record_ack(seq, offset),
-                Ok(ReplReply::Error { message }) => {
-                    link.set_fatal(&format!("follower refused a frame: {message}"));
-                    break;
-                }
-                Ok(other) => {
-                    link.set_fatal(&format!("unexpected reply on the link: {other:?}"));
-                    break;
-                }
-                Err(e) => {
-                    link.set_fatal(&format!("unparseable reply on the link: {e}"));
+                other => {
+                    link.set_fatal(&misfit(other, "a frame", "reply on the link"));
                     break;
                 }
             },
@@ -320,7 +296,7 @@ fn ack_reader<R: BufRead>(reader: &mut R, link: &ReplLink, dead: &AtomicBool) {
 /// Tails the journal from `(seq, offset)`, shipping complete frames and
 /// segment transitions until the connection dies or the server stops.
 fn stream_records(
-    dir: &Path,
+    store: &dyn Store,
     link: &ReplLink,
     writer: &mut io::BufWriter<TcpStream>,
     dead: &AtomicBool,
@@ -328,8 +304,7 @@ fn stream_records(
     offset: u64,
 ) -> io::Result<()> {
     let done = || link.stopped() || link.is_fatal() || dead.load(Ordering::SeqCst);
-    let mut file = std::fs::File::open(segment_path(dir, seq))?;
-    file.seek(SeekFrom::Start(offset))?;
+    let mut file = store.read_from(&segment_name(seq), offset)?;
     // Bytes read from the file but not yet shipped: a read may end in the
     // middle of a line the primary is still writing — only complete,
     // newline-terminated frames go on the wire.
@@ -345,7 +320,7 @@ fn stream_records(
         // Sampling the next segment's existence *before* reading matters:
         // rotation creates segment N+1 only after the last append to N,
         // so "N+1 existed, then N hit EOF" proves N is complete.
-        let next_exists = segment_path(dir, seq + 1).exists();
+        let next_exists = store.exists(&segment_name(seq + 1));
         let n = file.read(&mut buf)?;
         if n == 0 {
             if carry.is_empty() && next_exists {
@@ -357,7 +332,7 @@ fn stream_records(
                 writer.flush()?;
                 link.sent.fetch_add(1, Ordering::SeqCst);
                 seq += 1;
-                file = std::fs::File::open(segment_path(dir, seq))?;
+                file = store.read_from(&segment_name(seq), 0)?;
                 continue;
             }
             // Caught up: sleep until the scheduler appends again.
@@ -387,9 +362,8 @@ fn stream_records(
 /// Checks that `(seq, offset)` names a record boundary in this journal's
 /// copy of segment `seq` — the resume contract: the follower's next byte
 /// must be the first byte of a record the primary also has.
-fn validate_position(dir: &Path, seq: u64, offset: u64) -> Result<(), String> {
-    let path = segment_path(dir, seq);
-    let data = std::fs::read(&path).map_err(|e| {
+fn validate_position(store: &dyn Store, seq: u64, offset: u64) -> Result<(), String> {
+    let data = store.read(&segment_name(seq)).map_err(|e| {
         format!(
             "follower is at segment {seq} which this primary cannot read ({e}); \
              refusing to replicate into diverged history"

@@ -2,42 +2,43 @@
 //!
 //! Architecture: connection threads (one per TCP client, optionally one
 //! for stdin) parse NDJSON request lines and push them onto a **bounded**
-//! command queue; a single scheduler thread owns the [`SimSession`] and
-//! processes commands in arrival order, so no locks guard the simulation
-//! state. When the queue is full, submissions are rejected immediately
-//! with a reason — backpressure is explicit, never blocking — while
-//! cheap control commands (stats, query, ...) block for a slot.
+//! command queue, and one scheduler thread serves them in arrival order,
+//! so no locks guard the simulation state. When the queue is full,
+//! submissions are rejected at once with a reason — backpressure is
+//! explicit, never blocking — while cheap control commands (stats, query,
+//! ...) block for a slot. The scheduler thread is a shell around a
+//! `Core` (`core.rs`): the shell reads the clock, drains the queue into
+//! rounds, hands each reply to its connection, nudges the replication
+//! link and prints the log; `Core::round` decides every reply, journal
+//! record and rotation, and reaches the disk only through the journal's
+//! `Store` (`store.rs`).
 //!
 //! Time: with `time_scale > 0` the server maps wall-clock seconds onto
 //! simulation seconds (1 wall second = `time_scale` sim seconds) and
-//! advances the session before every command. With `time_scale == 0` the
+//! advances the session before every round. With `time_scale == 0` the
 //! server is *virtual-time*: the clock only moves on explicit `Advance`
 //! commands, which makes runs deterministic and replayable.
 //!
 //! Shutdown: a `Shutdown` command stops command intake, drains every
 //! pending and running job to completion, and answers with the same
-//! [`lumos_sim::SimMetrics`] a batch replay of the identical arrival sequence would
-//! produce.
+//! [`lumos_sim::SimMetrics`] a batch replay of the identical arrival
+//! sequence would produce.
 //!
 //! Durability: with [`ServeConfig::journal`] set, every state-mutating
-//! command is appended to a write-ahead journal **before** its
-//! acknowledgment is sent (see [`crate::journal`]), and startup replays
-//! the journal to the pre-crash state (see [`crate::recovery`]). A failed
-//! journal append is fail-stop: the commands it covered are answered with
-//! an error and the server halts rather than acknowledge an unjournaled
-//! mutation.
+//! command is appended to a write-ahead journal ([`crate::journal`])
+//! **before** its acknowledgment is sent, and startup replays it
+//! ([`crate::recovery`]). A failed append is fail-stop: the commands it
+//! covered are answered with an error and the server halts.
 //!
-//! Rounds: every command reaches the session and the journal through one
-//! path. The scheduler drains up to 64 queued commands into a round,
-//! *applies* them in arrival order — a submission due now gets its
+//! Rounds: the shell drains up to 64 queued commands into a round; the
+//! core *applies* them in arrival order — a submission due now gets its
 //! scheduling pass at once, and its reply says what the pass decided —
-//! and *commits* the round: one buffered journal write, one fsync, a
-//! rotation check, and only then the replies, which connection writers
-//! coalesce into a single flush. A round is only as large as the backlog:
-//! a lockstep client's commands, a follower's reads and the requests that
-//! change the loop itself (promotion, replication frames, shutdown) are
-//! rounds of one. Round size changes no byte on disk or on the wire, only
-//! the syscall count; see `docs/PERFORMANCE.md`.
+//! and *commits* the round: one journal write, one fsync, a rotation
+//! check, and only then the replies, which connection writers coalesce
+//! into one flush. A round is only as large as the backlog: a lockstep
+//! client's commands and the requests that change the loop itself
+//! (promotion, replication frames, shutdown) are rounds of one. Round
+//! size changes no byte on disk or on the wire, only the syscall count.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -46,16 +47,16 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lumos_core::{CoreError, SystemSpec, Timestamp};
-use lumos_predict::{OnlinePredictor, PredictorConfig};
-use lumos_sim::{SimConfig, SimSession, TenantTable};
+use lumos_core::SystemSpec;
+use lumos_predict::PredictorConfig;
+use lumos_sim::{SimConfig, TenantTable};
 
-use crate::journal::{decode_line, Journal, JournalConfig, JournalRecord};
-use crate::protocol::{
-    read_line, Line, ReplicationStats, Request, Response, SubmitSpec, MAX_LINE_BYTES,
-};
+use crate::core::{Core, Round};
+use crate::journal::JournalConfig;
+use crate::protocol::{read_line, Line, Request, Response, MAX_LINE_BYTES};
 use crate::recovery::{self, Replica};
 use crate::replication::{self, ReplLink};
+use crate::store::{FileStore, Store};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -113,7 +114,8 @@ impl ServeConfig {
 }
 
 /// The most already-queued commands one round drains. Frame bytes are
-/// the same at every round size ([`Journal::append_batch`]).
+/// the same at every round size
+/// ([`Journal::append_batch`](crate::journal::Journal::append_batch)).
 const ROUND_CAP: usize = 64;
 
 /// One queued command and the channel its response travels back on.
@@ -131,20 +133,18 @@ struct Reply {
     done: Option<mpsc::Sender<()>>,
 }
 
-/// The reply to a command whose journal write failed. Fail-stop: an
-/// unjournaled mutation is never acknowledged, and the round that carries
-/// this reply is the scheduler's last.
-fn fail_stop(e: &io::Error) -> Response {
-    Response::Error {
-        message: format!("journal write failed ({e}); server stopping"),
+impl From<Response> for Reply {
+    fn from(response: Response) -> Self {
+        Self {
+            response,
+            done: None,
+        }
     }
 }
 
 /// The reply to a command that arrives after the scheduler stopped.
 fn shutting_down() -> Response {
-    Response::Error {
-        message: "server is shutting down".into(),
-    }
+    Response::error("server is shutting down")
 }
 
 /// Shared connection-side state.
@@ -156,10 +156,8 @@ struct Shared {
     queue_capacity: usize,
 }
 
-/// Whether this request must not share a round with plain commands: it
-/// either rewrites the loop's own state (promotion, replication frames)
-/// or ends the loop (shutdown), so it is a round of its own, in arrival
-/// order.
+/// Whether this request is a round of its own: it rewrites the loop's
+/// own state (promotion, replication frames) or ends it (shutdown).
 fn is_barrier(req: &Request) -> bool {
     matches!(
         req,
@@ -211,9 +209,10 @@ impl Server {
         }
         // Recover (or initialize) journal state before accepting clients,
         // so the first command already sees the pre-crash session.
-        let (replica, journal) = match &self.config.journal {
+        let (replica, journal, store) = match &self.config.journal {
             Some(jc) => {
-                let r = recovery::recover(&self.config, jc)?;
+                let store: Arc<dyn Store> = Arc::new(FileStore::create(&jc.dir)?);
+                let r = recovery::recover_in(Arc::clone(&store), &self.config, jc)?;
                 for w in &r.warnings {
                     eprintln!("lumos-serve: recovery: {w}");
                 }
@@ -225,18 +224,14 @@ impl Server {
                     );
                 }
                 let (replica, journal) = r.into_parts();
-                (replica, Some(journal))
+                (replica, Some(journal), Some(store))
             }
-            None => (Replica::fresh(&self.config), None),
+            None => (Replica::fresh(&self.config), None, None),
         };
         // A replicating primary ships its journal from a dedicated sender
         // thread; the scheduler loop only nudges the link after appends.
-        let link = match (&self.config.replication, &self.config.journal) {
-            (Some(Replication::To(target)), Some(jc)) => {
-                let link = Arc::new(ReplLink::new(target.clone()));
-                replication::spawn_sender(jc.dir.clone(), Arc::clone(&link));
-                Some(link)
-            }
+        let link = match (&self.config.replication, store) {
+            (Some(Replication::To(to)), Some(store)) => Some(replication::spawn_sender(store, to)),
             _ => None,
         };
         let (tx, rx) = mpsc::sync_channel::<Envelope>(self.config.queue_capacity);
@@ -276,7 +271,16 @@ impl Server {
         }
 
         let (done, flushed) = mpsc::channel();
-        Scheduler::new(&self.config, &shared, replica, journal, link.as_ref(), done).run(&rx);
+        let mut core = Core::new(&self.config, replica, journal, link.clone());
+        serve_rounds(
+            &mut core,
+            &rx,
+            &shared.backpressure_rejects,
+            link.as_deref(),
+            done,
+        );
+        // Stops the accept loop at its next connection.
+        shared.shutting_down.store(true, Ordering::SeqCst);
         if let Some(link) = &link {
             link.stop();
         }
@@ -287,505 +291,76 @@ impl Server {
         let _ = flushed.recv_timeout(Duration::from_secs(5));
 
         // Wake the accept loop so its thread exits.
-        shared.shutting_down.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(addr);
         Ok(())
     }
 }
 
-/// Which side of a replication pair this server currently is. A plain
-/// (non-replicating) server is a `Primary` with no link; a promoted
-/// follower becomes one too.
-enum Role {
-    Primary,
-    Follower {
-        /// The primary's address (`--follow`).
-        primary: String,
-        /// Frames applied since startup.
-        records: u64,
-        /// A primary has completed the replication handshake.
-        hello_seen: bool,
-    },
-}
-
-/// The single thread that owns the simulation: everything it owns, plus
-/// the round it is building.
-///
-/// Commands are served in **rounds** (see the module docs): up to
-/// [`ROUND_CAP`] are applied in arrival order ([`Scheduler::apply`]),
-/// then committed together ([`Scheduler::commit`]).
-struct Scheduler<'a> {
-    config: &'a ServeConfig,
-    shared: &'a Shared,
-    link: Option<&'a Arc<ReplLink>>,
-    replica: Replica,
-    journal: Option<Journal>,
-    role: Role,
-    /// Wall-clock time maps onto simulation time *from where the session
-    /// already is* (`sim_epoch` at `epoch`): a recovered session resumes
-    /// at its pre-crash clock instead of stalling until wall time catches
-    /// up with it from zero, and promotion reseeds both, so the clock
-    /// starts moving at the moment of promotion, not retroactively from
-    /// follower startup.
-    sim_epoch: Timestamp,
-    epoch: Instant,
-    /// The round's journal records, in command order.
-    records: Vec<JournalRecord>,
-    /// The round's replies, in command order, each with whether its
-    /// command is in `records`.
-    replies: Vec<(mpsc::Sender<Reply>, Response, bool)>,
-    /// Submissions this scheduler refused (duplicate id, validation,
-    /// quota). Refusals are not journaled, so the count belongs to the
-    /// process — like [`Shared::backpressure_rejects`], which `stats`
-    /// adds it to — not to the replicated state.
-    refused: u64,
-    /// This round ends the loop (shutdown or fail-stop).
-    stop: bool,
-    /// What the stopping round's last reply carries ([`Reply::done`]).
-    done: Option<mpsc::Sender<()>>,
-}
-
-impl<'a> Scheduler<'a> {
-    fn new(
-        config: &'a ServeConfig,
-        shared: &'a Shared,
-        replica: Replica,
-        journal: Option<Journal>,
-        link: Option<&'a Arc<ReplLink>>,
-        done: mpsc::Sender<()>,
-    ) -> Self {
-        Self {
-            config,
-            shared,
-            link,
-            sim_epoch: replica.session.now().max(0),
-            epoch: Instant::now(),
-            replica,
-            journal,
-            role: match &config.replication {
-                Some(Replication::Follow(primary)) => Role::Follower {
-                    primary: primary.clone(),
-                    records: 0,
-                    hello_seen: false,
-                },
-                _ => Role::Primary,
-            },
-            records: Vec::new(),
-            replies: Vec::new(),
-            refused: 0,
-            stop: false,
-            done: Some(done),
-        }
-    }
-
-    /// Serves rounds until one stops the loop (or every sender is gone).
-    fn run(&mut self, rx: &Receiver<Envelope>) {
-        let mut carry: Option<Envelope> = None;
-        let mut batch: Vec<Envelope> = Vec::with_capacity(ROUND_CAP);
-        while let Some(first) = carry.take().or_else(|| rx.recv().ok()) {
-            // A request that changes the loop's own state is a round of
-            // its own: it ends the drain and waits for the next round.
-            let alone = is_barrier(&first.req);
-            batch.push(first);
-            while !alone && batch.len() < ROUND_CAP {
-                match rx.try_recv() {
-                    Ok(env) if is_barrier(&env.req) => {
-                        carry = Some(env);
-                        break;
-                    }
-                    Ok(env) => batch.push(env),
-                    Err(_) => break,
-                }
-            }
-            // One wall-clock advance covers the whole round: its commands
-            // were all queued by now, so they share an arrival instant. A
-            // follower's clock is the primary's clock: only applied
-            // frames move it, never local wall time.
-            if self.config.time_scale > 0.0 && matches!(self.role, Role::Primary) {
-                let elapsed = self.epoch.elapsed().as_secs_f64() * self.config.time_scale;
-                self.replica
-                    .session
-                    .advance_to(self.sim_epoch + elapsed.floor() as Timestamp);
-            }
-            for env in batch.drain(..) {
-                self.apply(env);
-            }
-            self.commit();
-            if self.stop {
+/// The scheduler thread: serves rounds until one stops the loop (or every
+/// sender is gone), then refuses what squeezed into the queue behind it.
+/// `rejects` counts the submissions the full queue turned away; `done`
+/// goes out with the stopping round's last reply ([`Reply::done`]).
+fn serve_rounds(
+    core: &mut Core,
+    rx: &Receiver<Envelope>,
+    rejects: &AtomicU64,
+    link: Option<&ReplLink>,
+    done: mpsc::Sender<()>,
+) {
+    let start = Instant::now();
+    let mut done = Some(done);
+    let mut carry: Option<Envelope> = None;
+    let mut requests = Vec::with_capacity(ROUND_CAP);
+    let mut senders = Vec::with_capacity(ROUND_CAP);
+    while let Some(first) = carry.take().or_else(|| rx.recv().ok()) {
+        // A request that changes the loop's own state is a round of
+        // its own: it ends the drain and waits for the next round.
+        let mut next = Some(first);
+        while let Some(Envelope { req, reply }) = next.take() {
+            let alone = is_barrier(&req);
+            requests.push(req);
+            senders.push(reply);
+            if alone || requests.len() == ROUND_CAP {
                 break;
             }
+            next = rx.try_recv().ok();
+            if next.as_ref().is_some_and(|env| is_barrier(&env.req)) {
+                carry = next.take();
+            }
         }
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Refuse anything that squeezed into the queue behind the shutdown.
-        while let Ok(Envelope { reply, .. }) = rx.try_recv() {
-            let _ = reply.send(Reply {
-                response: shutting_down(),
-                done: None,
-            });
+        let rejected = rejects.load(Ordering::Relaxed);
+        let round = core.round(start.elapsed(), rejected, requests.drain(..));
+        for line in &round.log {
+            eprintln!("{line}");
+        }
+        if let (true, Some(link)) = (round.wrote, link) {
+            link.notify();
+        }
+        if release(round, senders.drain(..), &mut done) {
+            break;
         }
     }
+    while let Ok(Envelope { reply, .. }) = rx.try_recv() {
+        let _ = reply.send(shutting_down().into());
+    }
+}
 
-    /// Apply step: runs one command against the replica and files its
-    /// reply and journal record with the round.
-    fn apply(&mut self, Envelope { req, reply }: Envelope) {
-        // A run of submissions leaves its events in the session's log;
-        // anything else may read the metrics they feed.
-        if !matches!(req, Request::Submit { .. }) {
-            self.replica.absorb();
-        }
-        let (response, record) = self.handle(req);
-        self.replies.push((reply, response, record.is_some()));
-        self.records.extend(record);
+/// Sends each reply of `round` to its command's connection, in command
+/// order, and says whether the loop stops; a round that stops it puts
+/// `done` on its last reply.
+fn release(
+    round: Round,
+    senders: impl IntoIterator<Item = mpsc::Sender<Reply>>,
+    done: &mut Option<mpsc::Sender<()>>,
+) -> bool {
+    let mut replies = round.replies.into_iter().zip(senders).peekable();
+    while let Some((response, reply)) = replies.next() {
+        let last = round.stop && replies.peek().is_none();
+        let done = if last { done.take() } else { None };
+        // A client that vanished drops the reply, `done` with it.
+        let _ = reply.send(Reply { response, done });
     }
-
-    /// Commit step: makes the round durable, then releases its replies —
-    /// or fail-stops it.
-    fn commit(&mut self) {
-        // The metrics are part of a rotation snapshot.
-        self.replica.absorb();
-        if let (Some(journal), false) = (self.journal.as_mut(), self.records.is_empty()) {
-            if let Err(e) = journal.append_batch(&self.records) {
-                // Fail-stop for the whole round: none of its mutations is
-                // durable, so none may be acknowledged. Reads still get
-                // their answers.
-                eprintln!("lumos-serve: journal append failed: {e}; stopping");
-                for (_, response, journaled) in &mut self.replies {
-                    if *journaled {
-                        *response = fail_stop(&e);
-                    }
-                }
-                self.stop = true;
-            } else {
-                if let Some(link) = self.link {
-                    link.notify();
-                }
-                // One rotation check per round: a segment may exceed
-                // `snapshot_every` by at most `ROUND_CAP - 1` records, which
-                // recovery and replication are indifferent to. A round
-                // that stops the loop skips it: shutdown has consumed the
-                // session the snapshot would describe.
-                if !self.stop && journal.wants_rotation() {
-                    if let Err(e) = self.replica.rotate(journal, true) {
-                        // Not fatal: the old segment is intact, recovery
-                        // just replays more, and the next snapshot covers
-                        // what this one would have.
-                        eprintln!("lumos-serve: journal rotation failed: {e}; continuing");
-                    } else if let Some(link) = self.link {
-                        link.notify();
-                    }
-                }
-            }
-        }
-        self.records.clear();
-        let mut replies = self.replies.drain(..).peekable();
-        while let Some((reply, response, _)) = replies.next() {
-            let last = self.stop && replies.peek().is_none();
-            let done = if last { self.done.take() } else { None };
-            // A client that vanished drops the reply, `done` with it.
-            let _ = reply.send(Reply { response, done });
-        }
-    }
-
-    /// Processes one command; returns the response plus the journal
-    /// record to persist when the command mutated the session (`None`
-    /// for reads and refused mutations).
-    fn handle(&mut self, req: Request) -> (Response, Option<JournalRecord>) {
-        let follower = matches!(self.role, Role::Follower { .. });
-        let session = &mut self.replica.session;
-        match req {
-            Request::Promote => (self.promote(), None),
-            Request::ReplHello | Request::ReplSegment { .. } | Request::ReplRecord { .. } => {
-                (self.replicate(req), None)
-            }
-            Request::Submit { .. } | Request::Cancel { .. } | Request::Advance { .. }
-                if follower =>
-            {
-                (
-                    Response::Error {
-                        message: "this server is a read-only follower; promote it first".into(),
-                    },
-                    None,
-                )
-            }
-            Request::Submit { job } => self.submit(job),
-            Request::Cancel { id } => {
-                let ok = session.cancel(id);
-                (
-                    Response::Cancelled { id, ok },
-                    ok.then(|| JournalRecord::Cancel {
-                        now: session.now(),
-                        id,
-                    }),
-                )
-            }
-            Request::Query { id } => (
-                match session.row_of(id) {
-                    Some(row) => Response::Job {
-                        id,
-                        state: session.state_at(row).expect("a row of the table"),
-                        wait: session.job_at(row).and_then(|j| j.wait),
-                    },
-                    None => Response::Error {
-                        message: format!("unknown job id {id}"),
-                    },
-                },
-                None,
-            ),
-            Request::Advance { to } => {
-                if self.config.time_scale > 0.0 {
-                    (
-                        Response::Error {
-                            message:
-                                "Advance is only valid on virtual-time servers (--time-scale 0)"
-                                    .into(),
-                        },
-                        None,
-                    )
-                } else {
-                    session.advance_to(to);
-                    let now = session.now();
-                    (
-                        Response::Advanced { now },
-                        Some(JournalRecord::Advance { to: now }),
-                    )
-                }
-            }
-            Request::Stats => (
-                Response::Stats {
-                    stats: self.replica.metrics.report(
-                        &self.replica.session,
-                        self.refused + self.shared.backpressure_rejects.load(Ordering::Relaxed),
-                        self.replica.predictor.as_ref().map(OnlinePredictor::name),
-                        self.replication_stats(),
-                    ),
-                },
-                None,
-            ),
-            Request::Snapshot => (
-                Response::Snapshot {
-                    snapshot: session.snapshot(),
-                },
-                None,
-            ),
-            Request::Shutdown => {
-                self.stop = true;
-                if follower {
-                    // Stop without draining: draining would journal an
-                    // advance the primary never had, forking the mirror.
-                    return (Response::Bye { metrics: None }, None);
-                }
-                session.advance_to_completion();
-                self.replica.absorb();
-                let session = &mut self.replica.session;
-                // Journal the drain so a restart resumes the drained state.
-                let record = JournalRecord::Advance { to: session.now() };
-                let snap = session.snapshot();
-                let ran_any = snap.submitted > snap.cancelled;
-                // `into_result` consumes the session; replace it with an
-                // empty one (nothing can reach it — the loop exits right
-                // after).
-                let empty = SimSession::new(&self.config.system, self.config.sim);
-                let drained = std::mem::replace(session, empty);
-                (
-                    Response::Bye {
-                        metrics: ran_any.then(|| drained.into_result().metrics),
-                    },
-                    Some(record),
-                )
-            }
-        }
-    }
-
-    /// Serves one submission through the submit path journal replay
-    /// shares ([`Replica::submit`]); an accepted job answers with the
-    /// state its own scheduling pass left it in.
-    fn submit(&mut self, spec: SubmitSpec) -> (Response, Option<JournalRecord>) {
-        let id = spec.id;
-        // The service rejects *any* reuse of a known id — stricter than
-        // the session, which frees finished/cancelled ids — because
-        // queries and cancels address jobs by id for the whole server
-        // lifetime.
-        let refusal = if self.replica.session.query(id).is_some() {
-            Response::Rejected {
-                id: Some(id),
-                reason: format!("duplicate job id {id}"),
-            }
-        } else {
-            // An accepted job takes the next row of the table.
-            let row = self.replica.session.job_count();
-            match self.replica.submit(spec) {
-                Ok(record) => {
-                    let state = self.replica.session.state_at(row);
-                    let state = state.expect("the row it was just given");
-                    return (Response::Submitted { id, state }, Some(record));
-                }
-                // Quota refusals get their own reply shape so clients can
-                // tell "back off" from "fix your request".
-                Err(CoreError::QuotaExceeded {
-                    tenant,
-                    requested,
-                    in_use,
-                    quota,
-                }) => Response::QuotaExceeded {
-                    id,
-                    tenant,
-                    requested,
-                    in_use,
-                    quota,
-                },
-                Err(e) => Response::Rejected {
-                    id: Some(id),
-                    reason: e.to_string(),
-                },
-            }
-        };
-        self.refused += 1;
-        (refusal, None)
-    }
-
-    /// Promotion: flip the role in place — same session, same journal,
-    /// same loop; only write admission and the wall clock change.
-    fn promote(&mut self) -> Response {
-        if matches!(self.role, Role::Primary) {
-            return Response::Error {
-                message: "already the primary; refusing promotion".into(),
-            };
-        }
-        // Seal the tail: an empty segment (nothing was ever replicated)
-        // gets the Config header a primary's segment always starts with.
-        if let Some(journal) = self.journal.as_mut() {
-            if journal.records_in_segment() == 0 {
-                if let Err(e) = journal.append(&self.replica.header()) {
-                    eprintln!("lumos-serve: promotion failed to seal the journal: {e}");
-                    return Response::Error {
-                        message: format!("journal write failed ({e}); refusing promotion"),
-                    };
-                }
-            }
-        }
-        let now = self.replica.session.now();
-        self.role = Role::Primary;
-        self.sim_epoch = now.max(0);
-        self.epoch = Instant::now();
-        eprintln!("lumos-serve: promoted to primary at t = {now}");
-        Response::Promoted { now }
-    }
-
-    /// Handles one replication-protocol request (`ReplHello`,
-    /// `ReplSegment`, `ReplRecord`). A follower that cannot persist a
-    /// frame must not continue: it answers with [`fail_stop`] and stops.
-    fn replicate(&mut self, req: Request) -> Response {
-        let Role::Follower {
-            records,
-            hello_seen,
-            ..
-        } = &mut self.role
-        else {
-            return Response::Error {
-                message: "this server is not a follower (start it with --follow)".into(),
-            };
-        };
-        let Some(journal) = self.journal.as_mut() else {
-            // Unreachable in practice: `--follow` requires a journal.
-            return Response::Error {
-                message: "follower has no journal".into(),
-            };
-        };
-        match req {
-            Request::ReplHello => {
-                *hello_seen = true;
-                Response::ReplPosition {
-                    seq: journal.seq(),
-                    offset: journal.segment_bytes(),
-                }
-            }
-            Request::ReplSegment { seq } => {
-                if seq != journal.seq() + 1 {
-                    return Response::Error {
-                        message: format!(
-                            "out-of-order segment marker {seq} (follower is at {})",
-                            journal.seq()
-                        ),
-                    };
-                }
-                // Rotate with a locally synthesized snapshot: the
-                // follower's state equals the primary's at this boundary
-                // and both left their saved mark at the boundary before,
-                // so the snapshot JSON — an increment, usually — is
-                // byte-identical to the primary's too.
-                match self.replica.rotate(journal, false) {
-                    Ok(()) => Response::ReplAck {
-                        seq: journal.seq(),
-                        offset: 0,
-                    },
-                    Err(e) => {
-                        eprintln!("lumos-serve: follower rotation failed: {e}; stopping");
-                        self.stop = true;
-                        fail_stop(&e)
-                    }
-                }
-            }
-            Request::ReplRecord { frame } => {
-                // Re-verify the frame end to end before trusting it: the
-                // CRC travelled from the primary's disk over the wire.
-                let record = match decode_line(frame.as_bytes()) {
-                    Ok(record) => record,
-                    Err(e) => {
-                        return Response::Error {
-                            message: format!("bad replicated frame: {e}"),
-                        }
-                    }
-                };
-                // Mirror first (append-before-ack, exactly like a
-                // primary), then apply through the recovery path.
-                if let Err(e) = journal.append_raw_line(&frame) {
-                    eprintln!("lumos-serve: follower journal append failed: {e}; stopping");
-                    self.stop = true;
-                    return fail_stop(&e);
-                }
-                let mut warnings = Vec::new();
-                self.replica.apply(record, self.config, &mut warnings);
-                for w in warnings {
-                    eprintln!("lumos-serve: follower apply: {w}");
-                }
-                *records += 1;
-                Response::ReplAck {
-                    seq: journal.seq(),
-                    offset: journal.segment_bytes(),
-                }
-            }
-            _ => unreachable!("`handle` routes only replication requests here"),
-        }
-    }
-
-    /// The `stats` replication block for the current role: ack progress
-    /// on a replicating primary, applied position on a follower, `None`
-    /// on plain servers (and promoted followers, which serve exactly like
-    /// one).
-    fn replication_stats(&self) -> Option<ReplicationStats> {
-        match &self.role {
-            Role::Primary => self.link.map(|link| ReplicationStats {
-                role: "primary".into(),
-                peer: link.target.clone(),
-                connected: link.is_connected(),
-                seq: link.acked_seq(),
-                offset: link.acked_offset(),
-                records: link.acked_count(),
-            }),
-            Role::Follower {
-                primary,
-                records,
-                hello_seen,
-            } => Some(ReplicationStats {
-                role: "follower".into(),
-                peer: primary.clone(),
-                connected: *hello_seen,
-                seq: self.journal.as_ref().map_or(0, Journal::seq),
-                offset: self.journal.as_ref().map_or(0, Journal::segment_bytes),
-                records: *records,
-            }),
-        }
-    }
+    round.stop
 }
 
 /// Serves one TCP client.
@@ -799,15 +374,13 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     serve_lines(reader, writer, shared)
 }
 
-/// One entry in a connection's in-order response stream: a locally
-/// produced response (parse error, backpressure rejection, shutdown
-/// refusal), or a marker that the scheduler owes the next response on the
-/// connection's shared reply channel. Both channels are FIFO, so pairing
-/// `Scheduled` slots with scheduler replies in order reproduces exactly
-/// the one-response-per-line, in-order wire contract.
-// The variants are deliberately lopsided: `Scheduled` (the hot path) is
-// zero-sized, and boxing the rare locally-produced `Ready` response would
-// put an allocation back on the error/rejection path for nothing.
+/// One entry in a connection's in-order response stream: a response
+/// produced locally (parse error, backpressure, shutdown), or a marker
+/// that the scheduler owes the next reply on the connection's reply
+/// channel. Both channels are FIFO, so pairing the two in order keeps one
+/// response per line, in order.
+// Lopsided on purpose: `Scheduled`, the hot path, is zero-sized, and
+// boxing the rare `Ready` would only add an allocation.
 #[allow(clippy::large_enum_variant)]
 enum Slot {
     Ready(Response),
@@ -815,18 +388,12 @@ enum Slot {
 }
 
 /// The request/response loop shared by TCP connections and stdin: a
-/// reader half (this thread) that parses lines from one recycled buffer
-/// and enqueues commands without waiting for their answers, and a writer
-/// half (scoped thread) that writes responses in request order,
-/// coalescing every response available in the same scheduler round into
-/// a single buffered write + flush. A pipelined client thus keeps the
-/// command queue full and its rounds large; a lockstep client gets one
-/// flush per request.
-///
-/// Physical lines (blank ones included) are counted so parse errors can
-/// name the offending line of the stream. A line longer than
-/// [`MAX_LINE_BYTES`] is answered with an error and skipped; the
-/// connection stays open.
+/// reader half (this thread) parses lines and enqueues commands without
+/// waiting for their answers; a writer half (scoped thread) writes the
+/// responses in request order, one flush for all a round answered. A
+/// pipelined client thus keeps its rounds large; a lockstep client gets
+/// one flush per request. Parse errors name the physical line; a line
+/// over [`MAX_LINE_BYTES`] is answered with an error and skipped.
 fn serve_lines<R: BufRead, W: Write + Send>(
     mut reader: R,
     writer: W,
@@ -844,11 +411,9 @@ fn serve_lines<R: BufRead, W: Write + Send>(
                 let slot = match line {
                     Line::Text(line) if line.trim().is_empty() => continue,
                     Line::Text(line) => dispatch(line, lineno, shared, &reply_tx),
-                    Line::TooLong => Slot::Ready(Response::Error {
-                        message: format!(
-                            "line {lineno}: request line longer than {MAX_LINE_BYTES} bytes"
-                        ),
-                    }),
+                    Line::TooLong => Slot::Ready(Response::error(format!(
+                        "line {lineno}: request line longer than {MAX_LINE_BYTES} bytes"
+                    ))),
                 };
                 if slot_tx.send(slot).is_err() {
                     // The writer half died on a write error; responses
@@ -883,10 +448,7 @@ fn write_replies<W: Write>(
         let mut next = Some(first);
         while let Some(slot) = next {
             let Reply { response, done } = match slot {
-                Slot::Ready(response) => Reply {
-                    response,
-                    done: None,
-                },
+                Slot::Ready(response) => response.into(),
                 Slot::Scheduled => match replies.try_recv() {
                     Ok(reply) => reply,
                     Err(_) => {
@@ -896,10 +458,7 @@ fn write_replies<W: Write>(
                             writer.flush()?;
                             pending = 0;
                         }
-                        replies.recv().unwrap_or_else(|_| Reply {
-                            response: shutting_down(),
-                            done: None,
-                        })
+                        replies.recv().unwrap_or_else(|_| shutting_down().into())
                     }
                 },
             };
@@ -925,29 +484,20 @@ fn write_replies<W: Write>(
     Ok(())
 }
 
-/// Parses one line and routes it through the bounded queue, tagging the
-/// command with the connection's shared reply channel. Returns the
-/// response slot for the writer half: `Ready` when the answer is known
-/// right here (parse error, backpressure rejection, shutdown), otherwise
-/// `Scheduled`. `lineno` is the 1-based physical line number within this
-/// client's stream, used to contextualize parse errors.
+/// Parses line `lineno` (1-based) and queues it with the connection's
+/// reply channel. Returns the writer half's slot: `Ready` when the answer
+/// is known here (parse error, backpressure, shutdown), else `Scheduled`.
 fn dispatch(line: &str, lineno: usize, shared: &Shared, reply: &mpsc::Sender<Reply>) -> Slot {
     let req = match Request::parse(line) {
         Ok(req) => req,
-        Err(message) => {
-            return Slot::Ready(Response::Error {
-                message: format!("line {lineno}: {message}"),
-            })
-        }
+        Err(message) => return Slot::Ready(Response::error(format!("line {lineno}: {message}"))),
     };
     let submit_id = match &req {
         Request::Submit { job } => Some(job.id),
         _ => None,
     };
-    let envelope = Envelope {
-        req,
-        reply: reply.clone(),
-    };
+    let reply = reply.clone();
+    let envelope = Envelope { req, reply };
     if let Some(id) = submit_id {
         // Submissions never block: a full queue is an explicit rejection.
         match shared.commands.try_send(envelope) {
@@ -972,34 +522,30 @@ fn dispatch(line: &str, lineno: usize, shared: &Shared, reply: &mpsc::Sender<Rep
 
 #[cfg(test)]
 mod tests {
-    //! Socket-free tests of the round machine: commands go in through
-    //! its `mpsc` queue, replies come back on reply channels, and the
-    //! journal lives in a temp dir. A pipelined client queues every
-    //! command before the scheduler runs, so rounds are the largest the
-    //! cap and the barriers allow; a lockstep client waits for each reply
-    //! before it sends the next command, so every round holds one.
+    //! Thread-free tests of the round machine: the journal lives in a
+    //! [`MemStore`], and replies come back on reply channels. A pipelined
+    //! client queues every command before the shell's drain runs, so
+    //! rounds are the largest the cap and the barriers allow; a lockstep
+    //! client waits for each reply before it sends the next command, so
+    //! it steps the core one command per round.
 
-    use std::path::{Path, PathBuf};
+    use std::path::PathBuf;
     use std::sync::mpsc::TryRecvError;
 
     use lumos_sim::{Policy, Relax};
 
     use super::*;
-    use crate::journal::FsyncPolicy;
-    use crate::recovery::recover;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lumos-rounds-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir
-    }
+    use crate::core::fail_stop;
+    use crate::journal::{snapshot_name, FsyncPolicy, Journal};
+    use crate::protocol::SubmitSpec;
+    use crate::recovery::{read_snapshot_in, recover_in, Recovered, SnapshotBody};
+    use crate::store::{MemStore, Op};
 
     /// An 8-unit machine with tenants (one capped at 6 outstanding
     /// units), a fair-share policy and a walltime predictor, so the
     /// shared submit path exercises tenant resolution, quota refusal and
     /// predict/observe on every route.
-    fn config(dir: &Path, snapshot_every: u64) -> ServeConfig {
+    fn config(snapshot_every: u64) -> ServeConfig {
         let mut system = SystemSpec::theta();
         system.name = "rounds-test".into();
         system.total_nodes = 8;
@@ -1009,11 +555,17 @@ mod tests {
         config.sim.policy = Policy::MaxMinFair;
         config.predictor = Some(PredictorConfig::Last2 { margin: 1.5 });
         config.tenants = Some(TenantTable::parse("capped 1 6\nfree 2\n").expect("tenant table"));
-        let mut journal = JournalConfig::new(dir.to_path_buf());
+        config.journal = Some(never_synced(snapshot_every));
+        config
+    }
+
+    /// A journal that never syncs; its directory is whatever store it is
+    /// recovered from.
+    fn never_synced(snapshot_every: u64) -> JournalConfig {
+        let mut journal = JournalConfig::new(PathBuf::from("in-memory"));
         journal.fsync = FsyncPolicy::Never;
         journal.snapshot_every = snapshot_every;
-        config.journal = Some(journal);
-        config
+        journal
     }
 
     fn submit(id: u64, procs: u64, runtime: i64, submit: Option<i64>, tenant: &str) -> Request {
@@ -1148,7 +700,7 @@ mod tests {
         .join("\n")
     }
 
-    /// Feeds `stream` to a scheduler over `replica` and `journal` the way
+    /// Feeds `stream` to a core over `replica` and `journal` the way
     /// `client` does, until the stream ends (or a round stops the
     /// scheduler), and collects the replies.
     fn serve_on(
@@ -1157,55 +709,35 @@ mod tests {
         stream: Vec<Request>,
         client: Client,
     ) -> Served {
-        // The scheduler never sends on `commands`; only `dispatch` does.
-        let (commands, _unused) = mpsc::sync_channel(1);
-        let shared = Shared {
-            commands,
-            shutting_down: AtomicBool::new(false),
-            backpressure_rejects: AtomicU64::new(0),
-            queue_capacity: 1,
-        };
+        let mut core = Core::new(config, replica, Some(journal), None);
         let (done, flushed) = mpsc::channel();
-        let mut scheduler = Scheduler::new(config, &shared, replica, Some(journal), None, done);
-        let (tx, rx) = mpsc::sync_channel(stream.len().max(1));
-        let replies: Vec<Reply> = if client == Client::Lockstep {
-            std::thread::scope(|scope| {
-                let client = scope.spawn(move || {
-                    let mut replies = Vec::new();
-                    for req in stream {
-                        let (reply, answer) = mpsc::channel();
-                        // The queue is gone, or no answer came: the
-                        // scheduler stopped before this command.
-                        if tx.send(Envelope { req, reply }).is_err() {
-                            break;
-                        }
-                        let Ok(reply) = answer.recv() else { break };
-                        replies.push(reply);
-                    }
-                    replies
-                });
-                scheduler.run(&rx);
-                // A command queued after the stop goes with the queue,
-                // which ends the client's wait for its answer; one sent
-                // after this drop fails to queue.
-                drop(rx);
-                client.join().expect("client thread")
-            })
+        let mut replies = Vec::new();
+        if client == Client::Lockstep {
+            let mut done = Some(done);
+            for req in stream {
+                let (reply, answer) = mpsc::channel();
+                let round = core.round(Duration::ZERO, 0, [req]);
+                let stop = round.stop;
+                release(round, [reply], &mut done);
+                replies.extend(answer.try_recv());
+                if stop {
+                    break;
+                }
+            }
         } else {
-            let (reply, replies) = mpsc::channel();
+            let (tx, rx) = mpsc::sync_channel(stream.len().max(1));
+            let (reply, answers) = mpsc::channel();
             for req in stream {
                 let reply = reply.clone();
                 tx.send(Envelope { req, reply }).expect("queue a command");
             }
             drop((tx, reply));
-            let replies = (client == Client::Pipelined).then_some(replies);
-            scheduler.run(&rx);
-            replies.into_iter().flatten().collect()
-        };
+            let answers = (client == Client::Pipelined).then_some(answers);
+            serve_rounds(&mut core, &rx, &AtomicU64::new(0), None, done);
+            replies.extend(answers.into_iter().flatten());
+        }
         let done_dropped = flushed.try_recv() == Err(TryRecvError::Disconnected);
-        let Scheduler {
-            replica, journal, ..
-        } = scheduler;
+        let (replica, journal) = core.into_parts();
         Served {
             replies: replies
                 .into_iter()
@@ -1218,24 +750,19 @@ mod tests {
         }
     }
 
-    fn serve(config: &ServeConfig, stream: Vec<Request>, client: Client) -> Served {
+    /// Recovers `config`'s journal from `store`.
+    fn recover(store: &MemStore, config: &ServeConfig) -> Recovered {
         let journal = config.journal.as_ref().expect("tests journal");
-        let recovered = recover(config, journal).expect("recover");
-        serve_on(config, recovered.into_parts(), stream, client)
+        recover_in(Arc::new(store.clone()), config, journal).expect("recover")
     }
 
-    /// Every file in a journal directory, by name.
-    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
-        let mut files: Vec<_> = std::fs::read_dir(dir)
-            .expect("read journal dir")
-            .map(|entry| {
-                let path = entry.expect("dir entry").path();
-                let name = path.file_name().unwrap().to_string_lossy().into_owned();
-                (name, std::fs::read(&path).expect("read journal file"))
-            })
-            .collect();
-        files.sort();
-        files
+    fn serve(
+        config: &ServeConfig,
+        store: &MemStore,
+        stream: Vec<Request>,
+        client: Client,
+    ) -> Served {
+        serve_on(config, recover(store, config).into_parts(), stream, client)
     }
 
     #[test]
@@ -1243,11 +770,9 @@ mod tests {
         let mut stream = mixed_stream();
         stream.push(Request::Shutdown);
         let run = |client: Client| {
-            let dir = temp_dir(&format!("mixed-{client:?}"));
-            let served = serve(&config(&dir, 0), stream.clone(), client);
-            let files = dir_bytes(&dir);
-            std::fs::remove_dir_all(&dir).ok();
-            (served.replies, files)
+            let store = MemStore::default();
+            let served = serve(&config(0), &store, stream.clone(), client);
+            (served.replies, store.files())
         };
         let (lockstep, lockstep_files) = run(Client::Lockstep);
         let (batched, batched_files) = run(Client::Pipelined);
@@ -1294,7 +819,6 @@ mod tests {
 
     #[test]
     fn a_barrier_met_mid_drain_is_carried_and_answered_in_arrival_order() {
-        let dir = temp_dir("carry");
         let stream = vec![
             submit(1, 8, 100, None, "free"),
             submit(2, 8, 100, None, "free"),
@@ -1303,7 +827,7 @@ mod tests {
             Request::Shutdown,
             Request::Query { id: 1 }, // behind the shutdown: refused
         ];
-        let served = serve(&config(&dir, 0), stream, Client::Pipelined);
+        let served = serve(&config(0), &MemStore::default(), stream, Client::Pipelined);
         let lines: Vec<&str> = served.replies.iter().map(|(l, _)| l.as_str()).collect();
         assert!(lines[0].contains("\"Running\""), "{lines:#?}");
         assert!(lines[1].contains("\"Waiting\""), "{lines:#?}");
@@ -1315,7 +839,6 @@ mod tests {
         assert_eq!(marks, [false, false, false, false, true, false]);
         // The `Bye` was delivered, so `done` is the writer's to drop.
         assert!(!served.done_dropped);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The journal a primary wrote, shipped frame by frame, takes a
@@ -1326,26 +849,27 @@ mod tests {
     /// same snapshot.
     #[test]
     fn replay_and_follower_apply_reproduce_the_live_snapshot() {
-        let primary_dir = temp_dir("primary");
-        let primary = config(&primary_dir, 7);
-        let live = serve(&primary, mixed_stream(), Client::Pipelined);
-        let files = dir_bytes(&primary_dir);
+        let primary_store = MemStore::default();
+        let primary = config(7);
+        let live = serve(&primary, &primary_store, mixed_stream(), Client::Pipelined);
+        let files = primary_store.files();
         assert!(
             files.iter().any(|(name, _)| name.starts_with("snapshot-")),
             "the run must rotate"
         );
 
-        let journal = primary.journal.as_ref().unwrap();
-        let recovered = recover(&primary, journal).expect("recover");
+        let recovered = recover(&primary_store, &primary);
         assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
         let replayed = recovered.into_parts().0.snapshot_json();
         assert!(replayed == live.snapshot, "snapshot + tail replay diverged");
         // From the very beginning too, not only from the last snapshot.
-        let full_dir = temp_dir("primary-full");
+        let full_store = MemStore::default();
         let mut frames = vec![Request::ReplHello];
         for (name, bytes) in &files {
             if name.starts_with("journal-") {
-                std::fs::write(full_dir.join(name), bytes).expect("copy segment");
+                full_store
+                    .create_durable(name, bytes)
+                    .expect("copy segment");
                 let seq: u64 = name["journal-".len()..name.len() - ".log".len()]
                     .parse()
                     .unwrap();
@@ -1359,9 +883,7 @@ mod tests {
                 }
             }
         }
-        let mut full = primary.clone();
-        full.journal.as_mut().unwrap().dir = full_dir.clone();
-        let recovered = recover(&full, full.journal.as_ref().unwrap()).expect("recover");
+        let recovered = recover(&full_store, &primary);
         // That replica never rotated, so it holds no saved mark and would
         // write a complete snapshot where the live one writes an
         // increment: compare what they hold, not what they would write.
@@ -1378,13 +900,11 @@ mod tests {
             Request::Snapshot,
         ]);
         let follow = |client: Client| {
-            let dir = temp_dir(&format!("follower-{client:?}"));
-            let mut follower = config(&dir, 7);
+            let store = MemStore::default();
+            let mut follower = config(7);
             follower.replication = Some(Replication::Follow("primary.invalid:0".into()));
-            let served = serve(&follower, frames.clone(), client);
-            let files = dir_bytes(&dir);
-            std::fs::remove_dir_all(&dir).ok();
-            (served, files)
+            let served = serve(&follower, &store, frames.clone(), client);
+            (served, store.files())
         };
         let (follower, follower_files) = follow(Client::Pipelined);
         assert!(follower.snapshot == live.snapshot, "follower diverged");
@@ -1404,9 +924,6 @@ mod tests {
         let (lockstep, lockstep_files) = follow(Client::Lockstep);
         assert_eq!(lockstep.replies, follower.replies);
         assert_eq!(lockstep_files, files);
-
-        std::fs::remove_dir_all(&primary_dir).ok();
-        std::fs::remove_dir_all(&full_dir).ok();
     }
 
     /// Several partitions, queues standing on two of them, and a
@@ -1417,13 +934,9 @@ mod tests {
     /// `Stats` and writes its snapshot byte for byte as the live one.
     #[test]
     fn a_contended_burst_over_two_partitions_recovers_to_the_live_stats() {
-        let dir = temp_dir("philly");
         let mut config = ServeConfig::new(SystemSpec::philly());
         config.sim.relax = Relax::Adaptive { base: 0.5 };
-        let mut journal = JournalConfig::new(dir.clone());
-        journal.fsync = FsyncPolicy::Never;
-        journal.snapshot_every = 0;
-        config.journal = Some(journal);
+        config.journal = Some(never_synced(0));
 
         let mut rng = lumos_stats::Rng::new(23);
         let mut next = move |bound: u64| rng.next_below(bound);
@@ -1450,7 +963,8 @@ mod tests {
                 },
             });
         }
-        let live = serve(&config, stream.clone(), Client::Pipelined);
+        let store = MemStore::default();
+        let live = serve(&config, &store, stream.clone(), Client::Pipelined);
         let waiting_on = |partition: u16| {
             let queued = stream.iter().zip(&live.replies).filter(|(req, (line, _))| {
                 matches!(req, Request::Submit { job } if job.virtual_cluster == Some(partition))
@@ -1467,7 +981,7 @@ mod tests {
             let stats = replica.metrics.report(&replica.session, 0, None, None);
             Response::Stats { stats }.to_line()
         };
-        let recovered = recover(&config, config.journal.as_ref().unwrap()).expect("recover");
+        let recovered = recover(&store, &config);
         assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
         let replayed = recovered.into_parts().0;
         assert!(stats(&replayed) == stats(&live.parts.0), "Stats diverged");
@@ -1475,106 +989,115 @@ mod tests {
             replayed.snapshot_json() == live.snapshot,
             "snapshot diverged"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A rotation that fails moves nothing: the journal keeps its
-    /// segment, the session keeps its saved mark, and the next rotation
-    /// that succeeds writes one increment on the last snapshot that
-    /// exists, covering both spans.
+    /// A rotation that fails moves nothing, whether the snapshot's temp
+    /// file cannot be created or cannot be renamed into place: the
+    /// journal keeps its segment, the session keeps its saved mark, and
+    /// the next rotation that succeeds writes one increment on the last
+    /// snapshot that exists, covering both spans.
     #[test]
     fn a_failed_rotation_keeps_the_mark_and_the_next_increment_covers_both_spans() {
-        let dir = temp_dir("rotate-fail");
-        let config = config(&dir, 7);
-        let journal = config.journal.as_ref().unwrap();
-        let mut commands = mixed_stream().into_iter();
-        let mut parts = recover(&config, journal).expect("recover").into_parts();
-        // Lockstep: every command is a round, and every round checks for
-        // a rotation.
-        let mut step = |parts, n: usize| {
-            let stream: Vec<Request> = commands.by_ref().take(n).collect();
-            assert!(!stream.is_empty(), "the stream ran out");
-            serve_on(&config, parts, stream, Client::Lockstep)
-        };
-        // Up to the first rotation: the chain's base.
-        while parts.1.seq() == 0 {
-            parts = step(parts, 1).parts;
-        }
-        assert_eq!(parts.0.session.save_delta().expect("marked").0, 1);
-        // The next snapshot's temp file cannot be created. A journal still
-        // asking for a rotation after a round has tried one and failed.
-        let in_the_way = dir.join("snapshot-000002.json.tmp");
-        std::fs::create_dir(&in_the_way).expect("block the temp file");
-        while !parts.1.wants_rotation() {
-            parts = step(parts, 1).parts;
-        }
-        parts = step(parts, 3).parts;
-        assert_eq!(parts.1.seq(), 1, "the journal keeps its segment");
-        assert_eq!(parts.0.session.save_delta().expect("marked").0, 1);
-        assert!(!crate::journal::snapshot_path(&dir, 2).exists());
+        for failing in [Op::Create, Op::Rename] {
+            let store = MemStore::default();
+            let config = config(7);
+            let mut commands = mixed_stream().into_iter();
+            let mut parts = recover(&store, &config).into_parts();
+            // Lockstep: every command is a round, and every round checks
+            // for a rotation.
+            let mut step = |parts, n: usize| {
+                let stream: Vec<Request> = commands.by_ref().take(n).collect();
+                assert!(!stream.is_empty(), "the stream ran out");
+                serve_on(&config, parts, stream, Client::Lockstep)
+            };
+            // Up to the first rotation: the chain's base.
+            while parts.1.seq() == 0 {
+                parts = step(parts, 1).parts;
+            }
+            assert_eq!(parts.0.session.save_delta().expect("marked").0, 1);
+            // The next snapshot cannot be written. A journal still asking
+            // for a rotation after a round has tried one and failed.
+            store.fail(failing, true);
+            while !parts.1.wants_rotation() {
+                parts = step(parts, 1).parts;
+            }
+            parts = step(parts, 3).parts;
+            assert_eq!(parts.1.seq(), 1, "the journal keeps its segment");
+            assert_eq!(parts.0.session.save_delta().expect("marked").0, 1);
+            assert!(!store.exists(&snapshot_name(2)), "{failing:?}");
 
-        std::fs::remove_dir(&in_the_way).expect("unblock the temp file");
-        let live = step(parts, usize::MAX);
-        assert!(live.parts.1.seq() > 2, "later rounds rotate again");
-        match recovery::read_snapshot(&dir, 2)
-            .expect("read snapshot 2")
-            .body
-        {
-            recovery::SnapshotBody::Delta { prev, .. } => assert_eq!(prev, 1),
-            recovery::SnapshotBody::Base(_) => panic!("snapshot 2 is not an increment"),
+            store.fail(failing, false);
+            let live = step(parts, usize::MAX);
+            assert!(live.parts.1.seq() > 2, "later rounds rotate again");
+            match read_snapshot_in(&store, 2).expect("read snapshot 2").body {
+                SnapshotBody::Delta { prev, .. } => assert_eq!(prev, 1),
+                SnapshotBody::Base(_) => panic!("snapshot 2 is not an increment"),
+            }
+            let recovered = recover(&store, &config);
+            assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
+            assert!(recovered.replayed < 7, "{}", recovered.replayed);
+            let replica = recovered.into_parts().0;
+            assert!(full_state(&replica) == live.state, "recovery diverged");
+            assert!(replica.snapshot_json() == live.snapshot);
         }
-        let recovered = recover(&config, journal).expect("recover");
-        assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
-        assert!(recovered.replayed < 7, "{}", recovered.replayed);
-        let replica = recovered.into_parts().0;
-        assert!(full_state(&replica) == live.state, "recovery diverged");
-        assert!(replica.snapshot_json() == live.snapshot);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A fresh replica over a journal whose segment is `/dev/full`: every
-    /// append fails.
-    #[cfg(target_os = "linux")]
-    fn on_a_full_disk(config: &ServeConfig, dir: &Path) -> (Replica, Journal) {
-        let segment = crate::journal::segment_path(dir, 0);
-        let _ = std::fs::remove_file(&segment);
-        std::os::unix::fs::symlink("/dev/full", segment).expect("symlink");
-        let journal = Journal::open_segment(config.journal.clone().unwrap(), 0, 1);
-        (Replica::fresh(config), journal.expect("open /dev/full"))
+    /// A fresh replica over a journal whose header is written and whose
+    /// every `op` from now on fails.
+    fn failing(config: &ServeConfig, op: Op) -> (Replica, Journal) {
+        let store = MemStore::default();
+        let jc = config.journal.clone().unwrap();
+        let journal = Journal::open_in(Arc::new(store.clone()), jc, 0, 1).expect("open");
+        store.fail(op, true);
+        (Replica::fresh(config), journal)
     }
 
-    #[cfg(target_os = "linux")]
+    /// A round whose write fails (a full disk), and one whose write lands
+    /// but whose sync fails.
     #[test]
     fn a_failed_append_stops_the_round_and_marks_one_terminal_reply() {
-        let dir = temp_dir("full");
-        let config = config(&dir, 0);
         let stream = vec![
             submit(1, 1, 10, None, "free"),
             Request::Query { id: 1 },
             submit(2, 1, 10, None, "free"),
             submit(1, 1, 10, None, "free"), // refused: never journaled
         ];
-        let full_disk = || on_a_full_disk(&config, &dir);
-        let served = serve_on(&config, full_disk(), stream.clone(), Client::Pipelined);
-        let stopping = fail_stop(&io::Error::from_raw_os_error(28)).to_line();
-        let lines: Vec<&str> = served.replies.iter().map(|(l, _)| l.as_str()).collect();
-        // Journaled members get the fail-stop error; the read and the
-        // refusal, which promised nothing durable, keep their answers.
-        assert_eq!(lines[0], stopping);
-        assert!(lines[1].contains("\"Job\""), "{lines:#?}");
-        assert_eq!(lines[2], stopping);
-        assert!(lines[3].contains("duplicate job id 1"), "{lines:#?}");
-        // The round's last reply carries `done`, read or not.
-        let marks: Vec<bool> = served.replies.iter().map(|&(_, done)| done).collect();
-        assert_eq!(marks, [false, false, false, true]);
-        assert!(!served.done_dropped);
+        for (op, fsync) in [
+            (Op::Write, FsyncPolicy::Never),
+            (Op::Sync, FsyncPolicy::Always),
+        ] {
+            let mut config = config(0);
+            config.journal.as_mut().unwrap().fsync = fsync;
+            let served = serve_on(
+                &config,
+                failing(&config, op),
+                stream.clone(),
+                Client::Pipelined,
+            );
+            let stopping = fail_stop(&MemStore::error(op)).to_line();
+            let lines: Vec<&str> = served.replies.iter().map(|(l, _)| l.as_str()).collect();
+            // Journaled members get the fail-stop error; the read and the
+            // refusal, which promised nothing durable, keep their answers.
+            assert_eq!(lines[0], stopping);
+            assert!(lines[1].contains("\"Job\""), "{lines:#?}");
+            assert_eq!(lines[2], stopping);
+            assert!(lines[3].contains("duplicate job id 1"), "{lines:#?}");
+            // The round's last reply carries `done`, read or not.
+            let marks: Vec<bool> = served.replies.iter().map(|&(_, done)| done).collect();
+            assert_eq!(marks, [false, false, false, true]);
+            assert!(!served.done_dropped);
 
-        // With nobody left to read the final reply, `done` goes with it
-        // as the scheduler sends it, so `run` does not wait.
-        let served = serve_on(&config, full_disk(), stream, Client::Vanished);
-        assert!(served.replies.is_empty());
-        assert!(served.done_dropped);
-        std::fs::remove_dir_all(&dir).ok();
+            // With nobody left to read the final reply, `done` goes with
+            // it as the scheduler sends it, so `run` does not wait.
+            let served = serve_on(
+                &config,
+                failing(&config, op),
+                stream.clone(),
+                Client::Vanished,
+            );
+            assert!(served.replies.is_empty());
+            assert!(served.done_dropped);
+        }
     }
 
     #[test]
@@ -1599,8 +1122,8 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let rx = rx;
-                let replica = Replica::fresh(&config);
-                Scheduler::new(&config, &shared, replica, None, None, done).run(&rx);
+                let mut core = Core::new(&config, Replica::fresh(&config), None, None);
+                serve_rounds(&mut core, &rx, &shared.backpressure_rejects, None, done);
             });
             serve_lines(input.as_bytes(), &mut out, &shared).expect("served");
         });
