@@ -71,7 +71,7 @@ pub struct SystemAnalysis {
 /// Replays `trace` with the given scheduler configuration and runs every
 /// per-figure analysis on the result.
 #[must_use]
-pub fn analyze_system_with(trace: &Trace, sim: &SimConfig) -> SystemAnalysis {
+pub(crate) fn analyze_system_with(trace: &Trace, sim: &SimConfig) -> SystemAnalysis {
     let result = simulate(trace, sim);
     // Rebuild a trace whose jobs carry the observed waits, for the
     // wait-dependent analyses.
@@ -94,7 +94,7 @@ pub fn analyze_system_with(trace: &Trace, sim: &SimConfig) -> SystemAnalysis {
     }
 }
 
-/// [`analyze_system_with`] under the default scheduler (FCFS + strict EASY,
+/// `analyze_system_with` under the default scheduler (FCFS + strict EASY,
 /// virtual clusters honoured) — the configuration the paper's observational
 /// sections correspond to.
 #[must_use]

@@ -39,7 +39,7 @@ pub struct SubmissionBehaviour {
 /// # Panics
 /// Panics if any job lacks a wait — replay the trace first.
 #[must_use]
-pub fn queue_lengths_at_submission(replayed: &Trace) -> Vec<usize> {
+pub(crate) fn queue_lengths_at_submission(replayed: &Trace) -> Vec<usize> {
     let mut starts: BinaryHeap<Reverse<i64>> = BinaryHeap::new();
     let mut out = Vec::with_capacity(replayed.len());
     for j in replayed.jobs() {

@@ -1,7 +1,10 @@
-//! Fig. 12 — runtime prediction with/without elapsed time, per system.
+//! Fig. 12 — runtime prediction with/without elapsed time, per system —
+//! and the loop §VI.A opens: predicted walltimes fed back to the scheduler.
 
 use lumos_core::SystemId;
+use lumos_predict::walltime::{last2_walltimes, perfect_walltimes, user_walltimes};
 use lumos_predict::{evaluate_trace, Fig12Row};
+use lumos_sim::{simulate_with_walltimes, Policy, SimConfig, SimMetrics};
 use lumos_traces::{systems, Generator, GeneratorConfig};
 use rayon::prelude::*;
 use serde::Serialize;
@@ -40,6 +43,42 @@ pub fn run_fig12(seed: u64, days: u32, max_instances: usize) -> Vec<Fig12System>
             }
         })
         .collect()
+}
+
+/// Prediction-driven backfilling (`lumos ablation-walltime`, paper §VI.A:
+/// "schedulers may reversely predict job run time"). One Theta trace is
+/// replayed under SJF + EASY with four sources of planning walltimes: the
+/// users' requests, Last2 predictions with a 1.5× and a 4× margin, and the
+/// actual runtimes (an oracle that bounds what any predictor can buy).
+/// Naive Last2 underestimates often, and an underestimate wrecks a backfill
+/// plan: the reason §VI.A optimises the underestimate rate first.
+#[must_use]
+pub fn walltime_ablation(seed: u64, days: u32) -> Vec<(String, SimMetrics)> {
+    let trace = Generator::new(
+        systems::profile_for(SystemId::Theta),
+        GeneratorConfig {
+            seed,
+            span_days: days,
+            ..GeneratorConfig::default()
+        },
+    )
+    .generate();
+    let cfg = SimConfig {
+        policy: Policy::Sjf,
+        ..SimConfig::default()
+    };
+    [
+        ("user walltimes", user_walltimes(&trace, 1.5)),
+        ("Last2 x1.5", last2_walltimes(&trace, 1.5)),
+        ("Last2 x4", last2_walltimes(&trace, 4.0)),
+        ("perfect oracle", perfect_walltimes(&trace)),
+    ]
+    .into_iter()
+    .map(|(name, walltimes)| {
+        let metrics = simulate_with_walltimes(&trace, &cfg, &walltimes).metrics;
+        (name.to_string(), metrics)
+    })
+    .collect()
 }
 
 #[cfg(test)]

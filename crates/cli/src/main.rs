@@ -30,6 +30,7 @@
 //!   all                everything above, + JSON report with --out
 //!   ablation-relax     relaxation-factor sweep on Theta, 4 days by default (DESIGN.md §4.2)
 //!   ablation-feedback  queue-feedback gradient on Philly (DESIGN.md §4.1)
+//!   ablation-walltime  planning walltimes under SJF + EASY on Theta, 10 days by default (paper §VI.A)
 //!
 //! other commands:
 //!   serve              online scheduling service (NDJSON over TCP + stdin)
@@ -43,7 +44,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lumos_analysis::SystemAnalysis;
-use lumos_cli::{feedback, fig12::run_fig12, render, table2};
+use lumos_cli::{feedback, fig12, render, table2};
 
 /// CLI failure, split so `main` can exit 2 on bad invocations and 1 on
 /// runtime errors.
@@ -156,7 +157,7 @@ const EXPERIMENTS: &[Experiment] = &[
         names: &["fig12"],
         title: "Fig. 12 (prediction)",
         run: Run::Generators(|o| {
-            let results = run_fig12(o.seed, o.days(), 20_000);
+            let results = fig12::run_fig12(o.seed, o.days(), 20_000);
             (render::fig12(&results), Some(("fig12", to_json(&results))))
         }),
     },
@@ -189,6 +190,14 @@ const EXPERIMENTS: &[Experiment] = &[
             let gradient = |on| feedback::minimal_gradient(o.seed, o.days(), on);
             let text = render::feedback_ablation(gradient(true), gradient(false));
             (text, None)
+        }),
+    },
+    Experiment {
+        names: &["ablation-walltime"],
+        title: "planning walltimes under SJF + EASY on Theta, 10 days by default (paper §VI.A)",
+        run: Run::Ablation(|o| {
+            let sweep = fig12::walltime_ablation(o.seed, o.days.unwrap_or(10));
+            (render::walltime_ablation(&sweep), None)
         }),
     },
 ];
@@ -793,12 +802,13 @@ mod tests {
     #[test]
     fn all_runs_every_row_that_is_not_an_ablation() {
         let all: Vec<_> = select("all").iter().map(|e| e.names[0]).collect();
-        let rest: Vec<_> = ["ablation-relax", "ablation-feedback"]
+        let ablations = ["ablation-relax", "ablation-feedback", "ablation-walltime"];
+        let rest: Vec<_> = ablations
             .iter()
             .flat_map(|name| select(name))
             .map(|e| e.names[0])
             .collect();
-        assert_eq!(rest, ["ablation-relax", "ablation-feedback"]);
+        assert_eq!(rest, ablations);
         let table: Vec<_> = EXPERIMENTS.iter().map(|e| e.names[0]).collect();
         assert_eq!([all, rest].concat(), table);
         assert_eq!(select("fig5")[0].names[0], "fig4");

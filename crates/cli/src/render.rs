@@ -311,6 +311,29 @@ pub fn relax_ablation(sweep: &[(String, SimMetrics)]) -> String {
     out
 }
 
+/// Renders the planning-walltime sweep (`fig12::walltime_ablation`).
+#[must_use]
+pub fn walltime_ablation(sweep: &[(String, SimMetrics)]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<16} {:>12} {:>10} {:>8} {:>12}",
+        "estimates", "mean wait", "bsld", "util", "p90 wait"
+    );
+    for (name, m) in sweep {
+        let _ = writeln!(
+            out,
+            "{:<16} {:>11.0}s {:>10.2} {:>7.1}% {:>11.0}s",
+            name,
+            m.mean_wait,
+            m.mean_bsld,
+            m.util * 100.0,
+            m.p90_wait,
+        );
+    }
+    out
+}
+
 /// Renders the queue-feedback ablation (`feedback::minimal_gradient` with
 /// feedback on, then off).
 #[must_use]

@@ -13,7 +13,8 @@ use rayon::prelude::*;
 use serde::Serialize;
 
 /// The systems Table II covers (DL traces carry no walltimes).
-pub const TABLE2_SYSTEMS: [SystemId; 3] = [SystemId::BlueWaters, SystemId::Mira, SystemId::Theta];
+pub(crate) const TABLE2_SYSTEMS: [SystemId; 3] =
+    [SystemId::BlueWaters, SystemId::Mira, SystemId::Theta];
 
 /// One Table II block: a system under both relaxation rules.
 #[derive(Debug, Clone, Serialize)]
@@ -35,7 +36,7 @@ impl Table2Row {
     /// (positive = adaptive better, i.e. smaller wait/bsld/violation or
     /// larger util).
     #[must_use]
-    pub fn improvement(&self, metric: &str) -> f64 {
+    pub(crate) fn improvement(&self, metric: &str) -> f64 {
         let (r, a, smaller_better) = match metric {
             "wait" => (self.relaxed.mean_wait, self.adaptive.mean_wait, true),
             "bsld" => (self.relaxed.mean_bsld, self.adaptive.mean_bsld, true),
@@ -58,7 +59,7 @@ impl Table2Row {
 /// only a couple hundred jobs per day, so Table II gives them 8× the
 /// window Blue Waters gets for comparable statistical weight.
 #[must_use]
-pub fn span_for(id: SystemId, days: u32) -> u32 {
+pub(crate) fn span_for(id: SystemId, days: u32) -> u32 {
     match id {
         SystemId::Mira | SystemId::Theta => days * 8,
         _ => days,
@@ -67,7 +68,7 @@ pub fn span_for(id: SystemId, days: u32) -> u32 {
 
 /// Runs one system under one relaxation rule.
 #[must_use]
-pub fn run_system(id: SystemId, seed: u64, days: u32, relax: Relax) -> SimMetrics {
+pub(crate) fn run_system(id: SystemId, seed: u64, days: u32, relax: Relax) -> SimMetrics {
     let trace = Generator::new(
         systems::profile_for(id),
         GeneratorConfig {
@@ -89,7 +90,7 @@ pub fn run_system(id: SystemId, seed: u64, days: u32, relax: Relax) -> SimMetric
 /// The independent simulation cells of the Table II grid: every
 /// `(system, relaxation rule)` pair, fixed rule first.
 #[must_use]
-pub fn table2_cells(base_factor: f64) -> Vec<(SystemId, Relax)> {
+pub(crate) fn table2_cells(base_factor: f64) -> Vec<(SystemId, Relax)> {
     TABLE2_SYSTEMS
         .iter()
         .flat_map(|&id| {

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use crate::time::{Duration, Timestamp};
 
 /// Unique job identifier within a trace.
-pub type JobId = u64;
+pub(crate) type JobId = u64;
 
 /// Unique user identifier within a trace.
 pub type UserId = u32;
@@ -40,21 +40,6 @@ impl JobStatus {
             Self::Passed => "Passed",
             Self::Failed => "Failed",
             Self::Killed => "Killed",
-        }
-    }
-
-    /// Classifies a POSIX signal number the way the paper does
-    /// (§IV.A): `SIGTERM`(15)/`SIGKILL`(9)/`SIGINT`(2) → Killed;
-    /// `SIGABRT`(6)/`SIGSEGV`(11)/`SIGBUS`(7)/`SIGFPE`(8)/`SIGILL`(4) → Failed.
-    /// `None` (clean exit, code 0) → Passed; any other nonzero exit → Failed.
-    #[must_use]
-    pub fn from_exit(signal: Option<u8>, exit_code: i32) -> Self {
-        match signal {
-            Some(2 | 9 | 15) => Self::Killed,
-            Some(4 | 6 | 7 | 8 | 11) => Self::Failed,
-            Some(_) => Self::Failed,
-            None if exit_code == 0 => Self::Passed,
-            None => Self::Failed,
         }
     }
 
@@ -165,16 +150,6 @@ impl Job {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn status_from_signals_matches_paper_rules() {
-        assert_eq!(JobStatus::from_exit(Some(15), 0), JobStatus::Killed);
-        assert_eq!(JobStatus::from_exit(Some(9), 0), JobStatus::Killed);
-        assert_eq!(JobStatus::from_exit(Some(6), 0), JobStatus::Failed);
-        assert_eq!(JobStatus::from_exit(Some(11), 0), JobStatus::Failed);
-        assert_eq!(JobStatus::from_exit(None, 0), JobStatus::Passed);
-        assert_eq!(JobStatus::from_exit(None, 1), JobStatus::Failed);
-    }
 
     #[test]
     fn core_hours_scales_with_procs_and_runtime() {

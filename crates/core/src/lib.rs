@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod categories;
+mod categories;
 pub mod error;
 pub mod job;
 pub mod system;
@@ -31,7 +31,7 @@ pub mod trace;
 
 pub use categories::{LengthClass, QueueClass, RequestClass, RuntimeClass, SizeClass};
 pub use error::{CoreError, Result};
-pub use job::{Job, JobId, JobStatus, UserId};
+pub use job::{Job, JobStatus, UserId};
 pub use system::{ResourceKind, SystemId, SystemKind, SystemSpec};
-pub use time::{hour_of_day, Duration, Timestamp, DAY, HOUR, MINUTE};
+pub use time::{hour_of_day, Duration, Timestamp, DAY, HOUR};
 pub use trace::Trace;

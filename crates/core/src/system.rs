@@ -143,14 +143,8 @@ impl SystemSpec {
 
     /// Fraction of the machine a request of `procs` units occupies.
     #[must_use]
-    pub fn fraction_of_machine(&self, procs: u64) -> f64 {
+    pub(crate) fn fraction_of_machine(&self, procs: u64) -> f64 {
         procs as f64 / self.total_units as f64
-    }
-
-    /// Units owned by one virtual cluster under an even split.
-    #[must_use]
-    pub fn units_per_virtual_cluster(&self) -> u64 {
-        self.total_units / u64::from(self.virtual_clusters)
     }
 
     // ---- The five paper systems (capacities from paper Table I) ----------
@@ -282,7 +276,6 @@ mod tests {
         let p = SystemSpec::philly();
         assert!(p.is_gpu_scheduled());
         assert_eq!(p.virtual_clusters, 14);
-        assert!(p.units_per_virtual_cluster() >= 1);
     }
 
     #[test]

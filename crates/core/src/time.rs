@@ -12,7 +12,7 @@ pub type Timestamp = i64;
 pub type Duration = i64;
 
 /// One minute, in seconds.
-pub const MINUTE: Duration = 60;
+pub(crate) const MINUTE: Duration = 60;
 
 /// One hour, in seconds.
 pub const HOUR: Duration = 3_600;
@@ -49,12 +49,6 @@ pub fn hour_of_day(t: Timestamp, tz_offset: Duration) -> u8 {
     (secs_in_day / HOUR) as u8
 }
 
-/// Returns the day index (0-based) of `t` relative to the trace epoch.
-#[must_use]
-pub fn day_index(t: Timestamp) -> i64 {
-    t.div_euclid(DAY)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,13 +69,5 @@ mod tests {
     #[test]
     fn hour_of_day_handles_positive_offsets() {
         assert_eq!(hour_of_day(23 * HOUR, 2 * HOUR), 1);
-    }
-
-    #[test]
-    fn day_index_is_floor_division() {
-        assert_eq!(day_index(-1), -1);
-        assert_eq!(day_index(0), 0);
-        assert_eq!(day_index(DAY - 1), 0);
-        assert_eq!(day_index(DAY), 1);
     }
 }

@@ -124,12 +124,6 @@ impl Trace {
         v
     }
 
-    /// Total consumed core-hours (resource-hours) across all jobs.
-    #[must_use]
-    pub fn total_core_hours(&self) -> f64 {
-        self.jobs.iter().map(Job::core_hours).sum()
-    }
-
     /// Count of jobs with the given status.
     #[must_use]
     pub fn count_status(&self, status: JobStatus) -> usize {
@@ -148,16 +142,6 @@ impl Trace {
             .cloned()
             .collect();
         Trace::new(self.system.clone(), jobs)
-    }
-
-    /// Replaces every job's recorded wait with `None` (used before replaying
-    /// a trace through the simulator).
-    #[must_use]
-    pub fn without_waits(mut self) -> Trace {
-        for j in &mut self.jobs {
-            j.wait = None;
-        }
-        self
     }
 }
 
@@ -255,20 +239,5 @@ mod tests {
         assert_eq!(w.len(), 1);
         assert_eq!(w.jobs()[0].id, 2);
         assert!(t.window(1_000, 2_000).is_err());
-    }
-
-    #[test]
-    fn core_hours_accumulate() {
-        let t = Trace::new(tiny_system(), vec![job(1, 1, 0), job(2, 1, 10)]).unwrap();
-        let expected = 2.0 * (64.0 * 100.0 / 3600.0);
-        assert!((t.total_core_hours() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn without_waits_clears_all() {
-        let mut j = job(1, 1, 0);
-        j.wait = Some(10);
-        let t = Trace::new(tiny_system(), vec![j]).unwrap().without_waits();
-        assert!(t.jobs().iter().all(|j| j.wait.is_none()));
     }
 }

@@ -35,7 +35,7 @@
 
 pub mod dataset;
 pub mod eval;
-pub mod linalg;
+mod linalg;
 pub mod metrics;
 pub mod models;
 pub mod online;

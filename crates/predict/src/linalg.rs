@@ -46,7 +46,7 @@ pub(crate) fn moments(x: &[Vec<f64>], targets: &[f64]) -> Vec<f64> {
 /// Returns `None` when the matrix is numerically singular.
 #[must_use]
 #[allow(clippy::needless_range_loop)] // index form mirrors the math
-pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+pub(crate) fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = b.len();
     assert_eq!(a.len(), n, "A must be n × n");
     for row in &a {

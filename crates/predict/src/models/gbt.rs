@@ -149,12 +149,6 @@ impl Gbt {
         }
     }
 
-    /// Number of fitted trees.
-    #[must_use]
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Grows one tree on `residuals`, level by level. On return
     /// `node_of[r]` is the leaf row `r` falls in.
     fn grow(
@@ -559,7 +553,7 @@ mod tests {
             .collect();
         let mut m = Gbt::default();
         m.fit(&x, &y, &vec![false; y.len()]);
-        assert_eq!(m.tree_count(), 40);
+        assert_eq!(m.trees.len(), 40);
         let lo = m.predict(&[2.0]);
         let hi = m.predict(&[8.0]);
         assert!((lo / 100.0 - 1.0).abs() < 0.2, "lo {lo}");

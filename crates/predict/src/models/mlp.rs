@@ -236,7 +236,7 @@ mod tests {
         use lumos_stats::Rng;
 
         /// A fitted network's weights in the row-major layout.
-        pub struct RowMajor {
+        pub(crate) struct RowMajor {
             w1: Vec<f64>,
             b1: Vec<f64>,
             w2: Vec<f64>,

@@ -8,9 +8,9 @@
 
 pub mod gbt;
 pub mod last2;
-pub mod linreg;
-pub mod mlp;
-pub mod tobit;
+mod linreg;
+mod mlp;
+mod tobit;
 
 pub use gbt::Gbt;
 pub use last2::Last2;

@@ -28,10 +28,10 @@ use serde::{Deserialize, Serialize};
 
 /// The cold-start estimate (seconds) for the very first job, before any
 /// runtime has been observed: one hour, the classic default.
-pub const COLD_START_WALLTIME: f64 = 3_600.0;
+pub(crate) const COLD_START_WALLTIME: f64 = 3_600.0;
 
 /// Floor (seconds) applied to every model-derived estimate.
-pub const MIN_WALLTIME: Duration = 60;
+pub(crate) const MIN_WALLTIME: Duration = 60;
 
 /// A streaming walltime predictor: constant-time prediction from bounded
 /// per-user state, updated one completion at a time.
@@ -66,7 +66,7 @@ struct UserHistory {
 
 /// Streaming Last2 predictor (Tsafrir-style): the mean of the user's last
 /// two observed runtimes × a safety margin, falling back to the running
-/// global mean for first-time users and to [`COLD_START_WALLTIME`] before
+/// global mean for first-time users and to `COLD_START_WALLTIME` before
 /// any observation. Mirrors [`crate::walltime::last2_walltimes`] exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Last2Online {

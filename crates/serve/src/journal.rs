@@ -272,7 +272,7 @@ pub fn encode_record_into(record: &JournalRecord, out: &mut String) {
 ///
 /// # Errors
 /// Describes the first framing, checksum, or JSON problem found.
-pub fn decode_line(line: &[u8]) -> Result<JournalRecord, String> {
+pub(crate) fn decode_line(line: &[u8]) -> Result<JournalRecord, String> {
     let text = std::str::from_utf8(line).map_err(|e| format!("record is not UTF-8: {e}"))?;
     let (len_field, rest) = text
         .split_once(' ')
@@ -486,14 +486,14 @@ impl Journal {
 
     /// Records in the active segment (including its `Config` header).
     #[must_use]
-    pub fn records_in_segment(&self) -> u64 {
+    pub(crate) fn records_in_segment(&self) -> u64 {
         self.records_in_segment
     }
 
     /// Byte length of the active segment — with [`Journal::seq`], the
     /// journal's replication position.
     #[must_use]
-    pub fn segment_bytes(&self) -> u64 {
+    pub(crate) fn segment_bytes(&self) -> u64 {
         self.segment_bytes
     }
 
@@ -546,7 +546,7 @@ impl Journal {
     /// Propagates write/sync errors — fail-stop, exactly like
     /// [`Journal::append`]: an unpersisted frame must never be
     /// acknowledged back to the primary.
-    pub fn append_raw_line(&mut self, frame: &str) -> io::Result<()> {
+    pub(crate) fn append_raw_line(&mut self, frame: &str) -> io::Result<()> {
         // One write for frame and newline: the file is unbuffered, and a
         // segment must never end in a whole frame that lacks its newline.
         self.scratch.clear();
@@ -601,7 +601,7 @@ impl Journal {
     ///
     /// # Errors
     /// Propagates I/O errors, like [`Journal::rotate`].
-    pub fn rotate_without_header(&mut self, snapshot_json: &str) -> io::Result<()> {
+    pub(crate) fn rotate_without_header(&mut self, snapshot_json: &str) -> io::Result<()> {
         let next = self.seq + 1;
         self.store
             .create_durable(&snapshot_name(next), snapshot_json.as_bytes())?;

@@ -48,7 +48,7 @@ mod store;
 
 pub use journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord};
 pub use lumos_predict::{Predictor, PredictorConfig};
-pub use metrics::{LiveMetrics, WAIT_PERCENTILES};
+pub use metrics::LiveMetrics;
 pub use protocol::{PredictionStats, ReplicationStats, Request, Response, ServeStats, SubmitSpec};
 pub use recovery::{recover, Recovered, ServerSnapshot, SnapshotBody};
 pub use server::{Replication, ServeConfig, Server};

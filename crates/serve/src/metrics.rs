@@ -35,7 +35,7 @@ use crate::protocol::{
 };
 
 /// The percentiles `stats` reports.
-pub const WAIT_PERCENTILES: [f64; 3] = [0.5, 0.9, 0.99];
+pub(crate) const WAIT_PERCENTILES: [f64; 3] = [0.5, 0.9, 0.99];
 
 /// Streaming wait-time aggregates for one tenant, parallel to the
 /// server's tenant table.

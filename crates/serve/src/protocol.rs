@@ -318,7 +318,7 @@ impl Request {
 /// replicated journal frame of about 1.3 KB (a segment's `Config` header),
 /// so this leaves room for tenant tables hundreds of times larger while a
 /// client that never sends a newline costs at most this much memory.
-pub const MAX_LINE_BYTES: usize = 1 << 20;
+pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// One line of an NDJSON stream, as [`read_line`] found it.
 pub(crate) enum Line<'a> {

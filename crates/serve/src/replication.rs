@@ -92,7 +92,7 @@ pub(crate) struct ReplLink {
 
 impl ReplLink {
     /// Wakes the sender: new journal bytes exist (or state changed).
-    pub fn notify(&self) {
+    pub(crate) fn notify(&self) {
         let mut epoch = self.epoch.lock().expect("repl epoch lock");
         *epoch += 1;
         self.cv.notify_all();

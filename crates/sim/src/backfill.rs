@@ -87,7 +87,12 @@ impl Relax {
     /// * `queue_len` / `max_queue_len` — current and running-maximum queue
     ///   lengths (the adaptive signal).
     #[must_use]
-    pub fn allowance(self, expected_wait: i64, queue_len: usize, max_queue_len: usize) -> i64 {
+    pub(crate) fn allowance(
+        self,
+        expected_wait: i64,
+        queue_len: usize,
+        max_queue_len: usize,
+    ) -> i64 {
         let wait = expected_wait.max(0) as f64;
         let factor = match self {
             Self::Strict => 0.0,

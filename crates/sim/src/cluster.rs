@@ -82,7 +82,7 @@ pub struct Cursor {
 /// empties, and is never merged), each under the *exact* smallest `procs`
 /// and smallest `wall` of its entries. An insert, a removal and a pop of
 /// the head shift the entries of one chunk, not the queue; and the
-/// backfill scan ([`WaitQueue::find_from`]) steps over every chunk whose
+/// backfill scan (`WaitQueue::find_from`) steps over every chunk whose
 /// two minima already rule out each of its entries, which in a standing
 /// queue thousands deep is most of them.
 ///
@@ -106,7 +106,7 @@ impl Default for WaitQueue {
 impl WaitQueue {
     /// Where a scan for backfill candidates starts: the entry behind the
     /// head.
-    pub const BEHIND_HEAD: Cursor = Cursor { chunk: 0, at: 1 };
+    pub(crate) const BEHIND_HEAD: Cursor = Cursor { chunk: 0, at: 1 };
 
     /// An empty queue.
     #[must_use]
@@ -153,7 +153,7 @@ impl WaitQueue {
     /// over the chunks' first entries and then inside one chunk. On a
     /// queue that `precedes` does not partition the entry lands somewhere
     /// — as on a slice — and every summary stays exact.
-    pub fn insert_by(&mut self, waiter: Waiter, mut precedes: impl FnMut(&Waiter) -> bool) {
+    pub(crate) fn insert_by(&mut self, waiter: Waiter, mut precedes: impl FnMut(&Waiter) -> bool) {
         // The last chunk that starts with a preceding entry, the first if
         // none does. Only the first chunk can be empty, and it is not
         // asked.
@@ -177,7 +177,7 @@ impl WaitQueue {
     }
 
     /// Removes and returns the entry at `at` (as [`WaitQueue::find`] and
-    /// [`WaitQueue::find_from`] return it); a scan goes on from the same
+    /// `WaitQueue::find_from` return it); a scan goes on from the same
     /// cursor. The chunk is re-measured only when the entry carried one
     /// of its minima.
     ///
@@ -221,7 +221,7 @@ impl WaitQueue {
     /// over when its two minima, taken as an entry, fail it — none of its
     /// entries passes then.
     #[must_use]
-    pub fn find_from(
+    pub(crate) fn find_from(
         &self,
         from: Cursor,
         free: u64,
@@ -313,7 +313,7 @@ impl WaitQueue {
     /// # Panics
     /// Panics, naming the chunk, when one of them does not hold.
     #[doc(hidden)]
-    pub fn assert_sound(&self) {
+    pub(crate) fn assert_sound(&self) {
         assert!(!self.chunks.is_empty(), "the first chunk is gone");
         let entries: usize = self.chunks.iter().map(|c| c.entries.len()).sum();
         assert_eq!(entries, self.len, "len out of step with the entries");
@@ -404,12 +404,12 @@ impl Partition {
     }
 
     /// The waiting jobs, to queue, start or cancel one.
-    pub fn waiting_mut(&mut self) -> &mut WaitQueue {
+    pub(crate) fn waiting_mut(&mut self) -> &mut WaitQueue {
         &mut self.waiting
     }
 
     /// The release ledger of the running jobs, as of the last
-    /// [`Partition::prune_to`].
+    /// `Partition::prune_to`.
     #[must_use]
     pub fn ledger(&self) -> &ReleaseLedger {
         &self.ledger
@@ -419,7 +419,7 @@ impl Partition {
     /// A job running past its estimate is not what a kept plan holds, and
     /// while one does the `now + 1` at which it is planned to end moves
     /// with the clock.
-    pub fn prune_to(&mut self, now: Timestamp) {
+    pub(crate) fn prune_to(&mut self, now: Timestamp) {
         self.ledger.prune_to(now);
         if self.ledger.overrun() > 0 {
             self.plan_diverged();
@@ -572,13 +572,13 @@ impl Cluster {
 
     /// Number of partitions.
     #[must_use]
-    pub fn partition_count(&self) -> usize {
+    pub(crate) fn partition_count(&self) -> usize {
         self.partitions.len()
     }
 
     /// Total capacity across partitions.
     #[must_use]
-    pub fn total_capacity(&self) -> u64 {
+    pub(crate) fn total_capacity(&self) -> u64 {
         self.partitions.iter().map(|p| p.capacity).sum()
     }
 
@@ -607,7 +607,7 @@ impl Cluster {
     }
 
     /// Mutable partition access.
-    pub fn partition_mut(&mut self, idx: usize) -> &mut Partition {
+    pub(crate) fn partition_mut(&mut self, idx: usize) -> &mut Partition {
         &mut self.partitions[idx]
     }
 

@@ -62,14 +62,14 @@ impl Policy {
     /// queues are re-sorted at every scheduling pass (shares move as jobs
     /// start and finish) instead of relying on the static insertion key.
     #[must_use]
-    pub fn is_fair_share(self) -> bool {
+    pub(crate) fn is_fair_share(self) -> bool {
         matches!(self, Self::MaxMinFair | Self::WeightedFair)
     }
 
     /// Whether fair-share ordering divides each tenant's share by its
     /// configured weight.
     #[must_use]
-    pub fn is_weighted(self) -> bool {
+    pub(crate) fn is_weighted(self) -> bool {
         matches!(self, Self::WeightedFair)
     }
 
@@ -85,7 +85,7 @@ impl Policy {
     /// runtime predictor supplies the scheduler's estimates instead of the
     /// user (`simulate_with_walltimes`).
     #[must_use]
-    pub fn key_with(self, job: &Job, walltime: lumos_core::Duration) -> f64 {
+    pub(crate) fn key_with(self, job: &Job, walltime: lumos_core::Duration) -> f64 {
         match self {
             Self::Fcfs => job.submit as f64,
             Self::Sjf => walltime as f64,

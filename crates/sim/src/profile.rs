@@ -180,7 +180,7 @@ impl CapacityProfile {
     /// # Panics
     /// Debug-asserts the ascending order.
     #[must_use]
-    pub fn from_sorted_running(
+    pub(crate) fn from_sorted_running(
         now: Timestamp,
         capacity: u64,
         running: impl Iterator<Item = (Timestamp, u64)> + Clone,
@@ -503,7 +503,7 @@ struct Chunk {
 /// * `free(t) = capacity − total + Σ_{key ≤ t} units` for `t > now`
 ///
 /// — an overrunning job is planned to end "any moment", i.e. at
-/// `now + 1`. That is the timeline [`CapacityProfile::from_sorted_running`]
+/// `now + 1`. That is the timeline `CapacityProfile::from_sorted_running`
 /// builds from end estimates clamped to `now + 1`, without ever being
 /// built: keys live in bounded chunks with a sum each, so a start, a
 /// completion and a prune touch one chunk, and a prefix-sum search walks
@@ -690,7 +690,7 @@ impl ReleaseLedger {
     /// Overwrites `profile` with the free-capacity timeline from the
     /// ledger's instant on — `(now, free_now)`, `(now + 1, …)` where the
     /// overrunning jobs hand back, then one breakpoint per key — point for
-    /// point what [`CapacityProfile::from_sorted_running`] builds from the
+    /// point what `CapacityProfile::from_sorted_running` builds from the
     /// running set with end estimates clamped to `now + 1`. A profile that
     /// stands on its own, so that reservations carved into it outlive the
     /// ledger's next change: what conservative backfilling keeps between

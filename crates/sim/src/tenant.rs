@@ -174,7 +174,7 @@ impl TenantTable {
 
     /// Id of the built-in `default` tenant.
     #[must_use]
-    pub fn default_tenant(&self) -> TenantId {
+    pub(crate) fn default_tenant(&self) -> TenantId {
         self.lookup(Self::DEFAULT)
             .expect("validated tables contain the default tenant")
     }
@@ -279,7 +279,7 @@ impl TenantState {
     }
 
     /// Rejects a submission that would push `tenant` past its quota.
-    pub fn quota_check(&self, tenant: TenantId, units: u64) -> Result<(), CoreError> {
+    pub(crate) fn quota_check(&self, tenant: TenantId, units: u64) -> Result<(), CoreError> {
         let t = usize::from(tenant);
         let in_use = self.outstanding[t];
         if let Some(quota) = self.table.get(tenant).quota {
@@ -295,7 +295,7 @@ impl TenantState {
         Ok(())
     }
 
-    pub fn on_submit(&mut self, tenant: TenantId, units: u64) {
+    pub(crate) fn on_submit(&mut self, tenant: TenantId, units: u64) {
         let t = usize::from(tenant);
         self.tenant_of.push(tenant);
         self.outstanding[t] += units;
@@ -303,13 +303,13 @@ impl TenantState {
         self.counts[t].pending += 1;
     }
 
-    pub fn on_arrive(&mut self, idx: usize) {
+    pub(crate) fn on_arrive(&mut self, idx: usize) {
         let t = usize::from(self.tenant_of[idx]);
         self.counts[t].pending -= 1;
         self.counts[t].waiting += 1;
     }
 
-    pub fn on_start(&mut self, idx: usize, units: u64, runtime: Duration) {
+    pub(crate) fn on_start(&mut self, idx: usize, units: u64, runtime: Duration) {
         let t = usize::from(self.tenant_of[idx]);
         self.counts[t].waiting -= 1;
         self.counts[t].running += 1;
@@ -317,7 +317,7 @@ impl TenantState {
         self.served[t] += units * runtime as u64;
     }
 
-    pub fn on_finish(&mut self, idx: usize, units: u64) {
+    pub(crate) fn on_finish(&mut self, idx: usize, units: u64) {
         let t = usize::from(self.tenant_of[idx]);
         self.counts[t].running -= 1;
         self.counts[t].finished += 1;
@@ -325,7 +325,7 @@ impl TenantState {
         self.outstanding[t] -= units;
     }
 
-    pub fn on_cancel(&mut self, idx: usize, units: u64, was: JobState) {
+    pub(crate) fn on_cancel(&mut self, idx: usize, units: u64, was: JobState) {
         let t = usize::from(self.tenant_of[idx]);
         match was {
             JobState::Pending => self.counts[t].pending -= 1,

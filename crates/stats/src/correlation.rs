@@ -6,7 +6,7 @@
 /// Pearson product-moment correlation. Returns `None` when either input has
 /// zero variance or the slices differ in length / are shorter than 2.
 #[must_use]
-pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
+pub(crate) fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
     if x.len() != y.len() || x.len() < 2 {
         return None;
     }
@@ -50,7 +50,7 @@ fn ranks(xs: &[f64]) -> Vec<f64> {
 }
 
 /// Spearman rank correlation (Pearson on mid-ranks). Same `None` conditions
-/// as [`pearson`].
+/// as `pearson`.
 #[must_use]
 pub fn spearman(x: &[f64], y: &[f64]) -> Option<f64> {
     if x.len() != y.len() || x.len() < 2 {

@@ -68,15 +68,6 @@ impl Exponential {
         assert!(rate.is_finite() && rate > 0.0, "bad exponential rate");
         Self { rate }
     }
-
-    /// Creates an exponential sampler with the given mean.
-    ///
-    /// # Panics
-    /// Panics if `mean <= 0` or non-finite.
-    #[must_use]
-    pub fn with_mean(mean: f64) -> Self {
-        Self::new(1.0 / mean)
-    }
 }
 
 impl Sampler for Exponential {
@@ -226,7 +217,7 @@ impl Discrete {
     /// Samples an index into the support (useful when values carry meaning
     /// beyond their numeric value).
     #[must_use]
-    pub fn sample_index(&self, rng: &mut Rng) -> usize {
+    pub(crate) fn sample_index(&self, rng: &mut Rng) -> usize {
         let x = rng.next_f64() * self.total;
         match self
             .cumulative
@@ -333,7 +324,7 @@ mod tests {
 
     #[test]
     fn exponential_mean() {
-        let s = Exponential::with_mean(120.0);
+        let s = Exponential::new(1.0 / 120.0);
         let xs = sample_n(&s, 1, 100_000);
         assert!((mean_of(&xs) - 120.0).abs() < 2.0);
         assert!(xs.iter().all(|&x| x >= 0.0));

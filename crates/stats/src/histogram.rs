@@ -56,12 +56,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Observations below `lo`.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Observations at or above `hi`.
     #[must_use]
     pub fn overflow(&self) -> u64 {
@@ -72,31 +66,6 @@ impl Histogram {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Center of bin `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len());
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-
-    /// Ratio of the largest to the smallest nonzero bin count — the paper's
-    /// "max-min ratio" for diurnal peak intensity (§III.A). Returns `None`
-    /// if fewer than two bins are populated.
-    #[must_use]
-    pub fn max_min_ratio(&self) -> Option<f64> {
-        let nonzero: Vec<u64> = self.counts.iter().copied().filter(|&c| c > 0).collect();
-        if nonzero.len() < 2 {
-            return None;
-        }
-        let max = *nonzero.iter().max().expect("non-empty");
-        let min = *nonzero.iter().min().expect("non-empty");
-        Some(max as f64 / min as f64)
     }
 }
 
@@ -155,23 +124,6 @@ impl LogHistogram {
         &self.counts
     }
 
-    /// Geometric center of bin `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len());
-        let width = (self.log_hi - self.log_lo) / self.counts.len() as f64;
-        (self.log_lo + width * (i as f64 + 0.5)).exp()
-    }
-
-    /// Observations below `lo`.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Observations at or above `hi`.
     #[must_use]
     pub fn overflow(&self) -> u64 {
@@ -202,28 +154,9 @@ mod tests {
         h.add(1.0);
         h.add(5.0);
         h.add(f64::NAN);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.total(), 0);
-    }
-
-    #[test]
-    fn bin_centers() {
-        let h = Histogram::new(0.0, 10.0, 10);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
-        assert!((h.bin_center(9) - 9.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_min_ratio() {
-        let mut h = Histogram::new(0.0, 3.0, 3);
-        for _ in 0..10 {
-            h.add(0.5);
-        }
-        h.add(1.5);
-        assert_eq!(h.max_min_ratio(), Some(10.0));
-        let empty = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(empty.max_min_ratio(), None);
     }
 
     #[test]
@@ -233,7 +166,6 @@ mod tests {
         h.add(50.0); // decade [10,100)
         h.add(500.0); // decade [100,1000)
         assert_eq!(h.counts(), &[1, 1, 1]);
-        assert!((h.bin_center(0) - 10f64.powf(0.5)).abs() < 1e-9);
     }
 
     #[test]
@@ -241,7 +173,7 @@ mod tests {
         let mut h = LogHistogram::new(1.0, 100.0, 2);
         h.add(0.5);
         h.add(100.0);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 1);
     }
 }

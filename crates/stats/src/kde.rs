@@ -11,7 +11,7 @@ use crate::quantile::quantile_sorted;
 
 /// Gaussian KDE over a 1-D sample.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Kde {
+pub(crate) struct Kde {
     sample: Vec<f64>,
     bandwidth: f64,
 }
@@ -44,12 +44,6 @@ impl Kde {
             sample: s,
             bandwidth,
         }
-    }
-
-    /// Selected bandwidth.
-    #[must_use]
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
     }
 
     /// Density estimate at `x`.
@@ -93,13 +87,6 @@ impl Kde {
                 (x, self.density(x))
             })
             .collect()
-    }
-
-    /// Location of the highest-density grid point — the violin's
-    /// "widest part" that §V.C reasons about.
-    #[must_use]
-    pub fn mode(&self, grid: usize) -> f64 {
-        peak(&self.curve(grid.max(2)))
     }
 }
 
@@ -207,13 +194,13 @@ mod tests {
         let mut rng = Rng::new(2);
         let sample: Vec<f64> = (0..5_000).map(|_| rng.next_gaussian()).collect();
         let kde = Kde::new(sample);
-        assert!(kde.mode(200).abs() < 0.2);
+        assert!(peak(&kde.curve(200)).abs() < 0.2);
     }
 
     #[test]
     fn constant_sample_does_not_explode() {
         let kde = Kde::new(vec![5.0; 100]);
-        assert!(kde.bandwidth() > 0.0);
+        assert!(kde.bandwidth > 0.0);
         assert!(kde.density(5.0).is_finite());
     }
 
@@ -223,7 +210,7 @@ mod tests {
         let mut sample: Vec<f64> = (0..1_000).map(|_| rng.next_gaussian() * 0.2).collect();
         sample.extend((0..3_000).map(|_| 10.0 + rng.next_gaussian() * 0.2));
         let kde = Kde::new(sample);
-        let mode = kde.mode(500);
+        let mode = peak(&kde.curve(500));
         assert!((mode - 10.0).abs() < 0.5, "mode {mode}");
     }
 
@@ -282,10 +269,10 @@ mod tests {
             .map(|_| (1.0 + rng.next_below(300) as f64) * if rng.chance(0.3) { 40.0 } else { 1.0 })
             .collect();
         let linear = ViolinSummary::build(&sample, false, 1.0, 80);
-        assert_eq!(linear.mode, Kde::new(sample.clone()).mode(80));
+        assert_eq!(linear.mode, peak(&Kde::new(sample.clone()).curve(80)));
         let log = ViolinSummary::build(&sample, true, 1.0, 80);
         let logs: Vec<f64> = sample.iter().map(|x| x.log10()).collect();
-        assert_eq!(log.mode, 10f64.powf(Kde::new(logs).mode(80)));
+        assert_eq!(log.mode, 10f64.powf(peak(&Kde::new(logs).curve(80))));
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!   log-normal, Pareto, Weibull, uniform, discrete, mixtures),
 //! * [`ecdf::Ecdf`] — empirical CDFs with interpolated quantiles,
 //! * [`mod@quantile`] — type-7 quantiles on slices,
-//! * [`histogram`] — linear and logarithmic histograms,
+//! * [`Histogram`], [`LogHistogram`] — linear and logarithmic histograms,
 //! * [`kde`] — Gaussian kernel density estimates (violin plots, Figs. 1a & 11),
 //! * [`summary::Summary`] — Welford streaming moments,
-//! * [`streaming::P2Quantile`] — P² streaming quantiles (O(1) memory),
+//! * [`streaming::QuantileBank`] — P² streaming quantiles (O(1) memory),
 //! * [`correlation`] — Pearson and Spearman coefficients,
 //! * [`fairness`] — Jain's fairness index over per-tenant allocations.
 //!
@@ -26,7 +26,7 @@ pub mod correlation;
 pub mod dist;
 pub mod ecdf;
 pub mod fairness;
-pub mod histogram;
+mod histogram;
 pub mod kde;
 pub mod quantile;
 pub mod rng;
@@ -37,8 +37,8 @@ pub use dist::{Discrete, Exponential, LogNormal, Mixture, Pareto, Sampler, Unifo
 pub use ecdf::Ecdf;
 pub use fairness::jain_index;
 pub use histogram::{Histogram, LogHistogram};
-pub use kde::{Kde, ViolinSummary};
+pub use kde::ViolinSummary;
 pub use quantile::{median, quantile, quantiles};
 pub use rng::Rng;
-pub use streaming::{P2Quantile, QuantileBank};
+pub use streaming::QuantileBank;
 pub use summary::Summary;

@@ -1,7 +1,8 @@
 //! Interpolated (type-7) quantiles on slices.
 
 /// Type-7 quantile of an **unsorted** sample (the R / NumPy default).
-/// Copies and sorts internally; use [`quantile_sorted`] in hot paths.
+/// Copies and sorts internally; the crate's hot paths sort once and call
+/// `quantile_sorted`.
 ///
 /// # Panics
 /// Panics on an empty sample or `p` outside `[0, 1]`.
@@ -18,7 +19,7 @@ pub fn quantile(sample: &[f64], p: f64) -> f64 {
 /// # Panics
 /// Panics on an empty sample or `p` outside `[0, 1]`.
 #[must_use]
-pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of empty sample");
     assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
     let n = sorted.len();

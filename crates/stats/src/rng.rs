@@ -134,15 +134,6 @@ impl Rng {
             xs.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.index(xs.len())])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -225,12 +216,5 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut r = Rng::new(1);
-        let empty: [u8; 0] = [];
-        assert!(r.choose(&empty).is_none());
     }
 }

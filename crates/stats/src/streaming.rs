@@ -1,6 +1,6 @@
 //! Streaming quantile estimation (the P² algorithm).
 //!
-//! [`P2Quantile`] estimates a single quantile of an unbounded stream in
+//! `P2Quantile` estimates a single quantile of an unbounded stream in
 //! O(1) memory — five markers whose heights track the quantile via
 //! piecewise-parabolic interpolation (Jain & Chlamtac, CACM 1985). The
 //! online scheduler uses it to report wait-time percentiles without
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// Exact for the first five observations; afterwards the estimate tracks
 /// the true quantile with error that shrinks as the stream grows.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct P2Quantile {
+pub(crate) struct P2Quantile {
     p: f64,
     /// Marker heights (estimates of the 0, p/2, p, (1+p)/2, 1 quantiles).
     heights: [f64; 5],

@@ -4,8 +4,8 @@
 //!
 //! 1. a **diurnally-modulated Poisson arrival process** (thinning),
 //! 2. a **Zipf user population** with per-user application templates
-//!    ([`crate::user::UserPool`]),
-//! 3. a **live FCFS backlog model** ([`crate::queue::FeedbackQueue`]) whose
+//!    (`user::UserPool`),
+//! 3. a **live FCFS backlog model** (`queue::FeedbackQueue`) whose
 //!    congestion signal modulates what users submit (paper §V.B), and
 //! 4. a **status model** conditioning Passed/Failed/Killed on the job's
 //!    intended geometry (paper §IV) and then re-conditioning runtime on the
@@ -73,25 +73,7 @@ impl Generator {
         let mut pool_rng = rng.fork(0xF0F0);
         let pool = UserPool::build(p, &mut pool_rng);
 
-        // Calibrate the arrival rate against the *realised* template pool
-        // (status-adjusted), not the raw distributions: the heavy-tailed
-        // size/runtime draws make the pool's expected demand differ from
-        // the distribution mean by large factors. Runtimes are additionally
-        // truncated to their expected overlap with the trace window — a
-        // week-long job submitted into a two-day window only loads the
-        // window with the part that falls inside it.
-        let window = (i64::from(cfg.span_days) * 86_400) as f64;
-        let expected_demand = pool.expected_demand(|t| {
-            let r = t.base_runtime * p.expected_status_runtime_factor(t.procs, t.base_runtime);
-            // Uniform arrival in [0, W): E[min(r, W − arrival)].
-            let r_eff = if r >= window {
-                window / 2.0
-            } else {
-                r * (1.0 - r / (2.0 * window))
-            };
-            t.procs as f64 * r_eff
-        });
-        let gap = expected_demand / (p.target_load * cfg.load_scale * p.spec.total_units as f64);
+        let gap = p.arrival_gap(&pool, cfg.span_days, cfg.load_scale);
         let base_rate = 1.0 / gap;
         let diurnal = p.normalized_diurnal();
         let lambda_max = base_rate * diurnal.iter().cloned().fold(f64::MIN, f64::max);

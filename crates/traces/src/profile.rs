@@ -8,6 +8,8 @@ use lumos_core::SystemSpec;
 use lumos_stats::dist::Sampler;
 use lumos_stats::Rng;
 
+use crate::user::UserPool;
+
 /// Base Passed / Failed / Killed weights before geometry conditioning
 /// (paper §IV: every system passes < 70 % of jobs).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,12 +59,12 @@ pub enum WalltimePolicy {
 /// Multipliers applied to the Killed weight by intended length class
 /// (short, middle, long). Mira's `long` multiplier is huge: the paper
 /// observes ~99 % of its long jobs are eventually killed.
-pub type LengthBoost = [f64; 3];
+pub(crate) type LengthBoost = [f64; 3];
 
 /// Multipliers applied to the Passed weight by size class (small, middle,
 /// large). On Philly/Helios the pass rate drops sharply with size; on the
 /// HPC systems size is irrelevant to status (paper Fig. 7a).
-pub type SizeBoost = [f64; 3];
+pub(crate) type SizeBoost = [f64; 3];
 
 /// The full behavioural parameterisation of one system's workload.
 pub struct SystemProfile {
@@ -122,35 +124,36 @@ pub struct SystemProfile {
 }
 
 impl SystemProfile {
-    /// Estimates the mean per-job demand (`procs × runtime` in
-    /// core-seconds) by Monte Carlo over the *unconditioned* template
-    /// distributions, then derives the mean arrival gap that hits
-    /// [`Self::target_load`] on this system.
-    ///
-    /// The estimate deliberately ignores status conditioning (failed jobs
-    /// running short, kills stretching) — those effects roughly cancel and
-    /// calibration tests in `systems.rs` pin the realised utilization.
+    /// The mean arrival gap (seconds) that offers `target_load ×
+    /// load_scale` to the machine over a `span_days` window, calibrated
+    /// against the *realised* template pool (status-adjusted), not the raw
+    /// distributions: the heavy-tailed size/runtime draws make the pool's
+    /// expected demand differ from the distribution mean by large factors.
+    /// Runtimes are additionally truncated to their expected overlap with
+    /// the trace window — a week-long job submitted into a two-day window
+    /// only loads the window with the part that falls inside it.
     #[must_use]
-    pub fn calibrated_arrival_gap(&self, seed: u64) -> f64 {
-        let mut rng = Rng::new(seed ^ 0xCA11_B0A7);
-        let n = 20_000;
-        let mut total = 0.0;
-        for _ in 0..n {
-            let procs = self.sample_procs(&mut rng);
-            let runtime = self.sample_base_runtime(&mut rng, procs);
-            total += procs as f64 * runtime;
-        }
-        let mean_demand = total / n as f64;
-        let capacity = self.spec.total_units as f64;
-        mean_demand / (self.target_load * capacity)
+    pub(crate) fn arrival_gap(&self, pool: &UserPool, span_days: u32, load_scale: f64) -> f64 {
+        let window = (i64::from(span_days) * 86_400) as f64;
+        let expected_demand = pool.expected_demand(|t| {
+            let r = t.base_runtime * self.expected_status_runtime_factor(t.procs, t.base_runtime);
+            // Uniform arrival in [0, W): E[min(r, W − arrival)].
+            let r_eff = if r >= window {
+                window / 2.0
+            } else {
+                r * (1.0 - r / (2.0 * window))
+            };
+            t.procs as f64 * r_eff
+        });
+        expected_demand / (self.target_load * load_scale * self.spec.total_units as f64)
     }
 
     /// Expected multiplier on a template's base runtime once the status
     /// model is applied: failed jobs die early, killed jobs stretch toward
-    /// (or hit) their walltime. Used by the arrival-rate calibration so the
+    /// (or hit) their walltime. Used by [`Self::arrival_gap`] so the
     /// offered load accounts for status-conditioned runtimes.
     #[must_use]
-    pub fn expected_status_runtime_factor(&self, procs: u64, base_runtime: f64) -> f64 {
+    pub(crate) fn expected_status_runtime_factor(&self, procs: u64, base_runtime: f64) -> f64 {
         use lumos_core::{LengthClass, SizeClass};
         let size = SizeClass::classify(procs, &self.spec);
         let length = LengthClass::classify(base_runtime as i64);
@@ -177,7 +180,7 @@ impl SystemProfile {
 
     /// Draws a template size (resource units), clamped to the machine.
     #[must_use]
-    pub fn sample_procs(&self, rng: &mut Rng) -> u64 {
+    pub(crate) fn sample_procs(&self, rng: &mut Rng) -> u64 {
         let raw = self.size_dist.sample(rng).round();
         (raw.max(1.0) as u64).min(self.spec.total_units)
     }
@@ -185,7 +188,7 @@ impl SystemProfile {
     /// Draws a template base runtime (seconds ≥ 1) for a job of `procs`
     /// units, applying the size-runtime coupling.
     #[must_use]
-    pub fn sample_base_runtime(&self, rng: &mut Rng, procs: u64) -> f64 {
+    pub(crate) fn sample_base_runtime(&self, rng: &mut Rng, procs: u64) -> f64 {
         let base = self.runtime_dist.sample(rng);
         let coupled = base * (procs as f64).powf(self.size_runtime_gamma);
         coupled.clamp(1.0, 60.0 * 86_400.0)
@@ -193,7 +196,7 @@ impl SystemProfile {
 
     /// Normalised diurnal intensity: entries scaled so the mean is 1.
     #[must_use]
-    pub fn normalized_diurnal(&self) -> [f64; 24] {
+    pub(crate) fn normalized_diurnal(&self) -> [f64; 24] {
         let sum: f64 = self.diurnal.iter().sum();
         assert!(sum > 0.0, "diurnal weights must have positive sum");
         let mean = sum / 24.0;
@@ -225,9 +228,10 @@ mod tests {
     #[test]
     fn calibrated_gap_scales_inversely_with_load() {
         let mut hi = systems::profile_for(SystemId::Theta);
-        let gap_base = hi.calibrated_arrival_gap(1);
+        let pool = UserPool::build(&hi, &mut Rng::new(1).fork(0xF0F0));
+        let gap_base = hi.arrival_gap(&pool, 1, 1.0);
         hi.target_load *= 2.0;
-        let gap_double = hi.calibrated_arrival_gap(1);
+        let gap_double = hi.arrival_gap(&pool, 1, 1.0);
         assert!((gap_base / gap_double - 2.0).abs() < 1e-9);
     }
 

@@ -17,15 +17,13 @@ use lumos_core::Timestamp;
 
 /// FCFS backlog model over a fixed pool of resource units.
 #[derive(Debug, Clone)]
-pub struct FeedbackQueue {
+pub(crate) struct FeedbackQueue {
     capacity: u64,
     free: u64,
     /// Running jobs as `(finish_time, procs)`, min-heap by finish time.
     running: BinaryHeap<Reverse<(Timestamp, u64)>>,
     /// Waiting jobs as `(procs, runtime)`, FIFO.
     waiting: VecDeque<(u64, i64)>,
-    /// Largest backlog ever observed.
-    peak: usize,
 }
 
 impl FeedbackQueue {
@@ -41,7 +39,6 @@ impl FeedbackQueue {
             free: capacity,
             running: BinaryHeap::new(),
             waiting: VecDeque::new(),
-            peak: 0,
         }
     }
 
@@ -92,7 +89,6 @@ impl FeedbackQueue {
             self.start(now, procs, runtime);
         } else {
             self.waiting.push_back((procs, runtime));
-            self.peak = self.peak.max(self.waiting.len());
         }
     }
 
@@ -100,12 +96,6 @@ impl FeedbackQueue {
     #[must_use]
     pub fn queue_len(&self) -> usize {
         self.waiting.len()
-    }
-
-    /// Largest backlog observed so far.
-    #[must_use]
-    pub fn peak_queue(&self) -> usize {
-        self.peak
     }
 
     /// Congestion fraction in `[0, 1]` against an expected maximum backlog.
@@ -116,12 +106,6 @@ impl FeedbackQueue {
         }
         (self.queue_len() as f64 / expected_max as f64).min(1.0)
     }
-
-    /// Units currently in use.
-    #[must_use]
-    pub fn used(&self) -> u64 {
-        self.capacity - self.free
-    }
 }
 
 /// A partitioned feedback model: one [`FeedbackQueue`] per virtual cluster,
@@ -129,7 +113,7 @@ impl FeedbackQueue {
 /// a user *sees at generation time* matches the congestion the replay will
 /// produce. On unpartitioned systems this degenerates to one queue.
 #[derive(Debug, Clone)]
-pub struct FeedbackCluster {
+pub(crate) struct FeedbackCluster {
     queues: Vec<FeedbackQueue>,
 }
 
@@ -187,12 +171,6 @@ impl FeedbackCluster {
     pub fn congestion(&self, vc: Option<u16>, expected_max: usize) -> f64 {
         self.queues[self.index(vc)].congestion(expected_max)
     }
-
-    /// Total waiting jobs across partitions.
-    #[must_use]
-    pub fn queue_len(&self) -> usize {
-        self.queues.iter().map(FeedbackQueue::queue_len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +183,7 @@ mod tests {
         q.advance(0);
         q.submit(0, 50, 10);
         assert_eq!(q.queue_len(), 0);
-        assert_eq!(q.used(), 50);
+        assert_eq!(q.capacity - q.free, 50);
     }
 
     #[test]
@@ -220,10 +198,10 @@ mod tests {
         // First job finishes at t=10; only one waiting job fits at a time.
         q.advance(10);
         assert_eq!(q.queue_len(), 1);
-        assert_eq!(q.used(), 60);
+        assert_eq!(q.capacity - q.free, 60);
         q.advance(20);
         assert_eq!(q.queue_len(), 0);
-        assert_eq!(q.used(), 60);
+        assert_eq!(q.capacity - q.free, 60);
     }
 
     #[test]
@@ -250,9 +228,9 @@ mod tests {
         assert_eq!(q.queue_len(), 2);
         q.advance(12);
         assert_eq!(q.queue_len(), 0);
-        assert_eq!(q.used(), 10);
+        assert_eq!(q.capacity - q.free, 10);
         q.advance(15);
-        assert_eq!(q.used(), 0);
+        assert_eq!(q.capacity - q.free, 0);
     }
 
     #[test]
@@ -265,7 +243,6 @@ mod tests {
         assert_eq!(q.queue_len(), 19);
         assert!((q.congestion(10) - 1.0).abs() < 1e-12);
         assert!((q.congestion(100) - 0.19).abs() < 1e-12);
-        assert_eq!(q.peak_queue(), 19);
     }
 
     #[test]
@@ -273,6 +250,6 @@ mod tests {
         let mut q = FeedbackQueue::new(10);
         q.advance(0);
         q.submit(0, 1_000, 10);
-        assert_eq!(q.used(), 10);
+        assert_eq!(q.capacity - q.free, 10);
     }
 }

@@ -18,8 +18,8 @@
 //!   GPU requests up to 2048, long-job-dominated core-hours.
 //!
 //! The mean arrival gap is **derived**, not hand-set: each profile declares
-//! a `target_load` and `SystemProfile::calibrated_arrival_gap` solves for
-//! the gap that offers that load to the machine.
+//! a `target_load` and `SystemProfile::arrival_gap` solves for the gap that
+//! offers that load to the machine with the generated user pool.
 
 use lumos_core::{SystemId, SystemSpec};
 use lumos_stats::dist::{Discrete, LogNormal, Mixture, Pareto, Sampler};
@@ -313,26 +313,35 @@ pub fn profile_for(id: SystemId) -> SystemProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::user::UserPool;
     use lumos_stats::Rng;
 
     #[test]
     fn arrival_gaps_land_in_the_right_regime() {
         // HPC systems arrive minutes apart; BW/DL systems arrive seconds
-        // apart — the paper's 10×+ density split (Fig. 1b).
-        let gap = |p: &SystemProfile| p.calibrated_arrival_gap(1);
-        let (m, t, b, ph, he) = (
-            gap(&mira()),
-            gap(&theta()),
-            gap(&blue_waters()),
-            gap(&philly()),
-            gap(&helios()),
-        );
-        assert!(m > 200.0, "Mira gap {m}");
-        assert!(t > 200.0, "Theta gap {t}");
-        assert!(b < 30.0, "Blue Waters gap {b}");
-        assert!(ph < 60.0, "Philly gap {ph}");
-        assert!(he < 60.0, "Helios gap {he}");
-        assert!(m > 10.0 * b, "HPC/hybrid density split");
+        // apart — the paper's 10×+ density split (Fig. 1b). The gap is the
+        // one `Generator::generate` uses: its pool, its seed fork.
+        for seed in 1..=5 {
+            for days in 1..=2 {
+                let gap = |p: SystemProfile| {
+                    let pool = UserPool::build(&p, &mut Rng::new(seed).fork(0xF0F0));
+                    p.arrival_gap(&pool, days, 1.0)
+                };
+                let (m, t, b, ph, he) = (
+                    gap(mira()),
+                    gap(theta()),
+                    gap(blue_waters()),
+                    gap(philly()),
+                    gap(helios()),
+                );
+                assert!(m > 200.0, "Mira gap {m}");
+                assert!(t > 200.0, "Theta gap {t}");
+                assert!(b < 30.0, "Blue Waters gap {b}");
+                assert!(ph < 60.0, "Philly gap {ph}");
+                assert!(he < 60.0, "Helios gap {he}");
+                assert!(m > 10.0 * b, "HPC/hybrid density split");
+            }
+        }
     }
 
     #[test]

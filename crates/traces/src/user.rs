@@ -3,7 +3,7 @@
 //! The paper's §V observations are *per-user* regularities: users resubmit a
 //! small set of application configurations (Fig. 8), adapt request size and
 //! runtime to queue pressure (Figs. 9–10), and show status-dependent runtime
-//! signatures (Fig. 11). [`UserPool`] encodes those regularities explicitly.
+//! signatures (Fig. 11). `UserPool` encodes those regularities explicitly.
 
 use lumos_core::UserId;
 use lumos_stats::Rng;
@@ -21,7 +21,7 @@ use crate::profile::SystemProfile;
 /// the same Fig. 8 resource-configuration group and gives the per-user
 /// violins of Fig. 11 their separated modes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Template {
+pub(crate) struct Template {
     /// Resource units the application always requests.
     pub procs: u64,
     /// Characteristic runtime in seconds (per-submission jitter is applied
@@ -41,7 +41,7 @@ pub struct Template {
 /// A user: an activity weight, an optional virtual-cluster binding, and a
 /// Zipf-popular menu of application templates.
 #[derive(Debug, Clone, PartialEq)]
-pub struct UserModel {
+pub(crate) struct UserModel {
     /// Trace-unique id.
     pub id: UserId,
     /// Relative submission weight (Zipf over the pool).
@@ -129,21 +129,9 @@ impl UserModel {
         }
     }
 
-    /// Number of templates.
-    #[must_use]
-    pub fn template_count(&self) -> usize {
-        self.templates.len()
-    }
-
-    /// Template list (popularity-ranked: index 0 is the favourite).
-    #[must_use]
-    pub fn templates(&self) -> &[Template] {
-        &self.templates
-    }
-
     /// Picks a template by Zipf popularity.
     #[must_use]
-    pub fn pick_template(&self, rng: &mut Rng) -> &Template {
+    pub(crate) fn pick_template(&self, rng: &mut Rng) -> &Template {
         let total = *self.cum_weights.last().expect("non-empty");
         let x = rng.next_f64() * total;
         let idx = match self
@@ -158,7 +146,7 @@ impl UserModel {
     /// The user's smallest template — what they fall back to when the queue
     /// is congested (§V.B).
     #[must_use]
-    pub fn smallest_template(&self) -> &Template {
+    pub(crate) fn smallest_template(&self) -> &Template {
         &self.templates[self.smallest]
     }
 
@@ -167,7 +155,7 @@ impl UserModel {
     /// Reusing a *real* template (rather than scaling runtimes) keeps the
     /// Fig. 8 resource-configuration groups intact.
     #[must_use]
-    pub fn shortest_template(&self) -> &Template {
+    pub(crate) fn shortest_template(&self) -> &Template {
         &self.templates[self.shortest]
     }
 
@@ -175,7 +163,7 @@ impl UserModel {
     /// popularity: `Σ P(template) × weight(template)` where `weight` is the
     /// caller-supplied demand function.
     #[must_use]
-    pub fn expected_demand(&self, demand: impl Fn(&Template) -> f64) -> f64 {
+    pub(crate) fn expected_demand(&self, demand: impl Fn(&Template) -> f64) -> f64 {
         let total = *self.cum_weights.last().expect("non-empty");
         let mut prev = 0.0;
         let mut acc = 0.0;
@@ -189,7 +177,7 @@ impl UserModel {
 
 /// The full user population of one synthetic system.
 #[derive(Debug, Clone, PartialEq)]
-pub struct UserPool {
+pub(crate) struct UserPool {
     users: Vec<UserModel>,
     cum_weights: Vec<f64>,
 }
@@ -228,24 +216,6 @@ impl UserPool {
         Self { users, cum_weights }
     }
 
-    /// Number of users.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.users.len()
-    }
-
-    /// True when the pool is empty (never, after `build`).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
-    }
-
-    /// All users.
-    #[must_use]
-    pub fn users(&self) -> &[UserModel] {
-        &self.users
-    }
-
     /// Expected per-job demand (core-seconds) across the whole pool: the
     /// user-activity-weighted mean of each user's template-weighted demand.
     /// This is what the arrival-rate calibration must use — with
@@ -254,7 +224,7 @@ impl UserPool {
     /// distributions directly would miss the utilization target by an order
     /// of magnitude.
     #[must_use]
-    pub fn expected_demand(&self, demand: impl Fn(&Template) -> f64 + Copy) -> f64 {
+    pub(crate) fn expected_demand(&self, demand: impl Fn(&Template) -> f64 + Copy) -> f64 {
         let total = *self.cum_weights.last().expect("non-empty pool");
         let mut prev = 0.0;
         let mut acc = 0.0;
@@ -267,7 +237,7 @@ impl UserPool {
 
     /// Picks a submitting user by Zipf activity weight.
     #[must_use]
-    pub fn pick(&self, rng: &mut Rng) -> &UserModel {
+    pub(crate) fn pick(&self, rng: &mut Rng) -> &UserModel {
         let total = *self.cum_weights.last().expect("non-empty pool");
         let x = rng.next_f64() * total;
         let idx = match self
@@ -295,7 +265,7 @@ mod tests {
     #[test]
     fn pool_size_matches_profile() {
         let p = pool(SystemId::Theta, 1);
-        assert_eq!(p.len(), systems::profile_for(SystemId::Theta).n_users);
+        assert_eq!(p.users.len(), systems::profile_for(SystemId::Theta).n_users);
     }
 
     #[test]
@@ -309,7 +279,7 @@ mod tests {
             if u.id == 0 {
                 count0 += 1;
             }
-            if u.id as usize == p.len() - 1 {
+            if u.id as usize == p.users.len() - 1 {
                 count_last += 1;
             }
         }
@@ -319,18 +289,18 @@ mod tests {
     #[test]
     fn template_popularity_is_skewed() {
         let p = pool(SystemId::BlueWaters, 4);
-        let user = &p.users()[0];
+        let user = &p.users[0];
         let mut rng = Rng::new(5);
         let mut first = 0;
         let n = 20_000;
         for _ in 0..n {
-            if std::ptr::eq(user.pick_template(&mut rng), &user.templates()[0]) {
+            if std::ptr::eq(user.pick_template(&mut rng), &user.templates[0]) {
                 first += 1;
             }
         }
         // The favourite template must dominate.
         assert!(
-            first as f64 / n as f64 > 1.5 / user.template_count() as f64,
+            first as f64 / n as f64 > 1.5 / user.templates.len() as f64,
             "favourite share {}",
             first as f64 / n as f64
         );
@@ -340,7 +310,7 @@ mod tests {
     fn philly_users_span_all_virtual_clusters() {
         let p = pool(SystemId::Philly, 6);
         let mut vcs: Vec<u16> = p
-            .users()
+            .users
             .iter()
             .map(|u| u.virtual_cluster.expect("Philly users are VC-bound"))
             .collect();
@@ -352,14 +322,14 @@ mod tests {
     #[test]
     fn unpartitioned_systems_have_no_vc() {
         let p = pool(SystemId::Helios, 7);
-        assert!(p.users().iter().all(|u| u.virtual_cluster.is_none()));
+        assert!(p.users.iter().all(|u| u.virtual_cluster.is_none()));
     }
 
     #[test]
     fn smallest_template_is_minimal() {
         let p = pool(SystemId::Philly, 8);
-        for u in p.users() {
-            let min = u.templates().iter().map(|t| t.procs).min().unwrap();
+        for u in &p.users {
+            let min = u.templates.iter().map(|t| t.procs).min().unwrap();
             assert_eq!(u.smallest_template().procs, min);
         }
     }

@@ -78,6 +78,7 @@ fn invocations_that_cannot_mean_anything_exit_2() {
         (&["fig12", "--swf", "x"], "--swf"),
         (&["table2", "--swf", "x"], "--swf"),
         (&["ablation-relax", "--swf", "x"], "--swf"),
+        (&["ablation-walltime", "--swf", "x"], "--swf"),
         (&["table1", "--system", "theta"], "--system"),
         (&["table1", "--system", "nosuch"], "--system"),
         (&["serve", "--group-commit", "4"], "unknown flag"),
@@ -123,6 +124,24 @@ adaptive-20%          2842s     2.82    59.3%        30.3s          1
 minimal-request share gradient (long queue − short queue):
   with feedback    : Some(0.045549292796606244)
   without feedback : Some(-0.007153182451793305)
+"
+    );
+}
+
+#[test]
+fn walltime_ablation_prints_the_rows_of_the_example_it_replaces() {
+    // `cargo run --example prediction_scheduling` (seed 13, 10 days), as it
+    // printed at the parent commit.
+    let out = lumos(&["ablation-walltime", "--seed", "13", "--days", "10"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(
+        stdout(&out),
+        "\
+estimates           mean wait       bsld     util     p90 wait
+user walltimes          2678s       2.21    64.5%        5602s
+Last2 x1.5              6122s       5.16    65.5%        9638s
+Last2 x4                7822s       6.07    65.3%        9600s
+perfect oracle          1842s       2.02    64.5%        4268s
 "
     );
 }
