@@ -1,7 +1,7 @@
 //! Scheduling metrics (paper §II.C) and the utilization timeline (Fig. 3).
 
 use lumos_core::{Duration, Job, Timestamp};
-use lumos_stats::quantile;
+use lumos_stats::quantiles;
 use serde::Serialize;
 
 /// The paper's scheduling metrics over one simulation run.
@@ -49,10 +49,6 @@ impl SimMetrics {
             .iter()
             .map(|j| j.wait.expect("job was scheduled") as f64)
             .collect();
-        let bslds: Vec<f64> = jobs
-            .iter()
-            .map(|j| j.bounded_slowdown(bsld_bound).expect("wait present"))
-            .collect();
 
         let first_submit = jobs.iter().map(|j| j.submit).min().expect("non-empty");
         let last_submit = jobs.iter().map(|j| j.submit).max().expect("non-empty");
@@ -95,12 +91,18 @@ impl SimMetrics {
             delays.iter().sum::<f64>() / delays.len() as f64
         };
 
+        let median_p90 = quantiles(&waits, &[0.5, 0.9]);
+        let bsld_sum: f64 = jobs
+            .iter()
+            .map(|j| j.bounded_slowdown(bsld_bound).expect("wait present"))
+            .sum();
+
         Self {
             jobs: jobs.len(),
             mean_wait: waits.iter().sum::<f64>() / waits.len() as f64,
-            median_wait: quantile(&waits, 0.5),
-            p90_wait: quantile(&waits, 0.9),
-            mean_bsld: bslds.iter().sum::<f64>() / bslds.len() as f64,
+            median_wait: median_p90[0],
+            p90_wait: median_p90[1],
+            mean_bsld: bsld_sum / jobs.len() as f64,
             util,
             violation,
             reserved_jobs: delays.len(),
@@ -182,6 +184,8 @@ impl UtilizationTimeline {
 mod tests {
     use super::*;
     use lumos_core::Job;
+    use lumos_stats::quantile;
+    use proptest::prelude::*;
 
     fn scheduled_job(id: u64, submit: i64, wait: i64, runtime: i64, procs: u64) -> Job {
         let mut j = Job::basic(id, 1, submit, runtime, procs);
@@ -214,6 +218,41 @@ mod tests {
         assert_eq!(m.reserved_jobs, 3);
         assert_eq!(m.violated_jobs, 1);
         assert!((m.violation - 20.0).abs() < 1e-12);
+    }
+
+    /// `median_wait` and `p90_wait` over jobs with these waits, after
+    /// asserting that they are, bit for bit, what `lumos_stats::quantile`
+    /// gives on the waits.
+    fn order_statistics(waits: &[i64]) -> (f64, f64) {
+        let jobs: Vec<Job> = (0..)
+            .zip(waits)
+            .map(|(i, &w)| scheduled_job(i, i as i64 % 7, w, 1 + i as i64 % 5, 1))
+            .collect();
+        let m = SimMetrics::compute(&jobs, 4, 10, &[]);
+        let sample: Vec<f64> = waits.iter().map(|&w| w as f64).collect();
+        assert_eq!(m.median_wait.to_bits(), quantile(&sample, 0.5).to_bits());
+        assert_eq!(m.p90_wait.to_bits(), quantile(&sample, 0.9).to_bits());
+        (m.median_wait, m.p90_wait)
+    }
+
+    #[test]
+    fn order_statistics_on_and_between_ranks() {
+        // n = 11: 0.5 · 10 and 0.9 · 10 are whole, so both are waits.
+        let on = order_statistics(&[40, 0, 7, 7, 300, 1, 0, 90, 7, 2, 55]);
+        assert_eq!(on, (7.0, 90.0));
+        // n = 4: 0.5 · 3 and 0.9 · 3 are not, so both interpolate.
+        let (median, p90) = order_statistics(&[10, 0, 30, 20]);
+        assert_eq!(median, 15.0);
+        assert!(20.0 < p90 && p90 < 30.0, "{p90}");
+    }
+
+    proptest! {
+        #[test]
+        fn order_statistics_are_the_type7_quantiles(
+            waits in prop::collection::vec(0i64..12, 1..=300),
+        ) {
+            order_statistics(&waits);
+        }
     }
 
     #[test]

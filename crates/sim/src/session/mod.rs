@@ -179,7 +179,7 @@ pub struct SimSession {
     state: Vec<JobState>,
     /// First job table index for each id (for `query`/`cancel`).
     by_id: HashMap<u64, usize>,
-    /// Submitted jobs not yet arrived, ascending by `(submit, id)`.
+    /// Submitted jobs not yet arrived, ascending by `(submit, id, row)`.
     pending: VecDeque<usize>,
     cluster: Cluster,
     finish_heap: BinaryHeap<Reverse<(Timestamp, usize)>>,
@@ -430,13 +430,30 @@ impl SimSession {
             ts.on_submit(owner.expect("tenancy on implies an owner"), procs_eff);
         }
 
-        let key = (job.submit, job.id);
         self.jobs.push(job);
-        let jobs = &self.jobs;
-        let pos = self
-            .pending
-            .partition_point(|&i| (jobs[i].submit, jobs[i].id) <= key);
-        self.pending.insert(pos, idx);
+        // The new row is the largest, so it goes behind every equal
+        // `(submit, id)`: an arrival not ahead of the back appends, and
+        // only one that sorts ahead of it pays for the search.
+        let key = self.pending_key(idx);
+        let pos = match self.pending.back() {
+            Some(&back) if self.pending_key(back) > key => {
+                let pos = self.pending.partition_point(|&i| self.pending_key(i) < key);
+                self.pending.insert(pos, idx);
+                pos
+            }
+            _ => {
+                self.pending.push_back(idx);
+                self.pending.len() - 1
+            }
+        };
+        debug_assert!(
+            (pos == 0 || self.pending_key(self.pending[pos - 1]) < key)
+                && self
+                    .pending
+                    .get(pos + 1)
+                    .is_none_or(|&next| key < self.pending_key(next)),
+            "pending queue out of (submit, id, row) order at {pos}"
+        );
         Ok(())
     }
 
@@ -484,15 +501,39 @@ impl SimSession {
         true
     }
 
+    /// Row `idx`'s place in the pending queue's one order, `(submit, id,
+    /// row)`: the row breaks the tie between two live jobs under one id,
+    /// which batch replay allows.
+    fn pending_key(&self, idx: usize) -> (Timestamp, u64, usize) {
+        (self.jobs[idx].submit, self.jobs[idx].id, idx)
+    }
+
     /// Where pending job `idx` stands in the pending queue: a search on
-    /// its `(submit, id)` order, then a scan of the run of equal keys —
-    /// batch replay allows two live jobs under one id.
+    /// its total `(submit, id, row)` order.
     fn pending_position(&self, idx: usize) -> usize {
-        let key_of = |i: usize| (self.jobs[i].submit, self.jobs[i].id);
-        let key = key_of(idx);
-        let run = self.pending.partition_point(|&i| key_of(i) < key);
-        let within = self.pending.range(run..).position(|&i| i == idx);
-        run + within.expect("pending job is in the pending queue")
+        let key = self.pending_key(idx);
+        self.pending
+            .binary_search_by_key(&key, |&i| self.pending_key(i))
+            .expect("pending job is in the pending queue")
+    }
+
+    /// Sizes the job table's columns, the id map and the pending queue to
+    /// hold `rows` rows without growing: batch replay and restore know
+    /// the table's length before the first row goes in.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        fn column<T>(v: &mut Vec<T>, rows: usize) {
+            v.reserve(rows.saturating_sub(v.len()));
+        }
+        column(&mut self.jobs, rows);
+        column(&mut self.procs_eff, rows);
+        column(&mut self.plan_wall, rows);
+        column(&mut self.part_of, rows);
+        column(&mut self.key_of, rows);
+        column(&mut self.promised, rows);
+        column(&mut self.state, rows);
+        self.by_id.reserve(rows.saturating_sub(self.by_id.len()));
+        self.pending
+            .reserve(rows.saturating_sub(self.pending.len()));
     }
 
     /// The table row of the job with `id` (first submission wins when ids
@@ -1897,6 +1938,34 @@ mod tests {
         s.advance_to_completion();
         twin.advance_to_completion();
         assert_eq!(s.save_state(), twin.save_state());
+    }
+
+    #[test]
+    fn a_restored_pending_queue_keeps_equal_keys_in_row_order() {
+        // 24 pairs of live jobs, each pair under one `(submit, id)` (batch
+        // replay allows it) and the two halves of a pair of different
+        // sizes, all still to arrive: enough rows that an unstable sort
+        // on `(submit, id)` alone swaps some pairs. A restore must bring
+        // each pair back in row order, and a cancel (of a pair's first
+        // row) must then continue as it does in the live session.
+        let mut live = SimSession::new(&tiny(), SimConfig::default());
+        live.allow_duplicate_ids = true;
+        live.submit(job(100, 0, 500, 100, 500)).unwrap();
+        for n in 0..48u64 {
+            let (id, half) = (n % 24, n / 24);
+            let submit = 10 + (id / 3) as i64;
+            live.submit(job(id, submit, 40 + 30 * half as i64, 30 + 40 * half, 200))
+                .unwrap();
+        }
+        live.advance_to(5);
+        let mut restored = SimSession::restore(&tiny(), live.save_state()).unwrap();
+        assert_eq!(restored.pending, live.pending);
+        assert!(live.cancel(7));
+        assert!(restored.cancel(7));
+        assert_eq!(restored.save_state(), live.save_state());
+        live.advance_to_completion();
+        restored.advance_to_completion();
+        assert_eq!(restored.save_state(), live.save_state());
     }
 
     #[test]

@@ -357,26 +357,30 @@ impl SimSession {
                 max_queue.len()
             )));
         }
-        let mut pending: Vec<usize> = Vec::new();
+        s.jobs = jobs;
+        s.plan_wall = plan_wall;
+        s.promised = promised;
+        s.state = states;
+        s.reserve(s.jobs.len());
         let mut waiting: Vec<usize> = Vec::new();
-        for (idx, job) in jobs.iter().enumerate() {
+        for (idx, job) in s.jobs.iter().enumerate() {
             let part = s.cluster.route(job.virtual_cluster, job.procs);
             let cap = s.cluster.partition(part).capacity;
-            let wall = plan_wall[idx];
+            let wall = s.plan_wall[idx];
             s.part_of.push(part);
             s.procs_eff.push(job.procs.min(cap));
             s.key_of.push(s.config.policy.key_with(job, wall));
             s.by_id.entry(job.id).or_insert(idx);
-            match states[idx] {
+            match s.state[idx] {
                 JobState::Pending | JobState::Waiting => {
                     if job.wait.is_some() {
                         return Err(CoreError::InvalidSnapshot(format!(
                             "job {} is {:?} but already has a wait",
-                            job.id, states[idx]
+                            job.id, s.state[idx]
                         )));
                     }
-                    if states[idx] == JobState::Pending {
-                        pending.push(idx);
+                    if s.state[idx] == JobState::Pending {
+                        s.pending.push_back(idx);
                     } else {
                         waiting.push(idx);
                     }
@@ -385,10 +389,10 @@ impl SimSession {
                     let Some(wait) = job.wait else {
                         return Err(CoreError::InvalidSnapshot(format!(
                             "job {} is {:?} but has no recorded wait",
-                            job.id, states[idx]
+                            job.id, s.state[idx]
                         )));
                     };
-                    if states[idx] == JobState::Running {
+                    if s.state[idx] == JobState::Running {
                         let start = job.submit + wait;
                         let procs = job.procs.min(cap);
                         let p = s.cluster.partition_mut(part);
@@ -407,10 +411,6 @@ impl SimSession {
                 JobState::Cancelled => s.cancelled_count += 1,
             }
         }
-        s.jobs = jobs;
-        s.plan_wall = plan_wall;
-        s.promised = promised;
-        s.state = states;
         s.tenants = match (tenants, tenant_of) {
             (None, None) => None,
             (Some(table), Some(owners)) => {
@@ -425,8 +425,12 @@ impl SimSession {
                 ))
             }
         };
-        pending.sort_unstable_by_key(|&i| (s.jobs[i].submit, s.jobs[i].id));
-        s.pending = pending.into();
+        // The live queue's one order, `(submit, id, row)`: the row keeps
+        // two jobs under one `(submit, id)` in submission order.
+        let jobs = &s.jobs;
+        s.pending
+            .make_contiguous()
+            .sort_unstable_by_key(|&i| (jobs[i].submit, jobs[i].id, i));
         // Queue order is not stored: each job goes back where its static
         // key puts it.
         for idx in waiting {

@@ -102,6 +102,7 @@ fn replay(trace: &Trace, config: &SimConfig, walltimes: Option<&[Duration]>) -> 
     // first-wins rule — every job runs, id lookups resolve to the first
     // submission — while the incremental API rejects live duplicates.
     session.allow_duplicate_ids = true;
+    session.reserve(trace.len());
     for (i, job) in trace.jobs().iter().enumerate() {
         session
             .submit(Submission {

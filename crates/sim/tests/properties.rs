@@ -229,6 +229,41 @@ proptest! {
         check_incremental_matches_batch(&trace, &config, seed)?;
     }
 
+    /// Arrivals submitted out of order, all before the first advance, take
+    /// the pending queue's search branch (a batch replay only appends);
+    /// the schedule must be the in-order one. Rows follow submission
+    /// order, so waits are compared by id, and the mean, which sums in
+    /// row order, is left out.
+    #[test]
+    fn shuffled_future_submissions_match_in_order_replay(
+        jobs in arb_jobs(50),
+        config in arb_config(),
+        seed in any::<u64>(),
+    ) {
+        let trace = Trace::new(tiny_system(50), jobs).unwrap();
+        let batch = simulate(&trace, &config);
+        let mut shuffled: Vec<Job> = trace.jobs().to_vec();
+        let mut rng = TestRng::new(seed);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.next_u64() as usize % (i + 1));
+        }
+        let mut session = SimSession::new(&trace.system, config);
+        for j in shuffled {
+            session.submit(j).map_err(|e| TestCaseError::fail(format!("submit: {e}")))?;
+        }
+        let online = session.into_result();
+        let waits = |jobs: &[Job]| {
+            let mut by_id: Vec<(u64, Option<i64>)> = jobs.iter().map(|j| (j.id, j.wait)).collect();
+            by_id.sort_unstable();
+            by_id
+        };
+        prop_assert_eq!(waits(&online.jobs), waits(&batch.jobs));
+        prop_assert_eq!(online.metrics.violated_jobs, batch.metrics.violated_jobs);
+        prop_assert_eq!(online.max_queue_len, batch.max_queue_len);
+        prop_assert_eq!(online.metrics.median_wait.to_bits(), batch.metrics.median_wait.to_bits());
+        prop_assert_eq!(online.metrics.p90_wait.to_bits(), batch.metrics.p90_wait.to_bits());
+    }
+
     /// A session checkpointed (through JSON) and restored at an arbitrary
     /// point mid-stream must finish with exactly the batch outcome — the
     /// invariant crash recovery in `lumos-serve` is built on.
