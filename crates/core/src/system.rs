@@ -248,6 +248,35 @@ impl SystemSpec {
     }
 }
 
+/// Splits `total_units` across `partitions` virtual clusters with Zipf(½)
+/// weights, largest first — production virtual clusters are deliberately
+/// uneven, and the heaviest groups own the biggest slices. Every partition
+/// receives at least one unit and rounding leftovers go to the largest.
+/// The simulator's cluster and the generator's feedback queue both split
+/// this way, so the congestion a user sees at generation time matches the
+/// congestion the replay produces.
+///
+/// # Panics
+/// Panics if `partitions == 0`.
+#[must_use]
+pub fn virtual_cluster_units(total_units: u64, partitions: usize) -> Vec<u64> {
+    assert!(partitions > 0, "a machine has at least one partition");
+    if partitions == 1 {
+        return vec![total_units];
+    }
+    let weights: Vec<f64> = (0..partitions)
+        .map(|i| 1.0 / ((i + 1) as f64).sqrt())
+        .collect();
+    let total_w: f64 = weights.iter().sum();
+    let mut caps: Vec<u64> = weights
+        .iter()
+        .map(|w| ((w / total_w) * total_units as f64).floor().max(1.0) as u64)
+        .collect();
+    let assigned: u64 = caps.iter().sum();
+    caps[0] += total_units.saturating_sub(assigned);
+    caps
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

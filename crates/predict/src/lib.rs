@@ -19,7 +19,7 @@
 //! * [`models::Mlp`] — a small feed-forward network.
 //!
 //! For serving, [`online`] provides *streaming* predictors
-//! ([`OnlinePredictor`]): the Last2 model in incremental form plus a
+//! ([`Predictor`]): the Last2 model in incremental form plus a
 //! pass-through "user" provider, with serializable state so `lumos-serve`
 //! can checkpoint them and rebuild them deterministically during crash
 //! recovery. The batch walltime providers in [`walltime`] delegate to them.
@@ -44,4 +44,4 @@ pub mod walltime;
 pub use dataset::{Dataset, Instance};
 pub use eval::{evaluate_trace, Fig12Row, ModelKind};
 pub use metrics::{accuracy, underestimate_rate, PredictionScore};
-pub use online::{Last2Online, OnlinePredictor, Predictor, PredictorConfig, UserOnline};
+pub use online::{Last2Online, Predictor, PredictorConfig, UserOnline};

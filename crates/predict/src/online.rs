@@ -4,10 +4,12 @@
 //! and emit one estimate per job. A live scheduler cannot do that: jobs
 //! arrive one at a time and the predictor must answer *before* the next
 //! submission, from state it carries forward. This module provides that
-//! form — an [`OnlinePredictor`] is fed completions via
-//! [`OnlinePredictor::observe`] and asked for planning walltimes via
-//! [`OnlinePredictor::predict`], holding constant state per user
-//! (last two runtimes) plus a running global mean.
+//! form — a [`Predictor`] is fed completions via [`Predictor::observe`]
+//! and asked for planning walltimes via [`Predictor::predict`], holding
+//! constant state per user (last two runtimes) plus a running global mean.
+//! Estimates for a job may use only jobs submitted before it — callers
+//! `predict` first and `observe` after (strictly online, no leakage of
+//! the job's own runtime).
 //!
 //! Two invariants matter for `lumos-serve`:
 //!
@@ -32,26 +34,6 @@ pub(crate) const COLD_START_WALLTIME: f64 = 3_600.0;
 
 /// Floor (seconds) applied to every model-derived estimate.
 pub(crate) const MIN_WALLTIME: Duration = 60;
-
-/// A streaming walltime predictor: constant-time prediction from bounded
-/// per-user state, updated one completion at a time.
-///
-/// Estimates for a job may use only jobs submitted before it — callers
-/// must `predict` first and `observe` after (strictly online, no leakage
-/// of the job's own runtime).
-pub trait OnlinePredictor {
-    /// Planning walltime (seconds) for the next job of `user`.
-    /// `requested` is the walltime the client supplied, if any; providers
-    /// are free to ignore it.
-    fn predict(&self, user: UserId, requested: Option<Duration>) -> Duration;
-
-    /// Absorbs an observed runtime for `user` (floored at 1 s, matching
-    /// the batch providers).
-    fn observe(&mut self, user: UserId, runtime: Duration);
-
-    /// Display name.
-    fn name(&self) -> &'static str;
-}
 
 /// Per-user runtime history: the user's last two observed runtimes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,10 +91,11 @@ impl Last2Online {
     pub fn observed(&self) -> u64 {
         self.seen
     }
-}
 
-impl OnlinePredictor for Last2Online {
-    fn predict(&self, user: UserId, _requested: Option<Duration>) -> Duration {
+    /// Planning walltime (seconds) for the next job of `user`; the
+    /// client's `requested` walltime is ignored.
+    #[must_use]
+    pub fn predict(&self, user: UserId, _requested: Option<Duration>) -> Duration {
         let base = match self.users.binary_search_by_key(&user, |h| h.user) {
             Ok(i) => {
                 let h = &self.users[i];
@@ -127,7 +110,9 @@ impl OnlinePredictor for Last2Online {
         ((base * self.margin) as Duration).max(MIN_WALLTIME)
     }
 
-    fn observe(&mut self, user: UserId, runtime: Duration) {
+    /// Absorbs an observed runtime for `user` (floored at 1 s, matching
+    /// the batch providers).
+    pub fn observe(&mut self, user: UserId, runtime: Duration) {
         let runtime = runtime.max(1) as f64;
         match self.users.binary_search_by_key(&user, |h| h.user) {
             Ok(i) => {
@@ -148,7 +133,9 @@ impl OnlinePredictor for Last2Online {
         self.seen += 1;
     }
 
-    fn name(&self) -> &'static str {
+    /// Display name.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
         "last2"
     }
 }
@@ -174,21 +161,25 @@ impl UserOnline {
             fallback: Last2Online::new(margin),
         }
     }
-}
 
-impl OnlinePredictor for UserOnline {
-    fn predict(&self, user: UserId, requested: Option<Duration>) -> Duration {
+    /// Planning walltime (seconds) for the next job of `user`: the
+    /// client's `requested` walltime when there is one.
+    #[must_use]
+    pub fn predict(&self, user: UserId, requested: Option<Duration>) -> Duration {
         match requested {
             Some(w) => w,
             None => self.fallback.predict(user, None),
         }
     }
 
-    fn observe(&mut self, user: UserId, runtime: Duration) {
+    /// Absorbs an observed runtime for `user` into the fallback.
+    pub fn observe(&mut self, user: UserId, runtime: Duration) {
         self.fallback.observe(user, runtime);
     }
 
-    fn name(&self) -> &'static str {
+    /// Display name.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
         "user"
     }
 }
@@ -264,7 +255,7 @@ impl PredictorConfig {
 }
 
 /// A running predictor with its full streaming state — the serializable
-/// dispatch over the concrete [`OnlinePredictor`] implementations, built
+/// dispatch over [`Last2Online`] and [`UserOnline`], built
 /// from a [`PredictorConfig`] and checkpointed next to session snapshots.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Predictor {
@@ -294,24 +285,28 @@ impl Predictor {
             },
         }
     }
-}
 
-impl OnlinePredictor for Predictor {
-    fn predict(&self, user: UserId, requested: Option<Duration>) -> Duration {
+    /// Planning walltime (seconds) for the next job of `user`.
+    /// `requested` is the walltime the client supplied, if any.
+    #[must_use]
+    pub fn predict(&self, user: UserId, requested: Option<Duration>) -> Duration {
         match self {
             Self::Last2(p) => p.predict(user, requested),
             Self::User(p) => p.predict(user, requested),
         }
     }
 
-    fn observe(&mut self, user: UserId, runtime: Duration) {
+    /// Absorbs an observed runtime for `user`.
+    pub fn observe(&mut self, user: UserId, runtime: Duration) {
         match self {
             Self::Last2(p) => p.observe(user, runtime),
             Self::User(p) => p.observe(user, runtime),
         }
     }
 
-    fn name(&self) -> &'static str {
+    /// Display name.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
         match self {
             Self::Last2(p) => p.name(),
             Self::User(p) => p.name(),

@@ -9,7 +9,7 @@
 
 use lumos_core::{Duration, Trace};
 
-use crate::online::{Last2Online, OnlinePredictor, UserOnline};
+use crate::online::{Last2Online, UserOnline};
 
 /// Per-job walltime estimates from the Last2 predictor: the mean of the
 /// user's last two observed runtimes × `margin`, falling back to the

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lumos_core::{CoreError, Timestamp};
-use lumos_predict::OnlinePredictor;
+use lumos_predict::Predictor;
 use lumos_sim::SimSession;
 
 use crate::journal::{decode_line, Journal, JournalRecord};
@@ -248,7 +248,7 @@ impl Core {
             }
             Request::Stats => {
                 let refused = self.refused + self.door_rejects;
-                let predictor = self.replica.predictor.as_ref().map(OnlinePredictor::name);
+                let predictor = self.replica.predictor.as_ref().map(Predictor::name);
                 let (session, link) = (&self.replica.session, self.replication_stats());
                 let metrics = &self.replica.metrics;
                 let stats = metrics.report(session, refused, predictor, link);

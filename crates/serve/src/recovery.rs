@@ -27,7 +27,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use lumos_core::{CoreError, Job, JobStatus, SystemSpec, Timestamp};
-use lumos_predict::{OnlinePredictor, Predictor, PredictorConfig};
+use lumos_predict::{Predictor, PredictorConfig};
 use lumos_sim::{
     SessionState, SimConfig, SimEvent, SimSession, StateDelta, Submission, TenantTable,
 };

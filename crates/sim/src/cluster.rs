@@ -9,6 +9,7 @@
 
 use std::cmp::Ordering;
 
+use lumos_core::system::virtual_cluster_units;
 use lumos_core::{Duration, SystemSpec, Timestamp};
 
 use crate::profile::{CapacityProfile, ReleaseLedger, CHUNK_KEYS};
@@ -523,10 +524,8 @@ pub struct Cluster {
 
 impl Cluster {
     /// Builds the cluster. With `respect_virtual_clusters` and a spec
-    /// declaring more than one VC, capacity is split across partitions with
-    /// Zipf(½) weights (larger first) — production virtual clusters are
-    /// deliberately uneven, and the heaviest groups own the biggest slices.
-    /// Every partition receives at least one unit.
+    /// declaring more than one VC, capacity is split across partitions by
+    /// [`virtual_cluster_units`].
     #[must_use]
     pub fn new(spec: &SystemSpec, respect_virtual_clusters: bool) -> Self {
         let n = if respect_virtual_clusters {
@@ -534,22 +533,11 @@ impl Cluster {
         } else {
             1
         };
-        if n == 1 {
-            return Self {
-                partitions: vec![Partition::new(spec.total_units)],
-            };
-        }
-        let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).sqrt()).collect();
-        let total_w: f64 = weights.iter().sum();
-        let mut caps: Vec<u64> = weights
-            .iter()
-            .map(|w| ((w / total_w) * spec.total_units as f64).floor().max(1.0) as u64)
-            .collect();
-        let assigned: u64 = caps.iter().sum();
-        // Give rounding leftovers to the largest partition.
-        caps[0] += spec.total_units.saturating_sub(assigned);
         Self {
-            partitions: caps.into_iter().map(Partition::new).collect(),
+            partitions: virtual_cluster_units(spec.total_units, n)
+                .into_iter()
+                .map(Partition::new)
+                .collect(),
         }
     }
 

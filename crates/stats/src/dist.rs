@@ -1,7 +1,7 @@
 //! Distribution samplers.
 //!
 //! The trace generators model the paper's per-system workload facts with
-//! heavy-tailed runtime distributions (log-normal, Pareto, Weibull),
+//! heavy-tailed runtime distributions (log-normal, Pareto),
 //! exponential arrival gaps, and discrete mixtures. All samplers are
 //! implemented from scratch on top of [`crate::rng::Rng`] via inverse
 //! transform or Box–Muller.
@@ -152,32 +152,6 @@ impl Sampler for Pareto {
     }
 }
 
-/// Weibull distribution with scale λ and shape k.
-/// `k < 1` gives the decreasing-hazard behaviour typical of failure times.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    scale: f64,
-    shape: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull sampler. Requires positive scale and shape.
-    ///
-    /// # Panics
-    /// Panics on invalid parameters.
-    #[must_use]
-    pub fn new(scale: f64, shape: f64) -> Self {
-        assert!(scale > 0.0 && shape > 0.0, "bad weibull params");
-        Self { scale, shape }
-    }
-}
-
-impl Sampler for Weibull {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        self.scale * (-rng.next_f64_open().ln()).powf(1.0 / self.shape)
-    }
-}
-
 /// Discrete distribution over arbitrary `f64` support points with
 /// unnormalised weights. Sampling is O(log n) by binary search over the
 /// cumulative weights.
@@ -283,32 +257,6 @@ impl Sampler for Mixture {
     }
 }
 
-/// Clamps a sampler's output into `[lo, hi]` — used to keep synthetic
-/// runtimes and sizes inside physically meaningful ranges.
-pub struct Clamped<S> {
-    inner: S,
-    lo: f64,
-    hi: f64,
-}
-
-impl<S: Sampler> Clamped<S> {
-    /// Wraps `inner`, clamping samples into `[lo, hi]`.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi`.
-    #[must_use]
-    pub fn new(inner: S, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "bad clamp range");
-        Self { inner, lo, hi }
-    }
-}
-
-impl<S: Sampler> Sampler for Clamped<S> {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        self.inner.sample(rng).clamp(self.lo, self.hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,15 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_shape_below_one_is_heavy_near_zero() {
-        let s = Weibull::new(100.0, 0.5);
-        let xs = sample_n(&s, 5, 50_000);
-        let below_scale = xs.iter().filter(|&&x| x < 100.0).count() as f64 / xs.len() as f64;
-        // P(X < λ) = 1 - e^{-1} ≈ 0.632 for any shape.
-        assert!((below_scale - 0.632).abs() < 0.01);
-    }
-
-    #[test]
     fn discrete_respects_weights() {
         let s = Discrete::new(&[(1.0, 8.0), (2.0, 1.0), (3.0, 1.0)]);
         let xs = sample_n(&s, 6, 100_000);
@@ -397,14 +336,6 @@ mod tests {
         let xs = sample_n(&m, 7, 50_000);
         let low = xs.iter().filter(|&&x| x < 5.0).count() as f64 / xs.len() as f64;
         assert!((low - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn clamped_restricts_range() {
-        let c = Clamped::new(Pareto::new(1.0, 0.5), 1.0, 100.0);
-        let xs = sample_n(&c, 8, 10_000);
-        assert!(xs.iter().all(|&x| (1.0..=100.0).contains(&x)));
-        assert!(xs.contains(&100.0), "heavy tail should clamp");
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //!
 //! * [`rng::Rng`] — deterministic xoshiro256++ PRNG seeded via SplitMix64,
 //! * [`dist`] — inverse-transform / Box–Muller samplers (exponential,
-//!   log-normal, Pareto, Weibull, uniform, discrete, mixtures),
+//!   log-normal, Pareto, uniform, discrete, mixtures),
 //! * [`ecdf::Ecdf`] — empirical CDFs with interpolated quantiles,
 //! * [`mod@quantile`] — type-7 quantiles on slices,
-//! * [`Histogram`], [`LogHistogram`] — linear and logarithmic histograms,
 //! * [`kde`] — Gaussian kernel density estimates (violin plots, Figs. 1a & 11),
 //! * [`summary::Summary`] — Welford streaming moments,
 //! * [`streaming::QuantileBank`] — P² streaming quantiles (O(1) memory),
@@ -26,17 +25,15 @@ pub mod correlation;
 pub mod dist;
 pub mod ecdf;
 pub mod fairness;
-mod histogram;
 pub mod kde;
 pub mod quantile;
 pub mod rng;
 pub mod streaming;
 pub mod summary;
 
-pub use dist::{Discrete, Exponential, LogNormal, Mixture, Pareto, Sampler, Uniform, Weibull};
+pub use dist::{Discrete, Exponential, LogNormal, Mixture, Pareto, Sampler, Uniform};
 pub use ecdf::Ecdf;
 pub use fairness::jain_index;
-pub use histogram::{Histogram, LogHistogram};
 pub use kde::ViolinSummary;
 pub use quantile::{median, quantile, quantiles};
 pub use rng::Rng;

@@ -13,6 +13,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+use lumos_core::system::virtual_cluster_units;
 use lumos_core::Timestamp;
 
 /// FCFS backlog model over a fixed pool of resource units.
@@ -109,39 +110,26 @@ impl FeedbackQueue {
 }
 
 /// A partitioned feedback model: one [`FeedbackQueue`] per virtual cluster,
-/// with the same Zipf(½) capacity split `lumos-sim` uses, so the congestion
-/// a user *sees at generation time* matches the congestion the replay will
-/// produce. On unpartitioned systems this degenerates to one queue.
+/// split by [`virtual_cluster_units`] as `lumos-sim` splits its cluster.
+/// On unpartitioned systems this degenerates to one queue.
 #[derive(Debug, Clone)]
 pub(crate) struct FeedbackCluster {
     queues: Vec<FeedbackQueue>,
 }
 
 impl FeedbackCluster {
-    /// Splits `capacity` across `partitions` with Zipf(½) weights (largest
-    /// first), mirroring `lumos_sim::cluster::Cluster`.
+    /// Splits `capacity` across `partitions` virtual clusters.
     ///
     /// # Panics
     /// Panics if `capacity == 0` or `partitions == 0`.
     #[must_use]
     pub fn new(capacity: u64, partitions: u16) -> Self {
         assert!(capacity > 0 && partitions > 0);
-        let n = usize::from(partitions);
-        if n == 1 {
-            return Self {
-                queues: vec![FeedbackQueue::new(capacity)],
-            };
-        }
-        let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).sqrt()).collect();
-        let total_w: f64 = weights.iter().sum();
-        let mut caps: Vec<u64> = weights
-            .iter()
-            .map(|w| ((w / total_w) * capacity as f64).floor().max(1.0) as u64)
-            .collect();
-        let assigned: u64 = caps.iter().sum();
-        caps[0] += capacity.saturating_sub(assigned);
         Self {
-            queues: caps.into_iter().map(FeedbackQueue::new).collect(),
+            queues: virtual_cluster_units(capacity, usize::from(partitions))
+                .into_iter()
+                .map(FeedbackQueue::new)
+                .collect(),
         }
     }
 

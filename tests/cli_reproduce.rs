@@ -6,15 +6,11 @@
 //! A digest that moves with `schedule_golden` / `prediction_golden` still
 //! green is a change in the runner or a renderer, not in the numbers.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::path::Path;
+use std::process::Output;
 
-fn lumos(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_lumos"))
-        .args(args)
-        .output()
-        .expect("lumos runs")
-}
+mod support;
+use support::{fnv1a, lumos, scratch_dir};
 
 fn stdout(out: &Output) -> &str {
     std::str::from_utf8(&out.stdout).expect("lumos prints UTF-8")
@@ -24,29 +20,14 @@ fn stderr(out: &Output) -> &str {
     std::str::from_utf8(&out.stderr).expect("lumos prints UTF-8")
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lumos-reproduce-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn all_is_pinned_to_the_parent_commit() {
-    let dir = scratch_dir("all");
+    let dir = scratch_dir("reproduce-all");
     let out_dir = dir.to_str().expect("temp dir is UTF-8");
     let out = lumos(&["all", "--seed", "2024", "--days", "1", "--out", out_dir]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert_eq!(
-        (out.stdout.len(), fnv1a(&out.stdout)),
+        (out.stdout.len(), fnv1a(out.stdout.iter().copied())),
         (13_094, 9_747_497_279_482_294_932),
         "stdout of `all` moved:\n{}",
         stdout(&out)
@@ -65,7 +46,11 @@ fn all_is_pinned_to_the_parent_commit() {
     assert_eq!(written, golden.map(|(name, ..)| name));
     for (name, len, digest) in golden {
         let bytes = std::fs::read(dir.join(name)).expect("written file reads");
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (len, digest), "{name} moved");
+        assert_eq!(
+            (bytes.len(), fnv1a(bytes.iter().copied())),
+            (len, digest),
+            "{name} moved"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -157,7 +142,7 @@ fn all_with_swf_runs_the_suite_rows_and_names_what_it_skipped() {
         },
     )
     .generate();
-    let dir = scratch_dir("swf");
+    let dir = scratch_dir("reproduce-swf");
     let swf = dir.join("theta.swf");
     std::fs::write(&swf, lumos_traces::swf::write(&trace)).expect("write SWF");
     let swf = swf.to_str().expect("temp dir is UTF-8");
@@ -177,4 +162,26 @@ fn all_with_swf_runs_the_suite_rows_and_names_what_it_skipped() {
     let missing = lumos(&["all", "--swf", "/nonexistent/trace.swf"]);
     assert_eq!(missing.status.code(), Some(1), "{}", stderr(&missing));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every fenced block of EXPERIMENTS.md that opens with `$ lumos ARGS` is
+/// that command's stdout, byte for byte: the tables there are checked
+/// output, not transcriptions.
+#[test]
+fn experiments_md_blocks_are_what_lumos_prints() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(path).expect("EXPERIMENTS.md reads");
+    let mut checked = 0;
+    for block in doc.split("```").skip(1).step_by(2) {
+        let Some(block) = block.strip_prefix("\n$ lumos ") else {
+            continue;
+        };
+        let (command, expected) = block.split_once('\n').expect("a block has lines");
+        let args: Vec<&str> = command.split_whitespace().collect();
+        let out = lumos(&args);
+        assert!(out.status.success(), "lumos {command}: {}", stderr(&out));
+        assert_eq!(stdout(&out), expected, "EXPERIMENTS.md: `lumos {command}`");
+        checked += 1;
+    }
+    assert!(checked > 0, "no `$ lumos` block in EXPERIMENTS.md");
 }

@@ -18,6 +18,9 @@ use lumos_predict::{evaluate_trace, Dataset, Instance, ModelKind};
 use lumos_traces::{systems, Generator, GeneratorConfig};
 use serde::Serialize;
 
+mod support;
+use support::fnv1a;
+
 /// The elapsed points of Fig. 12.
 const ELAPSED_FRACS: [f64; 3] = [0.125, 0.25, 0.5];
 /// Cap on instances per system: the whole file stays under ≈ 20 s in a
@@ -34,15 +37,6 @@ fn generate(system: SystemId) -> Trace {
         },
     )
     .generate()
-}
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn json_digest(value: &impl Serialize) -> u64 {

@@ -3,23 +3,13 @@
 //! a batch `simulate()` replay of the same arrival sequence — the core
 //! guarantee of the shared incremental engine.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-
-use lumos_core::{Job, SystemSpec, Trace};
-use lumos_serve::{ServeConfig, Server};
+use lumos_core::{Job, Trace};
+use lumos_serve::ServeConfig;
 use lumos_sim::{simulate, SimConfig};
 use serde_json::Value;
 
-/// A small machine so jobs actually queue.
-fn tiny_system(capacity: u64) -> SystemSpec {
-    let mut s = SystemSpec::theta();
-    s.name = "serve-test".into();
-    s.total_nodes = capacity as u32;
-    s.units_per_node = 1;
-    s.total_units = capacity;
-    s
-}
+mod support;
+use support::{submit_in_order, tiny_system, to_value, InProc};
 
 /// A deterministic arrival sequence that exercises queueing and backfill.
 fn workload() -> Vec<Job> {
@@ -35,15 +25,6 @@ fn workload() -> Vec<Job> {
     jobs
 }
 
-/// One NDJSON request/response exchange.
-fn roundtrip(writer: &mut impl Write, reader: &mut impl BufRead, request: &str) -> Value {
-    writeln!(writer, "{request}").expect("write request");
-    writer.flush().expect("flush request");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read response");
-    serde_json::parse_value_complete(&line).expect("response is JSON")
-}
-
 /// The message of an `Error` reply.
 fn error_message(reply: &Value) -> String {
     let message = reply.get("Error").and_then(|e| e.get("message"));
@@ -54,70 +35,33 @@ fn error_message(reply: &Value) -> String {
 #[test]
 fn online_replay_matches_batch_simulate() {
     let system = tiny_system(16);
-    let sim = SimConfig::default();
     let jobs = workload();
     let trace = Trace::new(system.clone(), jobs.clone()).expect("valid trace");
-    let batch = simulate(&trace, &sim);
+    let batch = simulate(&trace, &SimConfig::default());
 
-    let config = ServeConfig {
-        system,
-        sim,
-        queue_capacity: 64,
-        time_scale: 0.0, // virtual time: deterministic, Advance-driven
-        journal: None,
-        predictor: None,
-        tenants: None,
-        replication: None,
-    };
-    let server = Server::bind("127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run(false));
-
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = stream;
+    let mut config = ServeConfig::new(system);
+    config.queue_capacity = 64;
+    let server = InProc::start(config);
+    let mut client = server.client();
 
     // Submit in trace order (sorted by submit time) with explicit arrival
     // times, interleaving Advance calls that never outrun the next arrival.
-    let mut sorted = jobs.clone();
+    let mut sorted = jobs;
     sorted.sort_by_key(|j| (j.submit, j.id));
-    for (i, job) in sorted.iter().enumerate() {
-        if i % 3 == 0 && job.submit > 0 {
-            let reply = roundtrip(
-                &mut writer,
-                &mut reader,
-                &format!(r#"{{"Advance":{{"to":{}}}}}"#, job.submit - 1),
-            );
-            assert!(reply.get("Advanced").is_some(), "unexpected {reply:?}");
-        }
-        let walltime = job.walltime.expect("workload sets walltime");
-        let reply = roundtrip(
-            &mut writer,
-            &mut reader,
-            &format!(
-                r#"{{"Submit":{{"job":{{"id":{},"procs":{},"runtime":{},"walltime":{},"user":{},"submit":{}}}}}}}"#,
-                job.id, job.procs, job.runtime, walltime, job.user, job.submit
-            ),
-        );
-        assert!(reply.get("Submitted").is_some(), "unexpected {reply:?}");
-    }
+    submit_in_order(&mut client, &sorted);
 
     // Duplicate ids are rejected without disturbing the schedule.
-    let reply = roundtrip(
-        &mut writer,
-        &mut reader,
-        r#"{"Submit":{"job":{"id":0,"procs":1,"runtime":10}}}"#,
-    );
+    let reply = client.json(r#"{"Submit":{"job":{"id":0,"procs":1,"runtime":10}}}"#);
     assert!(reply.get("Rejected").is_some(), "unexpected {reply:?}");
 
     // Queries answer for known jobs and error for unknown ones.
-    let reply = roundtrip(&mut writer, &mut reader, r#"{"Query":{"id":0}}"#);
+    let reply = client.json(r#"{"Query":{"id":0}}"#);
     assert!(reply.get("Job").is_some(), "unexpected {reply:?}");
-    let reply = roundtrip(&mut writer, &mut reader, r#"{"Query":{"id":99999}}"#);
+    let reply = client.json(r#"{"Query":{"id":99999}}"#);
     assert!(reply.get("Error").is_some(), "unexpected {reply:?}");
 
     // Stats is live and well-formed mid-run.
-    let reply = roundtrip(&mut writer, &mut reader, r#""Stats""#);
+    let reply = client.json(r#""Stats""#);
     let stats = reply
         .get("Stats")
         .and_then(|v| v.get("stats"))
@@ -126,22 +70,18 @@ fn online_replay_matches_batch_simulate() {
     assert!(stats.get("wait_quantiles").is_some());
 
     // Graceful shutdown drains everything and reports whole-run metrics.
-    let reply = roundtrip(&mut writer, &mut reader, r#""Shutdown""#);
+    let reply = client.json(r#""Shutdown""#);
     let online_metrics = reply
         .get("Bye")
         .and_then(|v| v.get("metrics"))
-        .expect("bye carries metrics")
-        .clone();
-
-    let batch_metrics =
-        serde_json::parse_value_complete(&serde_json::to_string(&batch.metrics).unwrap())
-            .expect("batch metrics JSON");
+        .expect("bye carries metrics");
     assert_eq!(
-        online_metrics, batch_metrics,
+        online_metrics,
+        &to_value(&batch.metrics),
         "online path and batch simulate() diverged"
     );
 
-    handle.join().expect("server thread").expect("server run");
+    server.join();
 }
 
 #[test]
@@ -150,31 +90,16 @@ fn backpressure_rejects_instead_of_blocking() {
     // we can't deterministically fill the queue from one client (the
     // scheduler drains fast), but we can verify a huge burst never
     // deadlocks and every submission gets an explicit answer.
-    let config = ServeConfig {
-        system: tiny_system(4),
-        sim: SimConfig::default(),
-        queue_capacity: 1,
-        time_scale: 0.0,
-        journal: None,
-        predictor: None,
-        tenants: None,
-        replication: None,
-    };
-    let server = Server::bind("127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run(false));
-
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = stream;
+    let mut config = ServeConfig::new(tiny_system(4));
+    config.queue_capacity = 1;
+    let server = InProc::start(config);
+    let mut client = server.client();
 
     let mut answered = 0;
     for i in 0..200u64 {
-        let reply = roundtrip(
-            &mut writer,
-            &mut reader,
-            &format!(r#"{{"Submit":{{"job":{{"id":{i},"procs":1,"runtime":5,"submit":0}}}}}}"#),
-        );
+        let reply = client.json(&format!(
+            r#"{{"Submit":{{"job":{{"id":{i},"procs":1,"runtime":5,"submit":0}}}}}}"#
+        ));
         let accepted = reply.get("Submitted").is_some();
         let rejected = reply.get("Rejected").is_some();
         assert!(accepted || rejected, "unexpected {reply:?}");
@@ -182,57 +107,34 @@ fn backpressure_rejects_instead_of_blocking() {
     }
     assert_eq!(answered, 200);
 
-    let reply = roundtrip(&mut writer, &mut reader, r#""Shutdown""#);
+    let reply = client.json(r#""Shutdown""#);
     assert!(reply.get("Bye").is_some(), "unexpected {reply:?}");
-    handle.join().expect("server thread").expect("server run");
+    server.join();
 }
 
 #[test]
 fn protocol_errors_name_the_line_and_field() {
-    let config = ServeConfig {
-        system: tiny_system(4),
-        sim: SimConfig::default(),
-        queue_capacity: 16,
-        time_scale: 0.0,
-        journal: None,
-        predictor: None,
-        tenants: None,
-        replication: None,
-    };
-    let server = Server::bind("127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run(false));
-
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = stream;
+    let mut config = ServeConfig::new(tiny_system(4));
+    config.queue_capacity = 16;
+    let server = InProc::start(config);
+    let mut client = server.client();
 
     // Line 1: fine. Line 2: blank (counted, no response). Line 3: garbage.
-    let reply = roundtrip(
-        &mut writer,
-        &mut reader,
-        r#"{"Submit":{"job":{"id":1,"procs":1,"runtime":5,"submit":0}}}"#,
-    );
+    let reply = client.json(r#"{"Submit":{"job":{"id":1,"procs":1,"runtime":5,"submit":0}}}"#);
     assert!(reply.get("Submitted").is_some(), "unexpected {reply:?}");
-    writeln!(writer).expect("blank line");
-    let reply = roundtrip(&mut writer, &mut reader, "{nonsense");
-    let msg = error_message(&reply);
+    client.send("");
+    let msg = error_message(&client.json("{nonsense"));
     assert!(msg.starts_with("line 3:"), "no line context: {msg}");
 
     // Line 4: a submit missing its required `id` — the error names the
     // offending field, not just "bad request".
-    let reply = roundtrip(
-        &mut writer,
-        &mut reader,
-        r#"{"Submit":{"job":{"procs":1,"runtime":5}}}"#,
-    );
-    let msg = error_message(&reply);
+    let msg = error_message(&client.json(r#"{"Submit":{"job":{"procs":1,"runtime":5}}}"#));
     assert!(msg.starts_with("line 4:"), "no line context: {msg}");
     assert!(msg.contains("id"), "field not named: {msg}");
 
-    let reply = roundtrip(&mut writer, &mut reader, r#""Shutdown""#);
+    let reply = client.json(r#""Shutdown""#);
     assert!(reply.get("Bye").is_some(), "unexpected {reply:?}");
-    handle.join().expect("server thread").expect("server run");
+    server.join();
 }
 
 /// One line with a runtime near `i64::MAX` used to reach `now + runtime`
@@ -243,30 +145,21 @@ fn protocol_errors_name_the_line_and_field() {
 fn a_time_near_i64_max_costs_one_line_not_the_scheduler() {
     let mut config = ServeConfig::new(tiny_system(4));
     config.queue_capacity = 16;
-    let server = Server::bind("127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run(false));
-
-    let stream = TcpStream::connect(addr).expect("connect");
-    // A scheduler that is gone answers nothing: fail, do not hang.
-    let patience = std::time::Duration::from_secs(20);
-    stream.set_read_timeout(Some(patience)).expect("timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = stream;
+    let server = InProc::start(config);
+    // A scheduler that is gone answers nothing: the client's read timeout
+    // fails the test instead of letting it hang.
+    let mut client = server.client();
 
     let good = |id: u64| format!(r#"{{"Submit":{{"job":{{"id":{id},"procs":1,"runtime":5}}}}}}"#);
-    let reply = roundtrip(&mut writer, &mut reader, &good(1));
+    let reply = client.json(&good(1));
     assert!(reply.get("Submitted").is_some(), "unexpected {reply:?}");
-    let reply = roundtrip(
-        &mut writer,
-        &mut reader,
-        r#"{"Submit":{"job":{"id":2,"procs":1,"runtime":9223372036854775807}}}"#,
-    );
+    let reply =
+        client.json(r#"{"Submit":{"job":{"id":2,"procs":1,"runtime":9223372036854775807}}}"#);
     let msg = error_message(&reply);
     assert!(msg.starts_with("line 2: Submit.job.runtime:"), "{msg}");
-    let reply = roundtrip(&mut writer, &mut reader, &good(3));
+    let reply = client.json(&good(3));
     assert!(reply.get("Submitted").is_some(), "unexpected {reply:?}");
-    let reply = roundtrip(&mut writer, &mut reader, r#""Stats""#);
+    let reply = client.json(r#""Stats""#);
     let snapshot = reply
         .get("Stats")
         .and_then(|v| v.get("stats"))
@@ -274,9 +167,9 @@ fn a_time_near_i64_max_costs_one_line_not_the_scheduler() {
         .expect("stats from a live scheduler");
     assert_eq!(snapshot.get("submitted"), Some(&Value::I64(2)));
 
-    let reply = roundtrip(&mut writer, &mut reader, r#""Shutdown""#);
+    let reply = client.json(r#""Shutdown""#);
     assert!(reply.get("Bye").is_some(), "unexpected {reply:?}");
-    handle.join().expect("server thread").expect("server run");
+    server.join();
 }
 
 /// The deterministic command script for the batched-vs-lockstep
@@ -331,32 +224,20 @@ fn batched_rounds_match_lockstep_rounds() {
     for pipelined in [true, false] {
         let mut config = ServeConfig::new(tiny_system(12));
         config.queue_capacity = 512;
-        let server = Server::bind("127.0.0.1:0", config).expect("bind");
-        let addr = server.local_addr().expect("local addr");
-        let handle = std::thread::spawn(move || server.run(false));
-
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        let mut writer = stream;
-        let mut read_reply = || {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read reply");
-            line
-        };
+        let server = InProc::start(config);
+        let mut client = server.client();
         let mut got = Vec::with_capacity(script.len());
         for line in &script {
-            writeln!(writer, "{line}").expect("write request");
+            client.send(line);
             if !pipelined {
-                writer.flush().expect("flush request");
-                got.push(read_reply());
+                got.push(client.recv());
             }
         }
-        writer.flush().expect("flush script");
         while got.len() < script.len() {
-            got.push(read_reply());
+            got.push(client.recv());
         }
         transcripts.push(got);
-        handle.join().expect("server thread").expect("server run");
+        server.join();
     }
     assert_eq!(
         transcripts[0], transcripts[1],

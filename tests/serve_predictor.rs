@@ -5,43 +5,14 @@
 //! (`last2_walltimes` / `user_walltimes`) — the streaming predictor and
 //! the batch provider are the same model observed in the same order.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-
-use lumos_core::{Job, SystemSpec, Trace};
+use lumos_core::{Job, Trace};
 use lumos_predict::walltime::{last2_walltimes, user_walltimes};
-use lumos_serve::{PredictorConfig, ServeConfig, Server};
+use lumos_serve::{PredictorConfig, ServeConfig};
 use lumos_sim::{simulate_with_walltimes, SimConfig};
 use serde_json::Value;
 
-/// Numeric accessors the vendored `Value` doesn't provide.
-fn as_f64(v: &Value) -> Option<f64> {
-    match *v {
-        Value::I64(n) => Some(n as f64),
-        Value::U64(n) => Some(n as f64),
-        Value::F64(n) => Some(n),
-        _ => None,
-    }
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match *v {
-        Value::I64(n) => u64::try_from(n).ok(),
-        Value::U64(n) => Some(n),
-        _ => None,
-    }
-}
-
-/// A small machine so jobs actually queue and backfill decisions depend on
-/// the planned walltimes.
-fn tiny_system(capacity: u64) -> SystemSpec {
-    let mut s = SystemSpec::theta();
-    s.name = "predictor-test".into();
-    s.total_nodes = capacity as u32;
-    s.units_per_node = 1;
-    s.total_units = capacity;
-    s
-}
+mod support;
+use support::{num, submit_in_order, tiny_system, to_value, InProc};
 
 /// A deterministic workload over a handful of users with per-user runtime
 /// drift, so Last2 histories matter. When `with_walltimes` is set, even
@@ -62,98 +33,51 @@ fn workload(with_walltimes: bool) -> Vec<Job> {
     jobs
 }
 
-/// One NDJSON request/response exchange.
-fn roundtrip(writer: &mut impl Write, reader: &mut impl BufRead, request: &str) -> Value {
-    writeln!(writer, "{request}").expect("write request");
-    writer.flush().expect("flush request");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read response");
-    serde_json::parse_value_complete(&line).expect("response is JSON")
-}
-
 /// Drives a predictor-enabled virtual-time server through `trace`'s jobs
 /// in trace order and returns `(stats, bye_metrics)` — the pre-shutdown
 /// `Stats` payload and the final `Bye` metrics.
-fn serve_trace(trace: &Trace, sim: SimConfig, predictor: PredictorConfig) -> (Value, Value) {
-    let config = ServeConfig {
-        system: trace.system.clone(),
-        sim,
-        queue_capacity: 64,
-        time_scale: 0.0,
-        journal: None,
-        predictor: Some(predictor),
-        tenants: None,
-        replication: None,
-    };
-    let server = Server::bind("127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run(false));
-
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = stream;
+fn serve_trace(trace: &Trace, predictor: PredictorConfig) -> (Value, Value) {
+    let mut config = ServeConfig::new(trace.system.clone());
+    config.queue_capacity = 64;
+    config.predictor = Some(predictor);
+    let server = InProc::start(config);
+    let mut client = server.client();
 
     // Trace order is the order the batch providers observe runtimes in;
     // submitting in the same order makes the streaming predictor see the
     // identical history at every decision point.
-    for (i, job) in trace.jobs().iter().enumerate() {
-        if i % 3 == 0 && job.submit > 0 {
-            let reply = roundtrip(
-                &mut writer,
-                &mut reader,
-                &format!(r#"{{"Advance":{{"to":{}}}}}"#, job.submit - 1),
-            );
-            assert!(reply.get("Advanced").is_some(), "unexpected {reply:?}");
-        }
-        let walltime = job
-            .walltime
-            .map_or(String::new(), |w| format!(r#""walltime":{w},"#));
-        let reply = roundtrip(
-            &mut writer,
-            &mut reader,
-            &format!(
-                r#"{{"Submit":{{"job":{{"id":{},"procs":{},"runtime":{},{walltime}"user":{},"submit":{}}}}}}}"#,
-                job.id, job.procs, job.runtime, job.user, job.submit
-            ),
-        );
-        assert!(reply.get("Submitted").is_some(), "unexpected {reply:?}");
-    }
+    submit_in_order(&mut client, trace.jobs());
 
     // Drain everything so prediction accuracy covers every job, then read
     // the live stats before shutting down.
-    let reply = roundtrip(&mut writer, &mut reader, r#"{"Advance":{"to":100000}}"#);
+    let reply = client.json(r#"{"Advance":{"to":100000}}"#);
     assert!(reply.get("Advanced").is_some(), "unexpected {reply:?}");
-    let stats = roundtrip(&mut writer, &mut reader, r#""Stats""#)
+    let stats = client
+        .json(r#""Stats""#)
         .get("Stats")
         .and_then(|v| v.get("stats"))
         .expect("stats payload")
         .clone();
-    let bye = roundtrip(&mut writer, &mut reader, r#""Shutdown""#);
+    let bye = client.json(r#""Shutdown""#);
     let metrics = bye
         .get("Bye")
         .and_then(|v| v.get("metrics"))
         .expect("bye carries metrics")
         .clone();
-    handle.join().expect("server thread").expect("server run");
+    server.join();
     (stats, metrics)
-}
-
-fn as_json(value: &impl serde::Serialize) -> Value {
-    serde_json::parse_value_complete(&serde_json::to_string(value).unwrap()).expect("JSON")
 }
 
 /// Checks the served metrics and prediction-accuracy stats for `provider`
 /// against the batch reference built from `walltimes`.
 fn assert_parity(with_walltimes: bool, predictor: PredictorConfig, walltimes: &[i64]) {
-    let system = tiny_system(16);
-    let sim = SimConfig::default();
-    let trace = Trace::new(system, workload(with_walltimes)).expect("valid trace");
-    let batch = simulate_with_walltimes(&trace, &sim, walltimes);
+    let trace = Trace::new(tiny_system(16), workload(with_walltimes)).expect("valid trace");
+    let batch = simulate_with_walltimes(&trace, &SimConfig::default(), walltimes);
 
-    let (stats, online_metrics) = serve_trace(&trace, sim, predictor);
+    let (stats, online_metrics) = serve_trace(&trace, predictor);
     assert_eq!(
         online_metrics,
-        as_json(&batch.metrics),
+        to_value(&batch.metrics),
         "predictor-enabled serve diverged from batch simulate_with_walltimes"
     );
 
@@ -161,8 +85,8 @@ fn assert_parity(with_walltimes: bool, predictor: PredictorConfig, walltimes: &[
     // offline estimates the batch path used.
     let prediction = stats.get("prediction").expect("prediction stats");
     assert_eq!(
-        prediction.get("jobs").and_then(as_u64),
-        Some(trace.len() as u64)
+        prediction.get("jobs"),
+        Some(&Value::I64(trace.len() as i64))
     );
     let scored: Vec<(f64, f64)> = trace
         .jobs()
@@ -174,11 +98,11 @@ fn assert_parity(with_walltimes: bool, predictor: PredictorConfig, walltimes: &[
     let mae = scored.iter().map(|(w, r)| (w - r).abs()).sum::<f64>() / scored.len() as f64;
     let got_under = prediction
         .get("underestimate_rate")
-        .and_then(as_f64)
+        .map(num)
         .expect("underestimate_rate");
     let got_mae = prediction
         .get("mean_abs_error")
-        .and_then(as_f64)
+        .map(num)
         .expect("mean_abs_error");
     assert!((got_under - under).abs() < 1e-12, "{got_under} vs {under}");
     assert!((got_mae - mae).abs() < 1e-9, "{got_mae} vs {mae}");
@@ -201,11 +125,7 @@ fn user_serve_matches_batch_user_walltimes() {
 #[test]
 fn stats_names_the_active_predictor() {
     let trace = Trace::new(tiny_system(16), workload(false)).expect("valid trace");
-    let (stats, _) = serve_trace(
-        &trace,
-        SimConfig::default(),
-        PredictorConfig::Last2 { margin: 1.0 },
-    );
+    let (stats, _) = serve_trace(&trace, PredictorConfig::Last2 { margin: 1.0 });
     assert_eq!(
         stats.get("predictor").and_then(Value::as_str),
         Some("last2")

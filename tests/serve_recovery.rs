@@ -5,185 +5,24 @@
 //! acknowledged command sequence. Because the journal is written ahead of
 //! every acknowledgment (`--fsync always`), nothing acked may be lost.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStderr, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use lumos_core::SystemSpec;
-use lumos_serve::{ServeConfig, Server};
-use lumos_sim::SimConfig;
+use lumos_serve::{PredictorConfig, ServeConfig};
 
-/// A fresh, unique journal directory under the system temp dir.
-fn journal_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("lumos-recovery-{tag}-{}-{n}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create journal dir");
-    dir
-}
+mod support;
+use support::{
+    crash_and_compare, lumos, precrash_commands, probe_commands, reference_replies, scratch_dir,
+    ServerProc,
+};
 
-/// A spawned `lumos serve` process with its bound address parsed from the
-/// startup banner.
-struct ServerProc {
-    child: Child,
-    addr: String,
-    stderr: BufReader<ChildStderr>,
-}
-
-impl ServerProc {
-    /// Spawns `lumos serve --journal <dir> --fsync always <extra...>` on an
-    /// ephemeral port and waits for the listening banner.
-    fn spawn(dir: &Path, extra: &[&str]) -> Self {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_lumos"))
-            .arg("serve")
-            .args(["--addr", "127.0.0.1:0"])
-            .arg("--journal")
-            .arg(dir)
-            .args(["--fsync", "always"])
-            .args(extra)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn lumos serve");
-        let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
-        let mut banner = String::new();
-        stderr.read_line(&mut banner).expect("read banner");
-        let addr = banner
-            .strip_prefix("lumos-serve listening on ")
-            .and_then(|rest| rest.split_whitespace().next())
-            .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"))
-            .to_string();
-        Self {
-            child,
-            addr,
-            stderr,
-        }
-    }
-
-    /// Reads recovery chatter from stderr until the `recovered N journaled
-    /// commands` line; returns every line read (warnings included).
-    fn read_recovery_lines(&mut self) -> Vec<String> {
-        let mut lines = Vec::new();
-        loop {
-            let mut line = String::new();
-            let n = self.stderr.read_line(&mut line).expect("read stderr");
-            assert!(n > 0, "stderr closed before recovery line: {lines:?}");
-            let done = line.contains("recovered") && line.contains("journaled commands");
-            lines.push(line.trim_end().to_string());
-            if done {
-                return lines;
-            }
-        }
-    }
-
-    fn kill(mut self) {
-        self.child.kill().expect("SIGKILL server");
-        self.child.wait().expect("reap server");
-    }
-}
-
-/// One NDJSON exchange over a live connection, returning the raw response
-/// line (trailing newline stripped).
-fn exchange(writer: &mut impl Write, reader: &mut impl BufRead, request: &str) -> String {
-    writeln!(writer, "{request}").expect("write request");
-    writer.flush().expect("flush request");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read response");
-    assert!(
-        !line.is_empty(),
-        "server closed the connection on {request}"
-    );
-    line.trim_end().to_string()
-}
-
-fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    (stream, reader)
-}
-
-/// The deterministic pre-crash command stream: enough submits to fill the
-/// machine and queue behind it, explicit advances, a successful cancel,
-/// and a refused one (which must NOT be journaled). All submit times are
-/// explicit, so the sequence replays identically in virtual time.
-fn precrash_commands() -> Vec<String> {
-    let units = SystemSpec::theta().total_units;
-    let big = units - 8; // leaves a sliver so small jobs backfill
-    let mut cmds = Vec::new();
-    for i in 0..24u64 {
-        let submit = i as i64 * 13;
-        let (procs, runtime) = if i % 5 == 0 {
-            (big, 400 + i as i64 * 7)
-        } else {
-            (1 + (i % 7), 90 + i as i64 * 11)
-        };
-        if i % 4 == 0 {
-            cmds.push(format!(r#"{{"Advance":{{"to":{submit}}}}}"#));
-        }
-        cmds.push(format!(
-            r#"{{"Submit":{{"job":{{"id":{i},"procs":{procs},"runtime":{runtime},"walltime":{},"user":{},"submit":{submit}}}}}}}"#,
-            runtime + 200,
-            i % 3,
-        ));
-    }
-    // Job 20 is a `big` submission at t=260: still queued — cancel works.
-    cmds.push(r#"{"Cancel":{"id":20}}"#.to_string());
-    // Unknown id: refused, and refusals are not journaled.
-    cmds.push(r#"{"Cancel":{"id":4040}}"#.to_string());
-    cmds.push(r#"{"Advance":{"to":500}}"#.to_string());
+/// The shared pre-crash stream with a refused cancel (an unknown id)
+/// before its last `Advance`: refusals must not be journaled.
+fn precrash_with_refusal() -> Vec<String> {
+    let mut cmds = precrash_commands(false);
+    cmds.insert(cmds.len() - 1, r#"{"Cancel":{"id":4040}}"#.to_string());
     cmds
-}
-
-/// The post-crash probes whose raw responses must match byte for byte.
-fn probe_commands() -> Vec<String> {
-    vec![
-        r#"{"Query":{"id":0}}"#.to_string(),
-        r#"{"Query":{"id":20}}"#.to_string(),
-        r#"{"Query":{"id":23}}"#.to_string(),
-        r#""Stats""#.to_string(),
-        r#""Snapshot""#.to_string(),
-        r#""Shutdown""#.to_string(),
-    ]
-}
-
-/// Feeds `commands` to an uninterrupted in-process server (no journal,
-/// optionally predictor-enabled) and returns every raw response line.
-fn reference_responses_with(
-    commands: &[String],
-    predictor: Option<lumos_serve::PredictorConfig>,
-) -> Vec<String> {
-    let config = ServeConfig {
-        system: SystemSpec::theta(),
-        sim: SimConfig::default(),
-        queue_capacity: 1024,
-        time_scale: 0.0,
-        journal: None,
-        predictor,
-        tenants: None,
-        replication: None,
-    };
-    let server = Server::bind("127.0.0.1:0", config).expect("bind reference");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = std::thread::spawn(move || server.run(false));
-    let (mut writer, mut reader) = connect(&addr);
-    let replies: Vec<String> = commands
-        .iter()
-        .map(|c| exchange(&mut writer, &mut reader, c))
-        .collect();
-    handle
-        .join()
-        .expect("reference thread")
-        .expect("reference run");
-    replies
-}
-
-/// Feeds `commands` to an uninterrupted in-process server (no journal) and
-/// returns every raw response line.
-fn reference_responses(commands: &[String]) -> Vec<String> {
-    reference_responses_with(commands, None)
 }
 
 /// Path of the highest-numbered journal segment in `dir`.
@@ -200,117 +39,44 @@ fn active_segment(dir: &Path) -> PathBuf {
     segments.pop().expect("at least one segment")
 }
 
+/// Rotation every 6 records makes recovery exercise snapshot + tail
+/// replay, not just a cold full-log replay.
 #[test]
 fn killed_server_recovers_byte_identical_state() {
-    let dir = journal_dir("kill");
-    let pre = precrash_commands();
-    let probes = probe_commands();
-
-    // Rotate every 6 records so recovery exercises snapshot + tail replay,
-    // not just a cold full-log replay.
-    let server = ServerProc::spawn(&dir, &["--snapshot-every", "6"]);
-    let (mut writer, mut reader) = connect(&server.addr);
-    let mut live_replies = Vec::new();
-    for c in &pre {
-        live_replies.push(exchange(&mut writer, &mut reader, c));
-    }
-    server.kill();
-
-    let mut restarted = ServerProc::spawn(&dir, &["--snapshot-every", "6"]);
-    let recovery = restarted.read_recovery_lines();
-    // Rotation bounds recovery to snapshot + tail: far fewer than the 32
-    // journaled mutations are replayed, but the clock must be caught up.
-    assert!(
-        recovery
-            .iter()
-            .any(|l| l.contains("journaled commands (t = 500)")),
-        "unexpected recovery chatter: {recovery:?}"
+    crash_and_compare(
+        &scratch_dir("recovery-kill"),
+        &["--snapshot-every", "6"],
+        &precrash_with_refusal(),
+        &probe_commands(),
+        ServeConfig::new(SystemSpec::theta()),
     );
-
-    let (mut writer, mut reader) = connect(&restarted.addr);
-    let recovered_replies: Vec<String> = probes
-        .iter()
-        .map(|c| exchange(&mut writer, &mut reader, c))
-        .collect();
-    let status = restarted.child.wait().expect("server exits after Shutdown");
-    assert!(status.success(), "restarted server exited with {status}");
-
-    // The uninterrupted run answers both phases; its replies are the truth.
-    let all: Vec<String> = pre.iter().chain(&probes).cloned().collect();
-    let reference = reference_responses(&all);
-    assert_eq!(
-        live_replies[..],
-        reference[..pre.len()],
-        "pre-crash acknowledgments diverged from the uninterrupted run"
-    );
-    assert_eq!(
-        recovered_replies[..],
-        reference[pre.len()..],
-        "recovered state diverged from the uninterrupted run"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The same crash with the Last2 predictor in the scheduling loop: its
+/// streaming state (per-user histories, global mean) must be checkpointed
+/// and replayed too, or post-crash estimates — and therefore schedules
+/// and the `Stats` probe's accuracy fields — drift.
 #[test]
 fn killed_predictor_server_recovers_byte_identical_state() {
-    let dir = journal_dir("predictor");
-    let pre = precrash_commands();
-    let probes = probe_commands();
-    let flags = ["--predictor", "last2:1.5", "--snapshot-every", "6"];
-
-    // Same crash-injection shape as above, with the Last2 predictor in the
-    // scheduling loop: its streaming state (per-user histories, global
-    // mean) must be checkpointed and replayed too, or post-crash estimates
-    // — and therefore schedules and accuracy stats — drift.
-    let server = ServerProc::spawn(&dir, &flags);
-    let (mut writer, mut reader) = connect(&server.addr);
-    let mut live_replies = Vec::new();
-    for c in &pre {
-        live_replies.push(exchange(&mut writer, &mut reader, c));
-    }
-    server.kill();
-
-    let mut restarted = ServerProc::spawn(&dir, &flags);
-    restarted.read_recovery_lines();
-    let (mut writer, mut reader) = connect(&restarted.addr);
-    let recovered_replies: Vec<String> = probes
-        .iter()
-        .map(|c| exchange(&mut writer, &mut reader, c))
-        .collect();
-    let status = restarted.child.wait().expect("server exits after Shutdown");
-    assert!(status.success(), "restarted server exited with {status}");
-
-    let all: Vec<String> = pre.iter().chain(&probes).cloned().collect();
-    let reference = reference_responses_with(
-        &all,
-        Some(lumos_serve::PredictorConfig::Last2 { margin: 1.5 }),
+    let mut reference = ServeConfig::new(SystemSpec::theta());
+    reference.predictor = Some(PredictorConfig::Last2 { margin: 1.5 });
+    crash_and_compare(
+        &scratch_dir("recovery-predictor"),
+        &["--predictor", "last2:1.5", "--snapshot-every", "6"],
+        &precrash_with_refusal(),
+        &probe_commands(),
+        reference,
     );
-    assert_eq!(
-        live_replies[..],
-        reference[..pre.len()],
-        "pre-crash acknowledgments diverged from the uninterrupted run"
-    );
-    // The probes include `Stats`, so this compares the recovered
-    // prediction-accuracy fields byte for byte as well.
-    assert_eq!(
-        recovered_replies[..],
-        reference[pre.len()..],
-        "recovered predictor state diverged from the uninterrupted run"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn recovered_wall_clock_resumes_from_journaled_time() {
-    let dir = journal_dir("epoch");
+    let dir = scratch_dir("recovery-epoch");
 
     // Build up journaled history deep into simulated time (virtual-time
     // server: the clock is wherever Advance put it).
     let server = ServerProc::spawn(&dir, &[]);
-    let (mut writer, mut reader) = connect(&server.addr);
-    let reply = exchange(&mut writer, &mut reader, r#"{"Advance":{"to":100000}}"#);
+    let reply = server.client().exchange(r#"{"Advance":{"to":100000}}"#);
     assert!(reply.contains("Advanced"), "unexpected {reply}");
     server.kill();
 
@@ -322,38 +88,34 @@ fn recovered_wall_clock_resumes_from_journaled_time() {
         recovery.iter().any(|l| l.contains("(t = 100000)")),
         "unexpected recovery chatter: {recovery:?}"
     );
-    let (mut writer, mut reader) = connect(&restarted.addr);
-    let reply = exchange(
-        &mut writer,
-        &mut reader,
-        r#"{"Submit":{"job":{"id":1,"procs":1,"runtime":1}}}"#,
-    );
+    let mut client = restarted.client();
+    let reply = client.exchange(r#"{"Submit":{"job":{"id":1,"procs":1,"runtime":1}}}"#);
     assert!(reply.contains("Submitted"), "unexpected {reply}");
     // At 1000 sim-seconds per wall second, one wall second more than
     // finishes the 1 s job — if the epoch was reseeded correctly.
     std::thread::sleep(std::time::Duration::from_millis(1200));
-    let reply = exchange(&mut writer, &mut reader, r#"{"Query":{"id":1}}"#);
+    let reply = client.exchange(r#"{"Query":{"id":1}}"#);
     assert!(
         reply.contains("Finished"),
         "recovered clock stalled instead of resuming: {reply}"
     );
-    let reply = exchange(&mut writer, &mut reader, r#""Shutdown""#);
+    let reply = client.exchange(r#""Shutdown""#);
     assert!(reply.contains("Bye"), "unexpected {reply}");
-    restarted.child.wait().expect("reap");
+    restarted.exit_ok();
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn torn_tail_is_truncated_with_a_warning() {
-    let dir = journal_dir("torn");
-    let pre = precrash_commands();
+    let dir = scratch_dir("recovery-torn");
+    let pre = precrash_with_refusal();
     let probes = probe_commands();
 
     let server = ServerProc::spawn(&dir, &[]);
-    let (mut writer, mut reader) = connect(&server.addr);
+    let mut client = server.client();
     for c in &pre {
-        exchange(&mut writer, &mut reader, c);
+        client.exchange(c);
     }
     server.kill();
 
@@ -382,16 +144,12 @@ fn torn_tail_is_truncated_with_a_warning() {
     );
 
     // Every intact record survives: answers match the uninterrupted run.
-    let (mut writer, mut reader) = connect(&restarted.addr);
-    let recovered_replies: Vec<String> = probes
-        .iter()
-        .map(|c| exchange(&mut writer, &mut reader, c))
-        .collect();
-    let status = restarted.child.wait().expect("server exits after Shutdown");
-    assert!(status.success(), "restarted server exited with {status}");
+    let mut client = restarted.client();
+    let recovered_replies: Vec<String> = probes.iter().map(|c| client.exchange(c)).collect();
+    restarted.exit_ok();
 
     let all: Vec<String> = pre.iter().chain(&probes).cloned().collect();
-    let reference = reference_responses(&all);
+    let reference = reference_replies(ServeConfig::new(SystemSpec::theta()), &all);
     assert_eq!(recovered_replies[..], reference[pre.len()..]);
 
     // The truncated segment now ends cleanly: a fresh restart sees no tear.
@@ -401,19 +159,18 @@ fn torn_tail_is_truncated_with_a_warning() {
         !recovery.iter().any(|l| l.contains("torn record")),
         "tear survived truncation: {recovery:?}"
     );
-    let (mut writer, mut reader) = connect(&again.addr);
-    exchange(&mut writer, &mut reader, r#""Shutdown""#);
-    again.child.wait().expect("reap");
+    again.client().exchange(r#""Shutdown""#);
+    again.exit_ok();
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn group_commit_kill_mid_batch_loses_no_acked_command() {
-    let dir = journal_dir("groupkill");
+    let dir = scratch_dir("recovery-groupkill");
 
     let server = ServerProc::spawn(&dir, &[]);
-    let (mut writer, mut reader) = connect(&server.addr);
+    let mut client = server.client();
 
     // Firehose: pipeline five rounds' worth of submits without waiting for
     // replies, so the scheduler drains several full rounds and the SIGKILL
@@ -421,13 +178,10 @@ fn group_commit_kill_mid_batch_loses_no_acked_command() {
     // not, inside a batch).
     let total = 5 * 64u64;
     for i in 0..total {
-        writeln!(
-            writer,
+        client.send(&format!(
             r#"{{"Submit":{{"job":{{"id":{i},"procs":1,"runtime":60,"submit":{i}}}}}}}"#,
-        )
-        .expect("pipeline submit");
+        ));
     }
-    writer.flush().expect("flush pipeline");
 
     // Read a partial prefix of the acknowledgments, then SIGKILL with the
     // rest of the stream still unanswered. Replies come back in request
@@ -435,9 +189,7 @@ fn group_commit_kill_mid_batch_loses_no_acked_command() {
     // command the server never journaled would show up here as a hole.
     let acked = 101u64;
     for i in 0..acked {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read ack");
-        assert!(!line.is_empty(), "server closed early at ack {i}");
+        let line = client.recv();
         assert!(
             line.contains("Submitted") && line.contains(&format!("\"id\":{i}")),
             "ack {i} out of order or refused: {line}"
@@ -452,15 +204,11 @@ fn group_commit_kill_mid_batch_loses_no_acked_command() {
     // punch holes in the stream.
     let mut restarted = ServerProc::spawn(&dir, &[]);
     restarted.read_recovery_lines();
-    let (mut writer, mut reader) = connect(&restarted.addr);
+    let mut client = restarted.client();
     let mut known = 0u64;
     let mut first_unknown = None;
     for i in 0..total {
-        let reply = exchange(
-            &mut writer,
-            &mut reader,
-            &format!(r#"{{"Query":{{"id":{i}}}}}"#),
-        );
+        let reply = client.exchange(&format!(r#"{{"Query":{{"id":{i}}}}}"#));
         if reply.contains("unknown job id") {
             first_unknown.get_or_insert(i);
         } else {
@@ -479,31 +227,43 @@ fn group_commit_kill_mid_batch_loses_no_acked_command() {
         known >= acked,
         "acked commands lost: {acked} acknowledged, only {known} recovered"
     );
-    let reply = exchange(&mut writer, &mut reader, r#""Shutdown""#);
+    let reply = client.exchange(r#""Shutdown""#);
     assert!(reply.contains("Bye"), "unexpected {reply}");
-    restarted.child.wait().expect("reap");
+    restarted.exit_ok();
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs the pre-crash stream through a server rotating every 4 records
+/// and shuts it down cleanly, leaving a chain of rotation snapshots.
+fn journal_with_snapshots(tag: &str) -> PathBuf {
+    let dir = scratch_dir(tag);
+    let server = ServerProc::spawn(&dir, &["--snapshot-every", "4"]);
+    let mut client = server.client();
+    for c in precrash_with_refusal() {
+        client.exchange(&c);
+    }
+    client.exchange(r#""Shutdown""#);
+    server.exit_ok();
+    dir
+}
+
+/// `lumos journal inspect DIR`: exit status, stdout and stderr.
+fn inspect(dir: &Path) -> (Option<i32>, String, String) {
+    let out = lumos(&[
+        "journal",
+        "inspect",
+        dir.to_str().expect("temp dir is UTF-8"),
+    ]);
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("UTF-8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
 #[test]
 fn journal_inspect_audits_the_directory() {
-    let dir = journal_dir("inspect");
-    let mut server = ServerProc::spawn(&dir, &["--snapshot-every", "4"]);
-    let (mut writer, mut reader) = connect(&server.addr);
-    for c in precrash_commands() {
-        exchange(&mut writer, &mut reader, &c);
-    }
-    exchange(&mut writer, &mut reader, r#""Shutdown""#);
-    server.child.wait().expect("reap");
-
-    let output = Command::new(env!("CARGO_BIN_EXE_lumos"))
-        .args(["journal", "inspect"])
-        .arg(&dir)
-        .output()
-        .expect("run journal inspect");
-    assert!(output.status.success(), "inspect failed: {output:?}");
-    let stdout = String::from_utf8(output.stdout).expect("UTF-8 stdout");
+    let dir = journal_with_snapshots("recovery-inspect");
+    let (code, stdout, stderr) = inspect(&dir);
+    assert_eq!(code, Some(0), "inspect failed: {stderr}");
     assert!(
         stdout.contains("journal-000000.log"),
         "no segment listing:\n{stdout}"
@@ -515,17 +275,8 @@ fn journal_inspect_audits_the_directory() {
     assert!(stdout.contains("submit"), "no record counts:\n{stdout}");
 
     // Usage errors exit 2; a missing directory is a runtime failure (1).
-    let bad = Command::new(env!("CARGO_BIN_EXE_lumos"))
-        .args(["journal", "frobnicate"])
-        .output()
-        .expect("run bad subcommand");
-    assert_eq!(bad.status.code(), Some(2));
-    let missing = Command::new(env!("CARGO_BIN_EXE_lumos"))
-        .args(["journal", "inspect"])
-        .arg(dir.join("no-such-subdir"))
-        .output()
-        .expect("run on missing dir");
-    assert_eq!(missing.status.code(), Some(1));
+    assert_eq!(lumos(&["journal", "frobnicate"]).status.code(), Some(2));
+    assert_eq!(inspect(&dir.join("no-such-subdir")).0, Some(1));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -542,14 +293,7 @@ fn json<T: serde::Serialize>(value: &T) -> String {
 fn inspect_and_recovery_start_from_the_same_snapshot() {
     use lumos_serve::recovery::{read_snapshot, SnapshotBody};
 
-    let dir = journal_dir("unfolding");
-    let mut server = ServerProc::spawn(&dir, &["--snapshot-every", "4"]);
-    let (mut writer, mut reader) = connect(&server.addr);
-    for c in precrash_commands() {
-        exchange(&mut writer, &mut reader, &c);
-    }
-    exchange(&mut writer, &mut reader, r#""Shutdown""#);
-    server.child.wait().expect("reap");
+    let dir = journal_with_snapshots("recovery-unfolding");
 
     let (_, snapshots) = lumos_serve::journal::scan_dir(&dir).expect("scan");
     let newest = *snapshots.last().expect("the run rotated");
@@ -571,14 +315,8 @@ fn inspect_and_recovery_start_from_the_same_snapshot() {
     );
     std::fs::write(lumos_serve::journal::snapshot_path(&dir, newest), text).expect("rewrite");
 
-    let output = Command::new(env!("CARGO_BIN_EXE_lumos"))
-        .args(["journal", "inspect"])
-        .arg(&dir)
-        .output()
-        .expect("run journal inspect");
-    assert!(output.status.success(), "inspect failed: {output:?}");
-    let stdout = String::from_utf8(output.stdout).expect("UTF-8 stdout");
-    let stderr = String::from_utf8(output.stderr).expect("UTF-8 stderr");
+    let (code, stdout, stderr) = inspect(&dir);
+    assert_eq!(code, Some(0), "inspect failed: {stderr}");
     let start = format!("recovery starts from snapshot-{:06}.json", newest - 1);
     assert!(stdout.contains(&start), "{stdout}");
 
