@@ -131,6 +131,9 @@ impl Core {
         requests: impl IntoIterator<Item = Request>,
     ) -> Round {
         (self.elapsed, self.door_rejects) = (elapsed, door_rejects);
+        if let Some(journal) = &mut self.journal {
+            journal.set_elapsed(elapsed);
+        }
         // One wall-clock advance covers the whole round: its commands
         // were all queued by now, so they share an arrival instant. A
         // follower's clock is the primary's clock: only applied frames

@@ -46,7 +46,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 use lumos_core::{SystemSpec, Timestamp};
 use lumos_predict::PredictorConfig;
@@ -61,8 +61,9 @@ use crate::store::{Appender, FileStore, Store};
 pub enum FsyncPolicy {
     /// `fsync` after every record: no acknowledged command is ever lost.
     Always,
-    /// `fsync` at most once per this many milliseconds: bounded loss
-    /// window, near-`Never` throughput.
+    /// `fsync` at most once per this many milliseconds, measured on the
+    /// wall time each serving round carries: bounded loss window,
+    /// near-`Never` throughput.
     Interval(u64),
     /// Never `fsync` explicitly; the OS flushes when it pleases. A machine
     /// crash may lose acknowledged commands (a process crash does not:
@@ -429,7 +430,11 @@ pub struct Journal {
     seq: u64,
     records_in_segment: u64,
     segment_bytes: u64,
-    last_sync: Instant,
+    /// Wall time since the serving shell started, as of the current round
+    /// ([`Journal::set_elapsed`]), and as of the last interval sync: what
+    /// [`FsyncPolicy::Interval`] measures.
+    elapsed: Duration,
+    last_sync: Duration,
     /// Reused frame buffer: a batch append encodes every frame into it, a
     /// mirrored line is copied into it with its newline, and either way
     /// one `write_all` follows, so the steady state allocates nothing
@@ -473,9 +478,16 @@ impl Journal {
             seq,
             records_in_segment: existing_records,
             segment_bytes,
-            last_sync: Instant::now(),
+            elapsed: Duration::ZERO,
+            last_sync: Duration::ZERO,
             scratch: String::new(),
         })
+    }
+
+    /// Sets the journal's clock to `elapsed`, the round's wall time after
+    /// the serving shell started.
+    pub(crate) fn set_elapsed(&mut self, elapsed: Duration) {
+        self.elapsed = elapsed;
     }
 
     /// Sequence number of the active segment.
@@ -562,9 +574,9 @@ impl Journal {
         match self.config.fsync {
             FsyncPolicy::Always => self.file.sync_data()?,
             FsyncPolicy::Interval(ms) => {
-                if self.last_sync.elapsed().as_millis() >= u128::from(ms) {
+                if self.elapsed.saturating_sub(self.last_sync) >= Duration::from_millis(ms) {
                     self.file.sync_data()?;
-                    self.last_sync = Instant::now();
+                    self.last_sync = self.elapsed;
                 }
             }
             FsyncPolicy::Never => {}
@@ -856,6 +868,30 @@ mod tests {
         // Garbage framing.
         assert!(decode_line(b"not a record").is_err());
         assert!(decode_line(b"").is_err());
+    }
+
+    /// `Interval(5)` syncs an append once 5 ms of round wall time have
+    /// passed since the last sync, and never on the clock of the machine
+    /// running the test: the clock is stepped by hand.
+    #[test]
+    fn interval_fsync_counts_round_time_not_the_machine_clock() {
+        let store = crate::store::MemStore::default();
+        let mut config = JournalConfig::new(PathBuf::from("unused"));
+        config.fsync = FsyncPolicy::Interval(5);
+        let mut journal = Journal::open_in(Arc::new(store.clone()), config, 0, 0).unwrap();
+        let mut syncs = Vec::new();
+        for ms in [0, 4, 5, 5, 9, 10, 11, 30, 30, 34, 35] {
+            journal.set_elapsed(Duration::from_millis(ms));
+            journal.append(&record(ms)).unwrap();
+            syncs.push(store.syncs());
+        }
+        assert_eq!(syncs, [0, 0, 1, 1, 1, 2, 2, 3, 3, 3, 4]);
+        // A batch is one append: one sync at most, however many records.
+        journal.set_elapsed(Duration::from_millis(60));
+        journal
+            .append_batch(&[record(1), record(2), record(3)])
+            .unwrap();
+        assert_eq!(store.syncs(), 5);
     }
 
     #[test]

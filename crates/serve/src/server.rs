@@ -1052,6 +1052,29 @@ mod tests {
         (Replica::fresh(config), journal)
     }
 
+    /// The wall time a round carries is the clock `FsyncPolicy::Interval`
+    /// reads: rounds 4 ms apart share a sync, 5 ms apart do not.
+    #[test]
+    fn interval_fsync_runs_on_the_rounds_clock() {
+        let mut config = config(0);
+        let jc = config.journal.as_mut().unwrap();
+        jc.fsync = FsyncPolicy::Interval(5);
+        let store = MemStore::default();
+        let journal = Journal::open_in(Arc::new(store.clone()), jc.clone(), 0, 1).expect("open");
+        let mut core = Core::new(&config, Replica::fresh(&config), Some(journal), None);
+        let mut syncs = Vec::new();
+        for (id, ms) in [(1, 0), (2, 4), (3, 5), (4, 9), (5, 10), (6, 20)] {
+            let round = core.round(
+                Duration::from_millis(ms),
+                0,
+                [submit(id, 1, 10, None, "free")],
+            );
+            assert!(round.wrote, "round at {ms} ms journaled its submission");
+            syncs.push(store.syncs());
+        }
+        assert_eq!(syncs, [0, 0, 1, 1, 2, 3]);
+    }
+
     /// A round whose write fails (a full disk), and one whose write lands
     /// but whose sync fails.
     #[test]

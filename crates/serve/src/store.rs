@@ -185,6 +185,8 @@ mod mem {
     struct Dir {
         files: BTreeMap<String, Vec<u8>>,
         failing: BTreeSet<Op>,
+        /// Successful [`Appender::sync_data`] calls.
+        syncs: u64,
     }
 
     impl MemStore {
@@ -201,6 +203,11 @@ mod mem {
         /// What a failing `op` returns.
         pub(crate) fn error(op: Op) -> io::Error {
             io::Error::other(format!("injected {op:?} failure"))
+        }
+
+        /// How many [`Appender::sync_data`] calls have succeeded.
+        pub(crate) fn syncs(&self) -> u64 {
+            self.dir().syncs
         }
 
         /// Every file, by name.
@@ -311,7 +318,8 @@ mod mem {
         }
 
         fn sync_data(&mut self) -> io::Result<()> {
-            self.store.check(Op::Sync).map(drop)
+            self.store.check(Op::Sync)?.syncs += 1;
+            Ok(())
         }
     }
 

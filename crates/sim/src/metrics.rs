@@ -1,7 +1,6 @@
 //! Scheduling metrics (paper §II.C) and the utilization timeline (Fig. 3).
 
 use lumos_core::{Duration, Job, Timestamp};
-use lumos_stats::quantiles;
 use serde::Serialize;
 
 /// The paper's scheduling metrics over one simulation run.
@@ -45,10 +44,12 @@ impl SimMetrics {
         violations: &[(Timestamp, Timestamp)],
     ) -> Self {
         assert!(!jobs.is_empty(), "metrics need at least one job");
-        let waits: Vec<f64> = jobs
+        let mut waits: Vec<Duration> = jobs
             .iter()
-            .map(|j| j.wait.expect("job was scheduled") as f64)
+            .map(|j| j.wait.expect("job was scheduled"))
             .collect();
+        // In job order, as the sum over a float copy of the waits was.
+        let mean_wait = waits.iter().map(|&w| w as f64).sum::<f64>() / waits.len() as f64;
 
         let first_submit = jobs.iter().map(|j| j.submit).min().expect("non-empty");
         let last_submit = jobs.iter().map(|j| j.submit).max().expect("non-empty");
@@ -91,7 +92,7 @@ impl SimMetrics {
             delays.iter().sum::<f64>() / delays.len() as f64
         };
 
-        let median_p90 = quantiles(&waits, &[0.5, 0.9]);
+        let (median_wait, p90_wait) = median_p90(&mut waits);
         let bsld_sum: f64 = jobs
             .iter()
             .map(|j| j.bounded_slowdown(bsld_bound).expect("wait present"))
@@ -99,9 +100,9 @@ impl SimMetrics {
 
         Self {
             jobs: jobs.len(),
-            mean_wait: waits.iter().sum::<f64>() / waits.len() as f64,
-            median_wait: median_p90[0],
-            p90_wait: median_p90[1],
+            mean_wait,
+            median_wait,
+            p90_wait,
             mean_bsld: bsld_sum / jobs.len() as f64,
             util,
             violation,
@@ -110,6 +111,34 @@ impl SimMetrics {
             makespan,
         }
     }
+}
+
+/// The median and 90th percentile of `waits`, bit for bit what
+/// `lumos_stats::quantiles` gives on them as floats (type 7, the same
+/// arithmetic), by selection instead of a sort. The 90th percentile's two
+/// ranks are selected over the whole slice, which leaves the waits up to
+/// its upper rank in front; the median's ranks are no higher, so they
+/// are selected within that front.
+fn median_p90(waits: &mut [Duration]) -> (f64, f64) {
+    let n = waits.len();
+    let quantile = |front: &mut [Duration], p: f64| {
+        let h = p * (n - 1) as f64;
+        let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
+        front.select_nth_unstable(lo);
+        if lo == hi {
+            return (front[lo] as f64, hi);
+        }
+        // `hi` is `lo + 1`: the least wait above rank `lo`.
+        front[hi..].select_nth_unstable(0);
+        let frac = h - lo as f64;
+        (
+            front[lo] as f64 * (1.0 - frac) + front[hi] as f64 * frac,
+            hi,
+        )
+    };
+    let (p90, top) = quantile(waits, 0.9);
+    let (median, _) = quantile(&mut waits[..=top], 0.5);
+    (median, p90)
 }
 
 /// Used-units-over-time samples, recorded at every allocation change.
@@ -184,8 +213,9 @@ impl UtilizationTimeline {
 mod tests {
     use super::*;
     use lumos_core::Job;
-    use lumos_stats::quantile;
+    use lumos_stats::quantiles;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn scheduled_job(id: u64, submit: i64, wait: i64, runtime: i64, procs: u64) -> Job {
         let mut j = Job::basic(id, 1, submit, runtime, procs);
@@ -221,7 +251,7 @@ mod tests {
     }
 
     /// `median_wait` and `p90_wait` over jobs with these waits, after
-    /// asserting that they are, bit for bit, what `lumos_stats::quantile`
+    /// asserting that they are, bit for bit, what `lumos_stats::quantiles`
     /// gives on the waits.
     fn order_statistics(waits: &[i64]) -> (f64, f64) {
         let jobs: Vec<Job> = (0..)
@@ -230,9 +260,18 @@ mod tests {
             .collect();
         let m = SimMetrics::compute(&jobs, 4, 10, &[]);
         let sample: Vec<f64> = waits.iter().map(|&w| w as f64).collect();
-        assert_eq!(m.median_wait.to_bits(), quantile(&sample, 0.5).to_bits());
-        assert_eq!(m.p90_wait.to_bits(), quantile(&sample, 0.9).to_bits());
+        let q = quantiles(&sample, &[0.5, 0.9]);
+        assert_eq!(m.median_wait.to_bits(), q[0].to_bits(), "{waits:?}");
+        assert_eq!(m.p90_wait.to_bits(), q[1].to_bits(), "{waits:?}");
         (m.median_wait, m.p90_wait)
+    }
+
+    /// `len` distinct waits below 2^40, in random order.
+    fn distinct_waits(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<i64>> {
+        prop::collection::vec(0i64..1 << 40, len).prop_map(|waits| {
+            let mut seen = HashSet::new();
+            waits.into_iter().filter(|&w| seen.insert(w)).collect()
+        })
     }
 
     #[test]
@@ -244,12 +283,23 @@ mod tests {
         let (median, p90) = order_statistics(&[10, 0, 30, 20]);
         assert_eq!(median, 15.0);
         assert!(20.0 < p90 && p90 < 30.0, "{p90}");
+        // n = 1: every quantile is the one wait; n = 2: both interpolate.
+        assert_eq!(order_statistics(&[1 << 39]), (2f64.powi(39), 2f64.powi(39)));
+        let (median, p90) = order_statistics(&[30, 10]);
+        assert_eq!(median, 20.0);
+        assert!(20.0 < p90 && p90 < 30.0, "{p90}");
     }
 
     proptest! {
         #[test]
         fn order_statistics_are_the_type7_quantiles(
-            waits in prop::collection::vec(0i64..12, 1..=300),
+            waits in prop_oneof![
+                // Many ties.
+                prop::collection::vec(0i64..12, 1..=300),
+                // No ties, wide values, and the shortest samples.
+                distinct_waits(1..=2),
+                distinct_waits(1..=5_000),
+            ],
         ) {
             order_statistics(&waits);
         }

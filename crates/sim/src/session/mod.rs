@@ -177,8 +177,9 @@ pub struct SimSession {
     promised: Vec<Option<Timestamp>>,
     /// Per-job lifecycle state.
     state: Vec<JobState>,
-    /// First job table index for each id (for `query`/`cancel`).
-    by_id: HashMap<u64, usize>,
+    /// First job table index for each id (for `query`/`cancel`). `None`
+    /// in a batch replay, which never looks a job up by id.
+    by_id: Option<HashMap<u64, usize>>,
     /// Submitted jobs not yet arrived, ascending by `(submit, id, row)`.
     pending: VecDeque<usize>,
     cluster: Cluster,
@@ -202,12 +203,12 @@ pub struct SimSession {
     fair_scratch: Vec<Waiter>,
     /// Event log since the last `drain_events` (off for batch replay,
     /// where nobody drains and the log would only cost memory).
-    pub(crate) record_events: bool,
-    /// Accept resubmission of a live job id (first submission keeps
-    /// ownership of `query`/`cancel`). Only batch replay opts in, to keep
-    /// historical traces with colliding ids replayable; the incremental
-    /// API rejects live duplicates.
-    pub(crate) allow_duplicate_ids: bool,
+    record_events: bool,
+    /// Accept resubmission of a live job id into an indexed session (the
+    /// first submission keeps `query`/`cancel`), as batch replay's
+    /// unindexed session does: tests of the pending order set it.
+    #[cfg(test)]
+    allow_duplicate_ids: bool,
     events: Vec<SimEvent>,
     finished_count: usize,
     cancelled_count: usize,
@@ -244,7 +245,7 @@ impl SimSession {
             key_of: Vec::new(),
             promised: Vec::new(),
             state: Vec::new(),
-            by_id: HashMap::new(),
+            by_id: Some(HashMap::new()),
             pending: VecDeque::new(),
             cluster,
             finish_heap: BinaryHeap::new(),
@@ -257,6 +258,7 @@ impl SimSession {
             scratch_starts: Vec::new(),
             fair_scratch: Vec::new(),
             record_events: true,
+            #[cfg(test)]
             allow_duplicate_ids: false,
             events: Vec::new(),
             finished_count: 0,
@@ -277,6 +279,20 @@ impl SimSession {
     pub fn new_with_tenants(system: &SystemSpec, config: SimConfig, table: TenantTable) -> Self {
         let mut s = Self::new(system, config);
         s.tenants = Some(TenantState::new(table));
+        s
+    }
+
+    /// A session for batch replay ([`crate::simulate`]) of `rows` jobs,
+    /// sized for them up front. It keeps no event log, which nobody
+    /// drains, and no id index, which nobody probes: `row_of`, `query`,
+    /// `job` and `cancel` find nothing. An id is then only a label and
+    /// the `(submit, id, row)` tie-break, so a historical trace may reuse
+    /// one while its holder is live (SWF files occasionally do).
+    pub(crate) fn for_replay(system: &SystemSpec, config: SimConfig, rows: usize) -> Self {
+        let mut s = Self::new(system, config);
+        s.record_events = false;
+        s.by_id = None;
+        s.reserve(rows);
         s
     }
 
@@ -358,12 +374,17 @@ impl SimSession {
             tenant,
             walltime,
         } = submission.into();
-        // The one probe of the id map: the duplicate verdict comes first,
-        // and the slot is filled only after every other check has passed
-        // (an unused entry leaves the map as it was).
-        let slot = self.by_id.entry(job.id);
-        if let Entry::Occupied(first) = &slot {
-            if !self.allow_duplicate_ids && self.state[*first.get()].is_live() {
+        #[cfg(test)]
+        let live_twins = self.allow_duplicate_ids;
+        #[cfg(not(test))]
+        let live_twins = false;
+        // The one probe of the id map, if the session keeps one: the
+        // duplicate verdict comes first, and the slot is filled only after
+        // every other check has passed (an unused entry leaves the map as
+        // it was).
+        let slot = self.by_id.as_mut().map(|by_id| by_id.entry(job.id));
+        if let Some(Entry::Occupied(first)) = &slot {
+            if !live_twins && self.state[*first.get()].is_live() {
                 return Err(CoreError::DuplicateJob { job: job.id });
             }
         }
@@ -423,7 +444,7 @@ impl SimSession {
         self.key_of.push(self.config.policy.key_with(&job, wall));
         self.promised.push(None);
         self.state.push(JobState::Pending);
-        if let Entry::Vacant(slot) = slot {
+        if let Some(Entry::Vacant(slot)) = slot {
             slot.insert(idx);
         }
         if let Some(ts) = &mut self.tenants {
@@ -461,7 +482,7 @@ impl SimSession {
     /// job was pending or waiting and is now cancelled; `false` if the id
     /// is unknown or the job already started, finished, or was cancelled.
     pub fn cancel(&mut self, id: u64) -> bool {
-        let Some(&idx) = self.by_id.get(&id) else {
+        let Some(idx) = self.row_of(id) else {
             return false;
         };
         let was = self.state[idx];
@@ -517,9 +538,9 @@ impl SimSession {
             .expect("pending job is in the pending queue")
     }
 
-    /// Sizes the job table's columns, the id map and the pending queue to
-    /// hold `rows` rows without growing: batch replay and restore know
-    /// the table's length before the first row goes in.
+    /// Sizes the job table's columns, the id map (if any) and the pending
+    /// queue to hold `rows` rows without growing: batch replay and restore
+    /// know the table's length before the first row goes in.
     pub(crate) fn reserve(&mut self, rows: usize) {
         fn column<T>(v: &mut Vec<T>, rows: usize) {
             v.reserve(rows.saturating_sub(v.len()));
@@ -531,7 +552,9 @@ impl SimSession {
         column(&mut self.key_of, rows);
         column(&mut self.promised, rows);
         column(&mut self.state, rows);
-        self.by_id.reserve(rows.saturating_sub(self.by_id.len()));
+        if let Some(by_id) = &mut self.by_id {
+            by_id.reserve(rows.saturating_sub(by_id.len()));
+        }
         self.pending
             .reserve(rows.saturating_sub(self.pending.len()));
     }
@@ -541,7 +564,7 @@ impl SimSession {
     /// read columns. `None` for unknown ids.
     #[must_use]
     pub fn row_of(&self, id: u64) -> Option<usize> {
-        self.by_id.get(&id).copied()
+        self.by_id.as_ref()?.get(&id).copied()
     }
 
     /// Lifecycle state of the job with `id` (first submission wins when ids
@@ -1922,7 +1945,7 @@ mod tests {
         twin.advance_to(5);
         let mut cancelled = 0;
         for id in (0..5_000u64).step_by(7) {
-            let idx = twin.by_id[&id];
+            let idx = twin.row_of(id).unwrap();
             let at = twin.pending.iter().position(|&i| i == idx).unwrap();
             assert_eq!(s.pending_position(idx), at, "job {id}");
             assert!(s.cancel(id), "job {id}");

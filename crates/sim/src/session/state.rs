@@ -370,7 +370,9 @@ impl SimSession {
             s.part_of.push(part);
             s.procs_eff.push(job.procs.min(cap));
             s.key_of.push(s.config.policy.key_with(job, wall));
-            s.by_id.entry(job.id).or_insert(idx);
+            if let Some(by_id) = &mut s.by_id {
+                by_id.entry(job.id).or_insert(idx);
+            }
             match s.state[idx] {
                 JobState::Pending | JobState::Waiting => {
                     if job.wait.is_some() {

@@ -94,15 +94,11 @@ pub fn simulate_with_walltimes(
 }
 
 fn replay(trace: &Trace, config: &SimConfig, walltimes: Option<&[Duration]>) -> SimResult {
-    let mut session = SimSession::new(&trace.system, *config);
-    // Batch replays never drain the event log; don't accumulate one.
-    session.record_events = false;
     // Historical traces are not guaranteed to have unique job ids (SWF
-    // files occasionally reuse them). Batch replay keeps the legacy
-    // first-wins rule — every job runs, id lookups resolve to the first
-    // submission — while the incremental API rejects live duplicates.
-    session.allow_duplicate_ids = true;
-    session.reserve(trace.len());
+    // files occasionally reuse them). Nothing here looks a job up by id,
+    // so the replay session keeps no id index: every job runs, an id only
+    // breaks `(submit, id)` ties, and the result is in row order.
+    let mut session = SimSession::for_replay(&trace.system, *config, trace.len());
     for (i, job) in trace.jobs().iter().enumerate() {
         session
             .submit(Submission {
@@ -315,9 +311,10 @@ mod tests {
 
     #[test]
     fn batch_traces_with_duplicate_ids_keep_first_wins() {
-        // Historical traces (SWF) occasionally reuse job ids. Batch replay
-        // runs every submission and keeps the legacy first-wins rule for
-        // id lookups; only the incremental API rejects live duplicates.
+        // Historical traces (SWF) occasionally reuse job ids, even while
+        // the first holder is live. Batch replay has no id lookups, so a
+        // repeated id is only a label: every submission runs, in row
+        // order. Only the incremental API rejects live duplicates.
         let r = run(
             vec![job(7, 0, 100, 100, 100), job(7, 1, 50, 100, 50)],
             SimConfig::default(),

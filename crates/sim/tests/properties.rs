@@ -264,6 +264,53 @@ proptest! {
         prop_assert_eq!(online.metrics.p90_wait.to_bits(), batch.metrics.p90_wait.to_bits());
     }
 
+    /// In a batch replay an id is only a label. Some jobs reuse the id of
+    /// the job before them while that one is still live (submitted before
+    /// it can finish, possibly in the same second). Relabelling every id
+    /// as `2·id + occurrence` makes the ids unique and keeps the `(submit,
+    /// id, row)` order, so each row must wait as long as before, and the
+    /// metrics, timeline and queue depth must not move.
+    #[test]
+    fn a_batch_replay_reads_ids_only_as_labels(
+        jobs in arb_jobs(50),
+        config in arb_config(),
+        seed in any::<u64>(),
+    ) {
+        let mut jobs = jobs;
+        let mut rng = TestRng::new(seed);
+        for i in (1..jobs.len()).step_by(2) {
+            if rng.next_u64() % 2 == 0 {
+                let first = jobs[i - 1].clone();
+                jobs[i].id = first.id;
+                jobs[i].submit = first.submit + (rng.next_u64() % first.runtime as u64) as i64;
+            }
+        }
+        let trace = Trace::new(tiny_system(50), jobs).unwrap();
+        let mut seen = std::collections::HashMap::new();
+        let relabelled: Vec<Job> = trace
+            .jobs()
+            .iter()
+            .map(|j| {
+                let occurrence = seen.entry(j.id).or_insert(0u64);
+                let mut j = j.clone();
+                j.id = 2 * j.id + *occurrence;
+                *occurrence += 1;
+                j
+            })
+            .collect();
+        prop_assert!(seen.values().all(|&n| n <= 2));
+        let unique = Trace::new(trace.system.clone(), relabelled.clone()).unwrap();
+        prop_assert_eq!(unique.jobs(), &relabelled[..], "relabelling kept the row order");
+
+        let (a, b) = (simulate(&trace, &config), simulate(&unique, &config));
+        let waits = |r: &lumos_sim::SimResult| r.jobs.iter().map(|j| j.wait).collect::<Vec<_>>();
+        prop_assert_eq!(waits(&a), waits(&b));
+        prop_assert_eq!(&a.metrics, &b.metrics);
+        prop_assert_eq!(&a.timeline, &b.timeline);
+        prop_assert_eq!(a.max_queue_len, b.max_queue_len);
+        prop_assert_eq!(a.events, b.events);
+    }
+
     /// A session checkpointed (through JSON) and restored at an arbitrary
     /// point mid-stream must finish with exactly the batch outcome — the
     /// invariant crash recovery in `lumos-serve` is built on.
