@@ -346,6 +346,11 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
                 config.queue_capacity = value("--queue-cap")?
                     .parse()
                     .map_err(|e| CliError::Usage(format!("--queue-cap: {e}")))?;
+                // A zero-capacity channel is a rendezvous: a submission
+                // would be accepted only while the scheduler sits in `recv`.
+                if config.queue_capacity == 0 {
+                    return Err(CliError::Usage("--queue-cap must be at least 1".into()));
+                }
             }
             "--time-scale" => {
                 config.time_scale = value("--time-scale")?

@@ -102,14 +102,14 @@ pub fn fig4_fig5(analyses: &[SystemAnalysis]) -> String {
     for a in analyses {
         let _ = writeln!(
             out,
-            "{:<14} {:>9.0}s {:>9.0}s {:>8.1}% {:>8.1}%  {:?} / {:?}",
+            "{:<14} {:>9.0}s {:>9.0}s {:>8.1}% {:>8.1}%  {} / {}",
             a.system,
             a.waiting.mean_wait,
             a.waiting.median_wait,
             a.waiting.under_10s_share * 100.0,
             a.waiting.over_90min_share * 100.0,
-            a.waiting.longest_waiting_size,
-            a.waiting.longest_waiting_length,
+            a.waiting.longest_waiting_size.map_or("–", |c| c.label()),
+            a.waiting.longest_waiting_length.map_or("–", |c| c.label()),
         );
     }
     out
@@ -338,10 +338,13 @@ pub fn walltime_ablation(sweep: &[(String, SimMetrics)]) -> String {
 /// feedback on, then off).
 #[must_use]
 pub fn feedback_ablation(with: Option<f64>, without: Option<f64>) -> String {
+    let show = |g: Option<f64>| g.map_or_else(|| "–".to_string(), |g| g.to_string());
     format!(
         "minimal-request share gradient (long queue − short queue):\n\
-         \x20 with feedback    : {with:?}\n\
-         \x20 without feedback : {without:?}\n"
+         \x20 with feedback    : {}\n\
+         \x20 without feedback : {}\n",
+        show(with),
+        show(without)
     )
 }
 

@@ -294,8 +294,8 @@ impl WaitQueue {
         }
     }
 
-    /// The entry at flat position `n`, and where it is: what the
-    /// reference EASY pass walks the queue by.
+    /// The entry at flat position `n`, and where it is: how the queue's
+    /// lockstep tests name a place in it.
     #[cfg(test)]
     pub(crate) fn nth(&self, mut n: usize) -> Option<(Cursor, Waiter)> {
         for (chunk, c) in self.chunks.iter().enumerate() {

@@ -29,6 +29,8 @@ pub mod cluster;
 pub mod metrics;
 pub mod policy;
 pub mod profile;
+#[cfg(test)]
+mod reference;
 pub mod session;
 pub mod simulator;
 pub mod tenant;

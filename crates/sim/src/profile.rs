@@ -23,9 +23,9 @@
 //! that plan says, and rebuilds it from the ledger when it does not
 //! ([`ReleaseLedger::copy_to`]: one span per ledger chunk, every
 //! breakpoint copied out, O(keys), once per divergence). See
-//! `docs/PERFORMANCE.md` §4 and §17 for what that costs, and for the
-//! differential tests pinning copy == flat breakpoint list ==
-//! rebuilt-from-scratch.
+//! `docs/PERFORMANCE.md` §4 and §17 for what that costs. The tests hold
+//! the copy to the reference model's timeline, a flat list built from
+//! the running jobs alone.
 //!
 //! ```
 //! use lumos_sim::profile::{CapacityProfile, ReleaseLedger};
@@ -726,221 +726,10 @@ impl ReleaseLedger {
     }
 }
 
-/// The breakpoint list as one flat sorted `Vec`, the way
-/// [`CapacityProfile`] stored it before spans, and
-/// [`ReleaseLedger::fill`], the full copy a pass used to start with: the
-/// oracle the chunked profile and the ledger's copy are held to, answer
-/// for answer and point for point.
-#[cfg(test)]
-pub(crate) mod flat {
-    use super::{Point, ReleaseLedger, Timestamp};
-
-    /// `points[i] = (t_i, free_i)`: `free_i` units free on `[t_i, t_{i+1})`.
-    #[derive(Debug, Clone)]
-    pub(crate) struct FlatProfile {
-        points: Vec<Point>,
-    }
-
-    impl FlatProfile {
-        pub(crate) fn new(start: Timestamp, free: u64) -> Self {
-            Self {
-                points: vec![(start, free)],
-            }
-        }
-
-        pub(crate) fn from_points(points: Vec<Point>) -> Self {
-            Self { points }
-        }
-
-        pub(crate) fn from_running(now: Timestamp, capacity: u64, running: &[Point]) -> Self {
-            let mut ends = running.to_vec();
-            ends.sort_unstable();
-            let in_use: u64 = ends.iter().map(|&(_, p)| p).sum();
-            let mut profile = Self::new(now, capacity.saturating_sub(in_use));
-            for (end, procs) in ends {
-                profile.release(end.max(now), procs);
-            }
-            profile
-        }
-
-        pub(crate) fn points(&self) -> &[Point] {
-            &self.points
-        }
-
-        pub(crate) fn free_at(&self, t: Timestamp) -> u64 {
-            match self.points.binary_search_by_key(&t, |&(ti, _)| ti) {
-                Ok(i) => self.points[i].1,
-                Err(0) => self.points[0].1,
-                Err(i) => self.points[i - 1].1,
-            }
-        }
-
-        /// Adds `procs` free units from time `at` onwards (a running job's
-        /// estimated completion).
-        pub(crate) fn release(&mut self, at: Timestamp, procs: u64) {
-            if procs == 0 {
-                return;
-            }
-            let idx = self.ensure_breakpoint(at);
-            for p in &mut self.points[idx..] {
-                p.1 += procs;
-            }
-        }
-
-        pub(crate) fn reserve(&mut self, from: Timestamp, to: Timestamp, procs: u64) {
-            if from >= to || procs == 0 {
-                return;
-            }
-            let start_idx = self.ensure_breakpoint(from);
-            let end_idx = self.ensure_breakpoint(to);
-            for p in &mut self.points[start_idx..end_idx] {
-                assert!(p.1 >= procs, "reservation exceeds free capacity");
-                p.1 -= procs;
-            }
-            self.coalesce_at(end_idx);
-            self.coalesce_at(start_idx);
-        }
-
-        pub(crate) fn fits(&self, from: Timestamp, to: Timestamp, procs: u64) -> bool {
-            if from >= to {
-                return true;
-            }
-            // Segment containing `from`:
-            let mut i = match self.points.binary_search_by_key(&from, |&(t, _)| t) {
-                Ok(i) => i,
-                Err(0) => 0,
-                Err(i) => i - 1,
-            };
-            while i < self.points.len() && self.points[i].0 < to {
-                if self.points[i].1 < procs {
-                    return false;
-                }
-                i += 1;
-            }
-            true
-        }
-
-        /// One forward sweep over the segments at or after `after`.
-        pub(crate) fn earliest_fit(
-            &self,
-            after: Timestamp,
-            procs: u64,
-            duration: i64,
-        ) -> Option<Timestamp> {
-            if duration <= 0 {
-                return Some(after); // an empty interval fits anywhere
-            }
-            let mut i = match self.points.binary_search_by_key(&after, |&(t, _)| t) {
-                Ok(i) => i,
-                Err(0) => 0, // before the first point: its value extends back
-                Err(i) => i - 1,
-            };
-            // Start of the current run of segments with `free >= procs`.
-            let mut run_start: Option<Timestamp> = None;
-            // Where the current segment's candidate window begins: `after`
-            // itself for the segment containing it, the breakpoint after
-            // that.
-            let mut seg_start = after;
-            while i < self.points.len() {
-                if self.points[i].1 >= procs {
-                    let s = *run_start.get_or_insert(seg_start);
-                    if i + 1 == self.points.len() {
-                        // Last segment extends to infinity; the run can
-                        // only keep growing.
-                        return run_start;
-                    }
-                    if self.points[i + 1].0 - s >= duration {
-                        return run_start;
-                    }
-                } else {
-                    run_start = None;
-                }
-                i += 1;
-                if i < self.points.len() {
-                    seg_start = self.points[i].0;
-                }
-            }
-            None
-        }
-
-        /// Earliest time at which at least `procs` units are free *and
-        /// remain free forever after* (the EASY shadow time) on a
-        /// **monotone** profile — free capacity non-decreasing over time.
-        /// Returns `None` if never. The reference
-        /// [`ReleaseLedger::earliest`] is tested against.
-        pub(crate) fn earliest_forever(&self, after: Timestamp, procs: u64) -> Option<Timestamp> {
-            assert!(
-                self.points.windows(2).all(|w| w[0].1 <= w[1].1),
-                "earliest_forever requires a monotone (release-only) profile"
-            );
-            let idx = self.points.partition_point(|&(_, free)| free < procs);
-            if idx == self.points.len() {
-                None
-            } else {
-                Some(self.points[idx].0.max(after))
-            }
-        }
-
-        /// Removes the breakpoint at `idx` if it repeats its predecessor's
-        /// value. Interval mutations shift a contiguous range by a
-        /// constant, so only the two boundary pairs can become redundant —
-        /// callers coalesce exactly those.
-        fn coalesce_at(&mut self, idx: usize) {
-            if idx > 0 && idx < self.points.len() && self.points[idx].1 == self.points[idx - 1].1 {
-                self.points.remove(idx);
-            }
-        }
-
-        /// Ensures a breakpoint exists exactly at `t`, returning its index.
-        fn ensure_breakpoint(&mut self, t: Timestamp) -> usize {
-            match self.points.binary_search_by_key(&t, |&(ti, _)| ti) {
-                Ok(i) => i,
-                Err(0) => {
-                    // Before the first point: extend the first segment
-                    // backwards.
-                    let free = self.points[0].1;
-                    self.points.insert(0, (t, free));
-                    0
-                }
-                Err(i) => {
-                    let free = self.points[i - 1].1;
-                    self.points.insert(i, (t, free));
-                    i
-                }
-            }
-        }
-    }
-
-    impl ReleaseLedger {
-        /// Overwrites `profile` with the free-capacity timeline from the
-        /// ledger's instant on: `(now, free_now)`, `(now + 1, …)` where
-        /// the overrunning jobs hand back, then one point per key.
-        pub(crate) fn fill(&self, profile: &mut FlatProfile) {
-            let points = &mut profile.points;
-            points.clear();
-            points.push((self.now, self.free_now()));
-            let mut free = self.capacity - self.total;
-            if self.overrun > 0 {
-                points.push((self.now + 1, free));
-            }
-            for chunk in &self.chunks {
-                for &(t, p) in &chunk.keys {
-                    free += p;
-                    match points.last_mut() {
-                        // A key at `now + 1` joins the overrun step.
-                        Some(last) if last.0 == t => last.1 = free,
-                        _ => points.push((t, free)),
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::flat::FlatProfile;
     use super::*;
+    use crate::reference::Timeline;
     use proptest::prelude::*;
 
     #[test]
@@ -988,7 +777,7 @@ mod tests {
 
     #[test]
     fn earliest_forever_is_the_shadow_time() {
-        let p = FlatProfile::from_running(0, 100, &[(50, 60), (80, 30)]);
+        let p = Timeline::from_running(0, 100, &[(50, 60), (80, 30)]);
         assert_eq!(p.earliest_forever(0, 10), Some(0));
         assert_eq!(p.earliest_forever(0, 70), Some(50));
         assert_eq!(p.earliest_forever(0, 100), Some(80));
@@ -1003,9 +792,11 @@ mod tests {
         p.reserve(50, 70, 4);
         assert_eq!(p.points(), &[(50, 6), (70, 10), (100, 10)]);
         assert_eq!(p.free_at(0), 6, "clamped to the new first segment");
-        let mut flat = FlatProfile::new(100, 10);
+        let mut flat = Timeline {
+            points: vec![(100, 10)],
+        };
         flat.reserve(50, 70, 4);
-        assert_eq!(p.points(), flat.points());
+        assert_eq!(p.points(), flat.points);
     }
 
     #[test]
@@ -1028,29 +819,14 @@ mod tests {
 
     #[test]
     fn earliest_fit_sweep_matches_candidate_scan() {
-        // Reference implementation: try `after` then every later breakpoint.
-        fn naive(p: &CapacityProfile, after: i64, procs: u64, dur: i64) -> Option<i64> {
-            if p.fits(after, after + dur.max(0), procs) {
-                return Some(after);
-            }
-            p.points()
-                .iter()
-                .map(|&(t, _)| t)
-                .filter(|&t| t > after)
-                .find(|&t| p.fits(t, t + dur.max(0), procs))
-        }
-        let mut p = CapacityProfile::new(0, 100);
-        p.reserve(0, 50, 90);
-        p.reserve(60, 70, 95);
-        p.reserve(100, 130, 50);
+        let mut s = Lockstep::of_points(vec![(0, 100)]);
+        s.reserve(0, 50, 90);
+        s.reserve(60, 70, 95);
+        s.reserve(100, 130, 50);
         for after in [0, 25, 50, 55, 65, 99, 200] {
             for procs in [1u64, 10, 20, 60, 100, 101] {
                 for dur in [0i64, 1, 10, 30, 100] {
-                    assert_eq!(
-                        p.earliest_fit(after, procs, dur),
-                        naive(&p, after, procs, dur),
-                        "after={after} procs={procs} dur={dur}"
-                    );
+                    s.earliest_fit(after, procs, dur);
                 }
             }
         }
@@ -1058,7 +834,7 @@ mod tests {
 
     #[test]
     fn earliest_forever_binary_search_on_monotone_profile() {
-        let p = FlatProfile::from_running(0, 100, &[(50, 60), (30, 10)]);
+        let p = Timeline::from_running(0, 100, &[(50, 60), (30, 10)]);
         assert_eq!(p.earliest_forever(0, 30), Some(0));
         assert_eq!(p.earliest_forever(0, 31), Some(30));
         assert_eq!(p.earliest_forever(0, 41), Some(50));
@@ -1066,13 +842,13 @@ mod tests {
         assert_eq!(p.earliest_forever(0, 101), None);
     }
 
-    // ---- chunked profile vs the flat oracle ------------------------------
+    // ---- chunked profile vs the reference timeline ----------------------
 
-    /// One timeline held two ways — the flat oracle and the chunked
-    /// profile — driven in lockstep: every answer must agree, and after
-    /// every reservation so must the breakpoint lists.
+    /// One timeline held two ways — the reference model's flat list and
+    /// the chunked profile — driven in lockstep: every answer must agree,
+    /// and after every reservation so must the breakpoint lists.
     struct Lockstep {
-        flat: FlatProfile,
+        flat: Timeline,
         owned: CapacityProfile,
     }
 
@@ -1081,19 +857,19 @@ mod tests {
         fn of_points(points: Vec<Point>) -> Self {
             let owned = CapacityProfile::from_points(&points);
             let s = Self {
-                flat: FlatProfile::from_points(points),
+                flat: Timeline { points },
                 owned,
             };
             s.assert_same_points();
             s
         }
 
-        /// The ledger's timeline: the oracle by the full copy a pass used
-        /// to make, the chunked profile by the copy a kept plan is rebuilt
-        /// from.
-        fn over(ledger: &ReleaseLedger) -> Self {
-            let mut flat = FlatProfile::new(0, 0);
-            ledger.fill(&mut flat);
+        /// The timeline of `running` on `capacity` units at `now`: the
+        /// oracle built from the running jobs, the chunked profile by the
+        /// copy of their ledger a kept plan is rebuilt from.
+        fn over(capacity: u64, now: Timestamp, running: &[Point]) -> Self {
+            let ledger = ledger_of(capacity, now, running);
+            let flat = Timeline::from_running(now, capacity, running);
             // Over what another copy left behind: a span, and the lists of
             // two forgotten ones in the pool.
             let mut owned = CapacityProfile::from_points(&stairs_with_a_drop(192, -1, 0));
@@ -1107,8 +883,8 @@ mod tests {
         }
 
         fn assert_same_points(&self) {
-            assert_eq!(self.owned.points(), self.flat.points());
-            assert_eq!(self.owned.len(), self.flat.points().len());
+            assert_eq!(self.owned.points(), self.flat.points);
+            assert_eq!(self.owned.len(), self.flat.points.len());
         }
 
         /// How many breakpoints each span holds.
@@ -1169,21 +945,16 @@ mod tests {
         ledger
     }
 
-    /// 200 jobs of one unit ending every ten seconds from t=10 on a
-    /// 300-unit machine: ledger chunks start at keys 10, 650 and 1290, so
-    /// a copy is `[(0, 100)]` and three spans of 64, 64 and 72, free rising
-    /// 101‥164, 165‥228, 229‥300.
-    fn staircase() -> ReleaseLedger {
-        let running: Vec<Point> = (1..=200).map(|k| (k * 10, 1)).collect();
-        let ledger = ledger_of(300, 0, &running);
-        let firsts: Vec<_> = ledger.chunks.iter().map(|c| c.keys[0].0).collect();
-        assert_eq!(firsts, [10, 650, 1290]);
-        ledger
+    /// 200 jobs of one unit ending every ten seconds from t=10: on a
+    /// 300-unit machine at t=0 ledger chunks start at keys 10, 650 and
+    /// 1290, so a copy is `[(0, 100)]` and three spans of 64, 64 and 72,
+    /// free rising 101‥164, 165‥228, 229‥300.
+    fn stairs() -> Vec<Point> {
+        (1..=200).map(|k| (k * 10, 1)).collect()
     }
-
     #[test]
     fn an_edge_on_a_spans_first_instant_shifts_the_span_whole() {
-        let mut s = Lockstep::over(&staircase());
+        let mut s = Lockstep::over(300, 0, &stairs());
         assert_eq!(s.span_lens(), [1, 64, 64, 72]);
         // Both edges on first instants: the span between shifts as one,
         // its stored values as they were.
@@ -1209,7 +980,7 @@ mod tests {
 
     #[test]
     fn earliest_fit_starts_inside_a_copied_span() {
-        let s = Lockstep::over(&staircase());
+        let s = Lockstep::over(300, 0, &stairs());
         // 200 units are free from the key at t=1000 (100 + 100 keys).
         for after in [655, 660, 999, 1_000, 1_001, 1_285, 1_290, 5_000] {
             for procs in [1, 165, 166, 200, 228, 229, 300] {
@@ -1247,7 +1018,7 @@ mod tests {
             (100, 1_005), // `from` a key before it, `to` splits
             (900, 1_000), // both keys: nothing to split
         ] {
-            let mut s = Lockstep::over(&ledger);
+            let mut s = Lockstep::over(200, 0, &running);
             assert_eq!(s.span_lens(), [1, 127]);
             s.reserve(from, to, 73);
             let lens = s.span_lens();
@@ -1363,7 +1134,7 @@ mod tests {
             let capacity = running.iter().map(|&(_, p)| p).sum::<u64>() + spare;
             let ledger = ledger_of(capacity, now, &running);
             prop_assert!(ledger.chunks.len() >= 8);
-            let mut s = Lockstep::over(&ledger);
+            let mut s = Lockstep::over(capacity, now, &running);
             for (kind, offset, procs, duration) in ops {
                 // Two in three as the scheduler asks: from `now`.
                 let after = if kind == 0 { now + offset } else { now };
@@ -1390,11 +1161,11 @@ mod tests {
     /// Every query the scheduler makes, against the from-scratch profile
     /// of `running` (`(end_estimate, procs)`) at `now`.
     fn assert_ledger_matches(ledger: &ReleaseLedger, now: Timestamp, running: &[(Timestamp, u64)]) {
+        let rebuilt = Timeline::from_running(now, ledger.capacity, running);
+        assert_eq!(view(ledger), rebuilt.points, "at t={now}");
         let clamped: Vec<_> = running.iter().map(|&(e, p)| (e.max(now + 1), p)).collect();
-        let rebuilt = FlatProfile::from_running(now, ledger.capacity, &clamped);
-        assert_eq!(view(ledger), rebuilt.points(), "at t={now}");
         let chunked = CapacityProfile::from_running(now, ledger.capacity, &clamped);
-        assert_eq!(chunked.points(), rebuilt.points(), "at t={now}");
+        assert_eq!(chunked.points(), rebuilt.points, "at t={now}");
         assert_eq!(ledger.free_now(), rebuilt.free_at(now));
         for need in 1..=ledger.capacity {
             let shadow = rebuilt.earliest_forever(now, need).unwrap();
@@ -1436,13 +1207,12 @@ mod tests {
     #[test]
     fn a_first_key_at_the_next_second_is_the_overrun_step() {
         // 100 units at t=10; 20 until t=11 and 40 until t=60.
-        let running = [(11, 20), (60, 40)];
-        let calm = ledger_of(100, 10, &running);
+        let calm = [(11, 20), (60, 40)];
         // The same with 30 more held by a job that should have ended at 5.
-        let overrun = ledger_of(100, 10, &[(5, 30), (11, 20), (60, 40)]);
-        for (ledger, free_now) in [(&calm, 40), (&overrun, 10)] {
-            let mut s = Lockstep::over(ledger);
-            assert_eq!(s.flat.points(), &[(10, free_now), (11, 60), (60, 100)]);
+        let overrun = [(5, 30), (11, 20), (60, 40)];
+        for (running, free_now) in [(&calm[..], 40), (&overrun[..], 10)] {
+            let mut s = Lockstep::over(100, 10, running);
+            assert_eq!(s.flat.points, &[(10, free_now), (11, 60), (60, 100)]);
             // Either way the head span holds `now` alone.
             assert_eq!(s.owned.spans[0].points, &[(10, free_now)]);
             assert_eq!(s.earliest_fit(10, 50, 20), Some(11));
@@ -1450,14 +1220,14 @@ mod tests {
             assert_eq!(s.earliest_fit(10, 11, 5), Some(31));
         }
         // Without the key the step is the head span's to hold.
-        let later = ledger_of(100, 10, &[(5, 30), (60, 40)]);
-        let s = Lockstep::over(&later);
+        let later = [(5, 30), (60, 40)];
+        let s = Lockstep::over(100, 10, &later);
         assert_eq!(s.owned.spans[0].points, &[(10, 30), (11, 60)]);
     }
 
     #[test]
     fn a_copy_of_the_ledger_outlives_its_changes_and_forgets_the_past() {
-        let mut ledger = staircase();
+        let mut ledger = ledger_of(300, 0, &stairs());
         let mut kept = CapacityProfile::new(0, 0);
         ledger.copy_to(&mut kept);
         assert_eq!(kept.points(), view(&ledger));

@@ -17,12 +17,10 @@
 //!
 //! Here: the types, submit / cancel, the event loop, the accessors.
 //! `passes`: the queue order and the scheduling passes. `state`: the save
-//! format. `testing` (test builds): the reference passes.
+//! format.
 
 mod passes;
 mod state;
-#[cfg(test)]
-mod testing;
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -221,10 +219,6 @@ pub struct SimSession {
     /// Set once a save of this session is durable; `None` until then, and
     /// the session keeps no log.
     mark: Option<SavedMark>,
-    /// Run backfill passes through `schedule_easy_reference` and
-    /// `schedule_conservative_reference` (differential tests only).
-    #[cfg(test)]
-    reference_passes: bool,
 }
 
 impl SimSession {
@@ -266,8 +260,6 @@ impl SimSession {
             events_processed: 0,
             tenants: None,
             mark: None,
-            #[cfg(test)]
-            reference_passes: false,
         }
     }
 
@@ -969,32 +961,10 @@ impl SimSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::Model;
+    use crate::simulator::tests::{job, tiny};
     use crate::{simulate, Backfill, Policy, Relax};
-    use lumos_core::{JobStatus, Trace};
-
-    fn tiny() -> SystemSpec {
-        let mut s = SystemSpec::theta();
-        s.name = "tiny".into();
-        s.total_nodes = 100;
-        s.units_per_node = 1;
-        s.total_units = 100;
-        s
-    }
-
-    fn job(id: u64, submit: i64, runtime: i64, procs: u64, walltime: i64) -> Job {
-        Job {
-            id,
-            user: 1,
-            submit,
-            wait: None,
-            runtime,
-            walltime: Some(walltime),
-            procs,
-            nodes: procs as u32,
-            status: JobStatus::Passed,
-            virtual_cluster: None,
-        }
-    }
+    use lumos_core::Trace;
 
     #[test]
     fn incremental_matches_batch() {
@@ -1440,7 +1410,7 @@ mod tests {
         assert_eq!(s.snapshot().finished, 2, "the reused id still ran");
     }
 
-    // ---- differential: inline EASY scan vs the reference loop ----------
+    // ---- differentials: the session beside the reference model ---------
 
     fn sixty_four() -> SystemSpec {
         let mut s = tiny();
@@ -1475,6 +1445,20 @@ mod tests {
             .collect()
     }
 
+    /// Strict, fixed and adaptive relaxation, at 10 %.
+    const RELAXATIONS: [Relax; 3] = [
+        Relax::Strict,
+        Relax::Fixed { factor: 0.1 },
+        Relax::Adaptive { base: 0.1 },
+    ];
+
+    /// FCFS, SJF, and max-min over three tenants.
+    const ORDERS: [(Policy, Option<&str>); 3] = [
+        (Policy::Fcfs, None),
+        (Policy::Sjf, None),
+        (Policy::MaxMinFair, Some("a 1\nb 1\nc 1\n")),
+    ];
+
     /// [`contended_jobs`] with nothing for a kept plan to diverge from:
     /// even ids carry no walltime (the scheduler plans with the runtime),
     /// odd ids are killed exactly at their limit.
@@ -1486,22 +1470,12 @@ mod tests {
         jobs
     }
 
-    /// What [`assert_matches_reference`] saw of the session under test.
-    struct Seen {
-        /// The deepest queue on each partition.
-        deepest: Vec<usize>,
-        /// The most chunks any one queue was cut into.
-        chunks: usize,
-        /// Kept plans rebuilt from the ledger, over all partitions (and
-        /// both sessions, when one was restored from the other).
-        rebuilds: usize,
-        /// `earliest_fit` + `reserve` pairs issued, likewise.
-        pairs: usize,
-        /// Events after which some partition held a live plan with jobs
-        /// in it — what `assert_profiles_match_rebuild` then checked.
-        live_plans: usize,
-        /// Jobs waiting when the session under test was saved and restored.
-        queued_at_restore: usize,
+    fn conservative(policy: Policy) -> SimConfig {
+        SimConfig {
+            policy,
+            backfill: Backfill::Conservative,
+            ..SimConfig::default()
+        }
     }
 
     /// `(rebuilds, pairs)` of the session's kept plans so far.
@@ -1513,115 +1487,98 @@ mod tests {
         })
     }
 
-    /// Feeds `jobs` to a session running the production passes and to one
-    /// running the reference passes, event by event, and requires the
-    /// saved states to agree after every event. With `cancel_every`
-    /// non-zero, every that-many-th event is followed by the cancellation
-    /// of the job at the back of the first non-empty queue. With
-    /// `restore_after` non-zero, the session under test is saved after
-    /// that many events and a session restored from the save takes its
-    /// place: derived state — the kept plan — starts over.
-    fn assert_matches_reference(
+    /// Steps a session fed `jobs` and the reference model side by side,
+    /// and after every event requires each row's state, wait and promise,
+    /// the violations and the queue maxima to agree; `watch` then sees the
+    /// session. Every `cancel_every`-th event (if not 0) cancels the job
+    /// at the back of the first non-empty queue. After event
+    /// `restore_after` (if not 0) a session restored from a save takes
+    /// over, its kept plans started over. Returns the session and its
+    /// plans' `(rebuilds, pairs)`, over both sessions.
+    fn lockstep(
         system: &SystemSpec,
         config: SimConfig,
         tenants: Option<&str>,
-        jobs: &[Job],
-        cancel_every: usize,
-        restore_after: usize,
-    ) -> Seen {
-        let build = |reference: bool| {
-            let mut s = match tenants {
-                Some(t) => {
-                    SimSession::new_with_tenants(system, config, TenantTable::parse(t).unwrap())
-                }
-                None => SimSession::new(system, config),
-            };
-            s.reference_passes = reference;
-            for j in jobs {
-                let owner = s.tenants.as_ref().map(|_| (j.user % 3) as TenantId);
-                s.submit(Submission {
-                    job: j.clone(),
-                    tenant: owner,
-                    walltime: None,
-                })
-                .unwrap();
+        jobs: &[impl Into<Submission> + Clone],
+        (cancel_every, restore_after): (usize, usize),
+        mut watch: impl FnMut(&SimSession),
+    ) -> (SimSession, (usize, usize)) {
+        let table = tenants.map(|t| TenantTable::parse(t).unwrap());
+        let mut model = Model::new(system, config, table.as_ref());
+        let mut s = match table {
+            Some(t) => SimSession::new_with_tenants(system, config, t),
+            None => SimSession::new(system, config),
+        };
+        for j in jobs {
+            let mut sub: Submission = j.clone().into();
+            let owner = (sub.job.user % 3) as TenantId;
+            sub.tenant = sub.tenant.or(s.tenants.as_ref().map(|_| owner));
+            if s.submit(sub.clone()).is_ok() {
+                model.submit(&sub.job, sub.tenant, sub.walltime);
             }
-            s
-        };
-        let (mut fast, mut reference) = (build(false), build(true));
-        let mut events = 0;
-        let mut seen = Seen {
-            deepest: Vec::new(),
-            chunks: 0,
-            rebuilds: 0,
-            pairs: 0,
-            live_plans: 0,
-            queued_at_restore: 0,
-        };
-        while let Some(t) = reference.next_event_time() {
-            assert_eq!(fast.next_event_time(), Some(t));
-            fast.advance_to(t);
-            reference.advance_to(t);
+        }
+        let (mut carried, mut events) = ((0, 0), 0);
+        while let Some(t) = model.next_event_time() {
+            assert_eq!(s.next_event_time(), Some(t));
+            s.advance_to(t);
+            model.advance_to(t);
             events += 1;
             if cancel_every > 0 && events % cancel_every == 0 {
-                let parts = 0..reference.cluster.partition_count();
-                let back = parts
-                    .filter_map(|p| reference.cluster.partition(p).waiting().chunks().last())
-                    .map(|chunk| reference.jobs[chunk[chunk.len() - 1].idx].id)
-                    .next();
-                if let Some(id) = back {
-                    assert!(reference.cancel(id) && fast.cancel(id));
+                let parts = 0..s.cluster.partition_count();
+                if let Some(row) = parts.filter_map(|p| model.queue(p).pop()).next() {
+                    assert!(s.cancel(s.jobs[row].id) && model.cancel(row));
                 }
             }
             if events == restore_after {
-                seen.queued_at_restore = fast.cluster.queue_len();
-                let (rebuilds, pairs) = plan_counts(&fast);
-                (seen.rebuilds, seen.pairs) = (seen.rebuilds + rebuilds, seen.pairs + pairs);
-                fast = SimSession::restore(system, fast.save_state()).unwrap();
+                carried = plan_counts(&s);
+                s = SimSession::restore(system, s.save_state()).unwrap();
             }
-            assert_eq!(
-                fast.save_state(),
-                reference.save_state(),
-                "diverged at t={t} under {config:?}"
-            );
-            fast.assert_profiles_match_rebuild();
-            let parts = || (0..fast.cluster.partition_count()).map(|p| fast.cluster.partition(p));
-            let chunks = parts().map(|p| p.waiting().chunks().count());
-            seen.chunks = seen.chunks.max(chunks.max().unwrap_or(0));
-            let mut live = parts().filter_map(|p| p.live_plan());
-            seen.live_plans += usize::from(live.any(|plan| !plan.slots.is_empty()));
+            // The model names its phases as the session names its states.
+            for (row, r) in model.rows.iter().enumerate() {
+                let state = format!("{:?}", s.state[row]);
+                let seen = (state, s.jobs[row].wait, s.promised[row]);
+                let want = (format!("{:?}", r.phase), r.wait, r.promise);
+                assert_eq!(seen, want, "row {row} at t={t} under {config:?}");
+            }
+            let seen = (&s.violations, &s.max_queue, s.max_queue_total);
+            let model_saw = (&model.violations, &model.max_queue, model.max_queue_total);
+            assert_eq!(seen, model_saw, "at t={t} under {config:?}");
+            s.assert_profiles_match_rebuild();
+            watch(&s);
         }
-        assert_eq!(fast.next_event_time(), None);
-        assert_eq!(fast.max_queue, reference.max_queue);
-        let (rebuilds, pairs) = plan_counts(&fast);
-        (seen.rebuilds, seen.pairs) = (seen.rebuilds + rebuilds, seen.pairs + pairs);
-        seen.deepest = fast.max_queue;
-        seen
+        assert!(s.next_event_time().is_none() && s.jobs.len() == model.rows.len());
+        let (rebuilds, pairs) = plan_counts(&s);
+        (s, (carried.0 + rebuilds, carried.1 + pairs))
+    }
+
+    /// Whether some partition of the session holds a live plan with jobs
+    /// in it — what `assert_profiles_match_rebuild` then checks.
+    fn live_plan_with_jobs(s: &SimSession) -> bool {
+        let live = |p| {
+            s.cluster
+                .partition(p)
+                .live_plan()
+                .is_some_and(|l| !l.slots.is_empty())
+        };
+        (0..s.cluster.partition_count()).any(live)
     }
 
     #[test]
     fn inline_easy_scan_matches_reference_loop() {
-        let relaxations = [
-            Relax::Strict,
-            Relax::Fixed { factor: 0.1 },
-            Relax::Adaptive { base: 0.1 },
-        ];
-        let orders = [
-            (Policy::Fcfs, None),
-            (Policy::Sjf, None),
-            (Policy::MaxMinFair, Some("a 1\nb 1\nc 1\n")),
-        ];
-        for (seed, relax) in relaxations.into_iter().enumerate() {
-            for (policy, tenants) in orders {
+        for (seed, relax) in RELAXATIONS.into_iter().enumerate() {
+            for (policy, tenants) in ORDERS {
                 let config = SimConfig {
                     policy,
                     relax,
                     ..SimConfig::default()
                 };
                 let jobs = contended_jobs(seed as u64 + 1, 700);
-                let Seen {
-                    deepest, chunks, ..
-                } = assert_matches_reference(&sixty_four(), config, tenants, &jobs, 0, 0);
+                let mut chunks = 0;
+                let watch = |s: &SimSession| {
+                    chunks = chunks.max(s.cluster.partition(0).waiting().chunks().count())
+                };
+                let (s, _) = lockstep(&sixty_four(), config, tenants, &jobs, (0, 0), watch);
+                let deepest = s.max_queue;
                 assert!(
                     deepest[0] >= 300 && chunks >= 5,
                     "queue only {deepest:?} deep in {chunks} chunks under {config:?}"
@@ -1630,49 +1587,33 @@ mod tests {
         }
     }
 
-    // ---- differential: plan over the ledger vs the flat copy ------------
-
     #[test]
     fn conservative_plan_over_the_ledger_matches_the_flat_copy() {
-        let orders = [
-            (Policy::Fcfs, None),
-            (Policy::Sjf, None),
-            (Policy::MaxMinFair, Some("a 1\nb 1\nc 1\n")),
-        ];
-        for (seed, (policy, tenants)) in orders.into_iter().enumerate() {
-            let config = SimConfig {
-                policy,
-                backfill: Backfill::Conservative,
-                ..SimConfig::default()
-            };
+        for (seed, (policy, tenants)) in ORDERS.into_iter().enumerate() {
+            let config = conservative(policy);
             // One job in six overruns its walltime (`contended_jobs`); the
             // other five finish early. The second run cancels, and goes
             // on from a restored session halfway through.
             let jobs = contended_jobs(seed as u64 + 11, 700);
-            for (cancel_every, restore_after) in [(0, 0), (5, 700)] {
-                let seen = assert_matches_reference(
-                    &sixty_four(),
-                    config,
-                    tenants,
-                    &jobs,
-                    cancel_every,
-                    restore_after,
-                );
-                let Seen {
-                    deepest, chunks, ..
-                } = &seen;
+            for legs in [(0, 0), (5, 700)] {
+                let (mut chunks, mut live_plans) = (0, 0);
+                let watch = |s: &SimSession| {
+                    chunks = chunks.max(s.cluster.partition(0).waiting().chunks().count());
+                    live_plans += usize::from(live_plan_with_jobs(s));
+                };
+                let (s, (rebuilds, _)) =
+                    lockstep(&sixty_four(), config, tenants, &jobs, legs, watch);
+                let deepest = s.max_queue;
                 assert!(
-                    deepest[0] >= 300 && *chunks >= 5,
+                    deepest[0] >= 300 && chunks >= 5,
                     "queue only {deepest:?} deep in {chunks} chunks under {config:?}"
                 );
                 // Early completions, overruns and cancels: the plan is
                 // rebuilt over and over, and between two rebuilds it is
                 // checked against a from-scratch one while it holds jobs.
                 assert!(
-                    seen.rebuilds >= 100 && seen.live_plans >= 100,
-                    "{} rebuilds, {} live plans checked under {config:?}",
-                    seen.rebuilds,
-                    seen.live_plans
+                    rebuilds >= 100 && live_plans >= 100,
+                    "{rebuilds} rebuilds, {live_plans} live plans checked under {config:?}"
                 );
             }
         }
@@ -1697,30 +1638,54 @@ mod tests {
             j.virtual_cluster = Some((j.id % 4) as u16);
         }
         for policy in [Policy::Fcfs, Policy::Sjf] {
-            let config = SimConfig {
-                policy,
-                backfill: Backfill::Conservative,
-                ..SimConfig::default()
-            };
-            let seen = assert_matches_reference(&four_clusters(), config, None, &jobs, 7, 0);
-            let deepest = &seen.deepest;
+            let config = conservative(policy);
+            let mut live_plans = 0;
+            let watch = |s: &SimSession| live_plans += usize::from(live_plan_with_jobs(s));
+            let (s, (rebuilds, _)) = lockstep(&four_clusters(), config, None, &jobs, (7, 0), watch);
+            let deepest = &s.max_queue;
             assert!(
                 deepest.len() == 4 && deepest.iter().all(|&q| q >= 20),
                 "queues {deepest:?} under {config:?}"
             );
-            assert!(seen.rebuilds >= 4 && seen.live_plans >= 100);
+            assert!(rebuilds >= 4 && live_plans >= 100);
+        }
+    }
+
+    #[test]
+    fn every_discipline_relaxation_and_order_matches_the_model() {
+        // On the four uneven partitions: four jobs in five bound to one
+        // (the widest escalate to partition 0 when theirs is too narrow),
+        // one in seven planned with an estimate of its own, under or over
+        // its runtime, and refusals the model never sees: two jobs no
+        // partition takes, and tenant `c`'s past its quota.
+        let jobs = contended_jobs(51, 240);
+        let mut jobs: Vec<Submission> = jobs.into_iter().map(Into::into).collect();
+        for sub in &mut jobs {
+            let id = sub.job.id;
+            sub.job.virtual_cluster = (id % 5 != 4).then_some((id % 4) as u16);
+            sub.walltime = (id % 7 == 3).then_some(sub.job.runtime * (id as i64 % 3) / 2);
+        }
+        jobs.extend([job(1_000, 5, 10, 0, 10), job(1_001, 5, 10, 257, 10)].map(Submission::from));
+        let tenants = Some("a 1\nb 2\nc 1 400\n");
+        let each = |r| Policy::ALL.map(|p| (r, p));
+        for backfill in [Backfill::None, Backfill::Easy, Backfill::Conservative] {
+            for (relax, policy) in RELAXATIONS.into_iter().flat_map(each) {
+                let config = SimConfig {
+                    policy,
+                    backfill,
+                    relax,
+                    ..SimConfig::default()
+                };
+                let (s, _) = lockstep(&four_clusters(), config, tenants, &jobs, (9, 150), |_| {});
+                let (queues, snap) = (&s.max_queue, s.snapshot());
+                let refused = snap.submitted < jobs.len() - 2;
+                let seen = queues.iter().all(|&q| q >= 5) && snap.cancelled >= 5 && refused;
+                assert!(seen, "queues {queues:?}, {snap:?} under {config:?}");
+            }
         }
     }
 
     // ---- the kept plan: what diverges it and what does not --------------
-
-    fn conservative(policy: Policy) -> SimConfig {
-        SimConfig {
-            policy,
-            backfill: Backfill::Conservative,
-            ..SimConfig::default()
-        }
-    }
 
     #[test]
     fn a_plan_nothing_diverges_from_is_built_once() {
@@ -1730,27 +1695,25 @@ mod tests {
         // every pass plans down to the newest arrival, which has no
         // promise yet.
         let jobs = punctual_jobs(41, 700);
-        let once =
-            assert_matches_reference(&sixty_four(), conservative(Policy::Fcfs), None, &jobs, 0, 0);
-        assert!(once.deepest[0] >= 300 && once.live_plans >= 1_000);
-        assert_eq!(once.rebuilds, 1);
-        let restored = assert_matches_reference(
-            &sixty_four(),
-            conservative(Policy::Fcfs),
-            None,
-            &jobs,
-            0,
-            700,
-        );
+        let fcfs = conservative(Policy::Fcfs);
+        let mut live_plans = 0;
+        let watch = |s: &SimSession| live_plans += usize::from(live_plan_with_jobs(s));
+        let (s, once) = lockstep(&sixty_four(), fcfs, None, &jobs, (0, 0), watch);
+        assert!(s.max_queue[0] >= 300 && live_plans >= 1_000);
+        assert_eq!(once.0, 1);
+        let mut queues = Vec::new();
+        let watch = |s: &SimSession| queues.push(s.cluster.queue_len());
+        let (_, restored) = lockstep(&sixty_four(), fcfs, None, &jobs, (0, 700), watch);
+        let queued = queues[699];
         // The restored session builds a second time. The arrivals are
         // over by then and every job waiting holds its promise, so its
         // passes plan only as far as a job could start, and once the
         // planned jobs have started a head starts off the unplanned tail:
         // a start the plan does not hold, and the third build.
-        assert_eq!(restored.rebuilds, 3);
+        assert_eq!(restored.0, 3);
         // So the jobs waiting at the restore are planned once more, all
         // but the few that start as the head before a pass reaches them.
-        let (again, queued) = (restored.pairs - once.pairs, restored.queued_at_restore);
+        let again = restored.1 - once.1;
         assert!(
             queued >= 300 && (queued - 10..=queued).contains(&again),
             "{again} of the {queued} jobs waiting at the restore planned again"
@@ -1769,14 +1732,10 @@ mod tests {
             j.walltime = None;
         }
         let config = conservative(Policy::Fcfs);
-        let mut s = SimSession::new(&four_clusters(), config);
-        for j in &jobs {
-            s.submit(j.clone()).unwrap();
-        }
-        s.advance_to_completion();
+        let (s, (rebuilds, pairs)) =
+            lockstep(&four_clusters(), config, None, &jobs, (0, 0), |_| {});
         let promised = s.promised.iter().flatten().count();
         let waited = s.jobs.iter().filter(|j| j.wait != Some(0)).count();
-        let (rebuilds, pairs) = plan_counts(&s);
         assert_eq!(pairs, promised);
         // Near enough the jobs that waited: a few were promised "now"
         // on arrival behind a queue and never waited, a few queued only
@@ -1804,20 +1763,13 @@ mod tests {
             job(3, 110, 90, 16, 90), // C
             job(4, 120, 10, 40, 10), // D
         ];
-        let seen =
-            assert_matches_reference(&sixty_four(), conservative(Policy::Fcfs), None, &jobs, 0, 0);
-        assert_eq!((seen.rebuilds, seen.pairs), (2, 2));
+        let fcfs = conservative(Policy::Fcfs);
+        let (_, counts) = lockstep(&sixty_four(), fcfs, None, &jobs, (0, 0), |_| {});
+        assert_eq!(counts, (2, 2));
         // Without C the plan made at t=1 is still live when D arrives.
         let without = [jobs[0].clone(), jobs[1].clone(), jobs[3].clone()];
-        let seen = assert_matches_reference(
-            &sixty_four(),
-            conservative(Policy::Fcfs),
-            None,
-            &without,
-            0,
-            0,
-        );
-        assert_eq!((seen.rebuilds, seen.pairs), (1, 2));
+        let (_, counts) = lockstep(&sixty_four(), fcfs, None, &without, (0, 0), |_| {});
+        assert_eq!(counts, (1, 2));
     }
 
     #[test]
@@ -1837,10 +1789,10 @@ mod tests {
             ]
         };
         let sjf = conservative(Policy::Sjf);
-        let seen = assert_matches_reference(&sixty_four(), sjf, None, &arrivals(50), 0, 0);
-        assert_eq!((seen.rebuilds, seen.pairs), (2, 2));
-        let seen = assert_matches_reference(&sixty_four(), sjf, None, &arrivals(600), 0, 0);
-        assert_eq!((seen.rebuilds, seen.pairs), (1, 2));
+        let (_, counts) = lockstep(&sixty_four(), sjf, None, &arrivals(50), (0, 0), |_| {});
+        assert_eq!(counts, (2, 2));
+        let (_, counts) = lockstep(&sixty_four(), sjf, None, &arrivals(600), (0, 0), |_| {});
+        assert_eq!(counts, (1, 2));
     }
 
     // ---- the cut: a pass plans only as deep as it can tell --------------
@@ -1891,35 +1843,27 @@ mod tests {
     fn a_job_behind_a_cut_matches_the_reference_however_it_leaves_the_queue() {
         let jobs = behind_a_cut();
         let fcfs = conservative(Policy::Fcfs);
-        let leg = |config, jobs: &[Job], cancel_every, restore_after| {
-            let seen = assert_matches_reference(
-                &sixty_four(),
-                config,
-                None,
-                jobs,
-                cancel_every,
-                restore_after,
-            );
-            (seen.rebuilds, seen.pairs)
+        let leg = |config, jobs: &[Job], legs| {
+            lockstep(&sixty_four(), config, None, jobs, legs, |_| {}).1
         };
         // Started as the head: J4, never planned again after the cut, at
         // t=2200; J5‥J10 likewise in turn, each a start the plan does not
         // hold and a build by the pass after it.
-        assert_eq!(leg(fcfs, &jobs, 0, 0), (8, 13));
+        assert_eq!(leg(fcfs, &jobs, (0, 0)), (8, 13));
         // Cancelled: the pass at t=100 is the twelfth event, and J10, at
         // the back of the queue behind the cut, goes right after it.
-        assert_eq!(leg(fcfs, &jobs, 12, 0), (7, 13));
+        assert_eq!(leg(fcfs, &jobs, (12, 0)), (7, 13));
         // Carried across a restore right after that pass: the restored
         // session plans from scratch and issues no pair at all — every job
         // waiting holds its promise and none fits until it is the head —
         // so J1 and J2 start as heads unplanned too: three more builds.
-        assert_eq!(leg(fcfs, &jobs, 0, 12), (11, 13));
+        assert_eq!(leg(fcfs, &jobs, (0, 12)), (11, 13));
         // Overtaken: under SJF, X (48 units, 150 s) arrives at t=101 and
         // queues behind J1 and J2 but ahead of J4‥J10 — no planned job is
         // overtaken, the plan stays live and X's one pair stops the pass.
         let mut overtaken = jobs.clone();
         overtaken.push(job(13, 101, 150, 48, 150));
-        assert_eq!(leg(conservative(Policy::Sjf), &overtaken, 0, 0), (8, 14));
+        assert_eq!(leg(conservative(Policy::Sjf), &overtaken, (0, 0)), (8, 14));
     }
 
     #[test]
@@ -1995,44 +1939,26 @@ mod tests {
     fn cancel_after_a_fair_resort_finds_the_job_wherever_it_stands() {
         // Max-min over three tenants leaves the queue ordered by share,
         // several chunks deep; `cancel` looks a job up by its static key
-        // all the same. A copy restored from the saved state — its queue
-        // rebuilt in static-key order — is the witness: the same cancels
-        // succeed on both and both go on to the same schedule.
+        // all the same. Every other event cancels the job at the back.
         let config = SimConfig {
             policy: Policy::MaxMinFair,
             ..SimConfig::default()
         };
-        let jobs = contended_jobs(31, 700);
-        let table = TenantTable::parse("a 1\nb 1\nc 1\n").unwrap();
-        let mut live = SimSession::new_with_tenants(&sixty_four(), config, table);
-        for j in &jobs {
-            live.submit(Submission {
-                job: j.clone(),
-                tenant: Some((j.user % 3) as TenantId),
-                walltime: None,
-            })
-            .unwrap();
-        }
-        live.advance_to(jobs[500].submit);
-        let queue = live.cluster.partition(0).waiting();
-        let queued: Vec<usize> = queue.chunks().flatten().map(|w| w.idx).collect();
-        assert!(queue.chunks().count() >= 3, "{} jobs queued", queued.len());
-        assert!(
-            queued
+        let mut resorted = 0;
+        let watch = |s: &SimSession| {
+            let queue = s.cluster.partition(0).waiting();
+            let queued: Vec<usize> = queue.chunks().flatten().map(|w| w.idx).collect();
+            let by_share = queued
                 .windows(2)
-                .any(|w| live.queue_key(w[0]) > live.queue_key(w[1])),
-            "the re-sort left the queue in static-key order"
+                .any(|w| s.queue_key(w[0]) > s.queue_key(w[1]));
+            resorted += usize::from(by_share && queue.chunks().count() >= 3);
+        };
+        let (jobs, tenants) = (contended_jobs(31, 700), Some("a 1\nb 1\nc 1\n"));
+        lockstep(&sixty_four(), config, tenants, &jobs, (2, 0), watch);
+        assert!(
+            resorted >= 100,
+            "re-sorted and deep after {resorted} events"
         );
-        let mut restored = SimSession::restore(&sixty_four(), live.save_state()).unwrap();
-        for &idx in queued.iter().skip(1).step_by(7) {
-            let id = jobs[idx].id;
-            assert!(live.cancel(id) && restored.cancel(id), "job {id}");
-            live.assert_profiles_match_rebuild();
-            assert_eq!(live.save_state(), restored.save_state(), "after job {id}");
-        }
-        live.advance_to_completion();
-        restored.advance_to_completion();
-        assert_eq!(live.save_state(), restored.save_state());
     }
 
     #[test]
@@ -2055,20 +1981,18 @@ mod tests {
             job(4, 1, 1_000, 4, 1_000), // C2
             job(5, 2, 140, 6, 140),     // C1
         ];
-        assert_matches_reference(&sixty_four(), config, None, &jobs, 0, 0);
-        let mut s = SimSession::new(&sixty_four(), config);
-        for j in &jobs {
-            s.submit(j.clone()).unwrap();
-        }
-        s.advance_to(1);
-        assert_eq!(s.query(4), Some(JobState::Waiting), "C2 does not fit yet");
-        s.advance_to(2);
+        let (s, _) = lockstep(&sixty_four(), config, None, &jobs, (0, 0), |s| {
+            match s.now() {
+                1 => assert_eq!(s.query(4), Some(JobState::Waiting), "C2 does not fit yet"),
+                2 => assert_eq!(s.query(3), Some(JobState::Waiting), "H still waits"),
+                _ => {}
+            }
+        });
         assert_eq!(
             s.job(5).unwrap().wait,
             Some(0),
             "C1 starts on the allowance"
         );
         assert_eq!(s.job(4).unwrap().wait, Some(1), "the rescan admits C2");
-        assert_eq!(s.query(3), Some(JobState::Waiting));
     }
 }

@@ -122,7 +122,7 @@ impl SimSession {
     /// Starts jobs from the head of the queue while the head fits,
     /// re-deriving fair-share order before each decision (each start
     /// moves the shares, which may change who the head *is*).
-    pub(super) fn start_head_while_fits(&mut self, part: usize, now: Timestamp) {
+    fn start_head_while_fits(&mut self, part: usize, now: Timestamp) {
         loop {
             self.fair_resort(part);
             let p = self.cluster.partition_mut(part);
@@ -159,8 +159,6 @@ impl SimSession {
         }
         match self.config.backfill {
             Backfill::None => {}
-            #[cfg(test)]
-            _ if self.reference_passes => self.schedule_reference(part, now),
             Backfill::Easy => self.schedule_easy(part, now),
             Backfill::Conservative => self.schedule_conservative(part, now),
         }
@@ -174,7 +172,7 @@ impl SimSession {
 
     /// The head's reservation for one EASY scan: `(shadow, extra,
     /// promise, allowance)`. Issues the head's promise when it has none.
-    pub(super) fn easy_reservation(&mut self, part: usize) -> (Timestamp, u64, Timestamp, i64) {
+    fn easy_reservation(&mut self, part: usize) -> (Timestamp, u64, Timestamp, i64) {
         let p = self.cluster.partition(part);
         let head = *p.waiting().first().expect("a backfill pass has a head");
         // Shadow time and the units free at it, straight off the release
@@ -352,7 +350,7 @@ impl SimSession {
     /// Starts the jobs a conservative pass planned for `now` — a
     /// subsequence of the queue, in queue order — and hands the list back
     /// to the scratch.
-    pub(super) fn start_planned(&mut self, part: usize, now: Timestamp, to_start: Vec<usize>) {
+    fn start_planned(&mut self, part: usize, now: Timestamp, to_start: Vec<usize>) {
         if !to_start.is_empty() {
             // One merge-walk compacts the queue however many jobs start.
             let mut planned = to_start.iter().peekable();

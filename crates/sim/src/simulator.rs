@@ -112,12 +112,12 @@ fn replay(trace: &Trace, config: &SimConfig, walltimes: Option<&[Duration]>) -> 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use lumos_core::{JobStatus, SystemSpec};
+    use lumos_core::SystemSpec;
 
     /// Tiny 100-unit test system.
-    fn tiny() -> SystemSpec {
+    pub(crate) fn tiny() -> SystemSpec {
         let mut s = SystemSpec::theta();
         s.name = "tiny".into();
         s.total_nodes = 100;
@@ -126,19 +126,11 @@ mod tests {
         s
     }
 
-    fn job(id: u64, submit: i64, runtime: i64, procs: u64, walltime: i64) -> Job {
-        Job {
-            id,
-            user: 1,
-            submit,
-            wait: None,
-            runtime,
-            walltime: Some(walltime),
-            procs,
-            nodes: procs as u32,
-            status: JobStatus::Passed,
-            virtual_cluster: None,
-        }
+    /// A job of user 1 with a walltime.
+    pub(crate) fn job(id: u64, submit: i64, runtime: i64, procs: u64, walltime: i64) -> Job {
+        let mut job = Job::basic(id, 1, submit, runtime, procs);
+        job.walltime = Some(walltime);
+        job
     }
 
     fn run(jobs: Vec<Job>, config: SimConfig) -> SimResult {

@@ -1,8 +1,9 @@
 //! Deep-queue schedules pinned across commits.
 //!
-//! The differential suites compare two code paths of one build and the
-//! benchmark compares a digest with the first repetition of the same
-//! build; neither notices a commit that moves every schedule the same way.
+//! The differential suites hold the engine to a reference model of the
+//! same build, and the benchmark compares a digest with the first
+//! repetition of the same build; neither notices a commit that moves the
+//! model and the engine the same way.
 //! These constants were recorded at the commit *before* the EASY pass was
 //! rebuilt around inline waiting entries and the release ledger, on the
 //! two systems whose queues run thousands deep (Blue Waters) or split
