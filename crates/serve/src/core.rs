@@ -190,9 +190,9 @@ impl Core {
                 // when shutdown has consumed the session.
                 if !self.round.stop && journal.wants_rotation() {
                     if let Err(e) = self.replica.rotate(journal, true) {
-                        // Not fatal: the old segment is intact, recovery
-                        // just replays more, and the next snapshot covers
-                        // what this one would have.
+                        // Not fatal: every record is in a segment after
+                        // the newest snapshot, so recovery just replays
+                        // more, and the next snapshot covers this span.
                         let line = format!("lumos-serve: journal rotation failed: {e}; continuing");
                         self.round.log.push(line);
                     }
@@ -399,7 +399,10 @@ impl Core {
                 // follower's state equals the primary's at this boundary
                 // and both left their saved mark at the boundary before,
                 // so the snapshot JSON — an increment, usually — is
-                // byte-identical to the primary's too.
+                // byte-identical to the primary's too, unless a primary
+                // rotation failed after opening its segment: then its
+                // mark stays behind and its increments name an older
+                // `prev` (both chains load to the same state).
                 match self.replica.rotate(journal, false) {
                     Ok(()) => Response::ReplAck {
                         seq: journal.seq(),

@@ -202,7 +202,7 @@ static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 /// IEEE CRC-32 (the zlib/Ethernet polynomial) of `bytes`, eight bytes per
 /// step.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = !0u32;
     let mut words = bytes.chunks_exact(8);
@@ -227,17 +227,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // ---- record framing ------------------------------------------------------
 
 /// Frames one record as a journal line (including the trailing newline).
+#[cfg(test)]
 #[must_use]
-pub fn encode_record(record: &JournalRecord) -> String {
+pub(crate) fn encode_record(record: &JournalRecord) -> String {
     let mut line = String::new();
     encode_record_into(record, &mut line);
     line
 }
 
-/// [`encode_record`] appending into a caller-provided buffer, so batch
-/// encoding reuses one allocation across records. The frame bytes are
-/// identical to `encode_record`'s — group commit concatenates exactly the
-/// lines a per-record append would have written.
+/// Frames one record as a journal line (including the trailing newline),
+/// appending into a caller-provided buffer, so batch encoding reuses one
+/// allocation across records. Group commit concatenates exactly the lines
+/// a per-record append would have written.
 ///
 /// The record streams straight into `out` (no intermediate `Value` tree
 /// or per-record `String`); the `<len> <crc>` prefix is computed over
@@ -440,6 +441,8 @@ pub struct Journal {
     /// one `write_all` follows, so the steady state allocates nothing
     /// beyond each record's JSON serialization.
     scratch: String,
+    /// The last write to the active segment failed.
+    torn: bool,
 }
 
 impl Journal {
@@ -467,7 +470,7 @@ impl Journal {
         seq: u64,
         existing_records: u64,
     ) -> io::Result<Self> {
-        let (file, segment_bytes) = store.append(&segment_name(seq), false)?;
+        let (file, segment_bytes) = store.append(&segment_name(seq))?;
         if config.fsync != FsyncPolicy::Never {
             store.sync_dir()?;
         }
@@ -481,6 +484,7 @@ impl Journal {
             elapsed: Duration::ZERO,
             last_sync: Duration::ZERO,
             scratch: String::new(),
+            torn: false,
         })
     }
 
@@ -543,10 +547,7 @@ impl Journal {
         for record in records {
             encode_record_into(record, &mut self.scratch);
         }
-        self.file.write(self.scratch.as_bytes())?;
-        self.records_in_segment += records.len() as u64;
-        self.segment_bytes += self.scratch.len() as u64;
-        self.apply_fsync_policy()
+        self.write_scratch(records.len() as u64)
     }
 
     /// Appends one already-framed line shipped from a replication
@@ -564,8 +565,21 @@ impl Journal {
         self.scratch.clear();
         self.scratch.push_str(frame);
         self.scratch.push('\n');
+        self.write_scratch(1)
+    }
+
+    /// Writes the `records` framed in `scratch` and applies the fsync
+    /// policy. A segment a write failed on takes no more: part of that
+    /// write may have landed, and a record behind a torn frame is lost
+    /// with it.
+    fn write_scratch(&mut self, records: u64) -> io::Result<()> {
+        if self.torn {
+            return Err(io::Error::other("the segment ends in a failed write"));
+        }
+        self.torn = true;
         self.file.write(self.scratch.as_bytes())?;
-        self.records_in_segment += 1;
+        self.torn = false;
+        self.records_in_segment += records;
         self.segment_bytes += self.scratch.len() as u64;
         self.apply_fsync_policy()
     }
@@ -590,46 +604,66 @@ impl Journal {
         self.config.snapshot_every > 0 && self.records_in_segment >= self.config.snapshot_every
     }
 
-    /// Rotates: durably writes `snapshot_json` as `snapshot-(seq+1).json`
-    /// (via a temp file and atomic rename), syncs and closes the active
-    /// segment, and opens `journal-(seq+1).log` starting with the `header`
-    /// record. Older segments and snapshots are kept — `journal inspect`
-    /// can audit the full history, and a snapshot may be an increment on
-    /// older ones — but recovery only replays from the newest valid
-    /// snapshot on.
+    /// Rotates: syncs the active segment, opens `journal-(seq+1).log`
+    /// starting with the `header` record, and durably writes
+    /// `snapshot_json` as `snapshot-(seq+1).json` (via a temp file and
+    /// atomic rename). Older segments and snapshots are kept — `journal
+    /// inspect` can audit the full history, and a snapshot may be an
+    /// increment on older ones — but recovery only replays from the
+    /// newest valid snapshot on.
     ///
     /// # Errors
-    /// Propagates I/O errors; on error the journal keeps appending to the
-    /// current segment (rotation failure loses no data).
+    /// Propagates I/O errors. A failure before the new segment is open
+    /// and (unless the policy is [`FsyncPolicy::Never`]) its directory
+    /// entry synced leaves the journal where it was, at most with an
+    /// empty next segment the next rotation reuses; one after it leaves
+    /// the journal on the new segment without its snapshot. Either way
+    /// recovery replays every appended record from the newest snapshot
+    /// that exists.
     pub fn rotate(&mut self, snapshot_json: &str, header: &JournalRecord) -> io::Result<()> {
-        self.rotate_without_header(snapshot_json)?;
-        self.append(header)
+        self.rotate_with(snapshot_json, Some(header))
     }
 
-    /// [`Journal::rotate`] for a replication follower: snapshot and open
-    /// the next segment, but do **not** append a `Config` header — the
-    /// primary's header arrives as the next shipped frame, and writing a
-    /// local one would break the byte-for-byte mirror.
+    /// [`Journal::rotate`], with the new segment's `header` optional: a
+    /// replication follower writes none, because the primary's header
+    /// arrives as the next shipped frame and a local one would break the
+    /// byte-for-byte mirror. The segment comes first and the snapshot
+    /// last, so no snapshot ever stands in front of a record appended
+    /// after it was written.
     ///
     /// # Errors
     /// Propagates I/O errors, like [`Journal::rotate`].
-    pub(crate) fn rotate_without_header(&mut self, snapshot_json: &str) -> io::Result<()> {
+    pub(crate) fn rotate_with(
+        &mut self,
+        snapshot_json: &str,
+        header: Option<&JournalRecord>,
+    ) -> io::Result<()> {
         let next = self.seq + 1;
-        self.store
-            .create_durable(&snapshot_name(next), snapshot_json.as_bytes())?;
         // The old segment must be durable before the snapshot supersedes it.
         self.file.sync_data()?;
-        let (file, _) = self.store.append(&segment_name(next), true)?;
-        // The new segment's directory entry (and the snapshot's rename)
-        // must survive a crash too, or recovery would come up one
-        // rotation behind what was acknowledged.
+        // The next segment exists already only where a rotation failed to
+        // sync its directory entry, and then it is empty.
+        let name = segment_name(next);
+        let (file, len) = self.store.append(&name)?;
+        if len > 0 {
+            return Err(io::Error::new(io::ErrorKind::AlreadyExists, name));
+        }
+        // As in `open_in`: no record goes into a segment whose directory
+        // entry a power loss could drop.
         if self.config.fsync != FsyncPolicy::Never {
             self.store.sync_dir()?;
         }
-        self.file = file;
-        self.seq = next;
-        self.records_in_segment = 0;
-        self.segment_bytes = 0;
+        (self.file, self.seq, self.records_in_segment) = (file, next, 0);
+        (self.segment_bytes, self.torn) = (0, false);
+        if let Some(header) = header {
+            self.append(header)?;
+        }
+        self.store
+            .create_durable(&snapshot_name(next), snapshot_json.as_bytes())?;
+        // The snapshot's rename must survive a crash too.
+        if self.config.fsync != FsyncPolicy::Never {
+            self.store.sync_dir()?;
+        }
         Ok(())
     }
 }
@@ -637,6 +671,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::MemStore;
 
     fn record(id: u64) -> JournalRecord {
         JournalRecord::Cancel { now: 42, id }
@@ -775,19 +810,6 @@ mod tests {
         assert!(encode_record(&golden_wide_config()).starts_with("1258 ebe7ffb8 {\"Config\":"));
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lumos-journal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn never_synced(dir: PathBuf) -> JournalConfig {
-        let mut config = JournalConfig::new(dir);
-        config.fsync = FsyncPolicy::Never;
-        config.snapshot_every = 0;
-        config
-    }
-
     /// One frame, three ways: `encode_record`, `encode_record_into` behind
     /// other frames in the buffer, and what `append_batch` leaves on disk
     /// — for lengths of two, three and four digits. A follower fed those
@@ -816,29 +838,31 @@ mod tests {
             .collect();
         assert_eq!(digits, [2, 4, 3, 2]);
 
-        let primary_dir = temp_dir("primary");
-        let mut primary = Journal::open_segment(never_synced(primary_dir.clone()), 0, 0).unwrap();
+        let journal = |store: &MemStore| {
+            let mut config = JournalConfig::new(PathBuf::from("unused"));
+            (config.fsync, config.snapshot_every) = (FsyncPolicy::Never, 0);
+            Journal::open_in(Arc::new(store.clone()), config, 0, 0).unwrap()
+        };
+        let (primary_store, follower_store) = (MemStore::default(), MemStore::default());
+        let mut primary = journal(&primary_store);
         primary.append_batch(&records[..3]).unwrap();
         primary.append(&records[3]).unwrap();
-        let on_disk = std::fs::read(segment_path(&primary_dir, 0)).unwrap();
+        let on_disk = primary_store.read(&segment_name(0)).unwrap();
         assert_eq!(on_disk, lines.as_bytes());
         assert_eq!(primary.segment_bytes(), on_disk.len() as u64);
 
-        let follower_dir = temp_dir("follower");
-        let mut follower = Journal::open_segment(never_synced(follower_dir.clone()), 0, 0).unwrap();
+        let mut follower = journal(&follower_store);
         for frame in lines.lines() {
             assert!(decode_line(frame.as_bytes()).is_ok());
             follower.append_raw_line(frame).unwrap();
         }
-        let mirrored = std::fs::read(segment_path(&follower_dir, 0)).unwrap();
+        let mirrored = follower_store.read(&segment_name(0)).unwrap();
         assert_eq!(mirrored, on_disk);
         assert_eq!(follower.segment_bytes(), primary.segment_bytes());
         assert_eq!(follower.records_in_segment(), primary.records_in_segment());
-        let read = read_segment(&segment_path(&follower_dir, 0)).unwrap();
+        let read = parse_segment(&mirrored);
         assert_eq!(read.records, records);
         assert_eq!(read.torn, None);
-        std::fs::remove_dir_all(&primary_dir).ok();
-        std::fs::remove_dir_all(&follower_dir).ok();
     }
 
     #[test]
@@ -875,7 +899,7 @@ mod tests {
     /// running the test: the clock is stepped by hand.
     #[test]
     fn interval_fsync_counts_round_time_not_the_machine_clock() {
-        let store = crate::store::MemStore::default();
+        let store = MemStore::default();
         let mut config = JournalConfig::new(PathBuf::from("unused"));
         config.fsync = FsyncPolicy::Interval(5);
         let mut journal = Journal::open_in(Arc::new(store.clone()), config, 0, 0).unwrap();

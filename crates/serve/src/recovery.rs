@@ -228,16 +228,12 @@ impl Replica {
     /// arrives from its primary.
     ///
     /// # Errors
-    /// Whatever [`Journal::rotate`] reports. The mark stays where it was,
+    /// Whatever [`Journal::rotate_with`] reports. The mark stays where it was,
     /// so the next rotation's increment covers this span too and names a
     /// snapshot that exists.
     pub fn rotate(&mut self, journal: &mut Journal, with_header: bool) -> io::Result<()> {
-        let snap = self.snapshot_json();
-        if with_header {
-            journal.rotate(&snap, &self.header())?;
-        } else {
-            journal.rotate_without_header(&snap)?;
-        }
+        let header = with_header.then(|| self.header());
+        journal.rotate_with(&self.snapshot_json(), header.as_ref())?;
         self.session.mark_saved(journal.seq());
         Ok(())
     }
@@ -631,5 +627,731 @@ fn load_chain(store: &dyn Store, seq: u64) -> Result<Replica, BrokenChain> {
             what: format!("snapshot-{seq:06}.json: inconsistent: {e}"),
             through: vec![seq],
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Recovery held to a reference. Each case serves a stream through
+    //! the round machine of [`crate::server::testkit`], damages or crashes its
+    //! journal directory, recovers, and compares what comes back with a
+    //! plain [`SimSession`] replay of the records found on disk.
+
+    use lumos_sim::JobState;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::journal::FsyncPolicy;
+    use crate::journal::{crc32, encode_record, parse_segment, segment_name, snapshot_name};
+    use crate::protocol::Request;
+    use crate::server::testkit::{config, full_state, mixed_stream, recover, serve, serve_on};
+    use crate::server::testkit::{submit, Client, Served};
+    use crate::store::{At, Fault, MemStore, Op, Schedule};
+
+    /// The job a journaled [`SubmitSpec`] describes, built as the server
+    /// builds it.
+    fn job_of(spec: &SubmitSpec, now_floor: Timestamp) -> Job {
+        Job {
+            id: spec.id,
+            user: spec.user.unwrap_or(0),
+            submit: spec.submit.unwrap_or(now_floor),
+            wait: None,
+            runtime: spec.runtime,
+            walltime: spec.walltime,
+            procs: spec.procs,
+            nodes: u32::try_from(spec.procs).unwrap_or(u32::MAX),
+            status: JobStatus::Passed,
+            virtual_cluster: spec.virtual_cluster,
+        }
+    }
+
+    /// The reference recovered state is held to: `records` replayed
+    /// straight into a session under `config`, as [`full_state`].
+    fn replay_expected(config: &ServeConfig, records: &[JournalRecord]) -> String {
+        let (system, sim) = (&config.system, config.sim);
+        let tenants = config.tenants.clone();
+        let mut metrics =
+            LiveMetrics::new_with_tenants(sim.bsld_bound, tenants.as_ref().map(TenantTable::len));
+        let mut session = match tenants {
+            Some(table) => SimSession::new_with_tenants(system, sim, table),
+            None => SimSession::new(system, sim),
+        };
+        session.advance_to(0);
+        let mut predictor = config.predictor.map(Predictor::new);
+        for record in records {
+            match record {
+                JournalRecord::Config { .. } => continue,
+                JournalRecord::Submit { now, job } => {
+                    session.advance_to(*now);
+                    let tenant = session.resolve_tenant(job.tenant.as_deref());
+                    let job = job_of(job, session.now().max(0));
+                    let (user, runtime) = (job.user, job.runtime);
+                    let walltime = predictor.as_ref().map(|p| p.predict(user, job.walltime));
+                    let tenant = tenant.expect("a journaled tenant");
+                    let submission = Submission {
+                        job,
+                        tenant,
+                        walltime,
+                    };
+                    session.submit(submission).expect("a journaled submission");
+                    session.advance_to(*now);
+                    if let Some(p) = &mut predictor {
+                        p.observe(user, runtime);
+                    }
+                }
+                JournalRecord::Cancel { now, id } => {
+                    session.advance_to(*now);
+                    assert!(session.cancel(*id), "a journaled cancel");
+                }
+                JournalRecord::Advance { to } => session.advance_to(*to),
+            }
+            metrics.absorb(&session.drain_events(), &session);
+        }
+        full_state(&Replica {
+            system: system.clone(),
+            session,
+            metrics,
+            predictor,
+            virgin: false,
+            events: Vec::new(),
+        })
+    }
+
+    /// Every intact record of `store`'s segments, oldest first.
+    fn records_in(store: &MemStore) -> Vec<JournalRecord> {
+        let segments = journal::scan(store).expect("scan").0;
+        let read = |seq| parse_segment(&store.read(&segment_name(seq)).expect("segment"));
+        segments
+            .into_iter()
+            .flat_map(|seq| read(seq).records)
+            .collect()
+    }
+
+    /// The records among `records` that replay as a mutation.
+    fn mutations(records: &[JournalRecord]) -> u64 {
+        let mutation = |r: &&JournalRecord| !matches!(r, JournalRecord::Config { .. });
+        records.iter().filter(mutation).count() as u64
+    }
+
+    /// Recovers `store` without a warning: the state, and how many
+    /// records were replayed.
+    fn clean(store: &MemStore, config: &ServeConfig) -> (String, u64) {
+        let recovered = recover(store, config);
+        assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
+        let replayed = recovered.replayed;
+        (full_state(&recovered.into_parts().0), replayed)
+    }
+
+    /// `stream` served lockstep on a fresh store.
+    fn served(config: &ServeConfig, stream: Vec<Request>) -> (MemStore, Served) {
+        let store = MemStore::default();
+        let served = serve(config, &store, stream, Client::Lockstep);
+        (store, served)
+    }
+
+    #[test]
+    fn recover_replays_a_full_log_byte_identically() {
+        let config = config(0);
+        let (store, live) = served(&config, mixed_stream());
+        let records = records_in(&store);
+        let (state, replayed) = clean(&store, &config);
+        assert_eq!(replayed, mutations(&records));
+        assert!(state == replay_expected(&config, &records));
+        assert!(state == live.state);
+    }
+
+    #[test]
+    fn rotation_bounds_replay_to_snapshot_plus_tail() {
+        let config = config(5);
+        let (store, live) = served(&config, mixed_stream());
+        assert!(live.parts.1.seq() > 1, "rotation must have happened");
+        let records = records_in(&store);
+        let (state, replayed) = clean(&store, &config);
+        // Only the newest snapshot's tail is replayed.
+        assert!(replayed < mutations(&records) / 2);
+        assert!(state == replay_expected(&config, &records));
+    }
+
+    /// Drops `,"key":null` pairs from serialized JSON — exactly what the
+    /// same document looked like before the key existed at all (the
+    /// vendored serde defaults missing `Option` fields to `None`).
+    fn strip_keys(json: &str, keys: &[&str]) -> String {
+        let mut out = json.to_string();
+        for key in keys {
+            out = out.replace(&format!(",\"{key}\":null"), "");
+        }
+        assert!(!out.contains("tenant"), "a tenancy key survived: {out}");
+        out
+    }
+
+    /// [`config`] and [`mixed_stream`] as a server before tenancy ran them.
+    fn untenanted() -> (ServeConfig, Vec<Request>) {
+        let mut config = config(0);
+        config.tenants = None;
+        let stream = mixed_stream().into_iter().map(|req| match req {
+            Request::Submit { mut job } => {
+                job.tenant = None;
+                Request::Submit { job }
+            }
+            req => req,
+        });
+        (config, stream.collect())
+    }
+
+    #[test]
+    fn pre_tenancy_journals_still_recover() {
+        let (config, stream) = untenanted();
+        let (store, live) = served(&config, stream);
+        // Each record re-framed as a pre-tenancy server wrote it: no
+        // `tenants` key in `Config` headers, no `tenant` in submissions.
+        let old_format: String = records_in(&store)
+            .iter()
+            .map(|record| {
+                let json = serde_json::to_string(record).expect("records serialize");
+                let json = strip_keys(&json, &["tenants", "tenant"]);
+                format!("{} {:08x} {json}\n", json.len(), crc32(json.as_bytes()))
+            })
+            .collect();
+        let old = MemStore::default();
+        old.create_durable(&segment_name(0), old_format.as_bytes())
+            .expect("write the segment");
+        assert!(clean(&old, &config).0 == live.state);
+    }
+
+    #[test]
+    fn pre_tenancy_snapshots_still_restore() {
+        let (config, stream) = untenanted();
+        let (_, live) = served(&config, stream);
+        // No `tenants` / `tenant_of` in the session state, no
+        // `tenant_waits` in the metrics.
+        let keys = ["tenants", "tenant_of", "tenant_waits"];
+        let old = MemStore::default();
+        old.create_durable(
+            &snapshot_name(1),
+            strip_keys(&live.snapshot, &keys).as_bytes(),
+        )
+        .expect("write the snapshot");
+        assert!(clean(&old, &config) == (live.state, 0), "snapshot only");
+    }
+
+    /// The harness on a real directory under `FsyncPolicy::Always`, which
+    /// also syncs the directory when a segment is created, a rotation
+    /// lands and a segment is quarantined. Returns the config, the
+    /// journal it names, the live run and the directory; the caller
+    /// removes the directory.
+    fn served_on_disk(name: &str) -> (ServeConfig, JournalConfig, Served, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("lumos-serve-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = config(5);
+        let jc = config.journal.as_mut().expect("a journal");
+        (jc.dir, jc.fsync) = (dir.clone(), FsyncPolicy::Always);
+        let jc = jc.clone();
+        let start = super::recover(&config, &jc).expect("recover").into_parts();
+        let live = serve_on(&config, start, mixed_stream(), Client::Lockstep);
+        assert!(live.parts.1.seq() > 1, "rotation must have happened");
+        (config, jc, live, dir)
+    }
+
+    /// Every segment and snapshot the rotations made is on disk and
+    /// recovers to the live state.
+    #[test]
+    fn rotation_under_fsync_always_recovers_byte_identically() {
+        let (config, jc, live, dir) = served_on_disk("fsync");
+        let last = live.parts.1.seq();
+        let store = FileStore::new(&dir);
+        let on_disk = |seq| store.exists(&segment_name(seq)) && store.exists(&snapshot_name(seq));
+        assert!((1..=last).all(on_disk) && store.exists(&segment_name(0)));
+        let recovered = super::recover(&config, &jc).expect("recover");
+        assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
+        assert!(full_state(&recovered.into_parts().0) == live.state);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A segment beyond a gap is renamed `*.log.orphaned` and stays so:
+    /// a second recovery neither resurrects nor replays it.
+    #[test]
+    fn quarantined_segments_stay_orphaned_across_recoveries() {
+        let (config, jc, live, dir) = served_on_disk("quarantine");
+        let store = FileStore::new(&dir);
+        // A segment with no predecessor: not linear history.
+        let stray = segment_name(live.parts.1.seq() + 2);
+        let copy = store.read(&segment_name(0)).expect("segment 0");
+        store
+            .create_durable(&stray, &copy)
+            .expect("write the stray");
+        let orphan = format!("{stray}.orphaned");
+        let recovered = super::recover(&config, &jc).expect("recover");
+        let quarantined = recovered.warnings.iter().any(|w| w.contains("quarantined"));
+        assert!(quarantined, "{:?}", recovered.warnings);
+        assert!(store.exists(&orphan) && !store.exists(&stray));
+        assert!(full_state(&recovered.into_parts().0) == live.state);
+        let again = super::recover(&config, &jc).expect("recover again");
+        assert!(again.warnings.is_empty(), "{:?}", again.warnings);
+        assert!(store.exists(&orphan), "orphan vanished on second recovery");
+        assert!(full_state(&again.into_parts().0) == live.state);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The complete snapshot as it has always been derived: four keys in
+    /// this order. What a session never marked saved must keep writing,
+    /// byte for byte — older directories hold nothing else.
+    #[derive(serde::Serialize)]
+    struct CompleteSnapshot {
+        system: SystemSpec,
+        state: SessionState,
+        metrics: LiveMetrics,
+        predictor: Option<Predictor>,
+    }
+
+    #[test]
+    fn a_session_never_marked_writes_the_complete_snapshot_as_before() {
+        let (_, live) = served(&config(0), mixed_stream());
+        let replica = live.parts.0;
+        let derived = serde_json::to_string(&CompleteSnapshot {
+            system: replica.system.clone(),
+            state: replica.session.save_state(),
+            metrics: replica.metrics.clone(),
+            predictor: replica.predictor.clone(),
+        });
+        assert_eq!(live.snapshot, derived.expect("serializes"));
+    }
+
+    // ---- snapshot chains: a base and increments -------------------------
+
+    /// A directory as a server left it that rotated every five records
+    /// and, from rotation `first_mark` on, wrote increments, with the
+    /// state it held when it stopped.
+    struct Chained {
+        config: ServeConfig,
+        store: MemStore,
+        state: String,
+        /// The active segment: snapshots 1..=last exist.
+        last: u64,
+    }
+
+    /// Serves [`mixed_stream`] lockstep; while the journal is short of
+    /// rotation `first_mark`, the session forgets its saved mark after
+    /// every round, as a server older than increments never set one.
+    fn chained(first_mark: u64) -> Chained {
+        let (config, store) = (config(5), MemStore::default());
+        let (mut parts, mut state) = (recover(&store, &config).into_parts(), String::new());
+        for req in mixed_stream() {
+            let served = serve_on(&config, parts, vec![req], Client::Lockstep);
+            (parts, state) = (served.parts, served.state);
+            if parts.1.seq() < first_mark {
+                let replica = &mut parts.0;
+                let session = SimSession::restore(&replica.system, replica.session.save_state());
+                replica.session = session.expect("restores");
+            }
+        }
+        let last = parts.1.seq();
+        assert!(last >= 5, "the stream rotates five times, got {last}");
+        Chained {
+            config,
+            store,
+            state,
+            last,
+        }
+    }
+
+    impl Chained {
+        /// `Some(prev)` for an increment, `None` for a complete snapshot.
+        fn prev_of(&self, seq: u64) -> Option<u64> {
+            match read_snapshot_in(&self.store, seq).expect("read").body {
+                SnapshotBody::Base(_) => None,
+                SnapshotBody::Delta { prev, .. } => Some(prev),
+            }
+        }
+
+        fn corrupt(&self, seq: u64) {
+            let len = self.store.read(&snapshot_name(seq)).expect("read").len();
+            let torn = self.store.truncate(&snapshot_name(seq), len as u64 / 2);
+            torn.expect("tear the snapshot");
+        }
+
+        fn remove(&self, seq: u64) {
+            let name = snapshot_name(seq);
+            let moved = self.store.rename(&name, &format!("{name}.removed"));
+            moved.expect("move the snapshot away");
+        }
+
+        /// Recovers and requires the never-crashed state, a start from
+        /// snapshot `from` (0: from nothing) with exactly the segments
+        /// after it replayed, the saved mark left there, and one warning
+        /// per `warned` entry, holding it.
+        fn recover_from(&self, from: u64, warned: &[&str]) {
+            let recovered = recover(&self.store, &self.config);
+            let warnings = &recovered.warnings;
+            assert_eq!(warnings.len(), warned.len(), "{warnings:?}");
+            for (warning, needle) in warnings.iter().zip(warned) {
+                assert!(warning.contains(needle), "`{warning}` lacks `{needle}`");
+            }
+            let segment = |seq| self.store.read(&segment_name(seq)).expect("segment");
+            let tail =
+                (from..=self.last).map(|seq| mutations(&parse_segment(&segment(seq)).records));
+            assert_eq!(recovered.replayed, tail.sum::<u64>());
+            let mark = recovered.session.save_delta().map(|(since, _)| since);
+            assert_eq!(mark, (from > 0).then_some(from));
+            assert!(full_state(&recovered.into_parts().0) == self.state);
+        }
+    }
+
+    #[test]
+    fn a_chain_of_increments_recovers_from_its_newest_link() {
+        let c = chained(1);
+        assert_eq!(c.prev_of(1), None, "the first rotation writes the base");
+        for seq in 2..=c.last {
+            assert_eq!(c.prev_of(seq), Some(seq - 1));
+        }
+        c.recover_from(c.last, &[]);
+    }
+
+    #[test]
+    fn a_corrupt_newest_increment_falls_back_one_link() {
+        let c = chained(1);
+        c.corrupt(c.last);
+        let newest = format!("snapshot-{:06}.json: corrupt", c.last);
+        c.recover_from(c.last - 1, &[&newest]);
+    }
+
+    #[test]
+    fn a_corrupt_middle_increment_costs_every_snapshot_chained_on_it() {
+        let c = chained(1);
+        c.corrupt(3);
+        // One warning: the snapshots between the newest and the broken
+        // link are known to chain through it and are not read again.
+        let broken = format!(
+            "snapshot-{:06}.json: its chain breaks at snapshot-000003.json: corrupt",
+            c.last
+        );
+        c.recover_from(2, &[&broken]);
+    }
+
+    #[test]
+    fn a_missing_link_costs_every_snapshot_chained_on_it() {
+        let c = chained(1);
+        c.remove(2);
+        c.recover_from(1, &["breaks at snapshot-000002.json: unreadable"]);
+    }
+
+    #[test]
+    fn a_missing_base_costs_the_whole_chain_and_replays_from_nothing() {
+        let c = chained(1);
+        c.remove(1);
+        c.recover_from(0, &["breaks at snapshot-000001.json: unreadable"]);
+    }
+
+    /// A directory begun by a server that wrote a complete snapshot at
+    /// every rotation and continued by one that writes increments: the
+    /// last complete snapshot is the chain's base.
+    #[test]
+    fn complete_snapshots_continued_with_increments_recover() {
+        let c = chained(3);
+        let prevs: Vec<Option<u64>> = (1..=4).map(|seq| c.prev_of(seq)).collect();
+        assert_eq!(prevs, [None, None, None, Some(3)]);
+        // Damage below the base the chain ends on is never read.
+        c.corrupt(2);
+        c.recover_from(c.last, &[]);
+    }
+
+    /// What increments are for, as a count: on a steady stream a snapshot
+    /// holds the live set and one segment's worth of history, so the
+    /// twelfth is about the size of the fourth. (Complete snapshots grow
+    /// with every rotation: the twelfth would be some three times the
+    /// fourth.)
+    #[test]
+    fn increments_stay_flat_on_a_steady_stream() {
+        let config = config(40);
+        let mut stream = Vec::new();
+        for i in 0..12 * 40 {
+            stream.push(submit(i, 1 + i % 4, 10 + (i % 7) as i64 * 5, None, "free"));
+            if i % 2 == 1 {
+                stream.push(Request::Advance { to: i as i64 * 10 });
+            }
+        }
+        let (store, live) = served(&config, stream);
+        assert!(live.parts.1.seq() >= 12, "{}", live.parts.1.seq());
+        let size = |seq| store.read(&snapshot_name(seq)).expect("snapshot").len();
+        let (fourth, twelfth) = (size(4), size(12));
+        assert!(twelfth * 2 <= fourth * 3, "{fourth} then {twelfth} bytes");
+        assert!(clean(&store, &config).0 == live.state);
+    }
+
+    /// Truncating the segment recovers exactly the records wholly before
+    /// the cut, warns unless the cut lies on a record boundary (both
+    /// worked out from the frames' lengths, not by the parser), and
+    /// repairs the file so a second recovery is clean. Each record is cut
+    /// at its start, in its middle, and one byte short: a frame that
+    /// lacks only its newline.
+    #[test]
+    fn any_truncation_point_recovers_the_intact_prefix() {
+        let config = config(0);
+        let (store, _) = served(&config, mixed_stream());
+        let records = records_in(&store);
+        let lines: Vec<String> = records.iter().map(encode_record).collect();
+        let full = store.read(&segment_name(0)).expect("segment");
+        assert!(
+            lines.concat().as_bytes() == full,
+            "records re-frame to the segment"
+        );
+        let check = |cut: usize, whole: usize, on_boundary: bool| {
+            let store = MemStore::default();
+            store
+                .create_durable(&segment_name(0), &full[..cut])
+                .expect("write");
+            let recovered = recover(&store, &config);
+            assert_eq!(recovered.warnings.is_empty(), on_boundary, "cut {cut}");
+            assert_eq!(
+                recovered.replayed,
+                mutations(&records[..whole]),
+                "cut {cut}"
+            );
+            let state = full_state(&recovered.into_parts().0);
+            assert!(
+                state == replay_expected(&config, &records[..whole]),
+                "cut {cut}"
+            );
+            // The tear was truncated away: recovery is now warning-free.
+            assert!(clean(&store, &config).0 == state, "cut {cut}");
+        };
+        let mut start = 0;
+        for (whole, line) in lines.iter().enumerate() {
+            check(start, whole, true);
+            check(start + line.len() / 2, whole, false);
+            check(start + line.len() - 1, whole, false);
+            start += line.len();
+        }
+        check(start, lines.len(), true);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Appending records in *batches* (group commit) writes byte for
+        /// byte the same segment as appending them one at a time, for any
+        /// partition of the stream into batches — recovery and
+        /// replication cannot tell a batched journal from an unbatched one.
+        #[test]
+        fn group_commit_batches_are_byte_identical(
+            sizes in proptest::collection::vec(1usize..8, 1..24),
+        ) {
+            let records = records_in(&served(&config(0), mixed_stream()).0);
+            let segment = |sizes: &[usize]| {
+                let store = MemStore::default();
+                let jc = config(0).journal.expect("a journal");
+                let mut journal = Journal::open_in(Arc::new(store.clone()), jc, 0, 0).unwrap();
+                let mut rest = &records[..];
+                for &take in sizes.iter().cycle() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (batch, tail) = rest.split_at(take.min(rest.len()));
+                    journal.append_batch(batch).expect("append a batch");
+                    rest = tail;
+                }
+                store.read(&segment_name(0)).expect("segment")
+            };
+            prop_assert_eq!(segment(&[1]), segment(&sizes));
+        }
+
+        /// Flipping any byte of any record is caught by the checksum (or
+        /// the framing): recovery keeps every record before the damaged
+        /// one and never panics.
+        #[test]
+        fn any_single_byte_corruption_is_detected(
+            pos_fraction in 0.0f64..1.0,
+            flip in 1u8..=255,
+        ) {
+            let config = config(0);
+            let (store, _) = served(&config, mixed_stream());
+            let records = records_in(&store);
+            let mut bytes = store.read(&segment_name(0)).expect("segment");
+            let pos = ((bytes.len() - 1) as f64 * pos_fraction) as usize;
+            bytes[pos] ^= flip;
+            // The damaged byte's record: one per newline before it.
+            let damaged = bytes[..pos].iter().filter(|&&b| b == b'\n').count();
+            let store = MemStore::default();
+            store.create_durable(&segment_name(0), &bytes).expect("write");
+
+            let recovered = recover(&store, &config);
+            prop_assert!(!recovered.warnings.is_empty(), "corruption went unnoticed");
+            // Everything before the damaged record survives; the damaged
+            // one and anything after it is gone (the tear truncates it).
+            prop_assert_eq!(recovered.replayed, mutations(&records[..damaged]));
+            let state = full_state(&recovered.into_parts().0);
+            prop_assert!(state == replay_expected(&config, &records[..damaged]));
+        }
+    }
+
+    // ---- seeded fault schedules ------------------------------------------
+
+    /// Schedules the property runs: a release build runs the full count.
+    const SCHEDULES: u64 = if cfg!(debug_assertions) { 512 } else { 4096 };
+
+    /// One run of the round machine under a fault schedule.
+    struct Case {
+        stream: Vec<Request>,
+        fsync: FsyncPolicy,
+        snapshot_every: u64,
+        client: Client,
+        schedule: Schedule,
+    }
+
+    impl Case {
+        /// The case seed `seed` draws: submissions (some of them refused),
+        /// cancels, advances and reads on [`config`]'s machine, and one to
+        /// three faults, each on the n-th store operation or on the n-th
+        /// of one kind.
+        fn draw(seed: u64) -> Self {
+            let mut rng = lumos_stats::Rng::new(seed);
+            let mut stream = Vec::new();
+            let mut now = 0;
+            for id in 0..8 + rng.next_below(40) {
+                stream.push(match rng.next_below(10) {
+                    0..=5 => {
+                        let (procs, runtime) = (1 + rng.next_below(9), rng.next_below(200));
+                        let tenant = ["free", "capped"][rng.index(2)];
+                        submit(id, procs, runtime as i64, None, tenant)
+                    }
+                    6 => Request::Cancel {
+                        id: rng.next_below(id + 1),
+                    },
+                    7 => {
+                        now += rng.next_below(100) as i64;
+                        Request::Advance { to: now }
+                    }
+                    8 => Request::Query {
+                        id: rng.next_below(id + 1),
+                    },
+                    _ => Request::Stats,
+                });
+            }
+            let kinds = [
+                Op::Open,
+                Op::Create,
+                Op::Rename,
+                Op::SyncDir,
+                Op::Write,
+                Op::Sync,
+            ];
+            let ops = stream.len() as u64;
+            let faults = (0..1 + rng.next_below(3))
+                .map(|_| {
+                    let at = match rng.chance(0.5) {
+                        true => At::Nth(rng.next_below(ops)),
+                        false => At::Of(kinds[rng.index(kinds.len())], rng.next_below(4)),
+                    };
+                    let fault = match rng.next_below(3) {
+                        0 => Fault::Fail,
+                        1 => Fault::Torn(rng.next_u64()),
+                        _ => Fault::Crash,
+                    };
+                    (at, fault)
+                })
+                .collect();
+            Self {
+                stream,
+                fsync: [FsyncPolicy::Always, FsyncPolicy::Never][rng.index(2)],
+                snapshot_every: [0, 3, 7][rng.index(3)],
+                client: [Client::Lockstep, Client::Pipelined][rng.index(2)],
+                schedule: Schedule {
+                    faults,
+                    power_loss: rng.chance(0.5),
+                },
+            }
+        }
+
+        /// Serves the stream until it ends or a fault stops the server,
+        /// restarts on the files as the crash left them, and checks the
+        /// five promises of recovery.
+        fn check(&self) {
+            let mut config = config(self.snapshot_every);
+            let jc = config.journal.as_mut().expect("a journal");
+            jc.fsync = self.fsync;
+            let jc = jc.clone();
+            let store = MemStore::new(self.schedule.clone());
+            // A fault in the first recovery keeps the server from starting.
+            let replies = match recover_in(Arc::new(store.clone()), &config, &jc) {
+                Ok(start) => {
+                    let stream = self.stream.clone();
+                    serve_on(&config, start.into_parts(), stream, self.client).replies
+                }
+                Err(_) => Vec::new(),
+            };
+            let store = store.restart();
+            // By the parser, which the truncation test pins on its own.
+            let segments = journal::scan(&store).expect("scan").0;
+            let torn = segments.iter().any(|&seq| {
+                let bytes = store.read(&segment_name(seq)).expect("segment");
+                parse_segment(&bytes).torn.is_some()
+            });
+
+            // 1. Recovery succeeds, whatever the files hold, and 4. warns
+            // exactly when a segment ends mid-record.
+            let recovered = recover(&store, &config);
+            let warned = !recovered.warnings.is_empty();
+            assert_eq!(warned, torn, "{:?}", recovered.warnings);
+            let replica = recovered.into_parts().0;
+            // 2. What a reply acknowledged survives; a power loss keeps
+            // that promise only for a journal synced every round.
+            if !self.schedule.power_loss || self.fsync == FsyncPolicy::Always {
+                for (req, (reply, _)) in self.stream.iter().zip(&replies) {
+                    assert!(holds(&replica.session, req, reply), "{reply} was lost");
+                }
+            }
+            // 3. The state is the reference replay of the records found.
+            let state = full_state(&replica);
+            assert!(state == replay_expected(&config, &records_in(&store)));
+            // 5. A second recovery warns of nothing and changes nothing.
+            assert!(clean(&store, &config).0 == state);
+        }
+    }
+
+    /// Whether `session` holds what `reply` acknowledged of `req`.
+    fn holds(session: &SimSession, req: &Request, reply: &str) -> bool {
+        match req {
+            Request::Submit { job } if reply.starts_with(r#"{"Submitted""#) => {
+                session.row_of(job.id).is_some()
+            }
+            Request::Cancel { id } if reply.contains(r#""ok":true"#) => {
+                session.query(*id) == Some(JobState::Cancelled)
+            }
+            Request::Advance { to } if reply.starts_with(r#"{"Advanced""#) => session.now() >= *to,
+            _ => true,
+        }
+    }
+
+    /// Recovery keeps its five promises under every schedule drawn.
+    #[test]
+    fn seeded_fault_schedules_keep_every_acknowledged_command() {
+        for seed in 0..SCHEDULES {
+            let checked = std::panic::catch_unwind(|| Case::draw(seed).check());
+            assert!(checked.is_ok(), "replay with `Case::draw({seed}).check()`");
+        }
+    }
+
+    /// The rotation that loses acknowledged commands when the snapshot is
+    /// written before the segment: the old segment's sync fails for the
+    /// first rotation and its first retry, the snapshot's temp file for
+    /// the three retries after, and the process dies at the next one.
+    /// Written snapshot first, the first retry's snapshot would stand
+    /// behind every record the later rounds appended to the old segment.
+    #[test]
+    fn a_rotation_that_fails_after_its_snapshot_landed_loses_nothing() {
+        let mut faults: Vec<(At, Fault)> =
+            (0..2).map(|n| (At::Of(Op::Sync, n), Fault::Fail)).collect();
+        faults.extend((2..5).map(|n| (At::Of(Op::Create, n), Fault::Fail)));
+        faults.push((At::Of(Op::Create, 5), Fault::Crash));
+        Case {
+            stream: mixed_stream(),
+            fsync: FsyncPolicy::Never,
+            snapshot_every: 7,
+            client: Client::Lockstep,
+            schedule: Schedule {
+                faults,
+                power_loss: false,
+            },
+        }
+        .check();
     }
 }

@@ -521,128 +521,23 @@ fn dispatch(line: &str, lineno: usize, shared: &Shared, reply: &mpsc::Sender<Rep
 }
 
 #[cfg(test)]
+#[path = "testkit.rs"]
+pub(crate) mod testkit;
+
+#[cfg(test)]
 mod tests {
-    //! Thread-free tests of the round machine: the journal lives in a
-    //! [`MemStore`], and replies come back on reply channels. A pipelined
-    //! client queues every command before the shell's drain runs, so
-    //! rounds are the largest the cap and the barriers allow; a lockstep
-    //! client waits for each reply before it sends the next command, so
-    //! it steps the core one command per round.
+    //! Thread-free tests of the round machine, on the harness of
+    //! [`super::testkit`].
 
-    use std::path::PathBuf;
-    use std::sync::mpsc::TryRecvError;
+    use lumos_sim::Relax;
 
-    use lumos_sim::{Policy, Relax};
-
+    use super::testkit::*;
     use super::*;
     use crate::core::fail_stop;
     use crate::journal::{snapshot_name, FsyncPolicy, Journal};
     use crate::protocol::SubmitSpec;
-    use crate::recovery::{read_snapshot_in, recover_in, Recovered, SnapshotBody};
-    use crate::store::{MemStore, Op};
-
-    /// An 8-unit machine with tenants (one capped at 6 outstanding
-    /// units), a fair-share policy and a walltime predictor, so the
-    /// shared submit path exercises tenant resolution, quota refusal and
-    /// predict/observe on every route.
-    fn config(snapshot_every: u64) -> ServeConfig {
-        let mut system = SystemSpec::theta();
-        system.name = "rounds-test".into();
-        system.total_nodes = 8;
-        system.units_per_node = 1;
-        system.total_units = 8;
-        let mut config = ServeConfig::new(system);
-        config.sim.policy = Policy::MaxMinFair;
-        config.predictor = Some(PredictorConfig::Last2 { margin: 1.5 });
-        config.tenants = Some(TenantTable::parse("capped 1 6\nfree 2\n").expect("tenant table"));
-        config.journal = Some(never_synced(snapshot_every));
-        config
-    }
-
-    /// A journal that never syncs; its directory is whatever store it is
-    /// recovered from.
-    fn never_synced(snapshot_every: u64) -> JournalConfig {
-        let mut journal = JournalConfig::new(PathBuf::from("in-memory"));
-        journal.fsync = FsyncPolicy::Never;
-        journal.snapshot_every = snapshot_every;
-        journal
-    }
-
-    fn submit(id: u64, procs: u64, runtime: i64, submit: Option<i64>, tenant: &str) -> Request {
-        Request::Submit {
-            job: SubmitSpec {
-                id,
-                procs,
-                runtime,
-                walltime: Some(runtime + 50),
-                user: Some((id % 3) as u32),
-                submit,
-                virtual_cluster: None,
-                tenant: Some(tenant.into()),
-            },
-        }
-    }
-
-    /// Every kind of command a primary's round can hold: submissions that
-    /// start at once, queue, are zero-length or future-dated; a cancel,
-    /// reads, advances, and `Promote` — a barrier in the middle of what
-    /// would otherwise be one round; and a duplicate, an over-quota and
-    /// an unknown-tenant submission. Refusals are never journaled, and
-    /// what counts them is the scheduler, not the replicated state: a
-    /// replay or a follower, which never sees them, still writes the
-    /// primary's snapshots.
-    fn mixed_stream() -> Vec<Request> {
-        let mut stream = vec![
-            submit(1, 4, 100, None, "capped"),
-            submit(2, 2, 300, None, "free"),
-            submit(3, 4, 200, None, "free"), // queues behind 1 and 2
-            submit(4, 1, 0, None, "free"),   // zero-length
-            submit(5, 2, 50, Some(40), "free"), // future-dated
-            submit(1, 1, 10, None, "free"),  // duplicate id
-            submit(6, 4, 10, None, "capped"), // 4 + 4 > quota 6
-            submit(7, 1, 10, None, "nobody"), // unknown tenant
-            Request::Query { id: 3 },
-            submit(8, 2, 80, None, "capped"),
-            Request::Cancel { id: 3 },
-            Request::Cancel { id: 99 },
-            Request::Stats,
-            Request::Promote,
-            submit(9, 3, 60, None, "free"),
-            Request::Advance { to: 45 },
-            Request::Query { id: 5 },
-            Request::Snapshot,
-        ];
-        for i in 0..20 {
-            stream.push(submit(100 + i, 1 + i % 3, 20 + i as i64 * 7, None, "free"));
-            if i % 6 == 5 {
-                stream.push(Request::Advance {
-                    to: 45 + i as i64 * 10,
-                });
-            }
-        }
-        stream.extend(refusals_between_submissions());
-        stream.push(Request::Stats);
-        stream
-    }
-
-    /// On a drained machine, one run of submissions with no read between
-    /// them: three that start at once and one that queues, each answered
-    /// from its row after its pass, around a zero-length job and five
-    /// refusals — two of which break a second rule as well.
-    fn refusals_between_submissions() -> Vec<Request> {
-        vec![
-            Request::Advance { to: 5_000 },
-            submit(200, 2, 30, None, "free"),
-            submit(201, 1, 0, None, "free"), // zero-length: done in its own pass
-            submit(202, 2, 30, None, "free"),
-            submit(200, 1, 10, Some(10), "free"), // duplicate, and past-dated
-            submit(202, 99, 10, None, "free"),    // duplicate, and oversized
-            submit(203, 99, 10, None, "capped"),  // oversized, and over quota
-            submit(204, 7, 10, None, "capped"),   // 7 > quota 6
-            submit(205, 3, 30, None, "capped"),   // 2 + 2 + 3 of 8 units
-            submit(206, 4, 30, None, "free"),     // queues behind them
-        ]
-    }
+    use crate::recovery::{read_snapshot_in, SnapshotBody};
+    use crate::store::{At, Fault, MemStore, Op, Schedule};
 
     /// What the commit before events carried rows answered to
     /// [`refusals_between_submissions`].
@@ -658,112 +553,6 @@ mod tests {
         r#"{"Submitted":{"id":205,"state":"Running"}}"#,
         r#"{"Submitted":{"id":206,"state":"Waiting"}}"#,
     ];
-
-    /// How a test client feeds the scheduler.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Client {
-        /// Queues the whole stream before the scheduler runs.
-        Pipelined,
-        /// Sends each command once the one before it is answered.
-        Lockstep,
-        /// Queues the whole stream and is gone before the first reply.
-        Vanished,
-    }
-
-    /// What one run of the round machine left behind.
-    struct Served {
-        /// Reply lines in release order, each with whether it carried
-        /// [`Reply::done`].
-        replies: Vec<(String, bool)>,
-        /// The rotation snapshot the replica would write at the end of
-        /// the run: an increment, once the run has rotated.
-        snapshot: String,
-        /// [`full_state`] at the end of the run.
-        state: String,
-        /// Whether `done`'s receiver was already disconnected when the
-        /// scheduler returned.
-        done_dropped: bool,
-        /// What the scheduler owned, to serve another stream on.
-        parts: (Replica, Journal),
-    }
-
-    /// The complete state of a replica, wherever its saved mark is: what
-    /// two replicas that rotated at different boundaries (or not at all)
-    /// are compared by.
-    fn full_state(replica: &Replica) -> String {
-        [
-            serde_json::to_string(&replica.session.save_state()),
-            serde_json::to_string(&replica.metrics),
-            serde_json::to_string(&replica.predictor),
-        ]
-        .map(|part| part.expect("state serializes"))
-        .join("\n")
-    }
-
-    /// Feeds `stream` to a core over `replica` and `journal` the way
-    /// `client` does, until the stream ends (or a round stops the
-    /// scheduler), and collects the replies.
-    fn serve_on(
-        config: &ServeConfig,
-        (replica, journal): (Replica, Journal),
-        stream: Vec<Request>,
-        client: Client,
-    ) -> Served {
-        let mut core = Core::new(config, replica, Some(journal), None);
-        let (done, flushed) = mpsc::channel();
-        let mut replies = Vec::new();
-        if client == Client::Lockstep {
-            let mut done = Some(done);
-            for req in stream {
-                let (reply, answer) = mpsc::channel();
-                let round = core.round(Duration::ZERO, 0, [req]);
-                let stop = round.stop;
-                release(round, [reply], &mut done);
-                replies.extend(answer.try_recv());
-                if stop {
-                    break;
-                }
-            }
-        } else {
-            let (tx, rx) = mpsc::sync_channel(stream.len().max(1));
-            let (reply, answers) = mpsc::channel();
-            for req in stream {
-                let reply = reply.clone();
-                tx.send(Envelope { req, reply }).expect("queue a command");
-            }
-            drop((tx, reply));
-            let answers = (client == Client::Pipelined).then_some(answers);
-            serve_rounds(&mut core, &rx, &AtomicU64::new(0), None, done);
-            replies.extend(answers.into_iter().flatten());
-        }
-        let done_dropped = flushed.try_recv() == Err(TryRecvError::Disconnected);
-        let (replica, journal) = core.into_parts();
-        Served {
-            replies: replies
-                .into_iter()
-                .map(|r| (r.response.to_line(), r.done.is_some()))
-                .collect(),
-            snapshot: replica.snapshot_json(),
-            state: full_state(&replica),
-            done_dropped,
-            parts: (replica, journal.expect("served with a journal")),
-        }
-    }
-
-    /// Recovers `config`'s journal from `store`.
-    fn recover(store: &MemStore, config: &ServeConfig) -> Recovered {
-        let journal = config.journal.as_ref().expect("tests journal");
-        recover_in(Arc::new(store.clone()), config, journal).expect("recover")
-    }
-
-    fn serve(
-        config: &ServeConfig,
-        store: &MemStore,
-        stream: Vec<Request>,
-        client: Client,
-    ) -> Served {
-        serve_on(config, recover(store, config).into_parts(), stream, client)
-    }
 
     #[test]
     fn rounds_of_one_and_of_sixty_four_are_byte_identical() {
@@ -991,47 +780,41 @@ mod tests {
         );
     }
 
-    /// A rotation that fails moves nothing, whether the snapshot's temp
-    /// file cannot be created or cannot be renamed into place: the
-    /// journal keeps its segment, the session keeps its saved mark, and
-    /// the next rotation that succeeds writes one increment on the last
-    /// snapshot that exists, covering both spans.
+    /// A store in which the operation `at` names fails.
+    fn failing_at(at: At) -> MemStore {
+        MemStore::new(Schedule {
+            faults: vec![(at, Fault::Fail)],
+            power_loss: false,
+        })
+    }
+
+    /// A rotation whose snapshot is not written — its temp file is not
+    /// created, or not renamed into place — still moves the journal on
+    /// to its next segment, but not the session's saved mark: the next
+    /// rotation that succeeds writes one increment on the last snapshot
+    /// that exists, covering both spans.
     #[test]
     fn a_failed_rotation_keeps_the_mark_and_the_next_increment_covers_both_spans() {
         for failing in [Op::Create, Op::Rename] {
-            let store = MemStore::default();
+            // The second rotation's snapshot fails.
+            let store = failing_at(At::Of(failing, 1));
             let config = config(7);
             let mut commands = mixed_stream().into_iter();
             let mut parts = recover(&store, &config).into_parts();
             // Lockstep: every command is a round, and every round checks
             // for a rotation.
-            let mut step = |parts, n: usize| {
-                let stream: Vec<Request> = commands.by_ref().take(n).collect();
-                assert!(!stream.is_empty(), "the stream ran out");
-                serve_on(&config, parts, stream, Client::Lockstep)
-            };
-            // Up to the first rotation: the chain's base.
-            while parts.1.seq() == 0 {
-                parts = step(parts, 1).parts;
+            while parts.1.seq() < 2 {
+                let stream = commands.next().into_iter().collect();
+                parts = serve_on(&config, parts, stream, Client::Lockstep).parts;
             }
-            assert_eq!(parts.0.session.save_delta().expect("marked").0, 1);
-            // The next snapshot cannot be written. A journal still asking
-            // for a rotation after a round has tried one and failed.
-            store.fail(failing, true);
-            while !parts.1.wants_rotation() {
-                parts = step(parts, 1).parts;
-            }
-            parts = step(parts, 3).parts;
-            assert_eq!(parts.1.seq(), 1, "the journal keeps its segment");
             assert_eq!(parts.0.session.save_delta().expect("marked").0, 1);
             assert!(!store.exists(&snapshot_name(2)), "{failing:?}");
 
-            store.fail(failing, false);
-            let live = step(parts, usize::MAX);
-            assert!(live.parts.1.seq() > 2, "later rounds rotate again");
-            match read_snapshot_in(&store, 2).expect("read snapshot 2").body {
+            let live = serve_on(&config, parts, commands.collect(), Client::Lockstep);
+            assert!(live.parts.1.seq() > 3, "later rounds rotate again");
+            match read_snapshot_in(&store, 3).expect("read snapshot 3").body {
                 SnapshotBody::Delta { prev, .. } => assert_eq!(prev, 1),
-                SnapshotBody::Base(_) => panic!("snapshot 2 is not an increment"),
+                SnapshotBody::Base(_) => panic!("snapshot 3 is not an increment"),
             }
             let recovered = recover(&store, &config);
             assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
@@ -1042,13 +825,31 @@ mod tests {
         }
     }
 
-    /// A fresh replica over a journal whose header is written and whose
-    /// every `op` from now on fails.
+    /// A rotation whose new segment's directory entry cannot be synced
+    /// stays on the old segment, so no record is acknowledged in a
+    /// segment a power loss could drop; the next rotation moves on.
+    #[test]
+    fn a_rotation_that_cannot_sync_its_segment_stays_on_the_old_one() {
+        let mut config = config(3);
+        config.journal.as_mut().unwrap().fsync = FsyncPolicy::Always;
+        // Directory sync 0 is recovery's; 1 is the first rotation's.
+        let store = failing_at(At::Of(Op::SyncDir, 1));
+        let parts = recover(&store, &config).into_parts();
+        let stream = (1..=2).map(|id| submit(id, 1, 10, None, "free")).collect();
+        let parts = serve_on(&config, parts, stream, Client::Lockstep).parts;
+        assert_eq!(parts.1.seq(), 0);
+        assert!(!store.exists(&snapshot_name(1)));
+        let stream = vec![submit(3, 1, 10, None, "free")];
+        let after = serve_on(&config, parts, stream, Client::Lockstep);
+        assert_eq!(after.parts.1.seq(), 1);
+    }
+
+    /// A fresh replica over a journal whose header is written, in a store
+    /// whose next `op` fails.
     fn failing(config: &ServeConfig, op: Op) -> (Replica, Journal) {
-        let store = MemStore::default();
+        let store = Arc::new(failing_at(At::Of(op, 0)));
         let jc = config.journal.clone().unwrap();
-        let journal = Journal::open_in(Arc::new(store.clone()), jc, 0, 1).expect("open");
-        store.fail(op, true);
+        let journal = Journal::open_in(store, jc, 0, 1).expect("open");
         (Replica::fresh(config), journal)
     }
 

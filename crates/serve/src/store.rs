@@ -19,9 +19,9 @@ pub(crate) trait Store: fmt::Debug + Send + Sync {
     fn read_from(&self, name: &str, offset: u64) -> io::Result<Box<dyn Read + Send>>;
     /// Whether `name` exists.
     fn exists(&self, name: &str) -> bool;
-    /// Opens `name` for appending and says how long it is: created when
-    /// absent, or — `fresh` — created and failing if it exists.
-    fn append(&self, name: &str, fresh: bool) -> io::Result<(Box<dyn Appender>, u64)>;
+    /// Opens `name` for appending, created when absent, and says how
+    /// long it is.
+    fn append(&self, name: &str) -> io::Result<(Box<dyn Appender>, u64)>;
     /// Makes `bytes` the content of `name` atomically: written to
     /// `name.tmp`, synced, and renamed over `name`.
     fn create_durable(&self, name: &str, bytes: &[u8]) -> io::Result<()>;
@@ -94,13 +94,12 @@ impl Store for FileStore {
         self.path(name).exists()
     }
 
-    fn append(&self, name: &str, fresh: bool) -> io::Result<(Box<dyn Appender>, u64)> {
+    fn append(&self, name: &str) -> io::Result<(Box<dyn Appender>, u64)> {
         let file = OpenOptions::new()
             .append(true)
             .create(true)
-            .create_new(fresh)
             .open(self.path(name))?;
-        let len = if fresh { 0 } else { file.metadata()?.len() };
+        let len = file.metadata()?.len();
         Ok((Box::new(file), len))
     }
 
@@ -140,20 +139,20 @@ impl Appender for File {
 }
 
 #[cfg(test)]
-pub(crate) use mem::{MemStore, Op};
+pub(crate) use mem::{At, Fault, MemStore, Op, Schedule};
 
 #[cfg(test)]
 mod mem {
     //! A journal directory in memory, for tests that step the server on
-    //! one thread.
+    //! one thread, with faults injected on a schedule.
 
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
     use std::io::{self, Read};
     use std::sync::{Arc, Mutex, MutexGuard};
 
     use super::{Appender, Store};
 
-    /// What a [`MemStore`] can be told to fail.
+    /// The kinds of operation a [`MemStore`] counts and can fault.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub(crate) enum Op {
         /// [`Store::list`].
@@ -176,6 +175,38 @@ mod mem {
         Sync,
     }
 
+    /// What a fault does to the operation it strikes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Fault {
+        /// The operation errors and does nothing.
+        Fail,
+        /// A write ([`Op::Write`], [`Op::Create`]) lands its first
+        /// `keep % len` bytes, then errors; any other operation fails.
+        Torn(u64),
+        /// This operation and every later one fail: the process is gone.
+        Crash,
+    }
+
+    /// Which operation a fault strikes, counting from 0.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum At {
+        /// The n-th store operation of any kind.
+        Nth(u64),
+        /// The n-th operation of one kind.
+        Of(Op, u64),
+    }
+
+    /// The faults a [`MemStore`] injects, and what a crash leaves behind.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct Schedule {
+        /// Each fault, with the operation it strikes.
+        pub faults: Vec<(At, Fault)>,
+        /// The process dies with its machine: each file falls back to its
+        /// last successful sync. Otherwise every written byte survives.
+        /// Directory entries survive either way.
+        pub power_loss: bool,
+    }
+
     /// Files by name, shared by every clone; written data is kept even
     /// when a later sync fails, as a page cache would keep it.
     #[derive(Debug, Clone, Default)]
@@ -184,23 +215,43 @@ mod mem {
     #[derive(Debug, Default)]
     struct Dir {
         files: BTreeMap<String, Vec<u8>>,
-        failing: BTreeSet<Op>,
+        /// Each file's length at its last successful sync.
+        synced: BTreeMap<String, usize>,
+        schedule: Schedule,
+        /// Operations so far, in all and by kind.
+        ops: u64,
+        ops_of: BTreeMap<Op, u64>,
+        crashed: bool,
         /// Successful [`Appender::sync_data`] calls.
         syncs: u64,
     }
 
-    impl MemStore {
-        /// Makes `op` fail from now on (`true`) or succeed again.
-        pub(crate) fn fail(&self, op: Op, failing: bool) {
-            let mut dir = self.dir();
-            if failing {
-                dir.failing.insert(op);
-            } else {
-                dir.failing.remove(&op);
+    impl Dir {
+        /// Counts one `op` and returns the fault that strikes it.
+        fn strike(&mut self, op: Op) -> Option<Fault> {
+            let of = self.ops_of.entry(op).or_default();
+            let (nth, nth_of) = (self.ops, *of);
+            (self.ops, *of) = (nth + 1, nth_of + 1);
+            if self.crashed {
+                return Some(Fault::Crash);
             }
+            let fault = self.schedule.faults.iter().find_map(|&(at, fault)| {
+                (at == At::Nth(nth) || at == At::Of(op, nth_of)).then_some(fault)
+            })?;
+            self.crashed = fault == Fault::Crash;
+            Some(fault)
+        }
+    }
+
+    impl MemStore {
+        /// An empty directory that injects `schedule`'s faults.
+        pub(crate) fn new(schedule: Schedule) -> Self {
+            let store = Self::default();
+            store.dir().schedule = schedule;
+            store
         }
 
-        /// What a failing `op` returns.
+        /// What a faulted `op` returns.
         pub(crate) fn error(op: Op) -> io::Error {
             io::Error::other(format!("injected {op:?} failure"))
         }
@@ -215,17 +266,42 @@ mod mem {
             self.dir().files.clone().into_iter().collect()
         }
 
+        /// What a restart finds once the process is gone: the files as
+        /// the crash left them, in a store with no faults.
+        pub(crate) fn restart(&self) -> Self {
+            let (dir, restarted) = (self.dir(), Self::default());
+            let mut files = dir.files.clone();
+            if dir.schedule.power_loss {
+                for (name, bytes) in &mut files {
+                    bytes.truncate(dir.synced.get(name).copied().unwrap_or(0));
+                }
+            }
+            restarted.dir().files = files;
+            restarted
+        }
+
         fn dir(&self) -> MutexGuard<'_, Dir> {
             self.0.lock().expect("store lock")
         }
 
-        /// The directory, unless `op` is set to fail.
+        /// The directory, unless a fault strikes this `op`.
         fn check(&self, op: Op) -> io::Result<MutexGuard<'_, Dir>> {
-            let dir = self.dir();
-            if dir.failing.contains(&op) {
-                return Err(Self::error(op));
+            let mut dir = self.dir();
+            match dir.strike(op) {
+                None => Ok(dir),
+                Some(_) => Err(Self::error(op)),
             }
-            Ok(dir)
+        }
+
+        /// The directory and how many of a write's `len` bytes land,
+        /// unless a fault stops the write outright.
+        fn landing(&self, op: Op, len: usize) -> io::Result<(MutexGuard<'_, Dir>, usize)> {
+            let mut dir = self.dir();
+            match dir.strike(op) {
+                None => Ok((dir, len)),
+                Some(Fault::Torn(keep)) => Ok((dir, (keep % len.max(1) as u64) as usize)),
+                Some(_) => Err(Self::error(op)),
+            }
         }
     }
 
@@ -259,11 +335,8 @@ mod mem {
             self.dir().files.contains_key(name)
         }
 
-        fn append(&self, name: &str, fresh: bool) -> io::Result<(Box<dyn Appender>, u64)> {
+        fn append(&self, name: &str) -> io::Result<(Box<dyn Appender>, u64)> {
             let mut dir = self.check(Op::Open)?;
-            if fresh && dir.files.contains_key(name) {
-                return Err(io::Error::new(io::ErrorKind::AlreadyExists, name));
-            }
             let len = dir.files.entry(name.to_owned()).or_default().len();
             let file = MemFile {
                 store: self.clone(),
@@ -275,9 +348,13 @@ mod mem {
 
         fn create_durable(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
             let tmp = format!("{name}.tmp");
-            self.check(Op::Create)?
-                .files
-                .insert(tmp.clone(), bytes.to_vec());
+            let (mut dir, keep) = self.landing(Op::Create, bytes.len())?;
+            dir.files.insert(tmp.clone(), bytes[..keep].to_vec());
+            if keep < bytes.len() {
+                return Err(Self::error(Op::Create));
+            }
+            dir.synced.insert(tmp.clone(), keep);
+            drop(dir);
             self.rename(&tmp, name)
         }
 
@@ -285,6 +362,8 @@ mod mem {
             let mut dir = self.check(Op::Rename)?;
             let bytes = dir.files.remove(from).ok_or_else(|| not_found(from))?;
             dir.files.insert(to.to_owned(), bytes);
+            let synced = dir.synced.remove(from).unwrap_or(0);
+            dir.synced.insert(to.to_owned(), synced);
             Ok(())
         }
 
@@ -292,6 +371,8 @@ mod mem {
             let mut dir = self.check(Op::Truncate)?;
             let file = dir.files.get_mut(name).ok_or_else(|| not_found(name))?;
             file.truncate(len as usize);
+            let len = file.len();
+            dir.synced.insert(name.to_owned(), len);
             Ok(())
         }
 
@@ -310,15 +391,21 @@ mod mem {
 
     impl Appender for MemFile {
         fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
-            let mut dir = self.store.check(Op::Write)?;
+            let (mut dir, keep) = self.store.landing(Op::Write, bytes.len())?;
             let file = dir.files.get_mut(&self.name);
             file.ok_or_else(|| not_found(&self.name))?
-                .extend_from_slice(bytes);
+                .extend_from_slice(&bytes[..keep]);
+            if keep < bytes.len() {
+                return Err(MemStore::error(Op::Write));
+            }
             Ok(())
         }
 
         fn sync_data(&mut self) -> io::Result<()> {
-            self.store.check(Op::Sync)?.syncs += 1;
+            let mut dir = self.store.check(Op::Sync)?;
+            let len = dir.files.get(&self.name).map_or(0, Vec::len);
+            dir.synced.insert(self.name.clone(), len);
+            dir.syncs += 1;
             Ok(())
         }
     }

@@ -5,7 +5,7 @@
 //! comments are exempt.
 
 /// Every source file of the crate, by name.
-const SOURCES: [(&str, &str); 9] = [
+const SOURCES: [(&str, &str); 10] = [
     ("core.rs", include_str!("../src/core.rs")),
     ("journal.rs", include_str!("../src/journal.rs")),
     ("lib.rs", include_str!("../src/lib.rs")),
@@ -15,6 +15,7 @@ const SOURCES: [(&str, &str); 9] = [
     ("replication.rs", include_str!("../src/replication.rs")),
     ("server.rs", include_str!("../src/server.rs")),
     ("store.rs", include_str!("../src/store.rs")),
+    ("testkit.rs", include_str!("../src/testkit.rs")),
 ];
 
 /// The identifiers `source` names outside test code and comments, with
