@@ -446,183 +446,34 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
 }
 
 /// Runs `lumos journal inspect DIR [--verbose]`: audits a serve journal
-/// directory — per-segment record counts, snapshots and the one recovery
-/// starts from, torn tails. Damage is a warning on stderr, not a failure:
-/// exit 0 unless the directory itself is unreadable.
+/// directory ([`lumos_serve::recovery::inspect`]). Damage is a warning on
+/// stderr, not a failure: exit 0 unless the directory itself is
+/// unreadable.
 fn run_journal(mut args: impl Iterator<Item = String>) -> Result<(), CliError> {
-    use lumos_serve::journal;
-
-    let sub = args
-        .next()
-        .ok_or_else(|| CliError::Usage(format!("journal expects a subcommand\n{}", usage())))?;
-    if sub != "inspect" {
-        return Err(CliError::Usage(format!(
-            "unknown journal subcommand {sub} (expected inspect)"
-        )));
+    let usage_error = |what: String| Err(CliError::Usage(format!("{what}\n{}", usage())));
+    match args.next() {
+        Some(sub) if sub == "inspect" => {}
+        Some(sub) => {
+            return usage_error(format!(
+                "unknown journal subcommand {sub} (expected inspect)"
+            ))
+        }
+        None => return usage_error("journal expects a subcommand".into()),
     }
-    let mut dir: Option<PathBuf> = None;
-    let mut verbose = false;
+    let (mut dir, mut verbose) = (None, false);
     for arg in args {
         match arg.as_str() {
             "--verbose" | "-v" => verbose = true,
-            other if dir.is_none() && !other.starts_with('-') => {
-                dir = Some(PathBuf::from(other));
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unexpected argument {other}\n{}",
-                    usage()
-                )))
-            }
+            other if dir.is_none() && !other.starts_with('-') => dir = Some(PathBuf::from(other)),
+            other => return usage_error(format!("unexpected argument {other}")),
         }
     }
-    let dir = dir.ok_or_else(|| {
-        CliError::Usage(format!("journal inspect expects a directory\n{}", usage()))
-    })?;
-
-    let (segments, snapshots) = journal::scan_dir(&dir)
-        .map_err(|e| CliError::Runtime(format!("reading {}: {e}", dir.display())))?;
-    if segments.is_empty() && snapshots.is_empty() {
-        println!("{}: no journal segments or snapshots", dir.display());
-        return Ok(());
-    }
-
-    inspect_snapshots(&dir, &snapshots);
-
-    let mut total = 0usize;
-    let mut torn_segments = 0usize;
-    for &seq in &segments {
-        let path = journal::segment_path(&dir, seq);
-        let seg = journal::read_segment(&path)
-            .map_err(|e| CliError::Runtime(format!("reading {}: {e}", path.display())))?;
-        let mut counts = [0usize; 4]; // config, submit, cancel, advance
-        for record in &seg.records {
-            counts[match record {
-                journal::JournalRecord::Config { .. } => 0,
-                journal::JournalRecord::Submit { .. } => 1,
-                journal::JournalRecord::Cancel { .. } => 2,
-                journal::JournalRecord::Advance { .. } => 3,
-            }] += 1;
-        }
-        println!(
-            "journal-{seq:06}.log: {} records ({} config, {} submit, {} cancel, {} advance)",
-            seg.records.len(),
-            counts[0],
-            counts[1],
-            counts[2],
-            counts[3]
-        );
-        if verbose {
-            for record in &seg.records {
-                match record {
-                    journal::JournalRecord::Config {
-                        system,
-                        sim,
-                        predictor,
-                        tenants,
-                    } => {
-                        println!(
-                            "  config  system={} policy={:?} predictor={} tenants={}",
-                            system.name,
-                            sim.policy,
-                            predictor.map_or("off", |p| p.name()),
-                            tenants.as_ref().map_or(0, lumos_sim::TenantTable::len)
-                        );
-                        if let Some(table) = tenants {
-                            for spec in table.iter() {
-                                let quota = spec
-                                    .quota
-                                    .map_or_else(|| "unlimited".into(), |q| q.to_string());
-                                println!(
-                                    "    tenant  {} weight={} quota={quota}",
-                                    spec.name, spec.weight
-                                );
-                            }
-                        }
-                    }
-                    journal::JournalRecord::Submit { now, job } => {
-                        let tenant = job
-                            .tenant
-                            .as_ref()
-                            .map_or(String::new(), |t| format!(" tenant={t}"));
-                        println!(
-                            "  submit  t={now} job={} procs={}{tenant}",
-                            job.id, job.procs
-                        );
-                    }
-                    journal::JournalRecord::Cancel { now, id } => {
-                        println!("  cancel  t={now} job={id}");
-                    }
-                    journal::JournalRecord::Advance { to } => println!("  advance to={to}"),
-                }
-            }
-        }
-        if let Some(torn) = &seg.torn {
-            torn_segments += 1;
-            eprintln!(
-                "warning: journal-{seq:06}.log: torn record at byte {}: {}",
-                torn.offset, torn.reason
-            );
-        }
-        total += seg.records.len();
-    }
-    println!(
-        "{}: {} segment(s), {} snapshot(s), {total} intact record(s){}",
-        dir.display(),
-        segments.len(),
-        snapshots.len(),
-        if torn_segments > 0 {
-            format!(", {torn_segments} torn")
-        } else {
-            String::new()
-        }
-    );
-    Ok(())
-}
-
-/// The snapshot half of `journal inspect`: one line per snapshot — its
-/// shape, size, clock and rows, or a warning on stderr saying why it does
-/// not parse — then the
-/// snapshot recovery would start from, found the way recovery finds it
-/// (every link folded and restored), with recovery's own warnings on
-/// stderr.
-fn inspect_snapshots(dir: &std::path::Path, snapshots: &[u64]) {
-    use lumos_serve::recovery::{read_snapshot, starting_snapshot, SnapshotBody};
-
-    for &seq in snapshots {
-        let name = format!("snapshot-{seq:06}.json");
-        let snap = match read_snapshot(dir, seq) {
-            Ok(snap) => snap,
-            Err(what) => {
-                eprintln!("warning: {name}: {what}");
-                continue;
-            }
-        };
-        let bytes =
-            std::fs::metadata(lumos_serve::journal::snapshot_path(dir, seq)).map_or(0, |m| m.len());
-        let (shape, clock, states) = match &snap.body {
-            SnapshotBody::Base(state) => ("base".to_string(), state.clock, &state.states),
-            SnapshotBody::Delta { prev, delta } => (
-                format!("delta on snapshot-{prev:06}"),
-                delta.clock,
-                &delta.states,
-            ),
-        };
-        let live = states.iter().filter(|s| s.is_live()).count();
-        println!(
-            "{name}: {shape} ({bytes} bytes, t = {clock}, {} sealed rows, {live} live rows)",
-            states.len() - live
-        );
-    }
-    let (start, warnings) = starting_snapshot(dir, snapshots);
-    for warning in warnings {
-        eprintln!("warning: recovery: {warning}");
-    }
-    match start {
-        Some(seq) => println!("recovery starts from snapshot-{seq:06}.json"),
-        None if snapshots.is_empty() => {}
-        None => println!("recovery starts from no snapshot: it replays every segment"),
-    }
+    let Some(dir) = dir else {
+        return usage_error("journal inspect expects a directory".into());
+    };
+    let (mut out, mut err) = (std::io::stdout().lock(), std::io::stderr());
+    lumos_serve::recovery::inspect(&dir, verbose, &mut out, &mut err)
+        .map_err(|e| CliError::Runtime(format!("reading {}: {e}", dir.display())))
 }
 
 /// Loads the analysis suite: either the five synthetic systems, or a single

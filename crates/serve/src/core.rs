@@ -424,7 +424,8 @@ impl Core {
                     return halt(&mut self.round, "follower journal append", &e);
                 }
                 let mut warnings = Vec::new();
-                self.replica.apply(record, &self.config, &mut warnings);
+                self.replica
+                    .apply(record, Some(&self.config), &mut warnings);
                 for w in warnings {
                     let line = format!("lumos-serve: follower apply: {w}");
                     self.round.log.push(line);

@@ -21,7 +21,7 @@
 //!
 //! The first snapshot a server writes is complete; each later one is an
 //! increment on the one before it, so a snapshot is read together with
-//! the chain it names ([`crate::recovery::SnapshotBody`]).
+//! the chain it names (`recovery::SnapshotBody`).
 //!
 //! Each segment is a sequence of framed NDJSON records, one per line:
 //!
@@ -44,7 +44,7 @@
 
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -304,7 +304,7 @@ pub(crate) fn decode_line(line: &[u8]) -> Result<JournalRecord, String> {
 
 /// Where and why a segment's readable prefix ended early.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TornTail {
+pub(crate) struct TornTail {
     /// Byte offset of the first damaged record.
     pub offset: u64,
     /// What was wrong with it.
@@ -313,22 +313,12 @@ pub struct TornTail {
 
 /// The readable content of one segment file.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SegmentRecords {
+pub(crate) struct SegmentRecords {
     /// Intact records, in order.
     pub records: Vec<JournalRecord>,
     /// Set when the file ends in a damaged record; everything at and past
     /// `offset` should be discarded.
     pub torn: Option<TornTail>,
-}
-
-/// Reads every intact record of a segment, stopping (without error) at the
-/// first torn or corrupt one.
-///
-/// # Errors
-/// Only I/O errors reading the file; damage is reported via
-/// [`SegmentRecords::torn`].
-pub fn read_segment(path: &Path) -> io::Result<SegmentRecords> {
-    Ok(parse_segment(&FileStore::read_path(path)?))
 }
 
 /// The intact records of a segment's bytes, up to the first torn one.
@@ -374,27 +364,7 @@ pub(crate) fn snapshot_name(seq: u64) -> String {
     format!("snapshot-{seq:06}.json")
 }
 
-/// Path of segment `seq` in `dir`.
-#[must_use]
-pub fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(segment_name(seq))
-}
-
-/// Path of the snapshot taken before segment `seq` was opened.
-#[must_use]
-pub fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(snapshot_name(seq))
-}
-
-/// Sorted sequence numbers of `(segments, snapshots)` present in `dir`.
-///
-/// # Errors
-/// Propagates directory-read errors.
-pub fn scan_dir(dir: &Path) -> io::Result<(Vec<u64>, Vec<u64>)> {
-    scan(&FileStore::new(dir))
-}
-
-/// [`scan_dir`] over any store.
+/// Sorted sequence numbers of `(segments, snapshots)` in `store`.
 pub(crate) fn scan(store: &dyn Store) -> io::Result<(Vec<u64>, Vec<u64>)> {
     let mut segments = Vec::new();
     let mut snapshots = Vec::new();

@@ -50,5 +50,5 @@ pub use journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord};
 pub use lumos_predict::{Predictor, PredictorConfig};
 pub use metrics::LiveMetrics;
 pub use protocol::{PredictionStats, ReplicationStats, Request, Response, ServeStats, SubmitSpec};
-pub use recovery::{recover, Recovered, ServerSnapshot, SnapshotBody};
+pub use recovery::{recover, Recovered};
 pub use server::{Replication, ServeConfig, Server};

@@ -20,9 +20,10 @@
 //! the snapshots chained on it and falls back to the newest one that is
 //! not (or to empty + full replay); segments after a
 //! gap or a mid-history tear are quarantined (renamed `*.orphaned`) so
-//! the journal stays linear.
+//! the journal stays linear. What to cut and what to quarantine is found
+//! by a read pass that writes nothing, which [`inspect`] runs too.
 
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -45,7 +46,7 @@ use crate::store::{FileStore, Store};
 /// streaming state (absent when no predictor is enabled — and in
 /// pre-predictor snapshots, which deserialize with `None`).
 #[derive(Debug, Clone)]
-pub struct ServerSnapshot {
+pub(crate) struct ServerSnapshot {
     /// The machine being scheduled (partition geometry derives from it).
     pub system: SystemSpec,
     /// The scheduling state, complete or incremental.
@@ -62,7 +63,7 @@ pub struct ServerSnapshot {
 /// them ends at a base, and the base with the increments above it, oldest
 /// first, is the complete state ([`SessionState::fold`]).
 #[derive(Debug, Clone)]
-pub enum SnapshotBody {
+pub(crate) enum SnapshotBody {
     /// `{system, state, metrics, predictor}`: the complete state.
     Base(SessionState),
     /// `{system, prev, delta, metrics, predictor}`: what changed since
@@ -71,7 +72,7 @@ pub enum SnapshotBody {
     Delta { prev: u64, delta: StateDelta },
 }
 
-/// Both shapes as one document; [`read_snapshot`] sorts out which it is.
+/// Both shapes as one document; [`parse_snapshot`] sorts out which it is.
 #[derive(Deserialize)]
 struct SnapshotFile {
     system: SystemSpec,
@@ -119,17 +120,17 @@ pub fn snapshot_json(
 ///
 /// # Errors
 /// Says what is wrong with the file (`unreadable: …`, `corrupt: …`).
-pub fn read_snapshot(dir: &Path, seq: u64) -> Result<ServerSnapshot, String> {
-    read_snapshot_in(&FileStore::new(dir), seq)
-}
-
-/// [`read_snapshot`] from any store.
 pub(crate) fn read_snapshot_in(store: &dyn Store, seq: u64) -> Result<ServerSnapshot, String> {
     let bytes = store
         .read(&journal::snapshot_name(seq))
         .map_err(|e| format!("unreadable: {e}"))?;
-    let text = std::str::from_utf8(&bytes)
-        .map_err(|_| "unreadable: stream did not contain valid UTF-8")?;
+    parse_snapshot(&bytes, seq)
+}
+
+/// Parses the bytes of `snapshot-<seq>.json`.
+fn parse_snapshot(bytes: &[u8], seq: u64) -> Result<ServerSnapshot, String> {
+    let text =
+        std::str::from_utf8(bytes).map_err(|_| "unreadable: stream did not contain valid UTF-8")?;
     let file: SnapshotFile = serde_json::from_str(text).map_err(|e| format!("corrupt: {e}"))?;
     let body = match (file.state, file.prev, file.delta) {
         (Some(state), None, None) => SnapshotBody::Base(state),
@@ -285,11 +286,12 @@ impl Replica {
     /// damaged journal degrades recovery, it never aborts it. Also the
     /// follower-side apply path: a replication follower feeds every
     /// shipped frame through this function, so following *is* continuous
-    /// recovery.
+    /// recovery. A header adopted on a virgin replica is a drift warning
+    /// only against a `configured` server's configuration.
     pub fn apply(
         &mut self,
         record: JournalRecord,
-        serve: &ServeConfig,
+        configured: Option<&ServeConfig>,
         warnings: &mut Vec<String>,
     ) -> u64 {
         match record {
@@ -308,11 +310,12 @@ impl Replica {
                     // configuration than the CLI provided this time.
                     // Continuity wins: adopt the journaled configuration
                     // before replaying.
-                    if system != serve.system
-                        || sim != serve.sim
-                        || predictor != serve.predictor
-                        || tenants != serve.tenants
-                    {
+                    if configured.is_some_and(|serve| {
+                        system != serve.system
+                            || sim != serve.sim
+                            || predictor != serve.predictor
+                            || tenants != serve.tenants
+                    }) {
                         warnings.push(
                             "journal header differs from the configured system/policy; \
                              continuing the journaled configuration"
@@ -427,18 +430,46 @@ pub fn recover(serve: &ServeConfig, jc: &JournalConfig) -> io::Result<Recovered>
     recover_in(Arc::new(FileStore::create(&jc.dir)?), serve, jc)
 }
 
-/// [`recover`] from any store holding `jc`'s journal.
-pub(crate) fn recover_in(
-    store: Arc<dyn Store>,
-    serve: &ServeConfig,
-    jc: &JournalConfig,
-) -> io::Result<Recovered> {
-    let (segments, snapshots) = journal::scan(&*store)?;
+/// What recovery's read pass found in a journal directory.
+struct Reading {
+    /// Every segment and snapshot in the directory, ascending.
+    segments: Vec<u64>,
+    snapshots: Vec<u64>,
+    /// The snapshot replay starts from (`None`: from nothing), the state
+    /// replay rebuilt, and how many mutating records it replayed.
+    start: Option<u64>,
+    replica: Replica,
+    replayed: u64,
+    /// The segment the journal continues, and its intact records.
+    active: (u64, u64),
+    /// The segment whose torn tail is cut, and the length it keeps.
+    tear: Option<(u64, u64)>,
+    /// The segments that are not linear history, to move aside.
+    quarantine: Vec<u64>,
+    warnings: Vec<String>,
+}
+
+/// Recovery's read pass over the directory `dir` in `store`, which writes
+/// nothing: the newest snapshot whose chain restores, then each segment
+/// of the contiguous run after it parsed and replayed in turn, one in
+/// memory at a time, up to the first torn record. `configured` is the
+/// configuration a server starts with; without one (an offline audit)
+/// nothing is drift, and a first segment without its header replays on
+/// the default machine.
+fn read_pass(
+    store: &dyn Store,
+    dir: &Path,
+    configured: Option<&ServeConfig>,
+) -> io::Result<Reading> {
+    let (segments, snapshots) = journal::scan(store)?;
 
     // 1. The newest snapshot whose whole chain loads, else empty state.
-    let (start, mut warnings) = newest_restorable(&*store, &snapshots);
-    let (start_seq, mut replica) = start.unwrap_or_else(|| (0, Replica::fresh(serve)));
-    if replica.system != serve.system {
+    let (restored, mut warnings) = newest_restorable(store, &snapshots);
+    let start = restored.as_ref().map(|&(seq, _)| seq);
+    let default = ServeConfig::new(SystemSpec::theta());
+    let fresh = || (0, Replica::fresh(configured.unwrap_or(&default)));
+    let (from, mut replica) = restored.unwrap_or_else(fresh);
+    if configured.is_some_and(|serve| replica.system != serve.system) {
         warnings.push(
             "journaled system differs from the configured one; continuing the journaled system"
                 .into(),
@@ -447,9 +478,8 @@ pub(crate) fn recover_in(
 
     // 2. The contiguous run of segments from the snapshot on; anything
     //    after a gap is unusable history.
-    let mut contiguous = Vec::new();
-    let mut expected = start_seq;
-    for &seq in segments.iter().filter(|&&s| s >= start_seq) {
+    let (mut contiguous, mut expected) = (Vec::new(), from);
+    for &seq in segments.iter().filter(|&&s| s >= from) {
         if seq != expected {
             warnings.push(format!(
                 "segment gap: expected journal-{expected:06}.log, found journal-{seq:06}.log; \
@@ -461,11 +491,8 @@ pub(crate) fn recover_in(
         expected = seq + 1;
     }
 
-    // 3. Replay, truncating a torn tail and stopping at mid-history tears.
-    let mut replayed = 0u64;
-    let mut active_seq = start_seq;
-    let mut active_records = 0u64;
-    let mut stop_after = None;
+    // 3. Replay, up to and including the first torn segment.
+    let (mut replayed, mut active, mut tear) = (0, (from, 0), None);
     for (i, &seq) in contiguous.iter().enumerate() {
         let name = journal::segment_name(seq);
         let seg = journal::parse_segment(&store.read(&name)?);
@@ -474,45 +501,70 @@ pub(crate) fn recover_in(
                 "{name}: torn record at byte {}: {}; truncating",
                 torn.offset, torn.reason
             ));
-            store.truncate(&name, torn.offset)?;
             if i + 1 < contiguous.len() {
                 warnings.push(format!(
                     "journal-{seq:06}.log was torn mid-history; quarantining later segments"
                 ));
-                stop_after = Some(i);
             }
+            tear = Some((seq, torn.offset));
         }
-        active_seq = seq;
-        active_records = seg.records.len() as u64;
+        active = (seq, seg.records.len() as u64);
         for record in seg.records {
-            replayed += replica.apply(record, serve, &mut warnings);
+            replayed += replica.apply(record, configured, &mut warnings);
         }
-        if stop_after.is_some() {
+        if tear.is_some() {
             break;
         }
     }
 
-    // 4. Quarantine segments that can no longer be part of linear history.
-    let mut quarantined = false;
-    for &seq in segments.iter().filter(|&&s| s > active_seq) {
+    // 4. Segments that can no longer be part of linear history.
+    let quarantine: Vec<u64> = segments.iter().copied().filter(|&s| s > active.0).collect();
+    for &seq in &quarantine {
         let from = journal::segment_name(seq);
-        let to = format!("{from}.orphaned");
-        store.rename(&from, &to)?;
-        quarantined = true;
-        let to = jc.dir.join(to);
+        let to = dir.join(format!("{from}.orphaned"));
         warnings.push(format!("quarantined {from} as {}", to.display()));
     }
-    if quarantined {
+    Ok(Reading {
+        segments,
+        snapshots,
+        start,
+        replica,
+        replayed,
+        active,
+        tear,
+        quarantine,
+        warnings,
+    })
+}
+
+/// [`recover`] from any store holding `jc`'s journal: the read pass, then
+/// the write pass, which does what the read pass found needed and opens
+/// the journal where replay stopped.
+pub(crate) fn recover_in(
+    store: Arc<dyn Store>,
+    serve: &ServeConfig,
+    jc: &JournalConfig,
+) -> io::Result<Recovered> {
+    let reading = read_pass(&*store, &jc.dir, Some(serve))?;
+    if let Some((seq, len)) = reading.tear {
+        store.truncate(&journal::segment_name(seq), len)?;
+    }
+    for &seq in &reading.quarantine {
+        let from = journal::segment_name(seq);
+        store.rename(&from, &format!("{from}.orphaned"))?;
+    }
+    if !reading.quarantine.is_empty() {
         // The renames must be durable: a crash must not resurrect an
         // orphaned segment under its original name, where a second
         // recovery would replay it as linear history.
         store.sync_dir()?;
     }
 
-    // 5. Reopen the active segment for appending; a brand-new (or fully
-    //    truncated) segment gets its Config header — except on a
-    //    follower, whose journal mirrors the primary's bytes.
-    let mut journal = Journal::open_in(store, jc.clone(), active_seq, active_records)?;
+    // Reopen the active segment for appending; a brand-new (or fully
+    // truncated) segment gets its Config header — except on a follower,
+    // whose journal mirrors the primary's bytes.
+    let (replica, (seq, records)) = (reading.replica, reading.active);
+    let mut journal = Journal::open_in(store, jc.clone(), seq, records)?;
     let follower = matches!(serve.replication, Some(Replication::Follow(_)));
     if journal.records_in_segment() == 0 && !follower {
         journal.append(&replica.header())?;
@@ -524,14 +576,147 @@ pub(crate) fn recover_in(
         predictor: replica.predictor,
         system: replica.system,
         journal,
-        warnings,
-        replayed,
+        warnings: reading.warnings,
+        replayed: reading.replayed,
         virgin: replica.virgin,
     })
 }
 
+/// `lumos journal inspect`: audits the journal directory `dir` with
+/// recovery's read pass, writing nothing to it. On `out`, a line per
+/// snapshot (shape, size, clock, rows), the snapshot recovery starts
+/// from, a line per segment (records by kind; each record if `verbose`)
+/// and the totals; on `err`, why a snapshot does not parse and
+/// recovery's warnings.
+///
+/// # Errors
+/// An unreadable directory or segment, or a failed write to `out`/`err`.
+pub fn inspect(
+    dir: &Path,
+    verbose: bool,
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+) -> io::Result<()> {
+    inspect_in(&FileStore::new(dir), dir, verbose, out, err)
+}
+
+/// [`inspect`] of the directory `dir` in any store.
+fn inspect_in(
+    store: &dyn Store,
+    dir: &Path,
+    verbose: bool,
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+) -> io::Result<()> {
+    let reading = read_pass(store, dir, None)?;
+    let (segments, snapshots) = (&reading.segments, &reading.snapshots);
+    if segments.is_empty() && snapshots.is_empty() {
+        return writeln!(out, "{}: no journal segments or snapshots", dir.display());
+    }
+    for &seq in snapshots {
+        let name = journal::snapshot_name(seq);
+        let read = store.read(&name).map_err(|e| format!("unreadable: {e}"));
+        let snap = read.and_then(|bytes| Ok((bytes.len(), parse_snapshot(&bytes, seq)?)));
+        if let Err(what) = &snap {
+            writeln!(err, "warning: {name}: {what}")?;
+        }
+        let Ok((bytes, snap)) = snap else { continue };
+        let (shape, clock, states) = match &snap.body {
+            SnapshotBody::Base(state) => ("base".to_string(), state.clock, &state.states),
+            SnapshotBody::Delta { prev, delta } => (
+                format!("delta on snapshot-{prev:06}"),
+                delta.clock,
+                &delta.states,
+            ),
+        };
+        let live = states.iter().filter(|s| s.is_live()).count();
+        let sealed = states.len() - live;
+        writeln!(
+            out,
+            "{name}: {shape} ({bytes} bytes, t = {clock}, {sealed} sealed rows, {live} live rows)"
+        )?;
+    }
+    for warning in &reading.warnings {
+        writeln!(err, "warning: recovery: {warning}")?;
+    }
+    if !snapshots.is_empty() {
+        let no_snapshot = || "no snapshot: it replays every segment".into();
+        let start = reading
+            .start
+            .map_or_else(no_snapshot, journal::snapshot_name);
+        writeln!(out, "recovery starts from {start}")?;
+    }
+    let mut total = 0;
+    for &seq in segments {
+        let name = journal::segment_name(seq);
+        let records = journal::parse_segment(&store.read(&name)?).records;
+        let mut counts = [0usize; 4];
+        for record in &records {
+            counts[match record {
+                JournalRecord::Config { .. } => 0,
+                JournalRecord::Submit { .. } => 1,
+                JournalRecord::Cancel { .. } => 2,
+                JournalRecord::Advance { .. } => 3,
+            }] += 1;
+        }
+        let [config, submit, cancel, advance] = counts;
+        writeln!(
+            out,
+            "{name}: {} records ({config} config, {submit} submit, {cancel} cancel, {advance} advance)",
+            records.len()
+        )?;
+        if verbose {
+            for record in &records {
+                write_record(out, record)?;
+            }
+        }
+        total += records.len();
+    }
+    let torn = reading.tear.map_or("", |_| ", 1 torn");
+    writeln!(
+        out,
+        "{}: {} segment(s), {} snapshot(s), {total} intact record(s){torn}",
+        dir.display(),
+        segments.len(),
+        snapshots.len()
+    )
+}
+
+/// One record as `journal inspect --verbose` lists it.
+fn write_record(out: &mut dyn Write, record: &JournalRecord) -> io::Result<()> {
+    match record {
+        JournalRecord::Config {
+            system,
+            sim,
+            predictor,
+            tenants,
+        } => {
+            let predictor = predictor.map_or("off", |p| p.name());
+            let count = tenants.as_ref().map_or(0, TenantTable::len);
+            let (name, policy) = (&system.name, sim.policy);
+            writeln!(
+                out,
+                "  config  system={name} policy={policy:?} predictor={predictor} tenants={count}"
+            )?;
+            for spec in tenants.iter().flat_map(TenantTable::iter) {
+                let quota = spec.quota.map_or("unlimited".into(), |q| q.to_string());
+                let (name, weight) = (&spec.name, spec.weight);
+                writeln!(out, "    tenant  {name} weight={weight} quota={quota}")?;
+            }
+            Ok(())
+        }
+        JournalRecord::Submit { now, job } => {
+            let (id, procs, tenant) = (job.id, job.procs, job.tenant.as_deref());
+            let tenant = tenant.map_or(String::new(), |t| format!(" tenant={t}"));
+            writeln!(out, "  submit  t={now} job={id} procs={procs}{tenant}")
+        }
+        JournalRecord::Cancel { now, id } => writeln!(out, "  cancel  t={now} job={id}"),
+        JournalRecord::Advance { to } => writeln!(out, "  advance to={to}"),
+    }
+}
+
 /// Step 1 of [`recover`]: the newest of the snapshots `seqs` (ascending,
-/// as [`journal::scan_dir`] lists them) whose whole chain loads,
+/// as [`journal::scan`] lists them) whose whole chain loads,
 /// restored, and a warning for each newer one passed over.
 fn newest_restorable(store: &dyn Store, seqs: &[u64]) -> (Option<(u64, Replica)>, Vec<String>) {
     let mut warnings = Vec::new();
@@ -551,15 +736,6 @@ fn newest_restorable(store: &dyn Store, seqs: &[u64]) -> (Option<(u64, Replica)>
         }
     }
     (None, warnings)
-}
-
-/// The snapshot [`recover`] would start from among `snapshots` in `dir`
-/// (`None`: none, a replay from the first segment), with the warnings it
-/// would give. Reads the directory, writes nothing.
-#[must_use]
-pub fn starting_snapshot(dir: &Path, snapshots: &[u64]) -> (Option<u64>, Vec<String>) {
-    let (start, warnings) = newest_restorable(&FileStore::new(dir), snapshots);
-    (start.map(|(seq, _)| seq), warnings)
 }
 
 /// Why a snapshot cannot be restored from.
@@ -641,6 +817,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::core::fail_stop;
     use crate::journal::FsyncPolicy;
     use crate::journal::{crc32, encode_record, parse_segment, segment_name, snapshot_name};
     use crate::protocol::Request;
@@ -747,6 +924,34 @@ mod tests {
         let store = MemStore::default();
         let served = serve(config, &store, stream, Client::Lockstep);
         (store, served)
+    }
+
+    /// `journal inspect --verbose` of `store`: what it prints on stdout
+    /// and on stderr. Requires that it wrote nothing.
+    fn inspected(store: &MemStore) -> (String, String) {
+        let before = store.files();
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let dir = Path::new("in-memory");
+        inspect_in(store, dir, true, &mut out, &mut err).expect("inspect");
+        assert!(store.files() == before, "inspect wrote to the directory");
+        let text = |bytes| String::from_utf8(bytes).expect("UTF-8");
+        (text(out), text(err))
+    }
+
+    /// Requires `inspected` to say what `recovered` did: name the
+    /// snapshot it started from, and print its warnings in its order.
+    fn agrees((out, err): &(String, String), recovered: &Recovered) {
+        let start = |line: &str| {
+            let seq = line.strip_prefix("recovery starts from snapshot-")?;
+            seq.strip_suffix(".json")?.parse().ok()
+        };
+        let named: Option<u64> = out.lines().find_map(start);
+        let mark = recovered.session.save_delta().map(|(since, _)| since);
+        assert_eq!(named, mark, "{out}");
+        let warned = err
+            .lines()
+            .filter_map(|l| l.strip_prefix("warning: recovery: "));
+        assert_eq!(warned.collect::<Vec<_>>(), recovered.warnings, "{err}");
     }
 
     #[test]
@@ -1054,6 +1259,75 @@ mod tests {
         c.recover_from(c.last, &[]);
     }
 
+    /// A segment past a gap is not linear history: inspect warns of the
+    /// gap and the quarantine, as the recovery after it does.
+    #[test]
+    fn inspect_warns_of_a_segment_gap() {
+        let c = chained(1);
+        let copy = c.store.read(&segment_name(1)).expect("segment 1");
+        let stray = segment_name(c.last + 2);
+        c.store.create_durable(&stray, &copy).expect("a stray");
+        let inspected = inspected(&c.store);
+        let gap = format!("expected {}, found {stray}", segment_name(c.last + 1));
+        assert!(inspected.1.contains(&gap), "{}", inspected.1);
+        assert!(inspected.1.contains(&format!("quarantined {stray}")));
+        let recovered = recover(&c.store, &c.config);
+        agrees(&inspected, &recovered);
+        assert!(full_state(&recovered.into_parts().0) == c.state);
+    }
+
+    /// A torn record in a segment below the snapshot recovery starts from
+    /// is never read, so inspect does not warn of it either.
+    #[test]
+    fn inspect_passes_over_a_tear_before_the_starting_snapshot() {
+        let c = chained(1);
+        let (mut segment, _) = c.store.append(&segment_name(0)).expect("open");
+        segment
+            .write(b"137 deadbeef {\"Submit\":{\"now\":9")
+            .expect("tear");
+        let inspected = inspected(&c.store);
+        assert!(!inspected.0.contains("torn") && inspected.1.is_empty());
+        let recovered = recover(&c.store, &c.config);
+        agrees(&inspected, &recovered);
+        assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
+    }
+
+    /// An increment that parses, names a snapshot that exists and
+    /// continues its table length and violations, but drops a row: it
+    /// does not fold. Inspect and recovery both pass it over for the
+    /// snapshot below it, with the same warning.
+    #[test]
+    fn inspect_and_recovery_start_from_the_same_snapshot() {
+        let c = chained(1);
+        let snap = read_snapshot_in(&c.store, c.last).expect("read the newest snapshot");
+        let SnapshotBody::Delta { prev, mut delta } = snap.body else {
+            panic!("snapshot {} is not an increment", c.last);
+        };
+        delta.rows.remove(0);
+        delta.jobs.remove(0);
+        delta.states.remove(0);
+        delta.plan_wall.remove(0);
+        delta.promised.remove(0);
+        fn json<T: serde::Serialize>(value: &T) -> String {
+            serde_json::to_string(value).expect("serializes")
+        }
+        let text = format!(
+            r#"{{"system":{},"prev":{prev},"delta":{},"metrics":{},"predictor":{}}}"#,
+            json(&snap.system),
+            json(&delta),
+            json(&snap.metrics),
+            json(&snap.predictor)
+        );
+        let name = snapshot_name(c.last);
+        c.store
+            .create_durable(&name, text.as_bytes())
+            .expect("rewrite");
+        let inspected = inspected(&c.store);
+        c.recover_from(c.last - 1, &[&format!("{name}: inconsistent")]);
+        // That recovery repaired nothing, so the next one does the same.
+        agrees(&inspected, &recover(&c.store, &c.config));
+    }
+
     /// What increments are for, as a count: on a steady stream a snapshot
     /// holds the live set and one segment's worth of history, so the
     /// twelfth is about the size of the fourth. (Complete snapshots grow
@@ -1075,6 +1349,58 @@ mod tests {
         let (fourth, twelfth) = (size(4), size(12));
         assert!(twelfth * 2 <= fourth * 3, "{fourth} then {twelfth} bytes");
         assert!(clean(&store, &config).0 == live.state);
+    }
+
+    /// A write torn mid-record stops the server; the restart cuts the
+    /// torn frame off with a warning, keeps every command acknowledged
+    /// before it, and leaves a segment the next restart finds clean.
+    #[test]
+    fn torn_tail_is_truncated_with_a_warning() {
+        let config = config(0);
+        let torn = Schedule {
+            faults: vec![(At::Of(Op::Write, 20), Fault::Torn(37))],
+            power_loss: false,
+        };
+        let store = MemStore::new(torn);
+        let replies = serve(&config, &store, mixed_stream(), Client::Lockstep).replies;
+        let stopped = fail_stop(&MemStore::error(Op::Write)).to_line();
+        assert_eq!(replies.last().expect("replies").0, stopped);
+        // The uninterrupted run of every command before the torn one.
+        let acknowledged = mixed_stream()[..replies.len() - 1].to_vec();
+        let (reference, live) = served(&config, acknowledged);
+
+        let store = store.restart();
+        let recovered = recover(&store, &config);
+        let [warning] = &recovered.warnings[..] else {
+            panic!("{:?}", recovered.warnings);
+        };
+        assert!(warning.contains("torn record at byte"), "{warning}");
+        assert_eq!(recovered.replayed, mutations(&records_in(&reference)));
+        assert!(full_state(&recovered.into_parts().0) == live.state);
+        assert!(clean(&store, &config).0 == live.state);
+    }
+
+    /// A server restarted under wall-clock time resumes its clock from
+    /// the journaled time, not from zero.
+    #[test]
+    fn recovered_wall_clock_resumes_from_journaled_time() {
+        let (virtual_time, store) = (config(0), MemStore::default());
+        let advance = vec![Request::Advance { to: 100_000 }];
+        serve(&virtual_time, &store, advance, Client::Lockstep);
+        let mut clocked = virtual_time;
+        clocked.time_scale = 1000.0;
+        let recovered = recover(&store.restart(), &clocked);
+        assert_eq!(recovered.session.now(), 100_000);
+        // The submission is round 0, at elapsed 0; the query is round 1,
+        // at TICK (10 ms): 10 simulated seconds later, which finishes the
+        // 1 s job unless the clock restarted from zero.
+        let stream = vec![submit(1, 1, 1, None, "free"), Request::Query { id: 1 }];
+        let served = serve_on(&clocked, recovered.into_parts(), stream, Client::Lockstep);
+        assert!(
+            served.replies[1].0.contains("Finished"),
+            "{:?}",
+            served.replies
+        );
     }
 
     /// Truncating the segment recovers exactly the records wholly before
@@ -1249,9 +1575,15 @@ mod tests {
                     (at, fault)
                 })
                 .collect();
+            let fsync = match rng.next_below(3) {
+                0 => FsyncPolicy::Always,
+                1 => FsyncPolicy::Never,
+                // Every round to every fourth, on the harness's clock.
+                _ => FsyncPolicy::Interval(rng.next_below(40)),
+            };
             Self {
                 stream,
-                fsync: [FsyncPolicy::Always, FsyncPolicy::Never][rng.index(2)],
+                fsync,
                 snapshot_every: [0, 3, 7][rng.index(3)],
                 client: [Client::Lockstep, Client::Pipelined][rng.index(2)],
                 schedule: Schedule {
@@ -1263,7 +1595,7 @@ mod tests {
 
         /// Serves the stream until it ends or a fault stops the server,
         /// restarts on the files as the crash left them, and checks the
-        /// five promises of recovery.
+        /// five promises of recovery, and a sixth of `journal inspect`.
         fn check(&self) {
             let mut config = config(self.snapshot_every);
             let jc = config.journal.as_mut().expect("a journal");
@@ -1287,10 +1619,13 @@ mod tests {
             });
 
             // 1. Recovery succeeds, whatever the files hold, and 4. warns
-            // exactly when a segment ends mid-record.
+            // exactly when a segment ends mid-record; 6. inspect, run
+            // first, names the snapshot it starts from and its warnings.
+            let inspected = inspected(&store);
             let recovered = recover(&store, &config);
             let warned = !recovered.warnings.is_empty();
             assert_eq!(warned, torn, "{:?}", recovered.warnings);
+            agrees(&inspected, &recovered);
             let replica = recovered.into_parts().0;
             // 2. What a reply acknowledged survives; a power loss keeps
             // that promise only for a journal synced every round.

@@ -272,12 +272,14 @@ impl Server {
 
         let (done, flushed) = mpsc::channel();
         let mut core = Core::new(&self.config, replica, journal, link.clone());
+        let start = Instant::now();
         serve_rounds(
             &mut core,
             &rx,
             &shared.backpressure_rejects,
             link.as_deref(),
             done,
+            || start.elapsed(),
         );
         // Stops the accept loop at its next connection.
         shared.shutting_down.store(true, Ordering::SeqCst);
@@ -299,15 +301,16 @@ impl Server {
 /// The scheduler thread: serves rounds until one stops the loop (or every
 /// sender is gone), then refuses what squeezed into the queue behind it.
 /// `rejects` counts the submissions the full queue turned away; `done`
-/// goes out with the stopping round's last reply ([`Reply::done`]).
+/// goes out with the stopping round's last reply ([`Reply::done`]), and
+/// `elapsed` reads the wall time each round carries.
 fn serve_rounds(
     core: &mut Core,
     rx: &Receiver<Envelope>,
     rejects: &AtomicU64,
     link: Option<&ReplLink>,
     done: mpsc::Sender<()>,
+    mut elapsed: impl FnMut() -> Duration,
 ) {
-    let start = Instant::now();
     let mut done = Some(done);
     let mut carry: Option<Envelope> = None;
     let mut requests = Vec::with_capacity(ROUND_CAP);
@@ -329,7 +332,7 @@ fn serve_rounds(
             }
         }
         let rejected = rejects.load(Ordering::Relaxed);
-        let round = core.round(start.elapsed(), rejected, requests.drain(..));
+        let round = core.round(elapsed(), rejected, requests.drain(..));
         for line in &round.log {
             eprintln!("{line}");
         }
@@ -947,7 +950,8 @@ mod tests {
             scope.spawn(|| {
                 let rx = rx;
                 let mut core = Core::new(&config, Replica::fresh(&config), None, None);
-                serve_rounds(&mut core, &rx, &shared.backpressure_rejects, None, done);
+                let rejects = &shared.backpressure_rejects;
+                serve_rounds(&mut core, &rx, rejects, None, done, || Duration::ZERO);
             });
             serve_lines(input.as_bytes(), &mut out, &shared).expect("served");
         });

@@ -61,11 +61,6 @@ impl FileStore {
         Ok(Self::new(dir))
     }
 
-    /// All of the file at `path`, in whatever directory.
-    pub(crate) fn read_path(path: &Path) -> io::Result<Vec<u8>> {
-        fs::read(path)
-    }
-
     fn path(&self, name: &str) -> PathBuf {
         self.dir.join(name)
     }

@@ -4,6 +4,8 @@
 //! before the shell's drain runs, so rounds are the largest the cap and
 //! the barriers allow; a lockstep client waits for each reply before it
 //! sends the next command, so it steps the core one command per round.
+//! The harness's clock is virtual: round `k` of a run carries the wall
+//! time `k × TICK`.
 
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
@@ -21,6 +23,9 @@ use crate::journal::{FsyncPolicy, Journal, JournalConfig};
 use crate::protocol::{Request, SubmitSpec};
 use crate::recovery::{recover_in, Recovered, Replica};
 use crate::store::MemStore;
+
+/// The wall time between one round of a run and the next.
+pub(crate) const TICK: Duration = Duration::from_millis(10);
 
 /// An 8-unit machine with tenants (one capped at 6 outstanding
 /// units), a fair-share policy and a walltime predictor, so the
@@ -186,9 +191,9 @@ pub(crate) fn serve_on(
     let mut replies = Vec::new();
     if client == Client::Lockstep {
         let mut done = Some(done);
-        for req in stream {
+        for (k, req) in (0..).zip(stream) {
             let (reply, answer) = mpsc::channel();
-            let round = core.round(Duration::ZERO, 0, [req]);
+            let round = core.round(TICK * k, 0, [req]);
             let stop = round.stop;
             release(round, [reply], &mut done);
             replies.extend(answer.try_recv());
@@ -205,7 +210,9 @@ pub(crate) fn serve_on(
         }
         drop((tx, reply));
         let answers = (client == Client::Pipelined).then_some(answers);
-        serve_rounds(&mut core, &rx, &AtomicU64::new(0), None, done);
+        let mut rounds = 0..;
+        let elapsed = || TICK * rounds.next().expect("rounds");
+        serve_rounds(&mut core, &rx, &AtomicU64::new(0), None, done, elapsed);
         replies.extend(answers.into_iter().flatten());
     }
     let done_dropped = flushed.try_recv() == Err(TryRecvError::Disconnected);

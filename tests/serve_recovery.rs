@@ -5,7 +5,6 @@
 //! acknowledged command sequence. Because the journal is written ahead of
 //! every acknowledgment (`--fsync always`), nothing acked may be lost.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use lumos_core::SystemSpec;
@@ -13,8 +12,7 @@ use lumos_serve::{PredictorConfig, ServeConfig};
 
 mod support;
 use support::{
-    crash_and_compare, lumos, precrash_commands, probe_commands, reference_replies, scratch_dir,
-    ServerProc,
+    crash_and_compare, lumos, precrash_commands, probe_commands, scratch_dir, ServerProc,
 };
 
 /// The shared pre-crash stream with a refused cancel (an unknown id)
@@ -23,20 +21,6 @@ fn precrash_with_refusal() -> Vec<String> {
     let mut cmds = precrash_commands(false);
     cmds.insert(cmds.len() - 1, r#"{"Cancel":{"id":4040}}"#.to_string());
     cmds
-}
-
-/// Path of the highest-numbered journal segment in `dir`.
-fn active_segment(dir: &Path) -> PathBuf {
-    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("read journal dir")
-        .filter_map(|e| {
-            let path = e.expect("dir entry").path();
-            let name = path.file_name()?.to_str()?;
-            (name.starts_with("journal-") && name.ends_with(".log")).then(|| path.clone())
-        })
-        .collect();
-    segments.sort();
-    segments.pop().expect("at least one segment")
 }
 
 /// Rotation every 6 records makes recovery exercise snapshot + tail
@@ -67,102 +51,6 @@ fn killed_predictor_server_recovers_byte_identical_state() {
         &probe_commands(),
         reference,
     );
-}
-
-#[test]
-fn recovered_wall_clock_resumes_from_journaled_time() {
-    let dir = scratch_dir("recovery-epoch");
-
-    // Build up journaled history deep into simulated time (virtual-time
-    // server: the clock is wherever Advance put it).
-    let server = ServerProc::spawn(&dir, &[]);
-    let reply = server.client().exchange(r#"{"Advance":{"to":100000}}"#);
-    assert!(reply.contains("Advanced"), "unexpected {reply}");
-    server.kill();
-
-    // Restart under wall-clock time. The recovered clock must resume from
-    // t = 100000 — not stall until `elapsed × scale` catches up from zero.
-    let mut restarted = ServerProc::spawn(&dir, &["--time-scale", "1000"]);
-    let recovery = restarted.read_recovery_lines();
-    assert!(
-        recovery.iter().any(|l| l.contains("(t = 100000)")),
-        "unexpected recovery chatter: {recovery:?}"
-    );
-    let mut client = restarted.client();
-    let reply = client.exchange(r#"{"Submit":{"job":{"id":1,"procs":1,"runtime":1}}}"#);
-    assert!(reply.contains("Submitted"), "unexpected {reply}");
-    // At 1000 sim-seconds per wall second, one wall second more than
-    // finishes the 1 s job — if the epoch was reseeded correctly.
-    std::thread::sleep(std::time::Duration::from_millis(1200));
-    let reply = client.exchange(r#"{"Query":{"id":1}}"#);
-    assert!(
-        reply.contains("Finished"),
-        "recovered clock stalled instead of resuming: {reply}"
-    );
-    let reply = client.exchange(r#""Shutdown""#);
-    assert!(reply.contains("Bye"), "unexpected {reply}");
-    restarted.exit_ok();
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn torn_tail_is_truncated_with_a_warning() {
-    let dir = scratch_dir("recovery-torn");
-    let pre = precrash_with_refusal();
-    let probes = probe_commands();
-
-    let server = ServerProc::spawn(&dir, &[]);
-    let mut client = server.client();
-    for c in &pre {
-        client.exchange(c);
-    }
-    server.kill();
-
-    // Simulate a torn write: a half-record (no newline, bad payload) at
-    // the end of the active segment.
-    let segment = active_segment(&dir);
-    let mut file = std::fs::OpenOptions::new()
-        .append(true)
-        .open(&segment)
-        .expect("open segment");
-    file.write_all(b"137 deadbeef {\"Submit\":{\"now\":9")
-        .expect("append torn bytes");
-    drop(file);
-
-    let mut restarted = ServerProc::spawn(&dir, &[]);
-    let recovery = restarted.read_recovery_lines();
-    assert!(
-        recovery.iter().any(|l| l.contains("torn record")),
-        "no torn-tail warning in: {recovery:?}"
-    );
-    assert!(
-        recovery
-            .iter()
-            .any(|l| l.contains("recovered 32 journaled commands")),
-        "unexpected recovery chatter: {recovery:?}"
-    );
-
-    // Every intact record survives: answers match the uninterrupted run.
-    let mut client = restarted.client();
-    let recovered_replies: Vec<String> = probes.iter().map(|c| client.exchange(c)).collect();
-    restarted.exit_ok();
-
-    let all: Vec<String> = pre.iter().chain(&probes).cloned().collect();
-    let reference = reference_replies(ServeConfig::new(SystemSpec::theta()), &all);
-    assert_eq!(recovered_replies[..], reference[pre.len()..]);
-
-    // The truncated segment now ends cleanly: a fresh restart sees no tear.
-    let mut again = ServerProc::spawn(&dir, &[]);
-    let recovery = again.read_recovery_lines();
-    assert!(
-        !recovery.iter().any(|l| l.contains("torn record")),
-        "tear survived truncation: {recovery:?}"
-    );
-    again.client().exchange(r#""Shutdown""#);
-    again.exit_ok();
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -277,62 +165,6 @@ fn journal_inspect_audits_the_directory() {
     // Usage errors exit 2; a missing directory is a runtime failure (1).
     assert_eq!(lumos(&["journal", "frobnicate"]).status.code(), Some(2));
     assert_eq!(inspect(&dir.join("no-such-subdir")).0, Some(1));
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-fn json<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string(value).expect("serializes")
-}
-
-/// An increment that parses, names a snapshot that exists and continues
-/// its table length and violations, but drops a row: it does not fold.
-/// `journal inspect` and `recover()` both pass it over for the snapshot
-/// below it, with the same warning.
-#[test]
-fn inspect_and_recovery_start_from_the_same_snapshot() {
-    use lumos_serve::recovery::{read_snapshot, SnapshotBody};
-
-    let dir = journal_with_snapshots("recovery-unfolding");
-
-    let (_, snapshots) = lumos_serve::journal::scan_dir(&dir).expect("scan");
-    let newest = *snapshots.last().expect("the run rotated");
-    let snap = read_snapshot(&dir, newest).expect("read the newest snapshot");
-    let SnapshotBody::Delta { prev, mut delta } = snap.body else {
-        panic!("snapshot {newest} is not an increment");
-    };
-    delta.rows.remove(0);
-    delta.jobs.remove(0);
-    delta.states.remove(0);
-    delta.plan_wall.remove(0);
-    delta.promised.remove(0);
-    let text = format!(
-        r#"{{"system":{},"prev":{prev},"delta":{},"metrics":{},"predictor":{}}}"#,
-        json(&snap.system),
-        json(&delta),
-        json(&snap.metrics),
-        json(&snap.predictor)
-    );
-    std::fs::write(lumos_serve::journal::snapshot_path(&dir, newest), text).expect("rewrite");
-
-    let (code, stdout, stderr) = inspect(&dir);
-    assert_eq!(code, Some(0), "inspect failed: {stderr}");
-    let start = format!("recovery starts from snapshot-{:06}.json", newest - 1);
-    assert!(stdout.contains(&start), "{stdout}");
-
-    let config = ServeConfig::new(SystemSpec::theta());
-    let recovered = lumos_serve::recover(&config, &lumos_serve::JournalConfig::new(dir.clone()))
-        .expect("recover");
-    let mark = recovered.session.save_delta().map(|(since, _)| since);
-    assert_eq!(mark, Some(newest - 1), "recovery started elsewhere");
-    let [warning] = &recovered.warnings[..] else {
-        panic!("{:?}", recovered.warnings);
-    };
-    assert!(
-        warning.contains(&format!("snapshot-{newest:06}.json: inconsistent")),
-        "{warning}"
-    );
-    assert!(stderr.contains(warning.as_str()), "{stderr}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
