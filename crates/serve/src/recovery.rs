@@ -447,6 +447,25 @@ struct Reading {
     /// The segments that are not linear history, to move aside.
     quarantine: Vec<u64>,
     warnings: Vec<String>,
+    /// The intact records of each segment the pass replayed, by kind.
+    tallies: Vec<(u64, Tally)>,
+}
+
+/// A segment's intact records by kind: config, submit, cancel, advance.
+type Tally = [usize; 4];
+
+/// `records` counted by kind.
+fn tally(records: &[JournalRecord]) -> Tally {
+    let mut counts = [0; 4];
+    for record in records {
+        counts[match record {
+            JournalRecord::Config { .. } => 0,
+            JournalRecord::Submit { .. } => 1,
+            JournalRecord::Cancel { .. } => 2,
+            JournalRecord::Advance { .. } => 3,
+        }] += 1;
+    }
+    counts
 }
 
 /// Recovery's read pass over the directory `dir` in `store`, which writes
@@ -493,12 +512,13 @@ fn read_pass(
 
     // 3. Replay, up to and including the first torn segment.
     let (mut replayed, mut active, mut tear) = (0, (from, 0), None);
+    let mut tallies = Vec::new();
     for (i, &seq) in contiguous.iter().enumerate() {
         let name = journal::segment_name(seq);
         let seg = journal::parse_segment(&store.read(&name)?);
         if let Some(torn) = &seg.torn {
             warnings.push(format!(
-                "{name}: torn record at byte {}: {}; truncating",
+                "{name}: torn record at byte {}: {}; recovery keeps the bytes before it",
                 torn.offset, torn.reason
             ));
             if i + 1 < contiguous.len() {
@@ -509,6 +529,7 @@ fn read_pass(
             tear = Some((seq, torn.offset));
         }
         active = (seq, seg.records.len() as u64);
+        tallies.push((seq, tally(&seg.records)));
         for record in seg.records {
             replayed += replica.apply(record, configured, &mut warnings);
         }
@@ -534,6 +555,7 @@ fn read_pass(
         tear,
         quarantine,
         warnings,
+        tallies,
     })
 }
 
@@ -587,7 +609,8 @@ pub(crate) fn recover_in(
 /// snapshot (shape, size, clock, rows), the snapshot recovery starts
 /// from, a line per segment (records by kind; each record if `verbose`)
 /// and the totals; on `err`, why a snapshot does not parse and
-/// recovery's warnings.
+/// recovery's warnings. A segment the read pass replayed is listed from
+/// its tally and read again only to list its records.
 ///
 /// # Errors
 /// An unreadable directory or segment, or a failed write to `out`/`err`.
@@ -649,28 +672,26 @@ fn inspect_in(
     let mut total = 0;
     for &seq in segments {
         let name = journal::segment_name(seq);
-        let records = journal::parse_segment(&store.read(&name)?).records;
-        let mut counts = [0usize; 4];
-        for record in &records {
-            counts[match record {
-                JournalRecord::Config { .. } => 0,
-                JournalRecord::Submit { .. } => 1,
-                JournalRecord::Cancel { .. } => 2,
-                JournalRecord::Advance { .. } => 3,
-            }] += 1;
-        }
+        let tallied = reading.tallies.iter().find(|&&(s, _)| s == seq);
+        let (counts, records) = match tallied {
+            Some(&(_, counts)) if !verbose => (counts, Vec::new()),
+            _ => {
+                let records = journal::parse_segment(&store.read(&name)?).records;
+                (tally(&records), records)
+            }
+        };
         let [config, submit, cancel, advance] = counts;
+        let intact: usize = counts.iter().sum();
         writeln!(
             out,
-            "{name}: {} records ({config} config, {submit} submit, {cancel} cancel, {advance} advance)",
-            records.len()
+            "{name}: {intact} records ({config} config, {submit} submit, {cancel} cancel, {advance} advance)"
         )?;
         if verbose {
             for record in &records {
                 write_record(out, record)?;
             }
         }
-        total += records.len();
+        total += intact;
     }
     let torn = reading.tear.map_or("", |_| ", 1 torn");
     writeln!(
@@ -927,15 +948,34 @@ mod tests {
     }
 
     /// `journal inspect --verbose` of `store`: what it prints on stdout
-    /// and on stderr. Requires that it wrote nothing.
+    /// and on stderr. Requires that it wrote nothing, and that without
+    /// `--verbose` it prints the same less the records, reading each
+    /// segment the read pass replayed once instead of twice.
     fn inspected(store: &MemStore) -> (String, String) {
         let before = store.files();
-        let (mut out, mut err) = (Vec::new(), Vec::new());
         let dir = Path::new("in-memory");
-        inspect_in(store, dir, true, &mut out, &mut err).expect("inspect");
+        let run = |verbose| {
+            let (mut out, mut err) = (Vec::new(), Vec::new());
+            let reads = store.reads();
+            inspect_in(store, dir, verbose, &mut out, &mut err).expect("inspect");
+            let text = |bytes| String::from_utf8(bytes).expect("UTF-8");
+            (text(out), text(err), store.reads() - reads)
+        };
+        let (out, err, reads) = run(true);
+        let (brief, brief_err, brief_reads) = run(false);
+        let listing: String = out
+            .lines()
+            .filter(|line| !line.starts_with("  "))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_eq!((brief, brief_err), (listing, err.clone()));
+        let replayed = read_pass(store, dir, None)
+            .expect("read pass")
+            .tallies
+            .len();
+        assert_eq!(reads - brief_reads, replayed as u64);
         assert!(store.files() == before, "inspect wrote to the directory");
-        let text = |bytes| String::from_utf8(bytes).expect("UTF-8");
-        (text(out), text(err))
+        (out, err)
     }
 
     /// Requires `inspected` to say what `recovered` did: name the

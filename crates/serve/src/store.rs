@@ -256,6 +256,11 @@ mod mem {
             self.dir().syncs
         }
 
+        /// How many [`Store::read`] and [`Store::read_from`] calls were made.
+        pub(crate) fn reads(&self) -> u64 {
+            self.dir().ops_of.get(&Op::Read).copied().unwrap_or(0)
+        }
+
         /// Every file, by name.
         pub(crate) fn files(&self) -> Vec<(String, Vec<u8>)> {
             self.dir().files.clone().into_iter().collect()

@@ -12,6 +12,7 @@ use std::cmp::Ordering;
 use lumos_core::system::virtual_cluster_units;
 use lumos_core::{Duration, SystemSpec, Timestamp};
 
+use crate::counts::Divergence;
 use crate::profile::{CapacityProfile, ReleaseLedger, CHUNK_KEYS};
 
 /// A queued job as the backfill scan sees it: the table index plus the two
@@ -360,13 +361,8 @@ pub(crate) struct KeptPlan {
     /// observe, so the jobs behind the prefix may be waiting unplanned,
     /// each holding the promise of an earlier pass.
     pub(crate) slots: Vec<(usize, Timestamp)>,
-    live: bool,
-    /// Times the plan was rebuilt from the ledger.
-    #[cfg(test)]
-    pub(crate) rebuilds: usize,
-    /// `earliest_fit` + `reserve` pairs issued.
-    #[cfg(test)]
-    pub(crate) pairs: usize,
+    /// `None` while the plan is live; otherwise what first diverged it.
+    stale: Option<Divergence>,
 }
 
 /// One isolated scheduling domain (the whole machine, or one virtual
@@ -423,28 +419,22 @@ impl Partition {
     pub(crate) fn prune_to(&mut self, now: Timestamp) {
         self.ledger.prune_to(now);
         if self.ledger.overrun() > 0 {
-            self.plan_diverged();
+            self.plan_diverged(Divergence::Overrun);
         }
-    }
-
-    /// The kept plan, live or not: its counters.
-    #[cfg(test)]
-    pub(crate) fn kept_plan(&self) -> Option<&KeptPlan> {
-        self.plan.as_ref()
     }
 
     /// The kept plan, while it is live.
     pub(crate) fn live_plan(&self) -> Option<&KeptPlan> {
-        self.plan.as_ref().filter(|plan| plan.live)
+        self.plan.as_ref().filter(|plan| plan.stale.is_none())
     }
 
     /// The machine or the queue did something the kept plan does not
-    /// hold: a completion off its end estimate, an overrun, a cancelled
-    /// or overtaken planned job, a re-sorted queue, a start the plan did
-    /// not make. The next planning pass starts from the ledger.
-    pub(crate) fn plan_diverged(&mut self) {
+    /// hold (`cause`): a completion off its end estimate, an overrun, a
+    /// cancelled or overtaken planned job, a re-sorted queue, a start the
+    /// plan did not make. The next planning pass starts from the ledger.
+    pub(crate) fn plan_diverged(&mut self, cause: Divergence) {
         if let Some(plan) = &mut self.plan {
-            plan.live = false;
+            plan.stale.get_or_insert(cause);
         }
     }
 
@@ -453,13 +443,13 @@ impl Partition {
     /// does not hold — the job that finds the machine free on arrival,
     /// which nobody ever planned, or a head off the unplanned tail.
     pub(crate) fn plan_head_start(&mut self, head: usize, now: Timestamp) {
-        let Some(plan) = self.plan.as_mut().filter(|plan| plan.live) else {
+        let Some(plan) = self.plan.as_mut().filter(|plan| plan.stale.is_none()) else {
             return;
         };
         if plan.slots.first() == Some(&(head, now)) {
             plan.slots.remove(0);
         } else {
-            plan.live = false;
+            plan.stale = Some(Divergence::HeadStart);
         }
     }
 
@@ -468,30 +458,30 @@ impl Partition {
     pub(crate) fn plan_cancel(&mut self, idx: usize) {
         let planned = |plan: &KeptPlan| plan.slots.iter().any(|&(row, _)| row == idx);
         if self.live_plan().is_some_and(planned) {
-            self.plan_diverged();
+            self.plan_diverged(Divergence::Cancel);
         }
     }
 
     /// The waiting queue and the plan a conservative pass extends over
     /// it: the kept one while it is live, otherwise one rebuilt from the
-    /// ledger — O(ledger keys), once per divergence — with nobody planned.
+    /// ledger — O(ledger keys), once per divergence — with nobody planned,
+    /// and then also why it was rebuilt.
     ///
     /// # Panics
     /// Panics unless the cluster keeps plans ([`Cluster::keep_plans`]).
-    pub(crate) fn planning(&mut self, now: Timestamp) -> (&WaitQueue, &mut KeptPlan) {
+    pub(crate) fn planning(
+        &mut self,
+        now: Timestamp,
+    ) -> (&WaitQueue, &mut KeptPlan, Option<Divergence>) {
         let plan = self.plan.as_mut().expect("conservative keeps a plan");
-        if plan.live {
-            plan.profile.forget_before(now);
-        } else {
+        let rebuilt = plan.stale.take();
+        if rebuilt.is_some() {
             self.ledger.copy_to(&mut plan.profile);
             plan.slots.clear();
-            plan.live = true;
-            #[cfg(test)]
-            {
-                plan.rebuilds += 1;
-            }
+        } else {
+            plan.profile.forget_before(now);
         }
-        (&self.waiting, plan)
+        (&self.waiting, plan, rebuilt)
     }
 
     /// Starts a job of `procs` units the scheduler plans to see end at
@@ -549,11 +539,7 @@ impl Cluster {
             p.plan = Some(KeptPlan {
                 profile: CapacityProfile::new(0, 0),
                 slots: Vec::new(),
-                live: false,
-                #[cfg(test)]
-                rebuilds: 0,
-                #[cfg(test)]
-                pairs: 0,
+                stale: Some(Divergence::Fresh),
             });
         }
     }

@@ -17,7 +17,10 @@
 //! jobs with observed waits plus scheduling metrics (`util`, `wait`,
 //! `bsld`, `violation`) and a utilization timeline (Fig. 3); and
 //! [`SimSession`], the same engine driven incrementally (submit jobs one
-//! at a time, advance virtual time explicitly) for online serving.
+//! at a time, advance virtual time explicitly) for online serving. What
+//! a session's scheduling passes did — passes, starts, conservative
+//! pairs and rebuilds — is counted as [`PassCounts`]
+//! ([`SimSession::counts`]).
 //!
 //! [`Trace`]: lumos_core::Trace
 
@@ -26,6 +29,7 @@
 
 pub mod backfill;
 pub mod cluster;
+pub mod counts;
 pub mod metrics;
 pub mod policy;
 pub mod profile;
@@ -36,6 +40,7 @@ pub mod simulator;
 pub mod tenant;
 
 pub use backfill::{Backfill, Relax};
+pub use counts::{PassCounts, Rebuilds};
 pub use metrics::{SimMetrics, UtilizationTimeline};
 pub use policy::Policy;
 pub use session::{

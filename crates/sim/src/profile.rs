@@ -272,6 +272,18 @@ impl CapacityProfile {
     /// side of `procs`, a walk through the others.
     #[must_use]
     pub fn earliest_fit(&self, after: Timestamp, procs: u64, duration: i64) -> Option<Timestamp> {
+        self.earliest_fit_counted(after, procs, duration, &mut 0)
+    }
+
+    /// [`Self::earliest_fit`], adding to `walked` the breakpoints it reads
+    /// one by one inside the spans it cannot step over.
+    pub(crate) fn earliest_fit_counted(
+        &self,
+        after: Timestamp,
+        procs: u64,
+        duration: i64,
+        walked: &mut u64,
+    ) -> Option<Timestamp> {
         if duration <= 0 {
             return Some(after); // an empty interval fits anywhere
         }
@@ -283,13 +295,9 @@ impl CapacityProfile {
             // last span extends to infinity, so a run reaching it can
             // only keep growing.
             let next_first = self.spans.get(i + 1).map(|s| s.first);
-            let long_enough = |run_start: Timestamp, segment_end: Option<Timestamp>| {
-                segment_end.is_none_or(|end| end - run_start >= duration)
-            };
-            // Where the current segment's candidate window begins: `after`
-            // itself for the segment containing it, the breakpoint after
-            // that.
-            let mut seg_start = if i == start { after } else { span.first };
+            // Where the span's first segment begins as a candidate: `after`
+            // itself in the span containing it.
+            let seg_start = if i == start { after } else { span.first };
             if span.max - span.sub < procs {
                 // No segment in the span carries a run or opens one.
                 run_start = None;
@@ -300,28 +308,51 @@ impl CapacityProfile {
                 // `next_first`: if the run is long enough anywhere in the
                 // span it is long enough there.
                 let s = *run_start.get_or_insert(seg_start);
-                if long_enough(s, next_first) {
+                if next_first.is_none_or(|end| end - s >= duration) {
                     return run_start;
                 }
                 continue;
             }
+            // Stored values against the request plus the span's pending
+            // units; the run opens on a breakpoint carrying it and holds
+            // to the first that breaks it, long enough once it reaches a
+            // breakpoint at or past `deadline`.
+            let need = procs + span.sub;
             let at = if i == start { span.position(after) } else { 0 };
-            let mut walk = span.walk_from(at);
-            let mut here = walk.next();
-            while let Some((_, free)) = here {
-                let next = walk.next();
-                if free >= procs {
-                    let s = *run_start.get_or_insert(seg_start);
-                    if long_enough(s, next.map(|(t, _)| t).or(next_first)) {
+            let points = &span.points[at..];
+            let mut k = 0;
+            loop {
+                let s = match run_start {
+                    Some(s) => s,
+                    None => {
+                        let Some(open) = points[k..].iter().position(|p| p.1 >= need) else {
+                            *walked += (points.len() - k) as u64;
+                            break;
+                        };
+                        *walked += open as u64 + 1;
+                        k += open;
+                        let s = if k == 0 { seg_start } else { points[k].0 };
+                        k += 1;
+                        *run_start.insert(s)
+                    }
+                };
+                let deadline = s.saturating_add(duration);
+                let rest = &points[k..];
+                let Some(end) = rest.iter().position(|p| p.1 < need || p.0 >= deadline) else {
+                    *walked += rest.len() as u64;
+                    if next_first.is_none_or(|end| end >= deadline) {
                         return run_start;
                     }
-                } else {
-                    run_start = None;
+                    break;
+                };
+                k += end;
+                if points[k].0 >= deadline {
+                    *walked += end as u64;
+                    return run_start;
                 }
-                if let Some((t, _)) = next {
-                    seg_start = t;
-                }
-                here = next;
+                *walked += end as u64 + 1;
+                run_start = None;
+                k += 1;
             }
         }
         None
@@ -351,7 +382,7 @@ impl CapacityProfile {
             let covered = if lo == 0 {
                 first
             } else {
-                self.lower(first, lo.., procs);
+                self.lower(first, lo..self.spans[first].points.len(), procs);
                 first + 1
             };
             for span in &mut self.spans[covered..last] {
@@ -362,7 +393,7 @@ impl CapacityProfile {
                 span.sub += procs;
             }
             if hi > 0 {
-                self.lower(last, ..hi, procs);
+                self.lower(last, 0..hi, procs);
             }
         }
         // A contiguous range moved by a constant, so only the two boundary
@@ -394,25 +425,34 @@ impl CapacityProfile {
 
     /// Takes `procs` out of the breakpoints in `range` of span `span`,
     /// which an edge of the reservation lies inside.
-    fn lower(
-        &mut self,
-        span: usize,
-        range: impl std::slice::SliceIndex<[Point], Output = [Point]>,
-        procs: u64,
-    ) {
+    ///
+    /// Values only fall, so the span's smallest is the smaller of the old
+    /// one and the range's; its largest moves only if the range held it,
+    /// and only then are the breakpoints outside the range read.
+    fn lower(&mut self, span: usize, range: std::ops::Range<usize>, procs: u64) {
         let span = &mut self.spans[span];
-        for p in &mut span.points[range] {
+        let (mut lowest, mut highest, mut held_max) = (span.min, 0, false);
+        for p in &mut span.points[range.clone()] {
             debug_assert!(p.1 - span.sub >= procs, "reservation exceeds free capacity");
+            held_max |= p.1 == span.max;
             p.1 -= procs;
+            lowest = lowest.min(p.1);
+            highest = highest.max(p.1);
         }
-        (span.min, span.max) = measure(&span.points);
+        span.min = lowest;
+        if held_max {
+            let (before, after) = (&span.points[..range.start], &span.points[range.end..]);
+            span.max = highest.max(measure(before).1).max(measure(after).1);
+        }
     }
 
     /// Removes breakpoint `at` of span `span` if it repeats its
     /// predecessor's value (the last breakpoint of the span before, when
     /// it is the first of its own), keeping the representation canonical:
     /// no two adjacent breakpoints with equal free counts. A span left
-    /// without breakpoints goes too.
+    /// without breakpoints goes too. An inner breakpoint repeats its
+    /// neighbour's stored value, so only a span's first one, removed, can
+    /// move its smallest or largest.
     fn coalesce_at(&mut self, span: usize, at: usize) {
         let here = &self.spans[span];
         let before = match (span, at) {
@@ -427,7 +467,7 @@ impl CapacityProfile {
         here.points.remove(at);
         if here.points.is_empty() {
             self.recycle(span..=span);
-        } else {
+        } else if at == 0 {
             here.first = here.points[0].0;
             (here.min, here.max) = measure(&here.points);
         }
@@ -1146,6 +1186,47 @@ mod tests {
                 s.earliest_fit(now + offset, capacity, duration);
             }
             prop_assert!(s.owned.spans.len() >= 12, "{}", s.owned.spans.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bound a conservative pass puts on a fit: once job A is
+        /// fitted at `s_A` and more reservations are carved in, a job B
+        /// asking for at least A's units for at least A's walltime fits
+        /// from `s_A` exactly where it fits from `now`.
+        #[test]
+        fn a_fit_from_the_slot_of_a_job_it_dominates_is_the_fit_from_now(
+            running in prop::collection::vec((1i64..20_000, 1u64..8), 300..400),
+            spare in 8u64..200,
+            earlier in prop::collection::vec((0i64..25_000, 1u64..200, 1i64..4_000), 0..60),
+            a in (1u64..200, prop_oneof![Just(0i64), 1i64..4_000]),
+            later in prop::collection::vec((1u64..200, 1i64..4_000), 0..60),
+            more in (0u64..100, prop_oneof![Just(0i64), 1i64..2_000]),
+        ) {
+            let now = 40;
+            let capacity = running.iter().map(|&(_, p)| p).sum::<u64>() + spare;
+            let mut s = Lockstep::over(capacity, now, &running);
+            let carve = |s: &mut Lockstep, after: Timestamp, procs: u64, wall: i64| {
+                let procs = procs.min(capacity);
+                let start = s.earliest_fit(after, procs, wall).expect("within capacity");
+                s.reserve(start, start + wall, procs);
+                start
+            };
+            for (offset, procs, wall) in earlier {
+                carve(&mut s, now + offset, procs, wall);
+            }
+            let (procs_a, wall_a) = (a.0.min(capacity), a.1);
+            let slot_a = carve(&mut s, now, procs_a, wall_a);
+            for (procs, wall) in later {
+                carve(&mut s, now, procs, wall);
+            }
+            let (procs_b, wall_b) = ((procs_a + more.0).min(capacity), wall_a + more.1);
+            prop_assert_eq!(
+                s.earliest_fit(slot_a, procs_b, wall_b),
+                s.earliest_fit(now, procs_b, wall_b)
+            );
         }
     }
 

@@ -31,6 +31,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::backfill::Backfill;
 use crate::cluster::{Cluster, Waiter};
+use crate::counts::{Divergence, PassCounts};
 use crate::metrics::{SimMetrics, UtilizationTimeline};
 use crate::profile::CapacityProfile;
 use crate::simulator::{SimConfig, SimResult};
@@ -214,6 +215,9 @@ pub struct SimSession {
     /// completions). Observability only — not part of the saved state, so
     /// a restored session restarts the count at zero.
     events_processed: u64,
+    /// What the scheduling passes did; observability only, like
+    /// `events_processed`, and zero again after a restore.
+    counts: PassCounts,
     /// Tenant table + per-tenant accounting; `None` when tenancy is off.
     tenants: Option<TenantState>,
     /// Set once a save of this session is durable; `None` until then, and
@@ -258,6 +262,7 @@ impl SimSession {
             finished_count: 0,
             cancelled_count: 0,
             events_processed: 0,
+            counts: PassCounts::default(),
             tenants: None,
             mark: None,
         }
@@ -699,6 +704,13 @@ impl SimSession {
         self.events_processed
     }
 
+    /// What the scheduling passes have done since the session was made
+    /// or restored (a restore starts every count at zero).
+    #[must_use]
+    pub fn counts(&self) -> PassCounts {
+        self.counts
+    }
+
     /// Finishes all outstanding work and folds the session into a
     /// [`SimResult`]. Cancelled jobs are excluded from the metrics.
     ///
@@ -845,7 +857,7 @@ impl SimSession {
             p.finish(self.procs_eff[idx], end_estimate);
             if now != end_estimate {
                 // Early or late: not when a kept plan has the units back.
-                p.plan_diverged();
+                p.plan_diverged(Divergence::Completion);
             }
             self.state[idx] = JobState::Finished;
             self.finished_count += 1;
@@ -1478,23 +1490,14 @@ mod tests {
         }
     }
 
-    /// `(rebuilds, pairs)` of the session's kept plans so far.
-    fn plan_counts(s: &SimSession) -> (usize, usize) {
-        let parts = 0..s.cluster.partition_count();
-        let plans = parts.filter_map(|p| s.cluster.partition(p).kept_plan());
-        plans.fold((0, 0), |(rebuilds, pairs), plan| {
-            (rebuilds + plan.rebuilds, pairs + plan.pairs)
-        })
-    }
-
     /// Steps a session fed `jobs` and the reference model side by side,
     /// and after every event requires each row's state, wait and promise,
     /// the violations and the queue maxima to agree; `watch` then sees the
     /// session. Every `cancel_every`-th event (if not 0) cancels the job
     /// at the back of the first non-empty queue. After event
     /// `restore_after` (if not 0) a session restored from a save takes
-    /// over, its kept plans started over. Returns the session and its
-    /// plans' `(rebuilds, pairs)`, over both sessions.
+    /// over, its kept plans and its counts started over. Returns the
+    /// session and its plans' `(rebuilds, pairs)`, over both sessions.
     fn lockstep(
         system: &SystemSpec,
         config: SimConfig,
@@ -1502,7 +1505,7 @@ mod tests {
         jobs: &[impl Into<Submission> + Clone],
         (cancel_every, restore_after): (usize, usize),
         mut watch: impl FnMut(&SimSession),
-    ) -> (SimSession, (usize, usize)) {
+    ) -> (SimSession, (u64, u64)) {
         let table = tenants.map(|t| TenantTable::parse(t).unwrap());
         let mut model = Model::new(system, config, table.as_ref());
         let mut s = match table {
@@ -1530,7 +1533,8 @@ mod tests {
                 }
             }
             if events == restore_after {
-                carried = plan_counts(&s);
+                let counts = s.counts();
+                carried = (counts.rebuilds.total(), counts.pairs);
                 s = SimSession::restore(system, s.save_state()).unwrap();
             }
             // The model names its phases as the session names its states.
@@ -1547,7 +1551,8 @@ mod tests {
             watch(&s);
         }
         assert!(s.next_event_time().is_none() && s.jobs.len() == model.rows.len());
-        let (rebuilds, pairs) = plan_counts(&s);
+        let counts = s.counts();
+        let (rebuilds, pairs) = (counts.rebuilds.total(), counts.pairs);
         (s, (carried.0 + rebuilds, carried.1 + pairs))
     }
 
@@ -1713,7 +1718,7 @@ mod tests {
         assert_eq!(restored.0, 3);
         // So the jobs waiting at the restore are planned once more, all
         // but the few that start as the head before a pass reaches them.
-        let again = restored.1 - once.1;
+        let again = (restored.1 - once.1) as usize;
         assert!(
             queued >= 300 && (queued - 10..=queued).contains(&again),
             "{again} of the {queued} jobs waiting at the restore planned again"
@@ -1736,7 +1741,7 @@ mod tests {
             lockstep(&four_clusters(), config, None, &jobs, (0, 0), |_| {});
         let promised = s.promised.iter().flatten().count();
         let waited = s.jobs.iter().filter(|j| j.wait != Some(0)).count();
-        assert_eq!(pairs, promised);
+        assert_eq!(pairs, promised as u64);
         // Near enough the jobs that waited: a few were promised "now"
         // on arrival behind a queue and never waited, a few queued only
         // while nothing was free and started as the head, never planned.
@@ -1828,9 +1833,15 @@ mod tests {
             s.submit(j).unwrap();
         }
         s.advance_to(99);
-        assert_eq!(plan_counts(&s), (1, 10), "each arrival planned once");
+        let counts = s.counts();
+        assert_eq!(counts.rebuilds.fresh, 1);
+        assert_eq!(counts.pairs, 10, "each arrival planned once");
         s.advance_to(100);
-        assert_eq!(plan_counts(&s), (2, 13), "one build, three pairs");
+        let counts = s.counts();
+        assert_eq!(counts.rebuilds.total(), 2, "one build");
+        assert_eq!(counts.rebuilds.completion, 1, "A ended early");
+        assert_eq!(counts.pairs, 13, "three pairs");
+        assert_eq!(counts.horizon_cuts, 1, "J4‥J10 behind the cut");
         let plan = s.cluster.partition(0).live_plan().expect("live");
         assert_eq!(plan.slots, [(2, 2_000), (3, 2_100)]);
         assert_eq!(s.query(5), Some(JobState::Running), "J3 backfills");
