@@ -93,27 +93,40 @@ pub fn snapshot_json(
     metrics: &LiveMetrics,
     predictor: Option<&Predictor>,
 ) -> String {
+    let mut out = String::new();
+    write_snapshot_json(&mut out, system, session, metrics, predictor);
+    out
+}
+
+/// [`snapshot_json`] appended onto `out`, which a replica keeps from one
+/// rotation to the next.
+fn write_snapshot_json(
+    out: &mut String,
+    system: &SystemSpec,
+    session: &SimSession,
+    metrics: &LiveMetrics,
+    predictor: Option<&Predictor>,
+) {
     // Field by field, so nothing but the state is copied to be written.
-    let mut out = String::from("{\"system\":");
-    serde_json::to_string_into(system, &mut out);
+    out.push_str("{\"system\":");
+    serde_json::to_string_into(system, out);
     match session.save_delta() {
         None => {
             out.push_str(",\"state\":");
-            serde_json::to_string_into(&session.save_state(), &mut out);
+            serde_json::to_string_into(&session.save_state(), out);
         }
         Some((prev, delta)) => {
             out.push_str(",\"prev\":");
-            serde_json::to_string_into(&prev, &mut out);
+            serde_json::to_string_into(&prev, out);
             out.push_str(",\"delta\":");
-            serde_json::to_string_into(&delta, &mut out);
+            serde_json::to_string_into(&delta, out);
         }
     }
     out.push_str(",\"metrics\":");
-    serde_json::to_string_into(metrics, &mut out);
+    serde_json::to_string_into(metrics, out);
     out.push_str(",\"predictor\":");
-    serde_json::to_string_into(&predictor, &mut out);
+    serde_json::to_string_into(&predictor, out);
     out.push('}');
-    out
 }
 
 /// Reads and parses `snapshot-<seq>.json`.
@@ -165,6 +178,8 @@ pub(crate) struct Replica {
     pub virgin: bool,
     /// The buffer [`Replica::absorb`] drains the session's events into.
     events: Vec<SimEvent>,
+    /// The buffer [`Replica::rotate`] writes each snapshot into.
+    snapshot: String,
 }
 
 impl Replica {
@@ -199,10 +214,13 @@ impl Replica {
             predictor: predictor.map(Predictor::new),
             virgin: true,
             events: Vec::new(),
+            snapshot: String::new(),
         }
     }
 
-    /// The rotation snapshot of this state.
+    /// The rotation snapshot of this state, in a string of its own (a
+    /// rotation writes it into the replica's buffer).
+    #[cfg(test)]
     pub fn snapshot_json(&self) -> String {
         snapshot_json(
             &self.system,
@@ -234,7 +252,15 @@ impl Replica {
     /// snapshot that exists.
     pub fn rotate(&mut self, journal: &mut Journal, with_header: bool) -> io::Result<()> {
         let header = with_header.then(|| self.header());
-        journal.rotate_with(&self.snapshot_json(), header.as_ref())?;
+        self.snapshot.clear();
+        write_snapshot_json(
+            &mut self.snapshot,
+            &self.system,
+            &self.session,
+            &self.metrics,
+            self.predictor.as_ref(),
+        );
+        journal.rotate_with(&self.snapshot, header.as_ref())?;
         self.session.mark_saved(journal.seq());
         Ok(())
     }
@@ -411,6 +437,7 @@ impl Recovered {
             predictor: self.predictor,
             virgin: self.virgin,
             events: Vec::new(),
+            snapshot: String::new(),
         };
         (replica, self.journal)
     }
@@ -817,6 +844,7 @@ fn load_chain(store: &dyn Store, seq: u64) -> Result<Replica, BrokenChain> {
                 predictor,
                 virgin: false,
                 events: Vec::new(),
+                snapshot: String::new(),
             })
         }
         // Which link does not fit is not known: only `seq` is ruled out.
@@ -912,6 +940,7 @@ mod tests {
             predictor,
             virgin: false,
             events: Vec::new(),
+            snapshot: String::new(),
         })
     }
 

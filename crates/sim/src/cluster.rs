@@ -495,12 +495,20 @@ impl Partition {
         self.ledger.add(end_estimate, procs);
     }
 
-    /// Completes a running job, freeing the `procs` units it was started
-    /// with; `end_estimate` is the one it was started with too.
+    /// Completes a running job at `now`, freeing the `procs` units it was
+    /// started with; `end_estimate` is the one it was started with too.
+    ///
+    /// The ledger is brought to `now` first — its own prune, not
+    /// `Partition::prune_to`, whose divergence check would see the finishing
+    /// job as overrunning. A job ending on its estimate then finds its
+    /// key released by the clock and gives its units back out of the
+    /// overrun, with no search; after the completions at `now` the keys
+    /// and the overrun are what removing first and pruning after leaves.
     ///
     /// # Panics
     /// Panics if the ledger holds no such job.
-    pub fn finish(&mut self, procs: u64, end_estimate: Timestamp) {
+    pub fn finish(&mut self, procs: u64, end_estimate: Timestamp, now: Timestamp) {
+        self.ledger.prune_to(now);
         self.ledger.remove(end_estimate, procs);
         self.free += procs;
     }
@@ -985,8 +993,7 @@ mod tests {
         assert_eq!(p.free, p.capacity - 100);
         assert_eq!(p.ledger().free_now(), p.capacity - 100);
         assert_eq!(p.ledger().earliest(p.capacity), (50, p.capacity));
-        p.prune_to(40);
-        p.finish(100, 50);
+        p.finish(100, 50, 40);
         assert_eq!(p.free, p.capacity);
         // The unused tail [40, 50) came back.
         assert_eq!(p.ledger().earliest(p.capacity), (40, p.capacity));
@@ -997,6 +1004,6 @@ mod tests {
     #[should_panic(expected = "not running")]
     fn finishing_unknown_job_panics() {
         let mut c = Cluster::new(&SystemSpec::theta(), true);
-        c.partition_mut(0).finish(3, 10);
+        c.partition_mut(0).finish(3, 10, 0);
     }
 }

@@ -101,4 +101,13 @@ pub struct PassCounts {
     /// ran to: for each start allowed only by the relaxation budget,
     /// `start + walltime − shadow`.
     pub relaxation_s: u64,
+    /// Running jobs entered in a release ledger under their end
+    /// estimate: one per start.
+    pub keys_inserted: u64,
+    /// Completions before their end estimate: the ledger searched its
+    /// keys for the units.
+    pub keys_removed_by_search: u64,
+    /// Completions at or after their end estimate: the clock had already
+    /// released the key, and the units came out of the overrun.
+    pub keys_released_by_clock: u64,
 }

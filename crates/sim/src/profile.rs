@@ -15,7 +15,9 @@
 //! *is* "units handed back per end estimate, in time order", and
 //! [`ReleaseLedger`] stores exactly that: a job start adds its units at
 //! its end-estimate key, a completion takes them out again, the advancing
-//! clock drops the keys it passes. The EASY shadow time is a prefix-sum
+//! clock drops the keys it passes — before the completions at its instant,
+//! so a job ending on its estimate finds its key already dropped and
+//! costs no search. The EASY shadow time is a prefix-sum
 //! search over the keys ([`ReleaseLedger::earliest`]). Conservative
 //! backfilling, which gives every waiting job a reservation, keeps a
 //! [`CapacityProfile`] of its own per partition — the ledger's timeline
@@ -51,6 +53,8 @@
 //! assert_eq!(ledger.free_now(), 100);
 //! assert_eq!(kept.points(), &[(0, 60), (50, 30), (60, 100)]);
 //! ```
+
+use std::collections::VecDeque;
 
 use lumos_core::Timestamp;
 
@@ -527,10 +531,15 @@ impl CapacityProfile {
 /// A run of consecutive ledger keys with their sum.
 #[derive(Debug, Clone)]
 struct Chunk {
+    /// The first key's end estimate, so that finding a chunk reads no
+    /// chunk's keys.
+    first: Timestamp,
     /// Σ units over `keys`.
     sum: u64,
-    /// `(end_estimate, Σ units)` ascending by time; never empty.
-    keys: Vec<(Timestamp, u64)>,
+    /// `(end_estimate, Σ units)` ascending by time; never empty. A deque:
+    /// the clock pops keys off the front, and an insert or a remove in
+    /// the middle shifts the shorter side.
+    keys: VecDeque<(Timestamp, u64)>,
 }
 
 /// The units every running job hands back, keyed by its end estimate.
@@ -597,7 +606,7 @@ impl ReleaseLedger {
     /// before it (the first when `end` precedes every key).
     fn chunk_of(&self, end: Timestamp) -> usize {
         self.chunks
-            .partition_point(|c| c.keys[0].0 <= end)
+            .partition_point(|c| c.first <= end)
             .saturating_sub(1)
     }
 
@@ -613,8 +622,9 @@ impl ReleaseLedger {
         self.total += procs;
         if self.chunks.is_empty() {
             self.chunks.push(Chunk {
+                first: end,
                 sum: procs,
-                keys: vec![(end, procs)],
+                keys: VecDeque::from([(end, procs)]),
             });
             return;
         }
@@ -623,17 +633,26 @@ impl ReleaseLedger {
         chunk.sum += procs;
         match chunk.keys.binary_search_by_key(&end, |&(t, _)| t) {
             Ok(i) => chunk.keys[i].1 += procs,
-            Err(i) => chunk.keys.insert(i, (end, procs)),
+            Err(i) => {
+                chunk.keys.insert(i, (end, procs));
+                if i == 0 {
+                    chunk.first = end;
+                }
+            }
         }
         if chunk.keys.len() >= 2 * CHUNK_KEYS {
             let keys = chunk.keys.split_off(CHUNK_KEYS);
             let sum = keys.iter().map(|&(_, p)| p).sum();
             chunk.sum -= sum;
-            self.chunks.insert(at + 1, Chunk { sum, keys });
+            let first = keys[0].0;
+            self.chunks.insert(at + 1, Chunk { first, sum, keys });
         }
     }
 
-    /// The job that [`Self::add`]ed `procs` units at `end` completes.
+    /// The job that [`Self::add`]ed `procs` units at `end` completes. A
+    /// job whose estimate the ledger was pruned past gives its units back
+    /// out of the overrun, with no search; one completing before its
+    /// estimate is searched for among the keys.
     ///
     /// # Panics
     /// Panics if the ledger holds no such units.
@@ -654,8 +673,11 @@ impl ReleaseLedger {
         self.total -= procs;
         if chunk.keys[i].1 == 0 {
             chunk.keys.remove(i);
-            if chunk.keys.is_empty() {
-                self.chunks.remove(at);
+            match chunk.keys.front() {
+                Some(&(t, _)) => chunk.first = t,
+                None => {
+                    self.chunks.remove(at);
+                }
             }
         }
     }
@@ -669,17 +691,27 @@ impl ReleaseLedger {
             return;
         }
         self.now = now;
+        if self.chunks.first().is_none_or(|c| c.first > now) {
+            return;
+        }
         let whole = self
             .chunks
             .iter()
             .take_while(|c| c.keys[c.keys.len() - 1].0 <= now)
             .count();
         let mut passed: u64 = self.chunks.drain(..whole).map(|c| c.sum).sum();
-        if let Some(first) = self.chunks.first_mut() {
-            let n = first.keys.partition_point(|&(t, _)| t <= now);
-            let part: u64 = first.keys.drain(..n).map(|(_, p)| p).sum();
-            first.sum -= part;
-            passed += part;
+        // The chunk the clock stops in: its keys up to `now` pop off the
+        // front, and the first one after `now` heads it.
+        if let Some(chunk) = self.chunks.first_mut() {
+            while let Some(&(t, p)) = chunk.keys.front() {
+                if t > now {
+                    chunk.first = t;
+                    break;
+                }
+                chunk.keys.pop_front();
+                chunk.sum -= p;
+                passed += p;
+            }
         }
         self.total -= passed;
         self.overrun += passed;
@@ -744,7 +776,7 @@ impl ReleaseLedger {
         let mut free = self.capacity - self.total;
         let soon = self.now + 1;
         // A key at `now + 1` is the overrun step already.
-        if self.overrun > 0 && self.chunks.first().is_none_or(|c| c.keys[0].0 != soon) {
+        if self.overrun > 0 && self.chunks.first().is_none_or(|c| c.first != soon) {
             head.push((soon, free));
         }
         spans.push(Span::new(head, 0));
@@ -1239,9 +1271,28 @@ mod tests {
         copy.points()
     }
 
+    /// What every ledger routine relies on: chunks in time order, none
+    /// empty, each headed by its first key, summed exactly and split
+    /// before 128; every key later than the instant last pruned to.
+    fn assert_ledger_is_sound(ledger: &ReleaseLedger) {
+        for chunk in &ledger.chunks {
+            let keys = &chunk.keys;
+            assert!(!keys.is_empty() && keys.len() < 2 * CHUNK_KEYS);
+            assert_eq!(chunk.first, keys[0].0, "a chunk is headed by its first key");
+            assert_eq!(chunk.sum, keys.iter().map(|k| k.1).sum::<u64>());
+            assert!(keys.iter().zip(keys.iter().skip(1)).all(|(a, b)| a.0 < b.0));
+        }
+        let last = |c: &Chunk| c.keys[c.keys.len() - 1].0;
+        assert!(ledger.chunks.windows(2).all(|w| last(&w[0]) < w[1].first));
+        assert!(ledger.chunks.first().is_none_or(|c| c.first > ledger.now));
+        let total: u64 = ledger.chunks.iter().map(|c| c.sum).sum();
+        assert_eq!(ledger.total, total);
+    }
+
     /// Every query the scheduler makes, against the from-scratch profile
     /// of `running` (`(end_estimate, procs)`) at `now`.
     fn assert_ledger_matches(ledger: &ReleaseLedger, now: Timestamp, running: &[(Timestamp, u64)]) {
+        assert_ledger_is_sound(ledger);
         let rebuilt = Timeline::from_running(now, ledger.capacity, running);
         assert_eq!(view(ledger), rebuilt.points, "at t={now}");
         let clamped: Vec<_> = running.iter().map(|&(e, p)| (e.max(now + 1), p)).collect();
@@ -1388,16 +1439,11 @@ mod tests {
             running.push((k * 10, 2));
         }
         assert!(l.chunks.len() >= 3, "{} chunks", l.chunks.len());
-        assert!(l.chunks.iter().all(|c| c.keys.len() < 2 * CHUNK_KEYS));
-        assert!(l
-            .chunks
-            .iter()
-            .all(|c| c.sum == c.keys.iter().map(|k| k.1).sum::<u64>()));
         assert_ledger_matches(&l, 0, &running);
 
         // Empty the second chunk key by key; it must disappear.
         let before = l.chunks.len();
-        let second: Vec<_> = l.chunks[1].keys.clone();
+        let second = l.chunks[1].keys.clone();
         for &(t, p) in &second {
             l.remove(t, p);
             running.retain(|&r| r != (t, p));
@@ -1418,6 +1464,62 @@ mod tests {
         }
         running.retain(|r| r.0 > mid);
         assert_ledger_matches(&l, mid, &running);
+    }
+
+    /// Everything a ledger holds, chunk by chunk.
+    type LedgerState = (Timestamp, u64, u64, Vec<(Timestamp, u64, Vec<Point>)>);
+
+    fn state(ledger: &ReleaseLedger) -> LedgerState {
+        let chunks = ledger.chunks.iter();
+        let chunks = chunks.map(|c| (c.first, c.sum, c.keys.iter().copied().collect()));
+        (ledger.now, ledger.total, ledger.overrun, chunks.collect())
+    }
+
+    #[test]
+    fn pruning_before_a_completion_leaves_what_removing_first_leaves() {
+        // Keys every ten seconds from 10 to 2000 in chunks headed by 10,
+        // 650 and 1290, and two more units on the key at 650.
+        let mut running = stairs();
+        running.push((650, 2));
+        // (end estimate, units, completed at): on the estimate with the
+        // clock emptying the first chunk whole, and with it popping the
+        // second's head too; on a shared key; early, from the chunk the
+        // clock stops in and from a later one; late, out of the overrun.
+        let cases = [
+            (640, 1, 640),
+            (650, 1, 650),
+            (650, 2, 650),
+            (660, 1, 655),
+            (1_500, 1, 655),
+            (20, 1, 700),
+            (1_300, 1, 1_300),
+        ];
+        for (end, procs, now) in cases {
+            let removed_first = {
+                let mut l = ledger_of(400, 0, &running);
+                l.remove(end, procs);
+                l.prune_to(now);
+                l
+            };
+            let mut pruned_first = ledger_of(400, 0, &running);
+            pruned_first.prune_to(now);
+            pruned_first.remove(end, procs);
+            assert_eq!(
+                state(&pruned_first),
+                state(&removed_first),
+                "{end} at {now}"
+            );
+            let mut left = running.clone();
+            let at = left.iter().position(|&r| r == (end, procs)).unwrap();
+            left.remove(at);
+            assert_ledger_matches(&pruned_first, now, &left);
+        }
+        // The clock stops inside the second chunk: its new head is the
+        // first key after `now`.
+        let mut l = ledger_of(400, 0, &running);
+        l.prune_to(655);
+        assert_eq!((l.chunks.len(), l.chunks[0].first), (2, 660));
+        assert_eq!(l.overrun(), 65 + 2);
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! `passes`: the queue order and the scheduling passes. `state`: the save
 //! format.
 
+mod finishes;
 mod passes;
 mod state;
 
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use lumos_core::{CoreError, Duration, Job, Result, SystemSpec, Timestamp};
 use serde::{Deserialize, Serialize};
@@ -37,6 +37,7 @@ use crate::profile::CapacityProfile;
 use crate::simulator::{SimConfig, SimResult};
 use crate::tenant::{TenantId, TenantState, TenantTable, TenantUsage};
 
+use finishes::FinishQueue;
 use state::SavedMark;
 pub use state::{SessionState, StateDelta};
 
@@ -182,7 +183,8 @@ pub struct SimSession {
     /// Submitted jobs not yet arrived, ascending by `(submit, id, row)`.
     pending: VecDeque<usize>,
     cluster: Cluster,
-    finish_heap: BinaryHeap<Reverse<(Timestamp, usize)>>,
+    /// Running jobs by `(finish, row)`.
+    finishes: FinishQueue,
     violations: Vec<(Timestamp, Timestamp)>,
     timeline: Vec<(Timestamp, u64)>,
     /// Per-partition running-maximum queue length (the adaptive signal).
@@ -246,7 +248,7 @@ impl SimSession {
             by_id: Some(HashMap::new()),
             pending: VecDeque::new(),
             cluster,
-            finish_heap: BinaryHeap::new(),
+            finishes: FinishQueue::new(),
             violations: Vec::new(),
             timeline: Vec::new(),
             max_queue: vec![0; parts],
@@ -633,7 +635,7 @@ impl SimSession {
     #[must_use]
     pub fn next_event_time(&self) -> Option<Timestamp> {
         let t_arr = self.pending.front().map(|&i| self.jobs[i].submit);
-        let t_fin = self.finish_heap.peek().map(|Reverse((t, _))| *t);
+        let t_fin = self.finishes.peek();
         match (t_arr, t_fin) {
             (Some(a), Some(f)) => Some(a.min(f)),
             (Some(a), None) => Some(a),
@@ -685,7 +687,7 @@ impl SimSession {
             submitted: self.jobs.len(),
             pending: self.pending.len(),
             waiting: self.cluster.queue_len(),
-            running: self.finish_heap.len(),
+            running: self.finishes.len(),
             finished: self.finished_count,
             cancelled: self.cancelled_count,
             used_units: used,
@@ -845,16 +847,17 @@ impl SimSession {
         let mut dirty = std::mem::take(&mut self.dirty);
         dirty.clear();
         // 1. Completions at `now`.
-        while let Some(&Reverse((t, idx))) = self.finish_heap.peek() {
-            if t > now {
-                break;
-            }
-            self.finish_heap.pop();
+        while let Some((_, idx)) = self.finishes.pop_due(now) {
             self.events_processed += 1;
             let part = self.part_of[idx];
             let end_estimate = self.end_estimate(idx);
             let p = self.cluster.partition_mut(part);
-            p.finish(self.procs_eff[idx], end_estimate);
+            p.finish(self.procs_eff[idx], end_estimate, now);
+            if end_estimate > now {
+                self.counts.keys_removed_by_search += 1;
+            } else {
+                self.counts.keys_released_by_clock += 1;
+            }
             if now != end_estimate {
                 // Early or late: not when a kept plan has the units back.
                 p.plan_diverged(Divergence::Completion);
@@ -954,7 +957,8 @@ impl SimSession {
         self.cluster
             .partition_mut(part)
             .start(self.procs_eff[idx], now + self.plan_wall[idx]);
-        self.finish_heap.push(Reverse((finish, idx)));
+        self.counts.keys_inserted += 1;
+        self.finishes.push(finish, idx);
         if let Some(promise) = self.promised[idx] {
             self.violations.push((promise, now));
         }
@@ -1011,6 +1015,43 @@ mod tests {
         let wb: Vec<_> = batch.jobs.iter().map(|j| (j.id, j.wait)).collect();
         let wo: Vec<_> = online.jobs.iter().map(|j| (j.id, j.wait)).collect();
         assert_eq!(wb, wo);
+    }
+
+    #[test]
+    fn batch_replay_and_a_driven_session_count_the_ledger_alike() {
+        // Even ids plan with their runtime and end on the estimate, odd
+        // ones plan for 200 s and end before it.
+        let jobs: Vec<Job> = (0..80)
+            .map(|i| {
+                let runtime = 40 + (i % 5) as i64 * 30;
+                let walltime = if i % 2 == 0 { runtime } else { 200 };
+                job(i, i as i64 * 7, runtime, 1 + (i % 30), walltime)
+            })
+            .collect();
+        let ledger = |c: PassCounts| {
+            (
+                c.keys_inserted,
+                c.keys_removed_by_search,
+                c.keys_released_by_clock,
+            )
+        };
+        for backfill in [Backfill::None, Backfill::Easy, Backfill::Conservative] {
+            let config = SimConfig {
+                backfill,
+                ..SimConfig::default()
+            };
+            let mut batch = SimSession::for_replay(&tiny(), config, jobs.len());
+            let mut driven = SimSession::new(&tiny(), config);
+            for j in &jobs {
+                batch.submit(j.clone()).unwrap();
+                driven.submit(j.clone()).unwrap();
+                driven.advance_to(j.submit);
+            }
+            batch.advance_to_completion();
+            driven.advance_to_completion();
+            assert_eq!(ledger(batch.counts()), (80, 40, 40), "{backfill:?}");
+            assert_eq!(ledger(driven.counts()), ledger(batch.counts()));
+        }
     }
 
     #[test]

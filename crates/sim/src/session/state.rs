@@ -1,8 +1,6 @@
 //! The save format: complete saves, increments on a marked save, and the
 //! way back from both ([`SessionState::fold`], [`SimSession::restore`]).
 
-use std::cmp::Reverse;
-
 use lumos_core::{CoreError, Duration, Job, Result, SystemSpec, Timestamp};
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +18,7 @@ use crate::tenant::{TenantId, TenantState, TenantTable};
 /// restore from those facts plus the [`SystemSpec`]: partition routing and
 /// effective requests (via the deterministic [`crate::cluster::Cluster::route`]),
 /// policy keys (the policy key never depends on the observed wait), queue
-/// orderings, the release ledgers, and the completion heap. That keeps the
+/// orderings, the release ledgers, and the completion queue. That keeps the
 /// snapshot small and makes corruption detectable as inconsistency.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionState {
@@ -281,12 +279,12 @@ impl SimSession {
     /// whose only complete save is [`SimSession::save_state`].
     ///
     /// Costs O(live jobs + history since the mark): the live set is read
-    /// off the pending queue, the waiting lists and the completion heap,
+    /// off the pending queue, the waiting lists and the completion queue,
     /// never by scanning the job table.
     #[must_use]
     pub fn save_delta(&self) -> Option<(u64, StateDelta)> {
         let mark = self.mark.as_ref()?;
-        let running = self.finish_heap.iter().map(|&Reverse((_, idx))| idx);
+        let running = self.finishes.rows();
         let mut rows = mark.sealed.clone();
         rows.extend(self.pending.iter().copied());
         for part in 0..self.cluster.partition_count() {
@@ -405,7 +403,7 @@ impl SimSession {
                             )));
                         }
                         p.start(procs, start + wall);
-                        s.finish_heap.push(Reverse((start + job.runtime, idx)));
+                        s.finishes.push(start + job.runtime, idx);
                     } else {
                         s.finished_count += 1;
                     }

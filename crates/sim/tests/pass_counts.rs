@@ -2,8 +2,9 @@
 //! `SimSession::counts`: counts that add up to the schedule, that leave
 //! it as batch replay makes it, and that a restore starts over.
 
-use lumos_core::{Job, SystemSpec, Trace};
+use lumos_core::{Job, SystemId, SystemSpec, Trace};
 use lumos_sim::{simulate, Backfill, PassCounts, Policy, Relax, SimConfig, SimSession};
+use lumos_traces::{systems, Generator, GeneratorConfig};
 
 /// 64 units.
 fn system() -> SystemSpec {
@@ -120,4 +121,64 @@ fn a_restore_starts_the_counts_at_zero() {
     assert!(after.rebuilds.fresh == 1 && after.pairs > 0, "{after:?}");
     let started = before.heads_started + before.backfills + after.heads_started + after.backfills;
     assert_eq!(started, trace.len() as u64);
+}
+
+/// Jobs that complete before the end estimate the scheduler planned
+/// with: the ones whose units the release ledger searches its keys for.
+fn early(trace: &Trace) -> u64 {
+    let early = |j: &&Job| j.runtime < j.planning_walltime().max(1);
+    trace.jobs().iter().filter(early).count() as u64
+}
+
+#[test]
+fn jobs_ending_on_their_estimate_cost_the_ledger_no_search() {
+    // The contended trace without walltimes: every job plans with its
+    // own runtime, so every completion lands on its estimate.
+    let jobs = contended()
+        .jobs()
+        .iter()
+        .map(|j| Job {
+            walltime: None,
+            ..j.clone()
+        })
+        .collect();
+    let trace = Trace::new(system(), jobs).unwrap();
+    assert_eq!(early(&trace), 0);
+    for backfill in [Backfill::None, Backfill::Easy, Backfill::Conservative] {
+        let c = replay(&trace, config(backfill, Relax::Strict)).1;
+        let n = trace.len() as u64;
+        assert_eq!(
+            (
+                c.keys_inserted,
+                c.keys_removed_by_search,
+                c.keys_released_by_clock
+            ),
+            (n, 0, n),
+            "{backfill:?}"
+        );
+        // A completion on its estimate is what a kept plan holds, and the
+        // job is gone before any pass could see it overrunning.
+        let r = c.rebuilds;
+        assert_eq!((r.completion, r.overrun), (0, 0), "{backfill:?}: {r:?}");
+    }
+}
+
+#[test]
+fn on_blue_waters_the_ledger_searches_for_the_early_finishers_alone() {
+    let trace = Generator::new(
+        systems::profile_for(SystemId::BlueWaters),
+        GeneratorConfig {
+            seed: 7,
+            span_days: 1,
+            ..GeneratorConfig::default()
+        },
+    )
+    .generate();
+    let n = trace.len() as u64;
+    let early = early(&trace);
+    assert!(0 < early && early < n, "{early} of {n}");
+    let c = replay(&trace, config(Backfill::Easy, Relax::Strict)).1;
+    assert_eq!(c.keys_inserted, n);
+    assert_eq!(c.keys_removed_by_search, early);
+    assert_eq!(c.keys_released_by_clock, n - early);
 }
